@@ -16,6 +16,7 @@
 #include "graph/adjacency.h"
 #include "market/market.h"
 #include "nn/rnn.h"
+#include "nn/temporal_conv.h"
 #include "obs/trace.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
@@ -98,6 +99,37 @@ void BM_Softmax(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Softmax);
+
+// The fused pairwise ranking loss, forward and backward, at the default
+// (N = 120) and the paper-scale (N = 840) universe.
+void BM_PairwiseRankingLoss(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(1);
+  auto scores = ag::MakeVariable(RandomGaussian({n}, 0, 1, &rng),
+                                 /*requires_grad=*/true);
+  const Tensor labels = RandomGaussian({n}, 0, 0.02f, &rng);
+  for (auto _ : state) {
+    scores->ZeroGrad();
+    ag::Backward(core::PairwiseRankingLoss(scores, labels));
+  }
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_PairwiseRankingLoss)->ArgNames({"n"})->Arg(120)->Arg(840);
+
+// The fused causal conv, forward and backward, on the layer-0 shapes of the
+// paper-scale model: [T = 15, N = 840, F = 16], kernel 3, stride 4.
+void BM_CausalConv1dFwdBwd(benchmark::State& state) {
+  Rng rng(1);
+  nn::CausalConv1d conv(16, 16, 3, &rng, /*dilation=*/1, /*stride=*/4);
+  auto x = ag::MakeVariable(RandomGaussian({15, 840, 16}, 0, 1, &rng),
+                            /*requires_grad=*/true);
+  for (auto _ : state) {
+    x->ZeroGrad();
+    for (const auto& p : conv.Parameters()) p->ZeroGrad();
+    ag::Backward(ag::SumAll(conv.Forward(x)));
+  }
+}
+BENCHMARK(BM_CausalConv1dFwdBwd);
 
 // One RT-GCN forward+backward per day-sample vs an LSTM ranker — the
 // per-sample contrast behind Figure 5.

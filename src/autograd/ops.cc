@@ -1,17 +1,14 @@
 #include "autograd/ops.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
 #include "autograd/finite_check.h"
+#include "common/thread_pool.h"
 
 namespace rtgcn::ag {
 
-namespace {
-
-// Builds the output node; attaches the tape edge only when needed. `op` is
-// a static string naming the operation, recorded on the node so the
-// finite-check mode can pinpoint which op produced a non-finite value.
 VarPtr MakeOp(const char* op, Tensor value, std::vector<VarPtr> parents,
               std::function<void(const Tensor&)> backward_fn) {
   bool track = GradMode::enabled();
@@ -33,8 +30,6 @@ VarPtr MakeOp(const char* op, Tensor value, std::vector<VarPtr> parents,
   }
   return out;
 }
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Elementwise binary
@@ -425,5 +420,71 @@ VarPtr Dropout(const VarPtr& a, float p, bool training, Rng* rng,
 }
 
 VarPtr SquaredNorm(const VarPtr& a) { return SumAll(Square(a)); }
+
+// ---------------------------------------------------------------------------
+// Ranking loss
+// ---------------------------------------------------------------------------
+
+VarPtr PairwiseRankingLoss(const VarPtr& scores, const Tensor& labels) {
+  const int64_t n = scores->numel();
+  RTGCN_CHECK_GT(n, 0);
+  RTGCN_CHECK_EQ(labels.numel(), n);
+  const bool want_grad = GradMode::enabled() && NeedsGrad(scores);
+  const float* s = scores->value.data();
+  const float* y = labels.data();
+  // Per-row hinge sums and, when a gradient is wanted, per-row sums of
+  // [hinge_ij > 0] (y_i - y_j). Rows are independent, so the pool splits
+  // them freely without changing any row's summation order.
+  std::vector<double> row_loss(static_cast<size_t>(n));
+  auto row_grad = std::make_shared<std::vector<double>>(
+      want_grad ? static_cast<size_t>(n) : 0);
+  double* pg = row_grad->data();
+  ParallelFor(0, n, std::max<int64_t>(1, 32768 / n), [&](int64_t lo,
+                                                         int64_t hi) {
+    // Two passes per row: a branch-free, vectorizable pass writes each
+    // pair's hinge and its active label gap, then a sequential pass sums
+    // them. (Summing inside the first loop lets the compiler turn the
+    // selects into branches, which mispredict on the unordered pairs.)
+    std::vector<float> hinge(static_cast<size_t>(n));
+    std::vector<float> active(static_cast<size_t>(n));
+    float* ph = hinge.data();
+    float* pa = active.data();
+    for (int64_t i = lo; i < hi; ++i) {
+      const float si = s[i];
+      const float yi = y[i];
+      for (int64_t j = 0; j < n; ++j) {
+        const float dy = yi - y[j];
+        const float h = -((si - s[j]) * dy);
+        // `h < 0 ? 0 : h` rather than max(0, h), so a NaN score reaches
+        // the loss value.
+        ph[j] = h < 0.0f ? 0.0f : h;
+        pa[j] = h > 0.0f ? dy : 0.0f;
+      }
+      double loss = 0;
+      double grad = 0;
+      for (int64_t j = 0; j < n; ++j) {
+        loss += ph[j];
+        grad += pa[j];
+      }
+      row_loss[static_cast<size_t>(i)] = loss;
+      if (pg != nullptr) pg[i] = grad;
+    }
+  });
+  double total = 0;
+  for (const double r : row_loss) total += r;
+  const float inv_pairs = 1.0f / static_cast<float>(n * n);
+  Tensor value = Tensor::Scalar(static_cast<float>(total) * inv_pairs);
+  return MakeOp("PairwiseRankingLoss", std::move(value), {scores},
+                [scores, row_grad, inv_pairs](const Tensor& g) {
+                  const double scale =
+                      -2.0 * static_cast<double>(inv_pairs) * g.item();
+                  Tensor grad(scores->shape());
+                  float* out = grad.data();
+                  for (int64_t i = 0; i < grad.numel(); ++i) {
+                    out[i] = static_cast<float>(scale * (*row_grad)[i]);
+                  }
+                  scores->AccumulateGrad(grad);
+                });
+}
 
 }  // namespace rtgcn::ag

@@ -7,6 +7,7 @@
 #ifndef RTGCN_AUTOGRAD_OPS_H_
 #define RTGCN_AUTOGRAD_OPS_H_
 
+#include <functional>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -18,6 +19,16 @@ namespace rtgcn::ag {
 inline bool NeedsGrad(const VarPtr& v) {
   return v->requires_grad || !v->is_leaf();
 }
+
+/// Builds an op's output node from its forward `value`. `op` is a static
+/// string naming the operation; it is recorded on the node so the
+/// finite-check mode can name the op that produced a non-finite value, and
+/// the value is scanned here when those checks are on. The tape edge
+/// (`parents`, `backward_fn`) is attached only when gradient mode is on and
+/// some parent needs gradients. Fused ops outside this file build through
+/// it too.
+VarPtr MakeOp(const char* op, Tensor value, std::vector<VarPtr> parents,
+              std::function<void(const Tensor&)> backward_fn);
 
 // Elementwise binary (broadcasting).
 VarPtr Add(const VarPtr& a, const VarPtr& b);
@@ -76,6 +87,17 @@ VarPtr Dropout(const VarPtr& a, float p, bool training, Rng* rng,
 
 /// Sum of squares of all entries (L2 regularizer building block).
 VarPtr SquaredNorm(const VarPtr& a);
+
+/// Pairwise hinge ranking loss (Feng et al.), one fused op:
+///   (1/N²) Σ_ij max(0, -(s_i - s_j)(y_i - y_j))
+/// over scores `s` and labels `y` of N entries each (any shapes of equal
+/// numel, e.g. [N] or [N, 1]). O(N²) compute, O(N) memory: no [N, N]
+/// tensor is ever built. Each row i sums into its own double accumulator
+/// in fixed j order and the rows are summed in row order, so the value is
+/// identical at any thread count. Since pairs (i, j) and (j, i) give the
+/// same product, dL/ds_i = -(2/N²) Σ_j [hinge_ij > 0] (y_i - y_j); tied
+/// pairs contribute no gradient. A NaN score yields a NaN loss.
+VarPtr PairwiseRankingLoss(const VarPtr& scores, const Tensor& labels);
 
 }  // namespace rtgcn::ag
 

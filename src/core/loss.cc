@@ -10,21 +10,6 @@ ag::VarPtr RegressionLoss(const VarPtr& scores, const Tensor& labels) {
   return ag::MeanAll(ag::Square(diff));
 }
 
-ag::VarPtr PairwiseRankingLoss(const VarPtr& scores, const Tensor& labels) {
-  const int64_t n = scores->numel();
-  RTGCN_CHECK_EQ(labels.numel(), n);
-  // Outer differences via broadcasting: d̂_ij = ŷ_i - ŷ_j, d_ij = y_i - y_j.
-  VarPtr col = ag::Reshape(scores, {n, 1});
-  VarPtr row = ag::Reshape(scores, {1, n});
-  VarPtr pred_diff = ag::Sub(col, row);
-  Tensor lcol = labels.Reshape({n, 1});
-  Tensor lrow = labels.Reshape({1, n});
-  Tensor label_diff = rtgcn::Sub(rtgcn::BroadcastTo(lcol, {n, n}),
-                                 rtgcn::BroadcastTo(lrow, {n, n}));
-  VarPtr product = ag::Mul(pred_diff, ag::Constant(label_diff));
-  return ag::MeanAll(ag::Relu(ag::Neg(product)));
-}
-
 ag::VarPtr CombinedLoss(const VarPtr& scores, const Tensor& labels,
                         float alpha) {
   VarPtr loss = RegressionLoss(scores, labels);

@@ -286,17 +286,16 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
   const int64_t nnz = g->num_entries();
 
   auto s = EdgeWeights(*g, w->value.data(), b->value.data()[0]);
-  auto p = std::make_shared<std::vector<float>>(static_cast<size_t>(nnz));
+  // The backward closure and the saved diagnostic share p's storage.
+  Tensor p({nnz});
   const float* coeff = g->coeff().data();
   for (int64_t e = 0; e < nnz; ++e) {
-    (*p)[static_cast<size_t>(e)] = coeff[e] * (*s)[static_cast<size_t>(e)];
+    p.data()[e] = coeff[e] * (*s)[static_cast<size_t>(e)];
   }
-  if (save_edge_values != nullptr) {
-    *save_edge_values = Tensor({nnz}, std::vector<float>(*p));
-  }
+  if (save_edge_values != nullptr) *save_edge_values = p;
 
   Tensor y = Tensor::Zeros(x->value.shape());
-  SegmentSpmm(*g, p->data(), /*use_rev=*/false, x->value.data(), f, y.data());
+  SegmentSpmm(*g, p.data(), /*use_rev=*/false, x->value.data(), f, y.data());
 
   auto out = std::make_shared<ag::Variable>(std::move(y));
   out->op_name = "graph.SparseEdgeWeightPropagate";
@@ -356,7 +355,7 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
       }
       if (ag::NeedsGrad(x)) {
         Tensor dx = Tensor::Zeros(x_val.shape());
-        SegmentSpmm(*g, p->data(), /*use_rev=*/true, pg, f, dx.data());
+        SegmentSpmm(*g, p.data(), /*use_rev=*/true, pg, f, dx.data());
         x->AccumulateGrad(dx);
       }
     };
@@ -396,15 +395,15 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
   // corr[t, e] = (x_{t,i} · x_{t,j}) / √D ; p[t, e] = as_e · corr[t, e].
   auto corr = std::make_shared<std::vector<float>>(
       static_cast<size_t>(t_steps * nnz));
-  auto p = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(t_steps * nnz));
+  // The backward closure and the saved diagnostic share p's storage.
+  Tensor p({t_steps, nnz});
   Tensor y = Tensor::Zeros(x->value.shape());
   {
     const float* px = x->value.data();
     const int64_t* rp = g->row_ptr().data();
     const int32_t* col = g->col().data();
     float* pcorr = corr->data();
-    float* pp = p->data();
+    float* pp = p.data();
     float* py = y.data();
     ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
@@ -424,9 +423,7 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
       }
     });
   }
-  if (save_edge_values != nullptr) {
-    *save_edge_values = Tensor({t_steps, nnz}, std::vector<float>(*p));
-  }
+  if (save_edge_values != nullptr) *save_edge_values = p;
 
   auto out = std::make_shared<ag::Variable>(std::move(y));
   out->op_name = "graph.SparseTimeSensitivePropagate";
@@ -511,8 +508,7 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
                 const int64_t j = col[e];
                 const float* gj = gt + j * d;
                 const float* xj = xt + j * d;
-                const float p_rev =
-                    (*p)[static_cast<size_t>(t * nnz + rev[e])];
+                const float p_rev = p.data()[t * nnz + rev[e]];
                 const float s_e = (*s)[static_cast<size_t>(e)];
                 const float coef2 = (*as)[static_cast<size_t>(e)] * c *
                                     DotF(gm, xj, d);

@@ -20,6 +20,11 @@ namespace rtgcn::nn {
 /// shrinking T and expanding the receptive field as in the paper.
 /// With `weight_norm` the effective filter is w = g * v / ||v||, the norm
 /// taken per output channel (Salimans & Kingma).
+///
+/// The convolution itself is one fused autograd op ("CausalConv1d"): it
+/// reads the unpadded input, computes only the output times the stride
+/// keeps, and its backward writes dX, dW and db directly. Weight norm stays
+/// composed from ops on the small [k, in, out] filter.
 class CausalConv1d : public Module {
  public:
   CausalConv1d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
@@ -74,7 +79,6 @@ class TemporalConvBlock : public Module {
   CausalConv1d conv2_;
   // Residual projection matching the block's total stride (unit kernel).
   std::unique_ptr<CausalConv1d> downsample_;
-  int64_t stride_;
   float dropout_;
 };
 

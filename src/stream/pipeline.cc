@@ -162,6 +162,12 @@ Status RollingPipeline::MaybeRetrain(int64_t day) {
     latest_arch_ = std::move(arch);
   }
 
+  {
+    // Recorded before the promotion: Rank() may see the new version as soon
+    // as PollOnce() swaps it in, and needs its training universe then.
+    std::lock_guard<std::mutex> lock(mu_);
+    versions_[version] = VersionInfo{std::move(slots), trained_universe};
+  }
   auto& reg = obs::Registry::Global();
   const uint64_t reload_start = obs::NowMicros();
   const bool promoted = registry_.PollOnce();
@@ -173,7 +179,6 @@ Status RollingPipeline::MaybeRetrain(int64_t day) {
 
   {
     std::lock_guard<std::mutex> lock(mu_);
-    versions_[version] = VersionInfo{std::move(slots), trained_universe};
     last_retrain_day_ = day;
     retrains_ = version - version_base_;
     last_retrain_seconds_ = fit_seconds;

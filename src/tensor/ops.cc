@@ -73,6 +73,20 @@ std::vector<int64_t> BroadcastStrides(const Shape& shape,
   return strides;
 }
 
+// True when `row` is [C] or [1, ..., 1, C] and `full` has at least its rank
+// and last axis C: `row` then repeats along every leading axis of `full`,
+// and the broadcast result has `full`'s shape.
+bool IsTrailingRow(const Shape& row, const Shape& full) {
+  if (row.empty() || row.size() > full.size() || row.back() != full.back() ||
+      row.back() == 0) {
+    return false;
+  }
+  for (size_t i = 0; i + 1 < row.size(); ++i) {
+    if (row[i] != 1) return false;
+  }
+  return true;
+}
+
 template <typename BinaryFn>
 Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
   RTGCN_CHECK(a.defined() && b.defined());
@@ -106,6 +120,34 @@ Tensor BinaryOp(const Tensor& a, const Tensor& b, BinaryFn fn) {
     ParallelFor(0, b.numel(), kElemGrain, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = fn(s, pb[i]);
     });
+    return out;
+  }
+  // Fast path: one operand is a row repeated along the other's trailing
+  // axis (bias adds, spatial-dropout masks). Each entry is the same single
+  // fn call as on the general path, so results are bit-identical.
+  const bool b_row = IsTrailingRow(b.shape(), a.shape());
+  if (b_row || IsTrailingRow(a.shape(), b.shape())) {
+    const Tensor& full = b_row ? a : b;
+    const int64_t c = full.shape().back();
+    Tensor out(full.shape());
+    const float* pa = a.data();
+    const float* pb = b.data();
+    float* po = out.data();
+    ParallelFor(0, full.numel() / c, std::max<int64_t>(1, kElemGrain / c),
+                [&](int64_t lo, int64_t hi) {
+                  for (int64_t r = lo; r < hi; ++r) {
+                    const int64_t off = r * c;
+                    if (b_row) {
+                      for (int64_t j = 0; j < c; ++j) {
+                        po[off + j] = fn(pa[off + j], pb[j]);
+                      }
+                    } else {
+                      for (int64_t j = 0; j < c; ++j) {
+                        po[off + j] = fn(pa[j], pb[off + j]);
+                      }
+                    }
+                  }
+                });
     return out;
   }
   // General broadcast path. Each chunk seeds the odometer from its first

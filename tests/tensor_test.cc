@@ -122,6 +122,28 @@ TEST(OpsTest, BroadcastTrailingVector) {
   EXPECT_TRUE(AllClose(Add(m, v), Tensor({2, 3}, {2, 3, 4, 5, 6, 7})));
 }
 
+TEST(OpsTest, BroadcastTrailingRowOnEitherSide) {
+  // [C], [1, C] and [1, 1, C] against [T, N, C], on the left and right of
+  // the non-commutative ops: bit-equal to the op on the materialized row.
+  Rng rng(3);
+  const Tensor full = RandomUniform({3, 4, 5}, 0.5f, 1.5f, &rng);
+  for (const Shape& row_shape : {Shape{5}, Shape{1, 1, 5}, Shape{1, 5}}) {
+    const Tensor row = RandomUniform(row_shape, 0.5f, 1.5f, &rng);
+    const Tensor wide = BroadcastTo(row, full.shape());
+    const auto expect_same = [](const Tensor& got, const Tensor& want) {
+      ASSERT_EQ(got.shape(), want.shape());
+      for (int64_t i = 0; i < want.numel(); ++i) {
+        EXPECT_EQ(got.data()[i], want.data()[i]) << "at " << i;
+      }
+    };
+    expect_same(Sub(full, row), Sub(full, wide));
+    expect_same(Sub(row, full), Sub(wide, full));
+    expect_same(Div(full, row), Div(full, wide));
+    expect_same(Div(row, full), Div(wide, full));
+    expect_same(Mul(row, full), Mul(wide, full));
+  }
+}
+
 TEST(OpsTest, BroadcastScalarFastPath) {
   Tensor m({2, 2}, {1, 2, 3, 4});
   Tensor s = Tensor::Scalar(10.0f);

@@ -17,6 +17,7 @@
 #include "harness/gradient_predictor.h"
 #include "market/dataset.h"
 #include "nn/linear.h"
+#include "nn/temporal_conv.h"
 #include "tensor/ops.h"
 
 namespace rtgcn::harness {
@@ -200,6 +201,56 @@ TEST(FiniteCheckTest, NamesBackwardOpReceivingNonFiniteGradient) {
   ag::Backward(loss);
   EXPECT_TRUE(ag::FiniteChecks::tripped());
   EXPECT_EQ(ag::FiniteChecks::first().op, "MulScalar");
+  EXPECT_EQ(ag::FiniteChecks::first().phase, "backward");
+}
+
+// The fused ops are single tape nodes, so they must be the ones named: in
+// the forward when their output is non-finite, and in the backward when
+// the gradient they receive is. sqrt at an exact 0 is finite forward but
+// hands its input an infinite gradient.
+TEST(FiniteCheckTest, NamesFusedRankingLossInBothPhases) {
+  FiniteCheckScope scope;
+  Tensor nan_scores({3}, {0.3f, kNan, -0.1f});
+  const Tensor labels({3}, {0.03f, 0.02f, 0.01f});
+  ag::PairwiseRankingLoss(ag::Constant(nan_scores), labels);
+  EXPECT_TRUE(ag::FiniteChecks::tripped());
+  EXPECT_EQ(ag::FiniteChecks::first().op, "PairwiseRankingLoss");
+  EXPECT_EQ(ag::FiniteChecks::first().phase, "forward");
+
+  ag::FiniteChecks::Reset();
+  // Scores ordered like the labels: no misordered pair, loss exactly 0.
+  auto s = ag::MakeVariable(Tensor({3}, {0.3f, 0.2f, 0.1f}),
+                            /*requires_grad=*/true);
+  ag::VarPtr loss = ag::SumAll(ag::Sqrt(ag::PairwiseRankingLoss(s, labels)));
+  EXPECT_FALSE(ag::FiniteChecks::tripped()) << "forward should be finite";
+  ag::Backward(loss);
+  EXPECT_TRUE(ag::FiniteChecks::tripped());
+  EXPECT_EQ(ag::FiniteChecks::first().op, "PairwiseRankingLoss");
+  EXPECT_EQ(ag::FiniteChecks::first().phase, "backward");
+}
+
+TEST(FiniteCheckTest, NamesFusedCausalConvInBothPhases) {
+  FiniteCheckScope scope;
+  Rng rng(5);
+  nn::CausalConv1d conv(2, 2, 3, &rng, /*dilation=*/1, /*stride=*/2);
+  Tensor x = Tensor::Full({4, 3, 2}, 0.5f);
+  x.data()[7] = kNan;
+  conv.Forward(ag::Constant(x));
+  EXPECT_TRUE(ag::FiniteChecks::tripped());
+  EXPECT_EQ(ag::FiniteChecks::first().op, "CausalConv1d");
+  EXPECT_EQ(ag::FiniteChecks::first().phase, "forward");
+
+  ag::FiniteChecks::Reset();
+  // Zero filters and bias: the output is exactly 0 everywhere.
+  nn::CausalConv1d zero(2, 2, 3, &rng, 1, 2, /*weight_norm=*/false);
+  for (const auto& p : zero.Parameters()) p->value = Tensor::Zeros(p->shape());
+  auto input = ag::MakeVariable(Tensor::Full({4, 3, 2}, 0.5f),
+                                /*requires_grad=*/true);
+  ag::VarPtr loss = ag::SumAll(ag::Sqrt(zero.Forward(input)));
+  EXPECT_FALSE(ag::FiniteChecks::tripped()) << "forward should be finite";
+  ag::Backward(loss);
+  EXPECT_TRUE(ag::FiniteChecks::tripped());
+  EXPECT_EQ(ag::FiniteChecks::first().op, "CausalConv1d");
   EXPECT_EQ(ag::FiniteChecks::first().phase, "backward");
 }
 

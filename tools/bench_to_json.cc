@@ -288,9 +288,9 @@ struct ScaleSample {
 
 // One full train step (forward + backward + Adam) of the time-sensitive
 // RT-GCN under the given graph backend. The loss is the pure O(N)
-// regression term: PairwiseRankingLoss materializes an [N, N] broadcast,
-// which would dominate — and defeat — the O(E) scaling measurement at
-// N = 10,000.
+// regression term: PairwiseRankingLoss needs only O(N) memory, but its
+// O(N²) compute would dominate — and defeat — the O(E) scaling measurement
+// at N = 10,000.
 double TimeScaleStep(const graph::RelationTensor& rel,
                      graph::GraphBackend backend, int repeats) {
   graph::SetGraphBackend(backend);
