@@ -55,7 +55,9 @@ int Run(int argc, char** argv) {
     harness::TablePrinter table([&] {
       std::vector<std::string> header = {"series"};
       for (size_t d = 0; d < curves[0].size(); d += 20) {
-        header.push_back("d" + std::to_string(d));
+        std::string name = "d";
+        name += std::to_string(d);
+        header.push_back(std::move(name));
       }
       header.push_back("final");
       return header;

@@ -14,6 +14,7 @@
 #include "core/loss.h"
 #include "core/rtgcn.h"
 #include "graph/adjacency.h"
+#include "graph/sparse.h"
 #include "market/market.h"
 #include "nn/rnn.h"
 #include "nn/temporal_conv.h"
@@ -193,6 +194,56 @@ void BM_RtGcnTrainStep(benchmark::State& state) {
   SetNumThreads(0);
 }
 BENCHMARK(BM_RtGcnTrainStep)->ArgNames({"threads"})->Arg(1)->Arg(2)->Arg(4);
+
+// Eq. 5 relational conv alone on the layer-0 shapes of the paper-scale
+// model: x [T = 15, N = 840, D = 4] over the NASDAQ-shaped CSR. mode 0 is
+// the forward only; mode 1 adds the backward with dw/db only (x is the
+// constant model input, as in the train step); mode 2 also takes dx (x
+// requires a gradient, as in perfbench's isolated relational_bwd row).
+struct PaperScaleFixture {
+  PaperScaleFixture() : data(market::BuildMarket(Spec())) {
+    csr = graph::CsrGraph::NormalizedAdjacency(data.relations.relations);
+    market::WindowDataset dataset(data.sim.prices, 15, 4);
+    features = dataset.Features(dataset.first_day());
+  }
+
+  static market::MarketSpec Spec() {
+    market::MarketSpec spec = market::NasdaqSpec(7.0);  // N = 840
+    spec.train_days = 40;
+    spec.test_days = 5;
+    return spec;
+  }
+
+  market::MarketData data;
+  graph::CsrPtr csr;
+  Tensor features;
+};
+
+void BM_TimeSensitivePropagate(benchmark::State& state) {
+  static const PaperScaleFixture paper;
+  const int64_t mode = state.range(0);
+  Rng rng(5);
+  auto w = ag::MakeVariable(
+      RandomGaussian({paper.csr->num_relation_types()}, 1.0f, 0.1f, &rng),
+      /*requires_grad=*/true);
+  auto b = ag::MakeVariable(Tensor::Zeros({1}), /*requires_grad=*/true);
+  auto x = ag::MakeVariable(paper.features, /*requires_grad=*/mode == 2);
+  for (auto _ : state) {
+    w->ZeroGrad();
+    b->ZeroGrad();
+    x->ZeroGrad();
+    ag::VarPtr y = graph::SparseTimeSensitivePropagate(paper.csr, w, b, x);
+    if (mode > 0) ag::Backward(y);
+  }
+  state.SetLabel(mode == 0   ? "fwd"
+                 : mode == 1 ? "fwd+bwd dw/db"
+                             : "fwd+bwd dx");
+}
+BENCHMARK(BM_TimeSensitivePropagate)
+    ->ArgNames({"mode"})
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2);
 
 void BM_LstmRankerTrainStep(benchmark::State& state) {
   auto& f = Fixture();

@@ -94,20 +94,37 @@ VarPtr Neg(const VarPtr& a) {
   });
 }
 
+namespace {
+
+// g · (x > 0 ? 1 : negative_slope) in one pass: the same IEEE product per
+// element as building the mask and multiplying, NaN/Inf included.
+Tensor RectifierGrad(const Tensor& g, const Tensor& x, float negative_slope) {
+  RTGCN_CHECK(g.shape() == x.shape());
+  Tensor out(x.shape());
+  const float* pg = g.data();
+  const float* px = x.data();
+  float* po = out.data();
+  ParallelFor(0, x.numel(), 8192, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      po[i] = pg[i] * (px[i] > 0.0f ? 1.0f : negative_slope);
+    }
+  });
+  return out;
+}
+
+}  // namespace
+
 VarPtr Relu(const VarPtr& a) {
   Tensor y = rtgcn::Relu(a->value);
   return MakeOp("Relu", y, {a}, [a](const Tensor& g) {
-    Tensor mask = rtgcn::Map(a->value, [](float x) { return x > 0 ? 1.0f : 0.0f; });
-    a->AccumulateGrad(rtgcn::Mul(g, mask));
+    a->AccumulateGrad(RectifierGrad(g, a->value, 0.0f));
   });
 }
 
 VarPtr LeakyRelu(const VarPtr& a, float slope) {
   Tensor y = rtgcn::LeakyRelu(a->value, slope);
   return MakeOp("LeakyRelu", y, {a}, [a, slope](const Tensor& g) {
-    Tensor mask = rtgcn::Map(a->value,
-                             [slope](float x) { return x > 0 ? 1.0f : slope; });
-    a->AccumulateGrad(rtgcn::Mul(g, mask));
+    a->AccumulateGrad(RectifierGrad(g, a->value, slope));
   });
 }
 

@@ -145,6 +145,23 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::Run(int64_t num_chunks,
                      const std::function<void(int64_t)>& fn) {
   obs::Span span("pool.run", "pool");
+  std::unique_lock<std::mutex> caller(caller_mu_, std::try_to_lock);
+  if (!caller.owns_lock()) {
+    // Another outside caller holds the job slot: run every chunk here
+    // rather than wait for it (serving must not queue behind training).
+    tl_in_parallel_region = true;
+    std::exception_ptr err;
+    for (int64_t c = 0; c < num_chunks; ++c) {
+      try {
+        fn(c);
+      } catch (...) {
+        if (!err) err = std::current_exception();
+      }
+    }
+    tl_in_parallel_region = false;
+    if (err) std::rethrow_exception(err);
+    return;
+  }
   std::unique_lock<std::mutex> lock(mu_);
   EnsureWorkersLocked(NumThreads() - 1, lock);
   job_fn_ = &fn;

@@ -52,7 +52,10 @@ class ThreadPool {
   /// Executes fn(chunk) for every chunk in [0, num_chunks) across the pool,
   /// blocking until all complete. Rethrows the first exception a chunk
   /// threw. Must be called from outside the pool (nested calls are the
-  /// caller's responsibility — ParallelFor inlines them).
+  /// caller's responsibility — ParallelFor inlines them). The pool serves
+  /// one outside caller at a time: a caller that finds it busy runs all its
+  /// chunks inline on its own thread, which gives the same result because
+  /// chunk boundaries never depend on the thread count.
   void Run(int64_t num_chunks, const std::function<void(int64_t)>& fn);
 
   /// Joins all workers. The pool restarts lazily on the next Run().
@@ -73,6 +76,7 @@ class ThreadPool {
   // Claims and executes chunks of the current job until none remain.
   void WorkChunks(const std::function<void(int64_t)>* fn, int64_t num_chunks);
 
+  std::mutex caller_mu_;  // held by the one outside caller the pool serves
   std::mutex mu_;
   std::condition_variable work_cv_;   // workers wait for a new generation
   std::condition_variable done_cv_;   // Run() waits for completion

@@ -70,24 +70,15 @@ const Tensor& RtGcnLayer::last_propagation() const {
     last_propagation_ = rtgcn::Mean(last_propagation_stack_, 0);
     last_propagation_stack_ = Tensor();
   }
+  // Sparse backend: scatter the saved per-entry values into a dense [N, N]
+  // only when someone asks, averaging the time-sensitive values over time
+  // first.
+  if (csr_ && last_time_values_.defined()) {
+    last_propagation_ = csr_->Densify(last_time_values_.TimeAverage().data());
+    last_time_values_ = graph::TimeSensitiveEdgeValues();
+  }
   if (csr_ && last_edge_values_.defined()) {
-    // Sparse backend: scatter the saved per-entry values into a dense
-    // [N, N] only when someone asks, averaging over time first for the
-    // time-sensitive [T, nnz] stack.
-    if (last_edge_values_.ndim() == 2) {
-      const int64_t t_len = last_edge_values_.dim(0);
-      const int64_t nnz = last_edge_values_.dim(1);
-      std::vector<float> avg(static_cast<size_t>(nnz), 0.0f);
-      const float* pv = last_edge_values_.data();
-      for (int64_t t = 0; t < t_len; ++t) {
-        for (int64_t e = 0; e < nnz; ++e) avg[e] += pv[t * nnz + e];
-      }
-      const float inv = 1.0f / static_cast<float>(t_len);
-      for (int64_t e = 0; e < nnz; ++e) avg[e] *= inv;
-      last_propagation_ = csr_->Densify(avg.data());
-    } else {
-      last_propagation_ = csr_->Densify(last_edge_values_.data());
-    }
+    last_propagation_ = csr_->Densify(last_edge_values_.data());
     last_edge_values_ = Tensor();
   }
   return last_propagation_;
@@ -131,7 +122,7 @@ ag::VarPtr RtGcnLayer::RelationalConv(const ag::VarPtr& x) const {
       }
       case Strategy::kTimeSensitive: {
         propagated = graph::SparseTimeSensitivePropagate(
-            csr_, relation_w_, relation_b_, x, &last_edge_values_);
+            csr_, relation_w_, relation_b_, x, &last_time_values_);
         last_propagation_ = Tensor();
         break;
       }

@@ -89,9 +89,12 @@ class RtGcnLayer : public nn::Module {
   // Pending per-time-step propagation stack [T, N, N] (dense time-sensitive
   // strategy); reduced to last_propagation_ on demand.
   mutable Tensor last_propagation_stack_;
-  // Sparse backends stash per-entry propagation values instead ([nnz] or
-  // [T, nnz]); densified on demand.
+  // Sparse backends stash per-entry propagation values instead ([nnz]);
+  // densified on demand.
   mutable Tensor last_edge_values_;
+  // Sparse time-sensitive strategy: a handle on the op's own corr/as
+  // storage; time-averaged and densified on demand.
+  mutable graph::TimeSensitiveEdgeValues last_time_values_;
 };
 
 /// \brief Full ranking model: stacked RT-GCN layers + pooling + FC scorer.

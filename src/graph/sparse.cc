@@ -204,22 +204,25 @@ void SegmentSpmm(const CsrGraph& g, const float* vals, bool use_rev,
 
 // Per-entry edge weight s_e = Σ_{t ∈ types(e)} w_t + b; self loops get 1
 // (a node always keeps its own features, matching the dense S_ii = 1).
+// When `as` is non-null it also receives as_e = coeff_e · s_e.
 std::shared_ptr<std::vector<float>> EdgeWeights(const CsrGraph& g,
-                                                const float* w, float bias) {
+                                                const float* w, float bias,
+                                                float* as = nullptr) {
   auto s = std::make_shared<std::vector<float>>(
       static_cast<size_t>(g.num_entries()));
   const int64_t* tp = g.type_ptr().data();
   const int32_t* types = g.types().data();
+  const float* coeff = g.coeff().data();
   float* ps = s->data();
   ParallelFor(0, g.num_entries(), 1024, [&](int64_t lo, int64_t hi) {
     for (int64_t e = lo; e < hi; ++e) {
-      if (g.IsSelf(e)) {
-        ps[e] = 1.0f;
-        continue;
+      float weight = 1.0f;
+      if (!g.IsSelf(e)) {
+        weight = bias;
+        for (int64_t t = tp[e]; t < tp[e + 1]; ++t) weight += w[types[t]];
       }
-      float weight = bias;
-      for (int64_t t = tp[e]; t < tp[e + 1]; ++t) weight += w[types[t]];
       ps[e] = weight;
+      if (as != nullptr) as[e] = coeff[e] * weight;
     }
   });
   return s;
@@ -366,11 +369,85 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
 // ---------------------------------------------------------------------------
 // SparseTimeSensitivePropagate — P_t = Â ⊙ S ⊙ (X_t X_tᵀ / √D), y_t = P_t x_t
 // ---------------------------------------------------------------------------
+//
+// Node-major, time-blocked layout: x (and, in the backward, g) is transposed
+// once into [N, D, t_stride], T zero-padded to a multiple of kTimeLanes.
+// All T steps of one (node, feature) are then contiguous lanes, so each CSR
+// entry is a D-step lane-wise multiply-add over fixed-width blocks instead of
+// T latency-bound D-wide dots. Every lane runs exactly the scalar [T, N, D]
+// operation sequence (D-sum from 0 in k order, then c·acc, then as·corr,
+// entries accumulated in CSR order), so results are bit-identical to it; the
+// pad lanes only ever see zeros and are never read back.
 
-ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
-                                        const ag::VarPtr& b,
-                                        const ag::VarPtr& x,
-                                        Tensor* save_edge_values) {
+namespace {
+
+// Lanes per block of the node-major time layout; T is padded to a multiple
+// so every (entry, block) step is a fixed-width loop the compiler vectorizes.
+constexpr int64_t kTimeLanes = 8;
+
+int64_t PadTimeLanes(int64_t t_steps) {
+  return (t_steps + kTimeLanes - 1) / kTimeLanes * kTimeLanes;
+}
+
+// [T, N, D] -> node-major [N, D, t_stride], pad lanes zeroed.
+std::shared_ptr<float[]> ToNodeMajor(const float* src, int64_t t_steps,
+                                     int64_t n, int64_t d, int64_t t_stride) {
+  auto out = std::make_shared_for_overwrite<float[]>(
+      static_cast<size_t>(n * d * t_stride));
+  float* po = out.get();
+  ParallelFor(0, n, 64, [&](int64_t lo, int64_t hi) {
+    for (int64_t i = lo; i < hi; ++i) {
+      for (int64_t k = 0; k < d; ++k) {
+        float* lanes = po + (i * d + k) * t_stride;
+        for (int64_t t = 0; t < t_steps; ++t) {
+          lanes[t] = src[(t * n + i) * d + k];
+        }
+        std::fill(lanes + t_steps, lanes + t_stride, 0.0f);
+      }
+    }
+  });
+  return out;
+}
+
+// Writes one node's [D, t_stride] lanes back into row i of a [T, N, D] tensor.
+void FromNodeMajorRow(const float* lanes, int64_t i, int64_t t_steps,
+                      int64_t n, int64_t d, int64_t t_stride, float* dst) {
+  for (int64_t t = 0; t < t_steps; ++t) {
+    float* row = dst + (t * n + i) * d;
+    for (int64_t k = 0; k < d; ++k) row[k] = lanes[k * t_stride + t];
+  }
+}
+
+// out[l] = Σ_k a[k·t_stride + l] · b[k·t_stride + l] for one block of
+// lanes, summed in k order from 0 (the lane-wise DotF).
+inline void LaneDot(const float* a, const float* b, int64_t d, int64_t t_stride,
+                    float* out) {
+  float acc[kTimeLanes] = {};
+  for (int64_t k = 0; k < d; ++k) {
+    const float* ak = a + k * t_stride;
+    const float* bk = b + k * t_stride;
+    for (int64_t l = 0; l < kTimeLanes; ++l) acc[l] += ak[l] * bk[l];
+  }
+  for (int64_t l = 0; l < kTimeLanes; ++l) out[l] = acc[l];
+}
+
+}  // namespace
+
+std::vector<float> TimeSensitiveEdgeValues::TimeAverage() const {
+  const int64_t nnz = static_cast<int64_t>(as->size());
+  std::vector<float> avg(static_cast<size_t>(nnz), 0.0f);
+  const float inv = 1.0f / static_cast<float>(t_steps);
+  for (int64_t e = 0; e < nnz; ++e) {
+    float sum = 0.0f;
+    for (int64_t t = 0; t < t_steps; ++t) sum += At(t, e);
+    avg[static_cast<size_t>(e)] = sum * inv;
+  }
+  return avg;
+}
+
+ag::VarPtr SparseTimeSensitivePropagate(
+    const CsrPtr& g, const ag::VarPtr& w, const ag::VarPtr& b,
+    const ag::VarPtr& x, TimeSensitiveEdgeValues* save_edge_values) {
   obs::Span span("graph.TimeSensitive[sparse]", "graph");
   PublishOp("graph.sparse.op.time_sensitive");
   RTGCN_CHECK_EQ(w->value.ndim(), 1);
@@ -382,48 +459,59 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
   const int64_t n = x->value.dim(1);
   const int64_t d = x->value.dim(2);
   const int64_t nnz = g->num_entries();
+  const int64_t t_stride = PadTimeLanes(t_steps);
   const float c = 1.0f / std::sqrt(static_cast<float>(d));
 
-  auto s = EdgeWeights(*g, w->value.data(), b->value.data()[0]);
   // as_e = coeff_e · s_e (time-independent part of P).
   auto as = std::make_shared<std::vector<float>>(static_cast<size_t>(nnz));
-  const float* coeff = g->coeff().data();
-  for (int64_t e = 0; e < nnz; ++e) {
-    (*as)[static_cast<size_t>(e)] = coeff[e] * (*s)[static_cast<size_t>(e)];
-  }
+  auto s = EdgeWeights(*g, w->value.data(), b->value.data()[0], as->data());
+  std::shared_ptr<const float[]> xn =
+      ToNodeMajor(x->value.data(), t_steps, n, d, t_stride);
 
-  // corr[t, e] = (x_{t,i} · x_{t,j}) / √D ; p[t, e] = as_e · corr[t, e].
-  auto corr = std::make_shared<std::vector<float>>(
-      static_cast<size_t>(t_steps * nnz));
-  // The backward closure and the saved diagnostic share p's storage.
-  Tensor p({t_steps, nnz});
-  Tensor y = Tensor::Zeros(x->value.shape());
+  // corr[e, t] = (x_{t,i} · x_{t,j}) / √D, edge-major; every slot is
+  // written, pad lanes included. p = as · corr is never materialized.
+  auto corr = std::make_shared_for_overwrite<float[]>(
+      static_cast<size_t>(nnz * t_stride));
+  Tensor y(x->value.shape());
   {
-    const float* px = x->value.data();
+    const float* pxn = xn.get();
+    const float* pas = as->data();
     const int64_t* rp = g->row_ptr().data();
     const int32_t* col = g->col().data();
-    float* pcorr = corr->data();
-    float* pp = p.data();
+    float* pcorr = corr.get();
     float* py = y.data();
     ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
+      std::vector<float> yi(static_cast<size_t>(d * t_stride));
       for (int64_t i = lo; i < hi; ++i) {
-        for (int64_t t = 0; t < t_steps; ++t) {
-          const float* xt = px + t * n * d;
-          const float* xi = xt + i * d;
-          float* yi = py + (t * n + i) * d;
-          for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-            const float* xj = xt + static_cast<int64_t>(col[e]) * d;
-            const float cv = c * DotF(xi, xj, d);
-            const float pv = (*as)[static_cast<size_t>(e)] * cv;
-            pcorr[t * nnz + e] = cv;
-            pp[t * nnz + e] = pv;
-            for (int64_t k = 0; k < d; ++k) yi[k] += pv * xj[k];
+        std::fill(yi.begin(), yi.end(), 0.0f);
+        const float* xi = pxn + i * d * t_stride;
+        for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
+          const float* xj = pxn + static_cast<int64_t>(col[e]) * d * t_stride;
+          float* ce = pcorr + e * t_stride;
+          const float a = pas[e];
+          for (int64_t blk = 0; blk < t_stride; blk += kTimeLanes) {
+            float dot[kTimeLanes];
+            LaneDot(xi + blk, xj + blk, d, t_stride, dot);
+            float pv[kTimeLanes];
+            for (int64_t l = 0; l < kTimeLanes; ++l) {
+              const float cv = c * dot[l];
+              ce[blk + l] = cv;
+              pv[l] = a * cv;
+            }
+            for (int64_t k = 0; k < d; ++k) {
+              float* yk = yi.data() + k * t_stride + blk;
+              const float* xk = xj + k * t_stride + blk;
+              for (int64_t l = 0; l < kTimeLanes; ++l) yk[l] += pv[l] * xk[l];
+            }
           }
         }
+        FromNodeMajorRow(yi.data(), i, t_steps, n, d, t_stride, py);
       }
     });
   }
-  if (save_edge_values != nullptr) *save_edge_values = p;
+  if (save_edge_values != nullptr) {
+    *save_edge_values = TimeSensitiveEdgeValues{corr, as, t_steps, t_stride};
+  }
 
   auto out = std::make_shared<ag::Variable>(std::move(y));
   out->op_name = "graph.SparseTimeSensitivePropagate";
@@ -431,12 +519,16 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
       ag::NeedsGrad(w) || ag::NeedsGrad(b) || ag::NeedsGrad(x);
   if (ag::GradMode::enabled() && any_grad) {
     out->parents = {w, b, x};
-    Tensor x_val = x->value;
-    out->backward_fn = [g, w, b, x, x_val, s, as, corr, p, t_steps, n, d, c,
-                        nnz](const Tensor& grad) {
+    out->backward_fn = [g, w, b, x, xn, s, as, corr, t_steps, n, d, t_stride,
+                        c, nnz](const Tensor& grad) {
       obs::Span bspan("graph.TimeSensitive.bwd[sparse]", "graph");
-      const float* pg = grad.data();
-      const float* px = x_val.data();
+      const bool need_wb = ag::NeedsGrad(w) || ag::NeedsGrad(b);
+      const bool need_x = ag::NeedsGrad(x);
+      std::shared_ptr<const float[]> gn =
+          ToNodeMajor(grad.data(), t_steps, n, d, t_stride);
+      const float* pgn = gn.get();
+      const float* pxn = xn.get();
+      const float* pcorr = corr.get();
       const int64_t* rp = g->row_ptr().data();
       const int32_t* col = g->col().data();
       const int32_t* rev = g->reverse_entry().data();
@@ -445,81 +537,100 @@ ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
       const int32_t* types = g->types().data();
       const int64_t k = w->value.numel();
 
-      if (ag::NeedsGrad(w) || ag::NeedsGrad(b)) {
-        // ∂L/∂s_e = Σ_t coeff_e · corr[t,e] · (g_{t,i} · x_{t,j}).
-        std::vector<float> acc = ParallelReduce(
-            0, n, 64, std::vector<float>(k + 1, 0.0f),
-            [&](int64_t lo, int64_t hi) {
-              std::vector<float> partial(k + 1, 0.0f);
-              for (int64_t i = lo; i < hi; ++i) {
-                for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-                  if (col[e] == i) continue;
-                  float ds = 0.0f;
-                  for (int64_t t = 0; t < t_steps; ++t) {
-                    const float* gi = pg + (t * n + i) * d;
-                    const float* xj =
-                        px + (t * n + static_cast<int64_t>(col[e])) * d;
-                    ds += (*corr)[static_cast<size_t>(t * nnz + e)] *
-                          DotF(gi, xj, d);
-                  }
-                  ds *= coeff[e];
-                  for (int64_t t = tp[e]; t < tp[e + 1]; ++t) {
-                    partial[static_cast<size_t>(types[t])] += ds;
-                  }
-                  partial[static_cast<size_t>(k)] += ds;
+      // One row-owned pass: gx[e, t] = g_{t,i} · x_{t,j} once per entry.
+      // The w/b reduction ∂L/∂s_e = coeff_e · Σ_t corr[e,t] · gx[e,t] folds
+      // into it; gx is kept for the dx pass only when x needs a gradient.
+      std::unique_ptr<float[]> gx;
+      if (need_x) {
+        gx = std::make_unique_for_overwrite<float[]>(
+            static_cast<size_t>(nnz * t_stride));
+      }
+      const size_t slots = need_wb ? static_cast<size_t>(k + 1) : 0;
+      std::vector<float> acc = ParallelReduce(
+          0, n, 64, std::vector<float>(slots, 0.0f),
+          [&](int64_t lo, int64_t hi) {
+            std::vector<float> partial(slots, 0.0f);
+            std::vector<float> scratch(gx ? 0 : static_cast<size_t>(t_stride));
+            for (int64_t i = lo; i < hi; ++i) {
+              const float* gi = pgn + i * d * t_stride;
+              for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
+                float* gxe = gx ? gx.get() + e * t_stride : scratch.data();
+                const float* xj =
+                    pxn + static_cast<int64_t>(col[e]) * d * t_stride;
+                for (int64_t blk = 0; blk < t_stride; blk += kTimeLanes) {
+                  LaneDot(gi + blk, xj + blk, d, t_stride, gxe + blk);
                 }
+                if (!need_wb || col[e] == i) continue;  // self loop: s = 1
+                const float* ce = pcorr + e * t_stride;
+                float ds = 0.0f;
+                for (int64_t t = 0; t < t_steps; ++t) ds += ce[t] * gxe[t];
+                ds *= coeff[e];
+                for (int64_t t = tp[e]; t < tp[e + 1]; ++t) {
+                  partial[static_cast<size_t>(types[t])] += ds;
+                }
+                partial[static_cast<size_t>(k)] += ds;
               }
-              return partial;
-            },
-            [k](std::vector<float> a, std::vector<float> part) {
-              for (int64_t t = 0; t <= k; ++t) a[t] += part[t];
-              return a;
-            });
-        if (ag::NeedsGrad(w)) {
-          w->AccumulateGrad(Tensor(
-              w->value.shape(),
-              std::vector<float>(acc.begin(), acc.begin() + k)));
-        }
-        if (ag::NeedsGrad(b)) {
-          b->AccumulateGrad(Tensor(
-              b->value.shape(),
-              std::vector<float>(b->value.numel(), acc[k])));
-        }
+            }
+            return partial;
+          },
+          [](std::vector<float> a, std::vector<float> part) {
+            for (size_t t = 0; t < part.size(); ++t) a[t] += part[t];
+            return a;
+          });
+      if (ag::NeedsGrad(w)) {
+        w->AccumulateGrad(
+            Tensor(w->value.shape(),
+                   std::vector<float>(acc.begin(), acc.begin() + k)));
+      }
+      if (ag::NeedsGrad(b)) {
+        b->AccumulateGrad(Tensor(
+            b->value.shape(), std::vector<float>(b->value.numel(), acc[k])));
       }
 
-      if (ag::NeedsGrad(x)) {
+      if (need_x) {
         // Three contributions per row m (all via row-m entries, so every
-        // row is written by exactly one chunk):
-        //  (1) transpose propagation  Σ_e p[t, rev[e]] g_{t,j}
-        //  (2) correlation, i-side    Σ_e as_e c (g_{t,m} · x_{t,j}) x_{t,j}
-        //  (3) correlation, j-side    Σ_e as_{rev[e]} c (g_{t,j} · x_{t,m})
-        //                                 x_{t,j}
-        Tensor dx = Tensor::Zeros(x_val.shape());
+        // row is written by exactly one chunk), axpys only:
+        //  (1) transpose propagation  p[rev e] g_j, p = as[rev] · corr[rev]
+        //  (2) correlation, i-side    as_e c gx[e] x_j
+        //  (3) correlation, j-side    coeff[rev e] s_e c gx[rev e] x_j
+        const float* pgx = gx.get();
+        const float* pas = as->data();
+        const float* ps = s->data();
+        Tensor dx(x->value.shape());
         float* pdx = dx.data();
         ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
+          std::vector<float> dm(static_cast<size_t>(d * t_stride));
           for (int64_t m = lo; m < hi; ++m) {
-            for (int64_t t = 0; t < t_steps; ++t) {
-              const float* gt = pg + t * n * d;
-              const float* xt = px + t * n * d;
-              const float* gm = gt + m * d;
-              const float* xm = xt + m * d;
-              float* dm = pdx + (t * n + m) * d;
-              for (int64_t e = rp[m]; e < rp[m + 1]; ++e) {
-                const int64_t j = col[e];
-                const float* gj = gt + j * d;
-                const float* xj = xt + j * d;
-                const float p_rev = p.data()[t * nnz + rev[e]];
-                const float s_e = (*s)[static_cast<size_t>(e)];
-                const float coef2 = (*as)[static_cast<size_t>(e)] * c *
-                                    DotF(gm, xj, d);
-                const float coef3 =
-                    coeff[rev[e]] * s_e * c * DotF(gj, xm, d);
+            std::fill(dm.begin(), dm.end(), 0.0f);
+            for (int64_t e = rp[m]; e < rp[m + 1]; ++e) {
+              const int64_t j = col[e];
+              const int32_t r = rev[e];
+              const float a2 = pas[e] * c;
+              const float a3 = coeff[r] * ps[e] * c;
+              const float ar = pas[r];
+              const float* gxe = pgx + e * t_stride;
+              const float* gxr = pgx + static_cast<int64_t>(r) * t_stride;
+              const float* cr = pcorr + static_cast<int64_t>(r) * t_stride;
+              const float* gj = pgn + j * d * t_stride;
+              const float* xj = pxn + j * d * t_stride;
+              for (int64_t blk = 0; blk < t_stride; blk += kTimeLanes) {
+                float p_rev[kTimeLanes];
+                float coef[kTimeLanes];
+                for (int64_t l = 0; l < kTimeLanes; ++l) {
+                  p_rev[l] = ar * cr[blk + l];
+                  coef[l] = a2 * gxe[blk + l] + a3 * gxr[blk + l];
+                }
                 for (int64_t kk = 0; kk < d; ++kk) {
-                  dm[kk] +=
-                      p_rev * gj[kk] + (coef2 + coef3) * xj[kk];
+                  float* dk = dm.data() + kk * t_stride + blk;
+                  const float* gk = gj + kk * t_stride + blk;
+                  const float* xk = xj + kk * t_stride + blk;
+                  for (int64_t l = 0; l < kTimeLanes; ++l) {
+                    dk[l] += p_rev[l] * gk[l] + coef[l] * xk[l];
+                  }
                 }
               }
             }
+            FromNodeMajorRow(dm.data(), m, t_steps, n, d, t_stride, pdx);
           }
         });
         x->AccumulateGrad(dx);

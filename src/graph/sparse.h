@@ -150,13 +150,31 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
                                      const ag::VarPtr& b, const ag::VarPtr& x,
                                      Tensor* save_edge_values = nullptr);
 
+/// Per-(time, entry) propagation values of one SparseTimeSensitivePropagate
+/// call, held in the storage the op keeps for its backward:
+/// p_{t,e} = as[e] · corr[e · t_stride + t]. `corr` is edge-major with T
+/// padded to `t_stride` lanes; the pad lanes are never read.
+struct TimeSensitiveEdgeValues {
+  std::shared_ptr<const float[]> corr;           // [nnz, t_stride]
+  std::shared_ptr<const std::vector<float>> as;  // [nnz], coeff_e · s_e
+  int64_t t_steps = 0;
+  int64_t t_stride = 0;
+
+  bool defined() const { return as != nullptr; }
+  float At(int64_t t, int64_t e) const {
+    return (*as)[static_cast<size_t>(e)] * corr[e * t_stride + t];
+  }
+  /// (1/T) Σ_t p_{t,e} per entry, summed in t order: [nnz].
+  std::vector<float> TimeAverage() const;
+};
+
 /// Time-sensitive strategy for x [T, N, D]: p_{t,e} = coeff_e · s_e ·
 /// (x_{t,i} · x_{t,j}) / √D, y_t = P_t x_t. Gradients flow to w, b and x
-/// (including the correlation term). `save_edge_values` receives [T, nnz].
-ag::VarPtr SparseTimeSensitivePropagate(const CsrPtr& g, const ag::VarPtr& w,
-                                        const ag::VarPtr& b,
-                                        const ag::VarPtr& x,
-                                        Tensor* save_edge_values = nullptr);
+/// (including the correlation term). `save_edge_values` receives a handle
+/// on the op's own per-(t, entry) storage (no copy).
+ag::VarPtr SparseTimeSensitivePropagate(
+    const CsrPtr& g, const ag::VarPtr& w, const ag::VarPtr& b,
+    const ag::VarPtr& x, TimeSensitiveEdgeValues* save_edge_values = nullptr);
 
 /// Fused sparse GAT attention: z_e = LeakyReLU(src_i + dst_j, slope) over
 /// the graph's entries, α = per-row softmax of z, y_i = Σ_e α_e h_j.

@@ -70,7 +70,9 @@ class Module {
   /// Registers a child module (must outlive this module; typically a
   /// member). The unnamed form assigns a registration-order name.
   void RegisterModule(Module* module) {
-    RegisterModule("m" + std::to_string(submodules_.size()), module);
+    std::string name = "m";
+    name += std::to_string(submodules_.size());
+    RegisterModule(std::move(name), module);
   }
   void RegisterModule(std::string name, Module* module) {
     submodules_.push_back(module);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
+#include <limits>
 #include <future>
 #include <thread>
 
@@ -166,6 +168,37 @@ TEST_F(GradCheckTest, ReluAwayFromKink) {
         return SumAll(Square(Relu(in[0])));
       },
       {x}));
+}
+
+TEST(RectifierBackwardTest, OnePassMatchesMaskThenMulBitwise) {
+  // Relu/LeakyRelu backward is g · (x > 0 ? 1 : slope) in one pass; it must
+  // give the bits of the mask-then-Mul composition it replaced, including
+  // signed zeros, NaN and ±Inf in both x and g. 20000 elements cover the
+  // vector body, the scalar tail and several parallel chunks.
+  constexpr int64_t kN = 20000;
+  Rng rng(41);
+  Tensor x = RandomGaussian({kN}, 0.0f, 1.0f, &rng);
+  Tensor g = RandomGaussian({kN}, 0.0f, 1.0f, &rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {0.0f, -0.0f, inf, -inf, nan, 1e-40f, -1e-40f};
+  for (int64_t i = 0; i < kN; i += 97) {
+    x.data()[i] = specials[(i / 97) % 7];
+    g.data()[(i + 31) % kN] = specials[(i / 97 + 3) % 7];
+  }
+  for (float slope : {0.0f, 0.2f}) {
+    auto in = Param(x.Clone());
+    VarPtr out = slope == 0.0f ? Relu(in) : LeakyRelu(in, slope);
+    Backward(SumAll(Mul(out, Constant(g))));
+    const Tensor mask = rtgcn::Map(
+        x, [slope](float v) { return v > 0 ? 1.0f : slope; });
+    const Tensor expected = rtgcn::Mul(g, mask);
+    ASSERT_EQ(in->grad.numel(), kN);
+    EXPECT_EQ(std::memcmp(in->grad.data(), expected.data(),
+                          sizeof(float) * kN),
+              0)
+        << "slope " << slope;
+  }
 }
 
 TEST_F(GradCheckTest, SoftmaxAndReductions) {

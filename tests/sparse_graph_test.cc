@@ -305,7 +305,7 @@ TEST(SparseOpsTest, TimeSensitivePropagateMatchesDense) {
   ag::VarPtr ws = ag::MakeVariable(w0.Clone(), true);
   ag::VarPtr bs = ag::MakeVariable(b0.Clone(), true);
   ag::VarPtr xs = ag::MakeVariable(x0.Clone(), true);
-  Tensor edge_values;
+  graph::TimeSensitiveEdgeValues edge_values;
   ag::VarPtr ys =
       graph::SparseTimeSensitivePropagate(g, ws, bs, xs, &edge_values);
   ag::Backward(ag::SumAll(ag::Mul(ys, ag::Constant(cot))));
@@ -315,16 +315,100 @@ TEST(SparseOpsTest, TimeSensitivePropagateMatchesDense) {
   checker.ExpectClose(bd->grad, bs->grad, "TimeSensitive db");
   checker.ExpectClose(xd->grad, xs->grad, "TimeSensitive dx");
   // Saved per-(t, entry) values densify to each dense P(t).
-  ASSERT_EQ(edge_values.ndim(), 2);
-  ASSERT_EQ(edge_values.dim(0), t_len);
-  ASSERT_EQ(edge_values.dim(1), g->num_entries());
+  ASSERT_TRUE(edge_values.defined());
+  ASSERT_EQ(edge_values.t_steps, t_len);
+  ASSERT_GE(edge_values.t_stride, t_len);
+  ASSERT_EQ(static_cast<int64_t>(edge_values.as->size()), g->num_entries());
+  std::vector<float> pt_entries(static_cast<size_t>(g->num_entries()));
   for (int64_t t = 0; t < t_len; ++t) {
     Tensor pt({n, n});
     std::memcpy(pt.data(), pd->value.data() + t * n * n,
                 sizeof(float) * n * n);
-    checker.ExpectClose(
-        pt, g->Densify(edge_values.data() + t * g->num_entries()),
-        "TimeSensitive saved P(t=" + std::to_string(t) + ")");
+    for (int64_t e = 0; e < g->num_entries(); ++e) {
+      pt_entries[static_cast<size_t>(e)] = edge_values.At(t, e);
+    }
+    checker.ExpectClose(pt, g->Densify(pt_entries.data()),
+                        "TimeSensitive saved P(t=" + std::to_string(t) + ")");
+  }
+}
+
+// The node-major, time-blocked op against the scalar [T, N, D] loops it
+// replaced (graph_checker.h): y, dw, db, dx, every saved P(t) and the
+// time-averaged diagnostic must match bit for bit — T on both sides of the
+// 8-lane block, several D, constant x versus x requiring a gradient, a
+// graph with isolated rows and an empty graph. N = 150 spans three 64-row
+// chunks of the w/b reduction.
+TEST(SparseOpsTest, TimeSensitivePropagateBitIdenticalToReferenceLoops) {
+  Rng rng(18);
+  const graph::RelationTensor random_rel = RandomRelations(150, 4, 600, &rng);
+  const graph::RelationTensor no_edges(5, 2);
+  struct GraphCase {
+    const char* name;
+    graph::CsrPtr g;
+  };
+  const std::vector<GraphCase> graphs = {
+      {"random", graph::CsrGraph::NormalizedAdjacency(random_rel)},
+      // No self loops: stock 3 of the triangle owns no entries at all.
+      {"isolated rows",
+       graph::CsrGraph::Build(MakeTriangle(), graph::CsrGraph::Norm::kSymmetric,
+                              /*add_self_loops=*/false)},
+      {"empty", graph::CsrGraph::Build(no_edges,
+                                       graph::CsrGraph::Norm::kSymmetric,
+                                       /*add_self_loops=*/false)},
+  };
+  enum class Grads { kWeightsOnly, kWeightsAndX, kXOnly };
+  for (const GraphCase& gc : graphs) {
+    const graph::CsrGraph& g = *gc.g;
+    const int64_t n = g.num_nodes();
+    const int64_t k = g.num_relation_types();
+    for (int64_t t_len : {1, 5, 8, 15, 17, 20}) {
+      for (int64_t d : {1, 4, 6}) {
+        const Tensor x0 = RandomUniform({t_len, n, d}, -1.0f, 1.5f, &rng);
+        const Tensor cot = RandomGaussian({t_len, n, d}, 0.0f, 1.0f, &rng);
+        const Tensor w0 = RandomGaussian({k}, 1.0f, 0.1f, &rng);
+        const Tensor b0 = RandomGaussian({1}, 0.0f, 0.1f, &rng);
+        for (Grads grads :
+             {Grads::kWeightsOnly, Grads::kWeightsAndX, Grads::kXOnly}) {
+          const bool wb_grad = grads != Grads::kXOnly;
+          const bool x_grad = grads != Grads::kWeightsOnly;
+          const std::string ctx = std::string(gc.name) +
+                                  " T=" + std::to_string(t_len) +
+                                  " D=" + std::to_string(d) +
+                                  (wb_grad ? " dw/db" : "") +
+                                  (x_grad ? " dx" : "");
+          const TimeSensitiveReference ref = ReferenceTimeSensitivePropagate(
+              g, w0, b0, x0, cot, /*want_dx=*/x_grad);
+
+          auto w = ag::MakeVariable(w0.Clone(), wb_grad);
+          auto b = ag::MakeVariable(b0.Clone(), wb_grad);
+          auto x = ag::MakeVariable(x0.Clone(), x_grad);
+          graph::TimeSensitiveEdgeValues saved;
+          ag::VarPtr y =
+              graph::SparseTimeSensitivePropagate(gc.g, w, b, x, &saved);
+          ag::Backward(ag::SumAll(ag::Mul(y, ag::Constant(cot))));
+
+          ExpectBitEqual(ref.y, y->value, ctx + " y");
+          if (wb_grad) {
+            ExpectBitEqual(ref.dw, w->grad, ctx + " dw");
+            ExpectBitEqual(ref.db, b->grad, ctx + " db");
+          }
+          if (x_grad) ExpectBitEqual(ref.dx, x->grad, ctx + " dx");
+
+          ASSERT_TRUE(saved.defined()) << ctx;
+          ASSERT_EQ(saved.t_steps, t_len) << ctx;
+          const int64_t nnz = g.num_entries();
+          std::vector<float> p(static_cast<size_t>(t_len * nnz));
+          for (int64_t t = 0; t < t_len; ++t) {
+            for (int64_t e = 0; e < nnz; ++e) p[t * nnz + e] = saved.At(t, e);
+          }
+          ExpectBitEqual(ref.p.data(), p.data(), t_len * nnz, ctx + " P(t)");
+          const std::vector<float> avg = saved.TimeAverage();
+          const std::vector<float> ref_avg = ReferenceTimeAverage(ref.p);
+          ASSERT_EQ(avg.size(), ref_avg.size()) << ctx;
+          ExpectBitEqual(ref_avg.data(), avg.data(), nnz, ctx + " avg P");
+        }
+      }
+    }
   }
 }
 

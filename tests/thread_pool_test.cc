@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace rtgcn {
@@ -191,6 +192,45 @@ TEST(ThreadPoolTest, BackToBackJobsStress) {
     });
     ASSERT_EQ(sum.load(), 64 * 63 / 2) << "round " << round;
   }
+}
+
+TEST(ThreadPoolTest, TwoOutsideCallersEachGetTheirOwnResults) {
+  // Two threads outside the pool (a trainer and a server, say) issue
+  // parallel calls at the same time. The pool has one job slot: the caller
+  // that finds it taken runs its chunks inline, so neither caller's job is
+  // overwritten and nobody waits on the other's completion count.
+  ScopedNumThreads threads(4);
+  constexpr int kRounds = 400;
+  std::atomic<int> failures{0};
+  auto caller = [&failures](int64_t n, int64_t seed) {
+    std::vector<int64_t> out(static_cast<size_t>(n));
+    for (int round = 0; round < kRounds; ++round) {
+      const int64_t offset = seed * 100000 + round;
+      ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i) out[i] = i + offset;
+      });
+      for (int64_t i = 0; i < n; ++i) {
+        if (out[i] != i + offset) {
+          failures.fetch_add(1);
+          break;
+        }
+      }
+      const int64_t sum = ParallelReduce<int64_t>(
+          0, n, 16, 0,
+          [&](int64_t lo, int64_t hi) {
+            int64_t s = 0;
+            for (int64_t i = lo; i < hi; ++i) s += out[i];
+            return s;
+          },
+          [](int64_t a, int64_t b) { return a + b; });
+      if (sum != n * (n - 1) / 2 + n * offset) failures.fetch_add(1);
+    }
+  };
+  std::thread first(caller, 4099, 1);
+  std::thread second(caller, 3001, 2);
+  first.join();
+  second.join();
+  EXPECT_EQ(failures.load(), 0);
 }
 
 TEST(ThreadPoolTest, ParallelReduceMatchesSerialFoldBitwise) {
