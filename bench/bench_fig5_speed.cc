@@ -32,7 +32,7 @@ int Run(int argc, char** argv) {
                                  "test s", "train vs RT-GCN (T)"});
     double rtgcn_train = 0;
     std::vector<std::tuple<std::string, double, double, double>> rows;
-    for (const std::string& model :
+    for (const std::string model :
          {"Rank_LSTM", "RSR_I", "RSR_E", "RT-GAT", "RT-GCN (U)", "RT-GCN (W)",
           "RT-GCN (T)"}) {
       baselines::ExperimentConfig config;

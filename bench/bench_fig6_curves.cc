@@ -31,7 +31,7 @@ int Run(int argc, char** argv) {
     std::vector<std::vector<double>> curves;
     std::vector<std::string> labels;
 
-    for (const std::string& model :
+    for (const std::string model :
          {"RT-GCN (U)", "RT-GCN (W)", "RT-GCN (T)"}) {
       baselines::ExperimentConfig config;
       config.model = model;

@@ -20,7 +20,7 @@
 // of a ranking dashboard where everyone asks about "today".
 //
 // --mode overload (ISSUE 8 acceptance bench, BENCH_serve_robust.json):
-// drives the full socket stack (SocketServer + serve::Client) with paced
+// drives the full socket stack (AsyncServer + serve::Client) with paced
 // open-loop load. First a closed-loop calibration measures the server's
 // capacity, then each --multipliers entry offers that multiple of
 // capacity with per-request deadlines and no client retries, recording
@@ -36,28 +36,11 @@
 //                 [--max_queue 256] [--admission reject|block]
 //                 [--chaos 0] [--chaos_seed 1234] [--json out.json]
 //
-// --mode shard (ISSUE 10 acceptance bench, BENCH_serve.json): replays the
-// cached hot path at --connections concurrent epoll-multiplexed clients
-// through two stacks — the thread-per-connection SocketServer over the
-// single-process InferenceServer, then the epoll AsyncServer over a
-// --shards ShardRouter — and reports the QPS/latency of each plus the
-// speedup. A third phase re-runs the epoll stack paced at 60% of its
-// measured capacity: saturated closed-loop percentiles are queueing delay
-// by Little's law, so the paced phase is where service latency (the p99
-// bar) is read. A final uncached overload burst (small queue, DEADLINE on
-// every line, 2x connections) re-checks the serving accounting invariant
-// through the new stack; a violation fails the bench.
-//
-//   ./bench_serve --mode shard [--connections 1000] [--shard_seconds 2]
-//                 [--shards 4] [--executor_threads 16] [--json out.json]
-//
 // Every server knob is a serve::ServerConfig flag (one shared surface —
-// see serve/config.h): --front, --shards, --max_batch, --cache,
-// --max_queue, --admission, ...
+// see serve/config.h): --max_batch, --cache, --max_queue, --admission, ...
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -71,16 +54,12 @@
 #include "common/thread_pool.h"
 #include "harness/checkpoint.h"
 #include "market/market.h"
-#include "serve/admission.h"
 #include "serve/async_server.h"
 #include "serve/chaos.h"
 #include "serve/client.h"
 #include "serve/config.h"
 #include "serve/registry.h"
-#include "serve/replay.h"
 #include "serve/server.h"
-#include "serve/shard_router.h"
-#include "serve/socket_server.h"
 
 namespace {
 
@@ -132,19 +111,21 @@ void PrintConfig(const char* label, const serve::Metrics& metrics,
                  const LoadResult& load) {
   std::printf("%-22s %8.0f qps   p50 %6.0fus  p95 %6.0fus  p99 %6.0fus   "
               "%" PRIu64 " forwards, mean batch %.1f\n",
-              label, load.qps, metrics.latency.PercentileMicros(0.50),
-              metrics.latency.PercentileMicros(0.95),
-              metrics.latency.PercentileMicros(0.99),
-              metrics.forwards.load(), metrics.batch_size.MeanSize());
+              label, load.qps, metrics.latency.Percentile(0.50),
+              metrics.latency.Percentile(0.95),
+              metrics.latency.Percentile(0.99),
+              metrics.forwards.load(), metrics.batch_size.Mean());
+  const obs::Histogram& sizes = metrics.batch_size;
   std::printf("  batch sizes:");
-  for (int64_t s = 1; s <= serve::BatchSizeHistogram::kMaxTracked; ++s) {
-    const uint64_t n = metrics.batch_size.CountForSize(s);
-    if (n > 0) std::printf("  %lld:%" PRIu64, static_cast<long long>(s), n);
+  for (int s = 1; s <= serve::Metrics::kMaxBatchTracked; ++s) {
+    const uint64_t n = sizes.BucketCount(s);
+    if (n > 0) std::printf("  %d:%" PRIu64, s, n);
   }
-  if (metrics.batch_size.overflow() > 0) {
+  const uint64_t overflow = sizes.BucketCount(sizes.num_buckets() - 1);
+  if (overflow > 0) {
     std::printf("  >%lld:%" PRIu64,
-                static_cast<long long>(serve::BatchSizeHistogram::kMaxTracked),
-                metrics.batch_size.overflow());
+                static_cast<long long>(serve::Metrics::kMaxBatchTracked),
+                overflow);
   }
   std::printf("\n");
 }
@@ -276,9 +257,6 @@ int main(int argc, char** argv) {
   int64_t deadline_ms = 50;
   bool chaos = false;
   int64_t chaos_seed = 1234;
-  int64_t connections = 1000;
-  double shard_seconds = 2.0;
-  double latency_fraction = 0.2;
   std::string json;
 
   // The whole serving stack configures through one ServerConfig; the bench
@@ -288,7 +266,6 @@ int main(int argc, char** argv) {
   serve::ServerConfig scfg;
   scfg.enable_cache = false;
   scfg.max_queue = 256;
-  scfg.num_shards = 2;
 
   // A small market keeps the bench fast, but the universe must be big
   // enough that the forward pass dominates per-request overhead —
@@ -302,9 +279,8 @@ int main(int argc, char** argv) {
   FlagSet fs("Serving load generator: batched-vs-unbatched QPS (--mode "
              "batch) or overload robustness through the socket stack "
              "(--mode overload).");
-  fs.RegisterChoice("mode", &mode, {"batch", "overload", "shard"},
-                    "batch comparison, overload/chaos robustness, or "
-                    "epoll+shard scatter-gather vs threaded baseline");
+  fs.RegisterChoice("mode", &mode, {"batch", "overload"},
+                    "batch comparison or overload/chaos robustness");
   fs.Register("clients", &clients, "closed-loop client threads");
   fs.Register("requests", &requests, "blocking Score() calls per client");
   fs.Register("phase", &phase,
@@ -324,13 +300,6 @@ int main(int argc, char** argv) {
   fs.Register("chaos", &chaos,
               "overload: inject reply faults (delay/drop/truncate/reset)");
   fs.Register("chaos_seed", &chaos_seed, "overload: fault-injector seed");
-  fs.Register("connections", &connections,
-              "shard: concurrent replay connections per phase");
-  fs.Register("shard_seconds", &shard_seconds,
-              "shard: seconds per measured phase");
-  fs.Register("latency_fraction", &latency_fraction,
-              "shard: paced-phase offered load as a fraction of measured "
-              "epoll capacity");
   fs.Register("json", &json, "write the results as JSON to this path");
   scfg.RegisterFlags(&fs);
   const Status flag_status = fs.Parse(argc, argv);
@@ -384,7 +353,7 @@ int main(int argc, char** argv) {
       copts.delay_ms_max = 5;
     }
     serve::ChaosInjector injector(copts);
-    serve::SocketServer front(&server, &metrics, {/*port=*/0});
+    serve::AsyncServer front(&server, &metrics, scfg.async_options());
     if (chaos) front.SetChaos(&injector);
     front.Start().Abort();
 
@@ -488,203 +457,6 @@ int main(int argc, char** argv) {
       std::printf("wrote %s\n", json.c_str());
     }
     return srv_requests == accounted ? 0 : 1;
-  }
-
-  if (mode == "shard") {
-    // Headline comparison: the cached hot path at identical concurrency
-    // through (a) the thread-per-connection SocketServer over the
-    // single-process InferenceServer and (b) the epoll AsyncServer over
-    // the sharded ShardRouter. The cache must be on for this measurement.
-    scfg.enable_cache = true;
-
-    // Replay script: cached SCORE lookups with an occasional RANK, spread
-    // over every test day.
-    std::vector<std::string> script;
-    for (int64_t i = 0; i < 512; ++i) {
-      const int64_t day =
-          days[static_cast<size_t>(i) % days.size()];
-      if (i % 64 == 63) {
-        script.push_back("RANK " + std::to_string(day) + " 5");
-      } else {
-        script.push_back("SCORE " + std::to_string(day) + " " +
-                         std::to_string((i * 131) % dataset.num_stocks()));
-      }
-    }
-
-    struct Phase {
-      serve::Replay::Report report;
-      uint64_t requests = 0, ok = 0, err = 0, expired = 0, shed = 0;
-      bool accounted = false;
-    };
-    auto run_phase = [&](bool epoll, int64_t shards, int64_t conns,
-                         double seconds, const std::vector<std::string>& lines,
-                         serve::ServerConfig cfg,
-                         double target_qps = 0) -> Phase {
-      serve::Metrics metrics;
-      serve::ModelRegistry registry(
-          {dir, /*reload_interval_ms=*/0},
-          [make_predictor] { return serve::WrapPredictor(make_predictor()); },
-          &metrics);
-      registry.Start().Abort();
-      std::unique_ptr<serve::InferenceServer> single;
-      std::unique_ptr<serve::ShardRouter> router;
-      serve::Backend* backend = nullptr;
-      if (shards <= 1) {
-        single = std::make_unique<serve::InferenceServer>(
-            &dataset, &registry, cfg.server_options(), &metrics);
-        single->Start().Abort();
-        backend = single.get();
-      } else {
-        cfg.num_shards = shards;
-        router = std::make_unique<serve::ShardRouter>(
-            serve::ShardRouter::DatasetScoreFn(&dataset),
-            dataset.num_stocks(), &registry, cfg.shard_options(), &metrics);
-        router->Start().Abort();
-        backend = router.get();
-      }
-      if (cfg.enable_cache) {
-        // Warm every (version, day) entry so the timed window measures the
-        // cache-hit path, not first-touch forwards.
-        for (const int64_t day : days) {
-          backend->Rank(day, {}).status().Abort();
-        }
-      }
-      std::unique_ptr<serve::AsyncServer> aserver;
-      std::unique_ptr<serve::SocketServer> tserver;
-      int port = 0;
-      if (epoll) {
-        aserver = std::make_unique<serve::AsyncServer>(backend, &metrics,
-                                                       cfg.async_options());
-        aserver->Start().Abort();
-        port = aserver->port();
-      } else {
-        tserver = std::make_unique<serve::SocketServer>(backend, &metrics,
-                                                        cfg.socket_options());
-        tserver->Start().Abort();
-        port = tserver->port();
-      }
-      serve::Replay::Options ropts;
-      ropts.port = port;
-      ropts.connections = conns;
-      ropts.seconds = seconds;
-      ropts.proto = 2;
-      ropts.target_qps = target_qps;
-      serve::Replay replay(ropts, lines);
-      Phase phase;
-      phase.report = replay.Run().MoveValueOrDie();
-      if (aserver) aserver->Stop();
-      if (tserver) tserver->Stop();
-      if (router) router->Stop();
-      if (single) single->Stop();
-      registry.Stop();
-      phase.requests = metrics.requests.load();
-      phase.ok = metrics.responses_ok.load();
-      phase.err = metrics.responses_error.load();
-      phase.expired = metrics.expired.load();
-      phase.shed = metrics.shed.load();
-      phase.accounted =
-          phase.requests == phase.ok + phase.err + phase.expired + phase.shed;
-      return phase;
-    };
-    auto print_phase = [](const char* label, const Phase& p) {
-      std::printf("  %-22s %9.0f qps  p50 %6.0fus  p99 %7.0fus  ok %8" PRIu64
-                  "  busy %6" PRIu64 "  err %4" PRIu64 "  server acct %s\n",
-                  label, p.report.qps, p.report.p50_us, p.report.p99_us,
-                  p.report.ok, p.report.busy, p.report.errors,
-                  p.accounted ? "OK" : "VIOLATED");
-    };
-
-    std::printf("bench_serve shard: %lld connections x %.1fs, %lld stocks, "
-                "%zu days, %lld shards, %lld executors\n",
-                static_cast<long long>(connections), shard_seconds,
-                static_cast<long long>(dataset.num_stocks()), days.size(),
-                static_cast<long long>(scfg.num_shards),
-                static_cast<long long>(scfg.executor_threads));
-    const Phase threaded = run_phase(/*epoll=*/false, /*shards=*/1,
-                                     connections, shard_seconds, script, scfg);
-    print_phase("threaded x1", threaded);
-    const Phase sharded = run_phase(/*epoll=*/true, scfg.num_shards,
-                                    connections, shard_seconds, script, scfg);
-    print_phase("epoll sharded", sharded);
-    const double speedup =
-        sharded.report.qps / std::max(threaded.report.qps, 1.0);
-    std::printf("speedup (epoll sharded / threaded): %.2fx\n", speedup);
-
-    // Latency with headroom: the saturated closed-loop percentiles above
-    // are queueing delay (Little's law: conns / qps), not service time.
-    // Re-run the epoll+shard stack paced at a fraction of its measured
-    // capacity — the regime a provisioned deployment runs in — for the
-    // p99 bar.
-    const double latency_target = latency_fraction * sharded.report.qps;
-    const Phase latency =
-        run_phase(/*epoll=*/true, scfg.num_shards, connections, shard_seconds,
-                  script, scfg, latency_target);
-    char latency_label[48];
-    std::snprintf(latency_label, sizeof(latency_label), "epoll paced %.2fx",
-                  latency_fraction);
-    print_phase(latency_label, latency);
-
-    // Accounting at heavy overload: uncached blocking RANKs with deadlines
-    // and a small queue through the epoll+shard stack. The closed-loop
-    // connection count drives offered load far past the uncached forward
-    // capacity, so sheds and expiries dominate — and every one of them
-    // must be accounted.
-    serve::ServerConfig burst_cfg = scfg;
-    burst_cfg.enable_cache = false;
-    burst_cfg.max_queue = 64;
-    std::vector<std::string> burst_script;
-    for (const int64_t day : days) {
-      burst_script.push_back("RANK " + std::to_string(day) + " 5 DEADLINE " +
-                             std::to_string(deadline_ms));
-    }
-    const int64_t burst_conns = std::min<int64_t>(2 * connections, 4000);
-    const Phase burst =
-        run_phase(/*epoll=*/true, scfg.num_shards, burst_conns,
-                  shard_seconds, burst_script, burst_cfg);
-    print_phase("overload burst", burst);
-    std::printf("accounting under overload: requests %" PRIu64 " == ok %"
-                PRIu64 " + err %" PRIu64 " + expired %" PRIu64 " + shed %"
-                PRIu64 " (%s)\n",
-                burst.requests, burst.ok, burst.err, burst.expired,
-                burst.shed, burst.accounted ? "OK" : "VIOLATED");
-
-    const bool pass = threaded.accounted && sharded.accounted &&
-                      latency.accounted && burst.accounted;
-    if (!json.empty()) {
-      std::ofstream out(json);
-      auto phase_json = [](std::ostream& o, const Phase& p) {
-        o << "{\"qps\": " << p.report.qps << ", \"p50_us\": " << p.report.p50_us
-          << ", \"p95_us\": " << p.report.p95_us
-          << ", \"p99_us\": " << p.report.p99_us << ", \"ok\": " << p.report.ok
-          << ", \"busy\": " << p.report.busy
-          << ", \"errors\": " << p.report.errors
-          << ", \"requests\": " << p.requests
-          << ", \"expired\": " << p.expired << ", \"shed\": " << p.shed
-          << ", \"accounting_holds\": " << (p.accounted ? "true" : "false")
-          << "}";
-      };
-      out << "{\n  \"bench\": \"serve\",\n";
-      out << "  \"config\": {\"connections\": " << connections
-          << ", \"seconds\": " << shard_seconds
-          << ", \"shards\": " << scfg.num_shards
-          << ", \"executor_threads\": " << scfg.executor_threads
-          << ", \"stocks\": " << dataset.num_stocks()
-          << ", \"burst_connections\": " << burst_conns << "},\n";
-      out << "  \"threaded\": ";
-      phase_json(out, threaded);
-      out << ",\n  \"epoll\": ";
-      phase_json(out, sharded);
-      out << ",\n  \"speedup\": " << speedup << ",\n";
-      out << "  \"latency_target_qps\": " << latency_target << ",\n";
-      out << "  \"latency\": ";
-      phase_json(out, latency);
-      out << ",\n";
-      out << "  \"overload\": ";
-      phase_json(out, burst);
-      out << "\n}\n";
-      std::printf("wrote %s\n", json.c_str());
-    }
-    return pass ? 0 : 1;
   }
 
   std::printf("bench_serve: %lld clients x %lld reqs, %lld stocks, "

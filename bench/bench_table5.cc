@@ -29,7 +29,7 @@ int Run(int argc, char** argv) {
     harness::TablePrinter table({"Model", "MRR", "IRR-5", "IRR-10"});
     baselines::RepeatedMetrics ours;
     std::vector<std::pair<std::string, baselines::RepeatedMetrics>> rows;
-    for (const std::string& model :
+    for (const std::string model :
          {"RSR_I", "RSR_E", "STHAN-SR", "RT-GCN (T)"}) {
       baselines::ExperimentConfig config;
       config.model = model;

@@ -29,7 +29,7 @@ int Run(int argc, char** argv) {
     harness::TablePrinter table({"Model", "W MRR", "W IRR-1", "W IRR-5",
                                  "W IRR-10", "I MRR", "I IRR-1", "I IRR-5",
                                  "I IRR-10"});
-    for (const std::string& model :
+    for (const std::string model :
          {"Rank_LSTM", "RT-GCN (U)", "RT-GCN (W)", "RT-GCN (T)"}) {
       std::vector<std::string> row = {model};
       for (auto subset : {baselines::RelationSubset::kWikiOnly,

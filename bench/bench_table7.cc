@@ -19,7 +19,7 @@ int Run(int argc, char** argv) {
     std::printf("=== Table VII — %s: module ablation ===\n",
                 spec.name.c_str());
     harness::TablePrinter table({"Model", "MRR", "IRR-1", "IRR-5", "IRR-10"});
-    for (const std::string& model : {"RT-GCN (U)", "R-Conv", "T-Conv"}) {
+    for (const std::string model : {"RT-GCN (U)", "R-Conv", "T-Conv"}) {
       baselines::ExperimentConfig config;
       config.model = model;
       config.train.epochs = epochs;

@@ -7,7 +7,6 @@
 // default as in bench_serve and the chaos harness:
 //
 //   ./serve_server [--port 7070] [--checkpoint_dir /tmp/rtgcn_serve_demo]
-//                  [--front epoll|threaded] [--shards 1]
 //                  [--max_batch 32] [--batch_timeout_us 200]
 //                  [--reload_interval_ms 1000] [--cache 1]
 //                  [--stocks 60] [--window 15] [--train_epochs 4]
@@ -15,12 +14,10 @@
 //                  [--max_queue 1024] [--admission reject|block]
 //                  [--max_connections 10000] [--max_line_bytes 65536]
 //
-// --shards >= 2 serves through the scatter-gather ShardRouter; --front
-// picks the epoll event loop (default) or the thread-per-connection
-// SocketServer. While it runs, retrain in another terminal and export into
-// the same --checkpoint_dir (see README "Serving"): the registry promotes
-// the new version without dropping a query. --serve_seconds 0 serves
-// forever.
+// The stack is one InferenceServer behind the epoll AsyncServer. While it
+// runs, retrain in another terminal and export into the same
+// --checkpoint_dir (see README "Serving"): the registry promotes the new
+// version without dropping a query. --serve_seconds 0 serves forever.
 #include <unistd.h>
 
 #include <cstdio>
@@ -36,8 +33,6 @@
 #include "serve/config.h"
 #include "serve/registry.h"
 #include "serve/server.h"
-#include "serve/shard_router.h"
-#include "serve/socket_server.h"
 
 int main(int argc, char** argv) {
   using namespace rtgcn;
@@ -116,43 +111,14 @@ int main(int argc, char** argv) {
       &metrics);
   registry.Start().Abort();
 
-  // Backend: single-process batcher, or the scatter-gather router when
-  // --shards asks for more than one shard.
-  std::unique_ptr<serve::InferenceServer> single;
-  std::unique_ptr<serve::ShardRouter> router;
-  serve::Backend* backend = nullptr;
-  if (scfg.num_shards <= 1) {
-    single = std::make_unique<serve::InferenceServer>(
-        &dataset, &registry, scfg.server_options(), &metrics);
-    single->Start().Abort();
-    backend = single.get();
-  } else {
-    router = std::make_unique<serve::ShardRouter>(
-        serve::ShardRouter::DatasetScoreFn(&dataset), dataset.num_stocks(),
-        &registry, scfg.shard_options(), &metrics);
-    router->Start().Abort();
-    backend = router.get();
-  }
-
-  std::unique_ptr<serve::AsyncServer> epoll_front;
-  std::unique_ptr<serve::SocketServer> threaded_front;
-  int port = 0;
-  if (scfg.use_epoll()) {
-    epoll_front = std::make_unique<serve::AsyncServer>(backend, &metrics,
-                                                       scfg.async_options());
-    epoll_front->Start().Abort();
-    port = epoll_front->port();
-  } else {
-    threaded_front = std::make_unique<serve::SocketServer>(
-        backend, &metrics, scfg.socket_options());
-    threaded_front->Start().Abort();
-    port = threaded_front->port();
-  }
-  std::printf("serving %s on 127.0.0.1:%d  (%s front, %lld shard%s, version "
-              "%lld, days %lld..%lld, %lld stocks)\n",
-              spec.name.c_str(), port, scfg.front.c_str(),
-              static_cast<long long>(scfg.num_shards),
-              scfg.num_shards == 1 ? "" : "s",
+  serve::InferenceServer server(&dataset, &registry, scfg.server_options(),
+                                &metrics);
+  server.Start().Abort();
+  serve::AsyncServer front(&server, &metrics, scfg.async_options());
+  front.Start().Abort();
+  std::printf("serving %s on 127.0.0.1:%d  (version %lld, days %lld..%lld, "
+              "%lld stocks)\n",
+              spec.name.c_str(), front.port(),
               static_cast<long long>(registry.CurrentVersion()),
               static_cast<long long>(dataset.first_day()),
               static_cast<long long>(dataset.last_day()),
@@ -166,10 +132,8 @@ int main(int argc, char** argv) {
       std::printf("---\n%s", metrics.DumpText().c_str());
     }
   }
-  if (epoll_front) epoll_front->Stop();
-  if (threaded_front) threaded_front->Stop();
-  if (router) router->Stop();
-  if (single) single->Stop();
+  front.Stop();
+  server.Stop();
   registry.Stop();
   std::printf("final stats:\n%s", metrics.DumpText().c_str());
   return 0;

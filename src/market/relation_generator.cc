@@ -8,9 +8,8 @@ RelationData GenerateRelations(const StockUniverse& universe,
   const int64_t num_industries = universe.num_industries();
   const int64_t k = num_industries + config.num_wiki_types;
 
-  RelationData data{graph::RelationTensor(n, k)};
-  data.num_industry_types = num_industries;
-  data.num_wiki_types = config.num_wiki_types;
+  RelationData data{graph::RelationTensor(n, k), num_industries,
+                    config.num_wiki_types, /*wiki_links=*/{}};
 
   // Industry relations: clique per industry, typed by the industry id.
   for (int64_t ind = 0; ind < num_industries; ++ind) {

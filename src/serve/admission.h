@@ -1,8 +1,8 @@
 // Bounded admission gate for the serving layer.
 //
-// One AdmissionController caps one pool of pending work: the inference
-// server's request queue and the socket front-end's connection set each
-// own one. A full controller either rejects the arrival immediately
+// One AdmissionController caps one pool of pending work: the
+// InferenceServer's request queue and the AsyncServer's connection set
+// each own one. A full controller either rejects the arrival immediately
 // (kRejectFast — the wire replies BUSY and the client backs off) or parks
 // the caller for a bounded time waiting for a slot to free
 // (kBlockWithTimeout — smooths short bursts at the cost of caller
@@ -11,7 +11,7 @@
 //
 // CloseForDrain() flips the gate into drain mode: every waiter and every
 // later Admit() fails with a Status whose message starts with "draining",
-// which the socket layer maps to the DRAINING wire reply.
+// which ExecuteLine maps to the DRAINING wire reply.
 #ifndef RTGCN_SERVE_ADMISSION_H_
 #define RTGCN_SERVE_ADMISSION_H_
 

@@ -29,13 +29,14 @@ constexpr uint64_t kWakeTag = ~uint64_t{0} - 1;
 
 }  // namespace
 
-AsyncServer::AsyncServer(Backend* backend, Metrics* metrics, Options options)
-    : backend_(backend),
+AsyncServer::AsyncServer(InferenceServer* server, Metrics* metrics,
+                         Options options)
+    : server_(server),
       metrics_(metrics),
       options_(options),
       conn_gate_({std::max<int64_t>(options.max_connections, 1),
                   AdmissionPolicy::kRejectFast, 0, "connections"}) {
-  RTGCN_CHECK(backend_ != nullptr);
+  RTGCN_CHECK(server_ != nullptr);
   options_.max_line_bytes = std::max<int64_t>(options_.max_line_bytes, 64);
   options_.executor_threads =
       std::max<int64_t>(options_.executor_threads, 1);
@@ -148,7 +149,7 @@ void AsyncServer::ExecutorLoop() {
       work_.pop_front();
     }
     // `reply` carried the request line in; it carries the reply out.
-    work.reply = ExecuteLine(backend_, metrics_, work.reply);
+    work.reply = ExecuteLine(server_, metrics_, work.reply);
     {
       std::lock_guard<std::mutex> lock(done_mu_);
       done_.push_back(std::move(work));
@@ -262,17 +263,23 @@ void AsyncServer::HandleReadable(uint64_t id) {
 void AsyncServer::IngestInput(uint64_t id) {
   Conn& conn = conns_[id];
   size_t pos;
+  bool oversized = false;
   while (!conn.closing &&
          (pos = conn.inbuf.find('\n')) != std::string::npos) {
+    if (static_cast<int64_t>(pos) > options_.max_line_bytes) {
+      oversized = true;
+      break;
+    }
     std::string line = conn.inbuf.substr(0, pos);
     conn.inbuf.erase(0, pos + 1);
     if (!line.empty() && line.back() == '\r') line.pop_back();
     conn.lines.push_back(std::move(line));
   }
-  // Bounded read buffer: a line exceeding the cap without a terminator is
-  // not protocol — reject and drop, as the thread front end does.
+  // A line over the cap, terminated or not (the read buffer is bounded
+  // too), is not protocol: reject and drop the connection.
   if (!conn.closing &&
-      static_cast<int64_t>(conn.inbuf.size()) > options_.max_line_bytes) {
+      (oversized ||
+       static_cast<int64_t>(conn.inbuf.size()) > options_.max_line_bytes)) {
     if (metrics_) {
       metrics_->oversized_lines.fetch_add(1, std::memory_order_relaxed);
     }
@@ -296,7 +303,7 @@ void AsyncServer::PumpConn(uint64_t id) {
     std::string line = std::move(conn.lines.front());
     conn.lines.pop_front();
     std::string fast;
-    if (TryExecuteLineFast(backend_, metrics_, line, &fast)) {
+    if (TryExecuteLineFast(server_, metrics_, line, &fast)) {
       QueueReply(id, fast);
       continue;
     }
@@ -308,7 +315,7 @@ void AsyncServer::PumpConn(uint64_t id) {
          parsed.ValueOrDie().verb == Request::Verb::kScoreBatch);
     if (!blocking) {
       // Errors and PING/HEALTH/STATS/PROTO/QUIT answer without blocking.
-      const std::string reply = ExecuteLine(backend_, metrics_, line);
+      const std::string reply = ExecuteLine(server_, metrics_, line);
       if (reply.empty()) {  // QUIT
         conns_[id].closing = true;
         break;

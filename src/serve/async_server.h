@@ -1,11 +1,10 @@
-// Epoll event-loop front end for a serve::Backend (DESIGN.md §15).
+// Epoll event-loop front end over the InferenceServer (DESIGN.md §15): the
+// one socket front end of the serving stack. Every wire line executes
+// through ExecuteLine (serve/protocol.h).
 //
 // One IO thread multiplexes every connection through a level-triggered
 // epoll set — non-blocking accept/read/write with a per-connection state
-// machine — replacing the thread-per-connection SocketServer for high
-// connection counts. The wire grammar is identical (serve/protocol.h):
-// both front ends execute lines through the same ExecuteLine, so a client
-// cannot tell them apart.
+// machine.
 //
 // Request flow per connection, strictly in arrival order:
 //  * a complete line whose answer is already cached (TryExecuteLineFast:
@@ -17,12 +16,13 @@
 //    executor pool; the connection dispatches at most one blocking line at
 //    a time, so replies always come back in request order.
 //
-// Overload safety mirrors SocketServer: a connection cap (excess accepts
-// answer BUSY and close), a request-line byte cap (oversized senders get
-// "ERR line too long" and are dropped), bounded per-connection input and
-// output buffers — a connection pushing lines faster than the backend
-// drains them, or not reading its replies, loses EPOLLIN until it drains
-// (TCP backpressure does the rest) — and MSG_NOSIGNAL everywhere.
+// Overload safety: a connection cap (excess accepts answer BUSY and
+// close), a request-line byte cap (a line longer than max_line_bytes,
+// terminated or not, gets "ERR line too long" and the connection is
+// dropped), bounded per-connection input and output buffers — a
+// connection pushing lines faster than the server drains them, or not
+// reading its replies, loses EPOLLIN until it drains (TCP backpressure
+// does the rest) — and MSG_NOSIGNAL everywhere.
 //
 // Threading: epoll_ctl, reads, writes and connection teardown happen only
 // on the IO thread. Executors touch a completion queue (mutex) and an
@@ -47,11 +47,12 @@
 #include "serve/chaos.h"
 #include "serve/metrics.h"
 #include "serve/protocol.h"
+#include "serve/server.h"
 
 namespace rtgcn::serve {
 
-/// \brief Single-threaded epoll front end over a Backend. `backend` (and
-/// `metrics`, which may be null) must outlive the server.
+/// \brief Single-threaded epoll front end over an InferenceServer.
+/// `server` (and `metrics`, which may be null) must outlive it.
 class AsyncServer {
  public:
   struct Options {
@@ -60,7 +61,7 @@ class AsyncServer {
     int64_t max_connections = 10000;  ///< excess accepts get BUSY + close
     int64_t max_line_bytes = 65536;   ///< request-line cap
     /// Blocking-path worker threads (each carries one in-flight blocking
-    /// line; they spend their life waiting on the backend's batcher).
+    /// line; they spend their life waiting on the server's batcher).
     int64_t executor_threads = 16;
     /// Per-connection buffered-reply cap: beyond it the connection stops
     /// being read until the client drains its replies.
@@ -69,7 +70,7 @@ class AsyncServer {
     int64_t max_pending_lines = 128;
   };
 
-  AsyncServer(Backend* backend, Metrics* metrics, Options options);
+  AsyncServer(InferenceServer* server, Metrics* metrics, Options options);
   ~AsyncServer();
 
   AsyncServer(const AsyncServer&) = delete;
@@ -114,8 +115,8 @@ class AsyncServer {
   void HandleAccept();
   void HandleReadable(uint64_t id);
   void HandleWritable(uint64_t id);
-  /// Splits inbuf into lines, enforces the line cap, advances the state
-  /// machine.
+  /// Splits inbuf into lines, enforces the line cap on every line
+  /// (terminated or not), advances the state machine.
   void IngestInput(uint64_t id);
   /// Answers or dispatches queued lines until one blocks or none remain.
   void PumpConn(uint64_t id);
@@ -127,7 +128,7 @@ class AsyncServer {
   void DrainCompletions();
   void Wake();
 
-  Backend* backend_;
+  InferenceServer* server_;
   Metrics* metrics_;
   Options options_;
   ChaosInjector* chaos_ = nullptr;

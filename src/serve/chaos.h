@@ -1,7 +1,7 @@
 // Deterministic fault injection for the serving stack (DESIGN.md §13).
 //
-// A ChaosInjector is consulted by the socket front-end once per reply and
-// draws — from a seeded Rng, so a scenario replays exactly — one of:
+// A ChaosInjector is consulted by the AsyncServer front end once per reply
+// and draws — from a seeded Rng, so a scenario replays exactly — one of:
 // deliver normally, delay the reply, drop it (the client's read times
 // out), truncate it mid-line, or hard-reset the connection (SO_LINGER 0
 // close → TCP RST mid-reply). The chaos suite (tests/chaos_test.cc,

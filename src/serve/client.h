@@ -1,6 +1,6 @@
 // Line-protocol client with connect/read/send timeouts and bounded retry.
 //
-// A Client owns one loopback connection to a SocketServer and re-issues a
+// A Client owns one loopback connection to an AsyncServer and re-issues a
 // request — with exponential backoff plus jitter — when the server replies
 // BUSY (admission shed) or the connection fails (connect error, send
 // error, read timeout, reset). Scoring queries are read-only and

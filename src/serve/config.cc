@@ -4,34 +4,25 @@ namespace rtgcn::serve {
 
 void ServerConfig::RegisterFlags(FlagSet* fs, const std::string& prefix) {
   auto name = [&prefix](const char* n) { return prefix + n; };
-  fs->RegisterChoice(name("front"), &front, {"epoll", "threaded"},
-                     "socket front end: epoll event loop or "
-                     "thread-per-connection");
   fs->Register(name("port"), &port, "listen port (0 = ephemeral)");
   fs->Register(name("backlog"), &backlog, "listen(2) backlog");
   fs->Register(name("max_connections"), &max_connections,
                "concurrent connection cap (excess get BUSY)");
   fs->Register(name("max_line_bytes"), &max_line_bytes,
                "request-line byte cap");
-  fs->Register(name("send_timeout_ms"), &send_timeout_ms,
-               "threaded front end: per-write bound against slow readers");
   fs->Register(name("executor_threads"), &executor_threads,
-               "epoll front end: blocking-path worker threads");
+               "blocking-path worker threads");
   fs->Register(name("max_outbox_bytes"), &max_outbox_bytes,
-               "epoll front end: per-connection reply buffer cap");
+               "per-connection reply buffer cap");
   fs->Register(name("max_pending_lines"), &max_pending_lines,
-               "epoll front end: per-connection undispatched line cap");
-  fs->Register(name("shards"), &num_shards,
-               "worker shards for scatter-gather serving");
-  fs->Register(name("virtual_nodes"), &virtual_nodes,
-               "consistent-hash ring points per shard");
+               "per-connection undispatched line cap");
   fs->Register(name("max_batch"), &max_batch, "micro-batch flush size");
   fs->Register(name("batch_timeout_us"), &batch_timeout_us,
                "micro-batch window after a batch's first request");
   fs->Register(name("cache"), &enable_cache,
                "enable the (version, day) score cache");
   fs->Register(name("cache_capacity"), &cache_capacity,
-               "cached (version, day) entries per shard (FIFO)");
+               "cached (version, day) entries (FIFO)");
   fs->Register(name("max_queue"), &max_queue,
                "pending-request bound (admission)");
   fs->RegisterChoice(name("admission"), &admission, {"reject", "block"},
@@ -55,17 +46,10 @@ void ServerConfig::RegisterFlags(FlagSet* fs, const std::string& prefix) {
 }
 
 Status ServerConfig::Validate() const {
-  if (front != "epoll" && front != "threaded") {
-    return Status::InvalidArgument("front must be epoll or threaded, got \"",
-                                   front, "\"");
-  }
   AdmissionPolicy policy;
   if (!ParseAdmissionPolicy(admission, &policy)) {
     return Status::InvalidArgument("admission must be reject or block, got \"",
                                    admission, "\"");
-  }
-  if (num_shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1, got ", num_shards);
   }
   if (max_batch < 1) {
     return Status::InvalidArgument("max_batch must be >= 1, got ", max_batch);
@@ -100,31 +84,6 @@ InferenceServer::Options ServerConfig::server_options() const {
   opts.admission = admission_policy();
   opts.admission_timeout_ms = admission_timeout_ms;
   opts.degraded_failure_threshold = degraded_failure_threshold;
-  return opts;
-}
-
-ShardRouter::Options ServerConfig::shard_options() const {
-  ShardRouter::Options opts;
-  opts.num_shards = num_shards;
-  opts.virtual_nodes = virtual_nodes;
-  opts.max_batch = max_batch;
-  opts.batch_timeout_us = batch_timeout_us;
-  opts.enable_cache = enable_cache;
-  opts.cache_capacity = cache_capacity;
-  opts.max_queue = max_queue;
-  opts.admission = admission_policy();
-  opts.admission_timeout_ms = admission_timeout_ms;
-  opts.degraded_failure_threshold = degraded_failure_threshold;
-  return opts;
-}
-
-SocketServer::Options ServerConfig::socket_options() const {
-  SocketServer::Options opts;
-  opts.port = port;
-  opts.backlog = backlog;
-  opts.max_connections = max_connections;
-  opts.max_line_bytes = max_line_bytes;
-  opts.send_timeout_ms = send_timeout_ms;
   return opts;
 }
 

@@ -1,13 +1,11 @@
 // One configuration surface for the whole serving stack (DESIGN.md §15).
 //
-// Before this existed every layer grew its own Options struct —
-// InferenceServer, SocketServer, AsyncServer, ShardRouter,
-// AdmissionController, Client — and every binary (serve_server,
-// bench_serve, chaos harnesses) re-declared the same dozen flags with
-// drifting names and defaults. ServerConfig is the single source of
-// truth: one struct, one RegisterFlags() that binds every knob to a
-// FlagSet, and projection methods that derive each layer's Options from
-// it. A binary registers once, parses once, and wires the stack with
+// Each layer keeps its own Options struct (InferenceServer, AsyncServer,
+// AdmissionController, Client), and ServerConfig is the single source of
+// truth for all of them: one struct, one RegisterFlags() that binds every
+// knob to a FlagSet, and projection methods that derive each layer's
+// Options from it. A binary (serve_server, bench_serve, the chaos
+// harnesses) registers once, parses once, and wires the stack with
 // `config.server_options()`, `config.async_options()`, ... — defaults
 // and flag names cannot drift between binaries anymore.
 #ifndef RTGCN_SERVE_CONFIG_H_
@@ -22,32 +20,22 @@
 #include "serve/async_server.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "serve/shard_router.h"
-#include "serve/socket_server.h"
 
 namespace rtgcn::serve {
 
 /// \brief Every serving knob in one place. Field defaults are the
 /// production defaults; RegisterFlags() exposes each as --<name>.
 struct ServerConfig {
-  // Front end.
-  std::string front = "epoll";  ///< "epoll" (AsyncServer) or "threaded"
+  // Front end (AsyncServer).
   int port = 0;                 ///< 0 picks an ephemeral port
   int backlog = 256;
   int64_t max_connections = 10000;
   int64_t max_line_bytes = 65536;
-  int64_t send_timeout_ms = 5000;   ///< threaded front end only
-  int64_t executor_threads = 16;    ///< epoll: blocking-path workers
-  int64_t max_outbox_bytes = 1 << 20;  ///< epoll: per-conn reply buffer cap
-  int64_t max_pending_lines = 128;     ///< epoll: per-conn line backlog cap
+  int64_t executor_threads = 16;       ///< blocking-path workers
+  int64_t max_outbox_bytes = 1 << 20;  ///< per-conn reply buffer cap
+  int64_t max_pending_lines = 128;     ///< per-conn line backlog cap
 
-  // Sharding. num_shards == 1 still routes through the ShardRouter when a
-  // binary asks for one; binaries may also use it to pick the
-  // single-process InferenceServer directly.
-  int64_t num_shards = 1;
-  int64_t virtual_nodes = 64;  ///< ring points per shard
-
-  // Micro-batching + score cache (per shard, or the whole server).
+  // Micro-batching + score cache (InferenceServer).
   int64_t max_batch = 32;
   int64_t batch_timeout_us = 200;
   bool enable_cache = true;
@@ -70,18 +58,15 @@ struct ServerConfig {
   /// flags (e.g. "serve_") for binaries that also register other groups.
   void RegisterFlags(FlagSet* fs, const std::string& prefix = "");
 
-  /// Cross-field validation (front/admission choices, positive bounds).
+  /// Cross-field validation (admission choice, positive bounds).
   /// RegisterChoice already rejects bad enum values at parse time; this
   /// catches configs built in code.
   Status Validate() const;
 
   AdmissionPolicy admission_policy() const;
-  bool use_epoll() const { return front == "epoll"; }
 
   // Projections: each layer's Options derived from the shared fields.
   InferenceServer::Options server_options() const;
-  ShardRouter::Options shard_options() const;
-  SocketServer::Options socket_options() const;
   AsyncServer::Options async_options() const;
   Client::Options client_options() const;
 };

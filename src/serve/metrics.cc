@@ -26,12 +26,10 @@ Metrics::Metrics()
       cache_misses(*registry.GetCounter("serve.cache_misses")),
       reload_success(*registry.GetCounter("serve.reload_success")),
       reload_failure(*registry.GetCounter("serve.reload_failure")),
-      latency(registry.GetHistogram(
-          "serve.latency_us",
-          obs::BucketSpec::Exponential2(LatencyHistogram::kNumBuckets))),
-      batch_size(registry.GetHistogram(
-          "serve.batch_size",
-          obs::BucketSpec::LinearUnit(BatchSizeHistogram::kMaxTracked))),
+      latency(*registry.GetHistogram(
+          "serve.latency_us", obs::BucketSpec::Exponential2(kLatencyBuckets))),
+      batch_size(*registry.GetHistogram(
+          "serve.batch_size", obs::BucketSpec::LinearUnit(kMaxBatchTracked))),
       start_us_(obs::NowMicros()) {}
 
 double Metrics::UptimeSeconds() const {
@@ -83,17 +81,19 @@ std::string Metrics::DumpText() const {
   count("serve.reload_failure", reload_failure.Value());
   line("serve.uptime_seconds", UptimeSeconds());
   line("serve.qps", Qps());
-  line("serve.latency_us.mean", latency.MeanMicros());
-  line("serve.latency_us.p50", latency.PercentileMicros(0.50));
-  line("serve.latency_us.p95", latency.PercentileMicros(0.95));
-  line("serve.latency_us.p99", latency.PercentileMicros(0.99));
-  line("serve.batch_size.mean", batch_size.MeanSize());
+  line("serve.latency_us.mean", latency.Mean());
+  line("serve.latency_us.p50", latency.Percentile(0.50));
+  line("serve.latency_us.p95", latency.Percentile(0.95));
+  line("serve.latency_us.p99", latency.Percentile(0.99));
+  line("serve.batch_size.mean", batch_size.Mean());
   out << "serve.batch_size.hist";
-  for (int64_t s = 1; s <= BatchSizeHistogram::kMaxTracked; ++s) {
-    const uint64_t c = batch_size.CountForSize(s);
+  for (int s = 1; s <= kMaxBatchTracked; ++s) {
+    const uint64_t c = batch_size.BucketCount(s);
     if (c > 0) out << ' ' << s << ':' << c;
   }
-  if (batch_size.overflow() > 0) out << " >:" << batch_size.overflow();
+  const uint64_t overflow =
+      batch_size.BucketCount(batch_size.num_buckets() - 1);
+  if (overflow > 0) out << " >:" << overflow;
   out << '\n';
   return out.str();
 }

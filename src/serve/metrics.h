@@ -2,91 +2,23 @@
 // (obs/registry.h). Every mutator is a relaxed atomic on an obs metric, so
 // the inference hot path never takes a lock for accounting.
 //
-// This header is a compatibility shim over obs::Registry (DESIGN.md §9
-// documents the mapping): the counter members are obs::Counter references
-// exposing the std::atomic surface the original struct had, and the
-// histogram types forward to obs::Histogram under their historical names.
-// New code should prefer the obs types directly; `registry` is public so
+// The members are references to registry-owned obs metrics (DESIGN.md §9
+// documents the names); the counters keep the std::atomic surface
+// (fetch_add/load) the original struct had. `registry` is public so
 // additional per-server metrics can be registered next to the built-ins.
 #ifndef RTGCN_SERVE_METRICS_H_
 #define RTGCN_SERVE_METRICS_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "obs/registry.h"
 
 namespace rtgcn::serve {
 
-/// \brief Fixed power-of-two-bucket histogram for microsecond latencies.
-///
-/// Deprecated shim: an obs::Histogram with BucketSpec::Exponential2
-/// buckets. Bucket b holds samples in [2^(b-1), 2^b) µs (bucket 0 holds
-/// 0 µs); percentiles interpolate linearly inside the winning bucket.
-class LatencyHistogram {
- public:
-  static constexpr int kNumBuckets = 40;  ///< covers up to ~2^39 µs (~6 days)
-
-  LatencyHistogram()
-      : owned_(std::make_unique<obs::Histogram>(
-            obs::BucketSpec::Exponential2(kNumBuckets))),
-        hist_(owned_.get()) {}
-  /// View over a registry-owned histogram (how serve::Metrics wires it).
-  explicit LatencyHistogram(obs::Histogram* hist) : hist_(hist) {}
-
-  void Record(uint64_t micros) { hist_->Record(micros); }
-
-  uint64_t count() const { return hist_->Count(); }
-  double MeanMicros() const { return hist_->Mean(); }
-  /// Value below which `p` (in [0, 1]) of the samples fall; 0 when empty.
-  double PercentileMicros(double p) const { return hist_->Percentile(p); }
-
-  const obs::Histogram& hist() const { return *hist_; }
-
- private:
-  std::unique_ptr<obs::Histogram> owned_;  // null when viewing a registry's
-  obs::Histogram* hist_;
-};
-
-/// \brief Linear histogram of micro-batch sizes (1 .. kMaxTracked, with an
-/// overflow bucket for anything larger). Deprecated shim over
-/// obs::Histogram with BucketSpec::LinearUnit buckets.
-class BatchSizeHistogram {
- public:
-  static constexpr int64_t kMaxTracked = 128;
-
-  BatchSizeHistogram()
-      : owned_(std::make_unique<obs::Histogram>(
-            obs::BucketSpec::LinearUnit(kMaxTracked))),
-        hist_(owned_.get()) {}
-  explicit BatchSizeHistogram(obs::Histogram* hist) : hist_(hist) {}
-
-  void Record(int64_t batch_size) {
-    if (batch_size < 0) return;
-    hist_->Record(static_cast<uint64_t>(batch_size));
-  }
-
-  uint64_t count() const { return hist_->Count(); }
-  double MeanSize() const { return hist_->Mean(); }
-  uint64_t CountForSize(int64_t batch_size) const {
-    if (batch_size < 0 || batch_size > kMaxTracked) return 0;
-    return hist_->BucketCount(static_cast<int>(batch_size));
-  }
-  uint64_t overflow() const {
-    return hist_->BucketCount(hist_->num_buckets() - 1);
-  }
-
-  const obs::Histogram& hist() const { return *hist_; }
-
- private:
-  std::unique_ptr<obs::Histogram> owned_;
-  obs::Histogram* hist_;
-};
-
 /// \brief All counters and histograms of the serving subsystem. One
 /// instance is shared by the registry (reload accounting), the inference
-/// server (request/batch/cache accounting) and the socket front-end.
+/// server (request/batch/cache accounting) and the AsyncServer front end.
 ///
 /// Each Metrics owns its own obs::Registry (not the process-global one) so
 /// concurrent servers — several in one test binary, the batched and
@@ -133,8 +65,15 @@ struct Metrics {
   obs::Counter& reload_success;  ///< snapshots promoted
   obs::Counter& reload_failure;  ///< corrupt/unloadable skipped
 
-  LatencyHistogram latency;      ///< enqueue-to-response, µs
-  BatchSizeHistogram batch_size; ///< executed batch sizes
+  /// Enqueue-to-response µs: Exponential2(kLatencyBuckets) buckets, so
+  /// bucket b holds [2^(b-1), 2^b) µs (bucket 0 holds 0 µs).
+  obs::Histogram& latency;
+  /// Executed batch sizes: LinearUnit(kMaxBatchTracked) buckets, one per
+  /// size 0..kMaxBatchTracked plus an overflow bucket.
+  obs::Histogram& batch_size;
+
+  static constexpr int kLatencyBuckets = 40;  ///< up to ~2^39 µs (~6 days)
+  static constexpr int64_t kMaxBatchTracked = 128;
 
   double UptimeSeconds() const;
   double Qps() const;            ///< completed responses per uptime second

@@ -13,6 +13,7 @@
 #include "obs/clock.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "serve/server.h"
 
 namespace rtgcn::serve {
 
@@ -538,7 +539,7 @@ Result<Reply> ParseReply(const std::string& line, const Request& sent) {
   }
 }
 
-std::string ExecuteLine(Backend* backend, Metrics* metrics,
+std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
                         const std::string& line) {
   obs::Span span("serve.handle_line", "serve");
   auto parsed = ParseRequest(line);
@@ -566,7 +567,7 @@ std::string ExecuteLine(Backend* backend, Metrics* metrics,
       return FormatReply(reply);
     case Request::Verb::kHealth:
       reply.kind = Reply::Kind::kHealth;
-      reply.text = backend->HealthLine();
+      reply.text = server->HealthLine();
       return FormatReply(reply);
     case Request::Verb::kProto: {
       const int v = request.proto_version == 0 ? kProtoMax
@@ -581,8 +582,7 @@ std::string ExecuteLine(Backend* backend, Metrics* metrics,
       }
       reply.kind = Reply::Kind::kProtoAck;
       reply.proto_version = v;
-      reply.shards = backend->num_shards();
-      reply.current_version = backend->CurrentVersion();
+      reply.current_version = server->CurrentVersion();
       return FormatReply(reply);
     }
     case Request::Verb::kStats: {
@@ -597,14 +597,14 @@ std::string ExecuteLine(Backend* backend, Metrics* metrics,
     }
     case Request::Verb::kScore: {
       auto result =
-          backend->Score(request.day, request.stock, {request.deadline_ms});
+          server->Score(request.day, request.stock, {request.deadline_ms});
       if (!result.ok()) {
         return FormatReply(ErrorReplyFor(request, result.status()));
       }
       return FormatReply(MakeScoreReplyFor(request, result.ValueOrDie()));
     }
     case Request::Verb::kRank: {
-      auto result = backend->Rank(request.day, {request.deadline_ms});
+      auto result = server->Rank(request.day, {request.deadline_ms});
       if (!result.ok()) {
         return FormatReply(ErrorReplyFor(request, result.status()));
       }
@@ -613,7 +613,7 @@ std::string ExecuteLine(Backend* backend, Metrics* metrics,
     case Request::Verb::kScoreBatch: {
       // One Rank() execution answers every stock of the line — the batch
       // never fans out into per-stock queue entries.
-      auto result = backend->Rank(request.day, {request.deadline_ms});
+      auto result = server->Rank(request.day, {request.deadline_ms});
       if (!result.ok()) {
         return FormatReply(ErrorReplyFor(request, result.status()));
       }
@@ -652,7 +652,7 @@ std::string ExecuteLine(Backend* backend, Metrics* metrics,
   return FormatReply(reply);
 }
 
-bool TryExecuteLineFast(Backend* backend, Metrics* metrics,
+bool TryExecuteLineFast(InferenceServer* server, Metrics* metrics,
                         const std::string& line, std::string* reply) {
   // Fast parse gate: only SCORE/RANK lines (either framing) can be
   // answered from cache; everything else goes through ExecuteLine.
@@ -662,7 +662,7 @@ bool TryExecuteLineFast(Backend* backend, Metrics* metrics,
   const uint64_t t0 = obs::NowMicros();
   if (request.verb == Request::Verb::kScore) {
     ScoreReply score;
-    if (!backend->TryScoreCached(request.day, request.stock, &score)) {
+    if (!server->TryScoreCached(request.day, request.stock, &score)) {
       return false;
     }
     if (metrics) {
@@ -675,7 +675,7 @@ bool TryExecuteLineFast(Backend* backend, Metrics* metrics,
   }
   if (request.verb == Request::Verb::kRank) {
     RankReply rank;
-    if (!backend->TryRankCached(request.day, &rank)) return false;
+    if (!server->TryRankCached(request.day, &rank)) return false;
     if (metrics) {
       metrics->requests.fetch_add(1, std::memory_order_relaxed);
       metrics->responses_ok.fetch_add(1, std::memory_order_relaxed);

@@ -1,10 +1,10 @@
 // Versioned typed wire protocol for the serving tier (DESIGN.md §15).
 //
 // This header is the single source of truth for the request/reply surface:
-// both front ends (thread-per-connection SocketServer and the epoll
-// AsyncServer) parse with ParseRequest and format with FormatReply, and
-// serve::Client formats with FormatRequest and parses with ParseReply —
-// there is exactly one grammar implementation on each side of the wire.
+// the epoll AsyncServer parses with ParseRequest and formats with
+// FormatReply, and serve::Client formats with FormatRequest and parses
+// with ParseReply — there is exactly one grammar implementation on each
+// side of the wire.
 //
 // Protocol v1 (the PR 4/8 line protocol) is kept byte-compatible as a
 // compatibility shim; see DESIGN.md §15 for its deprecation note:
@@ -16,9 +16,9 @@
 //   RANK <day> <k> [DEADLINE ms]      -> OK <ver> <k> <stock>:<score>... [STALE]
 //
 // Protocol v2 adds explicit framing, request ids (pipelining/batching), a
-// batched score verb, and negotiation carrying shard/version metadata:
+// batched score verb, and negotiation carrying version metadata:
 //
-//   PROTO [<v>]        -> OK PROTO <v> SHARDS <k> VERSION <ver>
+//   PROTO [<v>]        -> OK PROTO <v> SHARDS 1 VERSION <ver>
 //   2 <id> PING        -> 2 <id> PONG
 //   2 <id> HEALTH      -> 2 <id> OK <health line>
 //   2 <id> SCORE <day> <stock> [DEADLINE ms]
@@ -31,7 +31,10 @@
 //
 // The id is chosen by the client and echoed verbatim, so a client may
 // write many v2 requests in one send and match replies without relying on
-// ordering (both front ends do reply in request order per connection).
+// ordering (the front end does reply in request order per connection).
+//
+// The PROTO ack's SHARDS field is always 1: the server has one backend.
+// It stays on the wire because serve::Client::Negotiate parses it.
 //
 // Scores are printed with %.9g, which round-trips binary float32 exactly —
 // replies compare bit-for-bit against a local forward pass.
@@ -88,49 +91,7 @@ struct RankEntry {
   float score = 0;
 };
 
-/// \brief What a front end needs from a query engine. Implemented by the
-/// single-process InferenceServer and by the sharded ShardRouter, so every
-/// front end serves either interchangeably.
-class Backend {
- public:
-  virtual ~Backend() = default;
-
-  /// Blocking: scores for every stock on prediction day `day`.
-  virtual Result<RankReply> Rank(int64_t day, RequestOptions request) = 0;
-
-  /// Blocking: score and rank of `stock` on prediction day `day`.
-  virtual Result<ScoreReply> Score(int64_t day, int64_t stock,
-                                   RequestOptions request) = 0;
-
-  /// Non-blocking fast path: answers from cached scores without entering
-  /// any queue. False when the request needs the blocking path (cache
-  /// miss, degraded health, draining). Front ends use this to answer hot
-  /// requests inline on the event loop.
-  virtual bool TryRankCached(int64_t day, RankReply* out) {
-    (void)day;
-    (void)out;
-    return false;
-  }
-  virtual bool TryScoreCached(int64_t day, int64_t stock, ScoreReply* out) {
-    (void)day;
-    (void)stock;
-    (void)out;
-    return false;
-  }
-
-  /// Current health; evaluating it advances degraded-seconds accounting.
-  virtual HealthState Health() = 0;
-
-  /// One-line health summary for the HEALTH wire command.
-  virtual std::string HealthLine() = 0;
-
-  /// Version of the currently published model, -1 when none (the PROTO
-  /// ack's VERSION field).
-  virtual int64_t CurrentVersion() const = 0;
-
-  /// Worker shards behind this backend (the PROTO ack's SHARDS field).
-  virtual int64_t num_shards() const { return 1; }
-};
+class InferenceServer;  // serve/server.h
 
 /// \brief One parsed request line, protocol version included.
 struct Request {
@@ -141,7 +102,7 @@ struct Request {
     kScore,
     kRank,
     kScoreBatch,  ///< v2 SCOREN: several stocks of one day in one line
-    kProto,       ///< negotiation: report protocol/shard/version metadata
+    kProto,       ///< negotiation: report protocol/version metadata
     kQuit,
   };
 
@@ -185,7 +146,7 @@ struct Reply {
   bool stale = false;               ///< kRank/kScoreBatch
 
   int proto_version = kProtoMax;    ///< kProtoAck
-  int64_t shards = 1;               ///< kProtoAck
+  int64_t shards = 1;               ///< kProtoAck (always 1 on the wire)
   int64_t current_version = -1;     ///< kProtoAck
 };
 
@@ -212,16 +173,16 @@ std::string FormatReply(const Reply& reply);
 /// line-by-line by the caller (ParseReply only sees the first line).
 Result<Reply> ParseReply(const std::string& line, const Request& sent);
 
-/// Executes one wire line against `backend` — the single server-side
-/// dispatch shared by every front end. `metrics` may be null. kQuit
-/// returns the empty string (connection teardown is the front end's job).
-std::string ExecuteLine(Backend* backend, Metrics* metrics,
+/// Executes one wire line against `server` — the single server-side
+/// dispatch. `metrics` may be null. kQuit returns the empty string
+/// (connection teardown is the front end's job).
+std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
                         const std::string& line);
 
 /// Non-blocking variant: true when the line was answered entirely from
 /// cached scores (reply stored in *reply); false when it needs the
 /// blocking ExecuteLine path. Safe to call on an event loop.
-bool TryExecuteLineFast(Backend* backend, Metrics* metrics,
+bool TryExecuteLineFast(InferenceServer* server, Metrics* metrics,
                         const std::string& line, std::string* reply);
 
 }  // namespace rtgcn::serve

@@ -14,33 +14,65 @@ namespace rtgcn::serve {
 namespace {
 
 // (version, day) cache key. Checkpoint epochs are capped at 2^40 by the
-// checkpoint name parser and a day index is bounded by the price panel
-// (decades of trading days << 2^20), so the packing is collision-free.
+// checkpoint name parser and a valid day index is bounded by the price
+// panel (decades of trading days << 2^20), so the packing is collision-free
+// for every Cacheable day.
+constexpr int kDayBits = 20;
 uint64_t CacheKey(int64_t version, int64_t day) {
-  return (static_cast<uint64_t>(version) << 20) |
+  return (static_cast<uint64_t>(version) << kDayBits) |
          static_cast<uint64_t>(day);
+}
+
+// A day outside [0, 2^20) would alias another version's key: it bypasses
+// the cache and the ScoreFn rejects it.
+bool Cacheable(int64_t day) {
+  return day >= 0 && day < (int64_t{1} << kDayBits);
 }
 
 constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
 
 }  // namespace
 
-InferenceServer::InferenceServer(const market::WindowDataset* data,
+InferenceServer::ScoreFn InferenceServer::DatasetScoreFn(
+    const market::WindowDataset* data) {
+  RTGCN_CHECK(data != nullptr);
+  return [data](const ModelSnapshot& snapshot,
+                int64_t day) -> Result<std::vector<float>> {
+    if (day < data->first_day() || day > data->last_day()) {
+      return Status::InvalidArgument("day ", day,
+                                     " outside the valid range [",
+                                     data->first_day(), ", ",
+                                     data->last_day(), "]");
+    }
+    obs::Span span("serve.forward", "serve");
+    const Tensor scores = snapshot.Score(data->Features(day));
+    return std::vector<float>(scores.data(), scores.data() + scores.numel());
+  };
+}
+
+InferenceServer::InferenceServer(ScoreFn score_fn, int64_t num_stocks,
                                  ModelRegistry* registry, Options options,
                                  Metrics* metrics)
-    : data_(data),
+    : score_fn_(std::move(score_fn)),
+      num_stocks_(num_stocks),
       registry_(registry),
       options_(options),
       metrics_(metrics),
       admission_({std::max<int64_t>(options.max_queue, 1), options.admission,
                   options.admission_timeout_ms, "requests"}) {
-  RTGCN_CHECK(data_ != nullptr);
+  RTGCN_CHECK(score_fn_ != nullptr);
   RTGCN_CHECK(registry_ != nullptr);
   options_.max_batch = std::max<int64_t>(options_.max_batch, 1);
   options_.batch_timeout_us = std::max<int64_t>(options_.batch_timeout_us, 0);
   options_.cache_capacity = std::max<int64_t>(options_.cache_capacity, 1);
   options_.max_queue = std::max<int64_t>(options_.max_queue, 1);
 }
+
+InferenceServer::InferenceServer(const market::WindowDataset* data,
+                                 ModelRegistry* registry, Options options,
+                                 Metrics* metrics)
+    : InferenceServer(DatasetScoreFn(data), data->num_stocks(), registry,
+                      options, metrics) {}
 
 InferenceServer::~InferenceServer() { Stop(); }
 
@@ -129,13 +161,13 @@ Result<InferenceServer::RankReply> InferenceServer::Rank(
 Result<InferenceServer::ScoreReply> InferenceServer::Score(
     int64_t day, int64_t stock, RequestOptions request) {
   obs::Span span("serve.score", "serve");
-  if (stock < 0 || stock >= data_->num_stocks()) {
+  if (stock < 0 || stock >= num_stocks_) {
     if (metrics_) {
       metrics_->requests.fetch_add(1, std::memory_order_relaxed);
       metrics_->responses_error.fetch_add(1, std::memory_order_relaxed);
     }
     return Status::InvalidArgument("stock ", stock, " out of range [0, ",
-                                   data_->num_stocks(), ")");
+                                   num_stocks_, ")");
   }
   auto scored = Submit(day, request);
   if (!scored.ok()) return scored.status();
@@ -144,13 +176,13 @@ Result<InferenceServer::ScoreReply> InferenceServer::Score(
   reply.model_version = s.version;
   reply.score = s.day->scores[static_cast<size_t>(stock)];
   reply.rank = s.day->ranks[static_cast<size_t>(stock)];
-  reply.num_stocks = data_->num_stocks();
+  reply.num_stocks = num_stocks_;
   reply.stale = s.stale;
   return reply;
 }
 
 bool InferenceServer::TryRankCached(int64_t day, RankReply* out) {
-  if (!options_.enable_cache) return false;
+  if (!options_.enable_cache || !Cacheable(day)) return false;
   const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
   if (!snapshot) return false;
   // Only the healthy path may skip the queue: degraded (stale flags,
@@ -174,8 +206,8 @@ bool InferenceServer::TryRankCached(int64_t day, RankReply* out) {
 
 bool InferenceServer::TryScoreCached(int64_t day, int64_t stock,
                                      ScoreReply* out) {
-  if (!options_.enable_cache) return false;
-  if (stock < 0 || stock >= data_->num_stocks()) return false;
+  if (!options_.enable_cache || !Cacheable(day)) return false;
+  if (stock < 0 || stock >= num_stocks_) return false;
   const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
   if (!snapshot) return false;
   if (Health() != HealthState::kServing) return false;
@@ -190,7 +222,7 @@ bool InferenceServer::TryScoreCached(int64_t day, int64_t stock,
   out->model_version = snapshot->version();
   out->score = entry->scores[static_cast<size_t>(stock)];
   out->rank = entry->ranks[static_cast<size_t>(stock)];
-  out->num_stocks = data_->num_stocks();
+  out->num_stocks = num_stocks_;
   out->stale = false;
   return true;
 }
@@ -309,13 +341,9 @@ void InferenceServer::BatchLoop() {
 
 Result<std::shared_ptr<const InferenceServer::DayScores>>
 InferenceServer::ScoresFor(const ModelSnapshot& snapshot, int64_t day) {
-  if (day < data_->first_day() || day > data_->last_day()) {
-    return Status::InvalidArgument("day ", day, " outside the valid range [",
-                                   data_->first_day(), ", ",
-                                   data_->last_day(), "]");
-  }
   const uint64_t key = CacheKey(snapshot.version(), day);
-  if (options_.enable_cache) {
+  const bool use_cache = options_.enable_cache && Cacheable(day);
+  if (use_cache) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     auto it = cache_.find(key);
     if (it != cache_.end()) {
@@ -325,15 +353,18 @@ InferenceServer::ScoresFor(const ModelSnapshot& snapshot, int64_t day) {
       return it->second;
     }
   }
+  // A failed ScoreFn (e.g. a day outside the data) ran no forward, so only
+  // a successful one counts as a cache miss.
+  Result<std::vector<float>> scores = score_fn_(snapshot, day);
+  if (!scores.ok()) return scores.status();
   if (metrics_) {
     metrics_->cache_misses.fetch_add(1, std::memory_order_relaxed);
     metrics_->forwards.fetch_add(1, std::memory_order_relaxed);
   }
-  obs::Span span("serve.forward", "serve");
-  const Tensor scores = snapshot.Score(data_->Features(day));
-  const int64_t n = scores.numel();
   auto entry = std::make_shared<DayScores>();
-  entry->scores.assign(scores.data(), scores.data() + n);
+  entry->scores = scores.MoveValueOrDie();
+  RTGCN_CHECK_EQ(static_cast<int64_t>(entry->scores.size()), num_stocks_);
+  const int64_t n = num_stocks_;
   // Dense ranks, best score first; ties broken by stock id so the ranking
   // is deterministic.
   std::vector<int64_t> order(static_cast<size_t>(n));
@@ -346,7 +377,7 @@ InferenceServer::ScoresFor(const ModelSnapshot& snapshot, int64_t day) {
   for (int64_t r = 0; r < n; ++r) {
     entry->ranks[static_cast<size_t>(order[static_cast<size_t>(r)])] = r;
   }
-  if (options_.enable_cache) {
+  if (use_cache) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (cache_.emplace(key, entry).second) {
       cache_fifo_.push_back(key);
@@ -388,7 +419,7 @@ void InferenceServer::ExecuteBatch(std::vector<Pending> batch) {
   obs::Span span("serve.batch", "serve");
   if (metrics_) {
     metrics_->batches.fetch_add(1, std::memory_order_relaxed);
-    metrics_->batch_size.Record(static_cast<int64_t>(batch.size()));
+    metrics_->batch_size.Record(batch.size());
   }
   // Pin exactly one published snapshot for the whole batch: every response
   // it produces maps to this version.

@@ -14,6 +14,10 @@
 // so each response carries the version of exactly one published model —
 // hot reloads never produce a response mixing two versions.
 //
+// The forward is a ScoreFn: all-stock scores for (snapshot, day). Batch
+// serving wires DatasetScoreFn over a WindowDataset; the streaming
+// pipeline wires RollingPipeline::ServeScoreFn (stream/pipeline.h).
+//
 // Overload safety (DESIGN.md §13):
 //  * the pending queue is bounded by an AdmissionController — a full
 //    server sheds new work with Unavailable (BUSY on the wire) instead of
@@ -35,6 +39,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -52,10 +57,9 @@
 
 namespace rtgcn::serve {
 
-/// \brief Micro-batching inference server over one WindowDataset. The
-/// single-process Backend implementation (and the bit-identity oracle the
-/// sharded router is tested against).
-class InferenceServer : public Backend {
+/// \brief Micro-batching inference server: the one serving backend that
+/// AsyncServer fronts and ExecuteLine dispatches to.
+class InferenceServer {
  public:
   struct Options {
     int64_t max_batch = 32;        ///< flush when this many requests queue
@@ -72,16 +76,29 @@ class InferenceServer : public Backend {
     int64_t degraded_failure_threshold = 3;
   };
 
-  // Shared serve-API types (serve/protocol.h); the nested spellings
-  // predate the Backend interface and remain for source compatibility.
+  // Shared serve-API types (serve/protocol.h), also spelled nested.
   using RequestOptions = serve::RequestOptions;
   using RankReply = serve::RankReply;
   using ScoreReply = serve::ScoreReply;
 
-  /// `data` and `registry` must outlive the server; `metrics` may be null.
+  /// Full forward pass: all `num_stocks` scores for `day` under
+  /// `snapshot`. Must be deterministic in (snapshot, day), because its
+  /// result is cached per (version, day). An error fails that day's
+  /// requests and counts no cache miss or forward.
+  using ScoreFn = std::function<Result<std::vector<float>>(
+      const ModelSnapshot& snapshot, int64_t day)>;
+
+  /// ScoreFn over a WindowDataset: rejects days outside
+  /// [first_day, last_day], else scores that day's feature window.
+  static ScoreFn DatasetScoreFn(const market::WindowDataset* data);
+
+  /// `registry` must outlive the server; `metrics` may be null.
+  InferenceServer(ScoreFn score_fn, int64_t num_stocks,
+                  ModelRegistry* registry, Options options, Metrics* metrics);
+  /// Serves `data` (which must outlive the server) via DatasetScoreFn.
   InferenceServer(const market::WindowDataset* data, ModelRegistry* registry,
                   Options options, Metrics* metrics);
-  ~InferenceServer() override;
+  ~InferenceServer();
 
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
@@ -94,12 +111,12 @@ class InferenceServer : public Backend {
   void Stop();
 
   /// Blocking: scores for every stock on prediction day `day`.
-  Result<RankReply> Rank(int64_t day, RequestOptions request) override;
+  Result<RankReply> Rank(int64_t day, RequestOptions request);
   Result<RankReply> Rank(int64_t day) { return Rank(day, RequestOptions()); }
 
   /// Blocking: score and rank of `stock` on prediction day `day`.
   Result<ScoreReply> Score(int64_t day, int64_t stock,
-                           RequestOptions request) override;
+                           RequestOptions request);
   Result<ScoreReply> Score(int64_t day, int64_t stock) {
     return Score(day, stock, RequestOptions());
   }
@@ -107,21 +124,22 @@ class InferenceServer : public Backend {
   /// Non-blocking: answers from the (current version, day) cache entry.
   /// Only fires while SERVING — degraded/stale/draining requests always
   /// take the blocking path so their accounting and fallbacks apply.
-  bool TryRankCached(int64_t day, RankReply* out) override;
-  bool TryScoreCached(int64_t day, int64_t stock, ScoreReply* out) override;
+  /// AsyncServer uses these to answer hot requests on its event loop.
+  bool TryRankCached(int64_t day, RankReply* out);
+  bool TryScoreCached(int64_t day, int64_t stock, ScoreReply* out);
 
   /// Current health; evaluating it also advances the degraded-seconds
   /// accounting in Metrics.
-  HealthState Health() override;
+  HealthState Health();
 
   /// One-line health summary for the HEALTH wire command, e.g.
   /// "SERVING version=3 reload_failures=0 queue=0".
-  std::string HealthLine() override;
+  std::string HealthLine();
 
-  /// Version of the currently published snapshot, -1 when none.
-  int64_t CurrentVersion() const override;
+  /// Version of the currently published snapshot, -1 when none (the PROTO
+  /// ack's VERSION field).
+  int64_t CurrentVersion() const;
 
-  const market::WindowDataset& data() const { return *data_; }
   const Options& options() const { return options_; }
 
  private:
@@ -157,7 +175,8 @@ class InferenceServer : public Backend {
                       std::shared_ptr<const DayScores> entry);
   HealthState HealthLocked(bool draining);
 
-  const market::WindowDataset* data_;
+  ScoreFn score_fn_;
+  int64_t num_stocks_;
   ModelRegistry* registry_;
   Options options_;
   Metrics* metrics_;

@@ -247,7 +247,7 @@ Result<std::vector<float>> RollingPipeline::ScoreForServe(
     n = window_.num_slots();
   }
   // Score outside the lock on a private feature copy (same discipline as
-  // Rank()); the snapshot outlives the call — the router pinned it.
+  // Rank()); the snapshot outlives the call — the server pinned it.
   const Tensor scores = snap.Score(features);
   RTGCN_CHECK_EQ(scores.numel(), static_cast<int64_t>(slots.size()));
   std::vector<float> full(static_cast<size_t>(n),
@@ -259,7 +259,7 @@ Result<std::vector<float>> RollingPipeline::ScoreForServe(
   return full;
 }
 
-serve::ShardRouter::ScoreFn RollingPipeline::ServeScoreFn() {
+serve::InferenceServer::ScoreFn RollingPipeline::ServeScoreFn() {
   return [this](const serve::ModelSnapshot& snap, int64_t day) {
     return ScoreForServe(snap, day);
   };

@@ -36,7 +36,6 @@
 #include "harness/predictor.h"
 #include "serve/registry.h"
 #include "serve/server.h"
-#include "serve/shard_router.h"
 #include "stream/dynamic_graph.h"
 #include "stream/feature_window.h"
 #include "stream/tick_source.h"
@@ -102,18 +101,19 @@ class RollingPipeline {
   /// Unavailable until the first retrain has been promoted.
   Result<StreamRankReply> Rank();
 
-  /// Full-universe forward for serve::ShardRouter: wire the router to this
-  /// pipeline with
-  ///   ShardRouter(pipeline.ServeScoreFn(), pipeline.num_slots(),
-  ///               pipeline.registry(), ...)
-  /// and the streaming exports serve over the sharded scatter-gather
-  /// plane. `day` must be the latest completed day (the window holds no
-  /// history for older ones — they get Unavailable, never wrong data).
-  /// Slots outside the snapshot version's training universe score
-  /// `-FLT_MAX`, so they rank deterministically last; within one day the
-  /// gathered features are settled, which keeps the function
-  /// deterministic in (snapshot, day) as the router requires.
-  serve::ShardRouter::ScoreFn ServeScoreFn();
+  /// Full-universe forward for serve::InferenceServer: wire the server to
+  /// this pipeline with
+  ///   InferenceServer(pipeline.ServeScoreFn(), pipeline.num_slots(),
+  ///                   pipeline.registry(), ...)
+  /// and the streaming exports serve over the same batcher, cache and
+  /// wire front end as batch serving. `day` must be the latest completed
+  /// day (the window holds no history for older ones — they get
+  /// Unavailable, never wrong data). Slots outside the snapshot version's
+  /// training universe score `-FLT_MAX`, so they rank deterministically
+  /// last; within one day the gathered features are settled, which keeps
+  /// the function deterministic in (snapshot, day) as the server's score
+  /// cache requires.
+  serve::InferenceServer::ScoreFn ServeScoreFn();
 
   int64_t num_slots() const { return source_->num_slots(); }
 

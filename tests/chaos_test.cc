@@ -9,10 +9,11 @@
 //  * Stop() drains queued work and answers later requests with "draining";
 //  * DEGRADED health (unpublished model, repeated reload failures) serves
 //    cached scores flagged STALE instead of erroring;
-//  * the end-to-end chaos scenario: concurrent retrying clients, a fault
-//    injector corrupting replies, hostile raw clients, and a corrupt
-//    checkpoint published mid-reload — the server must not crash or hang,
-//    and every request must be accounted for:
+//  * the end-to-end chaos scenario over the epoll front end: concurrent
+//    retrying clients on both protocol versions, a fault injector
+//    corrupting replies, hostile raw clients (v1 and v2 framing abuse),
+//    and a corrupt checkpoint published mid-reload — the server must not
+//    crash or hang, and every request must be accounted for:
 //      requests == responses_ok + responses_error + expired + shed.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -33,6 +34,7 @@
 #include "market/dataset.h"
 #include "nn/linear.h"
 #include "serve/admission.h"
+#include "serve/async_server.h"
 #include "serve/chaos.h"
 #include "serve/client.h"
 #include "serve/config.h"
@@ -40,7 +42,6 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
-#include "serve/socket_server.h"
 
 namespace rtgcn::serve {
 namespace {
@@ -472,7 +473,7 @@ TEST(DegradedTest, ReloadFailuresFlipDegradedAndRecoverOnPromotion) {
 
 TEST(DrainWireTest, StoppedServerAnswersDraining) {
   Stack stack("drainwire", {});
-  SocketServer front(stack.server.get(), &stack.metrics, {/*port=*/0});
+  AsyncServer front(stack.server.get(), &stack.metrics, {});
   ASSERT_TRUE(front.Start().ok());
 
   stack.server->Stop();
@@ -520,11 +521,12 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   copts.delay_ms_max = 5;
   ChaosInjector chaos(copts);
 
-  SocketServer front(&server, &metrics, cfg.socket_options());
+  AsyncServer front(&server, &metrics, cfg.async_options());
   front.SetChaos(&chaos);
   ASSERT_TRUE(front.Start().ok());
 
-  // Load: retrying clients issuing SCORE/RANK, some with deadlines.
+  // Load: retrying clients issuing SCORE/RANK, some with deadlines, half
+  // of them negotiated onto v2 framing.
   constexpr int kClients = 4;
   constexpr int kPerClient = 30;
   std::atomic<int> client_ok{0}, client_err{0};
@@ -539,6 +541,7 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
       copts2.backoff_max_ms = 20;
       copts2.seed = 100 + static_cast<uint64_t>(c);
       Client client(copts2, &metrics);
+      if (c % 2 == 0) (void)client.Negotiate(2);
       for (int i = 0; i < kPerClient; ++i) {
         const int64_t day = data.first_day() + (i % 3);
         const int64_t deadline = (i % 7 == 0) ? 1000 : 0;
@@ -555,10 +558,10 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
 
   // Abuse: hostile clients hammering the same server.
   std::thread abuser([&] {
-    for (int i = 0; i < 10; ++i) {
+    for (int i = 0; i < 12; ++i) {
       RawClient raw(front.port());
       if (!raw.connected()) continue;
-      switch (i % 4) {
+      switch (i % 6) {
         case 0:  // binary garbage
           raw.Send("\x00\x01\xfe garbage\n");
           raw.ReadLine(200);
@@ -574,6 +577,16 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
           break;
         case 3:  // request, then RST without reading the reply
           raw.Send("RANK " + std::to_string(data.first_day()) + " 5\n");
+          raw.Reset();
+          break;
+        case 4:  // v2 framing abuse: bad ids, bad verbs, bad PROTO
+          raw.Send("2 notanid PING\nPROTO 99\n2 1 FLY\n2 2\n");
+          raw.ReadLine(200);
+          break;
+        case 5:  // a flood of pipelined v2 requests, then vanish
+          raw.Send("2 1 RANK " + std::to_string(data.first_day()) +
+                   " 3\n2 2 SCORE " + std::to_string(data.first_day()) +
+                   " 1\n2 3 HEALTH\n");
           raw.Reset();
           break;
       }
@@ -594,10 +607,15 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   for (auto& t : threads) t.join();
   abuser.join();
 
-  // No crash, no hang — and the server is still answering cleanly.
+  // No crash, no hang — and the server is still answering cleanly. The
+  // injector stays installed, so the probe bounds its reads like the load
+  // clients do: a dropped reply costs one 500 ms retry, not the default
+  // 5 s receive timeout.
   {
     Client::Options copts2;
     copts2.port = front.port();
+    copts2.recv_timeout_ms = 500;
+    copts2.max_attempts = 5;
     Client probe(copts2);
     auto health = probe.Health();
     ASSERT_TRUE(health.ok()) << health.status().ToString();

@@ -4,7 +4,6 @@
 #include "autograd/ops.h"
 #include "graph/adjacency.h"
 #include "graph/gat.h"
-#include "graph/gcn.h"
 #include "graph/hypergraph.h"
 #include "graph/relation_tensor.h"
 #include "obs/registry.h"
@@ -236,33 +235,8 @@ TEST(RelationEdgeWeightsTest, GradCheck) {
 }
 
 // ---------------------------------------------------------------------------
-// GCN / GAT
+// GAT
 // ---------------------------------------------------------------------------
-
-TEST(GcnTest, IdentityAdjacencyReducesToLinear) {
-  Rng rng(5);
-  GcnLayer layer(Tensor::Eye(4), 3, 2, &rng, /*bias=*/false);
-  Tensor x = RandomGaussian({4, 3}, 0, 1, &rng);
-  ag::NoGradGuard no_grad;
-  Tensor y = layer.Forward(ag::Constant(x))->value;
-  // With Â = I, output = X Θ for whatever Θ was initialized; check shape
-  // and linearity: f(2x) = 2 f(x).
-  Tensor y2 = layer.Forward(ag::Constant(MulScalar(x, 2.0f)))->value;
-  EXPECT_TRUE(AllClose(y2, MulScalar(y, 2.0f), 1e-4f, 1e-5f));
-}
-
-TEST(GcnTest, PropagatesNeighborInformation) {
-  // Two connected nodes: moving node 1's features must change node 0's out.
-  Tensor a({2, 2}, {0, 1, 1, 0});
-  Rng rng(6);
-  GcnLayer layer(NormalizedAdjacency(a), 2, 2, &rng);
-  Tensor x = Tensor::Zeros({2, 2});
-  ag::NoGradGuard no_grad;
-  Tensor y0 = layer.Forward(ag::Constant(x))->value;
-  x.at({1, 0}) = 5.0f;
-  Tensor y1 = layer.Forward(ag::Constant(x))->value;
-  EXPECT_FALSE(AllClose(Slice(y0, 0, 0, 1), Slice(y1, 0, 0, 1)));
-}
 
 TEST(MaskedSoftmaxTest, MaskedEntriesAreZeroRowsNormalized) {
   Tensor mask({2, 3}, {1, 1, 0, 0, 0, 0});

@@ -9,7 +9,9 @@
 //    parallel_equivalence_test.cc);
 //  * hot reload under load — concurrent clients never see a failed query
 //    or a response that does not match exactly one published version;
-//  * the socket line protocol end-to-end over a real TCP connection.
+//  * the line protocol end-to-end over a real TCP connection to the epoll
+//    AsyncServer, the v1/v2 payload matrix, and protocol abuse;
+//  * serve::ServerConfig flag registration/validation round-trips.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -23,23 +25,27 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "autograd/ops.h"
 #include "common/file_util.h"
+#include "common/flags.h"
 #include "common/thread_pool.h"
 #include "harness/checkpoint.h"
 #include "harness/gradient_predictor.h"
 #include "market/dataset.h"
 #include "nn/linear.h"
+#include "serve/async_server.h"
 #include "serve/chaos.h"
+#include "serve/client.h"
+#include "serve/config.h"
 #include "serve/metrics.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
-#include "serve/socket_server.h"
 
 namespace rtgcn::serve {
 namespace {
@@ -130,31 +136,33 @@ std::vector<float> ToVector(const Tensor& t) {
 // Metrics
 // ---------------------------------------------------------------------------
 
-TEST(LatencyHistogramTest, PercentilesBracketSamples) {
-  LatencyHistogram hist;
-  for (uint64_t us = 1; us <= 1000; ++us) hist.Record(us);
-  EXPECT_EQ(hist.count(), 1000u);
-  EXPECT_NEAR(hist.MeanMicros(), 500.5, 1e-9);
+// obs_test covers obs::Histogram itself; this checks the bucket layouts
+// serve::Metrics registers and the STATS rendering of them.
+TEST(MetricsTest, HistogramsUseTheServingBucketLayouts) {
+  Metrics metrics;
+  for (uint64_t us = 1; us <= 1000; ++us) metrics.latency.Record(us);
+  EXPECT_EQ(metrics.latency.Count(), 1000u);
+  EXPECT_EQ(metrics.latency.num_buckets(), Metrics::kLatencyBuckets);
   // Power-of-two buckets: each percentile lands within its bucket's range.
-  const double p50 = hist.PercentileMicros(0.50);
+  const double p50 = metrics.latency.Percentile(0.50);
   EXPECT_GE(p50, 256.0);
   EXPECT_LE(p50, 1024.0);
-  const double p99 = hist.PercentileMicros(0.99);
+  const double p99 = metrics.latency.Percentile(0.99);
   EXPECT_GE(p99, 512.0);
   EXPECT_LE(p99, 1024.0);
-  EXPECT_GE(p99, p50);
-}
 
-TEST(BatchSizeHistogramTest, TracksDistribution) {
-  BatchSizeHistogram hist;
-  hist.Record(1);
-  hist.Record(1);
-  hist.Record(8);
-  hist.Record(BatchSizeHistogram::kMaxTracked + 5);
-  EXPECT_EQ(hist.CountForSize(1), 2u);
-  EXPECT_EQ(hist.CountForSize(8), 1u);
-  EXPECT_EQ(hist.overflow(), 1u);
-  EXPECT_EQ(hist.count(), 4u);
+  metrics.batch_size.Record(1);
+  metrics.batch_size.Record(1);
+  metrics.batch_size.Record(8);
+  metrics.batch_size.Record(Metrics::kMaxBatchTracked + 5);  // overflow
+  EXPECT_EQ(metrics.batch_size.BucketCount(1), 2u);
+  EXPECT_EQ(metrics.batch_size.BucketCount(8), 1u);
+  EXPECT_EQ(metrics.batch_size.BucketCount(metrics.batch_size.num_buckets() -
+                                           1),
+            1u);
+  EXPECT_NE(metrics.DumpText().find("\nserve.batch_size.hist 1:2 8:1 >:1\n"),
+            std::string::npos)
+      << metrics.DumpText();
 }
 
 TEST(MetricsTest, DumpTextContainsAllSections) {
@@ -464,6 +472,39 @@ TEST(InferenceServerTest, InvalidDayFailsThatQueryOnly) {
   EXPECT_FALSE(server.Score(data.first_day(), data.num_stocks()).ok());
   EXPECT_TRUE(server.Rank(data.first_day()).ok());
   EXPECT_EQ(metrics.responses_error.load(), 3u);
+  // Only the valid day ran a forward: a rejected day is no cache miss.
+  EXPECT_EQ(metrics.cache_misses.load(), 1u);
+  EXPECT_EQ(metrics.forwards.load(), 1u);
+  server.Stop();
+  registry.Stop();
+}
+
+TEST(InferenceServerTest, DayPastTheCacheKeyRangeNeverAliasesACachedDay) {
+  // The (version, day) cache key packs the day into its low 20 bits, so
+  // under version 1 the day first_day + 2^20 packs to first_day's key. It
+  // must fail as an invalid day on every path, not answer from that entry.
+  market::WindowDataset data = MakePanel();
+  const std::string dir = TestDir("alias");
+  TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 43);
+
+  Metrics metrics;
+  ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
+                         &metrics);
+  ASSERT_TRUE(registry.Start().ok());
+  InferenceServer server(&data, &registry, {}, &metrics);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server.Rank(data.first_day()).ok());  // caches (1, first_day)
+
+  const int64_t alias = data.first_day() + (int64_t{1} << 20);
+  ScoreReply score;
+  EXPECT_FALSE(server.TryScoreCached(alias, 0, &score));
+  RankReply rank;
+  EXPECT_FALSE(server.TryRankCached(alias, &rank));
+  EXPECT_FALSE(server.Rank(alias).ok());
+  EXPECT_FALSE(server.Score(alias, 0).ok());
+  const std::string wire =
+      ExecuteLine(&server, &metrics, "SCORE " + std::to_string(alias) + " 0");
+  EXPECT_EQ(wire.rfind("ERR ", 0), 0u) << wire;
   server.Stop();
   registry.Stop();
 }
@@ -579,7 +620,7 @@ TEST(HotReloadTest, LosslessUnderConcurrentLoad) {
 }
 
 // ---------------------------------------------------------------------------
-// Socket front-end
+// Wire front end (AsyncServer)
 // ---------------------------------------------------------------------------
 
 class LineClient {
@@ -625,7 +666,14 @@ class LineClient {
   std::string buffer_;
 };
 
-TEST(SocketServerTest, LineProtocolEndToEnd) {
+int64_t AccountedRequests(const Metrics& m) {
+  return m.responses_ok.load(std::memory_order_relaxed) +
+         m.responses_error.load(std::memory_order_relaxed) +
+         m.expired.load(std::memory_order_relaxed) +
+         m.shed.load(std::memory_order_relaxed);
+}
+
+TEST(AsyncServerTest, LineProtocolEndToEnd) {
   market::WindowDataset data = MakePanel();
   const std::string dir = TestDir("socket");
   auto trained = TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/2, 61);
@@ -636,7 +684,7 @@ TEST(SocketServerTest, LineProtocolEndToEnd) {
   ASSERT_TRUE(registry.Start().ok());
   InferenceServer server(&data, &registry, {}, &metrics);
   ASSERT_TRUE(server.Start().ok());
-  SocketServer front(&server, &metrics, {/*port=*/0});
+  AsyncServer front(&server, &metrics, {});
   ASSERT_TRUE(front.Start().ok());
   ASSERT_GT(front.port(), 0);
 
@@ -702,6 +750,90 @@ TEST(SocketServerTest, LineProtocolEndToEnd) {
   registry.Stop();
 }
 
+// Protocol v1/v2 cross-compat matrix: the same payload bytes under either
+// framing, and PROTO negotiation reports one shard and the model version.
+TEST(AsyncServerTest, V1V2MatrixIdenticalPayloads) {
+  market::WindowDataset data = MakePanel();
+  const std::string dir = TestDir("matrix");
+  TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 61);
+  Metrics metrics;
+  ModelRegistry registry({dir, 0}, MakeFactory(), &metrics);
+  ASSERT_TRUE(registry.Start().ok());
+  InferenceServer server(&data, &registry, {}, &metrics);
+  ASSERT_TRUE(server.Start().ok());
+  AsyncServer front(&server, &metrics, {});
+  ASSERT_TRUE(front.Start().ok());
+
+  const int64_t day = data.first_day();
+  std::vector<std::string> score_cells, rank_cells;
+  for (int proto : {1, 2}) {
+    Client::Options copts;
+    copts.port = front.port();
+    Client client(copts);
+    if (proto == 2) {
+      auto nego = client.Negotiate(2);
+      ASSERT_TRUE(nego.ok()) << nego.status().ToString();
+      EXPECT_EQ(nego.ValueOrDie().version, 2);
+      EXPECT_EQ(nego.ValueOrDie().shards, 1);
+      EXPECT_EQ(nego.ValueOrDie().current_version, 1);
+      EXPECT_EQ(client.proto(), 2);
+    } else {
+      EXPECT_EQ(client.proto(), 1);
+    }
+
+    auto score = client.Score(day, 3);
+    ASSERT_TRUE(score.ok()) << score.status().ToString();
+    score_cells.push_back(FormatScoreValue(score.ValueOrDie().score) + "/" +
+                          std::to_string(score.ValueOrDie().rank));
+
+    auto rank = client.Rank(day, 5);
+    ASSERT_TRUE(rank.ok()) << rank.status().ToString();
+    std::string cell;
+    for (const RankEntry& e : rank.ValueOrDie().top) {
+      cell += std::to_string(e.stock) + ":" + FormatScoreValue(e.score) + " ";
+    }
+    rank_cells.push_back(cell);
+
+    auto health = client.Health();
+    ASSERT_TRUE(health.ok()) << health.status().ToString();
+    EXPECT_NE(health.ValueOrDie().find("SERVING"), std::string::npos)
+        << health.ValueOrDie();
+
+    if (proto == 2) {
+      // The batched verb only exists under v2 framing.
+      auto batch = client.ScoreBatch(day, {0, 3, 7});
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ASSERT_EQ(batch.ValueOrDie().size(), 3u);
+      EXPECT_EQ(FormatScoreValue(batch.ValueOrDie()[1].score),
+                FormatScoreValue(score.ValueOrDie().score));
+    }
+  }
+  ASSERT_EQ(score_cells.size(), 2u);
+  EXPECT_EQ(score_cells[0], score_cells[1]);
+  EXPECT_EQ(rank_cells[0], rank_cells[1]);
+
+  // Raw wire checks: v1 lines answer with legacy framing, v2 lines echo
+  // the caller's id, and one connection may interleave both.
+  {
+    RawClient raw(front.port());
+    ASSERT_TRUE(raw.connected());
+    ASSERT_TRUE(raw.Send("PING\n2 77 PING\nPROTO 2\n2 9 RANK " +
+                         std::to_string(day) + " 3\n"));
+    EXPECT_EQ(raw.ReadLine(), "PONG");
+    EXPECT_EQ(raw.ReadLine(), "2 77 PONG");
+    const std::string ack = raw.ReadLine();
+    EXPECT_EQ(ack.rfind("OK PROTO 2 SHARDS 1 VERSION 1", 0), 0u) << ack;
+    const std::string rank = raw.ReadLine();
+    EXPECT_EQ(rank.rfind("2 9 OK 1 3 ", 0), 0u) << rank;
+  }
+
+  front.Stop();
+  server.Stop();
+  registry.Stop();
+  EXPECT_EQ(metrics.requests.load(std::memory_order_relaxed),
+            AccountedRequests(metrics));
+}
+
 // ---------------------------------------------------------------------------
 // Protocol abuse: hostile framing must never crash, hang, or leak a
 // connection slot. Uses RawClient (the chaos-harness building block) for
@@ -713,10 +845,10 @@ struct AbuseStack {
   Metrics metrics;
   std::unique_ptr<ModelRegistry> registry;
   std::unique_ptr<InferenceServer> server;
-  std::unique_ptr<SocketServer> front;
+  std::unique_ptr<AsyncServer> front;
 
-  explicit AbuseStack(const std::string& name, SocketServer::Options fopts = {
-                                                   /*port=*/0}) {
+  explicit AbuseStack(const std::string& name,
+                      AsyncServer::Options fopts = {}) {
     const std::string dir = TestDir(name);
     TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 7);
     registry = std::make_unique<ModelRegistry>(
@@ -727,7 +859,7 @@ struct AbuseStack {
                                                InferenceServer::Options{},
                                                &metrics);
     EXPECT_TRUE(server->Start().ok());
-    front = std::make_unique<SocketServer>(server.get(), &metrics, fopts);
+    front = std::make_unique<AsyncServer>(server.get(), &metrics, fopts);
     EXPECT_TRUE(front->Start().ok());
   }
   ~AbuseStack() {
@@ -737,7 +869,7 @@ struct AbuseStack {
   }
 };
 
-TEST(SocketServerAbuseTest, MalformedAndBinaryFramesGetErrNotCrash) {
+TEST(AsyncServerAbuseTest, MalformedAndBinaryFramesGetErrNotCrash) {
   AbuseStack stack("abuse_binary");
   LineClient client(stack.front->port());
   ASSERT_TRUE(client.connected());
@@ -751,20 +883,29 @@ TEST(SocketServerAbuseTest, MalformedAndBinaryFramesGetErrNotCrash) {
   EXPECT_EQ(client.RoundTrip("PING"), "PONG");
 }
 
-TEST(SocketServerAbuseTest, OversizedLineIsRejectedAndDisconnected) {
-  SocketServer::Options fopts{/*port=*/0};
+TEST(AsyncServerAbuseTest, OversizedLineIsRejectedAndDisconnected) {
+  AsyncServer::Options fopts;
   fopts.max_line_bytes = 128;
   AbuseStack stack("abuse_oversized", fopts);
-  LineClient client(stack.front->port());
-  ASSERT_TRUE(client.connected());
 
-  // A request line far beyond max_line_bytes (no newline until the end)
-  // must be rejected without buffering it all, and the peer disconnected.
+  // A request line far beyond max_line_bytes is rejected whether or not
+  // its terminator has arrived: it never runs as a command, and the peer
+  // is disconnected.
   const std::string huge(4096, 'A');
-  EXPECT_EQ(client.RoundTrip(huge), "ERR line too long");
-  EXPECT_EQ(client.ReadLine(), "");  // server closed the connection
-  EXPECT_GE(
-      stack.metrics.oversized_lines.load(std::memory_order_relaxed), 1);
+  uint64_t rejected = 0;
+  for (const std::string& bytes : {huge + "\n", huge}) {
+    RawClient raw(stack.front->port());
+    ASSERT_TRUE(raw.connected());
+    ASSERT_TRUE(raw.Send(bytes));
+    EXPECT_EQ(raw.ReadLine(2000), "ERR line too long")
+        << "terminated=" << (bytes.back() == '\n');
+    // A closed connection never answers; an open one would say PONG.
+    raw.Send("PING\n");
+    EXPECT_EQ(raw.ReadLine(500), "")
+        << "terminated=" << (bytes.back() == '\n');
+    EXPECT_EQ(stack.metrics.oversized_lines.load(std::memory_order_relaxed),
+              ++rejected);
+  }
 
   // A fresh connection still works: the abuse cost one connection, not
   // the server.
@@ -773,8 +914,8 @@ TEST(SocketServerAbuseTest, OversizedLineIsRejectedAndDisconnected) {
   EXPECT_EQ(again.RoundTrip("PING"), "PONG");
 }
 
-TEST(SocketServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
-  SocketServer::Options fopts{/*port=*/0};
+TEST(AsyncServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
+  AsyncServer::Options fopts;
   fopts.max_connections = 2;
   AbuseStack stack("abuse_cap", fopts);
 
@@ -792,8 +933,7 @@ TEST(SocketServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
   EXPECT_EQ(c.ReadLine(), "");
   EXPECT_GE(stack.metrics.busy_rejected.load(std::memory_order_relaxed), 1);
 
-  // Releasing a connection frees its slot (gate + reaped thread), so a
-  // new client gets in.
+  // Releasing a connection frees its slot, so a new client gets in.
   a.reset();
   for (int i = 0; i < 200 && stack.front->active_connections() >= 2; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -804,7 +944,7 @@ TEST(SocketServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
   EXPECT_EQ(d.RoundTrip("PING"), "PONG");
 }
 
-TEST(SocketServerAbuseTest, HalfOpenAndQuitlessDisconnectsDoNotWedge) {
+TEST(AsyncServerAbuseTest, HalfOpenAndQuitlessDisconnectsDoNotWedge) {
   AbuseStack stack("abuse_halfopen");
 
   // Half-open: client shuts its write side without QUIT. The server sees
@@ -838,6 +978,78 @@ TEST(SocketServerAbuseTest, HalfOpenAndQuitlessDisconnectsDoNotWedge) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_LE(stack.front->active_connections(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// ServerConfig: one flag surface for every serving binary.
+// ---------------------------------------------------------------------------
+
+Status ParseArgs(FlagSet* fs, std::vector<std::string> args) {
+  std::vector<char*> argv;
+  argv.reserve(args.size());
+  for (std::string& a : args) argv.push_back(a.data());
+  return fs->Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(ServerConfigTest, FlagsRoundTripIntoEveryProjection) {
+  ServerConfig cfg;
+  FlagSet fs("test");
+  cfg.RegisterFlags(&fs);
+  ASSERT_TRUE(ParseArgs(&fs, {"prog", "--max_batch", "8", "--cache", "0",
+                              "--max_queue", "17", "--admission", "block",
+                              "--port", "7171", "--executor_threads", "3",
+                              "--max_attempts", "2"})
+                  .ok());
+  ASSERT_TRUE(cfg.Validate().ok());
+  EXPECT_EQ(cfg.admission_policy(), AdmissionPolicy::kBlockWithTimeout);
+
+  const InferenceServer::Options so = cfg.server_options();
+  EXPECT_EQ(so.max_batch, 8);
+  EXPECT_FALSE(so.enable_cache);
+  EXPECT_EQ(so.max_queue, 17);
+  EXPECT_EQ(so.admission, AdmissionPolicy::kBlockWithTimeout);
+
+  EXPECT_EQ(cfg.async_options().port, 7171);
+  EXPECT_EQ(cfg.async_options().executor_threads, 3);
+  EXPECT_EQ(cfg.client_options().port, 7171);
+  EXPECT_EQ(cfg.client_options().max_attempts, 2);
+}
+
+TEST(ServerConfigTest, RejectsBadChoicesAndBounds) {
+  {
+    ServerConfig cfg;
+    FlagSet fs("test");
+    cfg.RegisterFlags(&fs);
+    EXPECT_FALSE(
+        ParseArgs(&fs, {"prog", "--admission", "carrier-pigeon"}).ok());
+  }
+  {
+    ServerConfig cfg;
+    cfg.admission = "smoke-signals";
+    EXPECT_FALSE(cfg.Validate().ok());
+  }
+  {
+    ServerConfig cfg;
+    cfg.max_batch = 0;
+    EXPECT_FALSE(cfg.Validate().ok());
+  }
+  {
+    ServerConfig cfg;
+    cfg.executor_threads = 0;
+    EXPECT_FALSE(cfg.Validate().ok());
+  }
+}
+
+TEST(ServerConfigTest, PrefixedRegistrationKeepsNamesDisjoint) {
+  ServerConfig a, b;
+  FlagSet fs("test");
+  a.RegisterFlags(&fs);
+  b.RegisterFlags(&fs, "peer_");
+  ASSERT_TRUE(
+      ParseArgs(&fs, {"prog", "--max_batch", "2", "--peer_max_batch", "8"})
+          .ok());
+  EXPECT_EQ(a.max_batch, 2);
+  EXPECT_EQ(b.max_batch, 8);
 }
 
 }  // namespace

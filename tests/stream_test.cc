@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -38,7 +39,7 @@
 #include "market/universe.h"
 #include "rank/metrics.h"
 #include "serve/metrics.h"
-#include "serve/shard_router.h"
+#include "serve/server.h"
 #include "stream/dynamic_graph.h"
 #include "stream/feature_window.h"
 #include "stream/pipeline.h"
@@ -547,14 +548,33 @@ TEST(RollingPipelineTest, StaysServingUnderConcurrentLoad) {
 }
 
 // ---------------------------------------------------------------------------
-// Stream → serve: pipeline exports served through the shard router
+// Stream → serve: pipeline exports served through the InferenceServer
 // ---------------------------------------------------------------------------
 
-TEST(RollingPipelineTest, ServesThroughShardRouterAcrossChurnAndReloads) {
+// The server's full-universe reply must be the pipeline's own ranking,
+// bit for bit: trained slots carry pipeline.Rank()'s scores, every other
+// slot the rank-last sentinel.
+void ExpectMatchesPipeline(const serve::RankReply& served,
+                           const StreamRankReply& stream,
+                           int64_t num_slots) {
+  EXPECT_EQ(served.model_version, stream.model_version);
+  EXPECT_EQ(served.day, stream.day);
+  ASSERT_EQ(static_cast<int64_t>(served.scores.size()), num_slots);
+  std::vector<float> want(static_cast<size_t>(num_slots),
+                          std::numeric_limits<float>::lowest());
+  for (size_t i = 0; i < stream.slots.size(); ++i) {
+    want[static_cast<size_t>(stream.slots[i])] = stream.scores[i];
+  }
+  EXPECT_EQ(0, std::memcmp(served.scores.data(), want.data(),
+                           want.size() * sizeof(float)))
+      << "served scores diverge from pipeline.Rank()";
+}
+
+TEST(RollingPipelineTest, ServesThroughInferenceServerAcrossChurnAndReloads) {
   Market m = MakeMarket();
   StreamConfig scfg = EventfulConfig(m.relations);
   TickSource source(m.universe, m.relations, scfg);
-  const std::string dir = TestDir("shardserve");
+  const std::string dir = TestDir("serverserve");
   RollingPipeline pipeline(SmallPipelineConfig(dir), &source,
                            m.relations.relations);
   ASSERT_TRUE(pipeline.Init().ok());
@@ -565,53 +585,26 @@ TEST(RollingPipelineTest, ServesThroughShardRouterAcrossChurnAndReloads) {
     ASSERT_LT(++day, 200);
   }
 
-  // Two routers over the SAME pipeline: the streaming ScoreFn must serve
-  // bit-identically at any shard count, untrained slots ranked last.
-  serve::Metrics metrics1, metrics3;
-  serve::ShardRouter::Options ropts;
-  ropts.batch_timeout_us = 0;
-  ropts.num_shards = 1;
-  serve::ShardRouter router1(pipeline.ServeScoreFn(), pipeline.num_slots(),
-                             pipeline.registry(), ropts, &metrics1);
-  ropts.num_shards = 3;
-  serve::ShardRouter router3(pipeline.ServeScoreFn(), pipeline.num_slots(),
-                             pipeline.registry(), ropts, &metrics3);
-  ASSERT_TRUE(router1.Start().ok());
-  ASSERT_TRUE(router3.Start().ok());
+  serve::Metrics metrics;
+  serve::InferenceServer::Options sopts;
+  sopts.batch_timeout_us = 0;
+  serve::InferenceServer server(pipeline.ServeScoreFn(), pipeline.num_slots(),
+                                pipeline.registry(), sopts, &metrics);
+  ASSERT_TRUE(server.Start().ok());
 
   {
     auto stream_reply = pipeline.Rank();
     ASSERT_TRUE(stream_reply.ok()) << stream_reply.status().ToString();
     const StreamRankReply& sr = stream_reply.ValueOrDie();
-
-    auto r1 = router1.Rank(sr.day, {});
-    auto r3 = router3.Rank(sr.day, {});
-    ASSERT_TRUE(r1.ok()) << r1.status().ToString();
-    ASSERT_TRUE(r3.ok()) << r3.status().ToString();
-    EXPECT_EQ(r1.ValueOrDie().model_version, sr.model_version);
-    EXPECT_EQ(r1.ValueOrDie().scores, r3.ValueOrDie().scores)
-        << "sharded scores diverge from the single-shard oracle";
-
-    // The merged full-universe vector carries the pipeline's scores at the
-    // trained slots and the rank-last sentinel everywhere else.
-    const std::vector<float>& full = r3.ValueOrDie().scores;
-    ASSERT_EQ(static_cast<int64_t>(full.size()), pipeline.num_slots());
-    std::vector<bool> trained(full.size(), false);
-    for (size_t i = 0; i < sr.slots.size(); ++i) {
-      EXPECT_EQ(full[static_cast<size_t>(sr.slots[i])], sr.scores[i]);
-      trained[static_cast<size_t>(sr.slots[i])] = true;
-    }
-    for (size_t s = 0; s < full.size(); ++s) {
-      if (!trained[s]) {
-        EXPECT_EQ(full[s], std::numeric_limits<float>::lowest());
-      }
-    }
+    auto served = server.Rank(sr.day, {});
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    ExpectMatchesPipeline(served.ValueOrDie(), sr, pipeline.num_slots());
   }
 
   // Hot reload under churn: keep stepping (more retrains, universe churn)
-  // while client threads hammer the sharded plane. Replies must always be
+  // while client threads hammer the server. Replies must always be
   // whole-universe and version-consistent; a query that straddles a day
-  // boundary gets a clean Unavailable, never mixed data. The router-level
+  // boundary gets a clean Unavailable, never mixed data. The server's
   // accounting invariant must hold when the dust settles.
   std::atomic<bool> stop{false};
   std::atomic<int64_t> oks{0}, errors{0}, failures{0};
@@ -623,7 +616,7 @@ TEST(RollingPipelineTest, ServesThroughShardRouterAcrossChurnAndReloads) {
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        auto reply = router3.Rank(live_day.load(std::memory_order_relaxed), {});
+        auto reply = server.Rank(live_day.load(std::memory_order_relaxed), {});
         if (!reply.ok()) {
           errors.fetch_add(1, std::memory_order_relaxed);
           continue;
@@ -645,7 +638,7 @@ TEST(RollingPipelineTest, ServesThroughShardRouterAcrossChurnAndReloads) {
     live_day.store(pipeline.window().day(), std::memory_order_relaxed);
     // The stream steps far faster than the clients can race it, so land
     // one guaranteed same-day query per step from this thread too.
-    auto reply = router3.Rank(pipeline.window().day(), {});
+    auto reply = server.Rank(pipeline.window().day(), {});
     if (reply.ok()) oks.fetch_add(1, std::memory_order_relaxed);
   }
   stop.store(true);
@@ -657,24 +650,20 @@ TEST(RollingPipelineTest, ServesThroughShardRouterAcrossChurnAndReloads) {
   EXPECT_GT(pipeline.universe_version(), universe_before)
       << "scenario never churned under load";
 
-  // After the churn storm the routers still agree with each other and
-  // with the pipeline at the new day under the new version.
+  // After the churn storm the server still agrees with the pipeline at the
+  // new day under the new version.
   auto settled = pipeline.Rank();
   ASSERT_TRUE(settled.ok()) << settled.status().ToString();
-  auto f1 = router1.Rank(settled.ValueOrDie().day, {});
-  auto f3 = router3.Rank(settled.ValueOrDie().day, {});
-  ASSERT_TRUE(f1.ok()) << f1.status().ToString();
-  ASSERT_TRUE(f3.ok()) << f3.status().ToString();
-  EXPECT_EQ(f1.ValueOrDie().model_version,
-            settled.ValueOrDie().model_version);
-  EXPECT_EQ(f1.ValueOrDie().scores, f3.ValueOrDie().scores);
+  auto served = server.Rank(settled.ValueOrDie().day, {});
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ExpectMatchesPipeline(served.ValueOrDie(), settled.ValueOrDie(),
+                        pipeline.num_slots());
 
-  router3.Stop();
-  router1.Stop();
-  EXPECT_EQ(metrics3.requests.load(),
-            metrics3.responses_ok.load() + metrics3.responses_error.load() +
-                metrics3.expired.load() + metrics3.shed.load())
-      << "sharded accounting invariant broken under churn";
+  server.Stop();
+  EXPECT_EQ(metrics.requests.load(),
+            metrics.responses_ok.load() + metrics.responses_error.load() +
+                metrics.expired.load() + metrics.shed.load())
+      << "accounting invariant broken under churn";
 }
 
 // ---------------------------------------------------------------------------

@@ -22,14 +22,6 @@
 //    retrain wall time and hot-reload latency — as BENCH_stream.json.
 //    bench/bench_stream is the richer interactive generator; this mode is
 //    the committed-report / CI-smoke path.
-//  - --mode serve: replays the cached serving hot path at
-//    --serve_connections concurrent epoll-multiplexed clients through the
-//    thread-per-connection stack (SocketServer + InferenceServer) and the
-//    sharded epoll stack (AsyncServer + ShardRouter), then re-checks the
-//    serving accounting invariant under an uncached overload burst, and
-//    writes the QPS/latency/speedup numbers as BENCH_serve.json.
-//    bench/bench_serve --mode shard is the richer interactive generator;
-//    this mode is the committed-report / CI-smoke path.
 //  - --check FILE: parses FILE with the minimal JSON reader below and
 //    validates the required keys of any report kind; exit 0 on a
 //    well-formed report. CI runs this as the bench smoke.
@@ -44,16 +36,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
-#include "baselines/rtgcn_predictor.h"
 #include "common/flags.h"
-#include "harness/checkpoint.h"
-#include "serve/async_server.h"
-#include "serve/config.h"
-#include "serve/registry.h"
-#include "serve/replay.h"
-#include "serve/server.h"
-#include "serve/shard_router.h"
-#include "serve/socket_server.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
@@ -530,229 +513,6 @@ int GenerateStream(const std::string& out_path, int64_t stream_stocks,
 }
 
 // ---------------------------------------------------------------------------
-// --mode serve: epoll+shard serving vs the thread-per-connection baseline
-// ---------------------------------------------------------------------------
-
-struct ServePhase {
-  serve::Replay::Report report;
-  uint64_t requests = 0, ok = 0, err = 0, expired = 0, shed = 0;
-  bool accounted = false;
-};
-
-// One measured phase: registry + backend (single or sharded) + front end
-// (threaded or epoll) + closed-loop replay, torn down before returning.
-ServePhase RunServePhase(const market::WindowDataset& dataset,
-                         const std::vector<int64_t>& days,
-                         const serve::ServableFactory& factory,
-                         const std::string& ckpt_dir, bool epoll,
-                         int64_t shards, int64_t connections, double seconds,
-                         const std::vector<std::string>& script,
-                         serve::ServerConfig cfg, double target_qps = 0) {
-  serve::Metrics metrics;
-  serve::ModelRegistry registry({ckpt_dir, /*reload_interval_ms=*/0}, factory,
-                                &metrics);
-  registry.Start().Abort();
-  std::unique_ptr<serve::InferenceServer> single;
-  std::unique_ptr<serve::ShardRouter> router;
-  serve::Backend* backend = nullptr;
-  if (shards <= 1) {
-    single = std::make_unique<serve::InferenceServer>(
-        &dataset, &registry, cfg.server_options(), &metrics);
-    single->Start().Abort();
-    backend = single.get();
-  } else {
-    cfg.num_shards = shards;
-    router = std::make_unique<serve::ShardRouter>(
-        serve::ShardRouter::DatasetScoreFn(&dataset), dataset.num_stocks(),
-        &registry, cfg.shard_options(), &metrics);
-    router->Start().Abort();
-    backend = router.get();
-  }
-  if (cfg.enable_cache) {
-    for (const int64_t day : days) {
-      backend->Rank(day, {}).status().Abort();
-    }
-  }
-  std::unique_ptr<serve::AsyncServer> aserver;
-  std::unique_ptr<serve::SocketServer> tserver;
-  int port = 0;
-  if (epoll) {
-    aserver = std::make_unique<serve::AsyncServer>(backend, &metrics,
-                                                   cfg.async_options());
-    aserver->Start().Abort();
-    port = aserver->port();
-  } else {
-    tserver = std::make_unique<serve::SocketServer>(backend, &metrics,
-                                                    cfg.socket_options());
-    tserver->Start().Abort();
-    port = tserver->port();
-  }
-  serve::Replay::Options ropts;
-  ropts.port = port;
-  ropts.connections = connections;
-  ropts.seconds = seconds;
-  ropts.proto = 2;
-  ropts.target_qps = target_qps;
-  serve::Replay replay(ropts, script);
-  ServePhase phase;
-  phase.report = replay.Run().MoveValueOrDie();
-  if (aserver) aserver->Stop();
-  if (tserver) tserver->Stop();
-  if (router) router->Stop();
-  if (single) single->Stop();
-  registry.Stop();
-  phase.requests = metrics.requests.load();
-  phase.ok = metrics.responses_ok.load();
-  phase.err = metrics.responses_error.load();
-  phase.expired = metrics.expired.load();
-  phase.shed = metrics.shed.load();
-  phase.accounted =
-      phase.requests == phase.ok + phase.err + phase.expired + phase.shed;
-  return phase;
-}
-
-int GenerateServe(const std::string& out_path, int64_t connections,
-                  double seconds, int64_t shards, int64_t serve_stocks,
-                  int64_t train_epochs) {
-  market::MarketSpec spec = market::NasdaqSpec(/*scale=*/0.25);
-  spec.num_stocks = serve_stocks;
-  spec.train_days = 120;
-  spec.test_days = 40;
-  core::RtGcnConfig config;
-  const market::MarketData data = market::BuildMarket(spec);
-  const market::WindowDataset dataset =
-      data.MakeDataset(config.window, config.num_features);
-  const std::vector<int64_t> days =
-      dataset.Days(spec.test_boundary(), dataset.last_day());
-
-  const std::string dir = "/tmp/rtgcn_bench_to_json_serve";
-  harness::CheckpointManager manager({dir, 1, 0});
-  manager.Init().Abort();
-  auto make_predictor = [&data, config] {
-    return std::make_unique<baselines::RtGcnPredictor>(
-        data.relations.relations, config, /*alpha=*/0.1f, /*seed=*/7);
-  };
-  {
-    auto model = make_predictor();
-    harness::TrainOptions train;
-    train.epochs = train_epochs;
-    model->Fit(dataset,
-               dataset.Days(dataset.first_day(), spec.test_boundary() - 1),
-               train);
-    model->ExportSnapshot(manager.CheckpointPath(1)).Abort();
-  }
-  const serve::ServableFactory factory = [make_predictor] {
-    return serve::WrapPredictor(make_predictor());
-  };
-
-  serve::ServerConfig cfg;
-  cfg.enable_cache = true;
-
-  std::vector<std::string> script;
-  for (int64_t i = 0; i < 512; ++i) {
-    const int64_t day = days[static_cast<size_t>(i) % days.size()];
-    if (i % 64 == 63) {
-      script.push_back("RANK " + std::to_string(day) + " 5");
-    } else {
-      script.push_back("SCORE " + std::to_string(day) + " " +
-                       std::to_string((i * 131) % dataset.num_stocks()));
-    }
-  }
-
-  const ServePhase threaded = RunServePhase(
-      dataset, days, factory, dir, /*epoll=*/false, /*shards=*/1, connections,
-      seconds, script, cfg);
-  std::fprintf(stderr, "  serve threaded: %.0f qps, p99 %.0fus\n",
-               threaded.report.qps, threaded.report.p99_us);
-  const ServePhase epoll = RunServePhase(dataset, days, factory, dir,
-                                         /*epoll=*/true, shards, connections,
-                                         seconds, script, cfg);
-  std::fprintf(stderr, "  serve epoll x%lld: %.0f qps, p99 %.0fus\n",
-               static_cast<long long>(shards), epoll.report.qps,
-               epoll.report.p99_us);
-  const double speedup =
-      epoll.report.qps / std::max(threaded.report.qps, 1.0);
-
-  // Saturated closed-loop percentiles are queueing delay (Little's law),
-  // not service time: the p99 bar is read from a paced re-run at 20% of
-  // measured capacity, the regime a provisioned deployment runs in (the
-  // fraction is low because on a single-core host the load generator
-  // shares the CPU with the server and fattens the tail).
-  const double latency_target = 0.2 * epoll.report.qps;
-  const ServePhase latency =
-      RunServePhase(dataset, days, factory, dir, /*epoll=*/true, shards,
-                    connections, seconds, script, cfg, latency_target);
-  std::fprintf(stderr, "  serve paced %.0f qps: p50 %.0fus, p99 %.0fus\n",
-               latency_target, latency.report.p50_us, latency.report.p99_us);
-
-  // Accounting under overload: uncached blocking RANKs with deadlines and
-  // a small queue; the invariant must hold through the epoll+shard stack.
-  serve::ServerConfig burst_cfg = cfg;
-  burst_cfg.enable_cache = false;
-  burst_cfg.max_queue = 64;
-  std::vector<std::string> burst_script;
-  for (const int64_t day : days) {
-    burst_script.push_back("RANK " + std::to_string(day) + " 5 DEADLINE 50");
-  }
-  const int64_t burst_conns = std::min<int64_t>(2 * connections, 4000);
-  const ServePhase burst = RunServePhase(dataset, days, factory, dir,
-                                         /*epoll=*/true, shards, burst_conns,
-                                         seconds, burst_script, burst_cfg);
-  std::fprintf(stderr,
-               "  serve overload: requests %llu == ok %llu + err %llu + "
-               "expired %llu + shed %llu (%s)\n",
-               static_cast<unsigned long long>(burst.requests),
-               static_cast<unsigned long long>(burst.ok),
-               static_cast<unsigned long long>(burst.err),
-               static_cast<unsigned long long>(burst.expired),
-               static_cast<unsigned long long>(burst.shed),
-               burst.accounted ? "OK" : "VIOLATED");
-
-  std::ostringstream js;
-  auto phase_json = [](std::ostringstream& o, const ServePhase& p) {
-    o << "{\"qps\": " << FmtD(p.report.qps)
-      << ", \"p50_us\": " << FmtD(p.report.p50_us)
-      << ", \"p95_us\": " << FmtD(p.report.p95_us)
-      << ", \"p99_us\": " << FmtD(p.report.p99_us)
-      << ", \"ok\": " << p.report.ok << ", \"busy\": " << p.report.busy
-      << ", \"errors\": " << p.report.errors
-      << ", \"requests\": " << p.requests << ", \"expired\": " << p.expired
-      << ", \"shed\": " << p.shed << ", \"accounting_holds\": "
-      << (p.accounted ? "true" : "false") << "}";
-  };
-  js << "{\n  \"bench\": \"serve\",\n";
-  js << "  \"config\": {\"connections\": " << connections
-     << ", \"seconds\": " << FmtD(seconds) << ", \"shards\": " << shards
-     << ", \"stocks\": " << dataset.num_stocks()
-     << ", \"train_epochs\": " << train_epochs
-     << ", \"burst_connections\": " << burst_conns << "},\n";
-  js << "  \"threaded\": ";
-  phase_json(js, threaded);
-  js << ",\n  \"epoll\": ";
-  phase_json(js, epoll);
-  js << ",\n  \"speedup\": " << FmtD(speedup) << ",\n";
-  js << "  \"latency_target_qps\": " << FmtD(latency_target) << ",\n";
-  js << "  \"latency\": ";
-  phase_json(js, latency);
-  js << ",\n";
-  js << "  \"overload\": ";
-  phase_json(js, burst);
-  js << "\n}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "bench_to_json: cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  out << js.str();
-  std::fprintf(stderr, "bench_to_json: wrote %s\n", out_path.c_str());
-  return threaded.accounted && epoll.accounted && latency.accounted &&
-                 burst.accounted
-             ? 0
-             : 1;
-}
-
-// ---------------------------------------------------------------------------
 // --check: minimal JSON reader, enough to validate our own report
 // ---------------------------------------------------------------------------
 
@@ -906,31 +666,23 @@ int Check(const std::string& path) {
       std::find(keys.begin(), keys.end(), "rows") != keys.end();
   const bool is_stream =
       std::find(keys.begin(), keys.end(), "ticks_per_sec") != keys.end();
-  const bool is_serve =
-      std::find(keys.begin(), keys.end(), "epoll") != keys.end();
   const bool is_serve_robust =
       std::find(keys.begin(), keys.end(), "capacity_qps") != keys.end();
   const std::vector<const char*> required =
-      is_serve
-          ? std::vector<const char*>{"bench", "config", "threaded", "epoll",
-                                     "speedup", "latency", "overload"}
-          : is_serve_robust
-                ? std::vector<const char*>{"bench", "config", "capacity_qps",
-                                           "overload", "accounting"}
-                : is_stream
-                      ? std::vector<const char*>{"bench", "config",
-                                                 "ticks_per_sec",
-                                                 "window_update_p95_us",
-                                                 "graph", "retrains",
-                                                 "retrain_mean_seconds",
-                                                 "reload_p95_us"}
-                      : is_scale
-                            ? std::vector<const char*>{"bench", "density",
-                                                       "dense_step_limit_n",
-                                                       "rows"}
-                            : std::vector<const char*>{
-                                  "bench", "cpu_supports_avx2", "matmul",
-                                  "train_step", "speedup"};
+      is_serve_robust
+          ? std::vector<const char*>{"bench", "config", "capacity_qps",
+                                     "overload", "accounting"}
+          : is_stream
+                ? std::vector<const char*>{"bench", "config", "ticks_per_sec",
+                                           "window_update_p95_us", "graph",
+                                           "retrains", "retrain_mean_seconds",
+                                           "reload_p95_us"}
+                : is_scale
+                      ? std::vector<const char*>{"bench", "density",
+                                                 "dense_step_limit_n", "rows"}
+                      : std::vector<const char*>{"bench", "cpu_supports_avx2",
+                                                 "matmul", "train_step",
+                                                 "speedup"};
   int missing = 0;
   for (const char* key : required) {
     if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
@@ -953,16 +705,11 @@ int Main(int argc, char** argv) {
   int repeats = 3;
   int64_t stream_stocks = 96;
   int64_t stream_days = 100;
-  int64_t serve_connections = 1000;
-  double serve_seconds = 2.0;
-  int64_t serve_shards = 4;
-  int64_t serve_stocks = 60;
-  int64_t serve_train_epochs = 2;
   FlagSet fs(
       "Measure kernel-backend (--mode kernels), graph-backend scaling "
-      "(--mode scale), streaming-subsystem (--mode stream) or serving-stack "
-      "(--mode serve) performance to JSON.");
-  fs.RegisterChoice("mode", &mode, {"kernels", "scale", "stream", "serve"},
+      "(--mode scale) or streaming-subsystem (--mode stream) performance to "
+      "JSON.");
+  fs.RegisterChoice("mode", &mode, {"kernels", "scale", "stream"},
                     "report kind");
   fs.Register("out", &out,
               "output JSON path (default BENCH_<mode>.json)");
@@ -974,16 +721,6 @@ int Main(int argc, char** argv) {
               "universe slots for --mode stream");
   fs.Register("stream_days", &stream_days,
               "trading days to stream for --mode stream");
-  fs.Register("serve_connections", &serve_connections,
-              "concurrent replay clients for --mode serve");
-  fs.Register("serve_seconds", &serve_seconds,
-              "seconds per measured phase for --mode serve");
-  fs.Register("serve_shards", &serve_shards,
-              "scatter-gather shards for --mode serve");
-  fs.Register("serve_stocks", &serve_stocks,
-              "simulated universe size for --mode serve");
-  fs.Register("serve_train_epochs", &serve_train_epochs,
-              "training epochs for the --mode serve model");
   fs.Register("check", &check,
               "validate an existing report instead of generating");
   const Status status = fs.Parse(argc, argv);
@@ -994,10 +731,6 @@ int Main(int argc, char** argv) {
   status.Abort();
   if (!check.empty()) return Check(check);
   if (out.empty()) out = "BENCH_" + mode + ".json";
-  if (mode == "serve") {
-    return GenerateServe(out, serve_connections, serve_seconds, serve_shards,
-                         serve_stocks, serve_train_epochs);
-  }
   if (mode == "stream") return GenerateStream(out, stream_stocks, stream_days);
   if (mode == "scale") return GenerateScale(out, scale_sizes, repeats);
   return Generate(out, sizes, repeats);
