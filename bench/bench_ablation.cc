@@ -5,7 +5,7 @@
 //   * loss normalization (α with sum- vs mean-normalized ranking loss),
 //   * relational filter width.
 //
-// Flags: --epochs 6  --reps 1  --scale 1.0
+// Flags: --epochs 6  --reps 1  --scale 1.0 (--help prints the full list).
 #include <cstdio>
 
 #include "baselines/rtgcn_predictor.h"
@@ -22,11 +22,18 @@ struct Variant {
 };
 
 int Run(int argc, char** argv) {
-  auto flags = ParseBenchFlags(argc, argv);
-  const int64_t epochs = flags.GetInt("epochs", 6);
-  const int64_t reps = flags.GetInt("reps", 1);
+  int64_t epochs = 6;
+  int64_t reps = 1;
+  BenchFlags bench;
+  FlagSet fs("Design-choice ablation of RT-GCN (T) on NASDAQ: stride, "
+             "pooling, width, alpha.");
+  fs.Register("epochs", &epochs, "training epochs per variant");
+  fs.Register("reps", &reps, "training repetitions per variant");
+  RegisterBenchFlags(&fs, &bench, /*markets=*/false);
+  ParseOrDie(&fs, argc, argv);
+  bench.Apply();
 
-  market::MarketSpec spec = market::NasdaqSpec(ScaleFromFlags(flags));
+  market::MarketSpec spec = market::NasdaqSpec(bench.Scale());
   market::MarketData data = market::BuildMarket(spec);
   market::WindowDataset dataset = data.MakeDataset(15, 4);
   market::DatasetSplit split = SplitByDay(dataset, spec.test_boundary());

@@ -14,26 +14,14 @@
 #include "common/flags.h"
 #include "common/strings.h"
 #include "common/thread_pool.h"
-#include "graph/sparse.h"
 #include "harness/table.h"
 #include "market/market.h"
-#include "tensor/kernels/kernels.h"
 
 namespace rtgcn::bench {
 
-/// Parses argv and applies the global execution flags every bench binary
-/// shares (--num_threads N overrides the RTGCN_NUM_THREADS env var,
-/// --graph_backend NAME overrides RTGCN_GRAPH_BACKEND).
-inline Flags ParseBenchFlags(int argc, char** argv) {
-  Flags flags = Flags::Parse(argc, argv).ValueOrDie();
-  InitNumThreadsFromFlags(flags);
-  graph::InitGraphBackendFromFlags(flags);
-  return flags;
-}
-
 /// Parses a --scale value: a numeric size multiplier, or the token "full"
 /// for the paper-sized universes (scale 7 reaches NASDAQ 854 / NYSE 1405 /
-/// CSI 242 — the sparse graph backend keeps full-universe runs O(E)).
+/// CSI 242 — the sparse CSR graph keeps full-universe runs O(E)).
 inline double ParseScaleToken(const std::string& token) {
   if (token == "full") return 7.0;
   char* end = nullptr;
@@ -46,36 +34,31 @@ inline double ParseScaleToken(const std::string& token) {
   return v;
 }
 
-/// --scale for legacy Flags binaries (accepts "full" too).
-inline double ScaleFromFlags(const Flags& flags) {
-  return ParseScaleToken(flags.GetString("scale", "1"));
-}
-
 /// Market specs for a "NASDAQ,NYSE,CSI"-style list at a size multiplier.
+/// Any other name is an error (exit 2), so a typo cannot run nothing.
 inline std::vector<market::MarketSpec> ParseMarkets(const std::string& csv,
                                                     double scale) {
   std::vector<market::MarketSpec> specs;
   for (const std::string& name : Split(csv, ',')) {
-    if (name == "NASDAQ") specs.push_back(market::NasdaqSpec(scale));
-    if (name == "NYSE") specs.push_back(market::NyseSpec(scale));
-    if (name == "CSI") specs.push_back(market::CsiSpec(scale));
+    if (name == "NASDAQ") {
+      specs.push_back(market::NasdaqSpec(scale));
+    } else if (name == "NYSE") {
+      specs.push_back(market::NyseSpec(scale));
+    } else if (name == "CSI") {
+      specs.push_back(market::CsiSpec(scale));
+    } else {
+      std::fprintf(stderr, "bad --markets entry '%s' (NASDAQ, NYSE or CSI)\n",
+                   name.c_str());
+      std::exit(2);
+    }
   }
   return specs;
 }
 
-/// Markets for a bench run: parses --markets "NASDAQ,NYSE,CSI" (default all)
-/// and applies --scale (default 1.0).
-inline std::vector<market::MarketSpec> MarketsFromFlags(const Flags& flags) {
-  return ParseMarkets(flags.GetString("markets", "NASDAQ,NYSE,CSI"),
-                      ScaleFromFlags(flags));
-}
-
-/// Flags every bench binary shares, for FlagSet-based drivers. Register the
-/// relevant groups, Parse, then call Apply() once.
+/// Flags every bench binary shares. Register the relevant groups, Parse,
+/// then call Apply() once.
 struct BenchFlags {
   int num_threads = 0;  ///< 0 = RTGCN_NUM_THREADS env var / hardware
-  std::string kernel = "auto";         ///< tensor kernel backend
-  std::string graph_backend = "auto";  ///< relation-graph propagation backend
   std::string markets = "NASDAQ,NYSE,CSI";
   std::string scale = "1";  ///< size multiplier, or "full" (paper N)
 
@@ -84,18 +67,16 @@ struct BenchFlags {
   int64_t checkpoint_keep = 3;
   bool resume = true;
 
-  /// Execution flags take effect (thread-pool size, kernel and graph
-  /// backends).
+  /// Execution flags take effect (thread-pool size). The tensor kernel
+  /// backend comes from RTGCN_KERNEL, else CPUID.
   void Apply() const {
     if (num_threads >= 1) SetNumThreads(num_threads);
-    // The value sets are enforced at Parse time (RegisterChoice), so these
-    // cannot fail on anything RegisterBenchFlags accepted.
-    kernels::SetBackendByName(kernel).Abort();
-    graph::SetGraphBackendByName(graph_backend).Abort();
   }
 
+  double Scale() const { return ParseScaleToken(scale); }
+
   std::vector<market::MarketSpec> Markets() const {
-    return ParseMarkets(markets, ParseScaleToken(scale));
+    return ParseMarkets(markets, Scale());
   }
 
   void ApplyCheckpoints(harness::TrainOptions* train) const {
@@ -107,16 +88,16 @@ struct BenchFlags {
 };
 
 /// Registers the shared execution/market flags onto `fs`, bound to `*bf`.
-inline void RegisterBenchFlags(FlagSet* fs, BenchFlags* bf) {
+/// Drivers that always run the same markets pass `markets = false`, so
+/// --markets is rejected there instead of silently ignored.
+inline void RegisterBenchFlags(FlagSet* fs, BenchFlags* bf,
+                               bool markets = true) {
   fs->Register("num_threads", &bf->num_threads,
                "tensor worker threads (0 = RTGCN_NUM_THREADS env / auto)");
-  fs->RegisterChoice("kernel", &bf->kernel, {"reference", "avx2", "auto"},
-                     "tensor kernel backend (overrides RTGCN_KERNEL)");
-  fs->RegisterChoice(
-      "graph_backend", &bf->graph_backend, {"dense", "sparse", "auto"},
-      "relation-graph propagation backend (overrides RTGCN_GRAPH_BACKEND)");
-  fs->Register("markets", &bf->markets,
-               "comma-separated markets to run (NASDAQ,NYSE,CSI)");
+  if (markets) {
+    fs->Register("markets", &bf->markets,
+                 "comma-separated markets to run (NASDAQ,NYSE,CSI)");
+  }
   fs->Register("scale", &bf->scale,
                "market size multiplier, or \"full\" for paper-sized N");
 }
@@ -134,27 +115,17 @@ inline void RegisterCheckpointFlags(FlagSet* fs, BenchFlags* bf) {
 }
 
 /// Parse with --help support: prints the generated usage text and exits 0
-/// on --help; aborts the process on a malformed or unknown flag.
+/// on --help; prints the error and exits 2 on a malformed or unknown flag.
 inline void ParseOrDie(FlagSet* fs, int argc, char** argv) {
   const Status status = fs->Parse(argc, argv);
   if (fs->help_requested()) {
     std::printf("%s", fs->Usage(argv[0]).c_str());
     std::exit(0);
   }
-  status.Abort();
-}
-
-/// Applies the shared crash-safe checkpointing flags to a TrainOptions:
-/// --checkpoint_dir DIR (enables periodic save + resume-from-latest),
-/// --checkpoint_every N, --checkpoint_keep N, --resume 0/1.
-inline void ApplyCheckpointFlags(const Flags& flags,
-                                 harness::TrainOptions* train) {
-  train->checkpoint_dir = flags.GetString("checkpoint_dir", "");
-  train->checkpoint_every =
-      flags.GetInt("checkpoint_every", train->checkpoint_every);
-  train->checkpoint_keep =
-      flags.GetInt("checkpoint_keep", train->checkpoint_keep);
-  train->resume = flags.GetBool("resume", train->resume);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], status.ToString().c_str());
+    std::exit(2);
+  }
 }
 
 inline std::string Fmt3(double v) { return FormatFixed(v, 3); }

@@ -4,6 +4,7 @@
 // checkpoints and writes full daily curves to fig6_<market>.csv.
 //
 // Flags: --markets NASDAQ,NYSE,CSI  --epochs 8  --scale 1.0
+// (--help prints the full list).
 #include <cstdio>
 
 #include "bench_common.h"
@@ -15,10 +16,17 @@ namespace rtgcn::bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  auto flags = ParseBenchFlags(argc, argv);
-  const int64_t epochs = flags.GetInt("epochs", 8);
+  int64_t epochs = 8;
+  BenchFlags bench;
+  FlagSet fs("Figure 6 reproduction: cumulative IRR curves of the three "
+             "RT-GCN strategies against the market index; writes "
+             "fig6_<market>.csv.");
+  fs.Register("epochs", &epochs, "training epochs per model");
+  RegisterBenchFlags(&fs, &bench);
+  ParseOrDie(&fs, argc, argv);
+  bench.Apply();
 
-  for (const market::MarketSpec& spec : MarketsFromFlags(flags)) {
+  for (const market::MarketSpec& spec : bench.Markets()) {
     std::printf("=== Figure 6 — return curves, %s (simulated) ===\n",
                 spec.name.c_str());
     market::MarketData data = market::BuildMarket(spec);

@@ -4,7 +4,8 @@
 //   (g-i) ranking-loss balance α ∈ {0, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.5}.
 // One sweep axis varies while everything else stays fixed (§V-E).
 //
-// Flags: --sweep all|window|features|alpha  --markets ...  --epochs 8
+// Flags: --sweep all|window|features|alpha  --markets NASDAQ  --epochs 8
+// (--help prints the full list).
 #include <cstdio>
 
 #include "bench_common.h"
@@ -40,22 +41,24 @@ void RunSweep(const market::MarketData& data, const std::string& axis,
 }
 
 int Run(int argc, char** argv) {
-  auto flags = ParseBenchFlags(argc, argv);
-  const int64_t epochs = flags.GetInt("epochs", 8);
-  const int64_t reps = flags.GetInt("reps", 1);
-  const std::string sweep = flags.GetString("sweep", "all");
-
+  int64_t epochs = 8;
+  int64_t reps = 1;
+  std::string sweep = "all";
+  BenchFlags bench;
   // Default to NASDAQ only: the full 3-market sweep triples the runtime;
   // pass --markets NASDAQ,NYSE,CSI to reproduce all nine panels.
-  std::vector<market::MarketSpec> specs;
-  const double scale = ScaleFromFlags(flags);
-  for (const std::string& name :
-       Split(flags.GetString("markets", "NASDAQ"), ',')) {
-    if (name == "NASDAQ") specs.push_back(market::NasdaqSpec(scale));
-    if (name == "NYSE") specs.push_back(market::NyseSpec(scale));
-    if (name == "CSI") specs.push_back(market::CsiSpec(scale));
-  }
-  for (const market::MarketSpec& spec : specs) {
+  bench.markets = "NASDAQ";
+  FlagSet fs("Figure 7 reproduction: RT-GCN (T) window / feature-count / "
+             "alpha sweeps.");
+  fs.Register("epochs", &epochs, "training epochs per model");
+  fs.Register("reps", &reps, "training repetitions per sweep point");
+  fs.RegisterChoice("sweep", &sweep, {"all", "window", "features", "alpha"},
+                    "which hyperparameter axis to sweep");
+  RegisterBenchFlags(&fs, &bench);
+  ParseOrDie(&fs, argc, argv);
+  bench.Apply();
+
+  for (const market::MarketSpec& spec : bench.Markets()) {
     std::printf("=== Figure 7 — hyperparameter analysis, %s ===\n",
                 spec.name.c_str());
     market::MarketData data = market::BuildMarket(spec);

@@ -3,7 +3,7 @@
 // predicted daily return ratios over the first month of the test period,
 // and the ground-truth normalized prices for comparison.
 //
-// Flags: --epochs 8  --days 22  --scale 1.0
+// Flags: --epochs 8  --days 22  --scale 1.0 (--help prints the full list).
 #include <cstdio>
 
 #include "baselines/rtgcn_predictor.h"
@@ -22,11 +22,18 @@ char Shade(float v, float lo, float hi) {
 }
 
 int Run(int argc, char** argv) {
-  auto flags = ParseBenchFlags(argc, argv);
-  const int64_t epochs = flags.GetInt("epochs", 8);
-  const int64_t num_days = flags.GetInt("days", 22);
+  int64_t epochs = 8;
+  int64_t num_days = 22;
+  BenchFlags bench;
+  FlagSet fs("Figure 8 reproduction: learned edge weights and prediction "
+             "heat-map of a trained RT-GCN (T) on NASDAQ.");
+  fs.Register("epochs", &epochs, "training epochs");
+  fs.Register("days", &num_days, "test days in the heat-map");
+  RegisterBenchFlags(&fs, &bench, /*markets=*/false);
+  ParseOrDie(&fs, argc, argv);
+  bench.Apply();
 
-  market::MarketSpec spec = market::NasdaqSpec(ScaleFromFlags(flags));
+  market::MarketSpec spec = market::NasdaqSpec(bench.Scale());
   market::MarketData data = market::BuildMarket(spec);
   market::WindowDataset dataset = data.MakeDataset(15, 4);
   market::DatasetSplit split = SplitByDay(dataset, spec.test_boundary());

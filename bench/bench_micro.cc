@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "core/loss.h"
 #include "core/rtgcn.h"
-#include "graph/adjacency.h"
 #include "graph/sparse.h"
 #include "market/market.h"
 #include "nn/rnn.h"
@@ -268,15 +267,6 @@ void BM_LstmRankerTrainStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LstmRankerTrainStep);
-
-void BM_NormalizedAdjacency(benchmark::State& state) {
-  auto& f = Fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        graph::NormalizedAdjacency(f.data.relations.relations));
-  }
-}
-BENCHMARK(BM_NormalizedAdjacency);
 
 void BM_MarketSimulation(benchmark::State& state) {
   market::MarketSpec spec = market::NasdaqSpec();

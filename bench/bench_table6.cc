@@ -2,7 +2,7 @@
 // NASDAQ and NYSE markets (Rank_LSTM is relation-blind, so its row is the
 // control — identical under both relation subsets).
 //
-// Flags: --reps 2  --epochs 8  --scale 1.0
+// Flags: --reps 1  --epochs 8  --scale 1.0 (--help prints the full list).
 #include <cstdio>
 
 #include "bench_common.h"
@@ -11,10 +11,17 @@ namespace rtgcn::bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  auto flags = ParseBenchFlags(argc, argv);
-  const int64_t reps = flags.GetInt("reps", 1);
-  const int64_t epochs = flags.GetInt("epochs", 8);
-  const double scale = ScaleFromFlags(flags);
+  int64_t reps = 1;
+  int64_t epochs = 8;
+  BenchFlags bench;
+  FlagSet fs("Table VI reproduction: wiki vs industry relations on NASDAQ "
+             "and NYSE.");
+  fs.Register("reps", &reps, "training repetitions per model");
+  fs.Register("epochs", &epochs, "training epochs per model");
+  RegisterBenchFlags(&fs, &bench, /*markets=*/false);
+  ParseOrDie(&fs, argc, argv);
+  bench.Apply();
+  const double scale = bench.Scale();
 
   for (const market::MarketSpec& spec :
        {market::NasdaqSpec(scale), market::NyseSpec(scale)}) {

@@ -1,7 +1,8 @@
 // Reproduces Table VII: module ablation — R-Conv (relational convolution
 // only) and T-Conv (temporal convolution only) against the full RT-GCN (U).
 //
-// Flags: --markets NASDAQ,NYSE,CSI  --reps 2  --epochs 8  --scale 1.0
+// Flags: --markets NASDAQ,NYSE,CSI  --reps 1  --epochs 8  --scale 1.0
+// (--help prints the full list).
 #include <cstdio>
 
 #include "bench_common.h"
@@ -10,11 +11,18 @@ namespace rtgcn::bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  auto flags = ParseBenchFlags(argc, argv);
-  const int64_t reps = flags.GetInt("reps", 1);
-  const int64_t epochs = flags.GetInt("epochs", 8);
+  int64_t reps = 1;
+  int64_t epochs = 8;
+  BenchFlags bench;
+  FlagSet fs("Table VII reproduction: R-Conv / T-Conv module ablation "
+             "against RT-GCN (U).");
+  fs.Register("reps", &reps, "training repetitions per model");
+  fs.Register("epochs", &epochs, "training epochs per model");
+  RegisterBenchFlags(&fs, &bench);
+  ParseOrDie(&fs, argc, argv);
+  bench.Apply();
 
-  for (const market::MarketSpec& spec : MarketsFromFlags(flags)) {
+  for (const market::MarketSpec& spec : bench.Markets()) {
     market::MarketData data = market::BuildMarket(spec);
     std::printf("=== Table VII — %s: module ablation ===\n",
                 spec.name.c_str());

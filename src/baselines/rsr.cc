@@ -1,7 +1,6 @@
 #include "baselines/rsr.h"
 
 #include "autograd/ops.h"
-#include "graph/adjacency.h"
 #include "tensor/init.h"
 
 namespace rtgcn::baselines {
@@ -18,8 +17,7 @@ RsrPredictor::Net::Net(const graph::RelationTensor& relations,
   relation_b = RegisterParameter("relation_b", Tensor::Zeros({1}));
   sim_proj = RegisterParameter(
       "sim_proj", XavierUniform({hidden, hidden}, hidden, hidden, rng));
-  if (variant == RsrVariant::kExplicit &&
-      graph::ActiveGraphBackend() == graph::GraphBackend::kSparse) {
+  if (variant == RsrVariant::kExplicit) {
     // Explicit strength is a per-edge function of the relation types, so
     // the whole aggregation stays O(E); no dense mask is ever built.
     row_csr = graph::CsrGraph::RowNormalized(relations);
@@ -38,8 +36,7 @@ RsrPredictor::Net::Net(const graph::RelationTensor& relations,
 RsrPredictor::RsrPredictor(const graph::RelationTensor& relations,
                            RsrVariant variant, int64_t num_features,
                            int64_t hidden, float alpha, uint64_t seed)
-    : relations_(&relations),
-      variant_(variant),
+    : variant_(variant),
       alpha_(alpha),
       init_rng_(seed),
       net_(relations, variant, num_features, hidden, &init_rng_) {}
@@ -50,31 +47,23 @@ ag::VarPtr RsrPredictor::Forward(const Tensor& features, Rng* /*rng*/) {
   // speed comparison attributes RSR's slowness to).
   ag::VarPtr e = net_.lstm.ForwardLast(ag::Constant(features));  // [N, H]
 
-  // Step 2: relational strength matrix on related pairs.
-  if (variant_ == RsrVariant::kExplicit && net_.row_csr) {
-    // Sparse backend: ē = D^{-1} (S ⊙ M) e as a fused edge-weight SpMM —
-    // the row-normalized CSR has no self loops, matching the dense mask's
-    // zero diagonal.
-    ag::VarPtr rel = graph::SparseEdgeWeightPropagate(
-        net_.row_csr, net_.relation_w, net_.relation_b, e);
-    ag::VarPtr joint = ag::ConcatOp({e, rel}, 1);  // [N, 2H]
-    return ag::Reshape(net_.scorer.Forward(joint), {n});
-  }
-  ag::VarPtr strength;
+  // Step 2: degree-normalized neighbor aggregation ē = D^{-1} (S ⊙ M) e
+  // with relation strength S on related pairs.
+  ag::VarPtr rel;
   if (variant_ == RsrVariant::kExplicit) {
-    strength = graph::RelationEdgeWeights(*relations_, net_.relation_w,
-                                          net_.relation_b);
+    // Explicit S_ij = w^T a_ij + b as a fused edge-weight SpMM; the
+    // row-normalized CSR has no self loops, so M's diagonal stays zero.
+    rel = graph::SparseEdgeWeightPropagate(net_.row_csr, net_.relation_w,
+                                           net_.relation_b, e);
   } else {
     // Implicit: bilinear embedding similarity, masked to related pairs.
     ag::VarPtr sim = ag::MatMul(ag::MatMul(e, net_.sim_proj),
                                 ag::Transpose(e));
-    strength = ag::Mul(sim, ag::Constant(net_.mask));
-    strength = ag::LeakyRelu(strength, 0.2f);
+    ag::VarPtr strength =
+        ag::LeakyRelu(ag::Mul(sim, ag::Constant(net_.mask)), 0.2f);
+    ag::VarPtr masked = ag::Mul(strength, ag::Constant(net_.mask));
+    rel = ag::Mul(ag::MatMul(masked, e), ag::Constant(net_.degree_inv));
   }
-  // Degree-normalized neighbor aggregation: ē = D^{-1} (strength ⊙ M) e.
-  ag::VarPtr masked = ag::Mul(strength, ag::Constant(net_.mask));
-  ag::VarPtr rel = ag::Mul(ag::MatMul(masked, e),
-                           ag::Constant(net_.degree_inv));
   ag::VarPtr joint = ag::ConcatOp({e, rel}, 1);  // [N, 2H]
   return ag::Reshape(net_.scorer.Forward(joint), {n});
 }

@@ -48,15 +48,14 @@ class RsrPredictor : public harness::GradientPredictor {
     ag::VarPtr relation_w;      // [K] explicit relation weights
     ag::VarPtr relation_b;      // [1]
     ag::VarPtr sim_proj;        // [H, H] implicit similarity bilinear form
-    Tensor mask;                // binary relation mask (no self loops)
-    Tensor degree_inv;          // [N, 1] 1/deg for neighbor averaging
-    // RSR_E on the sparse backend: 1/deg row-normalized CSR replaces the
-    // dense mask entirely (RSR_I's bilinear similarity is inherently dense
-    // on all related pairs, so it keeps the mask on every backend).
+    // RSR_E: 1/deg row-normalized CSR, so its aggregation is O(E).
     graph::CsrPtr row_csr;
+    // RSR_I only: its bilinear similarity is a dense [N, N] product, so it
+    // keeps the binary relation mask (no self loops) and 1/deg [N, 1].
+    Tensor mask;
+    Tensor degree_inv;
   };
 
-  const graph::RelationTensor* relations_;
   RsrVariant variant_;
   float alpha_;
   Rng init_rng_;

@@ -33,8 +33,6 @@ class RtGatPredictor : public harness::GradientPredictor {
   struct Net : nn::Module {
     Net(const graph::RelationTensor& relations, int64_t num_features,
         int64_t filters, Rng* rng)
-        // RelationTensor ctor: honors the active --graph_backend (sparse
-        // fused attention vs dense mask).
         : gat(relations, num_features, filters, rng),
           temporal(filters, filters, 3, rng, 1, 2, 0.1f),
           scorer(filters, 1, rng) {

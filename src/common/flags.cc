@@ -9,59 +9,10 @@
 
 namespace rtgcn {
 
-Result<Flags> Flags::Parse(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (!StartsWith(arg, "--")) {
-      return Status::InvalidArgument("unexpected positional argument: ", arg);
-    }
-    arg = arg.substr(2);
-    auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags.values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
-      flags.values_[arg] = argv[++i];
-    } else {
-      flags.values_[arg] = "true";  // bare boolean flag
-    }
-  }
-  return flags;
-}
-
-std::string Flags::GetString(const std::string& name,
-                             const std::string& default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : it->second;
-}
-
-int64_t Flags::GetInt(const std::string& name, int64_t default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double Flags::GetDouble(const std::string& name, double default_value) const {
-  auto it = values_.find(name);
-  return it == values_.end() ? default_value : std::strtod(it->second.c_str(), nullptr);
-}
-
-bool Flags::GetBool(const std::string& name, bool default_value) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
-}
-
-std::vector<std::string> Flags::Names() const {
-  std::vector<std::string> names;
-  names.reserve(values_.size());
-  for (const auto& [k, v] : values_) names.push_back(k);
-  return names;
-}
-
 namespace {
 
 // Strict parsers: the whole token must be consumed, so "12x" is an error
-// rather than silently becoming 12 (which the untyped Flags layer allows).
+// rather than silently becoming 12.
 bool ParseInt64(const std::string& s, int64_t* out) {
   if (s.empty()) return false;
   errno = 0;

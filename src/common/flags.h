@@ -1,50 +1,23 @@
-// Command-line flag parsing used by the bench harness binaries.
+// Command-line flag parsing for the bench, tool and example binaries.
 //
-// Two layers:
-//  - Flags: the original untyped bag — parse argv into name -> string and
-//    pull values out with Get*(name, default). Still supported, since some
-//    drivers forward arbitrary flags.
-//  - FlagSet: declarative registration. Bind a variable once
-//    (`fs.Register("num_threads", &n, "worker count")`), call Parse, and
-//    get typed validation, unknown-flag rejection and a generated --help
-//    for free. New binaries should use this.
+// FlagSet is declarative registration: bind a variable once
+// (`fs.Register("num_threads", &n, "worker count")`), call Parse, and get
+// typed validation, unknown-flag rejection and a generated --help for free.
 //
-// Both accept `--name value` and `--name=value`; bare `--name` sets a bool
-// flag to true. Unknown flags are an error so typos in experiment scripts
-// fail loudly.
+// Accepts `--name value` and `--name=value`; bare `--name` sets a bool flag
+// to true. Unknown flags, malformed values and positional arguments are
+// errors, so typos in experiment scripts fail loudly.
 #ifndef RTGCN_COMMON_FLAGS_H_
 #define RTGCN_COMMON_FLAGS_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 
 namespace rtgcn {
-
-/// \brief Parsed command-line flags with typed accessors and defaults.
-class Flags {
- public:
-  /// Parses argv; returns error on a malformed or unpaired flag.
-  static Result<Flags> Parse(int argc, char** argv);
-
-  bool Has(const std::string& name) const { return values_.count(name) > 0; }
-
-  std::string GetString(const std::string& name,
-                        const std::string& default_value) const;
-  int64_t GetInt(const std::string& name, int64_t default_value) const;
-  double GetDouble(const std::string& name, double default_value) const;
-  bool GetBool(const std::string& name, bool default_value) const;
-
-  /// Names of all flags that were provided.
-  std::vector<std::string> Names() const;
-
- private:
-  std::map<std::string, std::string> values_;
-};
 
 /// \brief Declarative flag registry: bind variables, parse, get --help.
 ///

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdlib>
 
-#include "common/flags.h"
 #include "obs/trace.h"
 
 namespace rtgcn {
@@ -38,12 +37,6 @@ int NumThreads() {
 void SetNumThreads(int n) {
   g_num_threads.store(n >= 1 ? n : DefaultNumThreads(),
                       std::memory_order_relaxed);
-}
-
-void InitNumThreadsFromFlags(const Flags& flags) {
-  if (flags.Has("num_threads")) {
-    SetNumThreads(static_cast<int>(flags.GetInt("num_threads", 1)));
-  }
 }
 
 namespace internal {

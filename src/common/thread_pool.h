@@ -27,8 +27,6 @@
 
 namespace rtgcn {
 
-class Flags;
-
 /// Current thread-count setting (>= 1). Lazily initialized from the
 /// RTGCN_NUM_THREADS environment variable, else hardware concurrency.
 int NumThreads();
@@ -37,9 +35,6 @@ int NumThreads();
 /// environment/hardware default. Existing pool workers are resized lazily
 /// on the next parallel call.
 void SetNumThreads(int n);
-
-/// Applies a `--num_threads N` flag when present (overrides the env var).
-void InitNumThreadsFromFlags(const Flags& flags);
 
 namespace internal {
 

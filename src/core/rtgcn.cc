@@ -1,9 +1,6 @@
 #include "core/rtgcn.h"
 
-#include <cmath>
-
 #include "autograd/ops.h"
-#include "graph/adjacency.h"
 #include "tensor/init.h"
 
 namespace rtgcn::core {
@@ -22,19 +19,12 @@ std::string StrategyName(Strategy s) {
 RtGcnLayer::RtGcnLayer(const graph::RelationTensor& relations,
                        const RtGcnConfig& config, int64_t in_features,
                        int64_t out_features, Rng* rng)
-    : relations_(&relations),
-      config_(config),
+    : config_(config),
       in_features_(in_features),
       out_features_(out_features) {
   if (config_.use_relational) {
-    // The propagation structure honors the --graph_backend selection made
-    // at construction time: sparse keeps Â in CSR form (O(E) memory), the
-    // dense path materializes the [N, N] matrix.
-    if (graph::ActiveGraphBackend() == graph::GraphBackend::kSparse) {
-      csr_ = graph::CsrGraph::NormalizedAdjacency(relations);
-    } else {
-      norm_adjacency_ = ag::Constant(graph::NormalizedAdjacency(relations));
-    }
+    // Â in CSR form: O(E) memory, never an [N, N] matrix.
+    csr_ = graph::CsrGraph::NormalizedAdjacency(relations);
     theta_ = RegisterParameter(
         "theta", XavierUniform({in_features, out_features}, in_features,
                                out_features, rng));
@@ -64,20 +54,13 @@ int64_t RtGcnLayer::out_length(int64_t in_length) const {
 }
 
 const Tensor& RtGcnLayer::last_propagation() const {
-  if (last_propagation_stack_.defined()) {
-    // Deferred from the time-sensitive Forward: average the [T, N, N]
-    // stack only when someone actually inspects the edge weights.
-    last_propagation_ = rtgcn::Mean(last_propagation_stack_, 0);
-    last_propagation_stack_ = Tensor();
-  }
-  // Sparse backend: scatter the saved per-entry values into a dense [N, N]
-  // only when someone asks, averaging the time-sensitive values over time
-  // first.
-  if (csr_ && last_time_values_.defined()) {
+  // Scatter the saved per-entry values into a dense [N, N] only when someone
+  // asks, averaging the time-sensitive values over time first.
+  if (last_time_values_.defined()) {
     last_propagation_ = csr_->Densify(last_time_values_.TimeAverage().data());
     last_time_values_ = graph::TimeSensitiveEdgeValues();
   }
-  if (csr_ && last_edge_values_.defined()) {
+  if (last_edge_values_.defined()) {
     last_propagation_ = csr_->Densify(last_edge_values_.data());
     last_edge_values_ = Tensor();
   }
@@ -96,74 +79,39 @@ ag::VarPtr RtGcnLayer::RelationalConv(const ag::VarPtr& x) const {
     return ag::Reshape(ag::MatMul(flat, theta_), {t_len, n, out_features_});
   }
 
+  // The three strategies over CSR entries: per-entry propagation values
+  // are saved and densified lazily in last_propagation().
   VarPtr propagated;
-  if (csr_) {
-    // Sparse backend: the same three strategies over CSR entries — never
-    // materializes an [N, N] matrix. Per-entry propagation values are
-    // saved and densified lazily in last_propagation().
-    switch (config_.strategy) {
-      case Strategy::kUniform: {
-        VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
-        VarPtr y = graph::SparsePropagate(csr_, xn);
-        propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
-        if (!last_edge_values_.defined() && !last_propagation_.defined()) {
-          last_edge_values_ = Tensor({csr_->num_entries()},
-                                     std::vector<float>(csr_->coeff()));
-        }
-        break;
+  switch (config_.strategy) {
+    case Strategy::kUniform: {
+      // Z(t) = Â X(t): fold time into the feature axis so one SpMM covers
+      // all time-steps.
+      VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
+      VarPtr y = graph::SparsePropagate(csr_, xn);
+      propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
+      if (!last_edge_values_.defined() && !last_propagation_.defined()) {
+        last_edge_values_ = Tensor({csr_->num_entries()},
+                                   std::vector<float>(csr_->coeff()));
       }
-      case Strategy::kWeight: {
-        VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
-        VarPtr y = graph::SparseEdgeWeightPropagate(
-            csr_, relation_w_, relation_b_, xn, &last_edge_values_);
-        last_propagation_ = Tensor();
-        propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
-        break;
-      }
-      case Strategy::kTimeSensitive: {
-        propagated = graph::SparseTimeSensitivePropagate(
-            csr_, relation_w_, relation_b_, x, &last_time_values_);
-        last_propagation_ = Tensor();
-        break;
-      }
+      break;
     }
-  } else {
-    switch (config_.strategy) {
-      case Strategy::kUniform: {
-        // Z(t) = Â X(t): fold time into the feature axis so one N×N matmul
-        // covers all time-steps.
-        VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
-        VarPtr y = ag::MatMul(norm_adjacency_, xn);
-        propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
-        last_propagation_ = norm_adjacency_->value;
-        break;
-      }
-      case Strategy::kWeight: {
-        // P = Â ⊙ S with S_ij = A_ij^T w + b on edges (Eq. 4); all G_R
-        // share P.
-        VarPtr s = graph::RelationEdgeWeights(*relations_, relation_w_,
-                                              relation_b_);
-        VarPtr p = ag::Mul(norm_adjacency_, s);
-        last_propagation_ = p->value;
-        VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
-        VarPtr y = ag::MatMul(p, xn);
-        propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
-        break;
-      }
-      case Strategy::kTimeSensitive: {
-        // P(t) = Â ⊙ (X(t) X(t)^T / sqrt(d)) ⊙ S: a distinct weighted
-        // adjacency per time-step (Eq. 5).
-        VarPtr s = graph::RelationEdgeWeights(*relations_, relation_w_,
-                                              relation_b_);
-        VarPtr base = ag::Mul(norm_adjacency_, s);          // [N, N]
-        VarPtr xt = ag::Permute(x, {0, 2, 1});              // [T, D, N]
-        VarPtr corr = ag::BatchMatMul(x, xt);               // [T, N, N]
-        corr = ag::MulScalar(corr, 1.0f / std::sqrt(static_cast<float>(d)));
-        VarPtr p = ag::Mul(corr, base);                     // broadcast [N,N]
-        last_propagation_stack_ = p->value;  // shallow copy; averaged lazily
-        propagated = ag::BatchMatMul(p, x);                 // [T, N, D]
-        break;
-      }
+    case Strategy::kWeight: {
+      // P = Â ⊙ S with S_ij = A_ij^T w + b on edges (Eq. 4); all G_R
+      // share P.
+      VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
+      VarPtr y = graph::SparseEdgeWeightPropagate(
+          csr_, relation_w_, relation_b_, xn, &last_edge_values_);
+      last_propagation_ = Tensor();
+      propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
+      break;
+    }
+    case Strategy::kTimeSensitive: {
+      // P(t) = Â ⊙ (X(t) X(t)^T / sqrt(d)) ⊙ S: a distinct weighted
+      // adjacency per time-step (Eq. 5).
+      propagated = graph::SparseTimeSensitivePropagate(
+          csr_, relation_w_, relation_b_, x, &last_time_values_);
+      last_propagation_ = Tensor();
+      break;
     }
   }
   VarPtr flat = ag::Reshape(propagated, {t_len * n, d});

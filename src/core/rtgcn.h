@@ -74,26 +74,21 @@ class RtGcnLayer : public nn::Module {
   /// Applies the strategy's relational convolution: [T, N, in] -> [T, N, out].
   ag::VarPtr RelationalConv(const ag::VarPtr& x) const;
 
-  const graph::RelationTensor* relations_;
   RtGcnConfig config_;
   int64_t in_features_;
   int64_t out_features_;
 
-  ag::VarPtr norm_adjacency_;  // dense backend: constant Â [N, N]
-  graph::CsrPtr csr_;          // sparse backend: Â in CSR form, O(E)
-  ag::VarPtr theta_;           // relational filters Θ [in, out]
-  ag::VarPtr relation_w_;      // per-type weights w [K] (W/T strategies)
-  ag::VarPtr relation_b_;      // bias b [1]           (W/T strategies)
+  graph::CsrPtr csr_;       // Â in CSR form, O(E)
+  ag::VarPtr theta_;        // relational filters Θ [in, out]
+  ag::VarPtr relation_w_;   // per-type weights w [K] (W/T strategies)
+  ag::VarPtr relation_b_;   // bias b [1]           (W/T strategies)
   std::unique_ptr<nn::TemporalConvBlock> temporal_;
   mutable Tensor last_propagation_;
-  // Pending per-time-step propagation stack [T, N, N] (dense time-sensitive
-  // strategy); reduced to last_propagation_ on demand.
-  mutable Tensor last_propagation_stack_;
-  // Sparse backends stash per-entry propagation values instead ([nnz]);
-  // densified on demand.
+  // Per-entry propagation values of the last Forward ([nnz]); densified on
+  // demand.
   mutable Tensor last_edge_values_;
-  // Sparse time-sensitive strategy: a handle on the op's own corr/as
-  // storage; time-averaged and densified on demand.
+  // Time-sensitive strategy: a handle on the op's own corr/as storage;
+  // time-averaged and densified on demand.
   mutable graph::TimeSensitiveEdgeValues last_time_values_;
 };
 

@@ -1,12 +1,16 @@
 #include "graph/gat.h"
 
 #include "autograd/ops.h"
-#include "graph/adjacency.h"
 #include "tensor/init.h"
 
 namespace rtgcn::graph {
 
-void GatLayer::InitParameters(Rng* rng) {
+GatLayer::GatLayer(const RelationTensor& relations, int64_t in_features,
+                   int64_t out_features, Rng* rng, float leaky_slope)
+    : csr_(CsrGraph::UniformMask(relations, /*add_self_loops=*/true)),
+      in_features_(in_features),
+      out_features_(out_features),
+      leaky_slope_(leaky_slope) {
   weight_ = RegisterParameter(
       "weight",
       XavierUniform({in_features_, out_features_}, in_features_,
@@ -17,57 +21,19 @@ void GatLayer::InitParameters(Rng* rng) {
       "a_dst", XavierUniform({out_features_, 1}, out_features_, 1, rng));
 }
 
-GatLayer::GatLayer(Tensor edge_mask, int64_t in_features, int64_t out_features,
-                   Rng* rng, float leaky_slope)
-    : in_features_(in_features),
-      out_features_(out_features),
-      leaky_slope_(leaky_slope) {
-  RTGCN_CHECK_EQ(edge_mask.ndim(), 2);
-  const int64_t n = edge_mask.dim(0);
-  RTGCN_CHECK_EQ(edge_mask.dim(1), n);
-  mask_ = edge_mask.Clone();
-  float* pm = mask_.data();
-  for (int64_t i = 0; i < n; ++i) pm[i * n + i] = 1.0f;  // self loops
-  InitParameters(rng);
-}
-
-GatLayer::GatLayer(const RelationTensor& relations, int64_t in_features,
-                   int64_t out_features, Rng* rng, float leaky_slope)
-    : in_features_(in_features),
-      out_features_(out_features),
-      leaky_slope_(leaky_slope) {
-  if (ActiveGraphBackend() == GraphBackend::kSparse) {
-    csr_ = CsrGraph::UniformMask(relations, /*add_self_loops=*/true);
-  } else {
-    const int64_t n = relations.num_stocks();
-    mask_ = relations.DenseMask();
-    float* pm = mask_.data();
-    for (int64_t i = 0; i < n; ++i) pm[i * n + i] = 1.0f;
-  }
-  InitParameters(rng);
-}
-
 ag::VarPtr GatLayer::Forward(const ag::VarPtr& x) const {
   RTGCN_CHECK_EQ(x->value.ndim(), 2);
   RTGCN_CHECK_EQ(x->value.dim(1), in_features_);
-  ag::VarPtr h = ag::MatMul(x, weight_);  // [N, out]
+  ag::VarPtr h = ag::MatMul(x, weight_);   // [N, out]
   ag::VarPtr src = ag::MatMul(h, a_src_);  // [N, 1]
-  if (csr_) {
-    ag::VarPtr dst = ag::MatMul(h, a_dst_);  // [N, 1]
-    last_attention_ = Tensor();
-    return SparseGatAttention(csr_, src, dst, h, leaky_slope_,
-                              &last_alpha_entries_);
-  }
-  // e_ij = LeakyReLU(src_i + dst_j): outer sum via broadcasting.
-  ag::VarPtr dst = ag::Transpose(ag::MatMul(h, a_dst_));  // [1, N]
-  ag::VarPtr e = ag::LeakyRelu(ag::Add(src, dst), leaky_slope_);
-  ag::VarPtr alpha = MaskedRowSoftmax(e, mask_);
-  last_attention_ = alpha->value;
-  return ag::MatMul(alpha, h);
+  ag::VarPtr dst = ag::MatMul(h, a_dst_);  // [N, 1]
+  last_attention_ = Tensor();
+  return SparseGatAttention(csr_, src, dst, h, leaky_slope_,
+                            &last_alpha_entries_);
 }
 
 const Tensor& GatLayer::last_attention() const {
-  if (csr_ && last_alpha_entries_.defined()) {
+  if (last_alpha_entries_.defined()) {
     last_attention_ = csr_->Densify(last_alpha_entries_.data());
     last_alpha_entries_ = Tensor();
   }

@@ -8,22 +8,14 @@
 
 namespace rtgcn::graph {
 
-/// \brief Single-head GAT layer over a fixed binary edge mask.
+/// \brief Single-head GAT layer over the relation structure.
 ///
-/// e_ij = LeakyReLU(a_src · Wh_i + a_dst · Wh_j), softmax over the masked
+/// e_ij = LeakyReLU(a_src · Wh_i + a_dst · Wh_j), softmax over the related
 /// neighborhood (self loops included), h'_i = Σ_j α_ij W h_j.
 class GatLayer : public nn::Module {
  public:
-  /// `edge_mask` is a binary [N, N] adjacency; self loops are added here.
-  /// Always runs the dense path (callers who hand us a dense mask already
-  /// paid for it).
-  GatLayer(Tensor edge_mask, int64_t in_features, int64_t out_features,
-           Rng* rng, float leaky_slope = 0.2f);
-
-  /// Builds the attention support from the relation structure, honoring the
-  /// active --graph_backend: sparse uses a fused per-row softmax over CSR
-  /// entries, dense falls back to the mask construction above. Self loops
-  /// are added either way.
+  /// The attention support is every related pair plus self loops, held in
+  /// CSR form; Forward runs a fused per-row softmax over its entries.
   GatLayer(const RelationTensor& relations, int64_t in_features,
            int64_t out_features, Rng* rng, float leaky_slope = 0.2f);
 
@@ -31,15 +23,12 @@ class GatLayer : public nn::Module {
   ag::VarPtr Forward(const ag::VarPtr& x) const;
 
   /// Attention matrix from the most recent Forward call ([N, N], detached).
-  /// On the sparse backend the dense matrix is materialized lazily here, so
-  /// training steps never pay O(N²) for the diagnostic.
+  /// The dense matrix is materialized lazily here, so training steps never
+  /// pay O(N²) for the diagnostic.
   const Tensor& last_attention() const;
 
  private:
-  void InitParameters(Rng* rng);
-
-  Tensor mask_;    // dense backend: binary with self loops
-  CsrPtr csr_;     // sparse backend: mask with self loops, coefficients 1
+  CsrPtr csr_;  // mask with self loops, coefficients 1
   int64_t in_features_;
   int64_t out_features_;
   float leaky_slope_;
@@ -47,7 +36,7 @@ class GatLayer : public nn::Module {
   ag::VarPtr a_src_;   // [out, 1]
   ag::VarPtr a_dst_;   // [out, 1]
   mutable Tensor last_attention_;
-  mutable Tensor last_alpha_entries_;  // sparse: [nnz], densified on demand
+  mutable Tensor last_alpha_entries_;  // [nnz], densified on demand
 };
 
 }  // namespace rtgcn::graph

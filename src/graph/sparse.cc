@@ -1,15 +1,11 @@
 #include "graph/sparse.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <mutex>
 #include <utility>
 
 #include "autograd/ops.h"
-#include "common/flags.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/registry.h"
@@ -779,84 +775,6 @@ ag::VarPtr SparseGatAttention(const CsrPtr& g, const ag::VarPtr& src,
     };
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Backend dispatch
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::atomic<int> g_graph_backend{-1};  // -1 = not yet initialized
-std::mutex g_graph_init_mu;
-
-void PublishGraphSelection(GraphBackend backend) {
-  auto& reg = obs::Registry::Global();
-  reg.GetGauge("graph.backend")->Set(static_cast<double>(backend));
-  reg.GetCounter(std::string("graph.backend.selected.") +
-                 GraphBackendName(backend))
-      ->Increment();
-}
-
-GraphBackend SelectGraphBackend(GraphBackend backend) {
-  g_graph_backend.store(static_cast<int>(backend),
-                        std::memory_order_release);
-  PublishGraphSelection(backend);
-  return backend;
-}
-
-GraphBackend InitGraphBackendFromEnv() {
-  const char* env = std::getenv("RTGCN_GRAPH_BACKEND");
-  const std::string name = env != nullptr ? env : "auto";
-  Result<GraphBackend> resolved = ResolveGraphBackend(name);
-  if (!resolved.ok()) {
-    RTGCN_LOG(Warning) << "RTGCN_GRAPH_BACKEND=" << name << " is invalid ("
-                       << resolved.status().message()
-                       << "); falling back to auto";
-    resolved = ResolveGraphBackend("auto");
-  }
-  return SelectGraphBackend(resolved.ValueOrDie());
-}
-
-}  // namespace
-
-const char* GraphBackendName(GraphBackend backend) {
-  return backend == GraphBackend::kDense ? "dense" : "sparse";
-}
-
-Result<GraphBackend> ResolveGraphBackend(const std::string& name) {
-  if (name == "dense") return GraphBackend::kDense;
-  if (name == "sparse") return GraphBackend::kSparse;
-  if (name == "auto" || name.empty()) return GraphBackend::kSparse;
-  return Status::InvalidArgument("unknown graph backend \"", name,
-                                 "\" (expected dense|sparse|auto)");
-}
-
-GraphBackend ActiveGraphBackend() {
-  int b = g_graph_backend.load(std::memory_order_acquire);
-  if (b >= 0) return static_cast<GraphBackend>(b);
-  std::lock_guard<std::mutex> lock(g_graph_init_mu);
-  b = g_graph_backend.load(std::memory_order_acquire);
-  if (b >= 0) return static_cast<GraphBackend>(b);
-  return InitGraphBackendFromEnv();
-}
-
-void SetGraphBackend(GraphBackend backend) { SelectGraphBackend(backend); }
-
-Status SetGraphBackendByName(const std::string& name) {
-  Result<GraphBackend> resolved = ResolveGraphBackend(name);
-  if (!resolved.ok()) return resolved.status();
-  SelectGraphBackend(resolved.ValueOrDie());
-  return Status::OK();
-}
-
-void InitGraphBackendFromFlags(const Flags& flags) {
-  const std::string name = flags.GetString("graph_backend", "");
-  if (!name.empty()) SetGraphBackendByName(name).Abort();
-}
-
-void ReinitGraphBackendFromEnvForTest() {
-  g_graph_backend.store(-1, std::memory_order_release);
 }
 
 }  // namespace rtgcn::graph

@@ -11,8 +11,8 @@
 //
 // Selection happens once, lazily, from the RTGCN_KERNEL environment
 // variable ("reference" | "avx2" | "auto", default auto = best supported),
-// and can be overridden programmatically (SetBackendByName) or via the
-// --kernel flag the bench binaries register. Requesting avx2 on a CPU
+// and can be overridden programmatically (SetBackendByName) or via
+// bench_micro's --kernel flag. Requesting avx2 on a CPU
 // without it falls back to reference with a warning; unknown names are
 // rejected. The active choice is published to obs::Registry::Global()
 // (gauges tensor.kernels.backend / tensor.kernels.avx2_supported, counters
@@ -123,7 +123,7 @@ Backend ActiveBackend();
 void SetBackend(Backend backend);
 
 /// ResolveBackend + SetBackend; the error of ResolveBackend on unknown
-/// names. This is what the --kernel flag calls.
+/// names. This is what bench_micro's --kernel flag calls.
 Status SetBackendByName(const std::string& name);
 
 /// Test hook: drops the cached selection so the next Active() re-reads

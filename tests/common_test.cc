@@ -48,21 +48,6 @@ TEST(StringsTest, Formatting) {
   EXPECT_EQ(PadLeft("abcde", 4), "abcde");  // never truncates
 }
 
-TEST(FlagsTest, ParsesAllForms) {
-  const char* argv[] = {"prog", "--alpha", "0.5", "--name=test", "--verbose"};
-  auto flags = Flags::Parse(5, const_cast<char**>(argv)).ValueOrDie();
-  EXPECT_DOUBLE_EQ(flags.GetDouble("alpha", 0), 0.5);
-  EXPECT_EQ(flags.GetString("name", ""), "test");
-  EXPECT_TRUE(flags.GetBool("verbose", false));
-  EXPECT_EQ(flags.GetInt("missing", 9), 9);
-  EXPECT_FALSE(flags.Has("missing"));
-}
-
-TEST(FlagsTest, RejectsPositional) {
-  const char* argv[] = {"prog", "oops"};
-  EXPECT_FALSE(Flags::Parse(2, const_cast<char**>(argv)).ok());
-}
-
 // Builds argv (with a fake program name) and parses it into `fs`.
 Status ParseFlagSet(FlagSet* fs, std::vector<std::string> args) {
   std::vector<char*> argv;

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "autograd/gradcheck.h"
 #include "autograd/optimizer.h"
 #include "core/loss.h"
 #include "core/rtgcn.h"
-#include "graph/adjacency.h"
+#include "dense_graph_oracle.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 
@@ -177,6 +180,31 @@ TEST(RtGcnModelTest, LastPoolingMode) {
   ag::NoGradGuard no_grad;
   Tensor x = RandomUniform({8, 6, 3}, 0.9f, 1.1f, &rng);
   EXPECT_EQ(model.Forward(ag::Constant(x), &rng)->shape(), (Shape{6}));
+}
+
+// The whole model (temporal block at stride 2, pooling, scorer) on a
+// universe without edges, where propagation degenerates to the identity,
+// and on a single stock (the market-generator regression case).
+TEST(RtGcnModelTest, DegenerateUniversesGiveFiniteScores) {
+  const graph::RelationTensor empty(5, 2);
+  const graph::RelationTensor one(1, 1);
+  for (const graph::RelationTensor* rel : {&empty, &one}) {
+    for (Strategy strat :
+         {Strategy::kUniform, Strategy::kWeight, Strategy::kTimeSensitive}) {
+      SCOPED_TRACE(std::string(StrategyName(strat)) + " N=" +
+                   std::to_string(rel->num_stocks()));
+      Rng rng(41);
+      RtGcnModel model(*rel, SmallConfig(strat), &rng);
+      model.SetTraining(false);
+      ag::NoGradGuard no_grad;
+      Tensor x = RandomUniform({8, rel->num_stocks(), 3}, 0.9f, 1.1f, &rng);
+      const Tensor scores = model.Forward(ag::Constant(x), &rng)->value;
+      ASSERT_EQ(scores.shape(), (Shape{rel->num_stocks()}));
+      for (int64_t i = 0; i < scores.numel(); ++i) {
+        EXPECT_TRUE(std::isfinite(scores.data()[i])) << "score " << i;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

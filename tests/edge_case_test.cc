@@ -7,7 +7,7 @@
 
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
-#include "graph/adjacency.h"
+#include "dense_graph_oracle.h"
 #include "graph/relation_tensor.h"
 #include "market/dataset.h"
 #include "rank/metrics.h"

@@ -1,18 +1,16 @@
-// Graph-backend equivalence test harness.
+// Sparse-vs-dense-oracle equivalence test harness.
 //
-// The sparse CSR propagation path (--graph_backend sparse) must agree with
-// the dense reference path on the same inputs: forward scores and every
-// gradient. The checker runs a tensor-vector-producing functor once under
-// the dense backend (reference) and once under the sparse backend, then
-// compares the outputs pairwise with per-check epsilon control. The functor
-// must build its graph structures inside the call — model constructors
-// snapshot ActiveGraphBackend at build time.
+// The sparse CSR propagation path must agree with the paper's dense [N, N]
+// formulas (dense_graph_oracle.h) on the same inputs: forward values and
+// every gradient. The checker runs a reference functor (the dense formulas)
+// and an actual functor (the CSR path), each returning a vector of tensors,
+// then compares the outputs pairwise with per-check epsilon control.
 //
-// Backends are allowed to differ in float detail (the sparse path folds
-// per-entry products in CSR order, the dense path runs N-wide matmul rows),
-// so comparison is |a-b| <= atol + rtol*|expected| per element — bit
-// equality across thread counts WITHIN one backend is asserted separately
-// by parallel_equivalence_test.cc.
+// The two are allowed to differ in float detail (the sparse path folds
+// per-entry products in CSR order, the dense formulas run N-wide matmul
+// rows), so comparison is |a-b| <= atol + rtol*|expected| per element — bit
+// equality across thread counts is asserted separately by
+// parallel_equivalence_test.cc.
 #ifndef RTGCN_TESTS_GRAPH_CHECKER_H_
 #define RTGCN_TESTS_GRAPH_CHECKER_H_
 
@@ -33,31 +31,15 @@
 
 namespace rtgcn {
 
-/// \brief Restores the previously active graph backend on scope exit.
-class ScopedGraphBackend {
- public:
-  explicit ScopedGraphBackend(graph::GraphBackend backend)
-      : prev_(graph::ActiveGraphBackend()) {
-    graph::SetGraphBackend(backend);
-  }
-  ~ScopedGraphBackend() { graph::SetGraphBackend(prev_); }
-
-  ScopedGraphBackend(const ScopedGraphBackend&) = delete;
-  ScopedGraphBackend& operator=(const ScopedGraphBackend&) = delete;
-
- private:
-  graph::GraphBackend prev_;
-};
-
-/// \brief Runs an op under the dense backend (reference) and the sparse
-/// backend and compares every output tensor.
+/// \brief Runs a dense reference and the sparse path and compares every
+/// output tensor.
 class GraphChecker {
  public:
   explicit GraphChecker(uint64_t seed = 42) : rng_(seed) {}
 
   /// Comparison tolerances for subsequent Check/ExpectClose calls. Defaults
-  /// suit single propagation ops; full-model sweeps loosen rtol because
-  /// accumulation-order differences compound through layers.
+  /// suit single propagation ops; multi-op checks loosen rtol because
+  /// accumulation-order differences compound through the chain.
   GraphChecker& set_rtol(float rtol) {
     rtol_ = rtol;
     return *this;
@@ -68,7 +50,7 @@ class GraphChecker {
   }
 
   /// Seeded input generators. Draw all inputs before Check and capture them
-  /// in the functor so both backends see identical bytes.
+  /// in both functors so they see identical bytes.
   Tensor Gaussian(const Shape& shape, float mean = 0.0f, float stddev = 1.0f) {
     return RandomGaussian(shape, mean, stddev, &rng_);
   }
@@ -77,24 +59,17 @@ class GraphChecker {
   }
   Rng* rng() { return &rng_; }
 
-  /// Runs `op` with the dense backend forced, then with the sparse backend
-  /// forced, and expects the returned tensors to match pairwise within the
+  /// Runs `reference` (the dense formulas), then `actual` (the sparse
+  /// path), and expects the returned tensors to match pairwise within the
   /// current tolerances. `what` labels failures.
   void Check(const std::string& what,
-             const std::function<std::vector<Tensor>()>& op) {
-    std::vector<Tensor> expected;
-    {
-      ScopedGraphBackend scope(graph::GraphBackend::kDense);
-      expected = op();
-    }
-    std::vector<Tensor> actual;
-    {
-      ScopedGraphBackend scope(graph::GraphBackend::kSparse);
-      actual = op();
-    }
-    ASSERT_EQ(expected.size(), actual.size()) << what;
+             const std::function<std::vector<Tensor>()>& reference,
+             const std::function<std::vector<Tensor>()>& actual) {
+    const std::vector<Tensor> expected = reference();
+    const std::vector<Tensor> got = actual();
+    ASSERT_EQ(expected.size(), got.size()) << what;
     for (size_t i = 0; i < expected.size(); ++i) {
-      ExpectClose(expected[i], actual[i],
+      ExpectClose(expected[i], got[i],
                   what + " output " + std::to_string(i) + " [sparse]");
     }
   }

@@ -2,7 +2,7 @@
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
-#include "graph/adjacency.h"
+#include "dense_graph_oracle.h"
 #include "graph/gat.h"
 #include "graph/hypergraph.h"
 #include "graph/relation_tensor.h"
@@ -253,7 +253,7 @@ TEST(MaskedSoftmaxTest, MaskedEntriesAreZeroRowsNormalized) {
 TEST(GatTest, AttentionRowsSumToOneOnNeighborhood) {
   RelationTensor rel = MakeTriangle();
   Rng rng(7);
-  GatLayer gat(rel.DenseMask(), 3, 4, &rng);
+  GatLayer gat(rel, 3, 4, &rng);
   ag::NoGradGuard no_grad;
   gat.Forward(ag::Constant(RandomGaussian({4, 3}, 0, 1, &rng)));
   const Tensor& att = gat.last_attention();
@@ -270,7 +270,7 @@ TEST(GatTest, AttentionRowsSumToOneOnNeighborhood) {
 TEST(GatTest, GradientsReachAllParameters) {
   RelationTensor rel = MakeTriangle();
   Rng rng(8);
-  GatLayer gat(rel.DenseMask(), 2, 3, &rng);
+  GatLayer gat(rel, 2, 3, &rng);
   auto x = ag::Constant(RandomGaussian({4, 2}, 0, 1, &rng));
   ag::Backward(ag::SumAll(ag::Square(gat.Forward(x))));
   for (const auto& p : gat.Parameters()) {

@@ -14,9 +14,8 @@
 #include "common/thread_pool.h"
 #include "core/loss.h"
 #include "core/rtgcn.h"
-#include "graph/adjacency.h"
+#include "dense_graph_oracle.h"
 #include "graph/sparse.h"
-#include "graph_checker.h"
 #include "kernel_checker.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
@@ -391,41 +390,34 @@ TEST(ParallelEquivalenceTest, SparseGraphOpsBitIdenticalAcrossThreadCounts) {
       "SparseGatAttention fwd+bwd");
 }
 
-// The determinism contract also holds per GRAPH backend: dense and sparse
-// may differ from each other within checker tolerances (sparse_graph_test
-// covers that), but each must be bitwise thread-count independent through
-// the full model, for all three propagation strategies.
+// The determinism contract holds through the full model on the sparse
+// graph path too, for all three propagation strategies.
 TEST(ParallelEquivalenceTest, GraphBackendsTimesThreadCounts) {
-  for (graph::GraphBackend gb :
-       {graph::GraphBackend::kDense, graph::GraphBackend::kSparse}) {
-    ScopedGraphBackend scope(gb);
-    for (core::Strategy s : {core::Strategy::kUniform, core::Strategy::kWeight,
-                             core::Strategy::kTimeSensitive}) {
-      ExpectBitIdenticalAcrossThreadCounts(
-          [&] {
-            Rng rng(456);
-            const graph::RelationTensor rel = RandomRelations(26, 4, 110, &rng);
-            core::RtGcnConfig cfg;
-            cfg.strategy = s;
-            cfg.window = 7;
-            cfg.num_features = 4;
-            cfg.relational_filters = 5;
-            cfg.temporal_stride = 2;
-            cfg.dropout = 0.1f;
-            core::RtGcnModel model(rel, cfg, &rng);
-            const Tensor x = RandomUniform({7, 26, 4}, 0.9f, 1.1f, &rng);
-            const Tensor y = RandomGaussian({26}, 0, 0.02f, &rng);
-            Rng fwd(9);
-            auto scores = model.Forward(ag::Constant(x), &fwd);
-            auto loss = core::CombinedLoss(scores, y, 0.1f);
-            ag::Backward(loss);
-            std::vector<Tensor> out{scores->value, loss->value};
-            for (const auto& p : model.Parameters()) out.push_back(p->grad);
-            return out;
-          },
-          std::string("RT-GCN (") + core::StrategyName(s) + ") [" +
-              graph::GraphBackendName(gb) + "]");
-    }
+  for (core::Strategy s : {core::Strategy::kUniform, core::Strategy::kWeight,
+                           core::Strategy::kTimeSensitive}) {
+    ExpectBitIdenticalAcrossThreadCounts(
+        [&] {
+          Rng rng(456);
+          const graph::RelationTensor rel = RandomRelations(26, 4, 110, &rng);
+          core::RtGcnConfig cfg;
+          cfg.strategy = s;
+          cfg.window = 7;
+          cfg.num_features = 4;
+          cfg.relational_filters = 5;
+          cfg.temporal_stride = 2;
+          cfg.dropout = 0.1f;
+          core::RtGcnModel model(rel, cfg, &rng);
+          const Tensor x = RandomUniform({7, 26, 4}, 0.9f, 1.1f, &rng);
+          const Tensor y = RandomGaussian({26}, 0, 0.02f, &rng);
+          Rng fwd(9);
+          auto scores = model.Forward(ag::Constant(x), &fwd);
+          auto loss = core::CombinedLoss(scores, y, 0.1f);
+          ag::Backward(loss);
+          std::vector<Tensor> out{scores->value, loss->value};
+          for (const auto& p : model.Parameters()) out.push_back(p->grad);
+          return out;
+        },
+        std::string("RT-GCN (") + core::StrategyName(s) + ") [sparse]");
   }
 }
 

@@ -12,7 +12,7 @@
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "core/loss.h"
-#include "graph/adjacency.h"
+#include "dense_graph_oracle.h"
 #include "kernel_checker.h"
 #include "rank/metrics.h"
 #include "tensor/init.h"

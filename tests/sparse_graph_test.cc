@@ -1,19 +1,20 @@
-// Sparse CSR graph backend: construction invariants, dense-vs-sparse
-// equivalence (forward + gradients) for all propagation strategies, edge
-// cases, and --graph_backend / RTGCN_GRAPH_BACKEND dispatch.
+// Sparse CSR graph path: construction invariants, and equivalence with the
+// dense oracle formulas (forward + gradients) for every propagation op, for
+// RtGcnLayer under all three strategies and for GatLayer, including edge
+// cases and degenerate universes.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
-#include "baselines/rsr.h"
 #include "core/rtgcn.h"
-#include "graph/adjacency.h"
+#include "dense_graph_oracle.h"
 #include "graph/gat.h"
 #include "graph/sparse.h"
 #include "graph_checker.h"
@@ -163,6 +164,17 @@ TEST(CsrGraphTest, CsrFootprintIsOrderEdgesNotNSquared) {
   EXPECT_LT(g->ApproxBytes(), dense_mask_bytes / 4);
 }
 
+TEST(CsrGraphTest, BuildMetricsPublished) {
+  auto& reg = obs::Registry::Global();
+  const uint64_t before = reg.GetCounter("graph.sparse.builds")->Value();
+  graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(MakeTriangle());
+  EXPECT_EQ(reg.GetCounter("graph.sparse.builds")->Value(), before + 1);
+  EXPECT_EQ(reg.GetGauge("graph.sparse.last_build_entries")->Value(),
+            static_cast<double>(g->num_entries()));
+  EXPECT_EQ(reg.GetGauge("graph.sparse.last_build_bytes")->Value(),
+            static_cast<double>(g->ApproxBytes()));
+}
+
 // ---------------------------------------------------------------------------
 // Dense-vs-sparse op equivalence (forward + gradients)
 // ---------------------------------------------------------------------------
@@ -246,7 +258,7 @@ TEST(SparseOpsTest, RowNormalizedEdgeWeightMatchesDenseRsrAggregation) {
   const Tensor w0 = checker.Gaussian({4}, 1.0f, 0.1f);
   const Tensor b0 = checker.Gaussian({1}, 0.0f, 0.1f);
 
-  // Dense reference: ē = D^{-1} (S ⊙ M) e exactly as rsr.cc's dense path.
+  // Dense reference: the RSR_E aggregation ē = D^{-1} (S ⊙ M) e.
   const Tensor mask = rel.DenseMask();
   Tensor degree_inv({n, 1});
   for (int64_t i = 0; i < n; ++i) {
@@ -288,7 +300,7 @@ TEST(SparseOpsTest, TimeSensitivePropagateMatchesDense) {
   const Tensor w0 = checker.Gaussian({4}, 1.0f, 0.1f);
   const Tensor b0 = checker.Gaussian({1}, 0.0f, 0.1f);
 
-  // Dense reference: P(t) = Â ⊙ (X(t) X(t)ᵀ / √d) ⊙ S (rtgcn.cc Eq. 5).
+  // Dense reference: P(t) = Â ⊙ (X(t) X(t)ᵀ / √d) ⊙ S (Eq. 5).
   ag::VarPtr wd = ag::MakeVariable(w0.Clone(), true);
   ag::VarPtr bd = ag::MakeVariable(b0.Clone(), true);
   ag::VarPtr xd = ag::MakeVariable(x0.Clone(), true);
@@ -424,7 +436,7 @@ TEST(SparseOpsTest, GatAttentionMatchesDense) {
   const Tensor cot = checker.Gaussian({n, f});
   const float slope = 0.2f;
 
-  // Dense reference: the gat.cc mask path with self loops.
+  // Dense reference: GAT attention over the mask with self loops.
   Tensor mask = rel.DenseMask();
   for (int64_t i = 0; i < n; ++i) mask.data()[i * n + i] = 1.0f;
   ag::VarPtr srcd = ag::MakeVariable(src0.Clone(), true);
@@ -530,231 +542,181 @@ TEST(SparseOpsTest, GradCheckGatAttention) {
 }
 
 // ---------------------------------------------------------------------------
-// Backend equivalence through the real model surfaces
+// The real layers against the dense formulas on their own parameters
 // ---------------------------------------------------------------------------
 
-TEST(GraphBackendEquivalenceTest, RtGcnModelAllStrategies) {
-  GraphChecker checker;
-  checker.set_rtol(2e-3f).set_atol(2e-4f);
-  Rng rng(31);
-  const graph::RelationTensor rel = RandomRelations(28, 5, 120, &rng);
-  const Tensor x0 = checker.Uniform({8, 28, 4}, 0.9f, 1.1f);
-  const Tensor cot = checker.Gaussian({28});
-  for (core::Strategy strat :
-       {core::Strategy::kUniform, core::Strategy::kWeight,
-        core::Strategy::kTimeSensitive}) {
-    checker.Check("RT-GCN (" + core::StrategyName(strat) + ")", [&]() {
-      Rng mrng(77);
-      core::RtGcnConfig cfg;
-      cfg.strategy = strat;
-      cfg.window = 8;
-      cfg.num_features = 4;
-      cfg.relational_filters = 6;
-      cfg.temporal_stride = 2;
-      cfg.dropout = 0.0f;
-      core::RtGcnModel model(rel, cfg, &mrng);
-      model.SetTraining(false);
-      Rng fwd(7);
-      ag::VarPtr scores = model.Forward(ag::Constant(x0), &fwd);
-      ag::Backward(ag::SumAll(ag::Mul(scores, ag::Constant(cot))));
-      std::vector<Tensor> out{scores->value,
-                              model.last_propagation().Clone()};
-      for (const auto& p : model.Parameters()) out.push_back(p->grad);
-      return out;
-    });
+// A parameter's gradient, or zeros when backward never reached it (a graph
+// without edges gives the relation weights no gradient path).
+Tensor GradOrZeros(const ag::VarPtr& p) {
+  return p->grad.defined() ? p->grad : Tensor::Zeros(p->value.shape());
+}
+
+using NamedParams = std::vector<std::pair<std::string, ag::VarPtr>>;
+
+// Fresh leaves holding copies of `module`'s parameter values, in
+// NamedParameters() order, so the dense formulas get their own gradients.
+NamedParams CopyParameters(const nn::Module& module) {
+  NamedParams out;
+  for (const auto& [name, p] : module.NamedParameters()) {
+    out.emplace_back(name, ag::MakeVariable(p->value.Clone(), true));
   }
+  return out;
 }
 
-TEST(GraphBackendEquivalenceTest, GatLayerForwardBackwardAndAttention) {
-  GraphChecker checker;
-  checker.set_rtol(1e-3f).set_atol(1e-4f);
-  Rng rng(32);
-  const graph::RelationTensor rel = RandomRelations(26, 3, 90, &rng);
-  const Tensor x0 = checker.Gaussian({26, 5});
-  const Tensor cot = checker.Gaussian({26, 4});
-  checker.Check("GatLayer", [&]() {
-    Rng lrng(9);
-    graph::GatLayer layer(rel, 5, 4, &lrng);
-    ag::VarPtr xv = ag::MakeVariable(x0.Clone(), true);
-    ag::VarPtr y = layer.Forward(xv);
-    ag::Backward(ag::SumAll(ag::Mul(y, ag::Constant(cot))));
-    std::vector<Tensor> out{y->value, xv->grad,
-                            layer.last_attention().Clone()};
-    for (const auto& p : layer.Parameters()) out.push_back(p->grad);
-    return out;
-  });
+ag::VarPtr Param(const NamedParams& params, const std::string& name) {
+  for (const auto& [n, v] : params) {
+    if (n == name) return v;
+  }
+  ADD_FAILURE() << "no parameter " << name;
+  return nullptr;
 }
 
-TEST(GraphBackendEquivalenceTest, RsrExplicitPredictorScores) {
-  GraphChecker checker;
-  checker.set_rtol(2e-3f).set_atol(2e-4f);
-  Rng rng(33);
-  const graph::RelationTensor rel = RandomRelations(20, 4, 70, &rng);
-  const Tensor x0 = checker.Uniform({6, 20, 4}, 0.9f, 1.1f);
-  checker.Check("RSR_E", [&]() {
-    baselines::RsrPredictor pred(rel, baselines::RsrVariant::kExplicit,
-                                 /*num_features=*/4, /*hidden=*/8,
-                                 /*alpha=*/0.1f, /*seed=*/123);
-    return std::vector<Tensor>{pred.Score(x0)};
-  });
+// Runs `forward` on a gradient-tracking copy of x0, backpropagates the
+// cotangent and returns {y, dx, every parameter grad, diagnostic}.
+std::vector<Tensor> ForwardBackward(
+    const Tensor& x0, const Tensor& cot, const NamedParams& params,
+    const std::function<ag::VarPtr(const ag::VarPtr&)>& forward,
+    const std::function<Tensor()>& diagnostic) {
+  ag::VarPtr x = ag::MakeVariable(x0.Clone(), true);
+  ag::VarPtr y = forward(x);
+  ag::Backward(ag::SumAll(ag::Mul(y, ag::Constant(cot))));
+  std::vector<Tensor> out{y->value, x->grad};
+  for (const auto& [name, p] : params) out.push_back(GradOrZeros(p));
+  out.push_back(diagnostic());
+  return out;
 }
 
-TEST(GraphBackendEquivalenceTest, DegenerateUniversesRunOnBothBackends) {
-  GraphChecker checker;
-  checker.set_rtol(2e-3f).set_atol(2e-4f);
-  // No relations at all: propagation degenerates to the identity.
-  graph::RelationTensor empty(5, 2);
-  const Tensor xe = checker.Uniform({6, 5, 3}, 0.9f, 1.1f);
-  // Single-stock universe (the market-generator regression case).
-  graph::RelationTensor one(1, 1);
-  const Tensor x1 = checker.Uniform({6, 1, 3}, 0.9f, 1.1f);
-  struct Case {
-    const graph::RelationTensor* rel;
-    const Tensor* x;
-    const char* name;
-  } cases[] = {{&empty, &xe, "empty relations"}, {&one, &x1, "single stock"}};
-  for (const Case& c : cases) {
-    for (core::Strategy strat :
-         {core::Strategy::kUniform, core::Strategy::kWeight,
-          core::Strategy::kTimeSensitive}) {
-      checker.Check(std::string(c.name) + " " + core::StrategyName(strat),
-                    [&]() {
-                      Rng mrng(41);
-                      core::RtGcnConfig cfg;
-                      cfg.strategy = strat;
-                      cfg.window = 6;
-                      cfg.num_features = 3;
-                      cfg.relational_filters = 4;
-                      cfg.temporal_stride = 2;
-                      cfg.dropout = 0.0f;
-                      core::RtGcnModel model(*c.rel, cfg, &mrng);
-                      model.SetTraining(false);
-                      Rng fwd(7);
-                      ag::VarPtr scores =
-                          model.Forward(ag::Constant(*c.x), &fwd);
-                      for (int64_t i = 0; i < scores->value.numel(); ++i) {
-                        EXPECT_TRUE(std::isfinite(scores->value.data()[i]))
-                            << c.name;
-                      }
-                      return std::vector<Tensor>{scores->value};
-                    });
+// Dense oracle of an RtGcnLayer without its temporal block:
+// ReLU((P ⊛ X) Θ) with the strategy's [N, N] propagation matrix P (Eq. 3–5).
+// The diagnostic is P, time-averaged for the time-sensitive strategy.
+std::vector<Tensor> DenseRtGcnLayer(const graph::RelationTensor& rel,
+                                    core::Strategy strategy,
+                                    const nn::Module& layer, const Tensor& x0,
+                                    const Tensor& cot) {
+  const NamedParams params = CopyParameters(layer);
+  const int64_t t_len = x0.dim(0), n = x0.dim(1), d = x0.dim(2);
+  const ag::VarPtr adj = ag::Constant(graph::NormalizedAdjacency(rel));
+  Tensor p;
+  auto forward = [&](const ag::VarPtr& x) {
+    // Every strategy except Uniform scales Â by S (Eq. 4).
+    ag::VarPtr base = adj;
+    if (strategy != core::Strategy::kUniform) {
+      base = ag::Mul(adj, graph::RelationEdgeWeights(
+                              rel, Param(params, "relation_w"),
+                              Param(params, "relation_b")));
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Backend dispatch (mirror of kernel_dispatch_test)
-// ---------------------------------------------------------------------------
-
-// Restores RTGCN_GRAPH_BACKEND and the selection after each test so
-// ordering does not leak between cases.
-class GraphDispatchTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    const char* env = std::getenv("RTGCN_GRAPH_BACKEND");
-    had_env_ = env != nullptr;
-    if (had_env_) saved_env_ = env;
-    prev_ = graph::ActiveGraphBackend();
-  }
-  void TearDown() override {
-    if (had_env_) {
-      ::setenv("RTGCN_GRAPH_BACKEND", saved_env_.c_str(), 1);
+    ag::VarPtr propagated;
+    if (strategy == core::Strategy::kTimeSensitive) {
+      // P(t) = Â ⊙ S ⊙ X(t) X(t)ᵀ / √d (Eq. 5).
+      ag::VarPtr corr = ag::MulScalar(
+          ag::BatchMatMul(x, ag::Permute(x, {0, 2, 1})),
+          1.0f / std::sqrt(static_cast<float>(d)));
+      ag::VarPtr pt = ag::Mul(corr, base);
+      p = rtgcn::Mean(pt->value, 0);
+      propagated = ag::BatchMatMul(pt, x);
     } else {
-      ::unsetenv("RTGCN_GRAPH_BACKEND");
+      p = base->value;
+      ag::VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
+      propagated = ag::Permute(
+          ag::Reshape(ag::MatMul(base, xn), {n, t_len, d}), {1, 0, 2});
     }
-    graph::SetGraphBackend(prev_);
-  }
+    ag::VarPtr theta = Param(params, "theta");
+    return ag::Relu(ag::Reshape(
+        ag::MatMul(ag::Reshape(propagated, {t_len * n, d}), theta),
+        {t_len, n, theta->value.dim(1)}));
+  };
+  return ForwardBackward(x0, cot, params, forward, [&] { return p; });
+}
 
-  bool had_env_ = false;
-  std::string saved_env_;
-  graph::GraphBackend prev_ = graph::GraphBackend::kSparse;
+// Dense oracle of a GatLayer: α = masked row softmax of
+// LeakyReLU(a_src·Wh_i + a_dst·Wh_j) over related pairs plus self loops,
+// y = α W h. The diagnostic is α.
+std::vector<Tensor> DenseGatLayer(const graph::RelationTensor& rel,
+                                  const nn::Module& layer, const Tensor& x0,
+                                  const Tensor& cot) {
+  const NamedParams params = CopyParameters(layer);
+  Tensor mask = rel.DenseMask();
+  const int64_t n = rel.num_stocks();
+  for (int64_t i = 0; i < n; ++i) mask.data()[i * n + i] = 1.0f;
+  Tensor alpha;
+  auto forward = [&](const ag::VarPtr& x) {
+    ag::VarPtr h = ag::MatMul(x, Param(params, "weight"));
+    ag::VarPtr src = ag::MatMul(h, Param(params, "a_src"));
+    ag::VarPtr dst = ag::Transpose(ag::MatMul(h, Param(params, "a_dst")));
+    ag::VarPtr a = graph::MaskedRowSoftmax(
+        ag::LeakyRelu(ag::Add(src, dst), 0.2f), mask);
+    alpha = a->value;
+    return ag::MatMul(a, h);
+  };
+  return ForwardBackward(x0, cot, params, forward, [&] { return alpha; });
+}
+
+struct Universe {
+  const char* name;
+  graph::RelationTensor rel;
 };
 
-TEST_F(GraphDispatchTest, ResolveBackendKnownNames) {
-  ASSERT_TRUE(graph::ResolveGraphBackend("dense").ok());
-  EXPECT_EQ(graph::ResolveGraphBackend("dense").ValueOrDie(),
-            graph::GraphBackend::kDense);
-  ASSERT_TRUE(graph::ResolveGraphBackend("sparse").ok());
-  EXPECT_EQ(graph::ResolveGraphBackend("sparse").ValueOrDie(),
-            graph::GraphBackend::kSparse);
-  // auto (and empty) resolve to the O(E) sparse path.
-  EXPECT_EQ(graph::ResolveGraphBackend("auto").ValueOrDie(),
-            graph::GraphBackend::kSparse);
-  EXPECT_EQ(graph::ResolveGraphBackend("").ValueOrDie(),
-            graph::GraphBackend::kSparse);
+// A random sparse universe plus the degenerate ones: no relations at all
+// (propagation degenerates to the identity) and a single stock (the
+// market-generator regression case).
+std::vector<Universe> EquivalenceUniverses() {
+  Rng rng(31);
+  std::vector<Universe> out;
+  out.push_back({"random", RandomRelations(28, 5, 120, &rng)});
+  out.push_back({"empty relations", graph::RelationTensor(5, 2)});
+  out.push_back({"single stock", graph::RelationTensor(1, 1)});
+  return out;
 }
 
-TEST_F(GraphDispatchTest, ResolveBackendRejectsUnknown) {
-  for (const char* bad : {"csr", "DENSE", "Sparse", "fastest"}) {
-    Result<graph::GraphBackend> r = graph::ResolveGraphBackend(bad);
-    ASSERT_FALSE(r.ok()) << bad;
-    EXPECT_NE(r.status().message().find("unknown graph backend"),
-              std::string::npos)
-        << r.status().message();
+TEST(GraphBackendEquivalenceTest, RtGcnLayerMatchesDenseFormulas) {
+  GraphChecker checker;
+  checker.set_rtol(1e-4f).set_atol(1e-5f);
+  for (const Universe& u : EquivalenceUniverses()) {
+    const int64_t n = u.rel.num_stocks(), t_len = 8, d = 4, f = 6;
+    const Tensor x0 = checker.Uniform({t_len, n, d}, 0.9f, 1.1f);
+    const Tensor cot = checker.Gaussian({t_len, n, f});
+    for (core::Strategy strategy :
+         {core::Strategy::kUniform, core::Strategy::kWeight,
+          core::Strategy::kTimeSensitive}) {
+      core::RtGcnConfig cfg;
+      cfg.strategy = strategy;
+      cfg.use_temporal = false;
+      Rng lrng(77);
+      const core::RtGcnLayer layer(u.rel, cfg, d, f, &lrng);
+      checker.Check(
+          std::string(u.name) + " RT-GCN (" + core::StrategyName(strategy) +
+              ")",
+          [&] { return DenseRtGcnLayer(u.rel, strategy, layer, x0, cot); },
+          [&] {
+            Rng fwd(7);
+            return ForwardBackward(
+                x0, cot, layer.NamedParameters(),
+                [&](const ag::VarPtr& x) { return layer.Forward(x, &fwd); },
+                [&] { return layer.last_propagation().Clone(); });
+          });
+    }
   }
 }
 
-TEST_F(GraphDispatchTest, SetBackendByName) {
-  ASSERT_TRUE(graph::SetGraphBackendByName("dense").ok());
-  EXPECT_EQ(graph::ActiveGraphBackend(), graph::GraphBackend::kDense);
-  ASSERT_TRUE(graph::SetGraphBackendByName("sparse").ok());
-  EXPECT_EQ(graph::ActiveGraphBackend(), graph::GraphBackend::kSparse);
-  ASSERT_FALSE(graph::SetGraphBackendByName("not-a-backend").ok());
-  // Failed resolution leaves the selection untouched.
-  EXPECT_EQ(graph::ActiveGraphBackend(), graph::GraphBackend::kSparse);
-}
-
-TEST_F(GraphDispatchTest, EnvVarForcesDense) {
-  ::setenv("RTGCN_GRAPH_BACKEND", "dense", 1);
-  graph::ReinitGraphBackendFromEnvForTest();
-  EXPECT_EQ(graph::ActiveGraphBackend(), graph::GraphBackend::kDense);
-}
-
-TEST_F(GraphDispatchTest, InvalidEnvVarFallsBackToAuto) {
-  ::setenv("RTGCN_GRAPH_BACKEND", "warp-drive", 1);
-  graph::ReinitGraphBackendFromEnvForTest();
-  // Must not abort; auto resolves to sparse.
-  EXPECT_EQ(graph::ActiveGraphBackend(), graph::GraphBackend::kSparse);
-}
-
-TEST_F(GraphDispatchTest, UnsetEnvDefaultsToSparse) {
-  ::unsetenv("RTGCN_GRAPH_BACKEND");
-  graph::ReinitGraphBackendFromEnvForTest();
-  EXPECT_EQ(graph::ActiveGraphBackend(), graph::GraphBackend::kSparse);
-}
-
-TEST_F(GraphDispatchTest, SelectionPublishedToRegistry) {
-  auto& reg = obs::Registry::Global();
-  graph::SetGraphBackend(graph::GraphBackend::kDense);
-  EXPECT_EQ(reg.GetGauge("graph.backend")->Value(),
-            static_cast<double>(graph::GraphBackend::kDense));
-  const uint64_t before =
-      reg.GetCounter("graph.backend.selected.sparse")->Value();
-  graph::SetGraphBackend(graph::GraphBackend::kSparse);
-  EXPECT_EQ(reg.GetGauge("graph.backend")->Value(),
-            static_cast<double>(graph::GraphBackend::kSparse));
-  EXPECT_EQ(reg.GetCounter("graph.backend.selected.sparse")->Value(),
-            before + 1);
-}
-
-TEST_F(GraphDispatchTest, BuildMetricsPublished) {
-  auto& reg = obs::Registry::Global();
-  const uint64_t before = reg.GetCounter("graph.sparse.builds")->Value();
-  graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(MakeTriangle());
-  EXPECT_EQ(reg.GetCounter("graph.sparse.builds")->Value(), before + 1);
-  EXPECT_EQ(reg.GetGauge("graph.sparse.last_build_entries")->Value(),
-            static_cast<double>(g->num_entries()));
-  EXPECT_EQ(reg.GetGauge("graph.sparse.last_build_bytes")->Value(),
-            static_cast<double>(g->ApproxBytes()));
-}
-
-TEST_F(GraphDispatchTest, ScopedGraphBackendRestores) {
-  graph::SetGraphBackend(graph::GraphBackend::kSparse);
-  {
-    ScopedGraphBackend scope(graph::GraphBackend::kDense);
-    EXPECT_EQ(graph::ActiveGraphBackend(), graph::GraphBackend::kDense);
+TEST(GraphBackendEquivalenceTest, GatLayerMatchesDenseFormulas) {
+  GraphChecker checker;
+  checker.set_rtol(1e-4f).set_atol(1e-5f);
+  for (const Universe& u : EquivalenceUniverses()) {
+    const int64_t n = u.rel.num_stocks();
+    const Tensor x0 = checker.Gaussian({n, 5});
+    const Tensor cot = checker.Gaussian({n, 4});
+    Rng lrng(9);
+    const graph::GatLayer layer(u.rel, 5, 4, &lrng);
+    checker.Check(
+        std::string(u.name) + " GatLayer",
+        [&] { return DenseGatLayer(u.rel, layer, x0, cot); },
+        [&] {
+          return ForwardBackward(
+              x0, cot, layer.NamedParameters(),
+              [&](const ag::VarPtr& x) { return layer.Forward(x); },
+              [&] { return layer.last_attention().Clone(); });
+        });
   }
-  EXPECT_EQ(graph::ActiveGraphBackend(), graph::GraphBackend::kSparse);
 }
 
 }  // namespace

@@ -7,14 +7,12 @@
 //    times and the avx2-over-reference speedups. The reference numbers ARE
 //    the baseline — each run re-measures both backends on the same machine,
 //    so the speedup column never compares across hosts.
-//  - --mode scale: universe-size scaling curves for the graph backends.
+//  - --mode scale: universe-size scaling curves of the sparse CSR graph.
 //    For each N in --scale_sizes (default 500,1405,10000 — paper NYSE is
 //    1405) it builds synthetic relations at ~0.3% pair density (Table III's
-//    wiki-relation ratio), reports CSR memory vs the dense [N, N] mask, CSR
-//    build time, and one full train step per graph backend. The dense step
-//    is skipped above N = 2000 where the [N, N] matrices stop fitting a
-//    sane budget — the whole point of the sparse path. Writes
-//    BENCH_scale.json.
+//    wiki-relation ratio), reports CSR memory vs the O(N²) bytes a dense
+//    [N, N] mask would take, CSR build time, and one full train step.
+//    Writes BENCH_scale.json.
 //  - --mode stream: drives the streaming subsystem (TickSource →
 //    SlidingFeatureWindow/DynamicGraph → RollingPipeline) through a seeded
 //    churn + flash-crash scenario and captures its headline numbers —
@@ -42,7 +40,6 @@
 #include "common/thread_pool.h"
 #include "core/loss.h"
 #include "core/rtgcn.h"
-#include "graph/adjacency.h"
 #include "graph/sparse.h"
 #include "market/market.h"
 #include "market/relation_generator.h"
@@ -255,7 +252,7 @@ int Generate(const std::string& out_path, const std::string& sizes_csv,
 }
 
 // ---------------------------------------------------------------------------
-// --mode scale: universe-size scaling of the graph backends
+// --mode scale: universe-size scaling of the sparse CSR graph
 // ---------------------------------------------------------------------------
 
 struct ScaleSample {
@@ -266,17 +263,13 @@ struct ScaleSample {
   size_t dense_mask_bytes = 0;
   double build_ms = 0;
   double sparse_step_ms = 0;
-  double dense_step_ms = -1;  // < 0: skipped (dense [N, N] out of budget)
 };
 
 // One full train step (forward + backward + Adam) of the time-sensitive
-// RT-GCN under the given graph backend. The loss is the pure O(N)
-// regression term: PairwiseRankingLoss needs only O(N) memory, but its
-// O(N²) compute would dominate — and defeat — the O(E) scaling measurement
-// at N = 10,000.
-double TimeScaleStep(const graph::RelationTensor& rel,
-                     graph::GraphBackend backend, int repeats) {
-  graph::SetGraphBackend(backend);
+// RT-GCN. The loss is the pure O(N) regression term: PairwiseRankingLoss
+// needs only O(N) memory, but its O(N²) compute would dominate — and
+// defeat — the O(E) scaling measurement at N = 10,000.
+double TimeScaleStep(const graph::RelationTensor& rel, int repeats) {
   Rng rng(11);
   const int64_t n = rel.num_stocks();
   const int64_t window = 8, features = 4;
@@ -304,8 +297,6 @@ int GenerateScale(const std::string& out_path, const std::string& sizes_csv,
   std::vector<int64_t> sizes;
   if (!ParseSizes(sizes_csv, &sizes)) return 1;
   constexpr double kDensity = 0.003;  // Table III wiki relation ratio
-  constexpr int64_t kDenseLimit = 2000;
-  const graph::GraphBackend prev = graph::ActiveGraphBackend();
 
   std::vector<ScaleSample> rows;
   for (int64_t n : sizes) {
@@ -324,29 +315,20 @@ int GenerateScale(const std::string& out_path, const std::string& sizes_csv,
     s.csr_entries = g->num_entries();
     s.csr_bytes = g->ApproxBytes();
     s.dense_mask_bytes = static_cast<size_t>(n) * n * sizeof(float);
-    s.sparse_step_ms = TimeScaleStep(rel, graph::GraphBackend::kSparse,
-                                     repeats);
-    if (n <= kDenseLimit) {
-      s.dense_step_ms = TimeScaleStep(rel, graph::GraphBackend::kDense,
-                                      repeats);
-    }
+    s.sparse_step_ms = TimeScaleStep(rel, repeats);
     std::fprintf(stderr,
                  "  scale n=%lld edges=%lld csr=%zuB dense_mask=%zuB "
-                 "build=%.2fms sparse_step=%.2fms dense_step=%s\n",
+                 "build=%.2fms sparse_step=%.2fms\n",
                  static_cast<long long>(s.n),
                  static_cast<long long>(s.undirected_edges), s.csr_bytes,
-                 s.dense_mask_bytes, s.build_ms, s.sparse_step_ms,
-                 s.dense_step_ms >= 0 ? FmtD(s.dense_step_ms).c_str()
-                                      : "skipped");
+                 s.dense_mask_bytes, s.build_ms, s.sparse_step_ms);
     rows.push_back(s);
   }
-  graph::SetGraphBackend(prev);
 
   std::ostringstream js;
   js << "{\n";
   js << "  \"bench\": \"scale\",\n";
   js << "  \"density\": " << FmtD(kDensity) << ",\n";
-  js << "  \"dense_step_limit_n\": " << kDenseLimit << ",\n";
   js << "  \"rows\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const ScaleSample& s = rows[i];
@@ -355,14 +337,8 @@ int GenerateScale(const std::string& out_path, const std::string& sizes_csv,
        << ", \"csr_bytes\": " << s.csr_bytes
        << ", \"dense_mask_bytes\": " << s.dense_mask_bytes
        << ", \"build_ms\": " << FmtD(s.build_ms)
-       << ", \"sparse_step_ms\": " << FmtD(s.sparse_step_ms)
-       << ", \"dense_step_ms\": ";
-    if (s.dense_step_ms >= 0) {
-      js << FmtD(s.dense_step_ms);
-    } else {
-      js << "null";
-    }
-    js << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+       << ", \"sparse_step_ms\": " << FmtD(s.sparse_step_ms) << "}"
+       << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   js << "  ]\n";
   js << "}\n";
@@ -678,8 +654,7 @@ int Check(const std::string& path) {
                                            "retrains", "retrain_mean_seconds",
                                            "reload_p95_us"}
                 : is_scale
-                      ? std::vector<const char*>{"bench", "density",
-                                                 "dense_step_limit_n", "rows"}
+                      ? std::vector<const char*>{"bench", "density", "rows"}
                       : std::vector<const char*>{"bench", "cpu_supports_avx2",
                                                  "matmul", "train_step",
                                                  "speedup"};
@@ -706,7 +681,7 @@ int Main(int argc, char** argv) {
   int64_t stream_stocks = 96;
   int64_t stream_days = 100;
   FlagSet fs(
-      "Measure kernel-backend (--mode kernels), graph-backend scaling "
+      "Measure kernel-backend (--mode kernels), sparse-graph scaling "
       "(--mode scale) or streaming-subsystem (--mode stream) performance to "
       "JSON.");
   fs.RegisterChoice("mode", &mode, {"kernels", "scale", "stream"},
