@@ -314,7 +314,7 @@ void AsyncServer::PumpConn(uint64_t id) {
          parsed.ValueOrDie().verb == Request::Verb::kRank ||
          parsed.ValueOrDie().verb == Request::Verb::kScoreBatch);
     if (!blocking) {
-      // Errors and PING/HEALTH/STATS/PROTO/QUIT answer without blocking.
+      // Errors and PING/HEALTH/STATS/QUIT answer without blocking.
       const std::string reply = ExecuteLine(server_, metrics_, line);
       if (reply.empty()) {  // QUIT
         conns_[id].closing = true;

@@ -1,6 +1,8 @@
 // Epoll event-loop front end over the InferenceServer (DESIGN.md §15): the
-// one socket front end of the serving stack. Every wire line executes
-// through ExecuteLine (serve/protocol.h).
+// one socket front end of the serving stack. Every wire line is a framed
+// "2 <id> <VERB> ..." request and executes through ExecuteLine
+// (serve/protocol.h); an unframed line is answered "2 0 ERR <usage>" and
+// the connection stays open.
 //
 // One IO thread multiplexes every connection through a level-triggered
 // epoll set — non-blocking accept/read/write with a per-connection state
@@ -10,7 +12,7 @@
 //  * a complete line whose answer is already cached (TryExecuteLineFast:
 //    SCORE/RANK against the current version's score cache while SERVING)
 //    is answered inline on the IO thread — no queue, no context switch;
-//  * non-blocking verbs (PING/HEALTH/STATS/PROTO) also run inline;
+//  * non-blocking verbs (PING/HEALTH/STATS) also run inline;
 //  * anything that must block (cache miss, degraded, draining — the paths
 //    with admission, deadline and stale accounting) is handed to a small
 //    executor pool; the connection dispatches at most one blocking line at
@@ -19,10 +21,11 @@
 // Overload safety: a connection cap (excess accepts answer BUSY and
 // close), a request-line byte cap (a line longer than max_line_bytes,
 // terminated or not, gets "ERR line too long" and the connection is
-// dropped), bounded per-connection input and output buffers — a
-// connection pushing lines faster than the server drains them, or not
-// reading its replies, loses EPOLLIN until it drains (TCP backpressure
-// does the rest) — and MSG_NOSIGNAL everywhere.
+// dropped; these two notices answer no request, so they carry no
+// frame), bounded per-connection input and output buffers — a connection
+// pushing lines faster than the server drains them, or not reading its
+// replies, loses EPOLLIN until it drains (TCP backpressure does the
+// rest) — and MSG_NOSIGNAL everywhere.
 //
 // Threading: epoll_ctl, reads, writes and connection teardown happen only
 // on the IO thread. Executors touch a completion queue (mutex) and an

@@ -30,8 +30,9 @@ void SetSocketTimeout(int fd, int optname, int64_t ms) {
   ::setsockopt(fd, SOL_SOCKET, optname, &tv, sizeof(tv));
 }
 
-// Reply payload past any v2 "2 <id> " frame prefix, so transport-level
-// classification (BUSY/DRAINING) works under either framing.
+// Reply payload past the "2 <id> " frame, for transport-level
+// classification (BUSY/DRAINING). The front end's connection-cap BUSY is
+// written before any request and carries no frame.
 std::string_view PayloadOf(const std::string& line) {
   std::string_view v(line);
   if (!StartsWith(line, "2 ")) return v;
@@ -200,13 +201,20 @@ Result<std::string> Client::RoundTrip(const std::string& line) {
                                  " attempts)");
 }
 
-Result<std::string> Client::Health() { return RoundTrip("HEALTH"); }
+Result<std::string> Client::Health() {
+  Request request;
+  request.verb = Request::Verb::kHealth;
+  RTGCN_ASSIGN_OR_RETURN(Reply reply, Call(std::move(request)));
+  return std::move(reply.text);
+}
 
 Result<std::string> Client::Stats() {
-  auto first = RoundTrip("STATS");
-  if (!first.ok()) return first.status();
+  Request request;
+  request.verb = Request::Verb::kStats;
+  RTGCN_ASSIGN_OR_RETURN(Reply reply, Call(std::move(request)));
+  // The frame carries the first body line; the rest follow unframed.
   std::string text;
-  std::string line = first.MoveValueOrDie();
+  std::string line = std::move(reply.text);
   while (line != "END") {
     text += line;
     text += '\n';
@@ -221,13 +229,12 @@ Result<std::string> Client::Stats() {
 }
 
 Result<Reply> Client::Call(Request request) {
-  request.proto = proto_;
-  if (proto_ >= 2) request.id = next_id_++;
+  request.id = next_id_++;
   auto raw = RoundTrip(FormatRequest(request));
   if (!raw.ok()) return raw.status();
   RTGCN_ASSIGN_OR_RETURN(Reply reply,
                          ParseReply(raw.ValueOrDie(), request));
-  if (request.proto >= 2 && reply.id != request.id) {
+  if (reply.id != request.id) {
     return Status::Internal("reply id ", reply.id, " does not match request ",
                             request.id);
   }
@@ -266,22 +273,6 @@ Result<Client::RankResult> Client::Rank(int64_t day, int64_t k,
   result.top = std::move(reply.top);
   result.stale = reply.stale;
   return result;
-}
-
-Result<Client::ProtoInfo> Client::Negotiate(int version) {
-  Request request;
-  request.verb = Request::Verb::kProto;
-  request.proto_version = version;
-  RTGCN_ASSIGN_OR_RETURN(Reply reply, Call(std::move(request)));
-  if (reply.kind != Reply::Kind::kProtoAck) {
-    return Status::Internal("unexpected PROTO reply kind");
-  }
-  proto_ = reply.proto_version;  // later requests use the negotiated framing
-  ProtoInfo info;
-  info.version = reply.proto_version;
-  info.shards = reply.shards;
-  info.current_version = reply.current_version;
-  return info;
 }
 
 Result<std::vector<Client::ScoreResult>> Client::ScoreBatch(

@@ -1,5 +1,8 @@
 // Line-protocol client with connect/read/send timeouts and bounded retry.
 //
+// Every call frames its request as "2 <id> <VERB> ..." with a fresh id
+// and checks that the reply echoes it (serve/protocol.h).
+//
 // A Client owns one loopback connection to an AsyncServer and re-issues a
 // request — with exponential backoff plus jitter — when the server replies
 // BUSY (admission shed) or the connection fails (connect error, send
@@ -51,13 +54,6 @@ class Client {
     bool stale = false;
   };
 
-  /// PROTO negotiation ack: what the server speaks and serves.
-  struct ProtoInfo {
-    int version = 1;
-    int64_t shards = 1;
-    int64_t current_version = -1;
-  };
-
   /// `metrics` may be null; when set, retries feed serve.client_retries.
   explicit Client(Options options, Metrics* metrics = nullptr);
   ~Client();
@@ -72,32 +68,17 @@ class Client {
   /// RANK <day> <k> [DEADLINE <ms>].
   Result<RankResult> Rank(int64_t day, int64_t k, int64_t deadline_ms = 0);
 
-  /// Negotiates the wire protocol (PROTO verb): `version` 0 asks for the
-  /// highest the server speaks. On success every later request uses the
-  /// negotiated framing (v2 adds request ids), and the ack's shard count /
-  /// model version are returned.
-  Result<ProtoInfo> Negotiate(int version = 0);
-
-  /// v2 SCOREN: several stocks of one day in one round trip. Results are
+  /// SCOREN: several stocks of one day in one round trip. Results are
   /// aligned with `stocks`.
   Result<std::vector<ScoreResult>> ScoreBatch(
       int64_t day, const std::vector<int64_t>& stocks,
       int64_t deadline_ms = 0);
 
-  /// Wire framing currently in use (1 until Negotiate() succeeds).
-  int proto() const { return proto_; }
-
-  /// HEALTH -> "SERVING version=..." / "DEGRADED ..." / "DRAINING".
+  /// HEALTH -> "SERVING version=..." / "DEGRADED ..." / "DRAINING ...".
   Result<std::string> Health();
 
   /// STATS -> the full multi-line metrics dump (END stripped).
   Result<std::string> Stats();
-
-  /// Sends one line and returns the reply line, applying the retry policy.
-  /// BUSY replies and connection failures retry with backoff; DRAINING
-  /// returns Unavailable without retry; ERR replies are returned verbatim
-  /// (they are valid protocol replies, not transport failures).
-  Result<std::string> RoundTrip(const std::string& line);
 
   void Close();
   bool connected() const { return fd_ >= 0; }
@@ -109,7 +90,12 @@ class Client {
   Status SendLine(const std::string& line);
   Result<std::string> ReadLine();
   void Backoff(int attempt);
-  /// Stamps framing/id onto `request`, round-trips it, parses the reply,
+  /// Sends one line and returns the reply line, applying the retry policy.
+  /// BUSY replies and connection failures retry with backoff; DRAINING
+  /// returns Unavailable without retry; ERR replies are returned verbatim
+  /// (they are valid protocol replies, not transport failures).
+  Result<std::string> RoundTrip(const std::string& line);
+  /// Stamps a fresh id onto `request`, round-trips it, parses the reply,
   /// and maps protocol-level errors (ERR ...) onto Status.
   Result<Reply> Call(Request request);
 
@@ -119,7 +105,6 @@ class Client {
   int fd_ = -1;
   std::string buffer_;
   uint64_t retries_ = 0;
-  int proto_ = 1;
   uint64_t next_id_ = 1;
 };
 

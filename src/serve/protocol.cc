@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
@@ -20,17 +19,29 @@ namespace rtgcn::serve {
 namespace {
 
 // Request parsing runs on every wire line, so it works in string_views
-// over the input and from_chars — no per-token heap traffic.
-bool ParseInt(std::string_view s, int64_t* out) {
-  if (s.empty()) return false;
-  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && p == s.data() + s.size();
+// over the input and from_chars — no per-token heap traffic. Each parser
+// accepts only a whole token (no sign for an unsigned one) and leaves *out
+// untouched otherwise.
+template <typename Int>
+bool ParseInt(std::string_view s, Int* out) {
+  Int v{};
+  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (s.empty() || ec != std::errc() || p != s.data() + s.size()) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
-bool ParseUint(std::string_view s, uint64_t* out) {
-  if (s.empty() || s[0] == '-') return false;
-  const auto [p, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
-  return ec == std::errc() && p == s.data() + s.size();
+// Reply scores go through strtof, the inverse of the %.9g they were
+// printed with (client side only, so the token copy is fine).
+bool ParseFloat(std::string_view s, float* out) {
+  const std::string token(s);
+  char* end = nullptr;
+  const float v = std::strtof(token.c_str(), &end);
+  if (token.empty() || end != token.c_str() + token.size()) return false;
+  *out = v;
+  return true;
 }
 
 // Parses an optional trailing "DEADLINE <ms>" (ms > 0) starting at
@@ -57,11 +68,9 @@ std::vector<std::string_view> Tokenize(const std::string& line) {
 }
 
 // Parses the verb + operands at parts[at..] into `request`. The error
-// message on a malformed line is the exact legacy usage text (v2 forms
-// reuse the same verbs, so usage strings name the verb only).
+// message on a malformed line is the usage text of the verb.
 Status ParseVerb(const std::vector<std::string_view>& parts, size_t at,
                  Request* request) {
-  if (parts.size() <= at) return Status::InvalidArgument("empty command");
   const std::string_view cmd = parts[at];
   if (cmd == "PING") {
     request->verb = Request::Verb::kPing;
@@ -122,25 +131,26 @@ Status ParseVerb(const std::vector<std::string_view>& parts, size_t at,
     }
     return Status::OK();
   }
-  if (cmd == "PROTO") {
-    request->verb = Request::Verb::kProto;
-    request->proto_version = 0;
-    if (parts.size() == at + 1) return Status::OK();
-    int64_t v = 0;
-    if (parts.size() != at + 2 || !ParseInt(parts[at + 1], &v)) {
-      return Status::InvalidArgument("usage: PROTO [<version>]");
-    }
-    request->proto_version = static_cast<int>(v);
-    return Status::OK();
-  }
   return Status::InvalidArgument("unknown command: ", cmd);
+}
+
+// Parses a "2 <id> <VERB> ..." line into `request`. The id is stored as
+// soon as it is read, so a caller answering a parse error can still echo
+// it; it stays 0 when the line is unframed or the id is unreadable.
+Status ParseRequestInto(const std::string& line, Request* request) {
+  const std::vector<std::string_view> parts = Tokenize(line);
+  if (parts.size() < 2 || parts[0] != "2" ||
+      !ParseInt(parts[1], &request->id) || parts.size() < 3) {
+    return Status::InvalidArgument(
+        "malformed v2 frame (want: 2 <id> <verb> ...)");
+  }
+  return ParseVerb(parts, 2, request);
 }
 
 // Overload-safety wire mapping: shed/draining/deadline outcomes get their
 // own first tokens so clients can branch without parsing prose.
 Reply ErrorReplyFor(const Request& request, const Status& status) {
   Reply reply;
-  reply.proto = request.proto;
   reply.id = request.id;
   switch (status.code()) {
     case StatusCode::kUnavailable:
@@ -160,15 +170,6 @@ Reply ErrorReplyFor(const Request& request, const Status& status) {
       reply.text = status.ToString();
       return reply;
   }
-}
-
-Reply ParseErrorReply(int proto, uint64_t id, const Status& status) {
-  Reply reply;
-  reply.proto = proto;
-  reply.id = id;
-  reply.kind = Reply::Kind::kErr;
-  reply.text = status.message();
-  return reply;
 }
 
 // Reply formatting runs once per served request; these appenders keep it
@@ -198,7 +199,6 @@ void AppendStale(std::string* out, bool stale) {
 
 Reply MakeScoreReplyFor(const Request& request, const ScoreReply& score) {
   Reply reply;
-  reply.proto = request.proto;
   reply.id = request.id;
   reply.kind = Reply::Kind::kScore;
   reply.score = score;
@@ -207,7 +207,6 @@ Reply MakeScoreReplyFor(const Request& request, const ScoreReply& score) {
 
 Reply MakeRankReplyFor(const Request& request, const RankReply& rank) {
   Reply reply;
-  reply.proto = request.proto;
   reply.id = request.id;
   reply.kind = Reply::Kind::kRank;
   reply.model_version = rank.model_version;
@@ -229,12 +228,6 @@ const char* HealthStateName(HealthState state) {
   return "UNKNOWN";
 }
 
-std::string FormatScoreValue(float score) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", static_cast<double>(score));
-  return buf;
-}
-
 std::vector<RankEntry> TopK(const std::vector<float>& scores, int64_t k) {
   const int64_t n = static_cast<int64_t>(scores.size());
   k = std::max<int64_t>(0, std::min(k, n));
@@ -253,27 +246,14 @@ std::vector<RankEntry> TopK(const std::vector<float>& scores, int64_t k) {
 }
 
 Result<Request> ParseRequest(const std::string& line) {
-  const std::vector<std::string_view> parts = Tokenize(line);
   Request request;
-  if (parts.empty()) return Status::InvalidArgument("empty command");
-  if (parts[0] == "2") {
-    // v2 framing: "2 <id> <VERB> ...".
-    request.proto = 2;
-    if (parts.size() < 3 || !ParseUint(parts[1], &request.id)) {
-      return Status::InvalidArgument(
-          "malformed v2 frame (want: 2 <id> <verb> ...)");
-    }
-    RTGCN_RETURN_NOT_OK(ParseVerb(parts, 2, &request));
-    return request;
-  }
-  request.proto = 1;
-  RTGCN_RETURN_NOT_OK(ParseVerb(parts, 0, &request));
+  RTGCN_RETURN_NOT_OK(ParseRequestInto(line, &request));
   return request;
 }
 
 std::string FormatRequest(const Request& request) {
   std::ostringstream out;
-  if (request.proto >= 2) out << "2 " << request.id << ' ';
+  out << "2 " << request.id << ' ';
   switch (request.verb) {
     case Request::Verb::kPing: out << "PING"; break;
     case Request::Verb::kHealth: out << "HEALTH"; break;
@@ -289,10 +269,6 @@ std::string FormatRequest(const Request& request) {
       out << "SCOREN " << request.day << ' ' << request.stocks.size();
       for (int64_t stock : request.stocks) out << ' ' << stock;
       break;
-    case Request::Verb::kProto:
-      out << "PROTO";
-      if (request.proto_version > 0) out << ' ' << request.proto_version;
-      break;
   }
   const bool takes_deadline = request.verb == Request::Verb::kScore ||
                               request.verb == Request::Verb::kRank ||
@@ -306,11 +282,9 @@ std::string FormatRequest(const Request& request) {
 std::string FormatReply(const Reply& reply) {
   std::string out;
   out.reserve(64);
-  if (reply.proto >= 2) {
-    out.append("2 ");
-    AppendUint(&out, reply.id);
-    out.push_back(' ');
-  }
+  out.append("2 ");
+  AppendUint(&out, reply.id);
+  out.push_back(' ');
   switch (reply.kind) {
     case Reply::Kind::kPong:
       out.append("PONG");
@@ -358,14 +332,6 @@ std::string FormatReply(const Reply& reply) {
       out.append("OK ");
       out.append(reply.text);
       break;
-    case Reply::Kind::kProtoAck:
-      out.append("OK PROTO ");
-      AppendInt(&out, reply.proto_version);
-      out.append(" SHARDS ");
-      AppendInt(&out, reply.shards);
-      out.append(" VERSION ");
-      AppendInt(&out, reply.current_version);
-      break;
     case Reply::Kind::kStats:
       out.append(reply.text);
       out.append("END");
@@ -387,21 +353,18 @@ std::string FormatReply(const Reply& reply) {
 
 Result<Reply> ParseReply(const std::string& line, const Request& sent) {
   Reply reply;
-  reply.proto = 1;
-  // Reply parsing is client-side (not the serving hot path); materialized
-  // tokens keep the null-terminated strtof/substr idioms below simple.
-  std::vector<std::string> parts;
-  for (const std::string_view t : Tokenize(line)) parts.emplace_back(t);
-  size_t at = 0;
-  if (sent.proto >= 2 && parts.size() >= 2 && parts[0] == "2") {
-    reply.proto = 2;
-    if (!ParseUint(parts[1], &reply.id)) {
-      return Status::Internal("malformed v2 reply frame: ", line);
-    }
-    at = 2;
+  const std::vector<std::string_view> parts = Tokenize(line);
+  if (parts.size() < 3 || parts[0] != "2" || !ParseInt(parts[1], &reply.id)) {
+    return Status::Internal("malformed reply frame: ", line);
   }
-  if (parts.size() <= at) return Status::Internal("empty reply: ", line);
-  const std::string& head = parts[at];
+  const std::string_view head = parts[2];
+  // Free-text payloads (error detail, health line, first STATS body line)
+  // are everything after the head token, byte for byte.
+  const auto text_after_head = [&] {
+    return parts.size() > 3
+               ? line.substr(static_cast<size_t>(parts[3].data() - line.data()))
+               : std::string();
+  };
   if (head == "PONG") {
     reply.kind = Reply::Kind::kPong;
     return reply;
@@ -412,12 +375,13 @@ Result<Reply> ParseReply(const std::string& line, const Request& sent) {
   }
   if (head == "BUSY" || head == "ERR") {
     reply.kind = head == "BUSY" ? Reply::Kind::kBusy : Reply::Kind::kErr;
-    std::string text;
-    for (size_t i = at + 1; i < parts.size(); ++i) {
-      if (!text.empty()) text += ' ';
-      text += parts[i];
-    }
-    reply.text = text;
+    reply.text = text_after_head();
+    return reply;
+  }
+  if (sent.verb == Request::Verb::kStats) {
+    reply.kind = Reply::Kind::kStats;
+    reply.text =
+        line.substr(static_cast<size_t>(head.data() - line.data()));
     return reply;
   }
   if (head != "OK") return Status::Internal("malformed reply: ", line);
@@ -427,108 +391,73 @@ Result<Reply> ParseReply(const std::string& line, const Request& sent) {
     return parts.size() > payload_end && parts.back() == "STALE";
   };
   switch (sent.verb) {
-    case Request::Verb::kHealth: {
+    case Request::Verb::kHealth:
       reply.kind = Reply::Kind::kHealth;
-      std::string text;
-      for (size_t i = at + 1; i < parts.size(); ++i) {
-        if (!text.empty()) text += ' ';
-        text += parts[i];
-      }
-      reply.text = text;
+      reply.text = text_after_head();
       return reply;
-    }
-    case Request::Verb::kProto: {
-      // OK PROTO <v> SHARDS <k> VERSION <ver>
-      if (parts.size() != at + 7 || parts[at + 1] != "PROTO" ||
-          parts[at + 3] != "SHARDS" || parts[at + 5] != "VERSION") {
-        return Status::Internal("malformed PROTO ack: ", line);
-      }
-      int64_t v = 0;
-      reply.kind = Reply::Kind::kProtoAck;
-      if (!ParseInt(parts[at + 2], &v) ||
-          !ParseInt(parts[at + 4], &reply.shards) ||
-          !ParseInt(parts[at + 6], &reply.current_version)) {
-        return Status::Internal("malformed PROTO ack: ", line);
-      }
-      reply.proto_version = static_cast<int>(v);
-      return reply;
-    }
     case Request::Verb::kScore: {
       // OK <version> <score> <rank> <n> [STALE]
-      if (parts.size() < at + 5) {
-        return Status::Internal("malformed SCORE reply: ", line);
-      }
       reply.kind = Reply::Kind::kScore;
-      int64_t version = 0;
-      if (!ParseInt(parts[at + 1], &version) ||
-          !ParseInt(parts[at + 3], &reply.score.rank) ||
-          !ParseInt(parts[at + 4], &reply.score.num_stocks)) {
+      if (parts.size() < 7 || !ParseInt(parts[3], &reply.score.model_version) ||
+          !ParseFloat(parts[4], &reply.score.score) ||
+          !ParseInt(parts[5], &reply.score.rank) ||
+          !ParseInt(parts[6], &reply.score.num_stocks)) {
         return Status::Internal("malformed SCORE reply: ", line);
       }
-      reply.score.model_version = version;
-      char* end = nullptr;
-      reply.score.score = std::strtof(parts[at + 2].c_str(), &end);
-      if (end == nullptr || *end != '\0') {
-        return Status::Internal("malformed SCORE reply: ", line);
-      }
-      reply.score.stale = tail_is_stale(at + 4);
+      reply.score.stale = tail_is_stale(7);
       return reply;
     }
     case Request::Verb::kRank: {
       // OK <version> <k> <stock>:<score>... [STALE]
-      if (parts.size() < at + 3) {
-        return Status::Internal("malformed RANK reply: ", line);
-      }
       reply.kind = Reply::Kind::kRank;
-      if (!ParseInt(parts[at + 1], &reply.model_version) ||
-          !ParseInt(parts[at + 2], &reply.k) || reply.k < 0) {
+      if (parts.size() < 5 || !ParseInt(parts[3], &reply.model_version) ||
+          !ParseInt(parts[4], &reply.k) || reply.k < 0) {
         return Status::Internal("malformed RANK reply: ", line);
       }
-      if (parts.size() < at + 3 + static_cast<size_t>(reply.k)) {
+      if (parts.size() < 5 + static_cast<size_t>(reply.k)) {
         return Status::Internal("truncated RANK reply: ", line);
       }
       reply.top.reserve(static_cast<size_t>(reply.k));
       for (int64_t i = 0; i < reply.k; ++i) {
-        const std::string& entry = parts[at + 3 + static_cast<size_t>(i)];
+        const std::string_view entry = parts[5 + static_cast<size_t>(i)];
         const size_t colon = entry.find(':');
-        if (colon == std::string::npos) {
+        RankEntry e;
+        if (colon == std::string_view::npos ||
+            !ParseInt(entry.substr(0, colon), &e.stock) ||
+            !ParseFloat(entry.substr(colon + 1), &e.score)) {
           return Status::Internal("malformed RANK entry: ", entry);
         }
-        RankEntry e;
-        e.stock = std::strtoll(entry.substr(0, colon).c_str(), nullptr, 10);
-        e.score = std::strtof(entry.c_str() + colon + 1, nullptr);
         reply.top.push_back(e);
       }
-      reply.stale = tail_is_stale(at + 2 + static_cast<size_t>(reply.k));
+      reply.stale = tail_is_stale(5 + static_cast<size_t>(reply.k));
       return reply;
     }
     case Request::Verb::kScoreBatch: {
       // OK <version> <n> <stock>:<score>:<rank>... [STALE]
-      if (parts.size() < at + 3) {
-        return Status::Internal("malformed SCOREN reply: ", line);
-      }
       reply.kind = Reply::Kind::kScoreBatch;
       int64_t n = 0;
-      if (!ParseInt(parts[at + 1], &reply.model_version) ||
-          !ParseInt(parts[at + 2], &n) || n < 0 ||
-          parts.size() < at + 3 + static_cast<size_t>(n)) {
+      if (parts.size() < 5 || !ParseInt(parts[3], &reply.model_version) ||
+          !ParseInt(parts[4], &n) || n < 0 ||
+          parts.size() < 5 + static_cast<size_t>(n)) {
         return Status::Internal("malformed SCOREN reply: ", line);
       }
-      reply.stale = tail_is_stale(at + 2 + static_cast<size_t>(n));
+      reply.stale = tail_is_stale(5 + static_cast<size_t>(n));
       for (int64_t i = 0; i < n; ++i) {
-        const std::string& entry = parts[at + 3 + static_cast<size_t>(i)];
-        const std::vector<std::string> fields = Split(entry, ':');
-        if (fields.size() != 3) {
-          return Status::Internal("malformed SCOREN entry: ", entry);
-        }
+        const std::string_view entry = parts[5 + static_cast<size_t>(i)];
+        const size_t c1 = entry.find(':');
+        const size_t c2 = c1 == std::string_view::npos
+                              ? c1
+                              : entry.find(':', c1 + 1);
         ScoreReply s;
         s.model_version = reply.model_version;
         s.stale = reply.stale;
         int64_t stock = 0;
-        if (!ParseInt(fields[0], &stock) || !ParseInt(fields[2], &s.rank)) {
+        if (c2 == std::string_view::npos ||
+            !ParseInt(entry.substr(0, c1), &stock) ||
+            !ParseFloat(entry.substr(c1 + 1, c2 - c1 - 1), &s.score) ||
+            !ParseInt(entry.substr(c2 + 1), &s.rank)) {
           return Status::Internal("malformed SCOREN entry: ", entry);
         }
-        s.score = std::strtof(fields[1].c_str(), nullptr);
         reply.batch_stocks.push_back(stock);
         reply.batch.push_back(s);
       }
@@ -542,23 +471,15 @@ Result<Reply> ParseReply(const std::string& line, const Request& sent) {
 std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
                         const std::string& line) {
   obs::Span span("serve.handle_line", "serve");
-  auto parsed = ParseRequest(line);
-  if (!parsed.ok()) {
-    // Parse failures reply under the framing the line arrived in: a
-    // malformed v2 frame whose id was still readable echoes it.
-    int proto = 1;
-    uint64_t id = 0;
-    const std::vector<std::string_view> parts = Tokenize(line);
-    if (!parts.empty() && parts[0] == "2" && parts.size() >= 2 &&
-        ParseUint(parts[1], &id)) {
-      proto = 2;
-    }
-    return FormatReply(ParseErrorReply(proto, id, parsed.status()));
-  }
-  const Request& request = parsed.ValueOrDie();
+  Request request;
+  const Status parsed = ParseRequestInto(line, &request);
   Reply reply;
-  reply.proto = request.proto;
   reply.id = request.id;
+  if (!parsed.ok()) {
+    reply.kind = Reply::Kind::kErr;
+    reply.text = parsed.message();
+    return FormatReply(reply);
+  }
   switch (request.verb) {
     case Request::Verb::kQuit:
       return "";  // front ends close the connection; nothing on the wire
@@ -569,22 +490,6 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
       reply.kind = Reply::Kind::kHealth;
       reply.text = server->HealthLine();
       return FormatReply(reply);
-    case Request::Verb::kProto: {
-      const int v = request.proto_version == 0 ? kProtoMax
-                                               : request.proto_version;
-      if (v < kProtoMin || v > kProtoMax) {
-        reply.kind = Reply::Kind::kErr;
-        std::ostringstream msg;
-        msg << "unsupported protocol version " << v << " (supported: "
-            << kProtoMin << ".." << kProtoMax << ")";
-        reply.text = msg.str();
-        return FormatReply(reply);
-      }
-      reply.kind = Reply::Kind::kProtoAck;
-      reply.proto_version = v;
-      reply.current_version = server->CurrentVersion();
-      return FormatReply(reply);
-    }
     case Request::Verb::kStats: {
       // Serving metrics first (stable field set), then whatever the rest
       // of the process published to the global registry — both render
@@ -654,7 +559,7 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
 
 bool TryExecuteLineFast(InferenceServer* server, Metrics* metrics,
                         const std::string& line, std::string* reply) {
-  // Fast parse gate: only SCORE/RANK lines (either framing) can be
+  // Fast parse gate: only SCORE/RANK lines can be
   // answered from cache; everything else goes through ExecuteLine.
   auto parsed = ParseRequest(line);
   if (!parsed.ok()) return false;

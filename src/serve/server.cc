@@ -227,10 +227,6 @@ bool InferenceServer::TryScoreCached(int64_t day, int64_t stock,
   return true;
 }
 
-int64_t InferenceServer::CurrentVersion() const {
-  return registry_->CurrentVersion();
-}
-
 HealthState InferenceServer::HealthLocked(bool draining) {
   HealthState state;
   if (draining) {

@@ -136,10 +136,6 @@ class InferenceServer {
   /// "SERVING version=3 reload_failures=0 queue=0".
   std::string HealthLine();
 
-  /// Version of the currently published snapshot, -1 when none (the PROTO
-  /// ack's VERSION field).
-  int64_t CurrentVersion() const;
-
   const Options& options() const { return options_; }
 
  private:

@@ -10,8 +10,8 @@
 //  * DEGRADED health (unpublished model, repeated reload failures) serves
 //    cached scores flagged STALE instead of erroring;
 //  * the end-to-end chaos scenario over the epoll front end: concurrent
-//    retrying clients on both protocol versions, a fault injector
-//    corrupting replies, hostile raw clients (v1 and v2 framing abuse),
+//    retrying clients, a fault injector corrupting replies, hostile raw
+//    clients (unframed lines, bad ids, bad verbs),
 //    and a corrupt checkpoint published mid-reload — the server must not
 //    crash or hang, and every request must be accounted for:
 //      requests == responses_ok + responses_error + expired + shed.
@@ -480,12 +480,12 @@ TEST(DrainWireTest, StoppedServerAnswersDraining) {
 
   RawClient raw(front.port());
   ASSERT_TRUE(raw.connected());
-  ASSERT_TRUE(raw.Send("SCORE " + std::to_string(stack.data.first_day()) +
-                       " 1\n"));
-  EXPECT_EQ(raw.ReadLine(), "DRAINING");
-  ASSERT_TRUE(raw.Send("HEALTH\n"));
+  ASSERT_TRUE(raw.Send("2 1 SCORE " +
+                       std::to_string(stack.data.first_day()) + " 1\n"));
+  EXPECT_EQ(raw.ReadLine(), "2 1 DRAINING");
+  ASSERT_TRUE(raw.Send("2 2 HEALTH\n"));
   const std::string health = raw.ReadLine();
-  EXPECT_EQ(health.rfind("OK DRAINING", 0), 0u) << health;
+  EXPECT_EQ(health.rfind("2 2 OK DRAINING", 0), 0u) << health;
   front.Stop();
 }
 
@@ -525,8 +525,7 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   front.SetChaos(&chaos);
   ASSERT_TRUE(front.Start().ok());
 
-  // Load: retrying clients issuing SCORE/RANK, some with deadlines, half
-  // of them negotiated onto v2 framing.
+  // Load: retrying clients issuing SCORE/RANK, some with deadlines.
   constexpr int kClients = 4;
   constexpr int kPerClient = 30;
   std::atomic<int> client_ok{0}, client_err{0};
@@ -541,7 +540,6 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
       copts2.backoff_max_ms = 20;
       copts2.seed = 100 + static_cast<uint64_t>(c);
       Client client(copts2, &metrics);
-      if (c % 2 == 0) (void)client.Negotiate(2);
       for (int i = 0; i < kPerClient; ++i) {
         const int64_t day = data.first_day() + (i % 3);
         const int64_t deadline = (i % 7 == 0) ? 1000 : 0;
@@ -571,19 +569,21 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
           raw.ReadLine(200);
           break;
         case 2:  // half-open, then vanish
-          raw.Send("PING\n");
+          raw.Send("2 1 PING\n");
           raw.CloseSend();
           raw.ReadLine(200);
           break;
         case 3:  // request, then RST without reading the reply
-          raw.Send("RANK " + std::to_string(data.first_day()) + " 5\n");
+          raw.Send("2 1 RANK " + std::to_string(data.first_day()) + " 5\n");
           raw.Reset();
           break;
-        case 4:  // v2 framing abuse: bad ids, bad verbs, bad PROTO
-          raw.Send("2 notanid PING\nPROTO 99\n2 1 FLY\n2 2\n");
+        case 4:  // framing abuse: bad ids, bad verbs, unframed lines
+          raw.Send("2 notanid PING\nPING\nSCORE " +
+                   std::to_string(data.first_day()) +
+                   " 1\n2 1 FLY\n2 2\n");
           raw.ReadLine(200);
           break;
-        case 5:  // a flood of pipelined v2 requests, then vanish
+        case 5:  // a flood of pipelined requests, then vanish
           raw.Send("2 1 RANK " + std::to_string(data.first_day()) +
                    " 3\n2 2 SCORE " + std::to_string(data.first_day()) +
                    " 1\n2 3 HEALTH\n");

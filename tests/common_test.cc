@@ -21,10 +21,13 @@ TEST(StatusTest, OkAndErrors) {
   EXPECT_EQ(s.ToString(), "Invalid argument: bad 42");
 }
 
-TEST(ResultTest, ValueAndStatus) {
+TEST(ResultTest, Value) {
   Result<int> ok(7);
   EXPECT_TRUE(ok.ok());
   EXPECT_EQ(ok.ValueOrDie(), 7);
+}
+
+TEST(ResultTest, Status) {
   Result<int> err(Status::NotFound("missing"));
   EXPECT_FALSE(err.ok());
   EXPECT_EQ(err.status().code(), StatusCode::kNotFound);

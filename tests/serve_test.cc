@@ -9,8 +9,10 @@
 //    parallel_equivalence_test.cc);
 //  * hot reload under load — concurrent clients never see a failed query
 //    or a response that does not match exactly one published version;
+//  * reply parsing rejects malformed RANK/SCOREN entries;
 //  * the line protocol end-to-end over a real TCP connection to the epoll
-//    AsyncServer, the v1/v2 payload matrix, and protocol abuse;
+//    AsyncServer, serve::Client replies bit-exact against the in-process
+//    server, unframed lines, and protocol abuse;
 //  * serve::ServerConfig flag registration/validation round-trips.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -502,9 +504,9 @@ TEST(InferenceServerTest, DayPastTheCacheKeyRangeNeverAliasesACachedDay) {
   EXPECT_FALSE(server.TryRankCached(alias, &rank));
   EXPECT_FALSE(server.Rank(alias).ok());
   EXPECT_FALSE(server.Score(alias, 0).ok());
-  const std::string wire =
-      ExecuteLine(&server, &metrics, "SCORE " + std::to_string(alias) + " 0");
-  EXPECT_EQ(wire.rfind("ERR ", 0), 0u) << wire;
+  const std::string wire = ExecuteLine(
+      &server, &metrics, "2 1 SCORE " + std::to_string(alias) + " 0");
+  EXPECT_EQ(wire.rfind("2 1 ERR ", 0), 0u) << wire;
   server.Stop();
   registry.Stop();
 }
@@ -620,6 +622,43 @@ TEST(HotReloadTest, LosslessUnderConcurrentLoad) {
 }
 
 // ---------------------------------------------------------------------------
+// Reply parsing
+// ---------------------------------------------------------------------------
+
+TEST(ParseReplyTest, RejectsMalformedRankAndScoreBatchEntries) {
+  auto sent = ParseRequest("2 1 RANK 5 2");
+  ASSERT_TRUE(sent.ok());
+  // Every entry field must parse to the end of its token.
+  for (const char* line : {"2 1 OK 3 2 x:y 7:zz", "2 1 OK 3 2 0:0.5 7:zz",
+                           "2 1 OK 3 2 0:0.5 7x:1", "2 1 OK 3 2 0:0.5 7:"}) {
+    EXPECT_EQ(ParseReply(line, sent.ValueOrDie()).status().code(),
+              StatusCode::kInternal)
+        << line;
+  }
+  const auto good = ParseReply("2 1 OK 3 2 0:0.5 7:-1.25",
+                               sent.ValueOrDie());
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  ASSERT_EQ(good.ValueOrDie().top.size(), 2u);
+  EXPECT_EQ(good.ValueOrDie().top[1].stock, 7);
+  EXPECT_EQ(good.ValueOrDie().top[1].score, -1.25f);
+
+  sent = ParseRequest("2 1 SCOREN 5 1 4");
+  ASSERT_TRUE(sent.ok());
+  for (const char* line : {"2 1 OK 3 1 4:nope:0", "2 1 OK 3 1 4x:0.5:0",
+                           "2 1 OK 3 1 4:0.5:0x", "2 1 OK 3 1 4:0.5",
+                           "2 1 OK 3 1 4:0.5:0:1"}) {
+    EXPECT_EQ(ParseReply(line, sent.ValueOrDie()).status().code(),
+              StatusCode::kInternal)
+        << line;
+  }
+  const auto batch = ParseReply("2 1 OK 3 1 4:0.5:2", sent.ValueOrDie());
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.ValueOrDie().batch_stocks, std::vector<int64_t>{4});
+  EXPECT_EQ(batch.ValueOrDie().batch[0].score, 0.5f);
+  EXPECT_EQ(batch.ValueOrDie().batch[0].rank, 2);
+}
+
+// ---------------------------------------------------------------------------
 // Wire front end (AsyncServer)
 // ---------------------------------------------------------------------------
 
@@ -690,20 +729,20 @@ TEST(AsyncServerTest, LineProtocolEndToEnd) {
 
   LineClient client(front.port());
   ASSERT_TRUE(client.connected());
-  EXPECT_EQ(client.RoundTrip("PING"), "PONG");
+  EXPECT_EQ(client.RoundTrip("2 1 PING"), "2 1 PONG");
 
   // SCORE returns the bit-exact forward-pass score (%.9g round-trips f32).
   const int64_t day = data.first_day();
   const Tensor direct = trained->Predict(data, day);
   const std::string reply = client.RoundTrip(
-      "SCORE " + std::to_string(day) + " 3");
-  ASSERT_EQ(reply.rfind("OK ", 0), 0u) << reply;
+      "2 2 SCORE " + std::to_string(day) + " 3");
+  ASSERT_EQ(reply.rfind("2 2 OK ", 0), 0u) << reply;
   {
     std::istringstream in(reply);
-    std::string ok;
+    std::string two, id, ok;
     int64_t version, rank, n;
     float score;
-    in >> ok >> version >> score >> rank >> n;
+    in >> two >> id >> ok >> version >> score >> rank >> n;
     EXPECT_EQ(version, 1);
     EXPECT_EQ(n, data.num_stocks());
     EXPECT_EQ(score, direct.data()[3]);
@@ -712,11 +751,14 @@ TEST(AsyncServerTest, LineProtocolEndToEnd) {
   }
 
   const std::string rank_reply =
-      client.RoundTrip("RANK " + std::to_string(day) + " 3");
-  EXPECT_EQ(rank_reply.rfind("OK 1 3 ", 0), 0u) << rank_reply;
+      client.RoundTrip("2 3 RANK " + std::to_string(day) + " 3");
+  EXPECT_EQ(rank_reply.rfind("2 3 OK 1 3 ", 0), 0u) << rank_reply;
 
-  // STATS streams the metrics dump, terminated by END.
-  std::string stats = client.RoundTrip("STATS");
+  // STATS streams the metrics dump, terminated by END; only the first
+  // line carries the frame.
+  std::string stats = client.RoundTrip("2 4 STATS");
+  ASSERT_EQ(stats.rfind("2 4 ", 0), 0u) << stats;
+  stats.erase(0, 4);
   bool saw_requests = false;
   while (!stats.empty() && stats != "END") {
     if (stats.rfind("serve.requests", 0) == 0) saw_requests = true;
@@ -725,36 +767,37 @@ TEST(AsyncServerTest, LineProtocolEndToEnd) {
   EXPECT_EQ(stats, "END");
   EXPECT_TRUE(saw_requests);
 
-  EXPECT_EQ(client.RoundTrip("BOGUS"), "ERR unknown command: BOGUS");
-  EXPECT_EQ(client.RoundTrip("SCORE nope 1"),
-            "ERR usage: SCORE <day> <stock> [DEADLINE <ms>]");
-  const std::string bad_day =
-      client.RoundTrip("SCORE 99999 0");
-  EXPECT_EQ(bad_day.rfind("ERR ", 0), 0u) << bad_day;
+  EXPECT_EQ(client.RoundTrip("2 5 BOGUS"), "2 5 ERR unknown command: BOGUS");
+  EXPECT_EQ(client.RoundTrip("2 6 SCORE nope 1"),
+            "2 6 ERR usage: SCORE <day> <stock> [DEADLINE <ms>]");
+  const std::string bad_day = client.RoundTrip("2 7 SCORE 99999 0");
+  EXPECT_EQ(bad_day.rfind("2 7 ERR ", 0), 0u) << bad_day;
 
   // HEALTH reports the state machine plus the live model version.
-  const std::string health = client.RoundTrip("HEALTH");
-  EXPECT_EQ(health.rfind("OK SERVING version=1", 0), 0u) << health;
+  const std::string health = client.RoundTrip("2 8 HEALTH");
+  EXPECT_EQ(health.rfind("2 8 OK SERVING version=1", 0), 0u) << health;
 
   // An over-generous deadline changes nothing about the reply shape.
   const std::string deadline_ok = client.RoundTrip(
-      "SCORE " + std::to_string(day) + " 3 DEADLINE 10000");
-  EXPECT_EQ(deadline_ok.rfind("OK ", 0), 0u) << deadline_ok;
-  EXPECT_EQ(client.RoundTrip("SCORE 1 2 DEADLINE nope"),
-            "ERR usage: SCORE <day> <stock> [DEADLINE <ms>]");
-  EXPECT_EQ(client.RoundTrip("RANK 1 2 DEADLINE -5"),
-            "ERR usage: RANK <day> <k> [DEADLINE <ms>]");
+      "2 9 SCORE " + std::to_string(day) + " 3 DEADLINE 10000");
+  EXPECT_EQ(deadline_ok.rfind("2 9 OK ", 0), 0u) << deadline_ok;
+  EXPECT_EQ(client.RoundTrip("2 10 SCORE 1 2 DEADLINE nope"),
+            "2 10 ERR usage: SCORE <day> <stock> [DEADLINE <ms>]");
+  EXPECT_EQ(client.RoundTrip("2 11 RANK 1 2 DEADLINE -5"),
+            "2 11 ERR usage: RANK <day> <k> [DEADLINE <ms>]");
 
   front.Stop();
   server.Stop();
   registry.Stop();
 }
 
-// Protocol v1/v2 cross-compat matrix: the same payload bytes under either
-// framing, and PROTO negotiation reports one shard and the model version.
-TEST(AsyncServerTest, V1V2MatrixIdenticalPayloads) {
+// serve::Client over the wire against the in-process server: every verb
+// goes through the one framed Call path, payloads are bit-exact, pipelined
+// raw lines echo their ids, and unframed lines are answered "2 0 ERR"
+// without closing the connection.
+TEST(AsyncServerTest, FramedWireMatchesInProcessRank) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("matrix");
+  const std::string dir = TestDir("wire");
   TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 61);
   Metrics metrics;
   ModelRegistry registry({dir, 0}, MakeFactory(), &metrics);
@@ -765,66 +808,82 @@ TEST(AsyncServerTest, V1V2MatrixIdenticalPayloads) {
   ASSERT_TRUE(front.Start().ok());
 
   const int64_t day = data.first_day();
-  std::vector<std::string> score_cells, rank_cells;
-  for (int proto : {1, 2}) {
-    Client::Options copts;
-    copts.port = front.port();
-    Client client(copts);
-    if (proto == 2) {
-      auto nego = client.Negotiate(2);
-      ASSERT_TRUE(nego.ok()) << nego.status().ToString();
-      EXPECT_EQ(nego.ValueOrDie().version, 2);
-      EXPECT_EQ(nego.ValueOrDie().shards, 1);
-      EXPECT_EQ(nego.ValueOrDie().current_version, 1);
-      EXPECT_EQ(client.proto(), 2);
-    } else {
-      EXPECT_EQ(client.proto(), 1);
-    }
-
-    auto score = client.Score(day, 3);
-    ASSERT_TRUE(score.ok()) << score.status().ToString();
-    score_cells.push_back(FormatScoreValue(score.ValueOrDie().score) + "/" +
-                          std::to_string(score.ValueOrDie().rank));
-
-    auto rank = client.Rank(day, 5);
-    ASSERT_TRUE(rank.ok()) << rank.status().ToString();
-    std::string cell;
-    for (const RankEntry& e : rank.ValueOrDie().top) {
-      cell += std::to_string(e.stock) + ":" + FormatScoreValue(e.score) + " ";
-    }
-    rank_cells.push_back(cell);
-
-    auto health = client.Health();
-    ASSERT_TRUE(health.ok()) << health.status().ToString();
-    EXPECT_NE(health.ValueOrDie().find("SERVING"), std::string::npos)
-        << health.ValueOrDie();
-
-    if (proto == 2) {
-      // The batched verb only exists under v2 framing.
-      auto batch = client.ScoreBatch(day, {0, 3, 7});
-      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-      ASSERT_EQ(batch.ValueOrDie().size(), 3u);
-      EXPECT_EQ(FormatScoreValue(batch.ValueOrDie()[1].score),
-                FormatScoreValue(score.ValueOrDie().score));
-    }
+  auto truth = server.Rank(day);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+  const std::vector<float>& scores = truth.ValueOrDie().scores;
+  const std::vector<RankEntry> order =
+      TopK(scores, static_cast<int64_t>(scores.size()));
+  std::vector<int64_t> rank_of(scores.size());
+  for (size_t r = 0; r < order.size(); ++r) {
+    rank_of[static_cast<size_t>(order[r].stock)] = static_cast<int64_t>(r);
   }
-  ASSERT_EQ(score_cells.size(), 2u);
-  EXPECT_EQ(score_cells[0], score_cells[1]);
-  EXPECT_EQ(rank_cells[0], rank_cells[1]);
+  const auto bits = [](float f) {
+    uint32_t u;
+    std::memcpy(&u, &f, sizeof(u));
+    return u;
+  };
 
-  // Raw wire checks: v1 lines answer with legacy framing, v2 lines echo
-  // the caller's id, and one connection may interleave both.
+  Client::Options copts;
+  copts.port = front.port();
+  Client client(copts);
+
+  auto score = client.Score(day, 3);
+  ASSERT_TRUE(score.ok()) << score.status().ToString();
+  EXPECT_EQ(score.ValueOrDie().model_version, 1);
+  EXPECT_EQ(bits(score.ValueOrDie().score), bits(scores[3]));
+  EXPECT_EQ(score.ValueOrDie().rank, rank_of[3]);
+  EXPECT_EQ(score.ValueOrDie().num_stocks, data.num_stocks());
+
+  auto rank = client.Rank(day, 5);
+  ASSERT_TRUE(rank.ok()) << rank.status().ToString();
+  const std::vector<RankEntry> want = TopK(scores, 5);
+  ASSERT_EQ(rank.ValueOrDie().top.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(rank.ValueOrDie().top[i].stock, want[i].stock);
+    EXPECT_EQ(bits(rank.ValueOrDie().top[i].score), bits(want[i].score));
+  }
+
+  const std::vector<int64_t> stocks = {0, 3, 7};
+  auto batch = client.ScoreBatch(day, stocks);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch.ValueOrDie().size(), stocks.size());
+  for (size_t i = 0; i < stocks.size(); ++i) {
+    const size_t stock = static_cast<size_t>(stocks[i]);
+    EXPECT_EQ(bits(batch.ValueOrDie()[i].score), bits(scores[stock]));
+    EXPECT_EQ(batch.ValueOrDie()[i].rank, rank_of[stock]);
+  }
+
+  auto health = client.Health();
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health.ValueOrDie().rfind("SERVING version=1", 0), 0u)
+      << health.ValueOrDie();
+  auto stats = client.Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  // The frame's first body line is kept, the END terminator is not.
+  EXPECT_EQ(stats.ValueOrDie().rfind("serve.requests ", 0), 0u)
+      << stats.ValueOrDie();
+  EXPECT_NE(stats.ValueOrDie().find("\nserve.responses_ok "),
+            std::string::npos);
+  EXPECT_EQ(stats.ValueOrDie().find("END"), std::string::npos);
+  // The framed STATS left the connection in step: the next call works.
+  EXPECT_TRUE(client.Score(day, 3).ok());
+
+  // Raw wire: pipelined lines echo the caller's ids; bare PING and SCORE
+  // lines get "2 0 ERR" and the connection keeps working.
   {
     RawClient raw(front.port());
     ASSERT_TRUE(raw.connected());
-    ASSERT_TRUE(raw.Send("PING\n2 77 PING\nPROTO 2\n2 9 RANK " +
-                         std::to_string(day) + " 3\n"));
-    EXPECT_EQ(raw.ReadLine(), "PONG");
+    ASSERT_TRUE(raw.Send("2 77 PING\n2 9 RANK " + std::to_string(day) +
+                         " 3\nPING\nSCORE " + std::to_string(day) +
+                         " 3\n2 78 PING\n"));
     EXPECT_EQ(raw.ReadLine(), "2 77 PONG");
-    const std::string ack = raw.ReadLine();
-    EXPECT_EQ(ack.rfind("OK PROTO 2 SHARDS 1 VERSION 1", 0), 0u) << ack;
-    const std::string rank = raw.ReadLine();
-    EXPECT_EQ(rank.rfind("2 9 OK 1 3 ", 0), 0u) << rank;
+    const std::string top = raw.ReadLine();
+    EXPECT_EQ(top.rfind("2 9 OK 1 3 ", 0), 0u) << top;
+    const std::string frame_usage =
+        "2 0 ERR malformed v2 frame (want: 2 <id> <verb> ...)";
+    EXPECT_EQ(raw.ReadLine(), frame_usage);
+    EXPECT_EQ(raw.ReadLine(), frame_usage);
+    EXPECT_EQ(raw.ReadLine(), "2 78 PONG");
   }
 
   front.Stop();
@@ -874,13 +933,20 @@ TEST(AsyncServerAbuseTest, MalformedAndBinaryFramesGetErrNotCrash) {
   LineClient client(stack.front->port());
   ASSERT_TRUE(client.connected());
 
-  // Binary garbage with an eventual newline parses as an unknown command.
+  // Binary garbage with an eventual newline is an unframed line.
   std::string frame("\x01\x02\xff\xfe garbage", 12);
-  EXPECT_EQ(client.RoundTrip(frame).rfind("ERR ", 0), 0u);
-  // Empty lines and whitespace-only lines get a usage-style error too.
-  EXPECT_EQ(client.RoundTrip("").rfind("ERR", 0), 0u);
+  EXPECT_EQ(client.RoundTrip(frame).rfind("2 0 ERR ", 0), 0u);
+  // Empty lines and whitespace-only lines get the frame usage too.
+  EXPECT_EQ(client.RoundTrip("").rfind("2 0 ERR ", 0), 0u);
+  EXPECT_EQ(client.RoundTrip("   ").rfind("2 0 ERR ", 0), 0u);
+  // An id that does not parse as a whole number is not echoed.
+  EXPECT_EQ(client.RoundTrip("2 notanid PING").rfind("2 0 ERR ", 0), 0u);
+  EXPECT_EQ(client.RoundTrip("2 12abc PING").rfind("2 0 ERR ", 0), 0u);
+  EXPECT_EQ(client.RoundTrip("2 -1 PING").rfind("2 0 ERR ", 0), 0u);
+  // A framed line with garbage after the id echoes the id.
+  EXPECT_EQ(client.RoundTrip("2 5 \x01\xff").rfind("2 5 ERR unknown", 0), 0u);
   // The connection is still usable afterwards.
-  EXPECT_EQ(client.RoundTrip("PING"), "PONG");
+  EXPECT_EQ(client.RoundTrip("2 1 PING"), "2 1 PONG");
 }
 
 TEST(AsyncServerAbuseTest, OversizedLineIsRejectedAndDisconnected) {
@@ -900,7 +966,7 @@ TEST(AsyncServerAbuseTest, OversizedLineIsRejectedAndDisconnected) {
     EXPECT_EQ(raw.ReadLine(2000), "ERR line too long")
         << "terminated=" << (bytes.back() == '\n');
     // A closed connection never answers; an open one would say PONG.
-    raw.Send("PING\n");
+    raw.Send("2 1 PING\n");
     EXPECT_EQ(raw.ReadLine(500), "")
         << "terminated=" << (bytes.back() == '\n');
     EXPECT_EQ(stack.metrics.oversized_lines.load(std::memory_order_relaxed),
@@ -911,7 +977,7 @@ TEST(AsyncServerAbuseTest, OversizedLineIsRejectedAndDisconnected) {
   // the server.
   LineClient again(stack.front->port());
   ASSERT_TRUE(again.connected());
-  EXPECT_EQ(again.RoundTrip("PING"), "PONG");
+  EXPECT_EQ(again.RoundTrip("2 1 PING"), "2 1 PONG");
 }
 
 TEST(AsyncServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
@@ -923,8 +989,8 @@ TEST(AsyncServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
   auto b = std::make_unique<LineClient>(stack.front->port());
   ASSERT_TRUE(a->connected());
   ASSERT_TRUE(b->connected());
-  EXPECT_EQ(a->RoundTrip("PING"), "PONG");
-  EXPECT_EQ(b->RoundTrip("PING"), "PONG");
+  EXPECT_EQ(a->RoundTrip("2 1 PING"), "2 1 PONG");
+  EXPECT_EQ(b->RoundTrip("2 1 PING"), "2 1 PONG");
 
   // Third connection is over the cap: BUSY + close, counted in metrics.
   LineClient c(stack.front->port());
@@ -941,7 +1007,7 @@ TEST(AsyncServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
   EXPECT_LT(stack.front->active_connections(), 2);
   LineClient d(stack.front->port());
   ASSERT_TRUE(d.connected());
-  EXPECT_EQ(d.RoundTrip("PING"), "PONG");
+  EXPECT_EQ(d.RoundTrip("2 1 PING"), "2 1 PONG");
 }
 
 TEST(AsyncServerAbuseTest, HalfOpenAndQuitlessDisconnectsDoNotWedge) {
@@ -952,8 +1018,8 @@ TEST(AsyncServerAbuseTest, HalfOpenAndQuitlessDisconnectsDoNotWedge) {
   {
     RawClient raw(stack.front->port());
     ASSERT_TRUE(raw.connected());
-    ASSERT_TRUE(raw.Send("PING\n"));
-    EXPECT_EQ(raw.ReadLine(), "PONG");
+    ASSERT_TRUE(raw.Send("2 1 PING\n"));
+    EXPECT_EQ(raw.ReadLine(), "2 1 PONG");
     raw.CloseSend();
     EXPECT_EQ(raw.ReadLine(), "");  // orderly close from the server
   }
@@ -964,7 +1030,8 @@ TEST(AsyncServerAbuseTest, HalfOpenAndQuitlessDisconnectsDoNotWedge) {
     RawClient raw(stack.front->port());
     ASSERT_TRUE(raw.connected());
     ASSERT_TRUE(
-        raw.Send("RANK " + std::to_string(stack.data.first_day()) + " 5\n"));
+        raw.Send("2 1 RANK " + std::to_string(stack.data.first_day()) +
+                 " 5\n"));
     if (i % 2 == 0) {
       raw.Reset();  // RST without reading the reply
     }                // else: destructor's plain close without QUIT
@@ -972,7 +1039,7 @@ TEST(AsyncServerAbuseTest, HalfOpenAndQuitlessDisconnectsDoNotWedge) {
   // The server is still alive and serving.
   LineClient after(stack.front->port());
   ASSERT_TRUE(after.connected());
-  EXPECT_EQ(after.RoundTrip("PING"), "PONG");
+  EXPECT_EQ(after.RoundTrip("2 1 PING"), "2 1 PONG");
   // All abused slots were reaped.
   for (int i = 0; i < 200 && stack.front->active_connections() > 1; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));

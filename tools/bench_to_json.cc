@@ -1,6 +1,6 @@
 // Captures benchmark numbers into committed JSON reports.
 //
-// Three modes:
+// Two modes:
 //  - --mode kernels (default): times square matmul at --sizes under every
 //    supported kernel backend plus a Figure-5-style synthetic RT-GCN train
 //    step, and writes BENCH_kernels.json with per-backend GFLOPs / step
@@ -13,16 +13,11 @@
 //    wiki-relation ratio), reports CSR memory vs the O(N²) bytes a dense
 //    [N, N] mask would take, CSR build time, and one full train step.
 //    Writes BENCH_scale.json.
-//  - --mode stream: drives the streaming subsystem (TickSource →
-//    SlidingFeatureWindow/DynamicGraph → RollingPipeline) through a seeded
-//    churn + flash-crash scenario and captures its headline numbers —
-//    ticks/s, window-update p50/p95, the incremental-rebuild row fraction,
-//    retrain wall time and hot-reload latency — as BENCH_stream.json.
-//    bench/bench_stream is the richer interactive generator; this mode is
-//    the committed-report / CI-smoke path.
 //  - --check FILE: parses FILE with the minimal JSON reader below and
-//    validates the required keys of any report kind; exit 0 on a
-//    well-formed report. CI runs this as the bench smoke.
+//    validates the required keys of any report kind (kernels, scale, and
+//    the BENCH_stream.json / BENCH_serve_robust.json that bench_stream
+//    --json and bench_serve --json write); exit 0 on a well-formed report.
+//    CI runs this as the bench smoke.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,12 +36,6 @@
 #include "core/loss.h"
 #include "core/rtgcn.h"
 #include "graph/sparse.h"
-#include "market/market.h"
-#include "market/relation_generator.h"
-#include "market/universe.h"
-#include "obs/registry.h"
-#include "stream/pipeline.h"
-#include "stream/tick_source.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
@@ -354,141 +343,6 @@ int GenerateScale(const std::string& out_path, const std::string& sizes_csv,
 }
 
 // ---------------------------------------------------------------------------
-// --mode stream: streaming-subsystem throughput and latency
-// ---------------------------------------------------------------------------
-
-int GenerateStream(const std::string& out_path, int64_t stream_stocks,
-                   int64_t stream_days) {
-  // Seeded churn + decay + mid-run flash crash (the bench_stream scenario,
-  // sized for a committed report).
-  Rng rng(11);
-  const market::StockUniverse universe =
-      market::StockUniverse::Generate(stream_stocks, /*num_industries=*/8,
-                                      &rng);
-  market::RelationConfig rc;
-  rc.num_wiki_types = 4;
-  rc.wiki_links_per_stock = 1.0;
-  const market::RelationData relations =
-      market::GenerateRelations(universe, rc, &rng);
-
-  stream::StreamConfig scfg;
-  scfg.sim.num_days = stream_days + 2;
-  scfg.sim.seed = 5;
-  scfg.intraday_steps = 4;
-  scfg.halt_probability = 0.02;
-  scfg.flash_crash_day = stream_days / 2;
-  scfg.flash_crash_duration = 3;
-  scfg.initial_active = stream_stocks - stream_stocks / 8;
-  scfg.ipo_probability = 0.2;
-  scfg.delist_probability = 0.2;
-  scfg.min_active = stream_stocks / 2;
-  scfg.churn_start_day = 2;
-  scfg.edge_appear_per_day = 2.0;
-  scfg.type_half_life.assign(
-      static_cast<size_t>(relations.relations.num_relation_types()), 0.0);
-  for (int64_t t = relations.num_industry_types;
-       t < relations.relations.num_relation_types(); ++t) {
-    scfg.type_half_life[static_cast<size_t>(t)] = 20.0;
-  }
-  scfg.seed = 23;
-  stream::TickSource source(universe, relations, scfg);
-
-  stream::PipelineConfig pcfg;
-  pcfg.model.strategy = core::Strategy::kTimeSensitive;
-  pcfg.model.window = 8;
-  pcfg.model.num_features = 2;
-  pcfg.model.relational_filters = 8;
-  pcfg.model.temporal_stride = 2;
-  pcfg.model.dropout = 0.0f;
-  pcfg.train.epochs = 2;
-  pcfg.train.verbose = false;
-  pcfg.checkpoint_dir = "/tmp/rtgcn_bench_to_json_stream";
-  pcfg.retrain_every = 15;
-  pcfg.train_history = 30;
-  stream::RollingPipeline pipeline(pcfg, &source, relations.relations);
-  pipeline.Init().Abort();
-
-  const obs::RegistrySnapshot before = obs::Registry::Global().Snapshot();
-  double retrain_seconds_total = 0;
-  int64_t retrains_seen = 0;
-  const double t0 = NowSeconds();
-  for (int64_t d = 0; d < stream_days; ++d) {
-    pipeline.Step().Abort();
-    if (pipeline.retrains() > retrains_seen) {
-      retrains_seen = pipeline.retrains();
-      retrain_seconds_total += pipeline.last_retrain_seconds();
-    }
-  }
-  const double stream_seconds = NowSeconds() - t0;
-  const obs::RegistrySnapshot delta =
-      obs::Registry::Global().Snapshot().DeltaSince(before);
-
-  const uint64_t ticks = delta.CounterValue("stream.ticks");
-  const uint64_t rows_rebuilt =
-      delta.CounterValue("stream.graph.rows_rebuilt");
-  const uint64_t rows_total = delta.CounterValue("stream.graph.rows_total");
-  const obs::HistogramSnapshot* window_us =
-      delta.FindHistogram("stream.window.update_us");
-  const obs::HistogramSnapshot* reload_us =
-      delta.FindHistogram("stream.reload_us");
-  const double ticks_per_sec =
-      static_cast<double>(ticks) / std::max(stream_seconds, 1e-9);
-  const double rebuild_fraction =
-      rows_total > 0 ? static_cast<double>(rows_rebuilt) /
-                           static_cast<double>(rows_total)
-                     : 0.0;
-
-  std::fprintf(stderr,
-               "  stream n=%lld days=%lld: %.0f ticks/s, window p95 "
-               "%.1fus, %.1f%% rows rebuilt, %lld retrains (mean %.2fs)\n",
-               static_cast<long long>(stream_stocks),
-               static_cast<long long>(stream_days), ticks_per_sec,
-               window_us ? window_us->Percentile(0.95) : 0.0,
-               100.0 * rebuild_fraction,
-               static_cast<long long>(retrains_seen),
-               retrains_seen > 0
-                   ? retrain_seconds_total / static_cast<double>(retrains_seen)
-                   : 0.0);
-
-  std::ostringstream js;
-  js << "{\n";
-  js << "  \"bench\": \"stream\",\n";
-  js << "  \"config\": {\"stocks\": " << stream_stocks
-     << ", \"days\": " << stream_days
-     << ", \"intraday_steps\": " << scfg.intraday_steps
-     << ", \"retrain_every\": " << pcfg.retrain_every
-     << ", \"train_epochs\": " << pcfg.train.epochs << "},\n";
-  js << "  \"stream_seconds\": " << FmtD(stream_seconds) << ",\n";
-  js << "  \"ticks\": " << ticks << ",\n";
-  js << "  \"ticks_per_sec\": " << FmtD(ticks_per_sec) << ",\n";
-  js << "  \"window_update_p50_us\": "
-     << FmtD(window_us ? window_us->Percentile(0.50) : 0.0) << ",\n";
-  js << "  \"window_update_p95_us\": "
-     << FmtD(window_us ? window_us->Percentile(0.95) : 0.0) << ",\n";
-  js << "  \"graph\": {\"rows_rebuilt\": " << rows_rebuilt
-     << ", \"rows_total\": " << rows_total
-     << ", \"rebuild_fraction\": " << FmtD(rebuild_fraction) << "},\n";
-  js << "  \"retrains\": " << retrains_seen << ",\n";
-  js << "  \"retrain_mean_seconds\": "
-     << FmtD(retrains_seen > 0 ? retrain_seconds_total /
-                                     static_cast<double>(retrains_seen)
-                               : 0.0)
-     << ",\n";
-  js << "  \"reload_p95_us\": "
-     << FmtD(reload_us ? reload_us->Percentile(0.95) : 0.0) << "\n";
-  js << "}\n";
-
-  std::ofstream out(out_path);
-  if (!out) {
-    std::fprintf(stderr, "bench_to_json: cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  out << js.str();
-  std::fprintf(stderr, "bench_to_json: wrote %s\n", out_path.c_str());
-  return 0;
-}
-
-// ---------------------------------------------------------------------------
 // --check: minimal JSON reader, enough to validate our own report
 // ---------------------------------------------------------------------------
 
@@ -678,24 +532,16 @@ int Main(int argc, char** argv) {
   std::string scale_sizes = "500,1405,10000";
   std::string check;
   int repeats = 3;
-  int64_t stream_stocks = 96;
-  int64_t stream_days = 100;
   FlagSet fs(
-      "Measure kernel-backend (--mode kernels), sparse-graph scaling "
-      "(--mode scale) or streaming-subsystem (--mode stream) performance to "
-      "JSON.");
-  fs.RegisterChoice("mode", &mode, {"kernels", "scale", "stream"},
-                    "report kind");
+      "Measure kernel-backend (--mode kernels) or sparse-graph scaling "
+      "(--mode scale) performance to JSON, or --check any BENCH_*.json.");
+  fs.RegisterChoice("mode", &mode, {"kernels", "scale"}, "report kind");
   fs.Register("out", &out,
               "output JSON path (default BENCH_<mode>.json)");
   fs.Register("sizes", &sizes, "comma-separated square matmul sizes");
   fs.Register("scale_sizes", &scale_sizes,
               "comma-separated universe sizes N for --mode scale");
   fs.Register("repeats", &repeats, "timing repeats (best-of)");
-  fs.Register("stream_stocks", &stream_stocks,
-              "universe slots for --mode stream");
-  fs.Register("stream_days", &stream_days,
-              "trading days to stream for --mode stream");
   fs.Register("check", &check,
               "validate an existing report instead of generating");
   const Status status = fs.Parse(argc, argv);
@@ -706,7 +552,6 @@ int Main(int argc, char** argv) {
   status.Abort();
   if (!check.empty()) return Check(check);
   if (out.empty()) out = "BENCH_" + mode + ".json";
-  if (mode == "stream") return GenerateStream(out, stream_stocks, stream_days);
   if (mode == "scale") return GenerateScale(out, scale_sizes, repeats);
   return Generate(out, sizes, repeats);
 }
