@@ -1,43 +1,23 @@
-// Load generator for the serving subsystem, two modes:
+// Overload load generator for the serving subsystem
+// (BENCH_serve_robust.json): drives the full socket stack (AsyncServer +
+// serve::Client) with paced open-loop load. First a closed-loop
+// calibration measures the server's capacity, then each --multipliers
+// entry offers that multiple of capacity with per-request deadlines and
+// no client retries, recording goodput (OK replies/sec), fast-fail
+// BUSY/shed counts, and client-side latency percentiles. The run ends with
+// the serving accounting invariant (requests == ok + error + expired +
+// shed) — a violation fails the bench. --chaos additionally installs a
+// seeded fault injector on the reply path (delays, drops, truncations,
+// resets), which the invariant must survive; CI and ctest
+// (bench_serve_overload_smoke) smoke this configuration.
 //
-// --mode batch (default; ISSUE 4 acceptance bench): N closed-loop client
-// threads issue blocking Score() queries against an in-process
-// InferenceServer, first with micro-batching disabled (--max_batch 1) and
-// then with the configured batch size, against the same exported
-// checkpoint. Reports per-config QPS, latency percentiles and the
-// executed batch-size histogram from serve::Metrics, plus the
-// batched-over-unbatched throughput ratio.
-//
-//   ./bench_serve [--clients 8] [--requests 400] [--max_batch 32]
-//                 [--batch_timeout_us 200] [--cache 0] [--phase 64]
-//                 [--stocks 60] [--window 15] [--train_epochs 2]
-//
-// The cache is OFF by default so the comparison measures batching, not
-// memoization: with the cache on, both configs converge to cache-hit
-// latency after one pass over the days. Clients walk the test days in a
-// shared phase of `--phase` consecutive requests per day, so concurrent
-// same-day queries are coalescible into one forward — the access pattern
-// of a ranking dashboard where everyone asks about "today".
-//
-// --mode overload (ISSUE 8 acceptance bench, BENCH_serve_robust.json):
-// drives the full socket stack (AsyncServer + serve::Client) with paced
-// open-loop load. First a closed-loop calibration measures the server's
-// capacity, then each --multipliers entry offers that multiple of
-// capacity with per-request deadlines and no client retries, recording
-// goodput (OK replies/sec), fast-fail BUSY/shed counts, and client-side
-// latency percentiles. The run ends with the serving accounting
-// invariant (requests == ok + error + expired + shed) — a violation
-// fails the bench. --chaos additionally installs a seeded fault injector
-// on the reply path (delays, drops, truncations, resets), which the
-// invariant must survive; CI smokes this configuration.
-//
-//   ./bench_serve --mode overload [--clients 8] [--overload_seconds 3]
+//   ./bench_serve [--clients 8] [--overload_seconds 3]
 //                 [--multipliers 1,2,4,10] [--deadline_ms 50]
-//                 [--max_queue 256] [--admission reject|block]
-//                 [--chaos 0] [--chaos_seed 1234] [--json out.json]
+//                 [--max_queue 256] [--chaos 0] [--chaos_seed 1234]
+//                 [--json out.json]
 //
 // Every server knob is a serve::ServerConfig flag (one shared surface —
-// see serve/config.h): --max_batch, --cache, --max_queue, --admission, ...
+// see serve/config.h): --cache, --max_queue, --executor_threads, ...
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -64,75 +44,6 @@
 namespace {
 
 using namespace rtgcn;
-
-struct LoadResult {
-  double seconds = 0;
-  double qps = 0;
-  uint64_t errors = 0;
-};
-
-// Runs `clients` closed-loop threads, each issuing `requests` blocking
-// Score() calls; the shared ticket counter clusters concurrent requests on
-// the same day for `phase` consecutive tickets.
-LoadResult RunLoad(serve::InferenceServer* server,
-                   const std::vector<int64_t>& days, int64_t clients,
-                   int64_t requests, int64_t phase,
-                   int64_t num_stocks) {
-  std::atomic<int64_t> ticket{0};
-  std::atomic<uint64_t> errors{0};
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(clients));
-  for (int64_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&, c] {
-      for (int64_t i = 0; i < requests; ++i) {
-        const int64_t t = ticket.fetch_add(1, std::memory_order_relaxed);
-        const int64_t day =
-            days[static_cast<size_t>((t / phase) %
-                                     static_cast<int64_t>(days.size()))];
-        const int64_t stock = (c * requests + i) % num_stocks;
-        if (!server->Score(day, stock).ok()) {
-          errors.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  LoadResult result;
-  result.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  result.qps = static_cast<double>(clients * requests) / result.seconds;
-  result.errors = errors.load();
-  return result;
-}
-
-void PrintConfig(const char* label, const serve::Metrics& metrics,
-                 const LoadResult& load) {
-  std::printf("%-22s %8.0f qps   p50 %6.0fus  p95 %6.0fus  p99 %6.0fus   "
-              "%" PRIu64 " forwards, mean batch %.1f\n",
-              label, load.qps, metrics.latency.Percentile(0.50),
-              metrics.latency.Percentile(0.95),
-              metrics.latency.Percentile(0.99),
-              metrics.forwards.load(), metrics.batch_size.Mean());
-  const obs::Histogram& sizes = metrics.batch_size;
-  std::printf("  batch sizes:");
-  for (int s = 1; s <= serve::Metrics::kMaxBatchTracked; ++s) {
-    const uint64_t n = sizes.BucketCount(s);
-    if (n > 0) std::printf("  %d:%" PRIu64, s, n);
-  }
-  const uint64_t overflow = sizes.BucketCount(sizes.num_buckets() - 1);
-  if (overflow > 0) {
-    std::printf("  >%lld:%" PRIu64,
-                static_cast<long long>(serve::Metrics::kMaxBatchTracked),
-                overflow);
-  }
-  std::printf("\n");
-}
-
-// ---------------------------------------------------------------------------
-// Overload mode.
-// ---------------------------------------------------------------------------
 
 double PercentileUs(std::vector<double> v, double p) {
   if (v.empty()) return 0;
@@ -246,10 +157,7 @@ OverloadPoint OfferLoad(int port, const std::vector<int64_t>& days,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string mode = "batch";
   int64_t clients = 8;
-  int64_t requests = 400;
-  int64_t phase = 64;
   int64_t train_epochs = 2;
   int num_threads = 0;
   std::string multipliers = "1,2,4,10";
@@ -260,31 +168,24 @@ int main(int argc, char** argv) {
   std::string json;
 
   // The whole serving stack configures through one ServerConfig; the bench
-  // only overrides the defaults that make a comparison measurement (cache
-  // off so --mode batch measures batching, a small queue so --mode
-  // overload sheds visibly).
+  // only overrides the defaults that make the measurement (cache off so
+  // requests reach the forward, a small queue so overload sheds visibly).
   serve::ServerConfig scfg;
   scfg.enable_cache = false;
   scfg.max_queue = 256;
 
   // A small market keeps the bench fast, but the universe must be big
   // enough that the forward pass dominates per-request overhead —
-  // otherwise neither config is measuring inference.
+  // otherwise the bench is not measuring inference.
   market::MarketSpec spec = market::NasdaqSpec(/*scale=*/0.25);
   spec.num_stocks = 60;
   spec.train_days = 120;
   spec.test_days = 40;
   core::RtGcnConfig config;
 
-  FlagSet fs("Serving load generator: batched-vs-unbatched QPS (--mode "
-             "batch) or overload robustness through the socket stack "
-             "(--mode overload).");
-  fs.RegisterChoice("mode", &mode, {"batch", "overload"},
-                    "batch comparison or overload/chaos robustness");
-  fs.Register("clients", &clients, "closed-loop client threads");
-  fs.Register("requests", &requests, "blocking Score() calls per client");
-  fs.Register("phase", &phase,
-              "consecutive tickets per day (same-day query clustering)");
+  FlagSet fs("Serving overload generator: paced open-loop load at "
+             "multiples of capacity through the socket stack.");
+  fs.Register("clients", &clients, "paced client threads");
   fs.Register("stocks", &spec.num_stocks, "simulated universe size");
   fs.Register("window", &config.window, "look-back window length");
   fs.Register("train_epochs", &train_epochs,
@@ -292,14 +193,14 @@ int main(int argc, char** argv) {
   fs.Register("num_threads", &num_threads,
               "tensor worker threads (0 = auto)");
   fs.Register("multipliers", &multipliers,
-              "overload: comma-separated capacity multiples to offer");
+              "comma-separated capacity multiples to offer");
   fs.Register("overload_seconds", &overload_seconds,
-              "overload: seconds per offered-load level");
+              "seconds per offered-load level");
   fs.Register("deadline_ms", &deadline_ms,
-              "overload: per-request DEADLINE");
+              "per-request DEADLINE");
   fs.Register("chaos", &chaos,
-              "overload: inject reply faults (delay/drop/truncate/reset)");
-  fs.Register("chaos_seed", &chaos_seed, "overload: fault-injector seed");
+              "inject reply faults (delay/drop/truncate/reset)");
+  fs.Register("chaos_seed", &chaos_seed, "fault-injector seed");
   fs.Register("json", &json, "write the results as JSON to this path");
   scfg.RegisterFlags(&fs);
   const Status flag_status = fs.Parse(argc, argv);
@@ -332,172 +233,126 @@ int main(int argc, char** argv) {
     model->ExportSnapshot(manager.CheckpointPath(1)).Abort();
   }
 
-  if (mode == "overload") {
-    serve::Metrics metrics;
-    serve::ModelRegistry registry(
-        {dir, /*reload_interval_ms=*/0},
-        [make_predictor] { return serve::WrapPredictor(make_predictor()); },
-        &metrics);
-    registry.Start().Abort();
-    serve::InferenceServer server(&dataset, &registry, scfg.server_options(),
-                                  &metrics);
-    server.Start().Abort();
+  serve::Metrics metrics;
+  serve::ModelRegistry registry(
+      {dir, /*reload_interval_ms=*/0},
+      [make_predictor] { return serve::WrapPredictor(make_predictor()); },
+      &metrics);
+  registry.Start().Abort();
+  serve::InferenceServer server(&dataset, &registry, scfg.server_options(),
+                                &metrics);
+  server.Start().Abort();
 
-    serve::ChaosInjector::Options copts;
-    copts.seed = static_cast<uint64_t>(chaos_seed);
-    if (chaos) {
-      copts.delay_prob = 0.05;
-      copts.drop_prob = 0.02;
-      copts.truncate_prob = 0.02;
-      copts.reset_prob = 0.02;
-      copts.delay_ms_max = 5;
-    }
-    serve::ChaosInjector injector(copts);
-    serve::AsyncServer front(&server, &metrics, scfg.async_options());
-    if (chaos) front.SetChaos(&injector);
-    front.Start().Abort();
+  serve::ChaosInjector::Options copts;
+  copts.seed = static_cast<uint64_t>(chaos_seed);
+  if (chaos) {
+    copts.delay_prob = 0.05;
+    copts.drop_prob = 0.02;
+    copts.truncate_prob = 0.02;
+    copts.reset_prob = 0.02;
+    copts.delay_ms_max = 5;
+  }
+  serve::ChaosInjector injector(copts);
+  serve::AsyncServer front(&server, &metrics, scfg.async_options());
+  if (chaos) front.SetChaos(&injector);
+  front.Start().Abort();
 
-    server.Rank(days.front()).status().Abort();  // warm-up
+  server.Rank(days.front()).status().Abort();  // warm-up
 
-    // Capacity: a short closed-loop burst (an offered rate no server
-    // reaches degenerates into closed-loop). Everything after is offered
-    // as a multiple of this.
-    const OverloadPoint calib =
+  // Capacity: a short closed-loop burst (an offered rate no server
+  // reaches degenerates into closed-loop). Everything after is offered
+  // as a multiple of this.
+  const OverloadPoint calib =
+      OfferLoad(front.port(), days, dataset.num_stocks(), clients,
+                /*target_qps=*/1e9, /*seconds=*/1.0, deadline_ms);
+  const double capacity = std::max(calib.goodput_qps, 1.0);
+  std::printf("bench_serve overload: capacity %.0f qps (%lld clients, "
+              "deadline %lldms, queue %lld, chaos %s)\n",
+              capacity, static_cast<long long>(clients),
+              static_cast<long long>(deadline_ms),
+              static_cast<long long>(scfg.max_queue), chaos ? "on" : "off");
+
+  std::vector<OverloadPoint> points;
+  for (const std::string& m : Split(multipliers, ',')) {
+    if (m.empty()) continue;
+    const double multiplier = std::stod(m);
+    OverloadPoint point =
         OfferLoad(front.port(), days, dataset.num_stocks(), clients,
-                  /*target_qps=*/1e9, /*seconds=*/1.0, deadline_ms);
-    const double capacity = std::max(calib.goodput_qps, 1.0);
-    std::printf("bench_serve overload: capacity %.0f qps (%lld clients, "
-                "deadline %lldms, queue %lld, admission %s, chaos %s)\n",
-                capacity, static_cast<long long>(clients),
-                static_cast<long long>(deadline_ms),
-                static_cast<long long>(scfg.max_queue), scfg.admission.c_str(),
-                chaos ? "on" : "off");
-
-    std::vector<OverloadPoint> points;
-    for (const std::string& m : Split(multipliers, ',')) {
-      if (m.empty()) continue;
-      const double multiplier = std::stod(m);
-      OverloadPoint point =
-          OfferLoad(front.port(), days, dataset.num_stocks(), clients,
-                    multiplier * capacity, overload_seconds, deadline_ms);
-      point.multiplier = multiplier;
-      points.push_back(point);
-      std::printf("  x%-5.1f offered %8.0f  achieved %8.0f  goodput %8.0f  "
-                  "ok %6" PRIu64 "  busy %6" PRIu64 "  deadline %5" PRIu64
-                  "  err %4" PRIu64 "  p50 %6.0fus  p99 %7.0fus\n",
-                  point.multiplier, point.offered_qps, point.achieved_qps,
-                  point.goodput_qps, point.ok, point.busy, point.deadline,
-                  point.error, point.p50_us, point.p99_us);
-    }
-
-    front.Stop();
-    server.Stop();
-    registry.Stop();
-
-    // The serving accounting invariant must survive overload and chaos.
-    const int64_t srv_requests = metrics.requests.load();
-    const int64_t accounted = metrics.responses_ok.load() +
-                              metrics.responses_error.load() +
-                              metrics.expired.load() + metrics.shed.load();
-    std::printf("accounting: requests %lld == ok %lld + err %lld + expired "
-                "%lld + shed %lld (%s); busy_rejected %lld\n",
-                static_cast<long long>(srv_requests),
-                static_cast<long long>(metrics.responses_ok.load()),
-                static_cast<long long>(metrics.responses_error.load()),
-                static_cast<long long>(metrics.expired.load()),
-                static_cast<long long>(metrics.shed.load()),
-                srv_requests == accounted ? "OK" : "VIOLATED",
-                static_cast<long long>(metrics.busy_rejected.load()));
-    if (chaos) {
-      std::printf("chaos: %" PRIu64 " plans, %" PRIu64 " delays, %" PRIu64
-                  " drops, %" PRIu64 " truncates, %" PRIu64 " resets\n",
-                  injector.plans(), injector.delays(), injector.drops(),
-                  injector.truncates(), injector.resets());
-    }
-
-    if (!json.empty()) {
-      std::ofstream out(json);
-      out << "{\n  \"bench\": \"serve_robust\",\n";
-      out << "  \"config\": {\"clients\": " << clients
-          << ", \"deadline_ms\": " << deadline_ms
-          << ", \"max_queue\": " << scfg.max_queue << ", \"admission\": \""
-          << scfg.admission << "\", \"max_batch\": " << scfg.max_batch
-          << ", \"stocks\": " << dataset.num_stocks()
-          << ", \"overload_seconds\": " << overload_seconds
-          << ", \"chaos\": " << (chaos ? "true" : "false")
-          << ", \"chaos_seed\": " << chaos_seed << "},\n";
-      out << "  \"capacity_qps\": " << capacity << ",\n";
-      out << "  \"overload\": [\n";
-      for (size_t i = 0; i < points.size(); ++i) {
-        const OverloadPoint& p = points[i];
-        out << "    {\"multiplier\": " << p.multiplier
-            << ", \"offered_qps\": " << p.offered_qps
-            << ", \"achieved_qps\": " << p.achieved_qps
-            << ", \"goodput_qps\": " << p.goodput_qps << ", \"ok\": " << p.ok
-            << ", \"busy\": " << p.busy << ", \"deadline\": " << p.deadline
-            << ", \"error\": " << p.error << ", \"p50_us\": " << p.p50_us
-            << ", \"p95_us\": " << p.p95_us << ", \"p99_us\": " << p.p99_us
-            << "}" << (i + 1 < points.size() ? "," : "") << "\n";
-      }
-      out << "  ],\n";
-      out << "  \"accounting\": {\"requests\": " << srv_requests
-          << ", \"responses_ok\": " << metrics.responses_ok.load()
-          << ", \"responses_error\": " << metrics.responses_error.load()
-          << ", \"expired\": " << metrics.expired.load()
-          << ", \"shed\": " << metrics.shed.load()
-          << ", \"busy_rejected\": " << metrics.busy_rejected.load()
-          << ", \"holds\": "
-          << (srv_requests == accounted ? "true" : "false") << "},\n";
-      out << "  \"chaos_faults\": {\"plans\": " << injector.plans()
-          << ", \"delays\": " << injector.delays()
-          << ", \"drops\": " << injector.drops()
-          << ", \"truncates\": " << injector.truncates()
-          << ", \"resets\": " << injector.resets() << "}\n";
-      out << "}\n";
-      std::printf("wrote %s\n", json.c_str());
-    }
-    return srv_requests == accounted ? 0 : 1;
+                  multiplier * capacity, overload_seconds, deadline_ms);
+    point.multiplier = multiplier;
+    points.push_back(point);
+    std::printf("  x%-5.1f offered %8.0f  achieved %8.0f  goodput %8.0f  "
+                "ok %6" PRIu64 "  busy %6" PRIu64 "  deadline %5" PRIu64
+                "  err %4" PRIu64 "  p50 %6.0fus  p99 %7.0fus\n",
+                point.multiplier, point.offered_qps, point.achieved_qps,
+                point.goodput_qps, point.ok, point.busy, point.deadline,
+                point.error, point.p50_us, point.p99_us);
   }
 
-  std::printf("bench_serve: %lld clients x %lld reqs, %lld stocks, "
-              "%zu test days, cache %s\n",
-              static_cast<long long>(clients),
-              static_cast<long long>(requests),
-              static_cast<long long>(dataset.num_stocks()), days.size(),
-              scfg.enable_cache ? "on" : "off");
+  front.Stop();
+  server.Stop();
+  registry.Stop();
 
-  double qps_unbatched = 0;
-  double qps_batched = 0;
-  for (const bool batched : {false, true}) {
-    serve::Metrics metrics;
-    serve::ModelRegistry registry(
-        {dir, /*reload_interval_ms=*/0},
-        [make_predictor] { return serve::WrapPredictor(make_predictor()); },
-        &metrics);
-    registry.Start().Abort();
-    serve::InferenceServer::Options opts;
-    opts.max_batch = batched ? scfg.max_batch : 1;
-    opts.batch_timeout_us = batched ? scfg.batch_timeout_us : 0;
-    opts.enable_cache = scfg.enable_cache;
-    serve::InferenceServer server(&dataset, &registry, opts, &metrics);
-    server.Start().Abort();
-
-    // Warm-up so neither config pays first-touch costs inside the timed run.
-    server.Rank(days.front()).status().Abort();
-
-    const LoadResult load =
-        RunLoad(&server, days, clients, requests, phase, dataset.num_stocks());
-    server.Stop();
-    registry.Stop();
-
-    PrintConfig(batched ? "batched" : "max_batch=1", metrics, load);
-    if (load.errors > 0) {
-      std::printf("  !! %" PRIu64 " failed queries\n", load.errors);
-    }
-    (batched ? qps_batched : qps_unbatched) = load.qps;
+  // The serving accounting invariant must survive overload and chaos.
+  const int64_t srv_requests = metrics.requests.Value();
+  const int64_t accounted = metrics.responses_ok.Value() +
+                            metrics.responses_error.Value() +
+                            metrics.expired.Value() + metrics.shed.Value();
+  std::printf("accounting: requests %lld == ok %lld + err %lld + expired "
+              "%lld + shed %lld (%s); busy_rejected %lld\n",
+              static_cast<long long>(srv_requests),
+              static_cast<long long>(metrics.responses_ok.Value()),
+              static_cast<long long>(metrics.responses_error.Value()),
+              static_cast<long long>(metrics.expired.Value()),
+              static_cast<long long>(metrics.shed.Value()),
+              srv_requests == accounted ? "OK" : "VIOLATED",
+              static_cast<long long>(metrics.busy_rejected.Value()));
+  if (chaos) {
+    std::printf("chaos: %" PRIu64 " plans, %" PRIu64 " delays, %" PRIu64
+                " drops, %" PRIu64 " truncates, %" PRIu64 " resets\n",
+                injector.plans(), injector.delays(), injector.drops(),
+                injector.truncates(), injector.resets());
   }
 
-  std::printf("speedup (batched / max_batch=1): %.2fx\n",
-              qps_batched / qps_unbatched);
-  return 0;
+  if (!json.empty()) {
+    std::ofstream out(json);
+    out << "{\n  \"bench\": \"serve_robust\",\n";
+    out << "  \"config\": {\"clients\": " << clients
+        << ", \"deadline_ms\": " << deadline_ms
+        << ", \"max_queue\": " << scfg.max_queue
+        << ", \"stocks\": " << dataset.num_stocks()
+        << ", \"overload_seconds\": " << overload_seconds
+        << ", \"chaos\": " << (chaos ? "true" : "false")
+        << ", \"chaos_seed\": " << chaos_seed << "},\n";
+    out << "  \"capacity_qps\": " << capacity << ",\n";
+    out << "  \"overload\": [\n";
+    for (size_t i = 0; i < points.size(); ++i) {
+      const OverloadPoint& p = points[i];
+      out << "    {\"multiplier\": " << p.multiplier
+          << ", \"offered_qps\": " << p.offered_qps
+          << ", \"achieved_qps\": " << p.achieved_qps
+          << ", \"goodput_qps\": " << p.goodput_qps << ", \"ok\": " << p.ok
+          << ", \"busy\": " << p.busy << ", \"deadline\": " << p.deadline
+          << ", \"error\": " << p.error << ", \"p50_us\": " << p.p50_us
+          << ", \"p95_us\": " << p.p95_us << ", \"p99_us\": " << p.p99_us
+          << "}" << (i + 1 < points.size() ? "," : "") << "\n";
+    }
+    out << "  ],\n";
+    out << "  \"accounting\": {\"requests\": " << srv_requests
+        << ", \"responses_ok\": " << metrics.responses_ok.Value()
+        << ", \"responses_error\": " << metrics.responses_error.Value()
+        << ", \"expired\": " << metrics.expired.Value()
+        << ", \"shed\": " << metrics.shed.Value()
+        << ", \"busy_rejected\": " << metrics.busy_rejected.Value()
+        << ", \"holds\": "
+        << (srv_requests == accounted ? "true" : "false") << "},\n";
+    out << "  \"chaos_faults\": {\"plans\": " << injector.plans()
+        << ", \"delays\": " << injector.delays()
+        << ", \"drops\": " << injector.drops()
+        << ", \"truncates\": " << injector.truncates()
+        << ", \"resets\": " << injector.resets() << "}\n";
+    out << "}\n";
+    std::printf("wrote %s\n", json.c_str());
+  }
+  return srv_requests == accounted ? 0 : 1;
 }

@@ -7,11 +7,10 @@
 // default as in bench_serve and the chaos harness:
 //
 //   ./serve_server [--port 7070] [--checkpoint_dir /tmp/rtgcn_serve_demo]
-//                  [--max_batch 32] [--batch_timeout_us 200]
 //                  [--reload_interval_ms 1000] [--cache 1]
 //                  [--stocks 60] [--window 15] [--train_epochs 4]
 //                  [--serve_seconds 0] [--num_threads N]
-//                  [--max_queue 1024] [--admission reject|block]
+//                  [--max_queue 1024] [--executor_threads 16]
 //                  [--max_connections 10000] [--max_line_bytes 65536]
 //
 // The stack is one InferenceServer behind the epoll AsyncServer. While it

@@ -29,17 +29,6 @@ class Counter {
   void Increment(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
-  // std::atomic-compatible surface, so code that held a bare
-  // std::atomic<uint64_t> (the pre-obs serve::Metrics) migrates without
-  // touching its call sites.
-  uint64_t fetch_add(uint64_t n,
-                     std::memory_order = std::memory_order_relaxed) {
-    return v_.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t load(std::memory_order = std::memory_order_relaxed) const {
-    return v_.load(std::memory_order_relaxed);
-  }
-
  private:
   std::atomic<uint64_t> v_{0};
 };

@@ -4,85 +4,41 @@
 
 namespace rtgcn::serve {
 
-const char* AdmissionPolicyName(AdmissionPolicy policy) {
-  switch (policy) {
-    case AdmissionPolicy::kRejectFast: return "reject";
-    case AdmissionPolicy::kBlockWithTimeout: return "block";
-  }
-  return "unknown";
-}
-
-bool ParseAdmissionPolicy(const std::string& name, AdmissionPolicy* out) {
-  if (name == "reject") {
-    *out = AdmissionPolicy::kRejectFast;
-    return true;
-  }
-  if (name == "block") {
-    *out = AdmissionPolicy::kBlockWithTimeout;
-    return true;
-  }
-  return false;
-}
-
 AdmissionController::AdmissionController(Options options)
     : options_(options) {
   options_.capacity = std::max<int64_t>(options_.capacity, 1);
 }
 
-Status AdmissionController::Admit(
-    std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(mu_);
+Status AdmissionController::Admit() {
+  std::lock_guard<std::mutex> lock(mu_);
   if (draining_) {
     return Status::Unavailable("draining: no new ", options_.what,
                                " admitted");
   }
-  if (in_use_ < options_.capacity) {
-    ++in_use_;
-    return Status::OK();
-  }
-  if (options_.policy == AdmissionPolicy::kRejectFast ||
-      options_.block_timeout_ms <= 0) {
+  if (in_use_ >= options_.capacity) {
     return Status::Unavailable(options_.what, " at capacity (",
                                options_.capacity, ")");
-  }
-  auto wake = std::chrono::steady_clock::now() +
-              std::chrono::milliseconds(options_.block_timeout_ms);
-  const bool deadline_binds = deadline < wake;
-  if (deadline_binds) wake = deadline;
-  const bool got_slot = cv_.wait_until(lock, wake, [this] {
-    return draining_ || in_use_ < options_.capacity;
-  });
-  if (draining_) {
-    return Status::Unavailable("draining: no new ", options_.what,
-                               " admitted");
-  }
-  if (!got_slot) {
-    if (deadline_binds) {
-      return Status::DeadlineExceeded("deadline passed while waiting for a ",
-                                      options_.what, " slot");
-    }
-    return Status::Unavailable(options_.what, " still at capacity (",
-                               options_.capacity, ") after ",
-                               options_.block_timeout_ms, "ms");
   }
   ++in_use_;
   return Status::OK();
 }
 
 void AdmissionController::Release() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (in_use_ > 0) --in_use_;
-  }
-  cv_.notify_one();
+  // Notify under the lock: a WaitIdle() caller may destroy the gate as
+  // soon as it can observe in_use_ == 0.
+  std::lock_guard<std::mutex> lock(mu_);
+  if (in_use_ > 0) --in_use_;
+  if (in_use_ == 0) cv_.notify_all();
 }
 
 void AdmissionController::CloseForDrain() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    draining_ = true;
-  }
-  cv_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  draining_ = true;
+}
+
+void AdmissionController::WaitIdle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [this] { return in_use_ == 0; });
 }
 
 void AdmissionController::Reopen() {
@@ -93,6 +49,11 @@ void AdmissionController::Reopen() {
 int64_t AdmissionController::in_use() const {
   std::lock_guard<std::mutex> lock(mu_);
   return in_use_;
+}
+
+bool AdmissionController::draining() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return draining_;
 }
 
 }  // namespace rtgcn::serve

@@ -35,7 +35,7 @@ AsyncServer::AsyncServer(InferenceServer* server, Metrics* metrics,
       metrics_(metrics),
       options_(options),
       conn_gate_({std::max<int64_t>(options.max_connections, 1),
-                  AdmissionPolicy::kRejectFast, 0, "connections"}) {
+                  "connections"}) {
   RTGCN_CHECK(server_ != nullptr);
   options_.max_line_bytes = std::max<int64_t>(options_.max_line_bytes, 64);
   options_.executor_threads =
@@ -216,7 +216,7 @@ void AsyncServer::HandleAccept() {
     }
     if (!conn_gate_.Admit().ok()) {
       if (metrics_) {
-        metrics_->busy_rejected.fetch_add(1, std::memory_order_relaxed);
+        metrics_->busy_rejected.Increment();
       }
       const char kBusy[] = "BUSY too many connections\n";
       [[maybe_unused]] const ssize_t n =
@@ -281,7 +281,7 @@ void AsyncServer::IngestInput(uint64_t id) {
       (oversized ||
        static_cast<int64_t>(conn.inbuf.size()) > options_.max_line_bytes)) {
     if (metrics_) {
-      metrics_->oversized_lines.fetch_add(1, std::memory_order_relaxed);
+      metrics_->oversized_lines.Increment();
     }
     conn.outbuf += "ERR line too long\n";
     conn.closing = true;
@@ -402,7 +402,7 @@ void AsyncServer::FlushConn(uint64_t id) {
     // Peer is gone (EPIPE/ECONNRESET) — a per-connection error, never a
     // process signal thanks to MSG_NOSIGNAL.
     if (metrics_) {
-      metrics_->send_errors.fetch_add(1, std::memory_order_relaxed);
+      metrics_->send_errors.Increment();
     }
     CloseConn(id);
     return;

@@ -64,7 +64,7 @@ class AsyncServer {
     int64_t max_connections = 10000;  ///< excess accepts get BUSY + close
     int64_t max_line_bytes = 65536;   ///< request-line cap
     /// Blocking-path worker threads (each carries one in-flight blocking
-    /// line; they spend their life waiting on the server's batcher).
+    /// line and runs the server's request path for it).
     int64_t executor_threads = 16;
     /// Per-connection buffered-reply cap: beyond it the connection stops
     /// being read until the client drains its replies.

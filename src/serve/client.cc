@@ -161,7 +161,7 @@ Result<std::string> Client::RoundTrip(const std::string& line) {
     if (attempt > 1) {
       ++retries_;
       if (metrics_) {
-        metrics_->client_retries.fetch_add(1, std::memory_order_relaxed);
+        metrics_->client_retries.Increment();
       }
       Backoff(attempt - 1);
     }

@@ -16,20 +16,12 @@ void ServerConfig::RegisterFlags(FlagSet* fs, const std::string& prefix) {
                "per-connection reply buffer cap");
   fs->Register(name("max_pending_lines"), &max_pending_lines,
                "per-connection undispatched line cap");
-  fs->Register(name("max_batch"), &max_batch, "micro-batch flush size");
-  fs->Register(name("batch_timeout_us"), &batch_timeout_us,
-               "micro-batch window after a batch's first request");
   fs->Register(name("cache"), &enable_cache,
                "enable the (version, day) score cache");
   fs->Register(name("cache_capacity"), &cache_capacity,
                "cached (version, day) entries (FIFO)");
   fs->Register(name("max_queue"), &max_queue,
-               "pending-request bound (admission)");
-  fs->RegisterChoice(name("admission"), &admission, {"reject", "block"},
-                     "full-queue policy: shed immediately or block with "
-                     "timeout");
-  fs->Register(name("admission_timeout_ms"), &admission_timeout_ms,
-               "block admission: wait bound for a queue slot");
+               "in-flight request bound (excess get BUSY)");
   fs->Register(name("degraded_failure_threshold"),
                &degraded_failure_threshold,
                "consecutive reload failures before DEGRADED (<=0 off)");
@@ -46,14 +38,6 @@ void ServerConfig::RegisterFlags(FlagSet* fs, const std::string& prefix) {
 }
 
 Status ServerConfig::Validate() const {
-  AdmissionPolicy policy;
-  if (!ParseAdmissionPolicy(admission, &policy)) {
-    return Status::InvalidArgument("admission must be reject or block, got \"",
-                                   admission, "\"");
-  }
-  if (max_batch < 1) {
-    return Status::InvalidArgument("max_batch must be >= 1, got ", max_batch);
-  }
   if (max_queue < 1) {
     return Status::InvalidArgument("max_queue must be >= 1, got ", max_queue);
   }
@@ -68,21 +52,11 @@ Status ServerConfig::Validate() const {
   return Status::OK();
 }
 
-AdmissionPolicy ServerConfig::admission_policy() const {
-  AdmissionPolicy policy = AdmissionPolicy::kRejectFast;
-  ParseAdmissionPolicy(admission, &policy);  // Validate() caught bad names
-  return policy;
-}
-
 InferenceServer::Options ServerConfig::server_options() const {
   InferenceServer::Options opts;
-  opts.max_batch = max_batch;
-  opts.batch_timeout_us = batch_timeout_us;
   opts.enable_cache = enable_cache;
   opts.cache_capacity = cache_capacity;
   opts.max_queue = max_queue;
-  opts.admission = admission_policy();
-  opts.admission_timeout_ms = admission_timeout_ms;
   opts.degraded_failure_threshold = degraded_failure_threshold;
   return opts;
 }

@@ -7,7 +7,9 @@
 // Options from it. A binary (serve_server, bench_serve, the chaos
 // harnesses) registers once, parses once, and wires the stack with
 // `config.server_options()`, `config.async_options()`, ... — defaults
-// and flag names cannot drift between binaries anymore.
+// and flag names cannot drift between binaries. The backend has no batch
+// window to tune: requests run on the caller's thread and same-day
+// requests share one forward (serve/server.h).
 #ifndef RTGCN_SERVE_CONFIG_H_
 #define RTGCN_SERVE_CONFIG_H_
 
@@ -16,7 +18,6 @@
 
 #include "common/flags.h"
 #include "common/status.h"
-#include "serve/admission.h"
 #include "serve/async_server.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -35,16 +36,12 @@ struct ServerConfig {
   int64_t max_outbox_bytes = 1 << 20;  ///< per-conn reply buffer cap
   int64_t max_pending_lines = 128;     ///< per-conn line backlog cap
 
-  // Micro-batching + score cache (InferenceServer).
-  int64_t max_batch = 32;
-  int64_t batch_timeout_us = 200;
+  // Score cache (InferenceServer).
   bool enable_cache = true;
   int64_t cache_capacity = 256;
 
   // Overload safety.
   int64_t max_queue = 1024;
-  std::string admission = "reject";  ///< "reject" or "block"
-  int64_t admission_timeout_ms = 50;
   int64_t degraded_failure_threshold = 3;
 
   // Client (loopback tools, benches, chaos harnesses).
@@ -58,12 +55,9 @@ struct ServerConfig {
   /// flags (e.g. "serve_") for binaries that also register other groups.
   void RegisterFlags(FlagSet* fs, const std::string& prefix = "");
 
-  /// Cross-field validation (admission choice, positive bounds).
-  /// RegisterChoice already rejects bad enum values at parse time; this
-  /// catches configs built in code.
+  /// Bounds validation (positive caps and thread counts) for configs
+  /// parsed from flags or built in code.
   Status Validate() const;
-
-  AdmissionPolicy admission_policy() const;
 
   // Projections: each layer's Options derived from the shared fields.
   InferenceServer::Options server_options() const;

@@ -20,7 +20,6 @@ Metrics::Metrics()
       client_retries(*registry.GetCounter("serve.client_retries")),
       degraded_seconds(*registry.GetGauge("serve.degraded_seconds")),
       conns_active(*registry.GetGauge("serve.conns_active")),
-      batches(*registry.GetCounter("serve.batches")),
       forwards(*registry.GetCounter("serve.forwards")),
       cache_hits(*registry.GetCounter("serve.cache_hits")),
       cache_misses(*registry.GetCounter("serve.cache_misses")),
@@ -28,8 +27,6 @@ Metrics::Metrics()
       reload_failure(*registry.GetCounter("serve.reload_failure")),
       latency(*registry.GetHistogram(
           "serve.latency_us", obs::BucketSpec::Exponential2(kLatencyBuckets))),
-      batch_size(*registry.GetHistogram(
-          "serve.batch_size", obs::BucketSpec::LinearUnit(kMaxBatchTracked))),
       start_us_(obs::NowMicros()) {}
 
 double Metrics::UptimeSeconds() const {
@@ -72,7 +69,6 @@ std::string Metrics::DumpText() const {
   count("serve.client_retries", client_retries.Value());
   line("serve.degraded_seconds", degraded_seconds.Value());
   line("serve.conns_active", conns_active.Value());
-  count("serve.batches", batches.Value());
   count("serve.forwards", forwards.Value());
   count("serve.cache_hits", cache_hits.Value());
   count("serve.cache_misses", cache_misses.Value());
@@ -85,16 +81,6 @@ std::string Metrics::DumpText() const {
   line("serve.latency_us.p50", latency.Percentile(0.50));
   line("serve.latency_us.p95", latency.Percentile(0.95));
   line("serve.latency_us.p99", latency.Percentile(0.99));
-  line("serve.batch_size.mean", batch_size.Mean());
-  out << "serve.batch_size.hist";
-  for (int s = 1; s <= kMaxBatchTracked; ++s) {
-    const uint64_t c = batch_size.BucketCount(s);
-    if (c > 0) out << ' ' << s << ':' << c;
-  }
-  const uint64_t overflow =
-      batch_size.BucketCount(batch_size.num_buckets() - 1);
-  if (overflow > 0) out << " >:" << overflow;
-  out << '\n';
   return out.str();
 }
 

@@ -516,39 +516,18 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
       return FormatReply(MakeRankReplyFor(request, result.ValueOrDie()));
     }
     case Request::Verb::kScoreBatch: {
-      // One Rank() execution answers every stock of the line — the batch
-      // never fans out into per-stock queue entries.
-      auto result = server->Rank(request.day, {request.deadline_ms});
+      // One request answers every stock of the line from one day's scores.
+      auto result = server->ScoreBatch(request.day, request.stocks,
+                                       {request.deadline_ms});
       if (!result.ok()) {
         return FormatReply(ErrorReplyFor(request, result.status()));
       }
-      const RankReply& rank = result.ValueOrDie();
-      const int64_t n = static_cast<int64_t>(rank.scores.size());
-      std::vector<int64_t> ranks(static_cast<size_t>(n));
-      const std::vector<RankEntry> order = TopK(rank.scores, n);
-      for (int64_t r = 0; r < n; ++r) {
-        ranks[static_cast<size_t>(order[static_cast<size_t>(r)].stock)] = r;
-      }
       reply.kind = Reply::Kind::kScoreBatch;
-      reply.model_version = rank.model_version;
-      reply.stale = rank.stale;
-      for (int64_t stock : request.stocks) {
-        if (stock < 0 || stock >= n) {
-          reply.kind = Reply::Kind::kErr;
-          std::ostringstream msg;
-          msg << "stock " << stock << " out of range [0, " << n << ")";
-          reply.text = msg.str();
-          return FormatReply(reply);
-        }
-        ScoreReply s;
-        s.model_version = rank.model_version;
-        s.score = rank.scores[static_cast<size_t>(stock)];
-        s.rank = ranks[static_cast<size_t>(stock)];
-        s.num_stocks = n;
-        s.stale = rank.stale;
-        reply.batch_stocks.push_back(stock);
-        reply.batch.push_back(s);
-      }
+      reply.batch = result.MoveValueOrDie();
+      reply.batch_stocks = request.stocks;
+      // ParseRequest admits SCOREN only with at least one stock.
+      reply.model_version = reply.batch.front().model_version;
+      reply.stale = reply.batch.front().stale;
       return FormatReply(reply);
     }
   }
@@ -571,8 +550,8 @@ bool TryExecuteLineFast(InferenceServer* server, Metrics* metrics,
       return false;
     }
     if (metrics) {
-      metrics->requests.fetch_add(1, std::memory_order_relaxed);
-      metrics->responses_ok.fetch_add(1, std::memory_order_relaxed);
+      metrics->requests.Increment();
+      metrics->responses_ok.Increment();
       metrics->latency.Record(obs::ElapsedMicrosSince(t0));
     }
     *reply = FormatReply(MakeScoreReplyFor(request, score));
@@ -582,8 +561,8 @@ bool TryExecuteLineFast(InferenceServer* server, Metrics* metrics,
     RankReply rank;
     if (!server->TryRankCached(request.day, &rank)) return false;
     if (metrics) {
-      metrics->requests.fetch_add(1, std::memory_order_relaxed);
-      metrics->responses_ok.fetch_add(1, std::memory_order_relaxed);
+      metrics->requests.Increment();
+      metrics->responses_ok.Increment();
       metrics->latency.Record(obs::ElapsedMicrosSince(t0));
     }
     *reply = FormatReply(MakeRankReplyFor(request, rank));

@@ -80,7 +80,7 @@ bool ModelRegistry::PollOnce() {
       }
       consecutive_failures_.store(0, std::memory_order_relaxed);
       if (metrics_) {
-        metrics_->reload_success.fetch_add(1, std::memory_order_relaxed);
+        metrics_->reload_success.Increment();
       }
       RTGCN_LOG(Info) << "serve: promoted checkpoint " << path
                       << " as version " << *it;
@@ -88,7 +88,7 @@ bool ModelRegistry::PollOnce() {
     }
     consecutive_failures_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_) {
-      metrics_->reload_failure.fetch_add(1, std::memory_order_relaxed);
+      metrics_->reload_failure.Increment();
     }
     RTGCN_LOG(Warning) << "serve: skipping unloadable checkpoint " << path
                        << ": " << snap.status().ToString();

@@ -1,7 +1,9 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <future>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -58,14 +60,13 @@ InferenceServer::InferenceServer(ScoreFn score_fn, int64_t num_stocks,
       registry_(registry),
       options_(options),
       metrics_(metrics),
-      admission_({std::max<int64_t>(options.max_queue, 1), options.admission,
-                  options.admission_timeout_ms, "requests"}) {
+      admission_({options.max_queue, "requests"}) {
   RTGCN_CHECK(score_fn_ != nullptr);
   RTGCN_CHECK(registry_ != nullptr);
-  options_.max_batch = std::max<int64_t>(options_.max_batch, 1);
-  options_.batch_timeout_us = std::max<int64_t>(options_.batch_timeout_us, 0);
   options_.cache_capacity = std::max<int64_t>(options_.cache_capacity, 1);
   options_.max_queue = std::max<int64_t>(options_.max_queue, 1);
+  // Closed until Start(): a request before then is answered "draining".
+  admission_.CloseForDrain();
 }
 
 InferenceServer::InferenceServer(const market::WindowDataset* data,
@@ -77,77 +78,77 @@ InferenceServer::InferenceServer(const market::WindowDataset* data,
 InferenceServer::~InferenceServer() { Stop(); }
 
 Status InferenceServer::Start() {
-  std::lock_guard<std::mutex> lock(queue_mu_);
-  if (running_) return Status::OK();
-  running_ = true;
-  draining_ = false;
   admission_.Reopen();
-  batcher_ = std::thread([this] { BatchLoop(); });
   return Status::OK();
 }
 
 void InferenceServer::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!running_) return;
-    draining_ = true;
-  }
-  // Fail waiters at the admission gate (and all later arrivals) with a
-  // "draining" status, then let the batcher flush what was already
-  // admitted: a drain completes queued work instead of orphaning it.
+  // Later arrivals fail with "draining"; a drain completes admitted work
+  // instead of orphaning it.
   admission_.CloseForDrain();
-  queue_cv_.notify_all();
-  if (batcher_.joinable()) batcher_.join();
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    running_ = false;
-  }
+  admission_.WaitIdle();
 }
 
-Result<InferenceServer::Scored> InferenceServer::Submit(
+Result<InferenceServer::Scored> InferenceServer::Execute(
     int64_t day, const RequestOptions& request) {
-  if (metrics_) metrics_->requests.fetch_add(1, std::memory_order_relaxed);
-  const auto now = std::chrono::steady_clock::now();
+  if (metrics_) metrics_->requests.Increment();
+  const uint64_t start_us = obs::NowMicros();
   const auto deadline =
       request.deadline_ms > 0
-          ? now + std::chrono::milliseconds(request.deadline_ms)
+          ? std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(request.deadline_ms)
           : kNoDeadline;
-  // Admission first: a full queue answers in bounded time (reject-fast or
-  // block-with-timeout) instead of growing without limit.
-  const Status admitted = admission_.Admit(deadline);
+  // Admission first: a full server answers at once instead of queueing
+  // without limit.
+  const Status admitted = admission_.Admit();
   if (!admitted.ok()) {
-    if (metrics_) {
-      (admitted.code() == StatusCode::kDeadlineExceeded ? metrics_->expired
-                                                        : metrics_->shed)
-          .fetch_add(1, std::memory_order_relaxed);
-    }
+    if (metrics_) metrics_->shed.Increment();
     return admitted;
   }
-  std::future<Result<Scored>> future;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!running_ || draining_) {
-      admission_.Release();
-      if (metrics_) metrics_->shed.fetch_add(1, std::memory_order_relaxed);
-      return Status::Unavailable(running_ ? "draining: server is stopping"
-                                          : "draining: server is not running");
+  Result<Scored> result = Status::NotFound("no model version published yet");
+  // Pin exactly one published snapshot: the reply maps to this version.
+  const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
+  if (!snapshot) {
+    // Graceful degradation: with no published model, fall back to the
+    // last scores ever computed for this day (flagged stale) instead of
+    // erroring; only a day never scored before fails.
+    Scored stale = LastScoresFor(day);
+    if (stale.day) result = std::move(stale);
+  } else {
+    const bool degraded = (Health() == HealthState::kDegraded);
+    auto scores = ScoresFor(*snapshot, day, deadline);
+    if (scores.ok()) {
+      RememberScores(day, snapshot->version(), scores.ValueOrDie());
+      result = Scored{snapshot->version(), scores.MoveValueOrDie(), degraded};
+    } else {
+      result = scores.status();
     }
-    Pending pending;
-    pending.day = day;
-    pending.enqueue = now;
-    pending.deadline = deadline;
-    pending.enqueue_us = obs::NowMicros();
-    future = pending.promise.get_future();
-    queue_.push_back(std::move(pending));
   }
-  queue_cv_.notify_one();
-  return future.get();
+  // Every admitted request ends in exactly one terminal counter before
+  // its slot is returned, so the accounting invariant holds after Stop().
+  if (metrics_) {
+    if (!result.ok() &&
+        result.status().code() == StatusCode::kDeadlineExceeded) {
+      metrics_->expired.Increment();
+    } else {
+      // Clamped single-clock-source elapsed time: can never go negative
+      // or wrap, even if the clock is skewed (obs/clock.h).
+      metrics_->latency.Record(obs::ElapsedMicrosSince(start_us));
+      (result.ok() ? metrics_->responses_ok : metrics_->responses_error)
+          .Increment();
+      if (result.ok() && result.ValueOrDie().stale) {
+        metrics_->stale_served.Increment();
+      }
+    }
+  }
+  admission_.Release();
+  return result;
 }
 
 Result<InferenceServer::RankReply> InferenceServer::Rank(
     int64_t day, RequestOptions request) {
   obs::Span span("serve.rank", "serve");
-  auto scored = Submit(day, request);
+  auto scored = Execute(day, request);
   if (!scored.ok()) return scored.status();
   const Scored& s = scored.ValueOrDie();
   RankReply reply;
@@ -160,34 +161,48 @@ Result<InferenceServer::RankReply> InferenceServer::Rank(
 
 Result<InferenceServer::ScoreReply> InferenceServer::Score(
     int64_t day, int64_t stock, RequestOptions request) {
+  auto replies = ScoreBatch(day, {stock}, request);
+  if (!replies.ok()) return replies.status();
+  return replies.ValueOrDie().front();
+}
+
+Result<std::vector<InferenceServer::ScoreReply>> InferenceServer::ScoreBatch(
+    int64_t day, const std::vector<int64_t>& stocks, RequestOptions request) {
   obs::Span span("serve.score", "serve");
-  if (stock < 0 || stock >= num_stocks_) {
-    if (metrics_) {
-      metrics_->requests.fetch_add(1, std::memory_order_relaxed);
-      metrics_->responses_error.fetch_add(1, std::memory_order_relaxed);
+  for (const int64_t stock : stocks) {
+    if (stock < 0 || stock >= num_stocks_) {
+      if (metrics_) {
+        metrics_->requests.Increment();
+        metrics_->responses_error.Increment();
+      }
+      return Status::InvalidArgument("stock ", stock, " out of range [0, ",
+                                     num_stocks_, ")");
     }
-    return Status::InvalidArgument("stock ", stock, " out of range [0, ",
-                                   num_stocks_, ")");
   }
-  auto scored = Submit(day, request);
+  auto scored = Execute(day, request);
   if (!scored.ok()) return scored.status();
   const Scored& s = scored.ValueOrDie();
-  ScoreReply reply;
-  reply.model_version = s.version;
-  reply.score = s.day->scores[static_cast<size_t>(stock)];
-  reply.rank = s.day->ranks[static_cast<size_t>(stock)];
-  reply.num_stocks = num_stocks_;
-  reply.stale = s.stale;
-  return reply;
+  std::vector<ScoreReply> replies;
+  replies.reserve(stocks.size());
+  for (const int64_t stock : stocks) {
+    ScoreReply reply;
+    reply.model_version = s.version;
+    reply.score = s.day->scores[static_cast<size_t>(stock)];
+    reply.rank = s.day->ranks[static_cast<size_t>(stock)];
+    reply.num_stocks = num_stocks_;
+    reply.stale = s.stale;
+    replies.push_back(reply);
+  }
+  return replies;
 }
 
 bool InferenceServer::TryRankCached(int64_t day, RankReply* out) {
   if (!options_.enable_cache || !Cacheable(day)) return false;
   const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
   if (!snapshot) return false;
-  // Only the healthy path may skip the queue: degraded (stale flags,
+  // Only the healthy path may skip admission: degraded (stale flags,
   // fallbacks) and draining (DRAINING replies) must see the full
-  // Submit()-side accounting.
+  // Execute()-side accounting.
   if (Health() != HealthState::kServing) return false;
   std::shared_ptr<const DayScores> entry;
   {
@@ -196,7 +211,7 @@ bool InferenceServer::TryRankCached(int64_t day, RankReply* out) {
     if (it == cache_.end()) return false;
     entry = it->second;
   }
-  if (metrics_) metrics_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+  if (metrics_) metrics_->cache_hits.Increment();
   out->model_version = snapshot->version();
   out->day = day;
   out->scores = entry->scores;
@@ -218,7 +233,7 @@ bool InferenceServer::TryScoreCached(int64_t day, int64_t stock,
     if (it == cache_.end()) return false;
     entry = it->second;
   }
-  if (metrics_) metrics_->cache_hits.fetch_add(1, std::memory_order_relaxed);
+  if (metrics_) metrics_->cache_hits.Increment();
   out->model_version = snapshot->version();
   out->score = entry->scores[static_cast<size_t>(stock)];
   out->rank = entry->ranks[static_cast<size_t>(stock)];
@@ -255,107 +270,108 @@ HealthState InferenceServer::HealthLocked(bool draining) {
 }
 
 HealthState InferenceServer::Health() {
-  bool draining;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    draining = !running_ || draining_;
-  }
-  return HealthLocked(draining);
+  return HealthLocked(admission_.draining());
 }
 
 std::string InferenceServer::HealthLine() {
-  size_t depth;
-  bool draining;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu_);
-    draining = !running_ || draining_;
-    depth = queue_.size();
-  }
-  const HealthState state = HealthLocked(draining);
+  const int64_t in_flight = admission_.in_use();
+  const HealthState state = HealthLocked(admission_.draining());
   std::ostringstream out;
   out << HealthStateName(state) << " version=" << registry_->CurrentVersion()
       << " reload_failures=" << registry_->consecutive_reload_failures()
-      << " queue=" << depth;
+      << " queue=" << in_flight;
   return out.str();
 }
 
-void InferenceServer::BatchLoop() {
-  std::unique_lock<std::mutex> lock(queue_mu_);
-  while (true) {
-    queue_cv_.wait(lock, [this] { return draining_ || !queue_.empty(); });
-    if (draining_ && queue_.empty()) break;
-    // Micro-batch window: flush at max_batch requests or batch_timeout_us
-    // after the batch's first request — but wake no later than the
-    // earliest request deadline, so an expiring request is shed promptly
-    // instead of after the full window. A drain flushes immediately.
-    if (options_.batch_timeout_us > 0 && !draining_ &&
-        static_cast<int64_t>(queue_.size()) < options_.max_batch) {
-      auto wake = queue_.front().enqueue +
-                  std::chrono::microseconds(options_.batch_timeout_us);
-      for (const Pending& p : queue_) wake = std::min(wake, p.deadline);
-      queue_cv_.wait_until(lock, wake, [this] {
-        return draining_ ||
-               static_cast<int64_t>(queue_.size()) >= options_.max_batch;
-      });
-    }
-    // Shed everything whose deadline passed while queued, then take the
-    // batch from what remains.
-    std::vector<Pending> dead;
-    std::vector<Pending> batch;
+Result<std::shared_ptr<const InferenceServer::DayScores>>
+InferenceServer::ScoresFor(const ModelSnapshot& snapshot, int64_t day,
+                           std::chrono::steady_clock::time_point deadline) {
+  // A day outside the key range cannot share a key; the ScoreFn rejects
+  // it on its own forward.
+  if (!Cacheable(day)) return Forward(snapshot, day, deadline);
+  const uint64_t key = CacheKey(snapshot.version(), day);
+  for (;;) {
+    std::optional<std::promise<Result<std::shared_ptr<const DayScores>>>>
+        lead;
+    Flight flight;
     {
-      obs::Span assemble("serve.assemble", "serve");
-      const auto now = std::chrono::steady_clock::now();
-      for (auto it = queue_.begin(); it != queue_.end();) {
-        if (it->deadline <= now) {
-          dead.push_back(std::move(*it));
-          it = queue_.erase(it);
-        } else {
-          ++it;
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      if (options_.enable_cache) {
+        auto it = cache_.find(key);
+        if (it != cache_.end()) {
+          if (metrics_) metrics_->cache_hits.Increment();
+          return it->second;
         }
       }
-      const int64_t take = std::min<int64_t>(
-          options_.max_batch, static_cast<int64_t>(queue_.size()));
-      batch.reserve(static_cast<size_t>(take));
-      for (int64_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      auto [it, inserted] = inflight_.try_emplace(key);
+      if (inserted) it->second = lead.emplace().get_future().share();
+      flight = it->second;
+    }
+    if (!lead) {
+      // Joining counts neither a cache hit nor a miss: the leader's
+      // forward is this request's forward.
+      if (deadline != kNoDeadline &&
+          flight.wait_until(deadline) == std::future_status::timeout) {
+        return Status::DeadlineExceeded(
+            "deadline passed waiting for the forward of day ", day);
+      }
+      const Result<std::shared_ptr<const DayScores>>& joined = flight.get();
+      if (joined.ok() && joined.ValueOrDie() == nullptr) continue;
+      return joined;
+    }
+    Result<std::shared_ptr<const DayScores>> result =
+        Forward(snapshot, day, deadline);
+    {
+      std::lock_guard<std::mutex> lock(cache_mu_);
+      inflight_.erase(key);
+      if (result.ok() && options_.enable_cache &&
+          cache_.emplace(key, result.ValueOrDie()).second) {
+        cache_fifo_.push_back(key);
+        while (static_cast<int64_t>(cache_fifo_.size()) >
+               options_.cache_capacity) {
+          cache_.erase(cache_fifo_.front());
+          cache_fifo_.pop_front();
+        }
       }
     }
-    lock.unlock();
-    for (Pending& p : dead) {
-      admission_.Release();
-      if (metrics_) metrics_->expired.fetch_add(1, std::memory_order_relaxed);
-      p.promise.set_value(Status::DeadlineExceeded(
-          "deadline exceeded after ", obs::ElapsedMicrosSince(p.enqueue_us),
-          "us in queue"));
+    // A leader shed at its deadline hands the flight back (null) rather
+    // than its status: joiners may have later deadlines, so they retry.
+    if (!result.ok() &&
+        result.status().code() == StatusCode::kDeadlineExceeded) {
+      lead->set_value(std::shared_ptr<const DayScores>());
+    } else {
+      lead->set_value(result);
     }
-    for (size_t i = 0; i < batch.size(); ++i) admission_.Release();
-    if (!batch.empty()) ExecuteBatch(std::move(batch));
-    lock.lock();
+    return result;
   }
 }
 
 Result<std::shared_ptr<const InferenceServer::DayScores>>
-InferenceServer::ScoresFor(const ModelSnapshot& snapshot, int64_t day) {
-  const uint64_t key = CacheKey(snapshot.version(), day);
-  const bool use_cache = options_.enable_cache && Cacheable(day);
-  if (use_cache) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      if (metrics_) {
-        metrics_->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      }
-      return it->second;
+InferenceServer::Forward(const ModelSnapshot& snapshot, int64_t day,
+                         std::chrono::steady_clock::time_point deadline) {
+  {
+    std::unique_lock<std::mutex> lock(slot_mu_);
+    const auto slot_free = [this] { return !slot_busy_; };
+    if (deadline == kNoDeadline) {
+      slot_cv_.wait(lock, slot_free);
+    } else if (!slot_cv_.wait_until(lock, deadline, slot_free)) {
+      return Status::DeadlineExceeded(
+          "deadline passed waiting for the forward slot (day ", day, ")");
     }
+    slot_busy_ = true;
   }
+  Result<std::vector<float>> scores = score_fn_(snapshot, day);
+  {
+    std::lock_guard<std::mutex> lock(slot_mu_);
+    slot_busy_ = false;
+  }
+  slot_cv_.notify_one();
   // A failed ScoreFn (e.g. a day outside the data) ran no forward, so only
   // a successful one counts as a cache miss.
-  Result<std::vector<float>> scores = score_fn_(snapshot, day);
   if (!scores.ok()) return scores.status();
   if (metrics_) {
-    metrics_->cache_misses.fetch_add(1, std::memory_order_relaxed);
-    metrics_->forwards.fetch_add(1, std::memory_order_relaxed);
+    metrics_->cache_misses.Increment();
+    metrics_->forwards.Increment();
   }
   auto entry = std::make_shared<DayScores>();
   entry->scores = scores.MoveValueOrDie();
@@ -372,17 +388,6 @@ InferenceServer::ScoresFor(const ModelSnapshot& snapshot, int64_t day) {
   entry->ranks.assign(static_cast<size_t>(n), 0);
   for (int64_t r = 0; r < n; ++r) {
     entry->ranks[static_cast<size_t>(order[static_cast<size_t>(r)])] = r;
-  }
-  if (use_cache) {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_.emplace(key, entry).second) {
-      cache_fifo_.push_back(key);
-      while (static_cast<int64_t>(cache_fifo_.size()) >
-             options_.cache_capacity) {
-        cache_.erase(cache_fifo_.front());
-        cache_fifo_.pop_front();
-      }
-    }
   }
   return std::shared_ptr<const DayScores>(std::move(entry));
 }
@@ -408,61 +413,6 @@ void InferenceServer::RememberScores(
       last_by_day_.erase(stale_fifo_.front());
       stale_fifo_.pop_front();
     }
-  }
-}
-
-void InferenceServer::ExecuteBatch(std::vector<Pending> batch) {
-  obs::Span span("serve.batch", "serve");
-  if (metrics_) {
-    metrics_->batches.fetch_add(1, std::memory_order_relaxed);
-    metrics_->batch_size.Record(batch.size());
-  }
-  // Pin exactly one published snapshot for the whole batch: every response
-  // it produces maps to this version.
-  const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
-  const bool degraded = (Health() == HealthState::kDegraded);
-  // Days scored within this batch (coalesces same-day requests even when
-  // the cross-batch cache is disabled).
-  std::unordered_map<int64_t, Result<std::shared_ptr<const DayScores>>>
-      by_day;
-  for (Pending& p : batch) {
-    Result<Scored> result = Status::Internal("unset");
-    if (!snapshot) {
-      // Graceful degradation: with no published model, fall back to the
-      // last scores ever computed for this day (flagged stale) instead of
-      // erroring; only a day never scored before fails.
-      Scored stale = LastScoresFor(p.day);
-      if (stale.day) {
-        result = std::move(stale);
-      } else {
-        result = Status::NotFound("no model version published yet");
-      }
-    } else {
-      auto it = by_day.find(p.day);
-      if (it == by_day.end()) {
-        it = by_day.emplace(p.day, ScoresFor(*snapshot, p.day)).first;
-      }
-      if (it->second.ok()) {
-        result = Scored{snapshot->version(), it->second.ValueOrDie(),
-                        degraded};
-        RememberScores(p.day, snapshot->version(), it->second.ValueOrDie());
-      } else {
-        result = it->second.status();
-      }
-    }
-    const bool ok = result.ok();
-    if (metrics_) {
-      // Clamped single-clock-source elapsed time: can never go negative or
-      // wrap, even if the clock is skewed (obs/clock.h).
-      metrics_->latency.Record(obs::ElapsedMicrosSince(p.enqueue_us));
-      (ok ? metrics_->responses_ok : metrics_->responses_error)
-          .fetch_add(1, std::memory_order_relaxed);
-      if (ok && result.ValueOrDie().stale) {
-        metrics_->stale_served.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    obs::Span reply("serve.reply", "serve");
-    p.promise.set_value(std::move(result));
   }
 }
 

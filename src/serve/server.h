@@ -1,31 +1,34 @@
-// In-process inference runtime: dynamic micro-batching over a pinned model
+// In-process inference runtime: one request path over a pinned model
 // snapshot, with a per-(model_version, day) score cache.
 //
-// Queries block in Rank()/Score() while a single batcher thread coalesces
-// them: a batch is flushed when it reaches `max_batch` requests or when
-// `batch_timeout_us` has elapsed since its first request arrived, whichever
-// comes first. One forward pass scores every stock of a day, so all
-// concurrent queries for the same day — and, via the cache, all later
-// queries against the same model version — are answered by a single
-// forward. The forward itself data-parallelizes over stocks through the
-// shared thread pool (common/thread_pool.h).
-//
-// Every batch pins exactly one registry snapshot for its whole execution,
-// so each response carries the version of exactly one published model —
-// hot reloads never produce a response mixing two versions.
+// Rank()/Score()/ScoreBatch() run on the calling thread (an AsyncServer
+// executor or an in-process caller) in five steps:
+//  1. admit through the AdmissionController (reject-fast);
+//  2. pin registry_->Current() — every reply carries the version of
+//     exactly one published model, so hot reloads never produce a reply
+//     mixing two versions;
+//  3. answer from the completed-entry cache on a hit;
+//  4. on a miss, join the in-flight forward for the same (version, day):
+//     one forward scores every stock of a day, so concurrent same-day
+//     requests share it (single-flight), with no batch window;
+//  5. otherwise lead that forward: take the server-wide forward slot,
+//     run the ScoreFn, rank the scores once and publish them.
+// Forwards are serialized on the forward slot; each one data-parallelizes
+// over stocks through the shared thread pool (common/thread_pool.h).
 //
 // The forward is a ScoreFn: all-stock scores for (snapshot, day). Batch
 // serving wires DatasetScoreFn over a WindowDataset; the streaming
 // pipeline wires RollingPipeline::ServeScoreFn (stream/pipeline.h).
 //
 // Overload safety (DESIGN.md §13):
-//  * the pending queue is bounded by an AdmissionController — a full
+//  * admitted requests are bounded by an AdmissionController — a full
 //    server sheds new work with Unavailable (BUSY on the wire) instead of
 //    queueing without limit;
-//  * a request may carry a deadline; if it expires before its batch runs
-//    it is shed with DeadlineExceeded and counted in Metrics::expired;
-//  * Stop() drains: in-flight and queued batches complete, new requests
-//    fail with a "draining" status (DRAINING on the wire);
+//  * a request may carry a deadline; if it passes while the request waits
+//    for an in-flight forward or for the forward slot, the request is
+//    shed with DeadlineExceeded and counted in Metrics::expired;
+//  * Stop() drains: admitted requests complete, new requests fail with a
+//    "draining" status (DRAINING on the wire);
 //  * Health() reports SERVING / DEGRADED / DRAINING. The server is
 //    DEGRADED when the registry has no published snapshot or its reload
 //    failures cross degraded_failure_threshold; degraded replies serve
@@ -44,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -57,20 +59,16 @@
 
 namespace rtgcn::serve {
 
-/// \brief Micro-batching inference server: the one serving backend that
-/// AsyncServer fronts and ExecuteLine dispatches to.
+/// \brief The one serving backend that AsyncServer fronts and ExecuteLine
+/// dispatches to.
 class InferenceServer {
  public:
   struct Options {
-    int64_t max_batch = 32;        ///< flush when this many requests queue
-    int64_t batch_timeout_us = 200;///< ... or this long after the first one
-    bool enable_cache = true;      ///< per-(version, day) score cache
+    bool enable_cache = true;      ///< retain completed (version, day) scores
     int64_t cache_capacity = 256;  ///< cached (version, day) entries (FIFO)
 
     // Overload safety.
-    int64_t max_queue = 1024;      ///< pending-request bound (admission)
-    AdmissionPolicy admission = AdmissionPolicy::kRejectFast;
-    int64_t admission_timeout_ms = 50;  ///< kBlockWithTimeout wait bound
+    int64_t max_queue = 1024;      ///< admitted-request bound (admission)
     /// Consecutive reload failures before health flips to DEGRADED and
     /// replies are flagged stale; <= 0 disables the failure trigger.
     int64_t degraded_failure_threshold = 3;
@@ -103,11 +101,11 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Starts the batcher thread. Idempotent.
+  /// Opens admission. Idempotent.
   Status Start();
 
-  /// Drains and stops the batcher: queued and in-flight batches complete,
-  /// requests arriving after Stop() fail with a "draining" Unavailable.
+  /// Drains: new requests fail with a "draining" Unavailable, and Stop()
+  /// returns once every admitted request has answered.
   void Stop();
 
   /// Blocking: scores for every stock on prediction day `day`.
@@ -121,6 +119,13 @@ class InferenceServer {
     return Score(day, stock, RequestOptions());
   }
 
+  /// Blocking: score and rank of each of `stocks` on day `day`, in order,
+  /// from one request. A stock out of range fails the whole request
+  /// before any forward runs.
+  Result<std::vector<ScoreReply>> ScoreBatch(
+      int64_t day, const std::vector<int64_t>& stocks,
+      RequestOptions request);
+
   /// Non-blocking: answers from the (current version, day) cache entry.
   /// Only fires while SERVING — degraded/stale/draining requests always
   /// take the blocking path so their accounting and fallbacks apply.
@@ -133,7 +138,8 @@ class InferenceServer {
   HealthState Health();
 
   /// One-line health summary for the HEALTH wire command, e.g.
-  /// "SERVING version=3 reload_failures=0 queue=0".
+  /// "SERVING version=3 reload_failures=0 queue=0", where queue counts the
+  /// admitted requests in flight.
   std::string HealthLine();
 
   const Options& options() const { return options_; }
@@ -150,20 +156,21 @@ class InferenceServer {
     std::shared_ptr<const DayScores> day;
     bool stale = false;
   };
-  struct Pending {
-    int64_t day;
-    std::chrono::steady_clock::time_point enqueue;  // batch-window deadline
-    std::chrono::steady_clock::time_point deadline; // max() when none
-    uint64_t enqueue_us = 0;  // obs::NowMicros at enqueue, for latency
-    std::promise<Result<Scored>> promise;
-  };
+  // A forward in progress for one (version, day), joined by same-key
+  // requests. Its value is null when the leader gave up waiting for the
+  // forward slot (deadline): joiners then retry from the cache lookup.
+  using Flight = std::shared_future<Result<std::shared_ptr<const DayScores>>>;
 
-  Result<Scored> Submit(int64_t day, const RequestOptions& request);
-  void BatchLoop();
-  void ExecuteBatch(std::vector<Pending> batch);
-  // Scores `day` under `snapshot`, via the cache when enabled.
+  // Admission, pinning, serving and accounting of one request.
+  Result<Scored> Execute(int64_t day, const RequestOptions& request);
+  // Scores `day` under `snapshot`: cache hit, joined flight or led forward.
   Result<std::shared_ptr<const DayScores>> ScoresFor(
-      const ModelSnapshot& snapshot, int64_t day);
+      const ModelSnapshot& snapshot, int64_t day,
+      std::chrono::steady_clock::time_point deadline);
+  // Runs the forward for `day` on the forward slot and ranks it once.
+  Result<std::shared_ptr<const DayScores>> Forward(
+      const ModelSnapshot& snapshot, int64_t day,
+      std::chrono::steady_clock::time_point deadline);
   // Last scores ever computed for `day`, any version; nullptr when never
   // scored. The DEGRADED fallback when no snapshot is published.
   Scored LastScoresFor(int64_t day);
@@ -179,19 +186,23 @@ class InferenceServer {
 
   AdmissionController admission_;
 
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<Pending> queue_;
-  bool running_ = false;
-  bool draining_ = false;
-  std::thread batcher_;
+  // The forward slot: one ScoreFn call runs at a time, so scores are
+  // bit-identical to a direct forward, and a leader whose deadline passes
+  // before its forward starts is shed at the deadline. A flag under a
+  // condition variable rather than std::timed_mutex, whose
+  // try_lock_until (pthread_mutex_clocklock) ThreadSanitizer does not
+  // see, and CI runs the serving tests under TSan.
+  std::mutex slot_mu_;
+  std::condition_variable slot_cv_;
+  bool slot_busy_ = false;
 
-  // (version, day) -> scores; FIFO-evicted at cache_capacity. Guarded by
-  // cache_mu_ (the batcher is the only writer, STATS-driven readers none —
-  // but tests may run several servers against one registry).
+  // (version, day) -> scores; FIFO-evicted at cache_capacity. inflight_
+  // holds the forwards still running, so a key is in at most one of the
+  // two. Both guarded by cache_mu_.
   std::mutex cache_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<const DayScores>> cache_;
   std::deque<uint64_t> cache_fifo_;
+  std::unordered_map<uint64_t, Flight> inflight_;
 
   // day -> newest scores computed for it (any version); the stale-serving
   // fallback. Bounded like the cache, FIFO over first-seen days.
@@ -200,7 +211,7 @@ class InferenceServer {
   std::deque<int64_t> stale_fifo_;
 
   // Degraded-seconds accounting: wall-clock spent in kDegraded, advanced
-  // on every Health() evaluation (each batch and each HEALTH command).
+  // on every Health() evaluation (each request and each HEALTH command).
   std::mutex health_mu_;
   uint64_t last_health_us_ = 0;
   bool was_degraded_ = false;

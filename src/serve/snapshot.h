@@ -66,7 +66,8 @@ class ModelSnapshot {
   /// Forward-only scores [N] for features [T, N, D], under NoGradGuard.
   /// Thread-safe: concurrent callers are serialized on an internal mutex
   /// (the forward itself data-parallelizes via the shared thread pool), so
-  /// any thread — batcher, test, or bench — may score any snapshot.
+  /// any thread — a serving request, a test, or a bench — may score any
+  /// snapshot.
   Tensor Score(const Tensor& features) const;
 
  private:

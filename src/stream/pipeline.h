@@ -105,9 +105,9 @@ class RollingPipeline {
   /// this pipeline with
   ///   InferenceServer(pipeline.ServeScoreFn(), pipeline.num_slots(),
   ///                   pipeline.registry(), ...)
-  /// and the streaming exports serve over the same batcher, cache and
-  /// wire front end as batch serving. `day` must be the latest completed
-  /// day (the window holds no history for older ones — they get
+  /// and the streaming exports serve over the same request path, cache
+  /// and wire front end as batch serving. `day` must be the latest
+  /// completed day (the window holds no history for older ones — they get
   /// Unavailable, never wrong data). Slots outside the snapshot version's
   /// training universe score `-FLT_MAX`, so they rank deterministically
   /// last; within one day the gathered features are settled, which keeps

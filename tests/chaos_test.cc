@@ -1,12 +1,14 @@
 // Chaos and overload-safety suite for the serving stack (DESIGN.md §13):
 //
 //  * ChaosInjector fault plans are deterministic in the seed;
-//  * AdmissionController: reject-fast vs block-with-timeout, deadline-bound
-//    waits, drain semantics;
-//  * request deadlines are shed promptly (at the deadline, not at the end
-//    of the batch window) with a distinct DeadlineExceeded status;
-//  * a full queue sheds instead of growing without bound;
-//  * Stop() drains queued work and answers later requests with "draining";
+//  * AdmissionController: reject-fast capacity and drain semantics;
+//  * request deadlines are shed at the deadline — a same-day request
+//    waiting on a held in-flight forward, or a different-day leader
+//    waiting for the forward slot — with a distinct DeadlineExceeded
+//    status;
+//  * a full server sheds instead of queueing without bound;
+//  * Stop() completes admitted requests and answers later ones with
+//    "draining";
 //  * DEGRADED health (unpublished model, repeated reload failures) serves
 //    cached scores flagged STALE instead of erroring;
 //  * the end-to-end chaos scenario over the epoll front end: concurrent
@@ -42,57 +44,12 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "serve_fixture.h"
 
 namespace rtgcn::serve {
 namespace {
 
 using std::chrono::steady_clock;
-
-// ---------------------------------------------------------------------------
-// Fixture: the same tiny linear ranker serve_test.cc uses.
-// ---------------------------------------------------------------------------
-
-class LinearRanker : public harness::GradientPredictor {
- public:
-  explicit LinearRanker(int64_t num_features, uint64_t seed = 1)
-      : rng_(seed), linear_(num_features, 1, &rng_) {}
-
-  std::string name() const override { return "LinearRanker"; }
-
- protected:
-  nn::Module* module() override { return &linear_; }
-  ag::VarPtr Forward(const Tensor& features, Rng*) override {
-    const int64_t t_len = features.dim(0);
-    const int64_t n = features.dim(1);
-    const int64_t d = features.dim(2);
-    auto x = ag::Constant(features);
-    auto last = ag::Reshape(ag::SliceOp(x, 0, t_len - 1, t_len), {n, d});
-    return ag::Reshape(linear_.Forward(last), {n});
-  }
-  float alpha() const override { return 0.0f; }
-
- private:
-  Rng rng_;
-  nn::Linear linear_;
-};
-
-market::WindowDataset MakePanel(int64_t days = 90, int64_t n = 10) {
-  Rng rng(17);
-  Tensor prices({days, n});
-  for (int64_t i = 0; i < n; ++i) prices.at({0, i}) = 50.0f + 2.0f * i;
-  for (int64_t t = 1; t < days; ++t) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float drift = 0.002f * static_cast<float>((i % 5) - 2);
-      const float noise = static_cast<float>(rng.Gaussian(0, 0.001));
-      prices.at({t, i}) = prices.at({t - 1, i}) * (1.0f + drift + noise);
-    }
-  }
-  return market::WindowDataset(prices, /*window=*/5, /*num_features=*/2);
-}
-
-ServableFactory MakeFactory() {
-  return [] { return WrapPredictor(std::make_unique<LinearRanker>(2)); };
-}
 
 std::unique_ptr<LinearRanker> TrainAndExport(
     const market::WindowDataset& data, const std::string& dir, int64_t epoch,
@@ -129,11 +86,9 @@ std::string TestDir(const std::string& name) {
   return dir;
 }
 
-int64_t AccountedRequests(const Metrics& m) {
-  return m.responses_ok.load(std::memory_order_relaxed) +
-         m.responses_error.load(std::memory_order_relaxed) +
-         m.expired.load(std::memory_order_relaxed) +
-         m.shed.load(std::memory_order_relaxed);
+uint64_t AccountedRequests(const Metrics& m) {
+  return m.responses_ok.Value() + m.responses_error.Value() +
+         m.expired.Value() + m.shed.Value();
 }
 
 // ---------------------------------------------------------------------------
@@ -189,8 +144,7 @@ TEST(ChaosInjectorTest, ZeroProbabilitiesNeverFault) {
 // ---------------------------------------------------------------------------
 
 TEST(AdmissionControllerTest, RejectFastCapsInUse) {
-  AdmissionController gate({/*capacity=*/2, AdmissionPolicy::kRejectFast,
-                            /*block_timeout_ms=*/50, "widgets"});
+  AdmissionController gate({/*capacity=*/2, "widgets"});
   EXPECT_TRUE(gate.Admit().ok());
   EXPECT_TRUE(gate.Admit().ok());
   EXPECT_EQ(gate.in_use(), 2);
@@ -203,65 +157,29 @@ TEST(AdmissionControllerTest, RejectFastCapsInUse) {
   EXPECT_TRUE(gate.Admit().ok());
 }
 
-TEST(AdmissionControllerTest, BlockWithTimeoutWaitsForSlot) {
-  AdmissionController gate({/*capacity=*/1, AdmissionPolicy::kBlockWithTimeout,
-                            /*block_timeout_ms=*/2000, "slots"});
-  ASSERT_TRUE(gate.Admit().ok());
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
-    gate.Release();
-  });
-  // Blocks until the releaser frees the slot — well inside the timeout.
-  EXPECT_TRUE(gate.Admit().ok());
-  releaser.join();
-  gate.Release();
-}
-
-TEST(AdmissionControllerTest, BlockWithTimeoutGivesUp) {
-  AdmissionController gate({/*capacity=*/1, AdmissionPolicy::kBlockWithTimeout,
-                            /*block_timeout_ms=*/30, "slots"});
-  ASSERT_TRUE(gate.Admit().ok());
-  const auto start = steady_clock::now();
-  const Status full = gate.Admit();
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      steady_clock::now() - start);
-  EXPECT_EQ(full.code(), StatusCode::kUnavailable);
-  EXPECT_GE(waited.count(), 25);
-}
-
-TEST(AdmissionControllerTest, DeadlineBindsTheBlockWait) {
-  AdmissionController gate({/*capacity=*/1, AdmissionPolicy::kBlockWithTimeout,
-                            /*block_timeout_ms=*/5000, "slots"});
-  ASSERT_TRUE(gate.Admit().ok());
-  const auto start = steady_clock::now();
-  const Status expired =
-      gate.Admit(start + std::chrono::milliseconds(20));
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      steady_clock::now() - start);
-  EXPECT_EQ(expired.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(waited.count(), 1000);  // the deadline, not the 5s block timeout
-}
-
 TEST(AdmissionControllerTest, DrainFailsWaitersAndLaterAdmits) {
-  AdmissionController gate({/*capacity=*/1, AdmissionPolicy::kBlockWithTimeout,
-                            /*block_timeout_ms=*/5000, "slots"});
+  AdmissionController gate({/*capacity=*/4, "slots"});
   ASSERT_TRUE(gate.Admit().ok());
-  std::atomic<bool> waiter_failed{false};
+  gate.CloseForDrain();
+  EXPECT_TRUE(gate.draining());
+  for (int i = 0; i < 3; ++i) {
+    const Status later = gate.Admit();
+    EXPECT_EQ(later.code(), StatusCode::kUnavailable);
+    EXPECT_NE(later.ToString().find("draining"), std::string::npos);
+  }
+  EXPECT_EQ(gate.in_use(), 1);  // a held slot stays valid
+
+  std::atomic<bool> idle{false};
   std::thread waiter([&] {
-    const Status s = gate.Admit();
-    waiter_failed = !s.ok() &&
-                    s.ToString().find("draining") != std::string::npos;
+    gate.WaitIdle();
+    idle = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  gate.CloseForDrain();  // wakes the parked waiter with "draining"
-  waiter.join();
-  EXPECT_TRUE(waiter_failed);
-
-  const Status later = gate.Admit();
-  EXPECT_EQ(later.code(), StatusCode::kUnavailable);
-  EXPECT_NE(later.ToString().find("draining"), std::string::npos);
-
+  EXPECT_FALSE(idle.load());
   gate.Release();
+  waiter.join();
+  EXPECT_TRUE(idle.load());
+
   gate.Reopen();
   EXPECT_TRUE(gate.Admit().ok());
 }
@@ -295,113 +213,187 @@ struct Stack {
   }
 };
 
-TEST(OverloadTest, DeadlineShedsAtTheDeadlineNotTheBatchWindow) {
-  InferenceServer::Options sopts;
-  sopts.max_batch = 64;
-  sopts.batch_timeout_us = 200000;  // 200ms window the deadline must beat
-  Stack stack("deadline", sopts);
+// A server over HeldScoreFn: every forward blocks until the test releases
+// it, so a forward stays in flight exactly as long as a test needs.
+struct HeldStack {
+  static constexpr int64_t kStocks = 10;
+  Metrics metrics;
+  HeldScoreFn held{kStocks};
+  std::unique_ptr<ModelRegistry> registry;
+  std::unique_ptr<InferenceServer> server;
 
+  HeldStack(const std::string& name, InferenceServer::Options sopts = {}) {
+    const std::string dir = TestDir(name);
+    ExportUntrained(dir, /*epoch=*/1);
+    registry = std::make_unique<ModelRegistry>(
+        ModelRegistry::Options{dir, /*reload_interval_ms=*/0}, MakeFactory(),
+        &metrics);
+    EXPECT_TRUE(registry->Start().ok());
+    server = std::make_unique<InferenceServer>(held.fn(), kStocks,
+                                               registry.get(), sopts,
+                                               &metrics);
+    EXPECT_TRUE(server->Start().ok());
+  }
+  ~HeldStack() {
+    held.Release();
+    server->Stop();
+    registry->Stop();
+  }
+
+  // Waits until `n` requests are admitted, plus a margin for them to
+  // reach the in-flight entry or the forward slot.
+  void WaitInFlight(int n) {
+    const std::string want = " queue=" + std::to_string(n);
+    while (server->HealthLine().find(want) == std::string::npos) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+};
+
+int64_t MillisSince(steady_clock::time_point start) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             steady_clock::now() - start)
+      .count();
+}
+
+TEST(OverloadTest, SameDayJoinerShedsAtItsDeadline) {
+  HeldStack stack("deadline_join");
+  constexpr int64_t kDay = 30;
+  std::thread leader([&] { EXPECT_TRUE(stack.server->Rank(kDay).ok()); });
+  stack.held.WaitEntered(1);
   const auto start = steady_clock::now();
-  auto result = stack.server->Score(stack.data.first_day(), 3,
-                                    InferenceServer::RequestOptions{5});
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      steady_clock::now() - start);
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    stack.held.Release();
+  });
+
+  auto result = stack.server->Score(kDay, 3, RequestOptions{5});
+  const int64_t waited = MillisSince(start);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  // Shed at the 5ms deadline, far before the 200ms window flush.
-  EXPECT_LT(waited.count(), 150);
-  EXPECT_EQ(stack.metrics.expired.load(std::memory_order_relaxed), 1);
-  EXPECT_EQ(stack.metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(stack.metrics));
+  // Shed at the 5ms deadline, long before the 200ms forward ends.
+  EXPECT_LT(waited, 150);
+  releaser.join();
+  leader.join();
+  EXPECT_EQ(stack.metrics.expired.Value(), 1u);
+  EXPECT_EQ(stack.metrics.forwards.Value(), 1u);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 
   // A generous deadline does not perturb a normal reply.
-  auto ok = stack.server->Score(stack.data.first_day(), 3,
-                                InferenceServer::RequestOptions{10000});
+  auto ok = stack.server->Score(kDay, 3, RequestOptions{10000});
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_FALSE(ok.ValueOrDie().stale);
 }
 
-TEST(OverloadTest, FullQueueShedsRejectFast) {
+TEST(OverloadTest, DifferentDayLeaderShedsWaitingForTheForwardSlot) {
+  HeldStack stack("deadline_slot");
+  std::thread leader([&] { EXPECT_TRUE(stack.server->Rank(30).ok()); });
+  stack.held.WaitEntered(1);
+  const auto start = steady_clock::now();
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    stack.held.Release();
+  });
+
+  auto result = stack.server->Rank(31, RequestOptions{5});
+  const int64_t waited = MillisSince(start);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_LT(waited, 150);
+  releaser.join();
+  leader.join();
+  // The shed leader ran no forward.
+  EXPECT_EQ(stack.held.entered(), 1);
+  EXPECT_EQ(stack.metrics.expired.Value(), 1u);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
+}
+
+TEST(OverloadTest, JoinersOfAShedLeaderRetryTheForward) {
+  HeldStack stack("deadline_retry");
+  std::thread held_day([&] { EXPECT_TRUE(stack.server->Rank(30).ok()); });
+  stack.held.WaitEntered(1);
+  // Leads day 31 and gives up on the forward slot after 60ms; the joiner
+  // has no deadline, so it must take over the forward, not the shed.
+  std::thread leader([&] {
+    auto r = stack.server->Rank(31, RequestOptions{60});
+    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
+  });
+  stack.WaitInFlight(2);
+  std::thread joiner([&] {
+    auto r = stack.server->Rank(31);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.ValueOrDie().scores, StubScores(31, HeldStack::kStocks));
+  });
+  leader.join();
+  stack.held.Release();
+  joiner.join();
+  held_day.join();
+  EXPECT_EQ(stack.held.entered(), 2);
+  EXPECT_EQ(stack.metrics.forwards.Value(), 2u);
+  EXPECT_EQ(stack.metrics.expired.Value(), 1u);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
+}
+
+TEST(OverloadTest, FullServerShedsRejectFast) {
   InferenceServer::Options sopts;
   sopts.max_queue = 1;
-  sopts.max_batch = 64;
-  sopts.batch_timeout_us = 100000;  // park the first request for 100ms
-  Stack stack("queuefull", sopts);
+  HeldStack stack("full", sopts);
 
   std::thread first([&] {
-    auto r = stack.server->Score(stack.data.first_day(), 1);
+    auto r = stack.server->Score(30, 1);
     EXPECT_TRUE(r.ok()) << r.status().ToString();
   });
-  // Give the first request time to occupy the only queue slot.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // The first request holds the only slot while its forward is held.
+  stack.held.WaitEntered(1);
   const auto start = steady_clock::now();
-  auto shed = stack.server->Score(stack.data.first_day(), 2);
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      steady_clock::now() - start);
+  auto shed = stack.server->Score(30, 2);
+  const int64_t waited = MillisSince(start);
+  stack.held.Release();
   first.join();
 
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable);
-  EXPECT_LT(waited.count(), 50);  // reject-fast, no parking
-  EXPECT_EQ(stack.metrics.shed.load(std::memory_order_relaxed), 1);
-  EXPECT_EQ(stack.metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(stack.metrics));
+  EXPECT_LT(waited, 50);  // reject-fast, no parking
+  EXPECT_EQ(stack.metrics.shed.Value(), 1u);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 }
 
-TEST(OverloadTest, BlockWithTimeoutRidesOutTheBurst) {
-  InferenceServer::Options sopts;
-  sopts.max_queue = 1;
-  sopts.max_batch = 64;
-  sopts.batch_timeout_us = 50000;
-  sopts.admission = AdmissionPolicy::kBlockWithTimeout;
-  sopts.admission_timeout_ms = 2000;
-  Stack stack("block", sopts);
-
-  std::thread first([&] {
-    auto r = stack.server->Score(stack.data.first_day(), 1);
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  // Queue is full, but the block policy parks us until the batcher frees
-  // the slot — both requests succeed.
-  auto second = stack.server->Score(stack.data.first_day(), 2);
-  first.join();
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(stack.metrics.shed.load(std::memory_order_relaxed), 0);
-  EXPECT_EQ(stack.metrics.responses_ok.load(std::memory_order_relaxed), 2);
-}
-
-TEST(OverloadTest, StopDrainsQueuedWorkAndRejectsNewRequests) {
-  InferenceServer::Options sopts;
-  sopts.max_batch = 64;
-  sopts.batch_timeout_us = 200000;  // queued work would sit for 200ms...
-  Stack stack("drain", sopts);
-
+TEST(OverloadTest, StopCompletesInFlightRequestsAndRejectsNewOnes) {
+  HeldStack stack("drain");
   constexpr int kInFlight = 8;
   std::vector<std::thread> threads;
   std::atomic<int> ok_count{0};
   for (int i = 0; i < kInFlight; ++i) {
     threads.emplace_back([&, i] {
-      auto r = stack.server->Score(stack.data.first_day(), i % 5);
-      if (r.ok()) ++ok_count;
+      if (stack.server->Score(30, i % 5).ok()) ++ok_count;
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  const auto start = steady_clock::now();
-  stack.server->Stop();  // ...but drain flushes them immediately
-  const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
-      steady_clock::now() - start);
+  stack.WaitInFlight(kInFlight);
+  std::thread stopper([&] { stack.server->Stop(); });
+  // While the drain waits for the held forward, arrivals get "draining".
+  while (stack.server->Health() != HealthState::kDraining) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  auto during = stack.server->Score(30, 1);
+  ASSERT_FALSE(during.ok());
+  EXPECT_NE(during.status().ToString().find("draining"), std::string::npos);
+  EXPECT_EQ(stack.metrics.responses_ok.Value(), 0u);
+
+  stack.held.Release();
+  stopper.join();
+  // Stop() returned only after every admitted request had answered.
+  EXPECT_EQ(stack.metrics.responses_ok.Value(),
+            static_cast<uint64_t>(kInFlight));
   for (auto& t : threads) t.join();
-
   EXPECT_EQ(ok_count.load(), kInFlight);
-  EXPECT_LT(waited.count(), 150);
 
-  auto after = stack.server->Score(stack.data.first_day(), 1);
+  auto after = stack.server->Score(30, 1);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kUnavailable);
   EXPECT_NE(after.status().ToString().find("draining"), std::string::npos);
-  EXPECT_EQ(stack.metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(stack.metrics));
+  EXPECT_EQ(stack.metrics.shed.Value(), 2u);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 }
 
 // ---------------------------------------------------------------------------
@@ -427,14 +419,13 @@ TEST(DegradedTest, UnpublishedModelServesCachedScoresAsStale) {
   ASSERT_TRUE(stale.ok()) << stale.status().ToString();
   EXPECT_TRUE(stale.ValueOrDie().stale);
   EXPECT_EQ(stale.ValueOrDie().score, fresh.ValueOrDie().score);
-  EXPECT_GE(stack.metrics.stale_served.load(std::memory_order_relaxed), 1);
+  EXPECT_GE(stack.metrics.stale_served.Value(), 1);
 
   auto missing = stack.server->Score(day + 1, 3);
   EXPECT_FALSE(missing.ok());
 
   EXPECT_NE(stack.server->HealthLine().find("DEGRADED"), std::string::npos);
-  EXPECT_EQ(stack.metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(stack.metrics));
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 }
 
 TEST(DegradedTest, ReloadFailuresFlipDegradedAndRecoverOnPromotion) {
@@ -627,17 +618,15 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   server.Stop();
   registry.Stop();
 
-  // The accounting invariant: every request that reached Submit ended in
-  // exactly one terminal counter.
-  EXPECT_EQ(metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(metrics));
-  EXPECT_GE(metrics.requests.load(std::memory_order_relaxed),
-            kClients * kPerClient);
+  // The accounting invariant: every request that reached the server
+  // ended in exactly one terminal counter.
+  EXPECT_EQ(metrics.requests.Value(), AccountedRequests(metrics));
+  EXPECT_GE(metrics.requests.Value(), kClients * kPerClient);
   // The injector actually did something.
   EXPECT_GT(chaos.plans(), 0u);
   EXPECT_GT(chaos.faults(), 0u);
   // And the client layer absorbed the faults by retrying.
-  EXPECT_GT(metrics.client_retries.load(std::memory_order_relaxed), 0);
+  EXPECT_GT(metrics.client_retries.Value(), 0);
   EXPECT_EQ(client_ok.load() + client_err.load(), kClients * kPerClient);
   // Dropped/truncated/reset replies force retries, so most calls succeed.
   EXPECT_GT(client_ok.load(), 0);

@@ -373,15 +373,15 @@ TEST(FaultInjectionTest, RegistrySkipsTruncatedNewestAndKeepsServing) {
     EXPECT_FALSE(registry.PollOnce());
     EXPECT_EQ(registry.CurrentVersion(), 1);
   }
-  EXPECT_EQ(metrics.reload_failure.load(),
+  EXPECT_EQ(metrics.reload_failure.Value(),
             static_cast<uint64_t>(cuts.size() + 1));
-  EXPECT_EQ(metrics.reload_success.load(), 1u);
+  EXPECT_EQ(metrics.reload_success.Value(), 1u);
 
   // Once the newest checkpoint is whole again, it is promoted.
   WritePlain(newest, good_bytes.data(), good_bytes.size());
   EXPECT_TRUE(registry.PollOnce());
   EXPECT_EQ(registry.CurrentVersion(), 2);
-  EXPECT_EQ(metrics.reload_success.load(), 2u);
+  EXPECT_EQ(metrics.reload_success.Value(), 2u);
   registry.Stop();
   RemoveDirRecursive(dir);
 }

@@ -37,13 +37,13 @@ TEST(CounterTest, ExactTotalsUnderConcurrency) {
   EXPECT_EQ(counter->Value(), kThreads * kPerThread);
 }
 
-TEST(CounterTest, AtomicShimSurface) {
+TEST(CounterTest, IncrementByN) {
   Registry registry;
-  Counter& c = *registry.GetCounter("test.shim");
-  c.fetch_add(3, std::memory_order_relaxed);
-  c.fetch_add(4);
-  EXPECT_EQ(c.load(), 7u);
-  EXPECT_EQ(c.Value(), 7u);
+  Counter& c = *registry.GetCounter("test.by_n");
+  c.Increment(3);
+  c.Increment(4);
+  c.Increment();
+  EXPECT_EQ(c.Value(), 8u);
 }
 
 TEST(RegistryTest, SameNameSameMetric) {

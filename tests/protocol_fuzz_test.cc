@@ -8,10 +8,15 @@
 //    through ParseReply to the same line with bit-identical floats.
 //    Mutated reply lines must not crash ParseReply, and one it accepts
 //    re-formats and re-parses the same way.
+//  * ExecuteLine: mutated SCORE/RANK/SCOREN/HEALTH/PING lines (days and
+//    stocks out of range, DEADLINE values) run against an InferenceServer
+//    over a stub ScoreFn. Every reply is framed and echoes the request id,
+//    and the server accounts for every request it saw.
 //
 // Only raw std::mt19937_64 output is used (no distributions), so every run
 // on every platform checks the same lines.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -22,12 +27,17 @@
 #include <utility>
 #include <vector>
 
+#include "serve/metrics.h"
 #include "serve/protocol.h"
+#include "serve/registry.h"
+#include "serve/server.h"
+#include "serve_fixture.h"
 
 namespace rtgcn::serve {
 namespace {
 
 constexpr int kIterations = 20000;
+constexpr int kExecuteIterations = 5000;
 
 class Fuzzer {
  public:
@@ -249,6 +259,118 @@ TEST(ProtocolFuzzTest, MutatedRepliesNeverCrashAndReparseBitExact) {
         << line;
   }
   EXPECT_GT(accepted, 0);
+}
+
+// A random SCORE/RANK/SCOREN/HEALTH/PING request against a `num_days` x
+// `num_stocks` stub: operands mostly in range, a quarter anywhere.
+Request RandomServedRequest(Fuzzer* f, int64_t num_days, int64_t num_stocks) {
+  Request r;
+  r.id = f->Id();
+  const auto day = [&] {
+    return f->Below(4) == 0 ? f->Small()
+                            : static_cast<int64_t>(f->Below(num_days));
+  };
+  const auto stock = [&] {
+    return f->Below(4) == 0 ? f->Small()
+                            : static_cast<int64_t>(f->Below(num_stocks));
+  };
+  switch (f->Below(5)) {
+    case 0: r.verb = Request::Verb::kPing; return r;
+    case 1: r.verb = Request::Verb::kHealth; return r;
+    case 2:
+      r.verb = Request::Verb::kScore;
+      r.day = day();
+      r.stock = stock();
+      break;
+    case 3:
+      r.verb = Request::Verb::kRank;
+      r.day = day();
+      r.k = static_cast<int64_t>(f->Below(static_cast<uint64_t>(num_stocks)));
+      break;
+    default:
+      r.verb = Request::Verb::kScoreBatch;
+      r.day = day();
+      for (uint64_t i = 1 + f->Below(4); i > 0; --i) {
+        r.stocks.push_back(stock());
+      }
+      break;
+  }
+  if (f->Below(4) == 0) r.deadline_ms = 1 + static_cast<int64_t>(f->Below(50));
+  return r;
+}
+
+TEST(ProtocolFuzzTest, ExecuteLineRepliesFramedAndAccountsForEveryRequest) {
+  const std::string dir = ::testing::TempDir() + "fuzz_execute_" +
+                          std::to_string(::getpid());
+  ExportUntrained(dir, /*epoch=*/1);
+  constexpr int64_t kStocks = 8;
+  constexpr int64_t kDays = 40;
+  Metrics metrics;
+  ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
+                         &metrics);
+  ASSERT_TRUE(registry.Start().ok());
+  HeldScoreFn stub(kStocks, /*max_day=*/kDays - 1);
+  stub.Release();
+  InferenceServer::Options opts;
+  opts.cache_capacity = 8;  // fewer entries than days: misses keep coming
+  InferenceServer server(stub.fn(), kStocks, &registry, opts, &metrics);
+  ASSERT_TRUE(server.Start().ok());
+
+  Fuzzer f(0x5eed0004);
+  int ok_replies = 0;
+  for (int i = 0; i < kExecuteIterations && !HasFailure(); ++i) {
+    std::string line = FormatRequest(RandomServedRequest(&f, kDays, kStocks));
+    if (f.Below(2) == 0) line = f.Mutate(std::move(line));
+    // The front end splits on newlines, so no line ever carries one.
+    std::replace(line.begin(), line.end(), '\n', ' ');
+    const std::string reply = ExecuteLine(&server, &metrics, line);
+    const auto request = ParseRequest(line);
+    if (request.ok() && request.ValueOrDie().verb == Request::Verb::kQuit) {
+      EXPECT_EQ(reply, "") << line;
+      continue;
+    }
+    // Framed: "2 <id> ...", the id echoed from the request.
+    ASSERT_EQ(reply.rfind("2 ", 0), 0u) << line << " -> " << reply;
+    const size_t id_end = reply.find(' ', 2);
+    ASSERT_NE(id_end, std::string::npos) << line << " -> " << reply;
+    const std::string id = reply.substr(2, id_end - 2);
+    if (!request.ok()) {
+      // Unparseable: the id when the frame held one, else 0; one line.
+      std::vector<std::string> tokens;
+      for (size_t p = 0; p <= line.size();) {
+        const size_t end = std::min(line.find(' ', p), line.size());
+        if (end > p) tokens.push_back(line.substr(p, end - p));
+        p = end + 1;
+      }
+      EXPECT_TRUE(id == "0" || (tokens.size() > 1 && tokens[1] == id))
+          << line << " -> " << reply;
+      EXPECT_EQ(reply.compare(id_end, 5, " ERR "), 0) << line << " -> "
+                                                      << reply;
+      EXPECT_EQ(reply.find('\n'), std::string::npos) << line;
+      continue;
+    }
+    EXPECT_EQ(id, std::to_string(request.ValueOrDie().id)) << line;
+    if (request.ValueOrDie().verb == Request::Verb::kStats) {
+      EXPECT_EQ(reply.substr(reply.size() - 3), "END") << line;
+      continue;
+    }
+    EXPECT_EQ(reply.find('\n'), std::string::npos) << line;
+    const auto parsed = ParseReply(reply, request.ValueOrDie());
+    ASSERT_TRUE(parsed.ok()) << line << " -> " << reply;
+    EXPECT_EQ(parsed.ValueOrDie().id, request.ValueOrDie().id) << line;
+    const Reply::Kind kind = parsed.ValueOrDie().kind;
+    ok_replies += kind == Reply::Kind::kScore || kind == Reply::Kind::kRank ||
+                  kind == Reply::Kind::kScoreBatch;
+  }
+  server.Stop();
+  registry.Stop();
+  EXPECT_EQ(metrics.requests.Value(),
+            metrics.responses_ok.Value() + metrics.responses_error.Value() +
+                metrics.expired.Value() + metrics.shed.Value());
+  // Both the scoring and the rejecting paths see real traffic.
+  EXPECT_GT(ok_replies, kExecuteIterations / 10);
+  EXPECT_GT(metrics.responses_error.Value(), 0u);
+  EXPECT_GT(stub.entered(), static_cast<int>(kDays));
 }
 
 }  // namespace

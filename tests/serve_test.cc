@@ -3,10 +3,12 @@
 //  * metrics counters and fixed-bucket histograms;
 //  * snapshot load/score parity with the training-side forward pass;
 //  * registry promotion order and corrupt-checkpoint skipping;
-//  * batching equivalence — scores through the micro-batcher are
-//    bit-identical to a direct single-request Predict at every batch size
-//    and client-thread count (the serving analogue of
-//    parallel_equivalence_test.cc);
+//  * serving equivalence — served scores are bit-identical to a direct
+//    Predict at every pool size and client-thread count (the serving
+//    analogue of parallel_equivalence_test.cc);
+//  * single-flight coalescing — concurrent same-day requests share one
+//    forward, with or without the completed-entry cache;
+//  * SCOREN accounting — a bad stock is one error, never an OK;
 //  * hot reload under load — concurrent clients never see a failed query
 //    or a response that does not match exactly one published version;
 //  * reply parsing rejects malformed RANK/SCOREN entries;
@@ -48,55 +50,10 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "serve_fixture.h"
 
 namespace rtgcn::serve {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Fixture: a tiny linear ranking model over a deterministic price panel.
-// ---------------------------------------------------------------------------
-
-class LinearRanker : public harness::GradientPredictor {
- public:
-  explicit LinearRanker(int64_t num_features, uint64_t seed = 1)
-      : rng_(seed), linear_(num_features, 1, &rng_) {}
-
-  std::string name() const override { return "LinearRanker"; }
-
- protected:
-  nn::Module* module() override { return &linear_; }
-  ag::VarPtr Forward(const Tensor& features, Rng*) override {
-    const int64_t t_len = features.dim(0);
-    const int64_t n = features.dim(1);
-    const int64_t d = features.dim(2);
-    auto x = ag::Constant(features);
-    auto last = ag::Reshape(ag::SliceOp(x, 0, t_len - 1, t_len), {n, d});
-    return ag::Reshape(linear_.Forward(last), {n});
-  }
-  float alpha() const override { return 0.0f; }
-
- private:
-  Rng rng_;
-  nn::Linear linear_;
-};
-
-market::WindowDataset MakePanel(int64_t days = 90, int64_t n = 10) {
-  Rng rng(17);
-  Tensor prices({days, n});
-  for (int64_t i = 0; i < n; ++i) prices.at({0, i}) = 50.0f + 2.0f * i;
-  for (int64_t t = 1; t < days; ++t) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float drift = 0.002f * static_cast<float>((i % 5) - 2);
-      const float noise = static_cast<float>(rng.Gaussian(0, 0.001));
-      prices.at({t, i}) = prices.at({t - 1, i}) * (1.0f + drift + noise);
-    }
-  }
-  return market::WindowDataset(prices, /*window=*/5, /*num_features=*/2);
-}
-
-ServableFactory MakeFactory() {
-  return [] { return WrapPredictor(std::make_unique<LinearRanker>(2)); };
-}
 
 // Trains a LinearRanker for `epochs` on the panel and exports its weights
 // as checkpoint `epoch` in `dir`; returns the trained predictor so tests
@@ -152,31 +109,17 @@ TEST(MetricsTest, HistogramsUseTheServingBucketLayouts) {
   const double p99 = metrics.latency.Percentile(0.99);
   EXPECT_GE(p99, 512.0);
   EXPECT_LE(p99, 1024.0);
-
-  metrics.batch_size.Record(1);
-  metrics.batch_size.Record(1);
-  metrics.batch_size.Record(8);
-  metrics.batch_size.Record(Metrics::kMaxBatchTracked + 5);  // overflow
-  EXPECT_EQ(metrics.batch_size.BucketCount(1), 2u);
-  EXPECT_EQ(metrics.batch_size.BucketCount(8), 1u);
-  EXPECT_EQ(metrics.batch_size.BucketCount(metrics.batch_size.num_buckets() -
-                                           1),
-            1u);
-  EXPECT_NE(metrics.DumpText().find("\nserve.batch_size.hist 1:2 8:1 >:1\n"),
-            std::string::npos)
-      << metrics.DumpText();
 }
 
 TEST(MetricsTest, DumpTextContainsAllSections) {
   Metrics metrics;
-  metrics.requests.fetch_add(3);
-  metrics.responses_ok.fetch_add(3);
+  metrics.requests.Increment(3);
+  metrics.responses_ok.Increment(3);
   metrics.latency.Record(100);
-  metrics.batch_size.Record(3);
   const std::string text = metrics.DumpText();
   for (const char* key :
        {"serve.requests 3", "serve.responses_ok 3", "serve.latency_us.p50",
-        "serve.latency_us.p99", "serve.batch_size.hist", "serve.qps",
+        "serve.latency_us.p99", "serve.qps",
         "serve.cache_hit_rate", "serve.reload_success"}) {
     EXPECT_NE(text.find(key), std::string::npos) << "missing " << key
                                                  << " in:\n" << text;
@@ -220,7 +163,7 @@ TEST(ModelRegistryTest, PromotesNewestAndOnlyNewer) {
                          &metrics);
   ASSERT_TRUE(registry.Start().ok());
   EXPECT_EQ(registry.CurrentVersion(), 2);
-  EXPECT_EQ(metrics.reload_success.load(), 1u);
+  EXPECT_EQ(metrics.reload_success.Value(), 1u);
   // Nothing newer: a second poll is a no-op.
   EXPECT_FALSE(registry.PollOnce());
   EXPECT_EQ(registry.CurrentVersion(), 2);
@@ -228,8 +171,8 @@ TEST(ModelRegistryTest, PromotesNewestAndOnlyNewer) {
   TrainAndExport(data, dir, /*epoch=*/3, /*epochs=*/3, 13);
   EXPECT_TRUE(registry.PollOnce());
   EXPECT_EQ(registry.CurrentVersion(), 3);
-  EXPECT_EQ(metrics.reload_success.load(), 2u);
-  EXPECT_EQ(metrics.reload_failure.load(), 0u);
+  EXPECT_EQ(metrics.reload_success.Value(), 2u);
+  EXPECT_EQ(metrics.reload_failure.Value(), 0u);
   registry.Stop();
 }
 
@@ -331,7 +274,7 @@ TEST(ModelRegistryTest, RejectsUniverseSizeMismatchAndSwapsAtomically) {
   EXPECT_FALSE(registry.PollOnce());
   EXPECT_EQ(registry.CurrentVersion(), 1);
   EXPECT_GE(registry.consecutive_reload_failures(), 1);
-  EXPECT_GE(metrics.reload_failure.load(), 1u);
+  EXPECT_GE(metrics.reload_failure.Value(), 1u);
   EXPECT_EQ(ToVector(registry.Current()->Score(f10)), expected_v1)
       << "served scores changed after a rejected promotion";
 
@@ -351,10 +294,10 @@ TEST(ModelRegistryTest, RejectsUniverseSizeMismatchAndSwapsAtomically) {
 }
 
 // ---------------------------------------------------------------------------
-// Batching equivalence (satellite): micro-batched scores == direct Predict.
+// Serving equivalence: served scores == direct Predict.
 // ---------------------------------------------------------------------------
 
-TEST(InferenceServerTest, BatchedScoresBitIdenticalToDirectPredict) {
+TEST(InferenceServerTest, ServedScoresBitIdenticalToDirectPredict) {
   market::WindowDataset data = MakePanel();
   const std::string dir = TestDir("equivalence");
   auto trained = TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/4, 21);
@@ -366,54 +309,108 @@ TEST(InferenceServerTest, BatchedScoresBitIdenticalToDirectPredict) {
   const int saved_threads = NumThreads();
   for (const int pool_threads : {1, 4}) {
     SetNumThreads(pool_threads);
-    for (const int64_t max_batch : {int64_t{1}, int64_t{7}, int64_t{32}}) {
-      for (const int num_clients : {1, 8}) {
-        Metrics metrics;
-        ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
-                               &metrics);
-        ASSERT_TRUE(registry.Start().ok());
-        InferenceServer::Options opts;
-        opts.max_batch = max_batch;
-        opts.batch_timeout_us = 100;
-        InferenceServer server(&data, &registry, opts, &metrics);
-        ASSERT_TRUE(server.Start().ok());
+    for (const int num_clients : {1, 8}) {
+      Metrics metrics;
+      ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
+                             &metrics);
+      ASSERT_TRUE(registry.Start().ok());
+      InferenceServer server(&data, &registry, {}, &metrics);
+      ASSERT_TRUE(server.Start().ok());
 
-        std::atomic<int> mismatches{0};
-        std::atomic<int> failures{0};
-        std::vector<std::thread> clients;
-        for (int c = 0; c < num_clients; ++c) {
-          clients.emplace_back([&, c] {
-            for (size_t q = 0; q < days.size(); ++q) {
-              const int64_t day =
-                  days[(q + static_cast<size_t>(c) * 3) % days.size()];
-              auto reply = server.Rank(day);
-              if (!reply.ok()) {
-                failures.fetch_add(1);
-                continue;
-              }
-              const auto& scores = reply.ValueOrDie().scores;
-              const auto& want = expected.at(day);
-              if (scores.size() != want.size() ||
-                  std::memcmp(scores.data(), want.data(),
-                              sizeof(float) * want.size()) != 0) {
-                mismatches.fetch_add(1);
-              }
+      std::atomic<int> mismatches{0};
+      std::atomic<int> failures{0};
+      std::vector<std::thread> clients;
+      for (int c = 0; c < num_clients; ++c) {
+        clients.emplace_back([&, c] {
+          for (size_t q = 0; q < days.size(); ++q) {
+            const int64_t day =
+                days[(q + static_cast<size_t>(c) * 3) % days.size()];
+            auto reply = server.Rank(day);
+            if (!reply.ok()) {
+              failures.fetch_add(1);
+              continue;
             }
-          });
-        }
-        for (auto& t : clients) t.join();
-        server.Stop();
-        registry.Stop();
-        EXPECT_EQ(failures.load(), 0)
-            << "pool=" << pool_threads << " max_batch=" << max_batch
-            << " clients=" << num_clients;
-        EXPECT_EQ(mismatches.load(), 0)
-            << "pool=" << pool_threads << " max_batch=" << max_batch
-            << " clients=" << num_clients;
+            const auto& scores = reply.ValueOrDie().scores;
+            const auto& want = expected.at(day);
+            if (scores.size() != want.size() ||
+                std::memcmp(scores.data(), want.data(),
+                            sizeof(float) * want.size()) != 0) {
+              mismatches.fetch_add(1);
+            }
+          }
+        });
       }
+      for (auto& t : clients) t.join();
+      server.Stop();
+      registry.Stop();
+      EXPECT_EQ(failures.load(), 0)
+          << "pool=" << pool_threads << " clients=" << num_clients;
+      EXPECT_EQ(mismatches.load(), 0)
+          << "pool=" << pool_threads << " clients=" << num_clients;
     }
   }
   SetNumThreads(saved_threads);
+}
+
+// Eight concurrent same-day Rank calls while the forward is held: one
+// leads the forward, seven join it. Exactly one forward and one cache
+// miss, no cache hit for the joiners, and eight bit-identical replies —
+// with the completed-entry cache on or off.
+TEST(InferenceServerTest, SameDayRequestsJoinOneInFlightForward) {
+  const std::string dir = TestDir("coalesce");
+  ExportUntrained(dir, /*epoch=*/1);
+  constexpr int64_t kStocks = 12;
+  constexpr int kRequests = 8;
+  constexpr int64_t kDay = 40;
+  for (const bool enable_cache : {true, false}) {
+    Metrics metrics;
+    ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
+                           &metrics);
+    ASSERT_TRUE(registry.Start().ok());
+    HeldScoreFn held(kStocks);
+    InferenceServer::Options opts;
+    opts.enable_cache = enable_cache;
+    InferenceServer server(held.fn(), kStocks, &registry, opts, &metrics);
+    ASSERT_TRUE(server.Start().ok());
+
+    std::vector<Result<RankReply>> replies(kRequests,
+                                           Status::Internal("unset"));
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kRequests; ++i) {
+      threads.emplace_back([&, i] { replies[i] = server.Rank(kDay); });
+    }
+    held.WaitEntered(1);
+    // Every request admitted, then a margin for the joiners to reach the
+    // in-flight entry.
+    while (server.HealthLine().find(" queue=8") == std::string::npos) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    held.Release();
+    for (auto& t : threads) t.join();
+    server.Stop();
+    registry.Stop();
+
+    const std::string config = enable_cache ? "cache on" : "cache off";
+    EXPECT_EQ(held.entered(), 1) << config;
+    EXPECT_EQ(metrics.forwards.Value(), 1u) << config;
+    EXPECT_EQ(metrics.cache_misses.Value(), 1u) << config;
+    EXPECT_EQ(metrics.cache_hits.Value(), 0u) << config;
+    EXPECT_EQ(metrics.responses_ok.Value(), static_cast<uint64_t>(kRequests))
+        << config;
+    const std::vector<float> want = StubScores(kDay, kStocks);
+    for (int i = 0; i < kRequests; ++i) {
+      ASSERT_TRUE(replies[i].ok()) << config << ": "
+                                   << replies[i].status().ToString();
+      const RankReply& r = replies[i].ValueOrDie();
+      EXPECT_EQ(r.model_version, 1) << config;
+      ASSERT_EQ(r.scores.size(), want.size()) << config;
+      EXPECT_EQ(std::memcmp(r.scores.data(), want.data(),
+                            sizeof(float) * want.size()),
+                0)
+          << config << " reply " << i;
+    }
+  }
 }
 
 TEST(InferenceServerTest, CacheCoalescesRepeatQueriesIntoOneForward) {
@@ -434,9 +431,9 @@ TEST(InferenceServerTest, CacheCoalescesRepeatQueriesIntoOneForward) {
     ASSERT_TRUE(reply.ok());
     EXPECT_EQ(reply.ValueOrDie().num_stocks, data.num_stocks());
   }
-  EXPECT_EQ(metrics.forwards.load(), 1u);
-  EXPECT_GT(metrics.cache_hits.load(), 0u);
-  EXPECT_EQ(metrics.responses_ok.load(), 20u);
+  EXPECT_EQ(metrics.forwards.Value(), 1u);
+  EXPECT_GT(metrics.cache_hits.Value(), 0u);
+  EXPECT_EQ(metrics.responses_ok.Value(), 20u);
 
   // Ranks are a permutation consistent with the scores.
   auto rank_reply = server.Rank(day);
@@ -473,12 +470,61 @@ TEST(InferenceServerTest, InvalidDayFailsThatQueryOnly) {
   EXPECT_FALSE(server.Score(data.first_day(), -1).ok());
   EXPECT_FALSE(server.Score(data.first_day(), data.num_stocks()).ok());
   EXPECT_TRUE(server.Rank(data.first_day()).ok());
-  EXPECT_EQ(metrics.responses_error.load(), 3u);
+  EXPECT_EQ(metrics.responses_error.Value(), 3u);
   // Only the valid day ran a forward: a rejected day is no cache miss.
-  EXPECT_EQ(metrics.cache_misses.load(), 1u);
-  EXPECT_EQ(metrics.forwards.load(), 1u);
+  EXPECT_EQ(metrics.cache_misses.Value(), 1u);
+  EXPECT_EQ(metrics.forwards.Value(), 1u);
   server.Stop();
   registry.Stop();
+}
+
+// A SCOREN line with a stock out of range is one request answered ERR:
+// it counts as an error (never an OK), and runs no forward.
+TEST(InferenceServerTest, ScoreBatchWithBadStockCountsOneErrorAndNoForward) {
+  const std::string dir = TestDir("scoren");
+  ExportUntrained(dir, /*epoch=*/1);
+  constexpr int64_t kStocks = 10;
+  Metrics metrics;
+  ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
+                         &metrics);
+  ASSERT_TRUE(registry.Start().ok());
+  HeldScoreFn stub(kStocks);
+  stub.Release();
+  InferenceServer server(stub.fn(), kStocks, &registry, {}, &metrics);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::string bad = ExecuteLine(&server, &metrics,
+                                      "2 1 SCOREN 40 2 0 " +
+                                          std::to_string(kStocks));
+  EXPECT_EQ(bad.rfind("2 1 ERR ", 0), 0u) << bad;
+  EXPECT_EQ(metrics.requests.Value(), 1u);
+  EXPECT_EQ(metrics.responses_error.Value(), 1u);
+  EXPECT_EQ(metrics.responses_ok.Value(), 0u);
+  EXPECT_EQ(stub.entered(), 0);
+
+  // A valid line answers every stock from the day's one ranking.
+  const std::string good =
+      ExecuteLine(&server, &metrics, "2 2 SCOREN 40 2 0 9");
+  ASSERT_EQ(good.rfind("2 2 OK 1 2 ", 0), 0u) << good;
+  auto ranked = server.Rank(40);
+  ASSERT_TRUE(ranked.ok());
+  const std::vector<RankEntry> order = TopK(ranked.ValueOrDie().scores,
+                                            kStocks);
+  std::vector<int64_t> rank_of(static_cast<size_t>(kStocks));
+  for (size_t r = 0; r < order.size(); ++r) {
+    rank_of[static_cast<size_t>(order[r].stock)] = static_cast<int64_t>(r);
+  }
+  auto parsed = ParseReply(good, ParseRequest("2 2 SCOREN 40 2 0 9")
+                                     .ValueOrDie());
+  ASSERT_TRUE(parsed.ok()) << good;
+  EXPECT_EQ(parsed.ValueOrDie().batch[0].rank, rank_of[0]);
+  EXPECT_EQ(parsed.ValueOrDie().batch[1].rank, rank_of[9]);
+  EXPECT_EQ(stub.entered(), 1);
+  server.Stop();
+  registry.Stop();
+  EXPECT_EQ(metrics.requests.Value(), 3u);
+  EXPECT_EQ(metrics.responses_ok.Value(), 2u);
+  EXPECT_EQ(metrics.responses_error.Value(), 1u);
 }
 
 TEST(InferenceServerTest, DayPastTheCacheKeyRangeNeverAliasesACachedDay) {
@@ -547,10 +593,7 @@ TEST(HotReloadTest, LosslessUnderConcurrentLoad) {
   ModelRegistry registry({dir, /*reload_interval_ms=*/2}, MakeFactory(),
                          &metrics);
   ASSERT_TRUE(registry.Start().ok());
-  InferenceServer::Options opts;
-  opts.max_batch = 16;
-  opts.batch_timeout_us = 100;
-  InferenceServer server(&data, &registry, opts, &metrics);
+  InferenceServer server(&data, &registry, {}, &metrics);
   ASSERT_TRUE(server.Start().ok());
 
   constexpr int kClients = 4;
@@ -616,8 +659,8 @@ TEST(HotReloadTest, LosslessUnderConcurrentLoad) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(version_mismatches.load(), 0);
   EXPECT_GT(answered.load(), 0);
-  EXPECT_GE(metrics.reload_success.load(), static_cast<uint64_t>(kSwaps));
-  EXPECT_EQ(metrics.reload_failure.load(), 0u);
+  EXPECT_GE(metrics.reload_success.Value(), static_cast<uint64_t>(kSwaps));
+  EXPECT_EQ(metrics.reload_failure.Value(), 0u);
   EXPECT_EQ(registry.CurrentVersion(), 1 + kSwaps);
 }
 
@@ -705,11 +748,9 @@ class LineClient {
   std::string buffer_;
 };
 
-int64_t AccountedRequests(const Metrics& m) {
-  return m.responses_ok.load(std::memory_order_relaxed) +
-         m.responses_error.load(std::memory_order_relaxed) +
-         m.expired.load(std::memory_order_relaxed) +
-         m.shed.load(std::memory_order_relaxed);
+uint64_t AccountedRequests(const Metrics& m) {
+  return m.responses_ok.Value() + m.responses_error.Value() +
+         m.expired.Value() + m.shed.Value();
 }
 
 TEST(AsyncServerTest, LineProtocolEndToEnd) {
@@ -889,8 +930,7 @@ TEST(AsyncServerTest, FramedWireMatchesInProcessRank) {
   front.Stop();
   server.Stop();
   registry.Stop();
-  EXPECT_EQ(metrics.requests.load(std::memory_order_relaxed),
-            AccountedRequests(metrics));
+  EXPECT_EQ(metrics.requests.Value(), AccountedRequests(metrics));
 }
 
 // ---------------------------------------------------------------------------
@@ -969,8 +1009,7 @@ TEST(AsyncServerAbuseTest, OversizedLineIsRejectedAndDisconnected) {
     raw.Send("2 1 PING\n");
     EXPECT_EQ(raw.ReadLine(500), "")
         << "terminated=" << (bytes.back() == '\n');
-    EXPECT_EQ(stack.metrics.oversized_lines.load(std::memory_order_relaxed),
-              ++rejected);
+    EXPECT_EQ(stack.metrics.oversized_lines.Value(), ++rejected);
   }
 
   // A fresh connection still works: the abuse cost one connection, not
@@ -997,7 +1036,7 @@ TEST(AsyncServerAbuseTest, ConnectionCapAnswersBusyAndReapsSlots) {
   ASSERT_TRUE(c.connected());
   EXPECT_EQ(c.ReadLine(), "BUSY too many connections");
   EXPECT_EQ(c.ReadLine(), "");
-  EXPECT_GE(stack.metrics.busy_rejected.load(std::memory_order_relaxed), 1);
+  EXPECT_GE(stack.metrics.busy_rejected.Value(), 1);
 
   // Releasing a connection frees its slot, so a new client gets in.
   a.reset();
@@ -1062,19 +1101,15 @@ TEST(ServerConfigTest, FlagsRoundTripIntoEveryProjection) {
   ServerConfig cfg;
   FlagSet fs("test");
   cfg.RegisterFlags(&fs);
-  ASSERT_TRUE(ParseArgs(&fs, {"prog", "--max_batch", "8", "--cache", "0",
-                              "--max_queue", "17", "--admission", "block",
+  ASSERT_TRUE(ParseArgs(&fs, {"prog", "--cache", "0", "--max_queue", "17",
                               "--port", "7171", "--executor_threads", "3",
                               "--max_attempts", "2"})
                   .ok());
   ASSERT_TRUE(cfg.Validate().ok());
-  EXPECT_EQ(cfg.admission_policy(), AdmissionPolicy::kBlockWithTimeout);
 
   const InferenceServer::Options so = cfg.server_options();
-  EXPECT_EQ(so.max_batch, 8);
   EXPECT_FALSE(so.enable_cache);
   EXPECT_EQ(so.max_queue, 17);
-  EXPECT_EQ(so.admission, AdmissionPolicy::kBlockWithTimeout);
 
   EXPECT_EQ(cfg.async_options().port, 7171);
   EXPECT_EQ(cfg.async_options().executor_threads, 3);
@@ -1082,22 +1117,16 @@ TEST(ServerConfigTest, FlagsRoundTripIntoEveryProjection) {
   EXPECT_EQ(cfg.client_options().max_attempts, 2);
 }
 
-TEST(ServerConfigTest, RejectsBadChoicesAndBounds) {
+TEST(ServerConfigTest, RejectsBadValuesAndBounds) {
   {
     ServerConfig cfg;
     FlagSet fs("test");
     cfg.RegisterFlags(&fs);
-    EXPECT_FALSE(
-        ParseArgs(&fs, {"prog", "--admission", "carrier-pigeon"}).ok());
+    EXPECT_FALSE(ParseArgs(&fs, {"prog", "--max_queue", "lots"}).ok());
   }
   {
     ServerConfig cfg;
-    cfg.admission = "smoke-signals";
-    EXPECT_FALSE(cfg.Validate().ok());
-  }
-  {
-    ServerConfig cfg;
-    cfg.max_batch = 0;
+    cfg.max_queue = 0;
     EXPECT_FALSE(cfg.Validate().ok());
   }
   {
@@ -1113,10 +1142,10 @@ TEST(ServerConfigTest, PrefixedRegistrationKeepsNamesDisjoint) {
   a.RegisterFlags(&fs);
   b.RegisterFlags(&fs, "peer_");
   ASSERT_TRUE(
-      ParseArgs(&fs, {"prog", "--max_batch", "2", "--peer_max_batch", "8"})
+      ParseArgs(&fs, {"prog", "--max_queue", "2", "--peer_max_queue", "8"})
           .ok());
-  EXPECT_EQ(a.max_batch, 2);
-  EXPECT_EQ(b.max_batch, 8);
+  EXPECT_EQ(a.max_queue, 2);
+  EXPECT_EQ(b.max_queue, 8);
 }
 
 }  // namespace

@@ -586,10 +586,8 @@ TEST(RollingPipelineTest, ServesThroughInferenceServerAcrossChurnAndReloads) {
   }
 
   serve::Metrics metrics;
-  serve::InferenceServer::Options sopts;
-  sopts.batch_timeout_us = 0;
   serve::InferenceServer server(pipeline.ServeScoreFn(), pipeline.num_slots(),
-                                pipeline.registry(), sopts, &metrics);
+                                pipeline.registry(), {}, &metrics);
   ASSERT_TRUE(server.Start().ok());
 
   {
@@ -660,9 +658,9 @@ TEST(RollingPipelineTest, ServesThroughInferenceServerAcrossChurnAndReloads) {
                         pipeline.num_slots());
 
   server.Stop();
-  EXPECT_EQ(metrics.requests.load(),
-            metrics.responses_ok.load() + metrics.responses_error.load() +
-                metrics.expired.load() + metrics.shed.load())
+  EXPECT_EQ(metrics.requests.Value(),
+            metrics.responses_ok.Value() + metrics.responses_error.Value() +
+                metrics.expired.Value() + metrics.shed.Value())
       << "accounting invariant broken under churn";
 }
 
