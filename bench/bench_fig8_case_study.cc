@@ -66,10 +66,10 @@ int Run(int argc, char** argv) {
     if (j != center && rel.HasEdge(center, j)) group.push_back(j);
   }
 
-  // (a) learned edge weights: run one forward to populate the propagation
-  // matrix, then print the group's sub-matrix.
-  model.Predict(dataset, split.test_days.front());
-  const Tensor& prop = model.model().last_propagation();
+  // (a) learned edge weights: the layer-1 propagation matrix for the first
+  // test day's features, restricted to the group.
+  const Tensor prop =
+      model.model().Propagation(dataset.Features(split.test_days.front()));
   std::printf("=== Figure 8(a) — learned edge weights (time-averaged "
               "propagation, RT-GCN (T)) ===\n        ");
   for (int64_t j : group) {

@@ -53,18 +53,30 @@ int64_t RtGcnLayer::out_length(int64_t in_length) const {
   return temporal_ ? temporal_->out_length(in_length) : in_length;
 }
 
-const Tensor& RtGcnLayer::last_propagation() const {
-  // Scatter the saved per-entry values into a dense [N, N] only when someone
-  // asks, averaging the time-sensitive values over time first.
-  if (last_time_values_.defined()) {
-    last_propagation_ = csr_->Densify(last_time_values_.TimeAverage().data());
-    last_time_values_ = graph::TimeSensitiveEdgeValues();
+Tensor RtGcnLayer::Propagation(const Tensor& x) const {
+  if (!config_.use_relational) return Tensor();
+  // The same relational op Forward runs, with a local capture of its
+  // per-entry values, scattered into a dense [N, N].
+  ag::NoGradGuard no_grad;
+  switch (config_.strategy) {
+    case Strategy::kUniform:
+      return csr_->Densify(csr_->coeff().data());
+    case Strategy::kWeight: {
+      const int64_t t_len = x.dim(0), n = x.dim(1), d = x.dim(2);
+      VarPtr xn = ag::Reshape(ag::Permute(ag::Constant(x), {1, 0, 2}),
+                              {n, t_len * d});
+      Tensor p;
+      graph::SparseEdgeWeightPropagate(csr_, relation_w_, relation_b_, xn, &p);
+      return csr_->Densify(p.data());
+    }
+    case Strategy::kTimeSensitive: {
+      graph::TimeSensitiveEdgeValues p;
+      graph::SparseTimeSensitivePropagate(csr_, relation_w_, relation_b_,
+                                          ag::Constant(x), &p);
+      return csr_->Densify(p.TimeAverage().data());
+    }
   }
-  if (last_edge_values_.defined()) {
-    last_propagation_ = csr_->Densify(last_edge_values_.data());
-    last_edge_values_ = Tensor();
-  }
-  return last_propagation_;
+  return Tensor();
 }
 
 ag::VarPtr RtGcnLayer::RelationalConv(const ag::VarPtr& x) const {
@@ -79,8 +91,7 @@ ag::VarPtr RtGcnLayer::RelationalConv(const ag::VarPtr& x) const {
     return ag::Reshape(ag::MatMul(flat, theta_), {t_len, n, out_features_});
   }
 
-  // The three strategies over CSR entries: per-entry propagation values
-  // are saved and densified lazily in last_propagation().
+  // The three strategies over CSR entries.
   VarPtr propagated;
   switch (config_.strategy) {
     case Strategy::kUniform: {
@@ -89,28 +100,22 @@ ag::VarPtr RtGcnLayer::RelationalConv(const ag::VarPtr& x) const {
       VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
       VarPtr y = graph::SparsePropagate(csr_, xn);
       propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
-      if (!last_edge_values_.defined() && !last_propagation_.defined()) {
-        last_edge_values_ = Tensor({csr_->num_entries()},
-                                   std::vector<float>(csr_->coeff()));
-      }
       break;
     }
     case Strategy::kWeight: {
       // P = Â ⊙ S with S_ij = A_ij^T w + b on edges (Eq. 4); all G_R
       // share P.
       VarPtr xn = ag::Reshape(ag::Permute(x, {1, 0, 2}), {n, t_len * d});
-      VarPtr y = graph::SparseEdgeWeightPropagate(
-          csr_, relation_w_, relation_b_, xn, &last_edge_values_);
-      last_propagation_ = Tensor();
+      VarPtr y = graph::SparseEdgeWeightPropagate(csr_, relation_w_,
+                                                  relation_b_, xn);
       propagated = ag::Permute(ag::Reshape(y, {n, t_len, d}), {1, 0, 2});
       break;
     }
     case Strategy::kTimeSensitive: {
       // P(t) = Â ⊙ (X(t) X(t)^T / sqrt(d)) ⊙ S: a distinct weighted
       // adjacency per time-step (Eq. 5).
-      propagated = graph::SparseTimeSensitivePropagate(
-          csr_, relation_w_, relation_b_, x, &last_time_values_);
-      last_propagation_ = Tensor();
+      propagated = graph::SparseTimeSensitivePropagate(csr_, relation_w_,
+                                                       relation_b_, x);
       break;
     }
   }

@@ -64,11 +64,13 @@ class RtGcnLayer : public nn::Module {
 
   int64_t out_length(int64_t in_length) const;
 
-  /// Propagation matrix of the last Forward (detached; time-averaged for the
-  /// time-sensitive strategy). Used by the Figure 8 case study. The
-  /// time average is computed lazily here so training steps never pay for
-  /// this diagnostic.
-  const Tensor& last_propagation() const;
+  /// Dense [N, N] propagation matrix this layer applies to input x
+  /// [T, N, in] (time-averaged for the time-sensitive strategy; undefined
+  /// for the T-Conv ablation, which has no relational conv). Recomputes
+  /// only the relational op, without gradients, so Forward never pays for
+  /// this diagnostic and never writes layer state. Used by the Figure 8
+  /// case study.
+  Tensor Propagation(const Tensor& x) const;
 
  private:
   /// Applies the strategy's relational convolution: [T, N, in] -> [T, N, out].
@@ -83,13 +85,6 @@ class RtGcnLayer : public nn::Module {
   ag::VarPtr relation_w_;   // per-type weights w [K] (W/T strategies)
   ag::VarPtr relation_b_;   // bias b [1]           (W/T strategies)
   std::unique_ptr<nn::TemporalConvBlock> temporal_;
-  mutable Tensor last_propagation_;
-  // Per-entry propagation values of the last Forward ([nnz]); densified on
-  // demand.
-  mutable Tensor last_edge_values_;
-  // Time-sensitive strategy: a handle on the op's own corr/as storage;
-  // time-averaged and densified on demand.
-  mutable graph::TimeSensitiveEdgeValues last_time_values_;
 };
 
 /// \brief Full ranking model: stacked RT-GCN layers + pooling + FC scorer.
@@ -103,9 +98,10 @@ class RtGcnModel : public nn::Module {
 
   const RtGcnConfig& config() const { return config_; }
 
-  /// Last layer-1 propagation matrix (Figure 8 edge-weight visualization).
-  const Tensor& last_propagation() const {
-    return layers_.front()->last_propagation();
+  /// Layer-1 propagation matrix for raw features [T, N, D] (Figure 8
+  /// edge-weight visualization); see RtGcnLayer::Propagation.
+  Tensor Propagation(const Tensor& features) const {
+    return layers_.front()->Propagation(features);
   }
 
  private:

@@ -27,17 +27,16 @@ ag::VarPtr GatLayer::Forward(const ag::VarPtr& x) const {
   ag::VarPtr h = ag::MatMul(x, weight_);   // [N, out]
   ag::VarPtr src = ag::MatMul(h, a_src_);  // [N, 1]
   ag::VarPtr dst = ag::MatMul(h, a_dst_);  // [N, 1]
-  last_attention_ = Tensor();
-  return SparseGatAttention(csr_, src, dst, h, leaky_slope_,
-                            &last_alpha_entries_);
+  return SparseGatAttention(csr_, src, dst, h, leaky_slope_);
 }
 
-const Tensor& GatLayer::last_attention() const {
-  if (last_alpha_entries_.defined()) {
-    last_attention_ = csr_->Densify(last_alpha_entries_.data());
-    last_alpha_entries_ = Tensor();
-  }
-  return last_attention_;
+Tensor GatLayer::Attention(const Tensor& x) const {
+  ag::NoGradGuard no_grad;
+  const ag::VarPtr h = ag::MatMul(ag::Constant(x), weight_);
+  Tensor alpha;
+  SparseGatAttention(csr_, ag::MatMul(h, a_src_), ag::MatMul(h, a_dst_), h,
+                     leaky_slope_, &alpha);
+  return csr_->Densify(alpha.data());
 }
 
 }  // namespace rtgcn::graph

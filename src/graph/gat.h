@@ -22,10 +22,10 @@ class GatLayer : public nn::Module {
   /// x: [N, in] -> [N, out].
   ag::VarPtr Forward(const ag::VarPtr& x) const;
 
-  /// Attention matrix from the most recent Forward call ([N, N], detached).
-  /// The dense matrix is materialized lazily here, so training steps never
-  /// pay O(N²) for the diagnostic.
-  const Tensor& last_attention() const;
+  /// Dense [N, N] attention matrix Forward applies to x [N, in].
+  /// Recomputes the attention op without gradients, so Forward never pays
+  /// O(N²) for this diagnostic and never writes layer state.
+  Tensor Attention(const Tensor& x) const;
 
  private:
   CsrPtr csr_;  // mask with self loops, coefficients 1
@@ -35,8 +35,6 @@ class GatLayer : public nn::Module {
   ag::VarPtr weight_;  // [in, out]
   ag::VarPtr a_src_;   // [out, 1]
   ag::VarPtr a_dst_;   // [out, 1]
-  mutable Tensor last_attention_;
-  mutable Tensor last_alpha_entries_;  // [nnz], densified on demand
 };
 
 }  // namespace rtgcn::graph

@@ -110,7 +110,7 @@ void GradientPredictor::Fit(const market::WindowDataset& data,
                             const std::vector<int64_t>& train_days,
                             const TrainOptions& options) {
   RTGCN_CHECK(!train_days.empty());
-  rng_ = std::make_unique<Rng>(options.seed);
+  Rng rng(options.seed);
   nn::Module* mod = module();
   mod->SetTraining(true);
   ag::Adam optimizer(mod->Parameters(), options.learning_rate, 0.9f, 0.999f,
@@ -134,7 +134,7 @@ void GradientPredictor::Fit(const market::WindowDataset& data,
       if (status.ok()) {
         start_epoch = state.epoch;
         if (state.has_optimizer) optimizer.LoadState(state.optimizer).Abort();
-        if (state.has_rng) rng_->SetState(state.rng);
+        if (state.has_rng) rng.SetState(state.rng);
         if (state.has_trainer && state.day_order.size() == days.size()) {
           // Restore the shuffle-in-progress so the next epoch's shuffle
           // permutes exactly what the uninterrupted run would have seen.
@@ -167,14 +167,14 @@ void GradientPredictor::Fit(const market::WindowDataset& data,
     // The pre-shuffle epoch state is the rollback target: restoring it and
     // re-entering the loop replays this epoch (fresh shuffle, decayed LR).
     if (rollback_armed) {
-      snapshot = TakeSnapshot(mod, optimizer, *rng_, days, epoch);
+      snapshot = TakeSnapshot(mod, optimizer, rng, days, epoch);
     }
-    rng_->Shuffle(&days);
+    rng.Shuffle(&days);
     double epoch_loss = 0;
     bool rolled_back = false;
     for (int64_t day : days) {
       epoch_loss += TrainStep(data.Features(day), data.Labels(day), &optimizer,
-                              options, rng_.get());
+                              options, &rng);
       if (guard_ && guard_->aborted()) break;
       if (guard_ && guard_->rollback_pending()) {
         // Prefer the newest on-disk checkpoint (PR 2's CheckpointManager);
@@ -186,7 +186,7 @@ void GradientPredictor::Fit(const market::WindowDataset& data,
             if (state.has_optimizer) {
               optimizer.LoadState(state.optimizer).Abort();
             }
-            if (state.has_rng) rng_->SetState(state.rng);
+            if (state.has_rng) rng.SetState(state.rng);
             if (state.has_trainer && state.day_order.size() == days.size()) {
               days = state.day_order;
             }
@@ -196,7 +196,7 @@ void GradientPredictor::Fit(const market::WindowDataset& data,
           }
         }
         if (!restored && snapshot.valid) {
-          RestoreSnapshot(snapshot, mod, &optimizer, rng_.get(), &days,
+          RestoreSnapshot(snapshot, mod, &optimizer, &rng, &days,
                           &epoch);
           restored = true;
         }
@@ -234,7 +234,7 @@ void GradientPredictor::Fit(const market::WindowDataset& data,
       nn::TrainingState state;
       state.optimizer = optimizer.State();
       state.has_optimizer = true;
-      state.rng = rng_->GetState();
+      state.rng = rng.GetState();
       state.has_rng = true;
       state.epoch = epoch;
       state.day_cursor = 0;
@@ -266,14 +266,15 @@ void GradientPredictor::Fit(const market::WindowDataset& data,
 
 Tensor GradientPredictor::Predict(const market::WindowDataset& data,
                                   int64_t day) {
+  module()->SetTraining(false);
   return Score(data.Features(day));
 }
 
 Tensor GradientPredictor::Score(const Tensor& features) {
+  RTGCN_CHECK(!module()->training()) << "Score needs the module in eval mode";
   ag::NoGradGuard no_grad;
-  module()->SetTraining(false);
-  if (!rng_) rng_ = std::make_unique<Rng>(1);
-  return Forward(features, rng_.get())->value;
+  // Eval-mode dropout returns before it draws, so no Rng is needed.
+  return Forward(features, /*rng=*/nullptr)->value;
 }
 
 Status GradientPredictor::ExportSnapshot(const std::string& path) {

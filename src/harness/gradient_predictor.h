@@ -25,9 +25,11 @@ class GradientPredictor : public StockPredictor {
   Tensor Predict(const market::WindowDataset& data, int64_t day) override;
 
   /// Forward-only scores [N] for one day's features [T, N, D], computed
-  /// under NoGradGuard with the module in eval mode. This is the serving
-  /// entry point (serve::ModelSnapshot): unlike Predict it takes raw
-  /// features, so the caller controls where they come from.
+  /// under NoGradGuard. The module must already be in eval mode (Fit and
+  /// Predict leave it there; serve::ModelSnapshot sets it at load). Score
+  /// writes no predictor state, so concurrent calls are safe. This is the
+  /// serving entry point: unlike Predict it takes raw features, so the
+  /// caller controls where they come from.
   Tensor Score(const Tensor& features);
 
   /// Atomically writes a weights-only v2 checkpoint of the module — the
@@ -68,7 +70,6 @@ class GradientPredictor : public StockPredictor {
   TrainingGuard* guard() { return guard_.get(); }
 
  private:
-  std::unique_ptr<Rng> rng_;
   std::unique_ptr<TrainingGuard> guard_;
 };
 

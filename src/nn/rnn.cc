@@ -85,57 +85,4 @@ ag::VarPtr Lstm::ForwardAll(const VarPtr& x) const {
   return ag::ConcatOp(hs, 0);
 }
 
-// ---------------------------------------------------------------------------
-// GRU
-// ---------------------------------------------------------------------------
-
-GruCell::GruCell(int64_t input_size, int64_t hidden_size, Rng* rng)
-    : input_size_(input_size), hidden_size_(hidden_size) {
-  w_ih_ = RegisterParameter(
-      "w_ih", XavierUniform({input_size, 3 * hidden_size}, input_size,
-                            hidden_size, rng));
-  w_hh_ = RegisterParameter(
-      "w_hh", XavierUniform({hidden_size, 3 * hidden_size}, hidden_size,
-                            hidden_size, rng));
-  b_ih_ = RegisterParameter("b_ih", Tensor::Zeros({3 * hidden_size}));
-  b_hh_ = RegisterParameter("b_hh", Tensor::Zeros({3 * hidden_size}));
-}
-
-ag::VarPtr GruCell::InitialState(int64_t batch) const {
-  return ag::Constant(Tensor::Zeros({batch, hidden_size_}));
-}
-
-ag::VarPtr GruCell::Forward(const VarPtr& x, const VarPtr& h) const {
-  RTGCN_CHECK_EQ(x->value.dim(1), input_size_);
-  VarPtr zi = ag::Add(ag::MatMul(x, w_ih_), b_ih_);
-  VarPtr zh = ag::Add(ag::MatMul(h, w_hh_), b_hh_);
-  VarPtr r = ag::Sigmoid(ag::Add(Gate(zi, 0, hidden_size_),
-                                 Gate(zh, 0, hidden_size_)));
-  VarPtr z = ag::Sigmoid(ag::Add(Gate(zi, 1, hidden_size_),
-                                 Gate(zh, 1, hidden_size_)));
-  VarPtr n = ag::Tanh(ag::Add(Gate(zi, 2, hidden_size_),
-                              ag::Mul(r, Gate(zh, 2, hidden_size_))));
-  // h' = (1 - z) * n + z * h
-  VarPtr one_minus_z = ag::AddScalar(ag::Neg(z), 1.0f);
-  return ag::Add(ag::Mul(one_minus_z, n), ag::Mul(z, h));
-}
-
-Gru::Gru(int64_t input_size, int64_t hidden_size, Rng* rng)
-    : cell_(input_size, hidden_size, rng) {
-  RegisterModule(&cell_);
-}
-
-ag::VarPtr Gru::ForwardLast(const VarPtr& x) const {
-  RTGCN_CHECK_EQ(x->value.ndim(), 3);
-  const int64_t t_len = x->value.dim(0);
-  const int64_t batch = x->value.dim(1);
-  const int64_t d = x->value.dim(2);
-  VarPtr h = cell_.InitialState(batch);
-  for (int64_t t = 0; t < t_len; ++t) {
-    VarPtr xt = ag::Reshape(ag::SliceOp(x, 0, t, t + 1), {batch, d});
-    h = cell_.Forward(xt, h);
-  }
-  return h;
-}
-
 }  // namespace rtgcn::nn

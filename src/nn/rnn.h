@@ -1,5 +1,5 @@
 // Recurrent cells used by the LSTM-based baselines (LSTM, Rank_LSTM, RSR,
-// A-LSTM, SFM, FinGAT-style GRU).
+// A-LSTM, SFM).
 #ifndef RTGCN_NN_RNN_H_
 #define RTGCN_NN_RNN_H_
 
@@ -50,40 +50,6 @@ class Lstm : public Module {
 
  private:
   LstmCell cell_;
-};
-
-/// \brief Single GRU cell.
-class GruCell : public Module {
- public:
-  GruCell(int64_t input_size, int64_t hidden_size, Rng* rng);
-
-  VarPtr InitialState(int64_t batch) const;
-
-  /// One step: x [B, input_size], h [B, H] -> new h.
-  VarPtr Forward(const VarPtr& x, const VarPtr& h) const;
-
-  int64_t hidden_size() const { return hidden_size_; }
-
- private:
-  int64_t input_size_;
-  int64_t hidden_size_;
-  VarPtr w_ih_;  // [input, 3H], gate order (r, z, n)
-  VarPtr w_hh_;  // [H, 3H]
-  VarPtr b_ih_;  // [3H]
-  VarPtr b_hh_;  // [3H]
-};
-
-/// \brief Multi-step GRU over [T, B, D]; returns final hidden state [B, H].
-class Gru : public Module {
- public:
-  Gru(int64_t input_size, int64_t hidden_size, Rng* rng);
-
-  VarPtr ForwardLast(const VarPtr& x) const;
-
-  int64_t hidden_size() const { return cell_.hidden_size(); }
-
- private:
-  GruCell cell_;
 };
 
 }  // namespace rtgcn::nn

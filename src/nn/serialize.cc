@@ -11,7 +11,6 @@ namespace rtgcn::nn {
 namespace {
 
 constexpr uint32_t kMagic = 0x52544743;  // "RTGC"
-constexpr uint32_t kVersionLegacy = 1;
 constexpr uint32_t kVersion = 2;
 
 // v2 record tags. Unknown tags are a hard error (a v3 that adds records
@@ -428,44 +427,6 @@ Status LoadV2(Cursor in, const std::string& path, Module* module,
   return Status::OK();
 }
 
-// ---------------------------------------------------------------------------
-// v1 (legacy) format
-// ---------------------------------------------------------------------------
-
-Status LoadV1(Cursor in, const std::string& path, Module* module) {
-  const auto params = module->Parameters();
-  uint64_t count = 0;
-  if (!in.ReadU64(&count)) return Status::IoError("truncated ", path);
-  if (count != params.size()) {
-    return Status::InvalidArgument("checkpoint has ", count,
-                                   " parameters, module has ", params.size());
-  }
-  // Stage every tensor before touching the module, so a count/shape error
-  // or truncation partway through cannot leave it half-loaded.
-  std::vector<Tensor> staged;
-  staged.reserve(params.size());
-  for (size_t i = 0; i < params.size(); ++i) {
-    Shape shape;
-    RTGCN_RETURN_NOT_OK(ReadShape(&in, &shape, path));
-    if (shape != params[i]->value.shape()) {
-      return Status::InvalidArgument(
-          "parameter ", i, " shape mismatch: checkpoint ",
-          ShapeToString(shape), " vs module ",
-          ShapeToString(params[i]->value.shape()));
-    }
-    Tensor value(shape);
-    if (!in.ReadRaw(value.data(),
-                    static_cast<size_t>(value.numel()) * sizeof(float))) {
-      return Status::IoError("truncated tensor data in ", path);
-    }
-    staged.push_back(std::move(value));
-  }
-  for (size_t i = 0; i < params.size(); ++i) {
-    params[i]->value = staged[i];
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status SaveCheckpoint(const Module& module, const std::string& path,
@@ -486,7 +447,6 @@ Status LoadCheckpoint(Module* module, const std::string& path,
   if (!in.ReadRaw(header, sizeof(header)) || header[0] != kMagic) {
     return Status::InvalidArgument(path, " is not an RT-GCN checkpoint");
   }
-  if (header[1] == kVersionLegacy) return LoadV1(in, path, module);
   if (header[1] != kVersion) {
     return Status::InvalidArgument("unsupported checkpoint version ",
                                    header[1]);
@@ -500,18 +460,6 @@ Status SaveParameters(const Module& module, const std::string& path) {
 
 Status LoadParameters(Module* module, const std::string& path) {
   return LoadCheckpoint(module, path, nullptr);
-}
-
-Status SaveParametersV1(const Module& module, const std::string& path) {
-  const auto params = module.Parameters();
-  std::string out;
-  uint32_t header[2] = {kMagic, kVersionLegacy};
-  AppendRaw(&out, header, sizeof(header));
-  AppendU64(&out, params.size());
-  for (const auto& p : params) {
-    AppendTensor(&out, p->value);
-  }
-  return WriteFileAtomic(path, out);
 }
 
 }  // namespace rtgcn::nn

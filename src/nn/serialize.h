@@ -1,19 +1,15 @@
 // Crash-safe model checkpointing.
 //
-// Two on-disk formats share the "RTGC" magic:
+// One on-disk format, version 2 after the "RTGC" magic: a record stream
+// with a named-parameter manifest, a CRC32 per record, and optional
+// training-state records (optimizer moments, RNG state, epoch/day cursor)
+// so a killed training run can resume bit-identically. Writes go through
+// WriteFileAtomic (temp + fsync + rename), so a crash mid-save never
+// corrupts an existing checkpoint. Any other version fails the load.
 //
-//  * v1 (legacy): anonymous parameter list, no integrity protection. Still
-//    readable; loads are transactional (a failed load leaves the module
-//    byte-identical to its prior state).
-//  * v2 (current): record stream with a named-parameter manifest, a CRC32
-//    per record, and optional training-state records (optimizer moments,
-//    RNG state, epoch/day cursor) so a killed training run can resume
-//    bit-identically. Writes go through WriteFileAtomic (temp + fsync +
-//    rename), so a crash mid-save never corrupts an existing checkpoint.
-//
-// Loads of either version stage everything, validate everything (names,
-// shapes, CRCs, truncation), and only then commit — they either fully
-// succeed or return an error leaving the module untouched.
+// Loads stage everything, validate everything (names, shapes, CRCs,
+// truncation), and only then commit — they either fully succeed or return
+// an error leaving the module untouched.
 #ifndef RTGCN_NN_SERIALIZE_H_
 #define RTGCN_NN_SERIALIZE_H_
 
@@ -49,24 +45,20 @@ struct TrainingState {
 Status SaveCheckpoint(const Module& module, const std::string& path,
                       const TrainingState* state = nullptr);
 
-/// Loads a checkpoint (v1 or v2) into `module`; fills `state` (when
-/// non-null) from the training-state records a v2 file carries. Names and
+/// Loads a checkpoint into `module`; fills `state` (when non-null) from
+/// the training-state records the file carries. Names and
 /// shapes must match the module's NamedParameters(). On any error —
 /// truncation, CRC mismatch, name/shape mismatch — the module and `state`
 /// are left untouched.
 Status LoadCheckpoint(Module* module, const std::string& path,
                       TrainingState* state = nullptr);
 
-/// Writes all parameters of `module` to `path` (v2, weights only).
+/// Writes all parameters of `module` to `path` (weights only).
 Status SaveParameters(const Module& module, const std::string& path);
 
-/// Loads parameters saved by SaveParameters / SaveCheckpoint (v1 or v2).
+/// Loads parameters saved by SaveParameters / SaveCheckpoint.
 /// The module must have the same architecture (parameter names and shapes).
 Status LoadParameters(Module* module, const std::string& path);
-
-/// Writes the legacy v1 format (anonymous parameters, no CRC). Kept for
-/// compatibility tests and for producing fixtures older tools can read.
-Status SaveParametersV1(const Module& module, const std::string& path);
 
 }  // namespace rtgcn::nn
 

@@ -138,9 +138,14 @@ void AsyncServer::Wake() {
       ::write(wake_fd_, &one, sizeof(one));  // EAGAIN = already signaled
 }
 
+int64_t AsyncServer::queued_lines() {
+  std::lock_guard<std::mutex> lock(work_mu_);
+  return static_cast<int64_t>(work_.size());
+}
+
 void AsyncServer::ExecutorLoop() {
   for (;;) {
-    Completion work;
+    Work work;
     {
       std::unique_lock<std::mutex> lock(work_mu_);
       work_cv_.wait(lock, [this] { return stopping_ || !work_.empty(); });
@@ -148,11 +153,11 @@ void AsyncServer::ExecutorLoop() {
       work = std::move(work_.front());
       work_.pop_front();
     }
-    // `reply` carried the request line in; it carries the reply out.
-    work.reply = ExecuteLine(server_, metrics_, work.reply);
+    std::string reply =
+        ExecuteLine(server_, metrics_, work.line.text, work.line.arrival);
     {
       std::lock_guard<std::mutex> lock(done_mu_);
-      done_.push_back(std::move(work));
+      done_.push_back({work.conn_id, std::move(reply)});
     }
     Wake();
   }
@@ -262,6 +267,7 @@ void AsyncServer::HandleReadable(uint64_t id) {
 
 void AsyncServer::IngestInput(uint64_t id) {
   Conn& conn = conns_[id];
+  const auto arrival = std::chrono::steady_clock::now();
   size_t pos;
   bool oversized = false;
   while (!conn.closing &&
@@ -273,7 +279,7 @@ void AsyncServer::IngestInput(uint64_t id) {
     std::string line = conn.inbuf.substr(0, pos);
     conn.inbuf.erase(0, pos + 1);
     if (!line.empty() && line.back() == '\r') line.pop_back();
-    conn.lines.push_back(std::move(line));
+    conn.lines.push_back({std::move(line), arrival});
   }
   // A line over the cap, terminated or not (the read buffer is bounded
   // too), is not protocol: reject and drop the connection.
@@ -300,14 +306,14 @@ void AsyncServer::PumpConn(uint64_t id) {
     if (it == conns_.end()) return;
     Conn& conn = it->second;
     if (conn.executing || conn.closing || conn.lines.empty()) break;
-    std::string line = std::move(conn.lines.front());
+    Line line = std::move(conn.lines.front());
     conn.lines.pop_front();
     std::string fast;
-    if (TryExecuteLineFast(server_, metrics_, line, &fast)) {
+    if (TryExecuteLineFast(server_, metrics_, line.text, &fast)) {
       QueueReply(id, fast);
       continue;
     }
-    auto parsed = ParseRequest(line);
+    auto parsed = ParseRequest(line.text);
     const bool blocking =
         parsed.ok() &&
         (parsed.ValueOrDie().verb == Request::Verb::kScore ||
@@ -315,7 +321,7 @@ void AsyncServer::PumpConn(uint64_t id) {
          parsed.ValueOrDie().verb == Request::Verb::kScoreBatch);
     if (!blocking) {
       // Errors and PING/HEALTH/STATS/QUIT answer without blocking.
-      const std::string reply = ExecuteLine(server_, metrics_, line);
+      const std::string reply = ExecuteLine(server_, metrics_, line.text);
       if (reply.empty()) {  // QUIT
         conns_[id].closing = true;
         break;

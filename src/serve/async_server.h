@@ -18,6 +18,11 @@
 //    executor pool; the connection dispatches at most one blocking line at
 //    a time, so replies always come back in request order.
 //
+// Every line is stamped with its arrival when it is framed, and a
+// DEADLINE runs from that stamp: a line that waited in the executor queue
+// past its deadline is shed when an executor picks it up. The queue holds
+// at most one line per connection, so max_connections bounds it.
+//
 // Overload safety: a connection cap (excess accepts answer BUSY and
 // close), a request-line byte cap (a line longer than max_line_bytes,
 // terminated or not, gets "ERR line too long" and the connection is
@@ -36,6 +41,7 @@
 #ifndef RTGCN_SERVE_ASYNC_SERVER_H_
 #define RTGCN_SERVE_ASYNC_SERVER_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -91,21 +97,36 @@ class AsyncServer {
   /// Number of currently open protocol connections.
   int64_t active_connections() const { return conn_gate_.in_use(); }
 
+  /// Blocking lines waiting for an executor; never more than
+  /// active_connections().
+  int64_t queued_lines();
+
   /// Installs a fault injector consulted on every reply. Call before
   /// Start(); pass nullptr to disable. Test/bench hook only.
   void SetChaos(ChaosInjector* chaos) { chaos_ = chaos; }
 
  private:
+  /// One framed request line and the time it was framed.
+  struct Line {
+    std::string text;
+    std::chrono::steady_clock::time_point arrival;
+  };
+
   struct Conn {
     int fd = -1;
     std::string inbuf;    ///< bytes read, not yet split into lines
     std::string outbuf;   ///< reply bytes not yet written to the socket
-    std::deque<std::string> lines;  ///< complete lines awaiting dispatch
+    std::deque<Line> lines;  ///< complete lines awaiting dispatch
     bool executing = false;  ///< a blocking line is out at the executors
     bool closing = false;    ///< flush outbuf, then close (QUIT/abuse)
     bool reset_on_close = false;  ///< chaos kReset: RST instead of FIN
     bool want_write = false;      ///< EPOLLOUT currently armed
     bool paused_read = false;     ///< EPOLLIN dropped for backpressure
+  };
+
+  struct Work {
+    uint64_t conn_id = 0;
+    Line line;
   };
 
   struct Completion {
@@ -154,7 +175,7 @@ class AsyncServer {
   // Executor handoff.
   std::mutex work_mu_;
   std::condition_variable work_cv_;
-  std::deque<Completion> work_;  ///< conn_id + line to execute
+  std::deque<Work> work_;        ///< <= 1 line per connection
   bool stopping_ = false;        ///< guarded by work_mu_
 
   std::mutex done_mu_;

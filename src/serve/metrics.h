@@ -44,7 +44,7 @@ struct Metrics {
 
   // Overload safety.
   obs::Counter& shed;            ///< refused at admission (full / drain)
-  obs::Counter& expired;         ///< deadline passed before the forward ran
+  obs::Counter& expired;         ///< deadline passed while queued or joining
   obs::Counter& busy_rejected;   ///< connections refused at the conn cap
   obs::Counter& stale_served;    ///< replies served from stale scores
   obs::Counter& oversized_lines; ///< protocol lines over the length cap

@@ -469,7 +469,8 @@ Result<Reply> ParseReply(const std::string& line, const Request& sent) {
 }
 
 std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
-                        const std::string& line) {
+                        const std::string& line,
+                        std::chrono::steady_clock::time_point arrival) {
   obs::Span span("serve.handle_line", "serve");
   Request request;
   const Status parsed = ParseRequestInto(line, &request);
@@ -479,6 +480,14 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
     reply.kind = Reply::Kind::kErr;
     reply.text = parsed.message();
     return FormatReply(reply);
+  }
+  // The relative DEADLINE becomes one absolute deadline, once, here. One
+  // too far out for the clock to represent means none.
+  RequestOptions options;
+  const auto horizon = std::chrono::duration_cast<std::chrono::milliseconds>(
+      options.deadline - arrival);
+  if (request.deadline_ms > 0 && request.deadline_ms < horizon.count()) {
+    options.deadline = arrival + std::chrono::milliseconds(request.deadline_ms);
   }
   switch (request.verb) {
     case Request::Verb::kQuit:
@@ -501,15 +510,14 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
       return FormatReply(reply);
     }
     case Request::Verb::kScore: {
-      auto result =
-          server->Score(request.day, request.stock, {request.deadline_ms});
+      auto result = server->Score(request.day, request.stock, options);
       if (!result.ok()) {
         return FormatReply(ErrorReplyFor(request, result.status()));
       }
       return FormatReply(MakeScoreReplyFor(request, result.ValueOrDie()));
     }
     case Request::Verb::kRank: {
-      auto result = server->Rank(request.day, {request.deadline_ms});
+      auto result = server->Rank(request.day, options);
       if (!result.ok()) {
         return FormatReply(ErrorReplyFor(request, result.status()));
       }
@@ -517,8 +525,7 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
     }
     case Request::Verb::kScoreBatch: {
       // One request answers every stock of the line from one day's scores.
-      auto result = server->ScoreBatch(request.day, request.stocks,
-                                       {request.deadline_ms});
+      auto result = server->ScoreBatch(request.day, request.stocks, options);
       if (!result.ok()) {
         return FormatReply(ErrorReplyFor(request, result.status()));
       }

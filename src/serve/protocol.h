@@ -33,6 +33,7 @@
 #ifndef RTGCN_SERVE_PROTOCOL_H_
 #define RTGCN_SERVE_PROTOCOL_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,9 +52,14 @@ enum class HealthState {
 
 const char* HealthStateName(HealthState state);
 
-/// Per-request options (the wire protocol's optional DEADLINE suffix).
+/// Per-request options.
 struct RequestOptions {
-  int64_t deadline_ms = 0;  ///< shed if not executing within this; 0 = none
+  /// Absolute time after which the request is shed (DeadlineExceeded)
+  /// instead of starting or waiting any longer; max() = none. ExecuteLine
+  /// computes it once, from the line's arrival plus its DEADLINE <ms>;
+  /// in-process callers compute it from now().
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
 };
 
 /// All-stock scores for one day, plus the model version that produced them.
@@ -99,7 +105,7 @@ struct Request {
   int64_t stock = 0;             ///< kScore
   std::vector<int64_t> stocks;   ///< kScoreBatch
   int64_t k = 0;                 ///< kRank
-  int64_t deadline_ms = 0;       ///< 0 = no deadline
+  int64_t deadline_ms = 0;       ///< DEADLINE <ms> from arrival; 0 = none
 };
 
 /// \brief One reply, typed; FormatReply renders the wire line.
@@ -157,9 +163,12 @@ Result<Reply> ParseReply(const std::string& line, const Request& sent);
 /// dispatch. `metrics` may be null. kQuit returns the empty string
 /// (connection teardown is the front end's job); a line that does not
 /// parse is answered "2 <id> ERR <usage>", with id 0 when it is unframed
-/// or its id cannot be read.
-std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
-                        const std::string& line);
+/// or its id cannot be read. `arrival` is when the front end framed the
+/// line: a DEADLINE <ms> runs from it, so time spent queued counts.
+std::string ExecuteLine(
+    InferenceServer* server, Metrics* metrics, const std::string& line,
+    std::chrono::steady_clock::time_point arrival =
+        std::chrono::steady_clock::now());
 
 /// Non-blocking variant: true when the line was answered entirely from
 /// cached scores (reply stored in *reply); false when it needs the

@@ -93,11 +93,6 @@ Result<InferenceServer::Scored> InferenceServer::Execute(
     int64_t day, const RequestOptions& request) {
   if (metrics_) metrics_->requests.Increment();
   const uint64_t start_us = obs::NowMicros();
-  const auto deadline =
-      request.deadline_ms > 0
-          ? std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(request.deadline_ms)
-          : kNoDeadline;
   // Admission first: a full server answers at once instead of queueing
   // without limit.
   const Status admitted = admission_.Admit();
@@ -106,23 +101,28 @@ Result<InferenceServer::Scored> InferenceServer::Execute(
     return admitted;
   }
   Result<Scored> result = Status::NotFound("no model version published yet");
-  // Pin exactly one published snapshot: the reply maps to this version.
-  const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
-  if (!snapshot) {
-    // Graceful degradation: with no published model, fall back to the
-    // last scores ever computed for this day (flagged stale) instead of
-    // erroring; only a day never scored before fails.
-    Scored stale = LastScoresFor(day);
-    if (stale.day) result = std::move(stale);
-  } else {
+  if (std::chrono::steady_clock::now() >= request.deadline) {
+    // Outlived its deadline before it started (e.g. queued behind other
+    // work at the front end): shed before pinning anything.
+    result = Status::DeadlineExceeded("deadline passed before day ", day,
+                                      " started executing");
+  } else if (const std::shared_ptr<const ModelSnapshot> snapshot =
+                 registry_->Current()) {
+    // One pinned snapshot: the reply maps to exactly this version.
     const bool degraded = (Health() == HealthState::kDegraded);
-    auto scores = ScoresFor(*snapshot, day, deadline);
+    auto scores = ScoresFor(*snapshot, day, request.deadline);
     if (scores.ok()) {
       RememberScores(day, snapshot->version(), scores.ValueOrDie());
       result = Scored{snapshot->version(), scores.MoveValueOrDie(), degraded};
     } else {
       result = scores.status();
     }
+  } else {
+    // Graceful degradation: with no published model, fall back to the
+    // last scores ever computed for this day (flagged stale) instead of
+    // erroring; only a day never scored before fails.
+    Scored stale = LastScoresFor(day);
+    if (stale.day) result = std::move(stale);
   }
   // Every admitted request ends in exactly one terminal counter before
   // its slot is returned, so the accounting invariant holds after Stop().
@@ -288,84 +288,54 @@ InferenceServer::ScoresFor(const ModelSnapshot& snapshot, int64_t day,
                            std::chrono::steady_clock::time_point deadline) {
   // A day outside the key range cannot share a key; the ScoreFn rejects
   // it on its own forward.
-  if (!Cacheable(day)) return Forward(snapshot, day, deadline);
+  if (!Cacheable(day)) return Forward(snapshot, day);
   const uint64_t key = CacheKey(snapshot.version(), day);
-  for (;;) {
-    std::optional<std::promise<Result<std::shared_ptr<const DayScores>>>>
-        lead;
-    Flight flight;
-    {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      if (options_.enable_cache) {
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-          if (metrics_) metrics_->cache_hits.Increment();
-          return it->second;
-        }
-      }
-      auto [it, inserted] = inflight_.try_emplace(key);
-      if (inserted) it->second = lead.emplace().get_future().share();
-      flight = it->second;
-    }
-    if (!lead) {
-      // Joining counts neither a cache hit nor a miss: the leader's
-      // forward is this request's forward.
-      if (deadline != kNoDeadline &&
-          flight.wait_until(deadline) == std::future_status::timeout) {
-        return Status::DeadlineExceeded(
-            "deadline passed waiting for the forward of day ", day);
-      }
-      const Result<std::shared_ptr<const DayScores>>& joined = flight.get();
-      if (joined.ok() && joined.ValueOrDie() == nullptr) continue;
-      return joined;
-    }
-    Result<std::shared_ptr<const DayScores>> result =
-        Forward(snapshot, day, deadline);
-    {
-      std::lock_guard<std::mutex> lock(cache_mu_);
-      inflight_.erase(key);
-      if (result.ok() && options_.enable_cache &&
-          cache_.emplace(key, result.ValueOrDie()).second) {
-        cache_fifo_.push_back(key);
-        while (static_cast<int64_t>(cache_fifo_.size()) >
-               options_.cache_capacity) {
-          cache_.erase(cache_fifo_.front());
-          cache_fifo_.pop_front();
-        }
+  std::optional<std::promise<Result<std::shared_ptr<const DayScores>>>> lead;
+  Flight flight;
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    if (options_.enable_cache) {
+      auto it = cache_.find(key);
+      if (it != cache_.end()) {
+        if (metrics_) metrics_->cache_hits.Increment();
+        return it->second;
       }
     }
-    // A leader shed at its deadline hands the flight back (null) rather
-    // than its status: joiners may have later deadlines, so they retry.
-    if (!result.ok() &&
-        result.status().code() == StatusCode::kDeadlineExceeded) {
-      lead->set_value(std::shared_ptr<const DayScores>());
-    } else {
-      lead->set_value(result);
-    }
-    return result;
+    auto [it, inserted] = inflight_.try_emplace(key);
+    if (inserted) it->second = lead.emplace().get_future().share();
+    flight = it->second;
   }
+  if (!lead) {
+    // Joining counts neither a cache hit nor a miss: the leader's forward
+    // is this request's forward.
+    if (deadline != kNoDeadline &&
+        flight.wait_until(deadline) == std::future_status::timeout) {
+      return Status::DeadlineExceeded(
+          "deadline passed waiting for the forward of day ", day);
+    }
+    return flight.get();
+  }
+  Result<std::shared_ptr<const DayScores>> result = Forward(snapshot, day);
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    inflight_.erase(key);
+    if (result.ok() && options_.enable_cache &&
+        cache_.emplace(key, result.ValueOrDie()).second) {
+      cache_fifo_.push_back(key);
+      while (static_cast<int64_t>(cache_fifo_.size()) >
+             options_.cache_capacity) {
+        cache_.erase(cache_fifo_.front());
+        cache_fifo_.pop_front();
+      }
+    }
+  }
+  lead->set_value(result);
+  return result;
 }
 
 Result<std::shared_ptr<const InferenceServer::DayScores>>
-InferenceServer::Forward(const ModelSnapshot& snapshot, int64_t day,
-                         std::chrono::steady_clock::time_point deadline) {
-  {
-    std::unique_lock<std::mutex> lock(slot_mu_);
-    const auto slot_free = [this] { return !slot_busy_; };
-    if (deadline == kNoDeadline) {
-      slot_cv_.wait(lock, slot_free);
-    } else if (!slot_cv_.wait_until(lock, deadline, slot_free)) {
-      return Status::DeadlineExceeded(
-          "deadline passed waiting for the forward slot (day ", day, ")");
-    }
-    slot_busy_ = true;
-  }
+InferenceServer::Forward(const ModelSnapshot& snapshot, int64_t day) {
   Result<std::vector<float>> scores = score_fn_(snapshot, day);
-  {
-    std::lock_guard<std::mutex> lock(slot_mu_);
-    slot_busy_ = false;
-  }
-  slot_cv_.notify_one();
   // A failed ScoreFn (e.g. a day outside the data) ran no forward, so only
   // a successful one counts as a cache miss.
   if (!scores.ok()) return scores.status();

@@ -11,10 +11,12 @@
 //  4. on a miss, join the in-flight forward for the same (version, day):
 //     one forward scores every stock of a day, so concurrent same-day
 //     requests share it (single-flight), with no batch window;
-//  5. otherwise lead that forward: take the server-wide forward slot,
-//     run the ScoreFn, rank the scores once and publish them.
-// Forwards are serialized on the forward slot; each one data-parallelizes
-// over stocks through the shared thread pool (common/thread_pool.h).
+//  5. otherwise lead that forward: run the ScoreFn on this thread, rank
+//     the scores once and publish them.
+// Forwards for different days run at the same time, each on its leader's
+// thread. The leader that wins the shared thread pool data-parallelizes
+// over stocks and the others run inline (common/thread_pool.h); either
+// way the scores are bit-identical to a serial forward.
 //
 // The forward is a ScoreFn: all-stock scores for (snapshot, day). Batch
 // serving wires DatasetScoreFn over a WindowDataset; the streaming
@@ -24,9 +26,12 @@
 //  * admitted requests are bounded by an AdmissionController — a full
 //    server sheds new work with Unavailable (BUSY on the wire) instead of
 //    queueing without limit;
-//  * a request may carry a deadline; if it passes while the request waits
-//    for an in-flight forward or for the forward slot, the request is
-//    shed with DeadlineExceeded and counted in Metrics::expired;
+//  * a request may carry an absolute deadline (RequestOptions; on the
+//    wire it runs from the line's arrival). A request is shed with
+//    DeadlineExceeded, counted in Metrics::expired, when its deadline has
+//    passed before it starts executing (e.g. while it waited in the front
+//    end's executor queue) or while it waits to join an in-flight forward.
+//    A forward that has started runs to completion;
 //  * Stop() drains: admitted requests complete, new requests fail with a
 //    "draining" status (DRAINING on the wire);
 //  * Health() reports SERVING / DEGRADED / DRAINING. The server is
@@ -39,7 +44,6 @@
 #define RTGCN_SERVE_SERVER_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -157,8 +161,7 @@ class InferenceServer {
     bool stale = false;
   };
   // A forward in progress for one (version, day), joined by same-key
-  // requests. Its value is null when the leader gave up waiting for the
-  // forward slot (deadline): joiners then retry from the cache lookup.
+  // requests.
   using Flight = std::shared_future<Result<std::shared_ptr<const DayScores>>>;
 
   // Admission, pinning, serving and accounting of one request.
@@ -167,10 +170,9 @@ class InferenceServer {
   Result<std::shared_ptr<const DayScores>> ScoresFor(
       const ModelSnapshot& snapshot, int64_t day,
       std::chrono::steady_clock::time_point deadline);
-  // Runs the forward for `day` on the forward slot and ranks it once.
+  // Runs the forward for `day` and ranks it once.
   Result<std::shared_ptr<const DayScores>> Forward(
-      const ModelSnapshot& snapshot, int64_t day,
-      std::chrono::steady_clock::time_point deadline);
+      const ModelSnapshot& snapshot, int64_t day);
   // Last scores ever computed for `day`, any version; nullptr when never
   // scored. The DEGRADED fallback when no snapshot is published.
   Scored LastScoresFor(int64_t day);
@@ -185,16 +187,6 @@ class InferenceServer {
   Metrics* metrics_;
 
   AdmissionController admission_;
-
-  // The forward slot: one ScoreFn call runs at a time, so scores are
-  // bit-identical to a direct forward, and a leader whose deadline passes
-  // before its forward starts is shed at the deadline. A flag under a
-  // condition variable rather than std::timed_mutex, whose
-  // try_lock_until (pthread_mutex_clocklock) ThreadSanitizer does not
-  // see, and CI runs the serving tests under TSan.
-  std::mutex slot_mu_;
-  std::condition_variable slot_cv_;
-  bool slot_busy_ = false;
 
   // (version, day) -> scores; FIFO-evicted at cache_capacity. inflight_
   // holds the forwards still running, so a key is in at most one of the

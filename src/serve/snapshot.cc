@@ -51,7 +51,7 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
   if (!model || !model->module()) {
     return Status::InvalidArgument("servable factory returned no model");
   }
-  // v1/v2 loads are transactional and CRC-validated; a corrupt or truncated
+  // Loads are transactional and CRC-validated; a corrupt or truncated
   // checkpoint fails here and the half-built model is simply discarded.
   RTGCN_RETURN_NOT_OK(nn::LoadParameters(model->module(), path));
   return std::shared_ptr<const ModelSnapshot>(
@@ -59,7 +59,6 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelSnapshot::Load(
 }
 
 Tensor ModelSnapshot::Score(const Tensor& features) const {
-  std::lock_guard<std::mutex> lock(forward_mu_);
   ag::NoGradGuard no_grad;
   return model_->Score(features);
 }

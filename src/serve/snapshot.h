@@ -1,19 +1,19 @@
 // Immutable frozen-model snapshots for the inference runtime.
 //
 // A ModelSnapshot owns one ServableModel whose parameters were loaded from
-// a checkpoint (validated by the v2 CRC/manifest machinery in
-// nn/serialize.h) and answers forward-only scoring queries. Snapshots are
-// immutable after Load and shared by std::shared_ptr, so the registry can
-// atomically publish a new one while in-flight queries keep scoring against
-// the version they started with (RCU-style reclamation: the last reference
-// frees the old model).
+// a checkpoint (validated by the CRC/manifest machinery in nn/serialize.h)
+// and answers forward-only scoring queries. Snapshots are immutable after
+// Load and shared by std::shared_ptr, so the registry can atomically
+// publish a new one while in-flight queries keep scoring against the
+// version they started with (RCU-style reclamation: the last reference
+// frees the old model). A forward writes no model state, so any number of
+// threads score one snapshot at once, with no lock.
 #ifndef RTGCN_SERVE_SNAPSHOT_H_
 #define RTGCN_SERVE_SNAPSHOT_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "common/status.h"
@@ -33,8 +33,9 @@ class ServableModel {
   virtual nn::Module* module() = 0;
 
   /// Forward-only ranking scores [N] for features [T, N, D]. Called with
-  /// gradient taping disabled and the module in eval mode; implementations
-  /// must not mutate parameters.
+  /// gradient taping disabled and the module in eval mode, and safe to call
+  /// concurrently: implementations write neither parameters nor any other
+  /// model state.
   virtual Tensor Score(const Tensor& features) = 0;
 };
 
@@ -64,10 +65,9 @@ class ModelSnapshot {
   int64_t num_parameters() const { return num_parameters_; }
 
   /// Forward-only scores [N] for features [T, N, D], under NoGradGuard.
-  /// Thread-safe: concurrent callers are serialized on an internal mutex
-  /// (the forward itself data-parallelizes via the shared thread pool), so
-  /// any thread — a serving request, a test, or a bench — may score any
-  /// snapshot.
+  /// Safe to call concurrently: callers run their forwards side by side,
+  /// each bit-identical to a serial forward. The caller that wins the
+  /// shared thread pool data-parallelizes; the others run inline.
   Tensor Score(const Tensor& features) const;
 
  private:
@@ -78,7 +78,6 @@ class ModelSnapshot {
   std::string source_path_;
   int64_t version_;
   int64_t num_parameters_ = 0;
-  mutable std::mutex forward_mu_;
 };
 
 }  // namespace rtgcn::serve

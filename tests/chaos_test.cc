@@ -2,10 +2,12 @@
 //
 //  * ChaosInjector fault plans are deterministic in the seed;
 //  * AdmissionController: reject-fast capacity and drain semantics;
-//  * request deadlines are shed at the deadline — a same-day request
-//    waiting on a held in-flight forward, or a different-day leader
-//    waiting for the forward slot — with a distinct DeadlineExceeded
-//    status;
+//  * a deadline runs from the request's arrival and sheds it with a
+//    distinct DeadlineExceeded status — a same-day request waiting on a
+//    held in-flight forward at its deadline, and wire lines that outlived
+//    their DEADLINE in the front end's executor queue;
+//  * forwards for different days run concurrently: no lock makes one
+//    day's leader wait for another day's forward;
 //  * a full server sheds instead of queueing without bound;
 //  * Stop() completes admitted requests and answers later ones with
 //    "draining";
@@ -241,7 +243,7 @@ struct HeldStack {
   }
 
   // Waits until `n` requests are admitted, plus a margin for them to
-  // reach the in-flight entry or the forward slot.
+  // reach the in-flight entry.
   void WaitInFlight(int n) {
     const std::string want = " queue=" + std::to_string(n);
     while (server->HealthLine().find(want) == std::string::npos) {
@@ -250,6 +252,11 @@ struct HeldStack {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 };
+
+// In-process callers compute their absolute deadline from now().
+RequestOptions Within(int64_t ms) {
+  return RequestOptions{steady_clock::now() + std::chrono::milliseconds(ms)};
+}
 
 int64_t MillisSince(steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -268,7 +275,7 @@ TEST(OverloadTest, SameDayJoinerShedsAtItsDeadline) {
     stack.held.Release();
   });
 
-  auto result = stack.server->Score(kDay, 3, RequestOptions{5});
+  auto result = stack.server->Score(kDay, 3, Within(5));
   const int64_t waited = MillisSince(start);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -281,57 +288,104 @@ TEST(OverloadTest, SameDayJoinerShedsAtItsDeadline) {
   EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 
   // A generous deadline does not perturb a normal reply.
-  auto ok = stack.server->Score(kDay, 3, RequestOptions{10000});
+  auto ok = stack.server->Score(kDay, 3, Within(10000));
   ASSERT_TRUE(ok.ok()) << ok.status().ToString();
   EXPECT_FALSE(ok.ValueOrDie().stale);
 }
 
-TEST(OverloadTest, DifferentDayLeaderShedsWaitingForTheForwardSlot) {
-  HeldStack stack("deadline_slot");
-  std::thread leader([&] { EXPECT_TRUE(stack.server->Rank(30).ok()); });
+TEST(OverloadTest, DifferentDayLeadersForwardConcurrently) {
+  HeldStack stack("concurrent_leaders");
+  std::thread day30([&] { EXPECT_TRUE(stack.server->Rank(30).ok()); });
   stack.held.WaitEntered(1);
-  const auto start = steady_clock::now();
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-    stack.held.Release();
-  });
-
-  auto result = stack.server->Rank(31, RequestOptions{5});
-  const int64_t waited = MillisSince(start);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-  EXPECT_LT(waited, 150);
-  releaser.join();
-  leader.join();
-  // The shed leader ran no forward.
-  EXPECT_EQ(stack.held.entered(), 1);
-  EXPECT_EQ(stack.metrics.expired.Value(), 1u);
-  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
-}
-
-TEST(OverloadTest, JoinersOfAShedLeaderRetryTheForward) {
-  HeldStack stack("deadline_retry");
-  std::thread held_day([&] { EXPECT_TRUE(stack.server->Rank(30).ok()); });
-  stack.held.WaitEntered(1);
-  // Leads day 31 and gives up on the forward slot after 60ms; the joiner
-  // has no deadline, so it must take over the forward, not the shed.
-  std::thread leader([&] {
-    auto r = stack.server->Rank(31, RequestOptions{60});
-    EXPECT_EQ(r.status().code(), StatusCode::kDeadlineExceeded);
-  });
-  stack.WaitInFlight(2);
-  std::thread joiner([&] {
+  // Day 31 leads its own forward while day 30's is still held: it enters
+  // the ScoreFn without waiting for day 30 to finish.
+  std::thread day31([&] {
     auto r = stack.server->Rank(31);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r.ValueOrDie().scores, StubScores(31, HeldStack::kStocks));
   });
-  leader.join();
-  stack.held.Release();
-  joiner.join();
-  held_day.join();
+  EXPECT_TRUE(stack.held.WaitEnteredFor(2, std::chrono::seconds(5)));
   EXPECT_EQ(stack.held.entered(), 2);
+  stack.held.Release();
+  day31.join();
+  day30.join();
   EXPECT_EQ(stack.metrics.forwards.Value(), 2u);
-  EXPECT_EQ(stack.metrics.expired.Value(), 1u);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
+}
+
+TEST(OverloadTest, WireDeadlineRunsFromArrivalThroughTheExecutorQueue) {
+  HeldStack stack("deadline_arrival");
+  AsyncServer::Options aopts;
+  aopts.executor_threads = 1;
+  AsyncServer front(stack.server.get(), &stack.metrics, aopts);
+  ASSERT_TRUE(front.Start().ok());
+  constexpr int kConns = 4;
+  constexpr int kLinesPerConn = 2;
+  constexpr int64_t kDeadlineMs = 20;
+  constexpr int64_t kHoldMs = 150;
+  std::vector<std::unique_ptr<RawClient>> conns;
+  for (int c = 0; c < kConns; ++c) {
+    conns.push_back(std::make_unique<RawClient>(front.port()));
+    ASSERT_TRUE(conns.back()->connected());
+  }
+  // Every line ranks its own day, so no line is answered from the cache
+  // or joins another's forward.
+  std::vector<std::vector<steady_clock::time_point>> sent(kConns);
+  auto send = [&](int c, int i) {
+    const int64_t day = 30 + c * kLinesPerConn + i;
+    sent[c].push_back(steady_clock::now());
+    ASSERT_TRUE(conns[c]->Send("2 " + std::to_string(i + 1) + " RANK " +
+                               std::to_string(day) + " 3 DEADLINE " +
+                               std::to_string(kDeadlineMs) + "\n"));
+  };
+  // Connection 0's first line leads a held forward on the only executor.
+  send(0, 0);
+  stack.held.WaitEntered(1);
+  const auto held_at = steady_clock::now();
+  for (int c = 0; c < kConns; ++c) {
+    for (int i = (c == 0 ? 1 : 0); i < kLinesPerConn; ++i) send(c, i);
+  }
+  // Seven lines are waiting, but the executor queue holds at most one per
+  // connection (the others wait on their connection), so max_connections
+  // bounds it.
+  while (front.queued_lines() < kConns - 1 &&
+         MillisSince(held_at) < kHoldMs) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_EQ(front.queued_lines(), kConns - 1);
+  EXPECT_LE(front.queued_lines(), front.active_connections());
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(kHoldMs - MillisSince(held_at)));
+  stack.held.Release();
+
+  int ok = 0, expired = 0;
+  for (int c = 0; c < kConns; ++c) {
+    for (int i = 0; i < kLinesPerConn; ++i) {
+      const std::string reply = conns[c]->ReadLine();
+      const auto waited = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              steady_clock::now() - sent[c][i])
+                              .count();
+      const std::string frame = "2 " + std::to_string(i + 1) + " ";
+      ASSERT_EQ(reply.rfind(frame, 0), 0u) << reply;
+      if (reply.rfind(frame + "OK ", 0) == 0) {
+        ++ok;
+        // Queueing never eats more than the deadline: an OK reply comes at
+        // most one held forward after it.
+        EXPECT_LE(waited, kDeadlineMs + kHoldMs + 50) << reply;
+      } else {
+        ++expired;
+        EXPECT_EQ(reply.rfind(frame + "ERR deadline exceeded", 0), 0u)
+            << reply;
+      }
+    }
+  }
+  front.Stop();
+  // The leader's forward started in time and ran to completion; every
+  // line queued behind it outlived its deadline.
+  EXPECT_GE(ok, 1);
+  EXPECT_GT(expired, 0);
+  EXPECT_EQ(stack.metrics.expired.Value(), static_cast<uint64_t>(expired));
   EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
 }
 

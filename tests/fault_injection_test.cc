@@ -237,71 +237,28 @@ TEST(FaultInjectionTest, WriteFileAtomicReplacesAndPreservesOnError) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 (legacy) transactional-load regression
+// The retired v1 format fails the load with a clear status
 // ---------------------------------------------------------------------------
 
-TEST(V1TransactionalTest, RoundTripStillWorks) {
+TEST(CheckpointVersionTest, V1FileFailsTheLoadAndLeavesModuleUntouched) {
   Rng rng(21);
-  TwoLinear source(4, &rng);
-  const std::string path = "/tmp/rtgcn_v1_roundtrip.bin";
-  ASSERT_TRUE(nn::SaveParametersV1(source, path).ok());
-  Rng rng2(22);
-  TwoLinear target(4, &rng2);
-  ASSERT_TRUE(nn::LoadParameters(&target, path).ok());
-  EXPECT_TRUE(ParamsByteIdentical(target, SnapshotParams(source)));
-  std::remove(path.c_str());
-}
-
-TEST(V1TransactionalTest, TruncatedFileLeavesModuleUntouched) {
-  Rng rng(23);
-  TwoLinear source(4, &rng);
-  const std::string path = "/tmp/rtgcn_v1_trunc.bin";
-  ASSERT_TRUE(nn::SaveParametersV1(source, path).ok());
-  auto bytes = ReadWholeFile(path);
-  ASSERT_TRUE(bytes.ok());
-  const std::string& full = bytes.ValueOrDie();
-
-  Rng rng2(24);
-  TwoLinear target(4, &rng2);
+  TwoLinear target(4, &rng);
   const auto before = SnapshotParams(target);
-  for (size_t len = 0; len < full.size(); ++len) {
-    WritePlain(path, full.data(), len);
-    ASSERT_FALSE(nn::LoadParameters(&target, path).ok()) << "len=" << len;
-    // The pre-fix loader committed tensors one by one while reading, so a
-    // mid-stream truncation left the module half-overwritten. Staging must
-    // keep every parameter byte-identical.
-    ASSERT_TRUE(ParamsByteIdentical(target, before)) << "len=" << len;
-  }
-  std::remove(path.c_str());
-}
+  // A v1 header as the old writer laid it out: "RTGC" magic, version 1,
+  // then the parameter count the anonymous tensor list followed.
+  const uint32_t header[2] = {0x52544743u, 1u};
+  const uint64_t count = target.Parameters().size();
+  std::string bytes(reinterpret_cast<const char*>(header), sizeof(header));
+  bytes.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  const std::string path = "/tmp/rtgcn_v1_retired.bin";
+  WritePlain(path, bytes.data(), bytes.size());
 
-TEST(V1TransactionalTest, MidStreamShapeMismatchLeavesModuleUntouched) {
-  // Same parameter count, first tensors identical in shape, later ones not:
-  // the failure happens mid-stream, after tensors that *would* have matched.
-  Rng rng(25);
-  TwoLinear source(4, &rng);  // l1: 3x4 (+4), l2: 4x2 (+2)
-  const std::string path = "/tmp/rtgcn_v1_shape.bin";
-  ASSERT_TRUE(nn::SaveParametersV1(source, path).ok());
-
-  Rng rng2(26);
-  class FirstMatches : public nn::Module {
-   public:
-    explicit FirstMatches(Rng* r) : l1_(3, 4, r), l2_(4, 3, r) {
-      RegisterModule("l1", &l1_);
-      RegisterModule("l2", &l2_);
-    }
-    nn::Linear l1_, l2_;
-  };
-  FirstMatches mid(&rng2);
-  const auto before = SnapshotParams(mid);
-  ASSERT_FALSE(nn::LoadParameters(&mid, path).ok());
-  EXPECT_TRUE(ParamsByteIdentical(mid, before));
-
-  // Parameter-count mismatch is rejected before any commit too.
-  nn::Linear fewer(3, 4, &rng2);
-  const auto fewer_before = SnapshotParams(fewer);
-  ASSERT_FALSE(nn::LoadParameters(&fewer, path).ok());
-  EXPECT_TRUE(ParamsByteIdentical(fewer, fewer_before));
+  const Status status = nn::LoadParameters(&target, path);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.ToString().find("unsupported checkpoint version 1"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_TRUE(ParamsByteIdentical(target, before));
   std::remove(path.c_str());
 }
 

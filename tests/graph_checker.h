@@ -287,7 +287,7 @@ inline TimeSensitiveReference ReferenceTimeSensitivePropagate(
 }
 
 /// Time average of a [T, nnz] reference P in t order, then · 1/T: the
-/// Fig. 8 diagnostic RtGcnLayer::last_propagation() densifies.
+/// Fig. 8 diagnostic RtGcnLayer::Propagation() densifies.
 inline std::vector<float> ReferenceTimeAverage(const Tensor& p) {
   const int64_t t_steps = p.dim(0), nnz = p.dim(1);
   std::vector<float> avg(static_cast<size_t>(nnz), 0.0f);

@@ -254,9 +254,7 @@ TEST(GatTest, AttentionRowsSumToOneOnNeighborhood) {
   RelationTensor rel = MakeTriangle();
   Rng rng(7);
   GatLayer gat(rel, 3, 4, &rng);
-  ag::NoGradGuard no_grad;
-  gat.Forward(ag::Constant(RandomGaussian({4, 3}, 0, 1, &rng)));
-  const Tensor& att = gat.last_attention();
+  const Tensor att = gat.Attention(RandomGaussian({4, 3}, 0, 1, &rng));
   for (int64_t i = 0; i < 4; ++i) {
     float row = 0;
     for (int64_t j = 0; j < 4; ++j) row += att.at({i, j});

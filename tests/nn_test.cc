@@ -200,16 +200,6 @@ TEST(LstmTest, LearnsSimpleTemporalTask) {
   EXPECT_LT(final_loss, 0.2f);  // variance of target is 0.5
 }
 
-TEST(GruTest, ShapesAndBoundedState) {
-  Rng rng(15);
-  Gru gru(3, 6, &rng);
-  auto x = ag::Constant(RandomGaussian({7, 5, 3}, 0, 1, &rng));
-  auto h = gru.ForwardLast(x);
-  EXPECT_EQ(h->shape(), (Shape{5, 6}));
-  EXPECT_LE(MaxAll(h->value), 1.0f);
-  EXPECT_GE(MinAll(h->value), -1.0f);
-}
-
 // ---------------------------------------------------------------------------
 // Attention
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -111,6 +112,12 @@ class HeldScoreFn {
   void WaitEntered(int n) {
     std::unique_lock<std::mutex> lock(mu_);
     cv_.wait(lock, [&] { return entered_ >= n; });
+  }
+
+  /// Like WaitEntered, but gives up after `timeout`; false if it did.
+  bool WaitEnteredFor(int n, std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return entered_ >= n; });
   }
 
   /// Lets every held and every later call return.

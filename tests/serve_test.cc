@@ -8,6 +8,9 @@
 //    analogue of parallel_equivalence_test.cc);
 //  * single-flight coalescing — concurrent same-day requests share one
 //    forward, with or without the completed-entry cache;
+//  * concurrent forwards — eight threads score eight distinct days on one
+//    RT-GCN (T) or RT-GAT snapshot, directly and through Rank with the
+//    cache off, bit-identical to serial forwards at pool sizes 1 and 8;
 //  * SCOREN accounting — a bad stock is one error, never an OK;
 //  * hot reload under load — concurrent clients never see a failed query
 //    or a response that does not match exactly one published version;
@@ -27,6 +30,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -35,12 +39,15 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "baselines/rtgat.h"
+#include "baselines/rtgcn_predictor.h"
 #include "common/file_util.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
 #include "harness/checkpoint.h"
 #include "harness/gradient_predictor.h"
 #include "market/dataset.h"
+#include "market/market.h"
 #include "nn/linear.h"
 #include "serve/async_server.h"
 #include "serve/chaos.h"
@@ -348,6 +355,103 @@ TEST(InferenceServerTest, ServedScoresBitIdenticalToDirectPredict) {
       EXPECT_EQ(mismatches.load(), 0)
           << "pool=" << pool_threads << " clients=" << num_clients;
     }
+  }
+  SetNumThreads(saved_threads);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent forwards: distinct days on one snapshot, no lock, same bits.
+// ---------------------------------------------------------------------------
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.size()) == 0;
+}
+
+TEST(ConcurrentForwardTest, DistinctDaysOnOneSnapshotMatchSerialForwards) {
+  market::MarketSpec spec = market::NasdaqSpec();
+  spec.num_stocks = 80;  // several thread-pool chunks per graph op
+  spec.num_industries = 6;
+  spec.num_wiki_types = 2;
+  spec.train_days = 60;
+  spec.test_days = 20;
+  market::MarketData market = market::BuildMarket(spec);
+  const market::WindowDataset data = market.MakeDataset(15, 4);
+  const graph::RelationTensor& rel = market.relations.relations;
+  using MakePredictor =
+      std::function<std::unique_ptr<harness::GradientPredictor>()>;
+  const std::vector<std::pair<std::string, MakePredictor>> models = {
+      {"RT-GCN (T)",
+       [&] {
+         core::RtGcnConfig cfg;
+         cfg.strategy = core::Strategy::kTimeSensitive;
+         return std::make_unique<baselines::RtGcnPredictor>(rel, cfg, 0.1f, 5);
+       }},
+      {"RT-GAT",
+       [&] {
+         return std::make_unique<baselines::RtGatPredictor>(rel, 4, 16, 0.1f,
+                                                            5);
+       }},
+  };
+  constexpr int kThreads = 8;
+  std::vector<int64_t> days;
+  for (int i = 0; i < kThreads; ++i) days.push_back(data.last_day() - i);
+
+  const int saved_threads = NumThreads();
+  for (size_t m = 0; m < models.size(); ++m) {
+    const auto& [name, make] = models[m];
+    const std::string dir = TestDir("concurrent_" + std::to_string(m));
+    harness::CheckpointManager manager({dir, 1, 0});
+    ASSERT_TRUE(manager.Init().ok());
+    ASSERT_TRUE(make()->ExportSnapshot(manager.CheckpointPath(1)).ok());
+    Metrics metrics;
+    ModelRegistry registry({dir, /*reload_interval_ms=*/0},
+                           [&make] { return WrapPredictor(make()); },
+                           &metrics);
+    ASSERT_TRUE(registry.Start().ok());
+    const std::shared_ptr<const ModelSnapshot> snapshot = registry.Current();
+
+    SetNumThreads(1);
+    std::map<int64_t, std::vector<float>> serial;
+    for (const int64_t day : days) {
+      serial[day] = ToVector(snapshot->Score(data.Features(day)));
+    }
+
+    InferenceServer::Options sopts;
+    sopts.enable_cache = false;  // every Rank runs its own forward
+    InferenceServer server(&data, &registry, sopts, &metrics);
+    ASSERT_TRUE(server.Start().ok());
+    for (const int pool : {1, 8}) {
+      SetNumThreads(pool);
+      for (const bool via_rank : {false, true}) {
+        std::vector<std::vector<float>> got(kThreads);
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int i = 0; i < kThreads; ++i) {
+          threads.emplace_back([&, i] {
+            // Start together so the forwards overlap.
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) std::this_thread::yield();
+            if (via_rank) {
+              auto reply = server.Rank(days[i]);
+              if (reply.ok()) got[i] = reply.ValueOrDie().scores;
+            } else {
+              got[i] = ToVector(snapshot->Score(data.Features(days[i])));
+            }
+          });
+        }
+        for (auto& t : threads) t.join();
+        for (int i = 0; i < kThreads; ++i) {
+          EXPECT_TRUE(SameBits(got[i], serial[days[i]]))
+              << name << " pool=" << pool
+              << (via_rank ? " Rank" : " ModelSnapshot::Score")
+              << " day=" << days[i];
+        }
+      }
+    }
+    EXPECT_EQ(metrics.forwards.Value(), 2u * kThreads);
+    server.Stop();
+    registry.Stop();
   }
   SetNumThreads(saved_threads);
 }
@@ -822,6 +926,11 @@ TEST(AsyncServerTest, LineProtocolEndToEnd) {
   const std::string deadline_ok = client.RoundTrip(
       "2 9 SCORE " + std::to_string(day) + " 3 DEADLINE 10000");
   EXPECT_EQ(deadline_ok.rfind("2 9 OK ", 0), 0u) << deadline_ok;
+  // So does one too far out for the clock: it means no deadline.
+  const std::string deadline_max =
+      client.RoundTrip("2 12 SCORE " + std::to_string(day) +
+                       " 3 DEADLINE 9223372036854775807");
+  EXPECT_EQ(deadline_max.rfind("2 12 OK ", 0), 0u) << deadline_max;
   EXPECT_EQ(client.RoundTrip("2 10 SCORE 1 2 DEADLINE nope"),
             "2 10 ERR usage: SCORE <day> <stock> [DEADLINE <ms>]");
   EXPECT_EQ(client.RoundTrip("2 11 RANK 1 2 DEADLINE -5"),

@@ -692,7 +692,7 @@ TEST(GraphBackendEquivalenceTest, RtGcnLayerMatchesDenseFormulas) {
             return ForwardBackward(
                 x0, cot, layer.NamedParameters(),
                 [&](const ag::VarPtr& x) { return layer.Forward(x, &fwd); },
-                [&] { return layer.last_propagation().Clone(); });
+                [&] { return layer.Propagation(x0); });
           });
     }
   }
@@ -714,7 +714,7 @@ TEST(GraphBackendEquivalenceTest, GatLayerMatchesDenseFormulas) {
           return ForwardBackward(
               x0, cot, layer.NamedParameters(),
               [&](const ag::VarPtr& x) { return layer.Forward(x); },
-              [&] { return layer.last_attention().Clone(); });
+              [&] { return layer.Attention(x0); });
         });
   }
 }
