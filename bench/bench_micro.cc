@@ -1,11 +1,14 @@
 // Google-benchmark micro-benchmarks for the numeric substrate and the model
-// layers: op throughput, layer forward/backward, and the per-sample cost
-// that underlies Figure 5's speed comparison.
+// layers: op throughput, layer forward/backward, the per-sample cost that
+// underlies Figure 5's speed comparison, and the universe-size scaling of
+// the sparse relation graph that BENCH_scale.json records.
+//
+// The kernel backend comes from RTGCN_KERNEL and span tracing from
+// RTGCN_TRACE=<file> (exported at exit), as in every other binary. A JSON
+// report with a host block is Google Benchmark's own writer:
+//   bench_micro --benchmark_filter='BM_(CsrBuild|ScaleTrainStep)'
+//     --benchmark_out=BENCH_scale.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
-
-#include <cstdio>
-#include <string>
-#include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
@@ -17,7 +20,6 @@
 #include "market/market.h"
 #include "nn/rnn.h"
 #include "nn/temporal_conv.h"
-#include "obs/trace.h"
 #include "tensor/init.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
@@ -47,8 +49,8 @@ BENCHMARK(BM_MatMul)
     ->Args({512, 1})
     ->Args({512, 4});
 
-// Same matmul, but with the kernel backend forced per run — the direct
-// reference-vs-avx2 comparison that BENCH_kernels.json records.
+// Same matmul at 1 thread, with the kernel backend forced per run: the
+// direct reference-vs-avx2 GFLOP/s comparison.
 void BM_MatMulKernel(benchmark::State& state) {
   const int64_t n = state.range(0);
   const auto backend = static_cast<kernels::Backend>(state.range(1));
@@ -285,64 +287,81 @@ void BM_FeatureWindow(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureWindow);
 
+// Universe-size scaling of the sparse relation graph at n in {500, 1405
+// (paper NYSE), 10000}: synthetic relations at Table III's ~0.3% wiki pair
+// density over K = 5 types, seeded Rng(42 + n). Each row records the graph
+// it measured: undirected edges, CSR entries and bytes, and the bytes an
+// O(N^2) dense [N, N] mask would take.
+graph::RelationTensor ScaleUniverse(int64_t n) {
+  constexpr double kDensity = 0.003;
+  constexpr int64_t kTypes = 5;
+  Rng rng(static_cast<uint64_t>(42 + n));
+  const int64_t pairs =
+      static_cast<int64_t>(kDensity * static_cast<double>(n) * (n - 1) / 2);
+  graph::RelationTensor rel(n, kTypes);
+  for (int64_t e = 0; e < pairs; ++e) {
+    const int64_t i = static_cast<int64_t>(rng.UniformInt(n));
+    const int64_t j = static_cast<int64_t>(rng.UniformInt(n));
+    if (i == j) continue;
+    rel.AddRelation(i, j, static_cast<int64_t>(rng.UniformInt(kTypes)))
+        .Abort();
+  }
+  return rel;
+}
+
+void SetScaleCounters(benchmark::State& state,
+                      const graph::RelationTensor& rel) {
+  const graph::CsrPtr csr = graph::CsrGraph::NormalizedAdjacency(rel);
+  const auto n = static_cast<double>(rel.num_stocks());
+  state.counters["edges"] = static_cast<double>(rel.num_edges());
+  state.counters["csr_entries"] = static_cast<double>(csr->num_entries());
+  state.counters["csr_bytes"] = static_cast<double>(csr->ApproxBytes());
+  state.counters["dense_mask_bytes"] = n * n * sizeof(float);
+}
+
+void ScaleSizes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n"})->Arg(500)->Arg(1405)->Arg(10000);
+  b->Unit(benchmark::kMillisecond);
+}
+
+void BM_CsrBuild(benchmark::State& state) {
+  const graph::RelationTensor rel = ScaleUniverse(state.range(0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(graph::CsrGraph::NormalizedAdjacency(rel));
+  }
+  SetScaleCounters(state, rel);
+}
+BENCHMARK(BM_CsrBuild)->Apply(ScaleSizes);
+
+// One full train step (forward + backward + Adam) of the time-sensitive
+// RT-GCN on the scale universe, at the default thread pool. The loss is
+// the O(N) regression term: the pairwise ranking loss's O(N^2) compute
+// would dominate, and defeat, the O(E) scaling measurement at n = 10000.
+void BM_ScaleTrainStep(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const graph::RelationTensor rel = ScaleUniverse(n);
+  Rng rng(11);
+  core::RtGcnConfig cfg;
+  cfg.strategy = core::Strategy::kTimeSensitive;
+  cfg.window = 8;
+  cfg.num_features = 4;
+  cfg.relational_filters = 16;
+  core::RtGcnModel model(rel, cfg, &rng);
+  ag::Adam opt(model.Parameters(), 1e-3f);
+  const Tensor x =
+      RandomUniform({cfg.window, n, cfg.num_features}, 0.9f, 1.1f, &rng);
+  const Tensor y = RandomGaussian({n}, 0, 0.02f, &rng);
+  for (auto _ : state) {
+    opt.ZeroGrad();
+    auto scores = model.Forward(ag::Constant(x), &rng);
+    ag::Backward(core::RegressionLoss(scores, y));
+    opt.Step();
+  }
+  SetScaleCounters(state, rel);
+}
+BENCHMARK(BM_ScaleTrainStep)->Apply(ScaleSizes);
+
 }  // namespace
 }  // namespace rtgcn
 
-// Custom main instead of BENCHMARK_MAIN(): supports `--trace_out FILE`
-// (enables span tracing for the whole run and exports a Chrome trace JSON
-// when the benchmarks finish) and `--kernel reference|avx2|auto` (forces
-// the tensor kernel backend for the run, like the RTGCN_KERNEL env var).
-// Both flags are stripped before google-benchmark sees argv — it rejects
-// unknown flags.
-int main(int argc, char** argv) {
-  std::string trace_out;
-  std::string kernel;
-  std::vector<char*> args;
-  args.reserve(static_cast<size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace_out=", 0) == 0) {
-      trace_out = arg.substr(sizeof("--trace_out=") - 1);
-      continue;
-    }
-    if (arg == "--trace_out" && i + 1 < argc) {
-      trace_out = argv[++i];
-      continue;
-    }
-    if (arg.rfind("--kernel=", 0) == 0) {
-      kernel = arg.substr(sizeof("--kernel=") - 1);
-      continue;
-    }
-    if (arg == "--kernel" && i + 1 < argc) {
-      kernel = argv[++i];
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  if (!kernel.empty()) {
-    const rtgcn::Status status = rtgcn::kernels::SetBackendByName(kernel);
-    if (!status.ok()) {
-      std::fprintf(stderr, "bench_micro: %s\n", status.message().c_str());
-      return 1;
-    }
-  }
-  if (!trace_out.empty()) rtgcn::obs::Tracer::SetEnabled(true);
-  int filtered_argc = static_cast<int>(args.size());
-  benchmark::Initialize(&filtered_argc, args.data());
-  if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!trace_out.empty()) {
-    std::string error;
-    if (!rtgcn::obs::Tracer::ExportChromeJson(trace_out, &error)) {
-      std::fprintf(stderr, "bench_micro: trace export failed: %s\n",
-                   error.c_str());
-      return 1;
-    }
-    std::fprintf(stderr, "bench_micro: trace written to %s\n",
-                 trace_out.c_str());
-  }
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -43,7 +43,7 @@ class FlagSet {
 
   /// String flag restricted to an explicit value set. Parse rejects any
   /// value not in `choices` (the error lists the accepted values), so a
-  /// typo like --kernel=axv2 fails loudly instead of being forwarded to
+  /// typo like --scale=smal fails loudly instead of being forwarded to
   /// code that may silently fall back.
   void RegisterChoice(const std::string& name, std::string* var,
                       const std::vector<std::string>& choices,

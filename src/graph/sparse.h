@@ -79,8 +79,9 @@ class CsrGraph {
   int64_t num_undirected_edges() const { return num_undirected_edges_; }
   bool has_self_loops() const { return self_loops_; }
 
-  /// Heap bytes held by the CSR arrays — the O(E) number BENCH_scale.json
-  /// compares against the O(N²) dense-mask footprint.
+  /// Heap bytes held by the CSR arrays: the O(E) number that bench_micro's
+  /// scale rows (BENCH_scale.json's csr_bytes) set against the O(N²)
+  /// dense-mask footprint.
   size_t ApproxBytes() const;
 
   const std::vector<int64_t>& row_ptr() const { return row_ptr_; }

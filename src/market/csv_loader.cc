@@ -24,8 +24,11 @@ CellFault ParsePrice(const std::string& cell, double* value) {
   char* end = nullptr;
   *value = std::strtod(cell.c_str(), &end);
   if (end == cell.c_str() || *end != '\0') return CellFault::kNotANumber;
-  if (!std::isfinite(*value)) return CellFault::kNonFinite;
-  if (*value <= 0) return CellFault::kNonPositive;
+  // Judged as the float the panel stores: a double beyond FLT_MAX would
+  // become inf, and one below the smallest float would become 0.
+  const float stored = static_cast<float>(*value);
+  if (!std::isfinite(stored)) return CellFault::kNonFinite;
+  if (stored <= 0) return CellFault::kNonPositive;
   return CellFault::kOk;
 }
 
@@ -48,10 +51,11 @@ bool ParseInt(const std::string& s, int64_t* value) {
   return end != s.c_str() && *end == '\0';
 }
 
-void CountDroppedDay(LoadReport* report, int64_t* kind_counter) {
+// `kind` names the counter, so a null report is never dereferenced.
+void CountDroppedDay(LoadReport* report, int64_t LoadReport::*kind) {
   if (report == nullptr) return;
   ++report->dropped_days;
-  ++(*kind_counter);
+  ++(report->*kind);
 }
 
 }  // namespace
@@ -134,7 +138,7 @@ Result<PricePanel> LoadPricePanel(const std::string& path,
         return Status::InvalidArgument(path, " row ", r, ": duplicate day '",
                                        day, "'");
       }
-      CountDroppedDay(report, &report->duplicate_days);
+      CountDroppedDay(report, &LoadReport::duplicate_days);
       continue;
     }
     int64_t day_value = 0;
@@ -144,7 +148,7 @@ Result<PricePanel> LoadPricePanel(const std::string& path,
           return Status::InvalidArgument(path, " row ", r,
                                          ": out-of-order day '", day, "'");
         }
-        CountDroppedDay(report, &report->out_of_order_days);
+        CountDroppedDay(report, &LoadReport::out_of_order_days);
         seen_days.erase(day);  // an in-order copy later may still be kept
         continue;
       }

@@ -23,7 +23,8 @@ constexpr uint32_t kTagRng = 0x524E4753;       // 'RNGS'
 constexpr uint32_t kTagTrainer = 0x54524E52;   // 'TRNR'
 constexpr uint32_t kTagEnd = 0x454E4421;       // 'END!'
 
-constexpr int64_t kMaxRank = 64;  // sanity bound on serialized shapes
+constexpr int64_t kMaxRank = 64;  // sanity bounds on serialized shapes
+constexpr uint64_t kMaxElements = uint64_t{1} << 48;
 
 // ---------------------------------------------------------------------------
 // Little buffer writer
@@ -69,6 +70,7 @@ class Cursor {
 
   bool ReadRaw(void* out, size_t size) {
     if (remaining_ < size) return false;
+    if (size == 0) return true;  // `out` of an empty tensor may be null
     std::memcpy(out, p_, size);
     p_ += size;
     remaining_ -= size;
@@ -115,13 +117,17 @@ Status ReadShape(Cursor* in, Shape* shape, const std::string& path) {
   }
   shape->clear();
   shape->reserve(rank);
+  // The element count is bounded as it grows, so neither it nor its byte
+  // size can overflow, however many large dimensions a corrupt file holds.
+  uint64_t elements = 1;
   for (uint64_t d = 0; d < rank; ++d) {
     uint64_t dim = 0;
     if (!in->ReadU64(&dim)) return Status::IoError("truncated ", path);
-    if (dim > (uint64_t{1} << 48)) {
+    if (dim > kMaxElements || (dim > 0 && elements > kMaxElements / dim)) {
       return Status::InvalidArgument("implausible dimension ", dim, " in ",
                                      path);
     }
+    elements *= dim;
     shape->push_back(static_cast<int64_t>(dim));
   }
   return Status::OK();

@@ -9,19 +9,15 @@
 // readers, half-open connections, malformed and oversized frames, corrupt
 // checkpoints published mid-reload — and asserts the overload-safety
 // invariants: no crash, no hang, and every request accounted for in
-// Metrics (requests == ok + error + expired + shed).
-//
-// RawClient is the hostile-client building block: a loopback socket with
-// byte-level control, used to send garbage, go half-open, read slowly, or
-// reset mid-conversation.
+// Metrics (requests == ok + error + expired + shed). The hostile clients
+// are tests/raw_client.h.
 #ifndef RTGCN_SERVE_CHAOS_H_
 #define RTGCN_SERVE_CHAOS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
-#include <string_view>
 
 #include "common/random.h"
 
@@ -75,39 +71,6 @@ class ChaosInjector {
   std::atomic<uint64_t> drops_{0};
   std::atomic<uint64_t> truncates_{0};
   std::atomic<uint64_t> resets_{0};
-};
-
-/// \brief Loopback socket with byte-level control, for protocol-abuse
-/// scenarios: malformed frames, half-open connections, slow readers,
-/// mid-conversation resets. Not a production client — see serve::Client.
-class RawClient {
- public:
-  explicit RawClient(int port);
-  ~RawClient();
-
-  RawClient(const RawClient&) = delete;
-  RawClient& operator=(const RawClient&) = delete;
-
-  bool connected() const { return fd_ >= 0; }
-
-  /// Writes raw bytes (no framing added); false on error.
-  bool Send(std::string_view bytes);
-
-  /// Reads up to the next '\n' (stripped); empty string on EOF, error, or
-  /// after `timeout_ms` without a complete line.
-  std::string ReadLine(int64_t timeout_ms = 2000);
-
-  /// Half-open: no more sends, but the socket stays readable.
-  void CloseSend();
-
-  /// Hard reset: SO_LINGER 0 + close, so the peer sees RST, not FIN.
-  void Reset();
-
-  void Close();
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
 };
 
 }  // namespace rtgcn::serve

@@ -484,6 +484,7 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
   // The relative DEADLINE becomes one absolute deadline, once, here. One
   // too far out for the clock to represent means none.
   RequestOptions options;
+  options.arrival = arrival;
   const auto horizon = std::chrono::duration_cast<std::chrono::milliseconds>(
       options.deadline - arrival);
   if (request.deadline_ms > 0 && request.deadline_ms < horizon.count()) {

@@ -60,6 +60,11 @@ struct RequestOptions {
   /// in-process callers compute it from now().
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
+  /// When the request arrived; serve.latency_us runs from it. ExecuteLine
+  /// passes the line's arrival, so time queued for an executor counts;
+  /// in-process callers arrive when they build the options.
+  std::chrono::steady_clock::time_point arrival =
+      std::chrono::steady_clock::now();
 };
 
 /// All-stock scores for one day, plus the model version that produced them.

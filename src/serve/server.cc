@@ -92,7 +92,16 @@ void InferenceServer::Stop() {
 Result<InferenceServer::Scored> InferenceServer::Execute(
     int64_t day, const RequestOptions& request) {
   if (metrics_) metrics_->requests.Increment();
-  const uint64_t start_us = obs::NowMicros();
+  // The latency clock starts at arrival: the time since then, moved once
+  // onto the obs::NowMicros timeline (a request from the future waited 0).
+  const auto now = std::chrono::steady_clock::now();
+  const auto waited_us = std::max<int64_t>(
+      0, std::chrono::duration_cast<std::chrono::microseconds>(
+             now - request.arrival)
+             .count());
+  const uint64_t now_us = obs::NowMicros();
+  const uint64_t start_us =
+      now_us - std::min(now_us, static_cast<uint64_t>(waited_us));
   // Admission first: a full server answers at once instead of queueing
   // without limit.
   const Status admitted = admission_.Admit();
@@ -101,7 +110,7 @@ Result<InferenceServer::Scored> InferenceServer::Execute(
     return admitted;
   }
   Result<Scored> result = Status::NotFound("no model version published yet");
-  if (std::chrono::steady_clock::now() >= request.deadline) {
+  if (now >= request.deadline) {
     // Outlived its deadline before it started (e.g. queued behind other
     // work at the front end): shed before pinning anything.
     result = Status::DeadlineExceeded("deadline passed before day ", day,

@@ -104,18 +104,6 @@ void SetBackend(Backend backend) {
   Select(backend);
 }
 
-Status SetBackendByName(const std::string& name) {
-  Result<Backend> resolved = ResolveBackend(name);
-  if (!resolved.ok()) return resolved.status();
-  if (name == "avx2" && resolved.ValueOrDie() == Backend::kReference) {
-    RTGCN_LOG(Warning)
-        << "avx2 kernels requested but this CPU/build does not support "
-           "AVX2+FMA; using reference";
-  }
-  Select(resolved.ValueOrDie());
-  return Status::OK();
-}
-
 void ReinitFromEnvForTest() {
   g_active.store(nullptr, std::memory_order_release);
 }

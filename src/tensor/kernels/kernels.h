@@ -11,10 +11,9 @@
 //
 // Selection happens once, lazily, from the RTGCN_KERNEL environment
 // variable ("reference" | "avx2" | "auto", default auto = best supported),
-// and can be overridden programmatically (SetBackendByName) or via
-// bench_micro's --kernel flag. Requesting avx2 on a CPU
-// without it falls back to reference with a warning; unknown names are
-// rejected. The active choice is published to obs::Registry::Global()
+// and can be overridden programmatically (SetBackend). Requesting avx2 on a
+// CPU without it falls back to reference; an unknown name warns and falls
+// back to auto. The active choice is published to obs::Registry::Global()
 // (gauges tensor.kernels.backend / tensor.kernels.avx2_supported, counters
 // tensor.kernels.selected.<name>) and to span tags: each set carries its
 // own static span names ("tensor.MatMul[avx2]", ...) so traces show which
@@ -109,8 +108,8 @@ void OverrideCpuSupportsAvx2ForTest(int forced);
 
 /// Parses a backend name: "reference", "avx2", "auto" or "" (= auto).
 /// "auto" resolves to avx2 when supported, else reference. An explicit
-/// "avx2" on an unsupported CPU gracefully degrades to reference (with a
-/// warning at SetBackendByName time). Unknown names -> InvalidArgument.
+/// "avx2" on an unsupported CPU gracefully degrades to reference. Unknown
+/// names -> InvalidArgument.
 Result<Backend> ResolveBackend(const std::string& name);
 
 /// The active kernel set. First use initializes from the RTGCN_KERNEL
@@ -121,10 +120,6 @@ Backend ActiveBackend();
 /// Explicitly selects a backend and publishes the choice to the global
 /// metrics registry.
 void SetBackend(Backend backend);
-
-/// ResolveBackend + SetBackend; the error of ResolveBackend on unknown
-/// names. This is what bench_micro's --kernel flag calls.
-Status SetBackendByName(const std::string& name);
 
 /// Test hook: drops the cached selection so the next Active() re-reads
 /// RTGCN_KERNEL from the environment.

@@ -6,6 +6,7 @@
 //    distinct DeadlineExceeded status — a same-day request waiting on a
 //    held in-flight forward at its deadline, and wire lines that outlived
 //    their DEADLINE in the front end's executor queue;
+//  * serve.latency_us runs from arrival, so it includes that queue wait;
 //  * forwards for different days run concurrently: no lock makes one
 //    day's leader wait for another day's forward;
 //  * a full server sheds instead of queueing without bound;
@@ -46,6 +47,7 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "raw_client.h"
 #include "serve_fixture.h"
 
 namespace rtgcn::serve {
@@ -387,6 +389,46 @@ TEST(OverloadTest, WireDeadlineRunsFromArrivalThroughTheExecutorQueue) {
   EXPECT_GT(expired, 0);
   EXPECT_EQ(stack.metrics.expired.Value(), static_cast<uint64_t>(expired));
   EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
+}
+
+// serve.latency_us runs from a line's arrival (metrics.h), so a cold line
+// queued for the only executor behind a held forward records that wait.
+// The two samples then sum to at least the first line's hold plus the
+// second line's queue wait; a clock started at execution misses the wait.
+TEST(OverloadTest, WireLatencyCountsTheExecutorQueueWait) {
+  HeldStack stack("latency_arrival");
+  AsyncServer::Options aopts;
+  aopts.executor_threads = 1;
+  AsyncServer front(stack.server.get(), &stack.metrics, aopts);
+  ASSERT_TRUE(front.Start().ok());
+  constexpr int64_t kHoldMs = 100;
+  RawClient first(front.port()), second(front.port());
+  ASSERT_TRUE(first.connected() && second.connected());
+  ASSERT_TRUE(first.Send("2 1 RANK 30 3\n"));
+  stack.held.WaitEntered(1);
+  const auto first_held = steady_clock::now();
+  ASSERT_TRUE(second.Send("2 2 RANK 31 3\n"));
+  while (front.queued_lines() < 1 && MillisSince(first_held) < 2000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(front.queued_lines(), 1);
+  const auto second_queued = steady_clock::now();
+  std::this_thread::sleep_for(std::chrono::milliseconds(kHoldMs));
+  const auto released = steady_clock::now();
+  stack.held.Release();
+  EXPECT_EQ(first.ReadLine().rfind("2 1 OK ", 0), 0u);
+  EXPECT_EQ(second.ReadLine().rfind("2 2 OK ", 0), 0u);
+  front.Stop();
+
+  const auto us = [](steady_clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+  };
+  const uint64_t held_us = us(released - first_held);
+  const uint64_t queued_us = us(released - second_queued);
+  ASSERT_EQ(stack.metrics.latency.Count(), 2u);
+  EXPECT_GE(stack.metrics.latency.Sum(), held_us + queued_us)
+      << "first line held " << held_us << " us, second queued " << queued_us;
 }
 
 TEST(OverloadTest, FullServerShedsRejectFast) {

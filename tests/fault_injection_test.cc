@@ -17,6 +17,7 @@
 #include <memory>
 
 #include "autograd/optimizer.h"
+#include "common/crc32.h"
 #include "common/file_util.h"
 #include "harness/checkpoint.h"
 #include "nn/linear.h"
@@ -259,6 +260,50 @@ TEST(CheckpointVersionTest, V1FileFailsTheLoadAndLeavesModuleUntouched) {
             std::string::npos)
       << status.ToString();
   EXPECT_TRUE(ParamsByteIdentical(target, before));
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Shape fields checkpoint_fuzz_test reached past the CRC
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointShapeTest, ExtremeTensorShapesFailCleanly) {
+  // A CRC-valid tensor record "w" with no data. [2^31, 2^31] floats are
+  // 2^64 bytes, which wrapped the size check to 0, so the load aborted
+  // allocating the tensor; an empty tensor handed memcpy a null pointer
+  // (UBSan nonnull-attribute).
+  Rng rng(22);
+  TwoLinear target(4, &rng);
+  const auto before = SnapshotParams(target);
+  const std::string path = "/tmp/rtgcn_extreme_shape.bin";
+  for (const auto& dims : std::vector<std::vector<uint64_t>>{
+           {1ull << 31, 1ull << 31}, {1ull << 20, 1ull << 20, 1ull << 20},
+           {0}}) {
+    std::string payload;
+    const auto u64 = [&payload](uint64_t v) {
+      payload.append(reinterpret_cast<const char*>(&v), sizeof(v));
+    };
+    u64(1);  // name length
+    payload += "w";
+    u64(dims.size());
+    for (uint64_t d : dims) u64(d);
+    const uint32_t head[3] = {0x52544743u, 2u, 0x54454E53u};  // .., 'TENS'
+    const uint64_t size = payload.size();
+    const uint32_t crc = Crc32(payload);
+    std::string bytes(reinterpret_cast<const char*>(head), sizeof(head));
+    bytes.append(reinterpret_cast<const char*>(&size), sizeof(size));
+    bytes += payload;
+    bytes.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+    WritePlain(path, bytes.data(), bytes.size());
+    const Status status = nn::LoadParameters(&target, path);
+    ASSERT_FALSE(status.ok());
+    if (dims.size() > 1) {
+      EXPECT_NE(status.ToString().find("implausible dimension"),
+                std::string::npos)
+          << status.ToString();
+    }
+    EXPECT_TRUE(ParamsByteIdentical(target, before));
+  }
   std::remove(path.c_str());
 }
 

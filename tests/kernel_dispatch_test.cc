@@ -48,7 +48,8 @@ TEST_F(DispatchTest, ResolveBackendKnownNames) {
 }
 
 TEST_F(DispatchTest, ResolveBackendRejectsUnknown) {
-  for (const char* bad : {"sse", "AVX2", "avx512", "fastest", "ref"}) {
+  for (const char* bad :
+       {"sse", "AVX2", "avx512", "fastest", "ref", "not-a-backend"}) {
     Result<kernels::Backend> r = kernels::ResolveBackend(bad);
     ASSERT_FALSE(r.ok()) << bad;
     EXPECT_NE(r.status().message().find("unknown kernel backend"),
@@ -74,14 +75,6 @@ TEST_F(DispatchTest, ExplicitAvx2FallsBackGracefullyWithoutCpuSupport) {
             kernels::Backend::kReference);
   kernels::SetBackend(kernels::Backend::kAvx2);
   EXPECT_EQ(kernels::ActiveBackend(), kernels::Backend::kReference);
-  ASSERT_TRUE(kernels::SetBackendByName("avx2").ok());
-  EXPECT_EQ(kernels::ActiveBackend(), kernels::Backend::kReference);
-}
-
-TEST_F(DispatchTest, SetBackendByNameRejectsUnknown) {
-  Status s = kernels::SetBackendByName("not-a-backend");
-  ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("unknown kernel backend"), std::string::npos);
 }
 
 TEST_F(DispatchTest, EnvVarForcesReference) {
@@ -148,7 +141,7 @@ TEST_F(DispatchTest, ScopedKernelBackendRestores) {
 }
 
 // ---------------------------------------------------------------------------
-// FlagSet choice validation (the --kernel flag surface)
+// FlagSet choice validation, on a backend-name flag
 // ---------------------------------------------------------------------------
 
 TEST(FlagSetChoice, AcceptsListedValues) {

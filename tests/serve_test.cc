@@ -50,13 +50,13 @@
 #include "market/market.h"
 #include "nn/linear.h"
 #include "serve/async_server.h"
-#include "serve/chaos.h"
 #include "serve/client.h"
 #include "serve/config.h"
 #include "serve/metrics.h"
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "raw_client.h"
 #include "serve_fixture.h"
 
 namespace rtgcn::serve {
@@ -1044,7 +1044,7 @@ TEST(AsyncServerTest, FramedWireMatchesInProcessRank) {
 
 // ---------------------------------------------------------------------------
 // Protocol abuse: hostile framing must never crash, hang, or leak a
-// connection slot. Uses RawClient (the chaos-harness building block) for
+// connection slot. Uses RawClient (tests/raw_client.h) for
 // half-open and reset behaviour LineClient cannot express.
 // ---------------------------------------------------------------------------
 

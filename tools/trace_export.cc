@@ -1,7 +1,9 @@
 // Validates and summarizes a Chrome trace JSON file produced by the obs
-// tracer (bench_micro --trace_out, or the RTGCN_TRACE=path env var).
+// tracer: run any binary with the RTGCN_TRACE=<path> env var, which
+// enables tracing and writes the file at exit.
 //
-//   ./trace_export trace.json
+//   RTGCN_TRACE=trace.json ./bench/bench_micro --benchmark_filter=BM_MatMul/
+//   ./tools/trace_export trace.json
 //
 // Parses the document with the same parser the obs tests use, then prints
 // a per-span-name aggregate table (count, total/mean/max duration) sorted
