@@ -10,6 +10,8 @@
 //     --benchmark_out=BENCH_scale.json --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "baselines/lstm_models.h"
@@ -49,37 +51,62 @@ BENCHMARK(BM_MatMul)
     ->Args({512, 1})
     ->Args({512, 4});
 
-// Same matmul at 1 thread, with the kernel backend forced per run: the
-// direct reference-vs-avx2 GFLOP/s comparison.
-void BM_MatMulKernel(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  const auto backend = static_cast<kernels::Backend>(state.range(1));
-  if (backend == kernels::Backend::kAvx2 && !kernels::CpuSupportsAvx2()) {
-    state.SkipWithError("AVX2+FMA not supported on this CPU/build");
-    return;
+// Forces the kernel backend named by a benchmark arg (0 reference, 1 avx2)
+// and 1 thread for one run, restoring both on exit: the direct
+// reference-vs-avx2 comparison of one kernel.
+class BackendRun {
+ public:
+  BackendRun(benchmark::State& state, int64_t backend_arg)
+      : prev_(kernels::ActiveBackend()) {
+    const auto backend = static_cast<kernels::Backend>(backend_arg);
+    ok_ = backend != kernels::Backend::kAvx2 || kernels::CpuSupportsAvx2();
+    if (!ok_) {
+      state.SkipWithError("AVX2+FMA not supported on this CPU/build");
+      return;
+    }
+    kernels::SetBackend(backend);
+    SetNumThreads(1);
   }
-  const kernels::Backend prev = kernels::ActiveBackend();
-  kernels::SetBackend(backend);
-  SetNumThreads(1);
+  ~BackendRun() {
+    SetNumThreads(0);
+    kernels::SetBackend(prev_);
+  }
+  BackendRun(const BackendRun&) = delete;
+  BackendRun& operator=(const BackendRun&) = delete;
+
+  bool ok() const { return ok_; }
+
+ private:
+  kernels::Backend prev_;
+  bool ok_ = false;
+};
+
+// [m, k] x [k, n] at 1 thread under each backend: square sizes, and the
+// train step's narrow products at N = 840 — the θ-lift backward g·θᵀ
+// ([T·N, F] x [F, D], all of it in the n % 8 tail) and the temporal
+// block's [3360, 16] x [16, 48].
+void BM_MatMulKernel(benchmark::State& state) {
+  const int64_t m = state.range(0);
+  const int64_t k = state.range(1);
+  const int64_t n = state.range(2);
+  BackendRun run(state, state.range(3));
+  if (!run.ok()) return;
   Rng rng(1);
-  Tensor a = RandomGaussian({n, n}, 0, 1, &rng);
-  Tensor b = RandomGaussian({n, n}, 0, 1, &rng);
+  Tensor a = RandomGaussian({m, k}, 0, 1, &rng);
+  Tensor b = RandomGaussian({k, n}, 0, 1, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(MatMul(a, b));
   }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
+  state.SetItemsProcessed(state.iterations() * m * k * n);
   state.SetLabel(kernels::Active().name);
-  SetNumThreads(0);
-  kernels::SetBackend(prev);
 }
 BENCHMARK(BM_MatMulKernel)
-    ->ArgNames({"n", "backend"})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({512, 0})
-    ->Args({512, 1});
+    ->ArgNames({"m", "k", "n", "backend"})
+    ->ArgsProduct({{128}, {128}, {128}, {0, 1}})
+    ->ArgsProduct({{256}, {256}, {256}, {0, 1}})
+    ->ArgsProduct({{512}, {512}, {512}, {0, 1}})
+    ->ArgsProduct({{12600}, {16}, {4}, {0, 1}})
+    ->ArgsProduct({{3360}, {16}, {48}, {0, 1}});
 
 void BM_BroadcastAdd(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -103,9 +130,11 @@ void BM_Softmax(benchmark::State& state) {
 BENCHMARK(BM_Softmax);
 
 // The fused pairwise ranking loss, forward and backward, at the default
-// (N = 120) and the paper-scale (N = 840) universe.
+// (N = 120) and the paper-scale (N = 840) universe, 1 thread, per backend.
 void BM_PairwiseRankingLoss(benchmark::State& state) {
   const int64_t n = state.range(0);
+  BackendRun run(state, state.range(1));
+  if (!run.ok()) return;
   Rng rng(1);
   auto scores = ag::MakeVariable(RandomGaussian({n}, 0, 1, &rng),
                                  /*requires_grad=*/true);
@@ -115,8 +144,11 @@ void BM_PairwiseRankingLoss(benchmark::State& state) {
     ag::Backward(core::PairwiseRankingLoss(scores, labels));
   }
   state.SetItemsProcessed(state.iterations() * n * n);
+  state.SetLabel(kernels::Active().name);
 }
-BENCHMARK(BM_PairwiseRankingLoss)->ArgNames({"n"})->Arg(120)->Arg(840);
+BENCHMARK(BM_PairwiseRankingLoss)
+    ->ArgNames({"n", "backend"})
+    ->ArgsProduct({{120, 840}, {0, 1}});
 
 // The fused causal conv, forward and backward, on the layer-0 shapes of the
 // paper-scale model: [T = 15, N = 840, F = 16], kernel 3, stride 4.
@@ -201,6 +233,7 @@ BENCHMARK(BM_RtGcnTrainStep)->ArgNames({"threads"})->Arg(1)->Arg(2)->Arg(4);
 // the forward only; mode 1 adds the backward with dw/db only (x is the
 // constant model input, as in the train step); mode 2 also takes dx (x
 // requires a gradient, as in perfbench's isolated relational_bwd row).
+// Each mode runs at 1 thread under each backend.
 struct PaperScaleFixture {
   PaperScaleFixture() : data(market::BuildMarket(Spec())) {
     csr = graph::CsrGraph::NormalizedAdjacency(data.relations.relations);
@@ -223,6 +256,8 @@ struct PaperScaleFixture {
 void BM_TimeSensitivePropagate(benchmark::State& state) {
   static const PaperScaleFixture paper;
   const int64_t mode = state.range(0);
+  BackendRun run(state, state.range(1));
+  if (!run.ok()) return;
   Rng rng(5);
   auto w = ag::MakeVariable(
       RandomGaussian({paper.csr->num_relation_types()}, 1.0f, 0.1f, &rng),
@@ -236,15 +271,14 @@ void BM_TimeSensitivePropagate(benchmark::State& state) {
     ag::VarPtr y = graph::SparseTimeSensitivePropagate(paper.csr, w, b, x);
     if (mode > 0) ag::Backward(y);
   }
-  state.SetLabel(mode == 0   ? "fwd"
-                 : mode == 1 ? "fwd+bwd dw/db"
-                             : "fwd+bwd dx");
+  state.SetLabel(std::string(mode == 0   ? "fwd"
+                             : mode == 1 ? "fwd+bwd dw/db"
+                                         : "fwd+bwd dx") +
+                 " " + kernels::Active().name);
 }
 BENCHMARK(BM_TimeSensitivePropagate)
-    ->ArgNames({"mode"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2);
+    ->ArgNames({"mode", "backend"})
+    ->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_LstmRankerTrainStep(benchmark::State& state) {
   auto& f = Fixture();

@@ -6,6 +6,7 @@
 
 #include "autograd/finite_check.h"
 #include "common/thread_pool.h"
+#include "tensor/kernels/kernels.h"
 
 namespace rtgcn::ag {
 
@@ -455,38 +456,12 @@ VarPtr PairwiseRankingLoss(const VarPtr& scores, const Tensor& labels) {
   std::vector<double> row_loss(static_cast<size_t>(n));
   auto row_grad = std::make_shared<std::vector<double>>(
       want_grad ? static_cast<size_t>(n) : 0);
-  double* pg = row_grad->data();
-  ParallelFor(0, n, std::max<int64_t>(1, 32768 / n), [&](int64_t lo,
-                                                         int64_t hi) {
-    // Two passes per row: a branch-free, vectorizable pass writes each
-    // pair's hinge and its active label gap, then a sequential pass sums
-    // them. (Summing inside the first loop lets the compiler turn the
-    // selects into branches, which mispredict on the unordered pairs.)
-    std::vector<float> hinge(static_cast<size_t>(n));
-    std::vector<float> active(static_cast<size_t>(n));
-    float* ph = hinge.data();
-    float* pa = active.data();
-    for (int64_t i = lo; i < hi; ++i) {
-      const float si = s[i];
-      const float yi = y[i];
-      for (int64_t j = 0; j < n; ++j) {
-        const float dy = yi - y[j];
-        const float h = -((si - s[j]) * dy);
-        // `h < 0 ? 0 : h` rather than max(0, h), so a NaN score reaches
-        // the loss value.
-        ph[j] = h < 0.0f ? 0.0f : h;
-        pa[j] = h > 0.0f ? dy : 0.0f;
-      }
-      double loss = 0;
-      double grad = 0;
-      for (int64_t j = 0; j < n; ++j) {
-        loss += ph[j];
-        grad += pa[j];
-      }
-      row_loss[static_cast<size_t>(i)] = loss;
-      if (pg != nullptr) pg[i] = grad;
-    }
-  });
+  double* pg = want_grad ? row_grad->data() : nullptr;
+  const kernels::KernelSet& ks = kernels::Active();
+  ParallelFor(0, n, std::max<int64_t>(1, 32768 / n),
+              [&](int64_t lo, int64_t hi) {
+                ks.pairwise_hinge_rows(s, y, n, lo, hi, row_loss.data(), pg);
+              });
   double total = 0;
   for (const double r : row_loss) total += r;
   const float inv_pairs = 1.0f / static_cast<float>(n * n);

@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "tensor/kernels/kernels.h"
 
 namespace rtgcn::graph {
 
@@ -367,22 +368,21 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
 // ---------------------------------------------------------------------------
 //
 // Node-major, time-blocked layout: x (and, in the backward, g) is transposed
-// once into [N, D, t_stride], T zero-padded to a multiple of kTimeLanes.
-// All T steps of one (node, feature) are then contiguous lanes, so each CSR
-// entry is a D-step lane-wise multiply-add over fixed-width blocks instead of
-// T latency-bound D-wide dots. Every lane runs exactly the scalar [T, N, D]
-// operation sequence (D-sum from 0 in k order, then c·acc, then as·corr,
-// entries accumulated in CSR order), so results are bit-identical to it; the
-// pad lanes only ever see zeros and are never read back.
+// once into [N, D, t_stride], T zero-padded to a multiple of
+// kernels::kTimeLanes. All T steps of one (node, feature) are then
+// contiguous lanes, so each CSR entry is a D-step lane-wise multiply-add
+// over fixed-width blocks instead of T latency-bound D-wide dots. The lane
+// loops are the active KernelSet's ts_* kernels; every backend runs exactly
+// the scalar [T, N, D] operation sequence in each lane (D-sum from 0 in k
+// order, then c·acc, then as·corr, entries accumulated in CSR order), so
+// results are bit-identical to it; the pad lanes only ever see zeros and
+// are never read back.
 
 namespace {
 
-// Lanes per block of the node-major time layout; T is padded to a multiple
-// so every (entry, block) step is a fixed-width loop the compiler vectorizes.
-constexpr int64_t kTimeLanes = 8;
-
 int64_t PadTimeLanes(int64_t t_steps) {
-  return (t_steps + kTimeLanes - 1) / kTimeLanes * kTimeLanes;
+  return (t_steps + kernels::kTimeLanes - 1) / kernels::kTimeLanes *
+         kernels::kTimeLanes;
 }
 
 // [T, N, D] -> node-major [N, D, t_stride], pad lanes zeroed.
@@ -405,26 +405,28 @@ std::shared_ptr<float[]> ToNodeMajor(const float* src, int64_t t_steps,
   return out;
 }
 
-// Writes one node's [D, t_stride] lanes back into row i of a [T, N, D] tensor.
-void FromNodeMajorRow(const float* lanes, int64_t i, int64_t t_steps,
-                      int64_t n, int64_t d, int64_t t_stride, float* dst) {
-  for (int64_t t = 0; t < t_steps; ++t) {
-    float* row = dst + (t * n + i) * d;
-    for (int64_t k = 0; k < d; ++k) row[k] = lanes[k * t_stride + t];
+// Writes node-major rows [lo, hi) of `lanes` back into a [T, N, D] tensor.
+void FromNodeMajorRows(const float* lanes, int64_t lo, int64_t hi,
+                       int64_t t_steps, int64_t n, int64_t d, int64_t t_stride,
+                       float* dst) {
+  for (int64_t i = lo; i < hi; ++i) {
+    const float* li = lanes + i * d * t_stride;
+    for (int64_t t = 0; t < t_steps; ++t) {
+      float* row = dst + (t * n + i) * d;
+      for (int64_t k = 0; k < d; ++k) row[k] = li[k * t_stride + t];
+    }
   }
 }
 
-// out[l] = Σ_k a[k·t_stride + l] · b[k·t_stride + l] for one block of
-// lanes, summed in k order from 0 (the lane-wise DotF).
-inline void LaneDot(const float* a, const float* b, int64_t d, int64_t t_stride,
-                    float* out) {
-  float acc[kTimeLanes] = {};
-  for (int64_t k = 0; k < d; ++k) {
-    const float* ak = a + k * t_stride;
-    const float* bk = b + k * t_stride;
-    for (int64_t l = 0; l < kTimeLanes; ++l) acc[l] += ak[l] * bk[l];
-  }
-  for (int64_t l = 0; l < kTimeLanes; ++l) out[l] = acc[l];
+kernels::TimeLaneGraph LaneGraph(const CsrGraph& g, int64_t d, int64_t t_steps,
+                                 int64_t t_stride) {
+  return kernels::TimeLaneGraph{g.row_ptr().data(),
+                                g.col().data(),
+                                g.reverse_entry().data(),
+                                g.coeff().data(),
+                                d,
+                                t_steps,
+                                t_stride};
 }
 
 }  // namespace
@@ -470,39 +472,14 @@ ag::VarPtr SparseTimeSensitivePropagate(
       static_cast<size_t>(nnz * t_stride));
   Tensor y(x->value.shape());
   {
-    const float* pxn = xn.get();
-    const float* pas = as->data();
-    const int64_t* rp = g->row_ptr().data();
-    const int32_t* col = g->col().data();
-    float* pcorr = corr.get();
-    float* py = y.data();
+    const kernels::KernelSet& ks = kernels::Active();
+    const kernels::TimeLaneGraph lg = LaneGraph(*g, d, t_steps, t_stride);
+    auto yn = std::make_unique_for_overwrite<float[]>(
+        static_cast<size_t>(n * d * t_stride));
     ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
-      std::vector<float> yi(static_cast<size_t>(d * t_stride));
-      for (int64_t i = lo; i < hi; ++i) {
-        std::fill(yi.begin(), yi.end(), 0.0f);
-        const float* xi = pxn + i * d * t_stride;
-        for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-          const float* xj = pxn + static_cast<int64_t>(col[e]) * d * t_stride;
-          float* ce = pcorr + e * t_stride;
-          const float a = pas[e];
-          for (int64_t blk = 0; blk < t_stride; blk += kTimeLanes) {
-            float dot[kTimeLanes];
-            LaneDot(xi + blk, xj + blk, d, t_stride, dot);
-            float pv[kTimeLanes];
-            for (int64_t l = 0; l < kTimeLanes; ++l) {
-              const float cv = c * dot[l];
-              ce[blk + l] = cv;
-              pv[l] = a * cv;
-            }
-            for (int64_t k = 0; k < d; ++k) {
-              float* yk = yi.data() + k * t_stride + blk;
-              const float* xk = xj + k * t_stride + blk;
-              for (int64_t l = 0; l < kTimeLanes; ++l) yk[l] += pv[l] * xk[l];
-            }
-          }
-        }
-        FromNodeMajorRow(yi.data(), i, t_steps, n, d, t_stride, py);
-      }
+      ks.ts_forward_rows(lg, xn.get(), as->data(), c, lo, hi, corr.get(),
+                         yn.get());
+      FromNodeMajorRows(yn.get(), lo, hi, t_steps, n, d, t_stride, y.data());
     });
   }
   if (save_edge_values != nullptr) {
@@ -520,51 +497,43 @@ ag::VarPtr SparseTimeSensitivePropagate(
       obs::Span bspan("graph.TimeSensitive.bwd[sparse]", "graph");
       const bool need_wb = ag::NeedsGrad(w) || ag::NeedsGrad(b);
       const bool need_x = ag::NeedsGrad(x);
+      const kernels::KernelSet& ks = kernels::Active();
+      const kernels::TimeLaneGraph lg = LaneGraph(*g, d, t_steps, t_stride);
       std::shared_ptr<const float[]> gn =
           ToNodeMajor(grad.data(), t_steps, n, d, t_stride);
-      const float* pgn = gn.get();
-      const float* pxn = xn.get();
-      const float* pcorr = corr.get();
       const int64_t* rp = g->row_ptr().data();
       const int32_t* col = g->col().data();
-      const int32_t* rev = g->reverse_entry().data();
-      const float* coeff = g->coeff().data();
       const int64_t* tp = g->type_ptr().data();
       const int32_t* types = g->types().data();
       const int64_t k = w->value.numel();
 
-      // One row-owned pass: gx[e, t] = g_{t,i} · x_{t,j} once per entry.
-      // The w/b reduction ∂L/∂s_e = coeff_e · Σ_t corr[e,t] · gx[e,t] folds
-      // into it; gx is kept for the dx pass only when x needs a gradient.
+      // One row-owned pass: gx[e, t] = g_{t,i} · x_{t,j} once per entry and,
+      // for the w/b reduction, ∂L/∂s_e = coeff_e · Σ_t corr[e,t] · gx[e,t].
+      // gx is kept for the dx pass only when x needs a gradient.
       std::unique_ptr<float[]> gx;
       if (need_x) {
         gx = std::make_unique_for_overwrite<float[]>(
             static_cast<size_t>(nnz * t_stride));
       }
+      std::unique_ptr<float[]> ds;
+      if (need_wb) {
+        ds = std::make_unique_for_overwrite<float[]>(static_cast<size_t>(nnz));
+      }
       const size_t slots = need_wb ? static_cast<size_t>(k + 1) : 0;
       std::vector<float> acc = ParallelReduce(
           0, n, 64, std::vector<float>(slots, 0.0f),
           [&](int64_t lo, int64_t hi) {
+            ks.ts_grad_entries_rows(lg, gn.get(), xn.get(), corr.get(), lo,
+                                    hi, gx.get(), ds.get());
             std::vector<float> partial(slots, 0.0f);
-            std::vector<float> scratch(gx ? 0 : static_cast<size_t>(t_stride));
+            if (!need_wb) return partial;
             for (int64_t i = lo; i < hi; ++i) {
-              const float* gi = pgn + i * d * t_stride;
               for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-                float* gxe = gx ? gx.get() + e * t_stride : scratch.data();
-                const float* xj =
-                    pxn + static_cast<int64_t>(col[e]) * d * t_stride;
-                for (int64_t blk = 0; blk < t_stride; blk += kTimeLanes) {
-                  LaneDot(gi + blk, xj + blk, d, t_stride, gxe + blk);
-                }
-                if (!need_wb || col[e] == i) continue;  // self loop: s = 1
-                const float* ce = pcorr + e * t_stride;
-                float ds = 0.0f;
-                for (int64_t t = 0; t < t_steps; ++t) ds += ce[t] * gxe[t];
-                ds *= coeff[e];
+                if (col[e] == i) continue;  // self loop: s = 1
                 for (int64_t t = tp[e]; t < tp[e + 1]; ++t) {
-                  partial[static_cast<size_t>(types[t])] += ds;
+                  partial[static_cast<size_t>(types[t])] += ds[e];
                 }
-                partial[static_cast<size_t>(k)] += ds;
+                partial[static_cast<size_t>(k)] += ds[e];
               }
             }
             return partial;
@@ -589,45 +558,14 @@ ag::VarPtr SparseTimeSensitivePropagate(
         //  (1) transpose propagation  p[rev e] g_j, p = as[rev] · corr[rev]
         //  (2) correlation, i-side    as_e c gx[e] x_j
         //  (3) correlation, j-side    coeff[rev e] s_e c gx[rev e] x_j
-        const float* pgx = gx.get();
-        const float* pas = as->data();
-        const float* ps = s->data();
         Tensor dx(x->value.shape());
-        float* pdx = dx.data();
+        auto dxn = std::make_unique_for_overwrite<float[]>(
+            static_cast<size_t>(n * d * t_stride));
         ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
-          std::vector<float> dm(static_cast<size_t>(d * t_stride));
-          for (int64_t m = lo; m < hi; ++m) {
-            std::fill(dm.begin(), dm.end(), 0.0f);
-            for (int64_t e = rp[m]; e < rp[m + 1]; ++e) {
-              const int64_t j = col[e];
-              const int32_t r = rev[e];
-              const float a2 = pas[e] * c;
-              const float a3 = coeff[r] * ps[e] * c;
-              const float ar = pas[r];
-              const float* gxe = pgx + e * t_stride;
-              const float* gxr = pgx + static_cast<int64_t>(r) * t_stride;
-              const float* cr = pcorr + static_cast<int64_t>(r) * t_stride;
-              const float* gj = pgn + j * d * t_stride;
-              const float* xj = pxn + j * d * t_stride;
-              for (int64_t blk = 0; blk < t_stride; blk += kTimeLanes) {
-                float p_rev[kTimeLanes];
-                float coef[kTimeLanes];
-                for (int64_t l = 0; l < kTimeLanes; ++l) {
-                  p_rev[l] = ar * cr[blk + l];
-                  coef[l] = a2 * gxe[blk + l] + a3 * gxr[blk + l];
-                }
-                for (int64_t kk = 0; kk < d; ++kk) {
-                  float* dk = dm.data() + kk * t_stride + blk;
-                  const float* gk = gj + kk * t_stride + blk;
-                  const float* xk = xj + kk * t_stride + blk;
-                  for (int64_t l = 0; l < kTimeLanes; ++l) {
-                    dk[l] += p_rev[l] * gk[l] + coef[l] * xk[l];
-                  }
-                }
-              }
-            }
-            FromNodeMajorRow(dm.data(), m, t_steps, n, d, t_stride, pdx);
-          }
+          ks.ts_grad_x_rows(lg, gn.get(), xn.get(), corr.get(), gx.get(),
+                            as->data(), s->data(), c, lo, hi, dxn.get());
+          FromNodeMajorRows(dxn.get(), lo, hi, t_steps, n, d, t_stride,
+                            dx.data());
         });
         x->AccumulateGrad(dx);
       }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/csv.h"
@@ -113,6 +114,22 @@ Result<PricePanel> LoadPricePanel(const std::string& path,
   RTGCN_ASSIGN_OR_RETURN(CsvTable table, ReadCsv(path, tolerant));
   if (table.header.size() < 2) {
     return Status::InvalidArgument(path, ": need at least one ticker column");
+  }
+  // Every ticker must be nameable: no empty or repeated header name, in
+  // either mode. Columns count from 0 at the day column.
+  std::unordered_map<std::string, size_t> header_column;
+  for (size_t col = 1; col < table.header.size(); ++col) {
+    const std::string& name = table.header[col];
+    if (name.empty()) {
+      return Status::InvalidArgument(path, ": empty ticker name in column ",
+                                     col);
+    }
+    const auto [it, inserted] = header_column.emplace(name, col);
+    if (!inserted) {
+      return Status::InvalidArgument(path, ": ticker '", name,
+                                     "' repeats in columns ", it->second,
+                                     " and ", col);
+    }
   }
   if (table.rows.empty()) {
     return Status::InvalidArgument(path, ": no data rows");

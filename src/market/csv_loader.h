@@ -95,7 +95,8 @@ struct PricePanel {
 
 /// Parses a price-panel CSV in strict mode. Fails on non-numeric,
 /// non-finite or non-positive prices, inconsistent row widths, and
-/// duplicate or out-of-order day labels.
+/// duplicate or out-of-order day labels. Both modes fail on an empty or
+/// repeated ticker name in the header.
 Result<PricePanel> LoadPricePanel(const std::string& path);
 
 /// Parses a price-panel CSV under `options`, accounting every repair in

@@ -9,7 +9,9 @@
 // column blocks anchored at j=0, so regrouping rows into different
 // panels — which is all ParallelFor's chunking can do — cannot change a
 // single bit. Softmax rows are independent. Elementwise kernels use only
-// exact IEEE lane ops, so vector body and scalar tail agree bitwise.
+// exact IEEE lane ops, so vector body and scalar tail agree bitwise. The
+// relational-lane and pairwise-hinge kernels of this set live in
+// avx2_exact.cc, which is built without FMA contraction.
 #include <algorithm>
 #include <cmath>
 
@@ -18,6 +20,9 @@
 #if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
+
+#include "tensor/kernels/avx2_exact.h"
+#include "tensor/kernels/avx2_transpose.h"
 
 namespace rtgcn::kernels {
 namespace {
@@ -160,7 +165,20 @@ void MatMulPanelAvx2(const float* a, const float* b, float* c, int64_t k,
     }
     for (int r = 0; r < MR; ++r) _mm256_storeu_ps(c + r * n + j, acc[r]);
   }
-  // Tail lanes (n % 8): scalar FMA keeps the same ascending-p single
+  // Narrow tail (n % 8 >= 4; all of a 4-column product): the same
+  // ascending-p FMA chain per element, four columns per __m128.
+  for (; j + 4 <= n; j += 4) {
+    __m128 acc[MR];
+    for (int r = 0; r < MR; ++r) acc[r] = _mm_loadu_ps(c + r * n + j);
+    for (int64_t p = 0; p < k; ++p) {
+      const __m128 b0 = _mm_loadu_ps(b + p * n + j);
+      for (int r = 0; r < MR; ++r) {
+        acc[r] = _mm_fmadd_ps(_mm_set1_ps(a[r * k + p]), b0, acc[r]);
+      }
+    }
+    for (int r = 0; r < MR; ++r) _mm_storeu_ps(c + r * n + j, acc[r]);
+  }
+  // Tail lanes (n % 4): scalar FMA keeps the same ascending-p single
   // rounding per step as the vector chains.
   for (int r = 0; r < MR; ++r) {
     for (int64_t jj = j; jj < n; ++jj) {
@@ -284,40 +302,12 @@ void SoftmaxRowsAvx2(const float* in, float* out, int64_t row_lo,
 
 // dst[j][i] = src[i][j] for one 8x8 block; src rows are `src_stride`
 // apart, dst rows `dst_stride`.
-inline void Transpose8x8(const float* src, int64_t src_stride, float* dst,
-                         int64_t dst_stride) {
-  __m256 r0 = _mm256_loadu_ps(src + 0 * src_stride);
-  __m256 r1 = _mm256_loadu_ps(src + 1 * src_stride);
-  __m256 r2 = _mm256_loadu_ps(src + 2 * src_stride);
-  __m256 r3 = _mm256_loadu_ps(src + 3 * src_stride);
-  __m256 r4 = _mm256_loadu_ps(src + 4 * src_stride);
-  __m256 r5 = _mm256_loadu_ps(src + 5 * src_stride);
-  __m256 r6 = _mm256_loadu_ps(src + 6 * src_stride);
-  __m256 r7 = _mm256_loadu_ps(src + 7 * src_stride);
-  __m256 t0 = _mm256_unpacklo_ps(r0, r1);
-  __m256 t1 = _mm256_unpackhi_ps(r0, r1);
-  __m256 t2 = _mm256_unpacklo_ps(r2, r3);
-  __m256 t3 = _mm256_unpackhi_ps(r2, r3);
-  __m256 t4 = _mm256_unpacklo_ps(r4, r5);
-  __m256 t5 = _mm256_unpackhi_ps(r4, r5);
-  __m256 t6 = _mm256_unpacklo_ps(r6, r7);
-  __m256 t7 = _mm256_unpackhi_ps(r6, r7);
-  __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
-  __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
-  __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
-  __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
-  __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
-  __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
-  __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
-  __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
-  _mm256_storeu_ps(dst + 0 * dst_stride, _mm256_permute2f128_ps(s0, s4, 0x20));
-  _mm256_storeu_ps(dst + 1 * dst_stride, _mm256_permute2f128_ps(s1, s5, 0x20));
-  _mm256_storeu_ps(dst + 2 * dst_stride, _mm256_permute2f128_ps(s2, s6, 0x20));
-  _mm256_storeu_ps(dst + 3 * dst_stride, _mm256_permute2f128_ps(s3, s7, 0x20));
-  _mm256_storeu_ps(dst + 4 * dst_stride, _mm256_permute2f128_ps(s0, s4, 0x31));
-  _mm256_storeu_ps(dst + 5 * dst_stride, _mm256_permute2f128_ps(s1, s5, 0x31));
-  _mm256_storeu_ps(dst + 6 * dst_stride, _mm256_permute2f128_ps(s2, s6, 0x31));
-  _mm256_storeu_ps(dst + 7 * dst_stride, _mm256_permute2f128_ps(s3, s7, 0x31));
+inline void TransposeBlock8x8(const float* src, int64_t src_stride,
+                              float* dst, int64_t dst_stride) {
+  __m256 r[8];
+  for (int64_t i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * src_stride);
+  Transpose8x8(r);
+  for (int64_t i = 0; i < 8; ++i) _mm256_storeu_ps(dst + i * dst_stride, r[i]);
 }
 
 // Tiled transpose: 8x8 in-register blocks keep both the reads and the
@@ -330,7 +320,7 @@ void TransposeRowsAvx2(const float* in, float* out, int64_t row_lo,
   for (; i + 8 <= row_hi; i += 8) {
     int64_t j = 0;
     for (; j + 8 <= n; j += 8) {
-      Transpose8x8(in + i * n + j, n, out + j * m + i, m);
+      TransposeBlock8x8(in + i * n + j, n, out + j * m + i, m);
     }
     for (; j < n; ++j) {
       for (int64_t ii = i; ii < i + 8; ++ii) out[j * m + ii] = in[ii * n + j];
@@ -357,6 +347,10 @@ const KernelSet kAvx2Set = {
     /*matmul_rows=*/MatMulRowsAvx2,
     /*softmax_rows=*/SoftmaxRowsAvx2,
     /*transpose_rows=*/TransposeRowsAvx2,
+    /*ts_forward_rows=*/avx2_exact::TsForwardRows,
+    /*ts_grad_entries_rows=*/avx2_exact::TsGradEntriesRows,
+    /*ts_grad_x_rows=*/avx2_exact::TsGradXRows,
+    /*pairwise_hinge_rows=*/avx2_exact::PairwiseHingeRows,
     /*matmul_span=*/"tensor.MatMul[avx2]",
     /*batch_matmul_span=*/"tensor.BatchMatMul[avx2]",
     /*softmax_span=*/"tensor.Softmax[avx2]",

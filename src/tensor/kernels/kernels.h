@@ -1,13 +1,17 @@
 // Runtime-dispatched tensor kernel backends.
 //
-// A KernelSet is a table of function pointers covering the tensor hot
+// A KernelSet is a table of function pointers covering the numeric hot
 // paths: the contiguous elementwise loops, row-panel matmul, fused
-// last-axis softmax and 2-d transpose. Two sets are registered:
+// last-axis softmax, 2-d transpose, the Eq. 5 relational lanes of
+// graph::SparseTimeSensitivePropagate and the pairwise-hinge row sums of
+// ag::PairwiseRankingLoss. Two sets are registered:
 //
 //  * reference — the original scalar loops. Always available; the ground
 //    truth every other variant is checked against (tests/kernel_checker.h).
-//  * avx2 — cache-blocked AVX2/FMA kernels (kernels/avx2.cc, compiled with
-//    -mavx2 -mfma in its own TU). Used only when CPUID reports AVX2+FMA.
+//  * avx2 — AVX2/FMA kernels, used only when CPUID reports AVX2+FMA:
+//    kernels/avx2.cc (-mavx2 -mfma) holds the elementwise, matmul, softmax
+//    and transpose kernels; kernels/avx2_exact.cc (-mavx2 -mfma
+//    -ffp-contract=off) holds the relational-lane and loss kernels.
 //
 // Selection happens once, lazily, from the RTGCN_KERNEL environment
 // variable ("reference" | "avx2" | "auto", default auto = best supported),
@@ -24,9 +28,11 @@
 // ParallelFor into row panels / contiguous spans; a kernel's output for a
 // given element may depend only on the element's absolute position and the
 // problem shape — never on the panel boundaries it happened to be called
-// with. Backends may differ from EACH OTHER (FMA contraction, vectorized
-// exp), which is why the checker compares with an epsilon rather than
-// bit equality.
+// with. Across backends, the elementwise, transpose, relational-lane and
+// pairwise-hinge kernels run the reference's IEEE operation sequence in
+// every lane and match it bit for bit; matmul (FMA) and softmax
+// (vectorized exp) may differ from it in the last bits, which is why the
+// checker compares those with an epsilon.
 #ifndef RTGCN_TENSOR_KERNELS_KERNELS_H_
 #define RTGCN_TENSOR_KERNELS_KERNELS_H_
 
@@ -45,6 +51,25 @@ using BinaryFn = void (*)(const float* a, const float* b, float* o,
 using ScalarFn = void (*)(const float* a, float s, float* o, int64_t n);
 /// Contiguous unary elementwise: o[i] = f(a[i]).
 using UnaryFn = void (*)(const float* a, float* o, int64_t n);
+
+/// Lanes per block of the relational conv's node-major time layout: T is
+/// zero-padded to a multiple of this.
+inline constexpr int64_t kTimeLanes = 8;
+
+/// \brief CSR operands of the Eq. 5 relational lanes
+/// (graph::SparseTimeSensitivePropagate). Node tensors are node-major
+/// [N, d, t_stride], all T steps of one (node, feature) contiguous, pad
+/// lanes zero; per-entry tensors are [nnz, t_stride]. Arrays are those of
+/// graph::CsrGraph.
+struct TimeLaneGraph {
+  const int64_t* row_ptr;  ///< [N+1] row i owns [row_ptr[i], row_ptr[i+1])
+  const int32_t* col;      ///< [nnz] neighbor j of each entry
+  const int32_t* rev;      ///< [nnz] opposite directed entry
+  const float* coeff;      ///< [nnz] normalization coefficient
+  int64_t d;               ///< features per node
+  int64_t t_steps;         ///< T
+  int64_t t_stride;        ///< T padded to a multiple of kTimeLanes
+};
 
 /// \brief One interchangeable kernel backend.
 struct KernelSet {
@@ -78,6 +103,42 @@ struct KernelSet {
   /// in is [m, n], out is [n, m].
   void (*transpose_rows)(const float* in, float* out, int64_t row_lo,
                          int64_t row_hi, int64_t m, int64_t n);
+
+  // Eq. 5 relational lanes over rows [row_lo, row_hi). Every lane runs the
+  // scalar [T, N, D] sequence: a D-sum from 0 in feature order (one mul,
+  // then one add), then scaling, entries accumulated in CSR order.
+
+  /// Forward: for each entry e = (i, j), corr[e,:] = c · Σ_k x_i[k] ⊙ x_j[k]
+  /// and y_i[k] += (as[e] · corr[e,:]) ⊙ x_j[k]. Writes corr's entries of
+  /// the rows and yn's rows (pad lanes included).
+  void (*ts_forward_rows)(const TimeLaneGraph& g, const float* xn,
+                          const float* as, float c, int64_t row_lo,
+                          int64_t row_hi, float* corr, float* yn);
+
+  /// Backward entry pass: gx[e,:] = Σ_k g_i[k] ⊙ x_j[k], stored when gx is
+  /// not null; when ds is not null, ds[e] = (Σ_{t<T} corr[e,t] · gx[e,t],
+  /// summed in t order from 0) · coeff[e] for every entry of the rows.
+  void (*ts_grad_entries_rows)(const TimeLaneGraph& g, const float* gn,
+                               const float* xn, const float* corr,
+                               int64_t row_lo, int64_t row_hi, float* gx,
+                               float* ds);
+
+  /// Backward dx pass: for each entry e = (m, j) with r = rev[e],
+  /// dx_m[k] += (as[r] · corr[r]) ⊙ g_j[k] +
+  ///            (as[e]·c · gx[e] + coeff[r]·s[e]·c · gx[r]) ⊙ x_j[k].
+  /// Writes dxn's rows (pad lanes included).
+  void (*ts_grad_x_rows)(const TimeLaneGraph& g, const float* gn,
+                         const float* xn, const float* corr, const float* gx,
+                         const float* as, const float* s, float c,
+                         int64_t row_lo, int64_t row_hi, float* dxn);
+
+  /// Pairwise hinge row sums over rows [row_lo, row_hi) of n scores:
+  /// h_ij = -((s_i - s_j)(y_i - y_j)), row_loss[i] = Σ_j (h_ij < 0 ? 0 : h_ij)
+  /// and, when row_grad is not null, row_grad[i] = Σ_j (h_ij > 0 ? y_i - y_j
+  /// : 0), each a double chain in ascending j.
+  void (*pairwise_hinge_rows)(const float* s, const float* y, int64_t n,
+                              int64_t row_lo, int64_t row_hi,
+                              double* row_loss, double* row_grad);
 
   // Static span names (obs::Span stores the pointer, never a copy) tagging
   // traces with the backend that executed the op.

@@ -7,7 +7,9 @@
 // breaks), row truncation and extension, row duplication, drop and swap,
 // and a byte flip of the written text. Invariants:
 //  * strict loads never crash and return OK or an error;
-//  * every panel either mode returns holds only finite, positive prices;
+//  * every panel either mode returns holds only finite, positive prices,
+//    and unique tickers that each name their own column
+//    (TickerIndex(tickers[i]) == i);
 //  * tolerant LoadReports add up (days kept = rows read - days dropped,
 //    each relation row in exactly one bucket), and a load without a report
 //    has the same outcome as one with.
@@ -102,6 +104,18 @@ class Fuzzer {
   return ::testing::AssertionSuccess();
 }
 
+::testing::AssertionResult TickersNameable(const PricePanel& panel) {
+  for (size_t i = 0; i < panel.tickers.size(); ++i) {
+    const int64_t index = panel.TickerIndex(panel.tickers[i]);
+    if (panel.tickers[i].empty() || index != static_cast<int64_t>(i)) {
+      return ::testing::AssertionFailure()
+             << "ticker '" << panel.tickers[i] << "' at column " << i
+             << " resolves to " << index;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(CsvFuzzTest, MutatedFilesLoadOrFailCleanly) {
   SetLogLevel(LogLevel::kError);  // tolerant loads warn per repair
   Grid prices{{"day", "AAA", "BBB", "CCC", "DDD"}};
@@ -129,6 +143,7 @@ TEST(CsvFuzzTest, MutatedFilesLoadOrFailCleanly) {
     if (strict.ok()) {
       ++strict_ok;
       ASSERT_TRUE(PricesUsable(strict.ValueOrDie()));
+      ASSERT_TRUE(TickersNameable(strict.ValueOrDie()));
       (void)LoadRelations(rel_path, strict.ValueOrDie(), kRelationTypes);
     }
 
@@ -144,6 +159,7 @@ TEST(CsvFuzzTest, MutatedFilesLoadOrFailCleanly) {
     ++tolerant_ok;
     const PricePanel& panel = tolerant.ValueOrDie();
     ASSERT_TRUE(PricesUsable(panel));
+    ASSERT_TRUE(TickersNameable(panel));
     ASSERT_EQ(panel.prices.dim(0), r.days_kept);
     ASSERT_EQ(r.days_kept, r.rows_read - r.dropped_days);
     ASSERT_EQ(r.low_coverage_stocks,

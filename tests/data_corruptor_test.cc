@@ -38,6 +38,11 @@ class PanelCorruptor {
     grid_[row + 1][col + 1] = value;
     return *this;
   }
+  /// Renames one stock's header column (col = stock index).
+  PanelCorruptor& SetTicker(int col, const std::string& name) {
+    grid_[0][col + 1] = name;
+    return *this;
+  }
   /// Overwrites a day label.
   PanelCorruptor& SetDay(int row, const std::string& value) {
     grid_[row + 1][0] = value;
@@ -114,6 +119,39 @@ TEST(CorruptorStrictTest, EachDefectRejectedWithPreciseError) {
     EXPECT_NE(message.find("row 5"), std::string::npos) << message;
     EXPECT_NE(message.find("CCC"), std::string::npos) << message;
     EXPECT_NE(message.find(defect.expect), std::string::npos) << message;
+    std::remove(path.c_str());
+  }
+}
+
+// Regression: `day,AAA,BBB,AAA,DDD` loaded as a 4-stock panel whose third
+// column no relation row could name. A repeated or empty ticker fails the
+// load in both modes, naming the ticker and its columns (the day is
+// column 0).
+TEST(CorruptorStrictTest, RepeatedOrEmptyTickerRejectedInBothModes) {
+  struct Defect {
+    int col;
+    std::string name;
+    std::string expect;
+  };
+  const std::vector<Defect> defects = {
+      {2, "AAA", "ticker 'AAA' repeats in columns 1 and 3"},
+      {3, "CCC", "ticker 'CCC' repeats in columns 3 and 4"},
+      {1, "", "empty ticker name in column 2"},
+  };
+  for (const auto& defect : defects) {
+    const std::string path = PanelCorruptor()
+                                 .SetTicker(defect.col, defect.name)
+                                 .Write("corrupt_header.csv");
+    for (const bool tolerant : {false, true}) {
+      LoadReport report;
+      auto result = tolerant ? LoadPricePanel(path, Tolerant(), &report)
+                             : LoadPricePanel(path);
+      ASSERT_FALSE(result.ok()) << "ticker '" << defect.name << "' accepted"
+                                << (tolerant ? " (tolerant)" : "");
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      const std::string message = result.status().ToString();
+      EXPECT_NE(message.find(defect.expect), std::string::npos) << message;
+    }
     std::remove(path.c_str());
   }
 }

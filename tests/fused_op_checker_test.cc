@@ -8,7 +8,8 @@
 // chains, so the comparison is |fused - oracle| <= rtol * max|oracle| per
 // tensor (a norm-relative bound: a gradient entry that cancels to ~0 is not
 // held to its own magnitude). Each op also passes ag::GradCheck and is
-// bit-identical at 1, 2, 4 and 8 threads.
+// bit-identical at 1, 2, 4 and 8 threads, and the loss is bit-identical
+// under every kernel backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,8 +23,10 @@
 #include "autograd/ops.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "kernel_checker.h"
 #include "nn/temporal_conv.h"
 #include "tensor/init.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 
 namespace rtgcn {
@@ -298,6 +301,70 @@ TEST(FusedPairwiseRankingLossTest, NanScoreReachesTheLoss) {
   const Tensor labels({3}, {0.01f, 0.02f, 0.03f});
   EXPECT_TRUE(std::isnan(
       ag::PairwiseRankingLoss(ag::Constant(scores), labels)->value.item()));
+}
+
+// The loss value, the score gradient and the gradient-free forward of
+// every supported kernel backend equal the reference backend's byte for
+// byte: n on both sides of the 8-row vector block, tied scores, tied and
+// ±0 labels, with and without a NaN score.
+TEST(FusedPairwiseRankingLossTest,
+     PairwiseRankingLossBitIdenticalAcrossBackends) {
+  struct Outputs {
+    float loss = 0;
+    float loss_no_grad = 0;
+    Tensor grad;
+  };
+  const auto run = [](const Tensor& scores, const Tensor& labels) {
+    Outputs out;
+    auto s = ag::MakeVariable(scores.Clone(), /*requires_grad=*/true);
+    ag::VarPtr loss = ag::PairwiseRankingLoss(s, labels);
+    out.loss = loss->value.item();
+    ag::Backward(loss);
+    out.grad = s->grad;
+    out.loss_no_grad =
+        ag::PairwiseRankingLoss(ag::Constant(scores), labels)->value.item();
+    return out;
+  };
+  Rng rng(5);
+  for (int64_t n : {1, 7, 8, 9, 15, 16, 17, 120, 840}) {
+    for (bool with_nan : {false, true}) {
+      Tensor scores = RandomGaussian({n}, 0, 1, &rng);
+      Tensor labels = RandomGaussian({n}, 0, 0.02f, &rng);
+      float* ps = scores.data();
+      float* py = labels.data();
+      for (int64_t i = 3; i < n; i += 5) ps[i] = ps[i - 3];  // tied scores
+      for (int64_t i = 2; i < n; i += 4) py[i] = py[i - 1];  // tied labels
+      for (int64_t i = 0; i < n; i += 3) py[i] = i % 2 == 0 ? 0.0f : -0.0f;
+      if (with_nan) ps[n / 2] = std::nanf("");
+      const std::string what = "N=" + std::to_string(n) +
+                               (with_nan ? " with NaN" : "");
+      Outputs expected;
+      {
+        ScopedKernelBackend scope(kernels::Backend::kReference);
+        expected = run(scores, labels);
+      }
+      EXPECT_EQ(std::isnan(expected.loss), with_nan) << what;
+      for (const kernels::KernelSet* ks : kernels::AllKernels()) {
+        if (ks == &kernels::Reference() || !ks->supported()) continue;
+        ScopedKernelBackend scope(ks == &kernels::Avx2()
+                                      ? kernels::Backend::kAvx2
+                                      : kernels::Backend::kReference);
+        const Outputs actual = run(scores, labels);
+        const std::string ctx = what + " [" + ks->name + "]";
+        EXPECT_EQ(std::memcmp(&expected.loss, &actual.loss, sizeof(float)), 0)
+            << ctx << ": loss " << expected.loss << " vs " << actual.loss;
+        EXPECT_EQ(std::memcmp(&expected.loss_no_grad, &actual.loss_no_grad,
+                              sizeof(float)),
+                  0)
+            << ctx << ": gradient-free loss";
+        ASSERT_EQ(expected.grad.numel(), actual.grad.numel()) << ctx;
+        EXPECT_EQ(std::memcmp(expected.grad.data(), actual.grad.data(),
+                              sizeof(float) * n),
+                  0)
+            << ctx << ": gradient";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

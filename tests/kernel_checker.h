@@ -7,10 +7,17 @@
 // per-check epsilon control. Inputs are generated from a seeded Rng owned by
 // the checker so failures reproduce from the test name alone.
 //
-// Backends are allowed to differ from the reference in float detail (FMA
-// contraction, vectorized exp), so comparison is |a-b| <= atol + rtol*|b|
-// per element — bit equality is only asserted by the thread-count
-// determinism tests, which hold a single backend fixed.
+// Matmul and softmax may differ from the reference in float detail (FMA,
+// vectorized exp), so comparison is |a-b| <= atol + rtol*|b| per element;
+// exact ops (transpose) set both tolerances to 0. The kernels that must
+// match the reference bit for bit are checked by memcmp outside this
+// harness: the relational lanes in sparse_graph_test
+// (TimeSensitivePropagateBitIdenticalToReferenceLoops), the pairwise-hinge
+// rows in fused_op_checker_test
+// (PairwiseRankingLossBitIdenticalAcrossBackends), and the avx2 matmul's
+// narrow-column FMA chains in kernel_checker_test
+// (MatMulNarrowColumnsMatchFmaChain). The thread-count determinism tests
+// hold a single backend fixed and also compare bits.
 #ifndef RTGCN_TESTS_KERNEL_CHECKER_H_
 #define RTGCN_TESTS_KERNEL_CHECKER_H_
 

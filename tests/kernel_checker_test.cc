@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <vector>
 
 #include "tensor/kernels/kernels.h"
@@ -53,9 +55,8 @@ TEST(KernelChecker, MatMulShapeSweep) {
   }
 }
 
-TEST(KernelChecker, MatMulWithZerosHitsSkipPath) {
-  // The reference kernel skips a[i,p] == 0 rows of B; the AVX2 kernel does
-  // not. Heavily zeroed inputs must still agree.
+TEST(KernelChecker, MatMulWithZeros) {
+  // Heavily zeroed inputs, as in an adjacency row, must still agree.
   KernelChecker checker(102);
   checker.set_rtol(1e-4f).set_atol(1e-5f);
   Tensor a = checker.Gaussian({13, 21});
@@ -63,6 +64,60 @@ TEST(KernelChecker, MatMulWithZerosHitsSkipPath) {
   float* pa = a.data();
   for (int64_t i = 0; i < a.numel(); i += 2) pa[i] = 0.0f;
   checker.Check("MatMul zero-heavy", [&] { return MatMul(a, b); });
+}
+
+// A zero a[i,p] times an inf or NaN b[p,j] is NaN on every backend; no
+// backend may skip the zero and hide the NaN from the finite checks.
+TEST(KernelChecker, MatMulZeroTimesNonFiniteIsNan) {
+  const Tensor a({2, 2}, {0.0f, 1.0f, 2.0f, 0.0f});
+  const Tensor b({2, 2}, {std::numeric_limits<float>::infinity(), 1.0f,
+                          std::nanf(""), 2.0f});
+  for (const kernels::KernelSet* ks : kernels::AllKernels()) {
+    if (!ks->supported()) continue;
+    ScopedKernelBackend scope(ks == &kernels::Avx2()
+                                  ? kernels::Backend::kAvx2
+                                  : kernels::Backend::kReference);
+    const Tensor c = MatMul(a, b);
+    const float* pc = c.data();
+    EXPECT_TRUE(std::isnan(pc[0])) << ks->name << ": 0*inf + 1*nan";
+    EXPECT_EQ(pc[1], 2.0f) << ks->name;
+    EXPECT_TRUE(std::isnan(pc[2])) << ks->name << ": 2*inf + 0*nan";
+    EXPECT_EQ(pc[3], 2.0f) << ks->name;
+  }
+}
+
+// Narrow column counts run the avx2 kernel's 4-wide and scalar tails.
+// Every element must equal the ascending-p single-rounding FMA chain from
+// zero bit for bit, whatever the row panel (m) and tail (n) it lands in.
+TEST(KernelChecker, MatMulNarrowColumnsMatchFmaChain) {
+  if (!kernels::Avx2().supported()) {
+    GTEST_SKIP() << "AVX2+FMA not supported on this CPU/build";
+  }
+  ScopedKernelBackend scope(kernels::Backend::kAvx2);
+  Rng rng(112);
+  for (int64_t m : {1, 3, 4, 5, 9}) {
+    for (int64_t k : {1, 4, 16, 33}) {
+      for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 9, 12, 15, 20}) {
+        const Tensor a = RandomGaussian({m, k}, 0, 1, &rng);
+        const Tensor b = RandomGaussian({k, n}, 0, 1, &rng);
+        const Tensor c = MatMul(a, b);
+        std::vector<float> expected(static_cast<size_t>(m * n));
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (int64_t p = 0; p < k; ++p) {
+              acc = std::fma(a.data()[i * k + p], b.data()[p * n + j], acc);
+            }
+            expected[static_cast<size_t>(i * n + j)] = acc;
+          }
+        }
+        EXPECT_EQ(std::memcmp(expected.data(), c.data(),
+                              sizeof(float) * expected.size()),
+                  0)
+            << "MatMul " << ShapeStr({m, k}) << "x" << ShapeStr({k, n});
+      }
+    }
+  }
 }
 
 TEST(KernelChecker, BatchMatMulPerBatchAndSharedB) {

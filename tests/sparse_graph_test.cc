@@ -18,8 +18,10 @@
 #include "graph/gat.h"
 #include "graph/sparse.h"
 #include "graph_checker.h"
+#include "kernel_checker.h"
 #include "obs/registry.h"
 #include "tensor/init.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 
 namespace rtgcn {
@@ -346,11 +348,12 @@ TEST(SparseOpsTest, TimeSensitivePropagateMatchesDense) {
 
 // The node-major, time-blocked op against the scalar [T, N, D] loops it
 // replaced (graph_checker.h): y, dw, db, dx, every saved P(t) and the
-// time-averaged diagnostic must match bit for bit — T on both sides of the
-// 8-lane block, several D, constant x versus x requiring a gradient, a
-// graph with isolated rows and an empty graph. N = 150 spans three 64-row
-// chunks of the w/b reduction.
-TEST(SparseOpsTest, TimeSensitivePropagateBitIdenticalToReferenceLoops) {
+// time-averaged diagnostic must match bit for bit — under every supported
+// kernel backend, T on both sides of the 8-lane block, several D (4 and 16
+// are the model's layer widths), constant x versus x requiring a gradient,
+// a graph with isolated rows and an empty graph. N = 150 spans three
+// 64-row chunks of the w/b reduction.
+void ExpectTimeSensitiveMatchesReferenceLoops(const std::string& backend) {
   Rng rng(18);
   const graph::RelationTensor random_rel = RandomRelations(150, 4, 600, &rng);
   const graph::RelationTensor no_edges(5, 2);
@@ -374,7 +377,7 @@ TEST(SparseOpsTest, TimeSensitivePropagateBitIdenticalToReferenceLoops) {
     const int64_t n = g.num_nodes();
     const int64_t k = g.num_relation_types();
     for (int64_t t_len : {1, 5, 8, 15, 17, 20}) {
-      for (int64_t d : {1, 4, 6}) {
+      for (int64_t d : {1, 4, 6, 16}) {
         const Tensor x0 = RandomUniform({t_len, n, d}, -1.0f, 1.5f, &rng);
         const Tensor cot = RandomGaussian({t_len, n, d}, 0.0f, 1.0f, &rng);
         const Tensor w0 = RandomGaussian({k}, 1.0f, 0.1f, &rng);
@@ -383,7 +386,7 @@ TEST(SparseOpsTest, TimeSensitivePropagateBitIdenticalToReferenceLoops) {
              {Grads::kWeightsOnly, Grads::kWeightsAndX, Grads::kXOnly}) {
           const bool wb_grad = grads != Grads::kXOnly;
           const bool x_grad = grads != Grads::kWeightsOnly;
-          const std::string ctx = std::string(gc.name) +
+          const std::string ctx = backend + " " + gc.name +
                                   " T=" + std::to_string(t_len) +
                                   " D=" + std::to_string(d) +
                                   (wb_grad ? " dw/db" : "") +
@@ -421,6 +424,16 @@ TEST(SparseOpsTest, TimeSensitivePropagateBitIdenticalToReferenceLoops) {
         }
       }
     }
+  }
+}
+
+TEST(SparseOpsTest, TimeSensitivePropagateBitIdenticalToReferenceLoops) {
+  for (const kernels::KernelSet* ks : kernels::AllKernels()) {
+    if (!ks->supported()) continue;
+    ScopedKernelBackend scope(ks == &kernels::Avx2()
+                                  ? kernels::Backend::kAvx2
+                                  : kernels::Backend::kReference);
+    ExpectTimeSensitiveMatchesReferenceLoops(ks->name);
   }
 }
 
