@@ -9,9 +9,6 @@
 //                      window per wall-clock second of streaming;
 //   * window p50/p95 — per-batch SlidingFeatureWindow update latency
 //                      (histogram stream.window.update_us);
-//   * rebuild fraction — CSR rows regenerated by DynamicGraph's
-//                      incremental rebuilds over rows a daily full rebuild
-//                      would have written (stream.graph.*);
 //   * retrain seconds — mean Fit wall time per rolling refit;
 //   * reload p95     — export→promote hot-reload latency
 //                      (stream.reload_us);
@@ -76,7 +73,7 @@ int main(int argc, char** argv) {
 
   FlagSet fs(
       "Streaming-subsystem load generator: ticks/s, window-update and "
-      "hot-reload latency, graph rebuild fraction, retrain cost.");
+      "hot-reload latency, retrain cost.");
   fs.RegisterChoice("scale", &scale, {"small", "medium", "large"},
                     "preset universe/horizon size");
   fs.Register("stocks", &stocks, "universe slots (0 = from --scale)");
@@ -208,8 +205,6 @@ int main(int argc, char** argv) {
   const obs::RegistrySnapshot delta =
       obs::Registry::Global().Snapshot().DeltaSince(before);
   const uint64_t ticks = delta.CounterValue("stream.ticks");
-  const uint64_t rows_rebuilt = delta.CounterValue("stream.graph.rows_rebuilt");
-  const uint64_t rows_total = delta.CounterValue("stream.graph.rows_total");
   const obs::HistogramSnapshot* window_us =
       delta.FindHistogram("stream.window.update_us");
   const obs::HistogramSnapshot* reload_us =
@@ -217,10 +212,6 @@ int main(int argc, char** argv) {
 
   const double ticks_per_sec =
       static_cast<double>(ticks) / std::max(stream_seconds, 1e-9);
-  const double rebuild_fraction =
-      rows_total > 0
-          ? static_cast<double>(rows_rebuilt) / static_cast<double>(rows_total)
-          : 0.0;
   const double retrain_mean_seconds =
       retrains_seen > 0
           ? retrain_seconds_total / static_cast<double>(retrains_seen)
@@ -239,9 +230,6 @@ int main(int argc, char** argv) {
               window_us ? window_us->Percentile(0.50) : 0.0,
               window_us ? window_us->Percentile(0.95) : 0.0,
               window_us ? window_us->count : 0);
-  std::printf("  graph: %.1f%% rows rebuilt (%" PRIu64 " of %" PRIu64
-              " a daily full rebuild would write)\n",
-              100.0 * rebuild_fraction, rows_rebuilt, rows_total);
   std::printf("  retrain: %lld refits, mean %.2fs; reload p95 %.1fus\n",
               static_cast<long long>(retrains_seen), retrain_mean_seconds,
               reload_us ? reload_us->Percentile(0.95) : 0.0);
@@ -270,9 +258,6 @@ int main(int argc, char** argv) {
         << FmtD(window_us ? window_us->Percentile(0.50) : 0.0) << ",\n";
     out << "  \"window_update_p95_us\": "
         << FmtD(window_us ? window_us->Percentile(0.95) : 0.0) << ",\n";
-    out << "  \"graph\": {\"rows_rebuilt\": " << rows_rebuilt
-        << ", \"rows_total\": " << rows_total
-        << ", \"rebuild_fraction\": " << FmtD(rebuild_fraction) << "},\n";
     out << "  \"retrains\": " << retrains_seen << ",\n";
     out << "  \"retrain_mean_seconds\": " << FmtD(retrain_mean_seconds)
         << ",\n";

@@ -5,9 +5,9 @@
 // and delistings), decaying wiki relations, per-day trading halts and a
 // mid-run flash crash. A RollingPipeline consumes it: intraday tick
 // batches update the sliding feature window incrementally, relation events
-// patch the CSR graph in place, and on a rolling cadence the pipeline
-// refits RT-GCN on the active sub-universe, exports a checkpoint and
-// hot-reloads it — after which Rank() serves the latest day's top-k.
+// update the pipeline's relation tensor, and on a rolling cadence the
+// pipeline refits RT-GCN on the active sub-universe, exports a checkpoint
+// and hot-reloads it — after which Rank() serves the latest day's top-k.
 //
 //   ./stream_demo [--stocks 24] [--days 60] [--retrain_every 10]
 //                 [--train_epochs 2] [--topk 5]

@@ -437,8 +437,6 @@ VarPtr Dropout(const VarPtr& a, float p, bool training, Rng* rng,
   return Mul(a, Constant(mask));
 }
 
-VarPtr SquaredNorm(const VarPtr& a) { return SumAll(Square(a)); }
-
 // ---------------------------------------------------------------------------
 // Ranking loss
 // ---------------------------------------------------------------------------

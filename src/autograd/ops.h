@@ -85,9 +85,6 @@ VarPtr Downsample(const VarPtr& a, int64_t axis, int64_t step,
 VarPtr Dropout(const VarPtr& a, float p, bool training, Rng* rng,
                int64_t spatial_axis = -1);
 
-/// Sum of squares of all entries (L2 regularizer building block).
-VarPtr SquaredNorm(const VarPtr& a);
-
 /// Pairwise hinge ranking loss (Feng et al.), one fused op:
 ///   (1/N²) Σ_ij max(0, -(s_i - s_j)(y_i - y_j))
 /// over scores `s` and labels `y` of N entries each (any shapes of equal

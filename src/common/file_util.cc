@@ -96,11 +96,6 @@ Result<std::string> ReadWholeFile(const std::string& path) {
   return content;
 }
 
-bool FileExists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
 Status EnsureDirectory(const std::string& path) {
   if (path.empty()) return Status::InvalidArgument("empty directory path");
   // Create each prefix in turn (mkdir -p).

@@ -23,9 +23,6 @@ Status WriteFileAtomic(const std::string& path, const std::string& data);
 /// Reads the whole file into a string (binary-exact).
 Result<std::string> ReadWholeFile(const std::string& path);
 
-/// True if `path` exists (any file type).
-bool FileExists(const std::string& path);
-
 /// Creates `path` and any missing parent directories (mkdir -p semantics);
 /// OK if it already exists as a directory.
 Status EnsureDirectory(const std::string& path);

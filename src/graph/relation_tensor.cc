@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "common/thread_pool.h"
 #include "obs/registry.h"
 
@@ -78,50 +79,27 @@ double RelationTensor::RelationRatio() const {
   return pairs == 0 ? 0.0 : static_cast<double>(edges_.size()) / pairs;
 }
 
-namespace {
-
 // Hash-map buckets cannot be range-split, so densification snapshots the
 // keys and parallelizes over the snapshot. Every key owns a distinct
 // (i,j)/(j,i) cell pair, so chunked writes never collide, and the written
 // value is a constant — the result is identical at any thread count.
-template <typename KeepFn>
-Tensor DenseFromEdges(
-    const std::unordered_map<int64_t, std::vector<int32_t>>& edges, int64_t n,
-    KeepFn keep) {
-  std::vector<const std::pair<const int64_t, std::vector<int32_t>>*> items;
-  items.reserve(edges.size());
-  for (const auto& kv : edges) items.push_back(&kv);
+Tensor RelationTensor::DenseMask() const {
+  std::vector<int64_t> keys;
+  keys.reserve(edges_.size());
+  for (const auto& kv : edges_) keys.push_back(kv.first);
+  const int64_t n = num_stocks_;
   Tensor mask = Tensor::Zeros({n, n});
   float* p = mask.data();
-  ParallelFor(
-      0, static_cast<int64_t>(items.size()), 512,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t e = lo; e < hi; ++e) {
-          if (!keep(items[e]->second)) continue;
-          const int64_t i = items[e]->first / n;
-          const int64_t j = items[e]->first % n;
-          p[i * n + j] = 1.0f;
-          p[j * n + i] = 1.0f;
-        }
-      });
+  ParallelFor(0, static_cast<int64_t>(keys.size()), 512,
+              [&](int64_t lo, int64_t hi) {
+                for (int64_t e = lo; e < hi; ++e) {
+                  const int64_t i = keys[e] / n;
+                  const int64_t j = keys[e] % n;
+                  p[i * n + j] = 1.0f;
+                  p[j * n + i] = 1.0f;
+                }
+              });
   return mask;
-}
-
-}  // namespace
-
-Tensor RelationTensor::DenseMask() const {
-  return DenseFromEdges(edges_, num_stocks_,
-                        [](const std::vector<int32_t>&) { return true; });
-}
-
-Tensor RelationTensor::DenseTypeSlice(int64_t type) const {
-  RTGCN_CHECK(type >= 0 && type < num_types_);
-  return DenseFromEdges(edges_, num_stocks_,
-                        [type](const std::vector<int32_t>& types) {
-                          return std::find(types.begin(), types.end(),
-                                           static_cast<int32_t>(type)) !=
-                                 types.end();
-                        });
 }
 
 const std::vector<RelationTensor::Edge>& RelationTensor::EdgeList() const {
@@ -164,6 +142,23 @@ RelationTensor RelationTensor::FilterTypes(int64_t type_begin,
         out.AddRelation(i, j, t - type_begin).Abort();
       }
     }
+  }
+  return out;
+}
+
+RelationTensor RelationTensor::InducedSubgraph(
+    const std::vector<int64_t>& slots) const {
+  std::vector<int64_t> pos(static_cast<size_t>(num_stocks_), -1);
+  for (size_t k = 0; k < slots.size(); ++k) {
+    RTGCN_CHECK(slots[k] >= 0 && slots[k] < num_stocks_);
+    pos[static_cast<size_t>(slots[k])] = static_cast<int64_t>(k);
+  }
+  RelationTensor out(static_cast<int64_t>(slots.size()), num_types_);
+  for (const auto& e : EdgeList()) {
+    const int64_t pi = pos[static_cast<size_t>(e.i)];
+    const int64_t pj = pos[static_cast<size_t>(e.j)];
+    if (pi < 0 || pj < 0) continue;
+    for (int32_t t : e.types) out.AddRelation(pi, pj, t).Abort();
   }
   return out;
 }

@@ -34,7 +34,7 @@ class RelationTensor {
 
   /// Removes relation `type` from edge (i, j); the edge vanishes once its
   /// last type is removed. Removing an absent relation is a no-op. Used by
-  /// the streaming layer when links decay (stream::DynamicGraph).
+  /// the streaming layer when links decay (stream::RollingPipeline).
   Status RemoveRelation(int64_t i, int64_t j, int64_t type);
 
   bool HasEdge(int64_t i, int64_t j) const;
@@ -55,14 +55,6 @@ class RelationTensor {
   /// Dense binary edge mask [N, N] (1 where some relation exists; zero
   /// diagonal). This is the Uniform strategy's R(A), Eq. (3).
   Tensor DenseMask() const;
-
-  /// Dense per-type slice [N, N] for relation `type`.
-  Tensor DenseTypeSlice(int64_t type) const;
-
-  /// Multi-hot vector count on edge (i, j) summed over types.
-  int64_t TypeCount(int64_t i, int64_t j) const {
-    return static_cast<int64_t>(Types(i, j).size());
-  }
 
   /// \brief One undirected edge with its relation types.
   struct Edge {
@@ -90,6 +82,12 @@ class RelationTensor {
   /// models built on the view size their per-type weight vectors to the
   /// types that can actually occur (no dead `w` entries).
   RelationTensor FilterTypes(int64_t type_begin, int64_t type_end) const;
+
+  /// Relation tensor induced on a slot subset: edges with both endpoints
+  /// in `slots`, endpoints remapped to positions in `slots` (the relation
+  /// input for a model trained on that sub-universe). Type space is
+  /// preserved.
+  RelationTensor InducedSubgraph(const std::vector<int64_t>& slots) const;
 
  private:
   int64_t Key(int64_t i, int64_t j) const {

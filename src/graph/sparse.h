@@ -32,10 +32,6 @@
 #include "autograd/variable.h"
 #include "graph/relation_tensor.h"
 
-namespace rtgcn::stream {
-class DynamicGraph;
-}
-
 namespace rtgcn::graph {
 
 /// \brief Immutable CSR view of a RelationTensor with precomputed
@@ -104,11 +100,6 @@ class CsrGraph {
 
  private:
   CsrGraph() = default;
-
-  /// The streaming layer's incremental rebuilder regenerates dirty row
-  /// segments in place of a full Build; it must produce arrays that are
-  /// bit-identical to Build on the mutated tensor (stream_test enforces).
-  friend class rtgcn::stream::DynamicGraph;
 
   int64_t n_ = 0;
   int64_t num_types_ = 0;

@@ -68,21 +68,4 @@ ag::VarPtr Lstm::ForwardLast(const VarPtr& x) const {
   return state.h;
 }
 
-ag::VarPtr Lstm::ForwardAll(const VarPtr& x) const {
-  RTGCN_CHECK_EQ(x->value.ndim(), 3);
-  const int64_t t_len = x->value.dim(0);
-  const int64_t batch = x->value.dim(1);
-  const int64_t d = x->value.dim(2);
-  auto state = cell_.InitialState(batch);
-  std::vector<VarPtr> hs;
-  hs.reserve(t_len);
-  for (int64_t t = 0; t < t_len; ++t) {
-    VarPtr xt = ag::Reshape(ag::SliceOp(x, 0, t, t + 1), {batch, d});
-    state = cell_.Forward(xt, state);
-    hs.push_back(
-        ag::Reshape(state.h, {1, batch, cell_.hidden_size()}));
-  }
-  return ag::ConcatOp(hs, 0);
-}
-
 }  // namespace rtgcn::nn

@@ -43,9 +43,6 @@ class Lstm : public Module {
   /// Returns the final hidden state [B, H].
   VarPtr ForwardLast(const VarPtr& x) const;
 
-  /// Returns all hidden states stacked [T, B, H].
-  VarPtr ForwardAll(const VarPtr& x) const;
-
   int64_t hidden_size() const { return cell_.hidden_size(); }
 
  private:

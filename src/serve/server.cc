@@ -384,6 +384,9 @@ void InferenceServer::RememberScores(
     int64_t day, int64_t version, std::shared_ptr<const DayScores> entry) {
   std::lock_guard<std::mutex> lock(stale_mu_);
   auto [it, inserted] = last_by_day_.try_emplace(day);
+  // A forward pinned to an older version can finish after a newer one:
+  // keep the newest. An equal version (every cache hit) leaves it as is.
+  if (!inserted && version <= it->second.version) return;
   it->second = Scored{version, std::move(entry), false};
   if (inserted) {
     stale_fifo_.push_back(day);

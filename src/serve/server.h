@@ -38,8 +38,8 @@
 //    DEGRADED when the registry has no published snapshot or its reload
 //    failures cross degraded_failure_threshold; degraded replies serve
 //    real (but possibly outdated) scores flagged `stale` instead of
-//    erroring, falling back to the last scores ever computed for a day
-//    when no snapshot is published at all.
+//    erroring, falling back to the newest version's scores ever computed
+//    for a day when no snapshot is published at all.
 #ifndef RTGCN_SERVE_SERVER_H_
 #define RTGCN_SERVE_SERVER_H_
 
@@ -173,8 +173,8 @@ class InferenceServer {
   // Runs the forward for `day` and ranks it once.
   Result<std::shared_ptr<const DayScores>> Forward(
       const ModelSnapshot& snapshot, int64_t day);
-  // Last scores ever computed for `day`, any version; nullptr when never
-  // scored. The DEGRADED fallback when no snapshot is published.
+  // Scores of the newest version ever computed for `day`; nullptr when
+  // never scored. The DEGRADED fallback when no snapshot is published.
   Scored LastScoresFor(int64_t day);
   void RememberScores(int64_t day, int64_t version,
                       std::shared_ptr<const DayScores> entry);
@@ -196,8 +196,9 @@ class InferenceServer {
   std::deque<uint64_t> cache_fifo_;
   std::unordered_map<uint64_t, Flight> inflight_;
 
-  // day -> newest scores computed for it (any version); the stale-serving
-  // fallback. Bounded like the cache, FIFO over first-seen days.
+  // day -> scores of the highest version computed for it; the
+  // stale-serving fallback. Bounded like the cache, FIFO over first-seen
+  // days.
   std::mutex stale_mu_;
   std::unordered_map<int64_t, Scored> last_by_day_;
   std::deque<int64_t> stale_fifo_;

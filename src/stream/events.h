@@ -8,7 +8,7 @@
 //     simulator always prices every slot so replays stay draw-for-draw
 //     deterministic); churn only toggles which slots are *active*.
 //   * relation events  — edges appear and decay (per-type half-lives);
-//     applied at the open by stream::DynamicGraph.
+//     applied at the open to stream::RollingPipeline's relation tensor.
 //   * tick batches     — intraday price updates for subsets of active
 //     stocks. Consumers update O(changed stocks) of state per batch
 //     (stream::SlidingFeatureWindow). Halted stocks emit no intraday

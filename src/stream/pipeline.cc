@@ -42,13 +42,12 @@ RollingPipeline::RollingPipeline(PipelineConfig config, TickSource* source,
       source_(source),
       window_(source->num_slots(), config_.model.window,
               config_.model.num_features),
-      graph_(std::move(initial_relations), graph::CsrGraph::Norm::kSymmetric,
-             /*add_self_loops=*/true),
+      relations_(std::move(initial_relations)),
       active_(source->active()),
       manager_({config_.checkpoint_dir, /*every=*/1, /*keep=*/0}),
       registry_({config_.checkpoint_dir, /*reload_interval_ms=*/3'600'000},
                 [this] { return BuildServable(); }, /*metrics=*/nullptr) {
-  RTGCN_CHECK_EQ(graph_.num_slots(), source_->num_slots());
+  RTGCN_CHECK_EQ(relations_.num_stocks(), source_->num_slots());
   window_.PushDay(source_->day0_close());
 }
 
@@ -90,14 +89,14 @@ Status RollingPipeline::Step() {
     for (const UniverseEvent& ue : du.universe_events) {
       active_[static_cast<size_t>(ue.slot)] = ue.listed;
     }
-    RTGCN_RETURN_NOT_OK(graph_.Apply(du.relation_events));
+    for (const RelationEvent& ev : du.relation_events) {
+      RTGCN_RETURN_NOT_OK(
+          ev.add ? relations_.AddRelation(ev.i, ev.j, ev.type)
+                 : relations_.RemoveRelation(ev.i, ev.j, ev.type));
+    }
     window_.OpenDay();
     for (const TickBatch& batch : du.batches) window_.ApplyTicks(batch);
     window_.CloseDay(du.close);
-    // Fold pending graph deltas now (incremental, per dirty segment) so
-    // queries never pay the rebuild and the rebuild-fraction counters
-    // advance once per churned day.
-    (void)graph_.Csr();
   }
   obs::Registry::Global().GetCounter("stream.pipeline.days")->Increment();
   return MaybeRetrain(du.day);
@@ -122,7 +121,7 @@ Status RollingPipeline::MaybeRetrain(int64_t day) {
     if (static_cast<int64_t>(slots.size()) < 2) return Status::OK();
     panel = window_.PanelForSlots(slots);
     relations = std::make_shared<const graph::RelationTensor>(
-        graph_.InducedSubgraph(slots));
+        relations_.InducedSubgraph(slots));
     trained_universe = universe_version_;
     version = version_base_ + retrains_ + 1;
   }

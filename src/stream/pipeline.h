@@ -1,11 +1,12 @@
 // RollingPipeline: the streaming orchestrator (DESIGN.md §14).
 //
 // One Step() consumes one DayUpdate from a TickSource: universe and
-// relation deltas are folded into the pipeline's DynamicGraph and active
-// set, intraday batches tick the SlidingFeatureWindow (O(changed stocks)
-// each), and the official close settles the day. On a seeded cadence the
-// pipeline refits an RT-GCN on the *active* sub-universe (panel and
-// induced relation subgraph gathered from the live window/graph), exports
+// relation deltas are folded into the pipeline's active set and relation
+// tensor, intraday batches tick the SlidingFeatureWindow (O(changed
+// stocks) each), and the official close settles the day. On a seeded
+// cadence the pipeline refits an RT-GCN on the *active* sub-universe
+// (panel gathered from the live window, relation tensor induced on the
+// active slots — the model builds its own CSR graph from it), exports
 // a weights-only checkpoint through CheckpointManager naming, and
 // hot-reloads it into a ModelRegistry — the same registry/snapshot
 // machinery the inference server serves from.
@@ -18,9 +19,11 @@
 // model's, the reply is flagged `stale` (and the next retrain clears it).
 //
 // Threading: Step() and Rank() may run concurrently (the e2e load test
-// does exactly that). Mutable stream state is guarded by one mutex; the
-// expensive phases — Fit and snapshot Score — run outside it on gathered
-// copies, so queries keep flowing while a retrain is in progress.
+// does exactly that). Mutable stream state is guarded by one mutex, which
+// Step() holds for a whole day (deltas, every tick batch and the close), so
+// a reply only ever reads settled days. The expensive phases — Fit and
+// snapshot Score — run outside it on gathered copies, so queries keep
+// flowing while a retrain is in progress.
 #ifndef RTGCN_STREAM_PIPELINE_H_
 #define RTGCN_STREAM_PIPELINE_H_
 
@@ -32,11 +35,11 @@
 
 #include "common/status.h"
 #include "core/rtgcn.h"
+#include "graph/relation_tensor.h"
 #include "harness/checkpoint.h"
 #include "harness/predictor.h"
 #include "serve/registry.h"
 #include "serve/server.h"
-#include "stream/dynamic_graph.h"
 #include "stream/feature_window.h"
 #include "stream/tick_source.h"
 
@@ -130,7 +133,6 @@ class RollingPipeline {
 
   serve::ModelRegistry* registry() { return &registry_; }
   const SlidingFeatureWindow& window() const { return window_; }
-  DynamicGraph& graph() { return graph_; }
 
  private:
   /// Architecture recipe the registry's ServableFactory builds from; the
@@ -157,9 +159,9 @@ class RollingPipeline {
   PipelineConfig config_;
   TickSource* source_;
 
-  mutable std::mutex mu_;  ///< guards window_/graph_/active_/versions_
+  mutable std::mutex mu_;  ///< guards window_/relations_/active_/versions_
   SlidingFeatureWindow window_;
-  DynamicGraph graph_;
+  graph::RelationTensor relations_;
   std::vector<bool> active_;
   int64_t universe_version_ = 0;
   int64_t last_retrain_day_ = -1;

@@ -109,60 +109,6 @@ class GraphChecker {
 };
 
 // ---------------------------------------------------------------------------
-// Exact CSR equality (the streaming incremental-rebuild contract).
-//
-// stream::DynamicGraph promises its incremental rebuild is BIT-IDENTICAL,
-// array for array, to a full CsrGraph::Build over the mutated tensor — not
-// merely numerically close. These helpers assert exact equality of every
-// CSR array so a drifting offset, a mis-rebased reverse index, or a float
-// produced by a different expression fails with the array and index named.
-// ---------------------------------------------------------------------------
-
-namespace graph_checker_internal {
-
-template <typename T>
-void ExpectArrayEq(const std::vector<T>& expected, const std::vector<T>& got,
-                   const char* array, const std::string& context) {
-  ASSERT_EQ(expected.size(), got.size())
-      << context << ": " << array << " size mismatch";
-  int64_t mismatches = 0;
-  constexpr int64_t kMaxReported = 8;
-  for (size_t i = 0; i < expected.size(); ++i) {
-    if (expected[i] == got[i]) continue;  // floats must be bit-equal too
-    if (++mismatches <= kMaxReported) {
-      ADD_FAILURE() << context << ": " << array << "[" << i << "] expected "
-                    << expected[i] << " got " << got[i];
-    }
-  }
-  EXPECT_EQ(mismatches, 0) << context << ": " << array << " has "
-                           << mismatches << " mismatched entries";
-}
-
-}  // namespace graph_checker_internal
-
-/// Expects two CSR snapshots to be exactly equal, array for array.
-inline void ExpectCsrIdentical(const graph::CsrGraph& expected,
-                               const graph::CsrGraph& got,
-                               const std::string& context) {
-  EXPECT_EQ(expected.num_nodes(), got.num_nodes()) << context;
-  EXPECT_EQ(expected.num_relation_types(), got.num_relation_types())
-      << context;
-  EXPECT_EQ(expected.num_entries(), got.num_entries()) << context;
-  EXPECT_EQ(expected.num_undirected_edges(), got.num_undirected_edges())
-      << context;
-  EXPECT_EQ(expected.has_self_loops(), got.has_self_loops()) << context;
-  using graph_checker_internal::ExpectArrayEq;
-  ExpectArrayEq(expected.row_ptr(), got.row_ptr(), "row_ptr", context);
-  ExpectArrayEq(expected.col(), got.col(), "col", context);
-  ExpectArrayEq(expected.row_of(), got.row_of(), "row_of", context);
-  ExpectArrayEq(expected.coeff(), got.coeff(), "coeff", context);
-  ExpectArrayEq(expected.reverse_entry(), got.reverse_entry(), "rev",
-                context);
-  ExpectArrayEq(expected.type_ptr(), got.type_ptr(), "type_ptr", context);
-  ExpectArrayEq(expected.types(), got.types(), "types", context);
-}
-
-// ---------------------------------------------------------------------------
 // Reference loops for SparseTimeSensitivePropagate (Eq. 5).
 //
 // The op runs in a node-major, time-blocked layout; these are the scalar
@@ -320,17 +266,6 @@ inline void ExpectBitEqual(const Tensor& expected, const Tensor& got,
   ASSERT_TRUE(expected.defined() && got.defined()) << context;
   ASSERT_EQ(expected.shape(), got.shape()) << context;
   ExpectBitEqual(expected.data(), got.data(), expected.numel(), context);
-}
-
-/// Expects an incrementally maintained CSR to match a from-scratch
-/// CsrGraph::Build over `truth` with the same norm/self-loop settings.
-inline void ExpectCsrMatchesFullBuild(const graph::RelationTensor& truth,
-                                      graph::CsrGraph::Norm norm,
-                                      bool self_loops,
-                                      const graph::CsrGraph& got,
-                                      const std::string& context) {
-  const graph::CsrPtr full = graph::CsrGraph::Build(truth, norm, self_loops);
-  ExpectCsrIdentical(*full, got, context);
 }
 
 }  // namespace rtgcn

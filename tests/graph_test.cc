@@ -30,7 +30,6 @@ TEST(RelationTensorTest, AddAndQuery) {
   EXPECT_FALSE(rel.HasEdge(0, 3));
   EXPECT_FALSE(rel.HasEdge(2, 2));  // no self edges
   EXPECT_EQ(rel.Types(0, 1), (std::vector<int32_t>{0, 2}));
-  EXPECT_EQ(rel.TypeCount(0, 1), 2);
   EXPECT_EQ(rel.num_edges(), 3);
 }
 
@@ -65,14 +64,6 @@ TEST(RelationTensorTest, DenseMaskSymmetricZeroDiagonal) {
   EXPECT_EQ(mask.at({0, 3}), 0.0f);
 }
 
-TEST(RelationTensorTest, DenseTypeSlice) {
-  RelationTensor rel = MakeTriangle();
-  Tensor t0 = rel.DenseTypeSlice(0);
-  EXPECT_EQ(t0.at({0, 1}), 1.0f);
-  EXPECT_EQ(t0.at({0, 2}), 1.0f);
-  EXPECT_EQ(t0.at({1, 2}), 0.0f);
-}
-
 TEST(RelationTensorTest, FilterTypesDropsEmptyEdges) {
   RelationTensor rel = MakeTriangle();
   RelationTensor only2 = rel.FilterTypes(2, 3);
@@ -96,6 +87,24 @@ TEST(RelationTensorTest, FilterTypesCompactsTypeIndices) {
   RelationTensor low = rel.FilterTypes(0, 2);
   EXPECT_EQ(low.num_relation_types(), 2);
   EXPECT_EQ(low.Types(0, 1), (std::vector<int32_t>{0}));  // identity remap
+}
+
+TEST(RelationTensorTest, InducedSubgraphRemapsSlotsAndKeepsTypes) {
+  RelationTensor rel(6, 3);
+  ASSERT_TRUE(rel.AddRelation(0, 2, 1).ok());
+  ASSERT_TRUE(rel.AddRelation(0, 2, 2).ok());
+  ASSERT_TRUE(rel.AddRelation(2, 5, 0).ok());
+  ASSERT_TRUE(rel.AddRelation(1, 4, 1).ok());  // endpoint 4 excluded
+
+  const std::vector<int64_t> slots = {2, 0, 5};
+  RelationTensor sub = rel.InducedSubgraph(slots);
+  EXPECT_EQ(sub.num_stocks(), 3);
+  EXPECT_EQ(sub.num_relation_types(), 3);
+  EXPECT_EQ(sub.num_edges(), 2);
+  EXPECT_TRUE(sub.HasRelation(0, 1, 1));  // (2,0) type 1
+  EXPECT_TRUE(sub.HasRelation(0, 1, 2));  // (2,0) type 2
+  EXPECT_TRUE(sub.HasRelation(0, 2, 0));  // (2,5) type 0
+  EXPECT_FALSE(sub.HasEdge(1, 2));
 }
 
 TEST(RelationTensorTest, HasRelationChecksSpecificType) {

@@ -3,7 +3,6 @@
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
-#include "nn/attention.h"
 #include "nn/linear.h"
 #include "nn/rnn.h"
 #include "nn/temporal_conv.h"
@@ -159,11 +158,6 @@ TEST(LstmTest, ShapesAndStatePropagation) {
   auto x = ag::Constant(RandomGaussian({5, 4, 3}, 0, 1, &rng));
   auto last = lstm.ForwardLast(x);
   EXPECT_EQ(last->shape(), (Shape{4, 8}));
-  auto all = lstm.ForwardAll(x);
-  EXPECT_EQ(all->shape(), (Shape{5, 4, 8}));
-  // Last slice of ForwardAll equals ForwardLast.
-  Tensor last_of_all = Slice(all->value, 0, 4, 5).Reshape({4, 8});
-  EXPECT_TRUE(AllClose(last_of_all, last->value));
 }
 
 TEST(LstmTest, HiddenBounded) {
@@ -198,28 +192,6 @@ TEST(LstmTest, LearnsSimpleTemporalTask) {
     final_loss = loss->value.item();
   }
   EXPECT_LT(final_loss, 0.2f);  // variance of target is 0.5
-}
-
-// ---------------------------------------------------------------------------
-// Attention
-// ---------------------------------------------------------------------------
-
-TEST(AttentionTest, ScoresAreScaledGram) {
-  Rng rng(16);
-  Tensor x = RandomGaussian({4, 9}, 0, 1, &rng);
-  auto scores = ScaledDotProductScores(ag::Constant(x));
-  Tensor expected = MulScalar(MatMul(x, Transpose(x)), 1.0f / 3.0f);
-  EXPECT_TRUE(AllClose(scores->value, expected));
-}
-
-TEST(AttentionTest, AttentionRowsAreConvexCombinations) {
-  Rng rng(17);
-  auto q = ag::Constant(RandomGaussian({2, 4}, 0, 1, &rng));
-  auto k = ag::Constant(RandomGaussian({5, 4}, 0, 1, &rng));
-  auto v = ag::Constant(Tensor::Ones({5, 3}));
-  auto out = ScaledDotProductAttention(q, k, v);
-  // Convex combination of all-ones rows is all ones.
-  EXPECT_TRUE(AllClose(out->value, Tensor::Ones({2, 3}), 1e-4f, 1e-4f));
 }
 
 }  // namespace

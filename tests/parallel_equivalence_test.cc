@@ -173,10 +173,6 @@ TEST(ParallelEquivalenceTest, GraphKernels) {
   Rng rng(9);
   const graph::RelationTensor rel = RandomRelations(70, 4, 400, &rng);
   ExpectOpBitIdentical([&] { return rel.DenseMask(); }, "DenseMask");
-  for (int64_t type = 0; type < rel.num_relation_types(); ++type) {
-    ExpectOpBitIdentical([&] { return rel.DenseTypeSlice(type); },
-                         "DenseTypeSlice " + std::to_string(type));
-  }
   ExpectOpBitIdentical([&] { return graph::NormalizedAdjacency(rel); },
                        "NormalizedAdjacency");
 }

@@ -28,11 +28,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -657,6 +659,68 @@ TEST(InferenceServerTest, DayPastTheCacheKeyRangeNeverAliasesACachedDay) {
   const std::string wire = ExecuteLine(
       &server, &metrics, "2 1 SCORE " + std::to_string(alias) + " 0");
   EXPECT_EQ(wire.rfind("2 1 ERR ", 0), 0u) << wire;
+  server.Stop();
+  registry.Stop();
+}
+
+// A forward pinned to version 1 that finishes after version 2's forward for
+// the same day must not replace version 2's scores as the stale fallback:
+// with no snapshot published, Rank(day) answers from version 2.
+TEST(InferenceServerTest, StaleFallbackKeepsTheNewestVersionsScores) {
+  const std::string dir = TestDir("stale_newest");
+  ExportUntrained(dir, /*epoch=*/1);
+  constexpr int64_t kStocks = 8;
+  constexpr int64_t kDay = 40;
+  // Version-1 forwards park until released; later versions return at once.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool v1_entered = false;
+  bool v1_released = false;
+  InferenceServer::ScoreFn fn =
+      [&](const ModelSnapshot& snap,
+          int64_t day) -> Result<std::vector<float>> {
+    if (snap.version() == 1) {
+      std::unique_lock<std::mutex> lock(mu);
+      v1_entered = true;
+      cv.notify_all();
+      cv.wait(lock, [&] { return v1_released; });
+    }
+    return StubScores(day + snap.version(), kStocks);
+  };
+  Metrics metrics;
+  ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
+                         &metrics);
+  ASSERT_TRUE(registry.Start().ok());
+  InferenceServer server(fn, kStocks, &registry, {}, &metrics);
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<RankReply> old_reply = Status::Internal("unset");
+  std::thread old_request([&] { old_reply = server.Rank(kDay); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return v1_entered; });
+  }
+  ExportUntrained(dir, /*epoch=*/2);
+  const bool promoted = registry.PollOnce();
+  const Result<RankReply> new_reply = server.Rank(kDay);
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    v1_released = true;
+    cv.notify_all();
+  }
+  old_request.join();
+  ASSERT_TRUE(promoted);
+  ASSERT_TRUE(new_reply.ok()) << new_reply.status().ToString();
+  EXPECT_EQ(new_reply.ValueOrDie().model_version, 2);
+  ASSERT_TRUE(old_reply.ok()) << old_reply.status().ToString();
+  EXPECT_EQ(old_reply.ValueOrDie().model_version, 1);
+
+  registry.Unpublish();
+  const Result<RankReply> stale = server.Rank(kDay);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_TRUE(stale.ValueOrDie().stale);
+  EXPECT_EQ(stale.ValueOrDie().model_version, 2);
+  EXPECT_EQ(stale.ValueOrDie().scores, StubScores(kDay + 2, kStocks));
   server.Stop();
   registry.Stop();
 }

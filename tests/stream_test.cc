@@ -5,9 +5,6 @@
 //  * SlidingFeatureWindow — incremental features bit-identical to a
 //    from-scratch WindowDataset after every tick batch, at every thread
 //    count (tests/stream_checker.h);
-//  * DynamicGraph — incremental CSR rebuilds bit-identical to full
-//    CsrGraph::Build after every delta batch (tests/graph_checker.h),
-//    with the rebuild fraction actually sub-linear;
 //  * RollingPipeline — retrain → checkpoint → hot-reload round trips, the
 //    churn-consistency guarantee on Rank replies, SERVING health under
 //    concurrent query load, and the e2e streaming-vs-batch-oracle MRR
@@ -31,7 +28,6 @@
 #include "common/file_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "graph_checker.h"
 #include "harness/checkpoint.h"
 #include "market/dataset.h"
 #include "market/relation_generator.h"
@@ -40,7 +36,6 @@
 #include "rank/metrics.h"
 #include "serve/metrics.h"
 #include "serve/server.h"
-#include "stream/dynamic_graph.h"
 #include "stream/feature_window.h"
 #include "stream/pipeline.h"
 #include "stream/tick_source.h"
@@ -49,7 +44,6 @@
 namespace rtgcn::stream {
 namespace {
 
-using graph::CsrGraph;
 using graph::RelationTensor;
 
 // ---------------------------------------------------------------------------
@@ -295,92 +289,6 @@ TEST(SlidingFeatureWindowTest, GatheredFeaturesMatchGatheredPanel) {
                             window.num_features());
   ExpectTensorsBitEqual(sub.Features(window.day()),
                         window.FeaturesForSlots(slots), "gathered features");
-}
-
-// ---------------------------------------------------------------------------
-// DynamicGraph
-// ---------------------------------------------------------------------------
-
-TEST(DynamicGraphTest, IncrementalRebuildBitIdenticalToFullBuild) {
-  Market m = MakeMarket();
-  StreamConfig cfg = EventfulConfig(m.relations);
-  TickSource source(m.universe, m.relations, cfg);
-
-  for (CsrGraph::Norm norm :
-       {CsrGraph::Norm::kSymmetric, CsrGraph::Norm::kRowMean}) {
-    const bool self_loops = norm == CsrGraph::Norm::kSymmetric;
-    TickSource replay(m.universe, m.relations, cfg);
-    DynamicGraph dyn(m.relations.relations, norm, self_loops);
-    // Independent mirror of the relation state, mutated by the same events.
-    RelationTensor mirror = m.relations.relations;
-    for (int day = 1; day <= 40; ++day) {
-      const DayUpdate du = replay.NextDay();
-      ASSERT_TRUE(dyn.Apply(du.relation_events).ok());
-      for (const RelationEvent& ev : du.relation_events) {
-        if (ev.add) {
-          ASSERT_TRUE(mirror.AddRelation(ev.i, ev.j, ev.type).ok());
-        } else {
-          ASSERT_TRUE(mirror.RemoveRelation(ev.i, ev.j, ev.type).ok());
-        }
-      }
-      ExpectCsrMatchesFullBuild(
-          mirror, norm, self_loops, *dyn.Csr(),
-          "day " + std::to_string(day) + " norm " +
-              std::to_string(static_cast<int>(norm)));
-      if (::testing::Test::HasFatalFailure()) return;
-    }
-    // The rebuilds must actually be incremental: far fewer rows regenerated
-    // than a full build every day would cost.
-    EXPECT_GT(dyn.incremental_rebuilds(), 0);
-    EXPECT_LT(dyn.rows_rebuilt(), dyn.rows_total() / 2)
-        << "rebuild fraction not sub-linear";
-  }
-}
-
-TEST(DynamicGraphTest, NoOpEventsDirtyNothing) {
-  Market m = MakeMarket();
-  DynamicGraph dyn(m.relations.relations, CsrGraph::Norm::kSymmetric, true);
-  (void)dyn.Csr();
-  const int64_t rebuilds_before = dyn.incremental_rebuilds();
-
-  // Duplicate add of an existing relation and removal of an absent one.
-  const RelationTensor& rel = m.relations.relations;
-  const auto& edges = rel.EdgeList();
-  ASSERT_FALSE(edges.empty());
-  const auto& e = edges.front();
-  ASSERT_TRUE(dyn.Apply({{e.i, e.j, e.types.front(), /*add=*/true}}).ok());
-  int32_t absent_type = -1;
-  for (int32_t t = 0; t < rel.num_relation_types(); ++t) {
-    if (!rel.HasRelation(e.i, e.j, t)) {
-      absent_type = t;
-      break;
-    }
-  }
-  if (absent_type >= 0) {
-    ASSERT_TRUE(dyn.Apply({{e.i, e.j, absent_type, /*add=*/false}}).ok());
-  }
-  (void)dyn.Csr();
-  EXPECT_EQ(dyn.incremental_rebuilds(), rebuilds_before)
-      << "no-op events triggered a rebuild";
-}
-
-TEST(DynamicGraphTest, InducedSubgraphRemapsSlotsAndKeepsTypes) {
-  RelationTensor rel(6, 3);
-  ASSERT_TRUE(rel.AddRelation(0, 2, 1).ok());
-  ASSERT_TRUE(rel.AddRelation(0, 2, 2).ok());
-  ASSERT_TRUE(rel.AddRelation(2, 5, 0).ok());
-  ASSERT_TRUE(rel.AddRelation(1, 4, 1).ok());  // endpoint 4 excluded
-  DynamicGraph dyn(rel, CsrGraph::Norm::kSymmetric, true);
-
-  const std::vector<int64_t> slots = {2, 0, 5};
-  RelationTensor sub = dyn.InducedSubgraph(slots);
-  EXPECT_EQ(sub.num_stocks(), 3);
-  EXPECT_EQ(sub.num_relation_types(), 3);
-  EXPECT_EQ(sub.num_edges(), 2);
-  EXPECT_TRUE(sub.HasRelation(0, 1, 1));  // (2,0) type 1
-  EXPECT_TRUE(sub.HasRelation(0, 1, 2));  // (2,0) type 2
-  EXPECT_TRUE(sub.HasRelation(0, 2, 0));  // (2,5) type 0
-  EXPECT_FALSE(sub.HasEdge(1, 2));
 }
 
 // ---------------------------------------------------------------------------
