@@ -30,7 +30,7 @@ int Run(int argc, char** argv) {
   fs.Register("epochs", &epochs, "training epochs per variant");
   fs.Register("reps", &reps, "training repetitions per variant");
   RegisterBenchFlags(&fs, &bench, /*markets=*/false);
-  ParseOrDie(&fs, argc, argv);
+  fs.ParseOrDie(argc, argv);
   bench.Apply();
 
   market::MarketSpec spec = market::NasdaqSpec(bench.Scale());

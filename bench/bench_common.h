@@ -114,20 +114,6 @@ inline void RegisterCheckpointFlags(FlagSet* fs, BenchFlags* bf) {
                "resume from the newest checkpoint when present");
 }
 
-/// Parse with --help support: prints the generated usage text and exits 0
-/// on --help; prints the error and exits 2 on a malformed or unknown flag.
-inline void ParseOrDie(FlagSet* fs, int argc, char** argv) {
-  const Status status = fs->Parse(argc, argv);
-  if (fs->help_requested()) {
-    std::printf("%s", fs->Usage(argv[0]).c_str());
-    std::exit(0);
-  }
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s: %s\n", argv[0], status.ToString().c_str());
-    std::exit(2);
-  }
-}
-
 inline std::string Fmt3(double v) { return FormatFixed(v, 3); }
 inline std::string Fmt2(double v) { return FormatFixed(v, 2); }
 

@@ -20,7 +20,7 @@ int Run(int argc, char** argv) {
              "ranking-based models.");
   fs.Register("epochs", &epochs, "training epochs per model");
   RegisterBenchFlags(&fs, &bench);
-  ParseOrDie(&fs, argc, argv);
+  fs.ParseOrDie(argc, argv);
   bench.Apply();
 
   for (const market::MarketSpec& spec : bench.Markets()) {

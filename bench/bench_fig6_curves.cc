@@ -23,7 +23,7 @@ int Run(int argc, char** argv) {
              "fig6_<market>.csv.");
   fs.Register("epochs", &epochs, "training epochs per model");
   RegisterBenchFlags(&fs, &bench);
-  ParseOrDie(&fs, argc, argv);
+  fs.ParseOrDie(argc, argv);
   bench.Apply();
 
   for (const market::MarketSpec& spec : bench.Markets()) {

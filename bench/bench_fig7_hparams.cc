@@ -55,7 +55,7 @@ int Run(int argc, char** argv) {
   fs.RegisterChoice("sweep", &sweep, {"all", "window", "features", "alpha"},
                     "which hyperparameter axis to sweep");
   RegisterBenchFlags(&fs, &bench);
-  ParseOrDie(&fs, argc, argv);
+  fs.ParseOrDie(argc, argv);
   bench.Apply();
 
   for (const market::MarketSpec& spec : bench.Markets()) {

@@ -203,12 +203,7 @@ int main(int argc, char** argv) {
   fs.Register("chaos_seed", &chaos_seed, "fault-injector seed");
   fs.Register("json", &json, "write the results as JSON to this path");
   scfg.RegisterFlags(&fs);
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
   // Exit rather than abort: ctest counts a SIGABRT as a crash, not as the
   // expected failure bench_serve_rejects_bad_config checks for.
   if (const Status valid = scfg.Validate(); !valid.ok()) {

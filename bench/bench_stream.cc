@@ -1,36 +1,38 @@
-// Load generator for the streaming market subsystem (ISSUE 9 acceptance
-// bench, BENCH_stream.json).
+// Load generator for the streaming market subsystem (BENCH_stream.json).
 //
-// Drives a RollingPipeline through a seeded intraday stream — universe
-// churn, relation decay, a mid-run flash crash — while closed-loop client
-// threads hammer Rank(), and reports the subsystem's headline numbers:
+// Drives a RollingPipeline through a seeded daily stream — universe churn,
+// relation decay, a mid-run flash crash — while closed-loop client threads
+// hammer Rank(), and reports the subsystem's headline numbers:
 //
-//   * ticks/s        — intraday ticks folded into the sliding feature
-//                      window per wall-clock second of streaming;
-//   * window p50/p95 — per-batch SlidingFeatureWindow update latency
-//                      (histogram stream.window.update_us);
+//   * days/s          — trading days consumed (events, close, any due
+//                       refit) per wall-clock second of streaming;
 //   * retrain seconds — mean Fit wall time per rolling refit;
-//   * reload p95     — export→promote hot-reload latency
-//                      (stream.reload_us);
-//   * rank p50/p95   — client-side Rank() latency under load.
+//   * reload p95      — export→promote hot-reload latency
+//                       (stream.reload_us);
+//   * rank p50/p95    — client-side Rank() latency under load.
 //
 //   ./bench_stream [--scale small|medium|large] [--stocks N] [--days D]
-//                  [--intraday_steps K] [--retrain_every R]
-//                  [--train_epochs E] [--clients C] [--num_threads T]
-//                  [--json BENCH_stream.json]
+//                  [--retrain_every R] [--train_epochs E] [--clients C]
+//                  [--num_threads T] [--json BENCH_stream.json]
 //
-// Metrics are read as a delta of obs::Registry::Global() snapshots, so a
-// run reports only its own activity.
+// Each run exports into its own fresh checkpoint directory under /tmp and
+// removes it before exiting. Metrics are read as a delta of
+// obs::Registry::Global() snapshots, so a run reports only its own
+// activity.
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/file_util.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
 #include "market/relation_generator.h"
@@ -64,7 +66,6 @@ int main(int argc, char** argv) {
   std::string scale = "small";
   int64_t stocks = 0;  // 0 = from --scale
   int64_t days = 0;
-  int64_t intraday_steps = 4;
   int64_t retrain_every = 15;
   int64_t train_epochs = 2;
   int64_t clients = 2;
@@ -72,13 +73,12 @@ int main(int argc, char** argv) {
   std::string json;
 
   FlagSet fs(
-      "Streaming-subsystem load generator: ticks/s, window-update and "
-      "hot-reload latency, retrain cost.");
+      "Streaming-subsystem load generator: days/s, hot-reload latency, "
+      "retrain cost.");
   fs.RegisterChoice("scale", &scale, {"small", "medium", "large"},
                     "preset universe/horizon size");
   fs.Register("stocks", &stocks, "universe slots (0 = from --scale)");
   fs.Register("days", &days, "trading days to stream (0 = from --scale)");
-  fs.Register("intraday_steps", &intraday_steps, "tick batches per day");
   fs.Register("retrain_every", &retrain_every, "days between rolling refits");
   fs.Register("train_epochs", &train_epochs, "epochs per rolling refit");
   fs.Register("clients", &clients,
@@ -86,12 +86,7 @@ int main(int argc, char** argv) {
   fs.Register("num_threads", &num_threads,
               "tensor worker threads (0 = auto)");
   fs.Register("json", &json, "write the report as JSON to this path");
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
   if (num_threads >= 1) SetNumThreads(num_threads);
 
   if (stocks <= 0) {
@@ -115,8 +110,6 @@ int main(int argc, char** argv) {
   stream::StreamConfig scfg;
   scfg.sim.num_days = days + 2;
   scfg.sim.seed = 5;
-  scfg.intraday_steps = intraday_steps;
-  scfg.halt_probability = 0.02;
   scfg.flash_crash_day = days / 2;
   scfg.flash_crash_duration = 3;
   scfg.initial_active = stocks - stocks / 8;
@@ -143,16 +136,22 @@ int main(int argc, char** argv) {
   pcfg.model.dropout = 0.0f;
   pcfg.train.epochs = train_epochs;
   pcfg.train.verbose = false;
-  pcfg.checkpoint_dir = "/tmp/rtgcn_bench_stream";
+  // A fresh directory per run: the pipeline numbers its exports above any
+  // checkpoint already present, so a shared directory grows run by run.
+  char dir_template[] = "/tmp/rtgcn_bench_stream.XXXXXX";
+  if (::mkdtemp(dir_template) == nullptr) {
+    std::perror("bench_stream: mkdtemp");
+    return 1;
+  }
+  pcfg.checkpoint_dir = dir_template;
   pcfg.retrain_every = retrain_every;
   pcfg.train_history = 2 * retrain_every;
   stream::RollingPipeline pipeline(pcfg, &source, relations.relations);
   pipeline.Init().Abort();
 
-  std::printf("bench_stream: %lld slots, %lld days x %lld batches, retrain "
-              "every %lld (epochs %lld), %lld rank clients\n",
+  std::printf("bench_stream: %lld slots, %lld days, retrain every %lld "
+              "(epochs %lld), %lld rank clients\n",
               static_cast<long long>(stocks), static_cast<long long>(days),
-              static_cast<long long>(intraday_steps),
               static_cast<long long>(retrain_every),
               static_cast<long long>(train_epochs),
               static_cast<long long>(clients));
@@ -202,16 +201,23 @@ int main(int argc, char** argv) {
   stop.store(true);
   for (auto& t : rankers) t.join();
 
+  auto entries = ListDirectory(pcfg.checkpoint_dir);
+  if (entries.ok()) {
+    for (const std::string& e : entries.ValueOrDie()) {
+      RemoveFileIfExists(pcfg.checkpoint_dir + "/" + e).Abort();
+    }
+  }
+  if (::rmdir(pcfg.checkpoint_dir.c_str()) != 0) {
+    std::perror("bench_stream: rmdir");
+  }
+
   const obs::RegistrySnapshot delta =
       obs::Registry::Global().Snapshot().DeltaSince(before);
-  const uint64_t ticks = delta.CounterValue("stream.ticks");
-  const obs::HistogramSnapshot* window_us =
-      delta.FindHistogram("stream.window.update_us");
   const obs::HistogramSnapshot* reload_us =
       delta.FindHistogram("stream.reload_us");
 
-  const double ticks_per_sec =
-      static_cast<double>(ticks) / std::max(stream_seconds, 1e-9);
+  const double days_per_sec =
+      static_cast<double>(days) / std::max(stream_seconds, 1e-9);
   const double retrain_mean_seconds =
       retrains_seen > 0
           ? retrain_seconds_total / static_cast<double>(retrains_seen)
@@ -221,15 +227,8 @@ int main(int argc, char** argv) {
     all_rank.insert(all_rank.end(), lat.begin(), lat.end());
   }
 
-  std::printf("  streamed %lld days in %.2fs: %.0f ticks/s (%" PRIu64
-              " ticks)\n",
-              static_cast<long long>(days), stream_seconds, ticks_per_sec,
-              ticks);
-  std::printf("  window update: p50 %.1fus  p95 %.1fus  (%" PRIu64
-              " batches)\n",
-              window_us ? window_us->Percentile(0.50) : 0.0,
-              window_us ? window_us->Percentile(0.95) : 0.0,
-              window_us ? window_us->count : 0);
+  std::printf("  streamed %lld days in %.2fs: %.1f days/s\n",
+              static_cast<long long>(days), stream_seconds, days_per_sec);
   std::printf("  retrain: %lld refits, mean %.2fs; reload p95 %.1fus\n",
               static_cast<long long>(retrains_seen), retrain_mean_seconds,
               reload_us ? reload_us->Percentile(0.95) : 0.0);
@@ -247,17 +246,11 @@ int main(int argc, char** argv) {
     out << "{\n  \"bench\": \"stream\",\n";
     out << "  \"config\": {\"scale\": \"" << scale
         << "\", \"stocks\": " << stocks << ", \"days\": " << days
-        << ", \"intraday_steps\": " << intraday_steps
         << ", \"retrain_every\": " << retrain_every
         << ", \"train_epochs\": " << train_epochs
         << ", \"clients\": " << clients << "},\n";
     out << "  \"stream_seconds\": " << FmtD(stream_seconds) << ",\n";
-    out << "  \"ticks\": " << ticks << ",\n";
-    out << "  \"ticks_per_sec\": " << FmtD(ticks_per_sec) << ",\n";
-    out << "  \"window_update_p50_us\": "
-        << FmtD(window_us ? window_us->Percentile(0.50) : 0.0) << ",\n";
-    out << "  \"window_update_p95_us\": "
-        << FmtD(window_us ? window_us->Percentile(0.95) : 0.0) << ",\n";
+    out << "  \"days_per_sec\": " << FmtD(days_per_sec) << ",\n";
     out << "  \"retrains\": " << retrains_seen << ",\n";
     out << "  \"retrain_mean_seconds\": " << FmtD(retrain_mean_seconds)
         << ",\n";

@@ -25,7 +25,7 @@ int Run(int argc, char** argv) {
   fs.Register("epochs", &epochs, "training epochs per model");
   RegisterBenchFlags(&fs, &bench);
   RegisterCheckpointFlags(&fs, &bench);
-  ParseOrDie(&fs, argc, argv);
+  fs.ParseOrDie(argc, argv);
   bench.Apply();
 
   for (const market::MarketSpec& spec : bench.Markets()) {

@@ -19,7 +19,7 @@ int Run(int argc, char** argv) {
   fs.Register("reps", &reps, "training repetitions per model");
   fs.Register("epochs", &epochs, "training epochs per model");
   RegisterBenchFlags(&fs, &bench, /*markets=*/false);
-  ParseOrDie(&fs, argc, argv);
+  fs.ParseOrDie(argc, argv);
   bench.Apply();
   const double scale = bench.Scale();
 

@@ -17,12 +17,7 @@ int main(int argc, char** argv) {
   FlagSet fs("Print structural statistics for the three preset markets and "
              "dump the NASDAQ-sim price panel to CSV.");
   fs.Register("out", &out, "output CSV path for the NASDAQ-sim panel");
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
 
   harness::TablePrinter table({"Market", "Stocks", "Industries", "Wiki types",
                                "Industry ratio", "Wiki ratio", "Days",

@@ -39,12 +39,7 @@ int main(int argc, char** argv) {
               "epochs between checkpoints");
   fs.Register("resume", &config.train.resume,
               "resume from the latest checkpoint if one exists");
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
 
   market::MarketData data = market::BuildMarket(spec);
   std::printf("Market %s: %lld stocks, %lld industries, %lld related pairs "

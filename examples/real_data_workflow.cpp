@@ -79,12 +79,7 @@ int main(int argc, char** argv) {
               "resume from the latest checkpoint if one exists");
   fs.Register("strict", &strict,
               "fail on the first ingestion blemish instead of repairing");
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
 
   if (prices_path.empty()) {
     prices_path = "/tmp/rtgcn_demo_prices.csv";

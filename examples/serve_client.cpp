@@ -46,12 +46,7 @@ int main(int argc, char** argv) {
               "shed the query if not served within this budget (0 = none)");
   fs.Register("stats", &stats, "dump server metrics and exit");
   fs.Register("health", &health, "print a one-line health summary and exit");
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
 
   serve::Client client(options);
 

@@ -70,12 +70,7 @@ int main(int argc, char** argv) {
   fs.Register("num_threads", &num_threads,
               "tensor worker threads (0 = auto)");
   scfg.RegisterFlags(&fs);
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
   scfg.Validate().Abort();
   if (num_threads >= 1) SetNumThreads(num_threads);
 

@@ -20,12 +20,7 @@ int main(int argc, char** argv) {
   fs.RegisterChoice("market", &market_name, {"NASDAQ", "NYSE", "CSI"},
                     "which simulated market preset to run");
   fs.Register("epochs", &epochs, "training epochs per strategy");
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
 
   market::MarketSpec spec = market_name == "NYSE"  ? market::NyseSpec()
                             : market_name == "CSI" ? market::CsiSpec()

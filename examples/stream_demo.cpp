@@ -1,13 +1,13 @@
 // Streaming demo: the rolling train→checkpoint→hot-reload pipeline over a
-// live intraday stream (DESIGN.md §14), narrated day by day.
+// live daily stream (DESIGN.md §14), narrated day by day.
 //
 // A seeded TickSource streams a small market through universe churn (IPOs
-// and delistings), decaying wiki relations, per-day trading halts and a
-// mid-run flash crash. A RollingPipeline consumes it: intraday tick
-// batches update the sliding feature window incrementally, relation events
-// update the pipeline's relation tensor, and on a rolling cadence the
-// pipeline refits RT-GCN on the active sub-universe, exports a checkpoint
-// and hot-reloads it — after which Rank() serves the latest day's top-k.
+// and delistings), decaying wiki relations and a mid-run flash crash. A
+// RollingPipeline consumes it: each day's close extends the sliding
+// feature window, relation events update the pipeline's relation tensor,
+// and on a rolling cadence the pipeline refits RT-GCN on the active
+// sub-universe, exports a checkpoint and hot-reloads it — after which
+// Rank() serves the latest day's top-k.
 //
 //   ./stream_demo [--stocks 24] [--days 60] [--retrain_every 10]
 //                 [--train_epochs 2] [--topk 5]
@@ -30,27 +30,20 @@ int main(int argc, char** argv) {
   using namespace rtgcn;
   int64_t stocks = 24;
   int64_t days = 60;
-  int64_t intraday_steps = 4;
   int64_t retrain_every = 10;
   int64_t train_epochs = 2;
   int64_t topk = 5;
   std::string checkpoint_dir = "/tmp/rtgcn_stream_demo";
-  FlagSet fs("Narrated streaming demo: intraday ticks, universe churn and "
+  FlagSet fs("Narrated streaming demo: daily closes, universe churn and "
              "relation decay feeding a rolling train/hot-reload pipeline.");
   fs.Register("stocks", &stocks, "universe slots");
   fs.Register("days", &days, "trading days to stream");
-  fs.Register("intraday_steps", &intraday_steps, "tick batches per day");
   fs.Register("retrain_every", &retrain_every, "days between rolling refits");
   fs.Register("train_epochs", &train_epochs, "epochs per rolling refit");
   fs.Register("topk", &topk, "ranking size printed after each refit");
   fs.Register("checkpoint_dir", &checkpoint_dir,
               "serving checkpoint directory the registry watches");
-  const Status flag_status = fs.Parse(argc, argv);
-  if (fs.help_requested()) {
-    std::printf("%s", fs.Usage(argv[0]).c_str());
-    return 0;
-  }
-  flag_status.Abort();
+  fs.ParseOrDie(argc, argv);
 
   // Seeded market + stream scenario: churn and wiki-edge decay throughout,
   // a flash crash halfway in.
@@ -66,8 +59,6 @@ int main(int argc, char** argv) {
   stream::StreamConfig scfg;
   scfg.sim.num_days = days + 2;
   scfg.sim.seed = 5;
-  scfg.intraday_steps = intraday_steps;
-  scfg.halt_probability = 0.03;
   scfg.flash_crash_day = days / 2;
   scfg.flash_crash_duration = 3;
   scfg.initial_active = stocks - stocks / 6;
@@ -112,7 +103,7 @@ int main(int argc, char** argv) {
     const stream::DayUpdate du = observer.NextDay();
     pipeline.Step().Abort();
 
-    // Narrate anything beyond routine ticks.
+    // Narrate the day's events.
     for (const auto& e : du.universe_events) {
       std::printf("day %3lld: %-6s %s\n", static_cast<long long>(du.day),
                   e.listed ? "IPO" : "delist",
@@ -125,10 +116,6 @@ int main(int argc, char** argv) {
                   static_cast<long long>(du.day),
                   static_cast<long long>(appeared),
                   static_cast<long long>(decayed));
-    }
-    if (!du.halted.empty()) {
-      std::printf("day %3lld: %zu stock(s) halted\n",
-                  static_cast<long long>(du.day), du.halted.size());
     }
     if (du.regime == market::Regime::kCrash) {
       std::printf("day %3lld: regime %s\n", static_cast<long long>(du.day),

@@ -22,9 +22,8 @@ namespace rtgcn {
 /// \brief Declarative flag registry: bind variables, parse, get --help.
 ///
 /// Defaults are whatever the bound variables hold at Register time; they
-/// appear in the generated help text. `--help` (any position) sets
-/// help_requested() instead of failing as unknown — callers print Usage()
-/// and exit 0.
+/// appear in the generated help text. Binaries call ParseOrDie; Parse and
+/// help_requested() are the non-exiting pieces it is built from.
 class FlagSet {
  public:
   /// `description` is a one-line summary of the binary for Usage().
@@ -55,6 +54,10 @@ class FlagSet {
 
   /// True once Parse has seen `--help`.
   bool help_requested() const { return help_requested_; }
+
+  /// Parse for a binary's main(): on `--help` prints Usage() and exits 0;
+  /// on a malformed or unknown flag prints the error and exits 2.
+  void ParseOrDie(int argc, char** argv);
 
   /// Generated help text: one entry per registered flag with its type,
   /// default and help string.

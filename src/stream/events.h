@@ -9,13 +9,9 @@
 //     deterministic); churn only toggles which slots are *active*.
 //   * relation events  — edges appear and decay (per-type half-lives);
 //     applied at the open to stream::RollingPipeline's relation tensor.
-//   * tick batches     — intraday price updates for subsets of active
-//     stocks. Consumers update O(changed stocks) of state per batch
-//     (stream::SlidingFeatureWindow). Halted stocks emit no intraday
-//     ticks.
-//   * the official close — prices for every slot (the closing auction
-//     prints even for halted stocks), which is the panel row batch
-//     training sees, so streaming and batch datasets agree bit-for-bit.
+//   * the official close — prices for every slot, which is the panel row
+//     batch training sees, so streaming and batch datasets agree
+//     bit-for-bit.
 #ifndef RTGCN_STREAM_EVENTS_H_
 #define RTGCN_STREAM_EVENTS_H_
 
@@ -25,19 +21,6 @@
 #include "market/simulator.h"
 
 namespace rtgcn::stream {
-
-/// One intraday price print for one stock slot.
-struct PriceTick {
-  int64_t slot = 0;
-  float price = 0;
-};
-
-/// A coalesced set of ticks that arrive together; consumers pay O(|ticks|).
-/// A batch carries at most one tick per slot (consumers parallelize over
-/// the tick list with one writer per slot).
-struct TickBatch {
-  std::vector<PriceTick> ticks;
-};
 
 /// Edge (i, j, type) appearing (`add`) or decaying away (`!add`).
 struct RelationEvent {
@@ -54,18 +37,13 @@ struct UniverseEvent {
 };
 
 /// \brief Everything that happens on one trading day, in order: universe
-/// events, relation events, intraday tick batches, then the close.
+/// events, relation events, then the close.
 struct DayUpdate {
   int64_t day = 0;
   market::Regime regime = market::Regime::kBull;
 
   std::vector<UniverseEvent> universe_events;
   std::vector<RelationEvent> relation_events;
-  /// Slots halted today (active but printing no intraday ticks).
-  std::vector<int64_t> halted;
-  /// Intraday batches. The final batch prints every active, non-halted
-  /// slot at exactly its closing price.
-  std::vector<TickBatch> batches;
   /// Official close for every slot, [num_slots] — authoritative panel row.
   std::vector<float> close;
 };

@@ -4,21 +4,8 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "obs/clock.h"
-#include "obs/registry.h"
-#include "obs/trace.h"
 
 namespace rtgcn::stream {
-
-namespace {
-
-obs::Histogram* UpdateHistogram() {
-  static obs::Histogram* h = obs::Registry::Global().GetHistogram(
-      "stream.window.update_us", obs::BucketSpec::Exponential2(22));
-  return h;
-}
-
-}  // namespace
 
 SlidingFeatureWindow::SlidingFeatureWindow(int64_t num_slots, int64_t window,
                                            int64_t num_features)
@@ -27,7 +14,6 @@ SlidingFeatureWindow::SlidingFeatureWindow(int64_t num_slots, int64_t window,
   RTGCN_CHECK(num_features_ >= 1 && num_features_ <= market::kMaxFeatures)
       << "num_features " << num_features_;
   prefix_.assign(static_cast<size_t>(num_slots_), 0.0);  // row 0 (all zero)
-  prices_back_.assign(static_cast<size_t>(num_slots_), 0.0f);
   features_ = Tensor::Zeros({window_, num_slots_, num_features_});
 }
 
@@ -45,11 +31,11 @@ float SlidingFeatureWindow::MovingAverage(int64_t t, int64_t slot,
 
 void SlidingFeatureWindow::RecomputeColumn(int64_t slot) {
   // Mirrors WindowDataset::Features for one stock: anchor at the current
-  // day's (possibly intraday) price, window of MA features behind it.
+  // day's close, window of MA features behind it.
   const int64_t t = day();
   const int64_t n = num_slots_;
   float* px = features_.data();
-  const float anchor = prices_back_[static_cast<size_t>(slot)];
+  const float anchor = panel_[static_cast<size_t>(t * n + slot)];
   RTGCN_DCHECK(anchor > 0);
   const float inv = 1.0f / anchor;
   for (int64_t u = 0; u < window_; ++u) {
@@ -61,18 +47,7 @@ void SlidingFeatureWindow::RecomputeColumn(int64_t slot) {
   }
 }
 
-void SlidingFeatureWindow::RecomputeAllColumns() {
-  if (!ready()) return;
-  // Columns are independent per stock (no cross-stock accumulation), so a
-  // chunked parallel sweep is bit-identical at any thread count.
-  ParallelFor(0, num_slots_, 16,
-              [&](int64_t lo, int64_t hi) {
-                for (int64_t i = lo; i < hi; ++i) RecomputeColumn(i);
-              });
-}
-
 void SlidingFeatureWindow::PushDay(const std::vector<float>& close) {
-  RTGCN_CHECK(!day_open_) << "close the open day before pushing a new one";
   RTGCN_CHECK_EQ(static_cast<int64_t>(close.size()), num_slots_);
   const int64_t n = num_slots_;
   panel_.insert(panel_.end(), close.begin(), close.end());
@@ -84,65 +59,14 @@ void SlidingFeatureWindow::PushDay(const std::vector<float>& close) {
         prefix_[prev + static_cast<size_t>(i)] +
         close[static_cast<size_t>(i)];
   }
-  prices_back_ = close;
   ++days_;
-  RecomputeAllColumns();
-}
-
-void SlidingFeatureWindow::OpenDay() {
-  RTGCN_CHECK(!day_open_) << "day already open";
-  RTGCN_CHECK_GT(days_, 0) << "seed at least one close before opening";
-  // The open day starts at the previous close; prefix row appended
-  // accordingly and rewritten tick by tick.
-  PushDay(prices_back_);
-  day_open_ = true;
-}
-
-void SlidingFeatureWindow::ApplyTicks(const TickBatch& batch) {
-  RTGCN_CHECK(day_open_) << "no open day to tick";
-  obs::Span span("stream.WindowUpdate", "stream");
-  const uint64_t start_us = obs::NowMicros();
-  const int64_t n = num_slots_;
-  const size_t last_row = static_cast<size_t>(days_ - 1) * n;
-  const size_t prev_prefix = static_cast<size_t>(days_ - 1) * n;
-  const size_t cur_prefix = static_cast<size_t>(days_) * n;
-  for (const PriceTick& tick : batch.ticks) {
-    RTGCN_DCHECK(tick.slot >= 0 && tick.slot < n);
-    panel_[last_row + static_cast<size_t>(tick.slot)] = tick.price;
-    prices_back_[static_cast<size_t>(tick.slot)] = tick.price;
-    prefix_[cur_prefix + static_cast<size_t>(tick.slot)] =
-        prefix_[prev_prefix + static_cast<size_t>(tick.slot)] + tick.price;
-  }
-  if (ready()) {
-    // Only the ticked stocks' columns changed. A batch carries at most one
-    // tick per slot (events.h contract), so chunks over the tick list
-    // write disjoint columns — deterministic at any thread count.
-    ParallelFor(0, static_cast<int64_t>(batch.ticks.size()), 16,
-                [&](int64_t lo, int64_t hi) {
-                  for (int64_t k = lo; k < hi; ++k) {
-                    RecomputeColumn(batch.ticks[static_cast<size_t>(k)].slot);
-                  }
-                });
-  }
-  UpdateHistogram()->Record(obs::NowMicros() - start_us);
-}
-
-void SlidingFeatureWindow::CloseDay(const std::vector<float>& close) {
-  RTGCN_CHECK(day_open_) << "no open day to close";
-  RTGCN_CHECK_EQ(static_cast<int64_t>(close.size()), num_slots_);
-  const int64_t n = num_slots_;
-  const size_t last_row = static_cast<size_t>(days_ - 1) * n;
-  const size_t prev_prefix = static_cast<size_t>(days_ - 1) * n;
-  const size_t cur_prefix = static_cast<size_t>(days_) * n;
-  for (int64_t i = 0; i < n; ++i) {
-    panel_[last_row + static_cast<size_t>(i)] = close[static_cast<size_t>(i)];
-    prefix_[cur_prefix + static_cast<size_t>(i)] =
-        prefix_[prev_prefix + static_cast<size_t>(i)] +
-        close[static_cast<size_t>(i)];
-  }
-  prices_back_ = close;
-  day_open_ = false;
-  RecomputeAllColumns();
+  if (!ready()) return;
+  // Columns are independent per stock (no cross-stock accumulation), so a
+  // chunked parallel sweep is bit-identical at any thread count.
+  ParallelFor(0, num_slots_, 16,
+              [&](int64_t lo, int64_t hi) {
+                for (int64_t i = lo; i < hi; ++i) RecomputeColumn(i);
+              });
 }
 
 Tensor SlidingFeatureWindow::FeaturesForSlots(

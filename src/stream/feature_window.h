@@ -1,19 +1,17 @@
 // SlidingFeatureWindow: the model's [window, N, F] feature tensor,
-// maintained incrementally as ticks arrive (DESIGN.md §14).
+// maintained as closes arrive (DESIGN.md §14).
 //
-// The feature math is exactly market::WindowDataset's (close + moving
-// averages, normalized by the prediction day's close): a stock's feature
-// column depends only on that stock's own price history, so an intraday
-// tick for stock i invalidates exactly stock i's column — updates cost
-// O(changed stocks × window × F) per batch, and a day rollover costs one
-// O(N) column sweep. Because the window keeps the same per-stock prefix
-// sums WindowDataset builds (append-only; a tick rewrites only the last
-// row) and recomputes columns with the same expression, the incremental
-// tensor is BIT-IDENTICAL to
+// The window is an append-only [days, N] price panel with per-stock prefix
+// sums; PushDay appends one row and recomputes every stock's feature
+// column, one O(N × window × F) sweep per day. The feature math is exactly
+// market::WindowDataset's (close + moving averages, normalized by the
+// prediction day's close), and the prefix sums have the same layout and
+// accumulation order as WindowDataset's, so the maintained tensor is
+// BIT-IDENTICAL to
 //   WindowDataset(PanelSnapshot(), window, num_features).Features(day())
-// at every tick — tests/stream_checker.h enforces this at every thread
-// count (column updates parallelize per stock; no cross-stock reduction
-// exists, so thread count cannot change a bit).
+// after every day — tests/stream_checker.h enforces this at every thread
+// count (a column depends only on its own stock's history, so the sweep
+// parallelizes per stock without a cross-stock reduction).
 #ifndef RTGCN_STREAM_FEATURE_WINDOW_H_
 #define RTGCN_STREAM_FEATURE_WINDOW_H_
 
@@ -21,12 +19,11 @@
 #include <vector>
 
 #include "market/dataset.h"
-#include "stream/events.h"
 #include "tensor/tensor.h"
 
 namespace rtgcn::stream {
 
-/// \brief Incrementally maintained feature window over a growing panel.
+/// \brief Feature window over an append-only daily price panel.
 class SlidingFeatureWindow {
  public:
   /// `window` and `num_features` as in market::WindowDataset (features are
@@ -38,7 +35,7 @@ class SlidingFeatureWindow {
   int64_t window() const { return window_; }
   int64_t num_features() const { return num_features_; }
 
-  /// Index of the newest (possibly still intraday) day; -1 while empty.
+  /// Index of the newest day; -1 while empty.
   int64_t day() const { return days_ - 1; }
   int64_t num_days() const { return days_; }
 
@@ -49,19 +46,9 @@ class SlidingFeatureWindow {
   }
   bool ready() const { return day() >= first_valid_day(); }
 
-  /// Appends a completed day at its closing prices, O(N).
+  /// Appends a completed day at its closing prices and recomputes the
+  /// features for it.
   void PushDay(const std::vector<float>& close);
-
-  /// Opens a new intraday day priced at the previous close (no trades
-  /// yet), O(N). Ticks then move individual stocks.
-  void OpenDay();
-
-  /// Applies one intraday batch to the open day: O(|ticks| × window × F).
-  void ApplyTicks(const TickBatch& batch);
-
-  /// Settles the open day at the official close, O(N). Equivalent to (but
-  /// cheaper than) a tick for every slot.
-  void CloseDay(const std::vector<float>& close);
 
   /// Feature tensor [window, N, F] for the current day — always current;
   /// returns a copy of the maintained buffer.
@@ -73,11 +60,8 @@ class SlidingFeatureWindow {
   /// gathered panel bit-for-bit.
   Tensor FeaturesForSlots(const std::vector<int64_t>& slots) const;
 
-  /// Latest price of each slot (intraday for the open day).
-  const std::vector<float>& prices() const { return prices_back_; }
-
-  /// Copy of the full price panel [num_days, N] (current day at its latest
-  /// intraday prices) — the reference input for checkers and oracles.
+  /// Copy of the full price panel [num_days, N] — the reference input for
+  /// checkers and oracles.
   Tensor PanelSnapshot() const;
 
   /// Panel gathered to a slot subset, [num_days, |slots|] — batch-training
@@ -86,23 +70,19 @@ class SlidingFeatureWindow {
 
  private:
   void RecomputeColumn(int64_t slot);
-  void RecomputeAllColumns();
   float MovingAverage(int64_t t, int64_t slot, int64_t period) const;
 
   int64_t num_slots_;
   int64_t window_;
   int64_t num_features_;
 
-  int64_t days_ = 0;     ///< rows in the panel (including the open day)
-  bool day_open_ = false;
+  int64_t days_ = 0;  ///< rows in the panel
 
   /// Row-major [days, N] price panel; grows by one row per day.
   std::vector<float> panel_;
   /// Row-major [days + 1, N] per-stock prefix sums — same layout and
   /// accumulation order as WindowDataset's, so MA values match bit-for-bit.
   std::vector<double> prefix_;
-  /// Latest prices (last panel row), kept separately for cheap access.
-  std::vector<float> prices_back_;
 
   /// Maintained [window, N, F] features for the current day; valid once
   /// ready().

@@ -94,9 +94,7 @@ Status RollingPipeline::Step() {
           ev.add ? relations_.AddRelation(ev.i, ev.j, ev.type)
                  : relations_.RemoveRelation(ev.i, ev.j, ev.type));
     }
-    window_.OpenDay();
-    for (const TickBatch& batch : du.batches) window_.ApplyTicks(batch);
-    window_.CloseDay(du.close);
+    window_.PushDay(du.close);
   }
   obs::Registry::Global().GetCounter("stream.pipeline.days")->Increment();
   return MaybeRetrain(du.day);

@@ -2,14 +2,13 @@
 //
 // One Step() consumes one DayUpdate from a TickSource: universe and
 // relation deltas are folded into the pipeline's active set and relation
-// tensor, intraday batches tick the SlidingFeatureWindow (O(changed
-// stocks) each), and the official close settles the day. On a seeded
-// cadence the pipeline refits an RT-GCN on the *active* sub-universe
-// (panel gathered from the live window, relation tensor induced on the
-// active slots — the model builds its own CSR graph from it), exports
-// a weights-only checkpoint through CheckpointManager naming, and
-// hot-reloads it into a ModelRegistry — the same registry/snapshot
-// machinery the inference server serves from.
+// tensor, and the official close is pushed onto the SlidingFeatureWindow
+// as the day's panel row. On a seeded cadence the pipeline refits an
+// RT-GCN on the *active* sub-universe (panel gathered from the live
+// window, relation tensor induced on the active slots — the model builds
+// its own CSR graph from it), exports a weights-only checkpoint through
+// CheckpointManager naming, and hot-reloads it into a ModelRegistry — the
+// same registry/snapshot machinery the inference server serves from.
 //
 // Churn-consistency guarantee: every model version is recorded with the
 // exact slot list and universe version it was trained on. Rank() pins one
@@ -20,10 +19,10 @@
 //
 // Threading: Step() and Rank() may run concurrently (the e2e load test
 // does exactly that). Mutable stream state is guarded by one mutex, which
-// Step() holds for a whole day (deltas, every tick batch and the close), so
-// a reply only ever reads settled days. The expensive phases — Fit and
-// snapshot Score — run outside it on gathered copies, so queries keep
-// flowing while a retrain is in progress.
+// Step() holds while it applies a day's deltas and pushes its close, so a
+// reply sees either the previous day or the new one, never a mix. The
+// expensive phases — Fit and snapshot Score — run outside it on gathered
+// copies, so queries keep flowing while a retrain is in progress.
 #ifndef RTGCN_STREAM_PIPELINE_H_
 #define RTGCN_STREAM_PIPELINE_H_
 

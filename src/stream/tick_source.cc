@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace rtgcn::stream {
@@ -27,7 +26,8 @@ TickSource::TickSource(const market::StockUniverse& universe,
   day0_close_ = sim_.prices();
 
   Rng root(config_.seed);
-  tick_rng_ = root.Fork();
+  // Discarded, so the two forks below draw the same streams as before.
+  root.Fork();
   scenario_rng_ = root.Fork();
   relation_rng_ = root.Fork();
 
@@ -159,59 +159,8 @@ void TickSource::EmitRelationDynamics(DayUpdate* update) {
   }
 }
 
-void TickSource::EmitTicks(DayUpdate* update,
-                           const std::vector<float>& prev_close) {
-  // Per-day halts among active stocks.
-  if (config_.halt_probability > 0) {
-    for (int64_t i = 0; i < num_slots_; ++i) {
-      if (active_[static_cast<size_t>(i)] &&
-          scenario_rng_.Bernoulli(config_.halt_probability)) {
-        update->halted.push_back(i);
-      }
-    }
-  }
-  std::vector<bool> halted(static_cast<size_t>(num_slots_), false);
-  for (int64_t h : update->halted) halted[static_cast<size_t>(h)] = true;
-
-  const int64_t steps = std::max<int64_t>(1, config_.intraday_steps);
-  update->batches.resize(static_cast<size_t>(steps));
-  for (int64_t s = 0; s < steps; ++s) {
-    TickBatch& batch = update->batches[static_cast<size_t>(s)];
-    const bool final_step = s == steps - 1;
-    const double frac =
-        static_cast<double>(s + 1) / static_cast<double>(steps);
-    for (int64_t i = 0; i < num_slots_; ++i) {
-      if (!active_[static_cast<size_t>(i)] || halted[static_cast<size_t>(i)]) {
-        continue;
-      }
-      if (final_step) {
-        // The final print is exactly the official close, so intraday state
-        // converges to the batch panel bit-for-bit.
-        batch.ticks.push_back({i, update->close[static_cast<size_t>(i)]});
-        continue;
-      }
-      if (!tick_rng_.Bernoulli(config_.tick_density)) continue;
-      // Geometric bridge from the previous close to today's close with
-      // log-normal noise; strictly positive by construction.
-      const double prev = prev_close[static_cast<size_t>(i)];
-      const double close = update->close[static_cast<size_t>(i)];
-      const double bridge = prev * std::pow(close / prev, frac);
-      const double noisy =
-          bridge * std::exp(config_.intraday_vol * tick_rng_.Gaussian());
-      batch.ticks.push_back({i, static_cast<float>(noisy)});
-    }
-    obs::Registry::Global()
-        .GetCounter("stream.ticks")
-        ->Increment(batch.ticks.size());
-  }
-  obs::Registry::Global()
-      .GetCounter("stream.tick_batches")
-      ->Increment(static_cast<uint64_t>(steps));
-}
-
 DayUpdate TickSource::NextDay() {
   obs::Span span("stream.NextDay", "stream");
-  const std::vector<float> prev_close = sim_.prices();
 
   // Arm the flash-crash window so it covers the configured day.
   if (config_.flash_crash_day >= 0 &&
@@ -227,7 +176,6 @@ DayUpdate TickSource::NextDay() {
 
   EmitChurn(&update);
   EmitRelationDynamics(&update);
-  EmitTicks(&update, prev_close);
   return update;
 }
 

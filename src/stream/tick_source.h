@@ -1,20 +1,17 @@
-// TickSource: turns the stateful MarketSimulator into an intraday event
+// TickSource: turns the stateful MarketSimulator into a daily event
 // stream (DESIGN.md §14).
 //
 // One NextDay() call advances the simulator one trading day and expands it
 // into a DayUpdate: universe churn (IPO / delist) and relation events
-// (edge appear / per-type half-life decay) at the open, seeded intraday
-// tick batches bridging the previous close to the new close, then the
-// official close. Scenario knobs cover the stress cases the rolling
-// pipeline must survive: a flash-crash window (MarketSimulator::ForceRegime
-// — regime forcing never desynchronizes the other simulator streams) and
-// per-day trading halts (no intraday ticks; the closing auction still
-// prints).
+// (edge appear / per-type half-life decay) at the open, then the official
+// close. A flash-crash window (MarketSimulator::ForceRegime — regime
+// forcing never desynchronizes the other simulator streams) covers the
+// stress case the rolling pipeline must survive.
 //
-// Determinism: all stream-layer draws (ticks, halts, churn, edge dynamics)
-// come from Rng streams forked from `StreamConfig::seed`, independent of
-// the simulator's own streams — two TickSources with equal configs emit
-// identical event sequences.
+// Determinism: all stream-layer draws (churn, edge dynamics) come from Rng
+// streams forked from `StreamConfig::seed`, independent of the simulator's
+// own streams — two TickSources with equal configs emit identical event
+// sequences.
 #ifndef RTGCN_STREAM_TICK_SOURCE_H_
 #define RTGCN_STREAM_TICK_SOURCE_H_
 
@@ -33,16 +30,9 @@ namespace rtgcn::stream {
 struct StreamConfig {
   market::SimulatorConfig sim;  ///< daily dynamics (seeded separately)
 
-  int64_t intraday_steps = 4;  ///< tick batches per day (>= 1; last = close)
-  /// Probability a given active stock prints in a non-final batch.
-  double tick_density = 0.6;
-  /// Log-scale noise of intraday prints around the open→close bridge.
-  double intraday_vol = 0.004;
-
-  // Stress scenarios.
+  // Stress scenario.
   int64_t flash_crash_day = -1;  ///< ForceRegime(kCrash) at this day (-1 off)
   int64_t flash_crash_duration = 3;
-  double halt_probability = 0.0;  ///< per-stock per-day halt probability
 
   // Universe churn. Slots beyond `initial_active` start dormant (pre-IPO).
   int64_t initial_active = 0;  ///< 0 = every slot active from day 0
@@ -61,7 +51,7 @@ struct StreamConfig {
   uint64_t seed = 17;  ///< stream-layer seed (independent of sim.seed)
 };
 
-/// \brief Seeded intraday event stream over a simulated market.
+/// \brief Seeded daily event stream over a simulated market.
 ///
 /// `universe` and `relations` must outlive the source. `relations` is the
 /// day-0 relation state; relation events are emitted as deltas against it
@@ -91,7 +81,6 @@ class TickSource {
  private:
   void EmitChurn(DayUpdate* update);
   void EmitRelationDynamics(DayUpdate* update);
-  void EmitTicks(DayUpdate* update, const std::vector<float>& prev_close);
 
   const market::StockUniverse* universe_;
   StreamConfig config_;
@@ -112,7 +101,7 @@ class TickSource {
   };
   std::vector<DynEdge> decayable_;
 
-  Rng tick_rng_, scenario_rng_, relation_rng_;
+  Rng scenario_rng_, relation_rng_;
 };
 
 }  // namespace rtgcn::stream

@@ -1,9 +1,9 @@
 // Streaming-window equivalence harness (kernel_checker.h style).
 //
-// stream::SlidingFeatureWindow promises its incrementally maintained
-// feature tensor is BIT-IDENTICAL to market::WindowDataset recomputed from
-// scratch over the same price panel — after every tick batch, at every
-// thread count. The checker replays a stream of DayUpdates through a
+// stream::SlidingFeatureWindow promises its maintained feature tensor is
+// BIT-IDENTICAL to market::WindowDataset recomputed from scratch over the
+// same price panel — after every day, at every thread count. The checker
+// replays a stream of DayUpdates through a
 // window while holding the authoritative panel itself, and compares
 // Features() (and gathered FeaturesForSlots views) against a fresh
 // WindowDataset with exact float equality. Thread counts {1, 2, 4, 8} are
@@ -59,7 +59,7 @@ inline void ExpectWindowMatchesBatch(const stream::SlidingFeatureWindow& w,
 
 /// Replays `updates` through a fresh SlidingFeatureWindow seeded with
 /// `day0_close`, checking bit-identity against the batch recompute after
-/// every tick batch and every close. Returns the final panel snapshot.
+/// every PushDay. Returns the final panel snapshot.
 inline Tensor ReplayAndCheckWindow(int64_t num_slots, int64_t window,
                                    int64_t num_features,
                                    const std::vector<float>& day0_close,
@@ -68,15 +68,8 @@ inline Tensor ReplayAndCheckWindow(int64_t num_slots, int64_t window,
   stream::SlidingFeatureWindow w(num_slots, window, num_features);
   w.PushDay(day0_close);
   for (const stream::DayUpdate& du : updates) {
-    w.OpenDay();
-    for (const stream::TickBatch& batch : du.batches) {
-      w.ApplyTicks(batch);
-      ExpectWindowMatchesBatch(
-          w, context + " day " + std::to_string(du.day) + " intraday");
-    }
-    w.CloseDay(du.close);
-    ExpectWindowMatchesBatch(
-        w, context + " day " + std::to_string(du.day) + " close");
+    w.PushDay(du.close);
+    ExpectWindowMatchesBatch(w, context + " day " + std::to_string(du.day));
   }
   return w.PanelSnapshot();
 }

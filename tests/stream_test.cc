@@ -1,10 +1,10 @@
 // Tests for the streaming market subsystem (src/stream/):
 //
 //  * TickSource — seeded determinism, close anchoring to the batch
-//    simulator, halt/final-batch semantics, churn and relation dynamics;
-//  * SlidingFeatureWindow — incremental features bit-identical to a
-//    from-scratch WindowDataset after every tick batch, at every thread
-//    count (tests/stream_checker.h);
+//    simulator, churn and relation dynamics;
+//  * SlidingFeatureWindow — maintained features bit-identical to a
+//    from-scratch WindowDataset after every day, at every thread count
+//    (tests/stream_checker.h);
 //  * RollingPipeline — retrain → checkpoint → hot-reload round trips, the
 //    churn-consistency guarantee on Rank replies, SERVING health under
 //    concurrent query load, and the e2e streaming-vs-batch-oracle MRR
@@ -84,8 +84,6 @@ StreamConfig EventfulConfig(const market::RelationData& rel) {
   StreamConfig cfg;
   cfg.sim.num_days = 400;
   cfg.sim.seed = 5;
-  cfg.intraday_steps = 3;
-  cfg.halt_probability = 0.05;
   cfg.flash_crash_day = 12;
   cfg.flash_crash_duration = 2;
   cfg.initial_active = 13;
@@ -128,7 +126,6 @@ TEST(TickSourceTest, DeterministicGivenSeed) {
     ASSERT_EQ(ua.day, ub.day);
     ASSERT_EQ(ua.regime, ub.regime);
     ASSERT_EQ(ua.close, ub.close) << "day " << day;
-    ASSERT_EQ(ua.halted, ub.halted) << "day " << day;
     ASSERT_EQ(ua.universe_events.size(), ub.universe_events.size());
     for (size_t k = 0; k < ua.universe_events.size(); ++k) {
       EXPECT_EQ(ua.universe_events[k].slot, ub.universe_events[k].slot);
@@ -141,14 +138,6 @@ TEST(TickSourceTest, DeterministicGivenSeed) {
       EXPECT_EQ(ua.relation_events[k].type, ub.relation_events[k].type);
       EXPECT_EQ(ua.relation_events[k].add, ub.relation_events[k].add);
     }
-    ASSERT_EQ(ua.batches.size(), ub.batches.size());
-    for (size_t s = 0; s < ua.batches.size(); ++s) {
-      ASSERT_EQ(ua.batches[s].ticks.size(), ub.batches[s].ticks.size());
-      for (size_t k = 0; k < ua.batches[s].ticks.size(); ++k) {
-        EXPECT_EQ(ua.batches[s].ticks[k].slot, ub.batches[s].ticks[k].slot);
-        EXPECT_EQ(ua.batches[s].ticks[k].price, ub.batches[s].ticks[k].price);
-      }
-    }
   }
 }
 
@@ -157,11 +146,9 @@ TEST(TickSourceTest, ClosesMatchBatchSimulatorPanel) {
   StreamConfig cfg;
   cfg.sim.num_days = 40;
   cfg.sim.seed = 9;
-  cfg.intraday_steps = 4;
-  cfg.halt_probability = 0.1;
   cfg.seed = 31;
   // No flash crash: the stream must then reproduce the batch panel
-  // draw-for-draw, even with halts and partial intraday prints.
+  // draw-for-draw.
   const market::SimulatedMarket batch =
       market::Simulate(m.universe, m.relations, cfg.sim);
 
@@ -175,43 +162,6 @@ TEST(TickSourceTest, ClosesMatchBatchSimulatorPanel) {
     }
     ASSERT_EQ(du.regime, batch.regimes[static_cast<size_t>(day)]);
   }
-}
-
-TEST(TickSourceTest, FinalBatchPrintsCloseAndHaltsSuppressTicks) {
-  Market m = MakeMarket();
-  StreamConfig cfg = EventfulConfig(m.relations);
-  TickSource source(m.universe, m.relations, cfg);
-  int halted_days = 0;
-  for (int day = 1; day <= 40; ++day) {
-    const DayUpdate du = source.NextDay();
-    std::vector<bool> halted(static_cast<size_t>(source.num_slots()), false);
-    for (int64_t h : du.halted) halted[static_cast<size_t>(h)] = true;
-    if (!du.halted.empty()) ++halted_days;
-
-    // No slot ever ticks while halted or inactive; prices stay positive.
-    for (const TickBatch& batch : du.batches) {
-      for (const PriceTick& tick : batch.ticks) {
-        EXPECT_TRUE(source.active()[static_cast<size_t>(tick.slot)]);
-        EXPECT_FALSE(halted[static_cast<size_t>(tick.slot)]);
-        EXPECT_GT(tick.price, 0.0f);
-      }
-    }
-    // The final batch prints every active, non-halted slot at the close.
-    ASSERT_FALSE(du.batches.empty());
-    const TickBatch& last = du.batches.back();
-    int64_t expected = 0;
-    for (int64_t i = 0; i < source.num_slots(); ++i) {
-      if (source.active()[static_cast<size_t>(i)] &&
-          !halted[static_cast<size_t>(i)]) {
-        ++expected;
-      }
-    }
-    ASSERT_EQ(static_cast<int64_t>(last.ticks.size()), expected);
-    for (const PriceTick& tick : last.ticks) {
-      EXPECT_EQ(tick.price, du.close[static_cast<size_t>(tick.slot)]);
-    }
-  }
-  EXPECT_GT(halted_days, 0) << "halt scenario never triggered";
 }
 
 TEST(TickSourceTest, ChurnTogglesActiveSlotsAndBumpsVersion) {
@@ -245,8 +195,8 @@ TEST(SlidingFeatureWindowTest, BitIdenticalToBatchAtEveryThreadCount) {
   const StreamConfig cfg = EventfulConfig(m.relations);
 
   // Record one seeded stream, then replay it at every thread count — the
-  // checker compares against a from-scratch WindowDataset after every
-  // batch and close with exact float equality.
+  // checker compares against a from-scratch WindowDataset after every day
+  // with exact float equality.
   TickSource source(m.universe, m.relations, cfg);
   std::vector<DayUpdate> updates;
   for (int day = 1; day <= 25; ++day) updates.push_back(source.NextDay());
@@ -275,10 +225,7 @@ TEST(SlidingFeatureWindowTest, GatheredFeaturesMatchGatheredPanel) {
                               /*num_features=*/2);
   window.PushDay(source.day0_close());
   for (int day = 1; day <= 15; ++day) {
-    const DayUpdate du = source.NextDay();
-    window.OpenDay();
-    for (const TickBatch& batch : du.batches) window.ApplyTicks(batch);
-    window.CloseDay(du.close);
+    window.PushDay(source.NextDay().close);
   }
   ASSERT_TRUE(window.ready());
 
@@ -581,8 +528,8 @@ TEST(RollingPipelineTest, ServesThroughInferenceServerAcrossChurnAndReloads) {
 // relation/universe deltas to its own tensors, and refits from scratch on
 // the same cadence with the same options and seeds — no incremental state
 // anywhere. Streaming MRR must match the oracle's within 1e-3 (they are in
-// fact bit-identical: the incremental window, graph, and the
-// export→promote→score round trip all preserve exact floats).
+// fact bit-identical: the streamed window and the export→promote→score
+// round trip both preserve exact floats).
 TEST(RollingPipelineTest, StreamingMrrMatchesBatchOracleThroughCrashAndChurn) {
   Market m = MakeMarket();
   StreamConfig scfg = EventfulConfig(m.relations);
