@@ -70,8 +70,7 @@ int main(int argc, char** argv) {
   fs.Register("num_threads", &num_threads,
               "tensor worker threads (0 = auto)");
   scfg.RegisterFlags(&fs);
-  fs.ParseOrDie(argc, argv);
-  scfg.Validate().Abort();
+  fs.ParseOrDie(argc, argv, [&scfg] { return scfg.Validate(); });
   if (num_threads >= 1) SetNumThreads(num_threads);
 
   const market::MarketData data = market::BuildMarket(spec);

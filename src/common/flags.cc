@@ -228,12 +228,14 @@ Status FlagSet::Parse(int argc, char** argv) {
   return Status::OK();
 }
 
-void FlagSet::ParseOrDie(int argc, char** argv) {
-  const Status status = Parse(argc, argv);
+void FlagSet::ParseOrDie(int argc, char** argv,
+                         const std::function<Status()>& validate) {
+  Status status = Parse(argc, argv);
   if (help_requested_) {
     std::printf("%s", Usage(argv[0]).c_str());
     std::exit(0);
   }
+  if (status.ok() && validate) status = validate();
   if (!status.ok()) {
     std::fprintf(stderr, "%s: %s\n", argv[0], status.ToString().c_str());
     std::exit(2);

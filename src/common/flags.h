@@ -56,8 +56,10 @@ class FlagSet {
   bool help_requested() const { return help_requested_; }
 
   /// Parse for a binary's main(): on `--help` prints Usage() and exits 0;
-  /// on a malformed or unknown flag prints the error and exits 2.
-  void ParseOrDie(int argc, char** argv);
+  /// on a malformed or unknown flag, or parsed values that `validate`
+  /// (when given) rejects, prints the error and exits 2.
+  void ParseOrDie(int argc, char** argv,
+                  const std::function<Status()>& validate = nullptr);
 
   /// Generated help text: one entry per registered flag with its type,
   /// default and help string.

@@ -13,6 +13,8 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -154,7 +156,7 @@ void AsyncServer::ExecutorLoop() {
       work_.pop_front();
     }
     std::string reply =
-        ExecuteLine(server_, metrics_, work.line.text, work.line.arrival);
+        *ExecuteRequest(server_, metrics_, work.line, /*may_wait=*/true);
     {
       std::lock_guard<std::mutex> lock(done_mu_);
       done_.push_back({work.conn_id, std::move(reply)});
@@ -268,19 +270,24 @@ void AsyncServer::HandleReadable(uint64_t id) {
 void AsyncServer::IngestInput(uint64_t id) {
   Conn& conn = conns_[id];
   const auto arrival = std::chrono::steady_clock::now();
+  // Scan by offset and drop the consumed prefix once, so a read carrying
+  // many pipelined lines moves the buffer once.
+  const std::string_view input = conn.inbuf;
+  size_t start = 0;
   size_t pos;
   bool oversized = false;
   while (!conn.closing &&
-         (pos = conn.inbuf.find('\n')) != std::string::npos) {
-    if (static_cast<int64_t>(pos) > options_.max_line_bytes) {
+         (pos = input.find('\n', start)) != std::string_view::npos) {
+    if (static_cast<int64_t>(pos - start) > options_.max_line_bytes) {
       oversized = true;
       break;
     }
-    std::string line = conn.inbuf.substr(0, pos);
-    conn.inbuf.erase(0, pos + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    conn.lines.push_back({std::move(line), arrival});
+    std::string_view line = input.substr(start, pos - start);
+    start = pos + 1;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    conn.lines.push_back(ParseLine(line, arrival));
   }
+  conn.inbuf.erase(0, start);
   // A line over the cap, terminated or not (the read buffer is bounded
   // too), is not protocol: reject and drop the connection.
   if (!conn.closing &&
@@ -298,44 +305,32 @@ void AsyncServer::IngestInput(uint64_t id) {
 }
 
 void AsyncServer::PumpConn(uint64_t id) {
-  // Answer queued lines in order. Stop at the first line that must block:
+  // Answer queued lines in order. Stop at the first line that must wait:
   // it goes to the executors and the connection waits for its completion
-  // (ordering guarantee — one blocking line in flight per connection).
+  // (ordering guarantee — one waiting line in flight per connection).
   while (true) {
     auto it = conns_.find(id);
     if (it == conns_.end()) return;
     Conn& conn = it->second;
     if (conn.executing || conn.closing || conn.lines.empty()) break;
-    Line line = std::move(conn.lines.front());
+    ParsedLine line = std::move(conn.lines.front());
     conn.lines.pop_front();
-    std::string fast;
-    if (TryExecuteLineFast(server_, metrics_, line.text, &fast)) {
-      QueueReply(id, fast);
-      continue;
-    }
-    auto parsed = ParseRequest(line.text);
-    const bool blocking =
-        parsed.ok() &&
-        (parsed.ValueOrDie().verb == Request::Verb::kScore ||
-         parsed.ValueOrDie().verb == Request::Verb::kRank ||
-         parsed.ValueOrDie().verb == Request::Verb::kScoreBatch);
-    if (!blocking) {
-      // Errors and PING/HEALTH/STATS/QUIT answer without blocking.
-      const std::string reply = ExecuteLine(server_, metrics_, line.text);
-      if (reply.empty()) {  // QUIT
-        conns_[id].closing = true;
-        break;
+    std::optional<std::string> reply =
+        ExecuteRequest(server_, metrics_, line, /*may_wait=*/false);
+    if (!reply) {
+      conn.executing = true;
+      {
+        std::lock_guard<std::mutex> lock(work_mu_);
+        work_.push_back({id, std::move(line)});
       }
-      QueueReply(id, reply);
-      continue;
+      work_cv_.notify_one();
+      break;
     }
-    conn.executing = true;
-    {
-      std::lock_guard<std::mutex> lock(work_mu_);
-      work_.push_back({id, std::move(line)});
+    if (reply->empty()) {  // QUIT
+      conn.closing = true;
+      break;
     }
-    work_cv_.notify_one();
-    break;
+    QueueReply(id, *reply);
   }
   if (conns_.find(id) != conns_.end()) {
     FlushConn(id);

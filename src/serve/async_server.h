@@ -1,27 +1,24 @@
 // Epoll event-loop front end over the InferenceServer (DESIGN.md §15): the
 // one socket front end of the serving stack. Every wire line is a framed
-// "2 <id> <VERB> ..." request and executes through ExecuteLine
-// (serve/protocol.h); an unframed line is answered "2 0 ERR <usage>" and
-// the connection stays open.
+// "2 <id> <VERB> ..." request; an unframed line is answered
+// "2 0 ERR <usage>" and the connection stays open.
 //
 // One IO thread multiplexes every connection through a level-triggered
 // epoll set — non-blocking accept/read/write with a per-connection state
 // machine.
 //
-// Request flow per connection, strictly in arrival order:
-//  * a complete line whose answer is already cached (TryExecuteLineFast:
-//    SCORE/RANK against the current version's score cache while SERVING)
-//    is answered inline on the IO thread — no queue, no context switch;
-//  * non-blocking verbs (PING/HEALTH/STATS) also run inline;
-//  * anything that must block (cache miss, degraded, draining — the paths
-//    with admission, deadline and stale accounting) is handed to a small
-//    executor pool; the connection dispatches at most one blocking line at
-//    a time, so replies always come back in request order.
+// Request flow per connection, strictly in arrival order. Each line is
+// parsed and stamped with its arrival once, when it is framed, and runs
+// the one dispatch, ExecuteRequest: first on the IO thread with may_wait
+// false, which answers PING/HEALTH/STATS, malformed lines and SERVING
+// cache hits inline; a line that declines there goes unchanged to a small
+// executor pool, which runs it with may_wait true. A connection has at
+// most one line out at the executors, so replies come back in order.
 //
-// Every line is stamped with its arrival when it is framed, and a
-// DEADLINE runs from that stamp: a line that waited in the executor queue
-// past its deadline is shed when an executor picks it up. The queue holds
-// at most one line per connection, so max_connections bounds it.
+// A DEADLINE runs from the arrival stamp: a line that waited behind its
+// connection's earlier lines or in the executor queue past its deadline
+// is shed when it is answered. The executor queue holds at most one line
+// per connection, so max_connections bounds it.
 //
 // Overload safety: a connection cap (excess accepts answer BUSY and
 // close), a request-line byte cap (a line longer than max_line_bytes,
@@ -106,17 +103,11 @@ class AsyncServer {
   void SetChaos(ChaosInjector* chaos) { chaos_ = chaos; }
 
  private:
-  /// One framed request line and the time it was framed.
-  struct Line {
-    std::string text;
-    std::chrono::steady_clock::time_point arrival;
-  };
-
   struct Conn {
     int fd = -1;
     std::string inbuf;    ///< bytes read, not yet split into lines
     std::string outbuf;   ///< reply bytes not yet written to the socket
-    std::deque<Line> lines;  ///< complete lines awaiting dispatch
+    std::deque<ParsedLine> lines;  ///< framed lines awaiting dispatch
     bool executing = false;  ///< a blocking line is out at the executors
     bool closing = false;    ///< flush outbuf, then close (QUIT/abuse)
     bool reset_on_close = false;  ///< chaos kReset: RST instead of FIN
@@ -126,7 +117,7 @@ class AsyncServer {
 
   struct Work {
     uint64_t conn_id = 0;
-    Line line;
+    ParsedLine line;
   };
 
   struct Completion {
@@ -139,10 +130,10 @@ class AsyncServer {
   void HandleAccept();
   void HandleReadable(uint64_t id);
   void HandleWritable(uint64_t id);
-  /// Splits inbuf into lines, enforces the line cap on every line
+  /// Splits inbuf into parsed lines, enforces the line cap on every line
   /// (terminated or not), advances the state machine.
   void IngestInput(uint64_t id);
-  /// Answers or dispatches queued lines until one blocks or none remain.
+  /// Answers queued lines until one must wait (it goes to an executor).
   void PumpConn(uint64_t id);
   /// Appends one reply (chaos applied), arming EPOLLOUT as needed.
   void QueueReply(uint64_t id, const std::string& reply);

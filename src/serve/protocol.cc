@@ -5,11 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string_view>
 
 #include "common/strings.h"
-#include "obs/clock.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
 #include "serve/server.h"
@@ -54,9 +54,8 @@ bool ParseDeadline(const std::vector<std::string_view>& parts, size_t at,
   return ParseInt(parts[at + 1], deadline_ms) && *deadline_ms > 0;
 }
 
-std::vector<std::string_view> Tokenize(const std::string& line) {
+std::vector<std::string_view> Tokenize(std::string_view sv) {
   std::vector<std::string_view> parts;
-  const std::string_view sv = line;
   size_t i = 0;
   while (i < sv.size()) {
     while (i < sv.size() && sv[i] == ' ') ++i;
@@ -134,19 +133,6 @@ Status ParseVerb(const std::vector<std::string_view>& parts, size_t at,
   return Status::InvalidArgument("unknown command: ", cmd);
 }
 
-// Parses a "2 <id> <VERB> ..." line into `request`. The id is stored as
-// soon as it is read, so a caller answering a parse error can still echo
-// it; it stays 0 when the line is unframed or the id is unreadable.
-Status ParseRequestInto(const std::string& line, Request* request) {
-  const std::vector<std::string_view> parts = Tokenize(line);
-  if (parts.size() < 2 || parts[0] != "2" ||
-      !ParseInt(parts[1], &request->id) || parts.size() < 3) {
-    return Status::InvalidArgument(
-        "malformed v2 frame (want: 2 <id> <verb> ...)");
-  }
-  return ParseVerb(parts, 2, request);
-}
-
 // Overload-safety wire mapping: shed/draining/deadline outcomes get their
 // own first tokens so clients can branch without parsing prose.
 Reply ErrorReplyFor(const Request& request, const Status& status) {
@@ -197,26 +183,6 @@ void AppendStale(std::string* out, bool stale) {
   if (stale) out->append(" STALE");
 }
 
-Reply MakeScoreReplyFor(const Request& request, const ScoreReply& score) {
-  Reply reply;
-  reply.id = request.id;
-  reply.kind = Reply::Kind::kScore;
-  reply.score = score;
-  return reply;
-}
-
-Reply MakeRankReplyFor(const Request& request, const RankReply& rank) {
-  Reply reply;
-  reply.id = request.id;
-  reply.kind = Reply::Kind::kRank;
-  reply.model_version = rank.model_version;
-  reply.stale = rank.stale;
-  const int64_t n = static_cast<int64_t>(rank.scores.size());
-  reply.k = std::max<int64_t>(0, std::min(request.k, n));
-  reply.top = TopK(rank.scores, reply.k);
-  return reply;
-}
-
 }  // namespace
 
 const char* HealthStateName(HealthState state) {
@@ -245,10 +211,27 @@ std::vector<RankEntry> TopK(const std::vector<float>& scores, int64_t k) {
   return top;
 }
 
+ParsedLine ParseLine(std::string_view text,
+                     std::chrono::steady_clock::time_point arrival) {
+  ParsedLine line;
+  line.arrival = arrival;
+  // The id is stored as soon as it is read, so the reply to a parse error
+  // can still echo it; it stays 0 when the line is unframed or unreadable.
+  const std::vector<std::string_view> parts = Tokenize(text);
+  if (parts.size() < 2 || parts[0] != "2" ||
+      !ParseInt(parts[1], &line.request.id) || parts.size() < 3) {
+    line.status = Status::InvalidArgument(
+        "malformed v2 frame (want: 2 <id> <verb> ...)");
+  } else {
+    line.status = ParseVerb(parts, 2, &line.request);
+  }
+  return line;
+}
+
 Result<Request> ParseRequest(const std::string& line) {
-  Request request;
-  RTGCN_RETURN_NOT_OK(ParseRequestInto(line, &request));
-  return request;
+  ParsedLine parsed = ParseLine(line, /*arrival=*/{});
+  RTGCN_RETURN_NOT_OK(parsed.status);
+  return std::move(parsed.request);
 }
 
 std::string FormatRequest(const Request& request) {
@@ -468,27 +451,28 @@ Result<Reply> ParseReply(const std::string& line, const Request& sent) {
   }
 }
 
-std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
-                        const std::string& line,
-                        std::chrono::steady_clock::time_point arrival) {
+std::optional<std::string> ExecuteRequest(InferenceServer* server,
+                                          Metrics* metrics,
+                                          const ParsedLine& line,
+                                          bool may_wait) {
   obs::Span span("serve.handle_line", "serve");
-  Request request;
-  const Status parsed = ParseRequestInto(line, &request);
+  const Request& request = line.request;
   Reply reply;
   reply.id = request.id;
-  if (!parsed.ok()) {
+  if (!line.status.ok()) {
     reply.kind = Reply::Kind::kErr;
-    reply.text = parsed.message();
+    reply.text = line.status.message();
     return FormatReply(reply);
   }
   // The relative DEADLINE becomes one absolute deadline, once, here. One
   // too far out for the clock to represent means none.
   RequestOptions options;
-  options.arrival = arrival;
+  options.arrival = line.arrival;
   const auto horizon = std::chrono::duration_cast<std::chrono::milliseconds>(
-      options.deadline - arrival);
+      options.deadline - line.arrival);
   if (request.deadline_ms > 0 && request.deadline_ms < horizon.count()) {
-    options.deadline = arrival + std::chrono::milliseconds(request.deadline_ms);
+    options.deadline =
+        line.arrival + std::chrono::milliseconds(request.deadline_ms);
   }
   switch (request.verb) {
     case Request::Verb::kQuit:
@@ -510,32 +494,45 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
       reply.text = std::move(text);
       return FormatReply(reply);
     }
-    case Request::Verb::kScore: {
-      auto result = server->Score(request.day, request.stock, options);
-      if (!result.ok()) {
-        return FormatReply(ErrorReplyFor(request, result.status()));
-      }
-      return FormatReply(MakeScoreReplyFor(request, result.ValueOrDie()));
-    }
     case Request::Verb::kRank: {
-      auto result = server->Rank(request.day, options);
-      if (!result.ok()) {
-        return FormatReply(ErrorReplyFor(request, result.status()));
+      auto result = server->Rank(request.day, options, may_wait);
+      if (!result) return std::nullopt;
+      if (!result->ok()) {
+        return FormatReply(ErrorReplyFor(request, result->status()));
       }
-      return FormatReply(MakeRankReplyFor(request, result.ValueOrDie()));
+      const RankReply& rank = result->ValueOrDie();
+      reply.kind = Reply::Kind::kRank;
+      reply.model_version = rank.model_version;
+      reply.stale = rank.stale;
+      reply.k = std::clamp<int64_t>(request.k, 0, rank.scores.size());
+      reply.top = TopK(rank.scores, reply.k);
+      return FormatReply(reply);
     }
+    case Request::Verb::kScore:
     case Request::Verb::kScoreBatch: {
       // One request answers every stock of the line from one day's scores.
-      auto result = server->ScoreBatch(request.day, request.stocks, options);
-      if (!result.ok()) {
-        return FormatReply(ErrorReplyFor(request, result.status()));
+      const bool single = request.verb == Request::Verb::kScore;
+      auto result = server->ScoreBatch(
+          request.day,
+          single ? std::span<const int64_t>(&request.stock, 1)
+                 : std::span<const int64_t>(request.stocks),
+          options, may_wait);
+      if (!result) return std::nullopt;
+      if (!result->ok()) {
+        return FormatReply(ErrorReplyFor(request, result->status()));
+      }
+      std::vector<ScoreReply> scores = result->MoveValueOrDie();
+      if (single) {
+        reply.kind = Reply::Kind::kScore;
+        reply.score = scores.front();
+        return FormatReply(reply);
       }
       reply.kind = Reply::Kind::kScoreBatch;
-      reply.batch = result.MoveValueOrDie();
-      reply.batch_stocks = request.stocks;
       // ParseRequest admits SCOREN only with at least one stock.
-      reply.model_version = reply.batch.front().model_version;
-      reply.stale = reply.batch.front().stale;
+      reply.model_version = scores.front().model_version;
+      reply.stale = scores.front().stale;
+      reply.batch = std::move(scores);
+      reply.batch_stocks = request.stocks;
       return FormatReply(reply);
     }
   }
@@ -544,39 +541,18 @@ std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
   return FormatReply(reply);
 }
 
+std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
+                        const std::string& line) {
+  return *ExecuteRequest(server, metrics, ParseLine(line), /*may_wait=*/true);
+}
+
 bool TryExecuteLineFast(InferenceServer* server, Metrics* metrics,
                         const std::string& line, std::string* reply) {
-  // Fast parse gate: only SCORE/RANK lines can be
-  // answered from cache; everything else goes through ExecuteLine.
-  auto parsed = ParseRequest(line);
-  if (!parsed.ok()) return false;
-  const Request& request = parsed.ValueOrDie();
-  const uint64_t t0 = obs::NowMicros();
-  if (request.verb == Request::Verb::kScore) {
-    ScoreReply score;
-    if (!server->TryScoreCached(request.day, request.stock, &score)) {
-      return false;
-    }
-    if (metrics) {
-      metrics->requests.Increment();
-      metrics->responses_ok.Increment();
-      metrics->latency.Record(obs::ElapsedMicrosSince(t0));
-    }
-    *reply = FormatReply(MakeScoreReplyFor(request, score));
-    return true;
-  }
-  if (request.verb == Request::Verb::kRank) {
-    RankReply rank;
-    if (!server->TryRankCached(request.day, &rank)) return false;
-    if (metrics) {
-      metrics->requests.Increment();
-      metrics->responses_ok.Increment();
-      metrics->latency.Record(obs::ElapsedMicrosSince(t0));
-    }
-    *reply = FormatReply(MakeRankReplyFor(request, rank));
-    return true;
-  }
-  return false;
+  std::optional<std::string> answered = ExecuteRequest(
+      server, metrics, ParseLine(line), /*may_wait=*/false);
+  if (!answered) return false;
+  *reply = std::move(*answered);
+  return true;
 }
 
 }  // namespace rtgcn::serve

@@ -1,8 +1,8 @@
 // Typed wire protocol for the serving tier (DESIGN.md §15).
 //
 // This header is the single source of truth for the request/reply surface:
-// the epoll AsyncServer parses with ParseRequest and formats with
-// FormatReply, and serve::Client formats with FormatRequest and parses
+// the epoll AsyncServer parses each line once with ParseLine and formats
+// with FormatReply, and serve::Client formats with FormatRequest and parses
 // with ParseReply — there is exactly one grammar implementation on each
 // side of the wire.
 //
@@ -35,7 +35,9 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -55,14 +57,15 @@ const char* HealthStateName(HealthState state);
 /// Per-request options.
 struct RequestOptions {
   /// Absolute time after which the request is shed (DeadlineExceeded)
-  /// instead of starting or waiting any longer; max() = none. ExecuteLine
-  /// computes it once, from the line's arrival plus its DEADLINE <ms>;
-  /// in-process callers compute it from now().
+  /// instead of being answered or waiting any longer; max() = none.
+  /// ExecuteRequest computes it once, from the line's arrival plus its
+  /// DEADLINE <ms>; in-process callers compute it from now().
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// When the request arrived; serve.latency_us runs from it. ExecuteLine
-  /// passes the line's arrival, so time queued for an executor counts;
-  /// in-process callers arrive when they build the options.
+  /// When the request arrived; serve.latency_us runs from it.
+  /// ExecuteRequest passes the line's arrival, so time queued behind the
+  /// connection's earlier lines or for an executor counts; in-process
+  /// callers arrive when they build the options.
   std::chrono::steady_clock::time_point arrival =
       std::chrono::steady_clock::now();
 };
@@ -164,20 +167,36 @@ std::string FormatReply(const Reply& reply);
 /// the caller reads the rest of the body line by line.
 Result<Reply> ParseReply(const std::string& line, const Request& sent);
 
-/// Executes one wire line against `server` — the single server-side
-/// dispatch. `metrics` may be null. kQuit returns the empty string
-/// (connection teardown is the front end's job); a line that does not
-/// parse is answered "2 <id> ERR <usage>", with id 0 when it is unframed
-/// or its id cannot be read. `arrival` is when the front end framed the
-/// line: a DEADLINE <ms> runs from it, so time spent queued counts.
-std::string ExecuteLine(
-    InferenceServer* server, Metrics* metrics, const std::string& line,
-    std::chrono::steady_clock::time_point arrival =
-        std::chrono::steady_clock::now());
+/// \brief One wire line, parsed once when the front end frames it.
+struct ParsedLine {
+  Request request;  ///< its id is read even when the rest does not parse
+  Status status;    ///< the parse outcome; an error's message is wire text
+  /// When the line was framed; a DEADLINE <ms> runs from it.
+  std::chrono::steady_clock::time_point arrival;
+};
 
-/// Non-blocking variant: true when the line was answered entirely from
-/// cached scores (reply stored in *reply); false when it needs the
-/// blocking ExecuteLine path. Safe to call on an event loop.
+/// ParseRequest, keeping the id of a line that fails, stamped `arrival`.
+ParsedLine ParseLine(std::string_view text,
+                     std::chrono::steady_clock::time_point arrival =
+                         std::chrono::steady_clock::now());
+
+/// Executes one parsed line against `server` — the single server-side
+/// dispatch. `metrics` (may be null) feeds STATS. A line that did not
+/// parse is answered "2 <id> ERR <usage>", with id 0 when it is unframed
+/// or its id cannot be read; kQuit answers "" (the front end closes the
+/// connection). With `may_wait` false (an event loop) a request the server
+/// could answer only by waiting returns std::nullopt, counting nothing.
+std::optional<std::string> ExecuteRequest(InferenceServer* server,
+                                          Metrics* metrics,
+                                          const ParsedLine& line,
+                                          bool may_wait);
+
+/// ExecuteRequest(ParseLine(line), may_wait = true).
+std::string ExecuteLine(InferenceServer* server, Metrics* metrics,
+                        const std::string& line);
+
+/// ExecuteRequest(ParseLine(line), may_wait = false): true with the reply
+/// in *reply when the line was answered without waiting.
 bool TryExecuteLineFast(InferenceServer* server, Metrics* metrics,
                         const std::string& line, std::string* reply);
 

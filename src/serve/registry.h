@@ -1,10 +1,10 @@
 // Hot checkpoint reload: polls a checkpoint directory and atomically
 // publishes the newest loadable checkpoint as an immutable ModelSnapshot.
 //
-// The swap is RCU-style: Current() is a lock-free atomic load of a
-// std::shared_ptr, so queries in flight keep the snapshot they grabbed
-// while a newer one is promoted; the superseded model is freed when its
-// last query finishes. Promotion reuses the checkpoint subsystem's
+// The swap is RCU-style: Current() copies the published std::shared_ptr
+// under a mutex held for nanoseconds, so queries in flight keep the
+// snapshot they grabbed while a newer one is promoted; the superseded
+// model is freed when its last query finishes. Promotion reuses the checkpoint subsystem's
 // resume-from-newest-loadable discipline (harness/checkpoint.h): candidate
 // checkpoints newer than the served version are tried newest-first, and a
 // corrupt or truncated file is skipped (and counted in Metrics) instead of

@@ -89,8 +89,19 @@ void InferenceServer::Stop() {
   admission_.WaitIdle();
 }
 
-Result<InferenceServer::Scored> InferenceServer::Execute(
-    int64_t day, const RequestOptions& request) {
+std::optional<Result<InferenceServer::Scored>> InferenceServer::Execute(
+    int64_t day, const RequestOptions& request, bool may_wait) {
+  // One pinned snapshot: the reply maps to exactly this version.
+  const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
+  const HealthState health = Health();
+  std::shared_ptr<const DayScores> cached =
+      snapshot ? Cached(snapshot->version(), day) : nullptr;
+  // Only a SERVING server's cache hit answers without waiting: a miss
+  // runs or joins a forward, and degraded fallbacks and DRAINING replies
+  // go through admission.
+  if (!may_wait && (!cached || health != HealthState::kServing)) {
+    return std::nullopt;
+  }
   if (metrics_) metrics_->requests.Increment();
   // The latency clock starts at arrival: the time since then, moved once
   // onto the obs::NowMicros timeline (a request from the future waited 0).
@@ -103,38 +114,40 @@ Result<InferenceServer::Scored> InferenceServer::Execute(
   const uint64_t start_us =
       now_us - std::min(now_us, static_cast<uint64_t>(waited_us));
   // Admission first: a full server answers at once instead of queueing
-  // without limit.
-  const Status admitted = admission_.Admit();
-  if (!admitted.ok()) {
-    if (metrics_) metrics_->shed.Increment();
-    return admitted;
-  }
-  Result<Scored> result = Status::NotFound("no model version published yet");
-  if (now >= request.deadline) {
-    // Outlived its deadline before it started (e.g. queued behind other
-    // work at the front end): shed before pinning anything.
-    result = Status::DeadlineExceeded("deadline passed before day ", day,
-                                      " started executing");
-  } else if (const std::shared_ptr<const ModelSnapshot> snapshot =
-                 registry_->Current()) {
-    // One pinned snapshot: the reply maps to exactly this version.
-    const bool degraded = (Health() == HealthState::kDegraded);
-    auto scores = ScoresFor(*snapshot, day, request.deadline);
-    if (scores.ok()) {
-      RememberScores(day, snapshot->version(), scores.ValueOrDie());
-      result = Scored{snapshot->version(), scores.MoveValueOrDie(), degraded};
-    } else {
-      result = scores.status();
+  // without limit. A hit answered without waiting takes no slot.
+  if (may_wait) {
+    const Status admitted = admission_.Admit();
+    if (!admitted.ok()) {
+      if (metrics_) metrics_->shed.Increment();
+      return Result<Scored>(admitted);
     }
-  } else {
-    // Graceful degradation: with no published model, fall back to the
-    // last scores ever computed for this day (flagged stale) instead of
-    // erroring; only a day never scored before fails.
-    Scored stale = LastScoresFor(day);
-    if (stale.day) result = std::move(stale);
   }
-  // Every admitted request ends in exactly one terminal counter before
-  // its slot is returned, so the accounting invariant holds after Stop().
+  Result<Scored> result = [&]() -> Result<Scored> {
+    if (now >= request.deadline) {
+      // Outlived its deadline before it was answered (e.g. queued behind
+      // its connection's earlier lines or other work at the front end).
+      return Status::DeadlineExceeded("deadline passed before day ", day,
+                                      " started executing");
+    }
+    if (!snapshot) {
+      // Graceful degradation: with no published model, fall back to the
+      // last scores ever computed for this day (flagged stale) instead of
+      // erroring; only a day never scored before fails.
+      Scored stale = LastScoresFor(day);
+      if (stale.day) return stale;
+      return Status::NotFound("no model version published yet");
+    }
+    const bool degraded = health == HealthState::kDegraded;
+    if (cached) {
+      if (metrics_) metrics_->cache_hits.Increment();
+      return Scored{snapshot->version(), std::move(cached), degraded};
+    }
+    auto scores = ScoresFor(*snapshot, day, request.deadline);
+    if (!scores.ok()) return scores.status();
+    return Scored{snapshot->version(), scores.MoveValueOrDie(), degraded};
+  }();
+  // Every counted request ends in exactly one terminal counter before its
+  // slot is returned, so the accounting invariant holds after Stop().
   if (metrics_) {
     if (!result.ok() &&
         result.status().code() == StatusCode::kDeadlineExceeded) {
@@ -150,33 +163,33 @@ Result<InferenceServer::Scored> InferenceServer::Execute(
       }
     }
   }
-  admission_.Release();
+  if (may_wait) admission_.Release();
   return result;
 }
 
-Result<InferenceServer::RankReply> InferenceServer::Rank(
-    int64_t day, RequestOptions request) {
+std::optional<Result<InferenceServer::RankReply>> InferenceServer::Rank(
+    int64_t day, const RequestOptions& request, bool may_wait) {
   obs::Span span("serve.rank", "serve");
-  auto scored = Execute(day, request);
-  if (!scored.ok()) return scored.status();
-  const Scored& s = scored.ValueOrDie();
-  RankReply reply;
-  reply.model_version = s.version;
-  reply.day = day;
-  reply.scores = s.day->scores;
-  reply.stale = s.stale;
-  return reply;
+  std::optional<Result<Scored>> scored = Execute(day, request, may_wait);
+  if (!scored) return std::nullopt;
+  if (!scored->ok()) return Result<RankReply>(scored->status());
+  const Scored& s = scored->ValueOrDie();
+  return Result<RankReply>(RankReply{.model_version = s.version,
+                                     .day = day,
+                                     .scores = s.day->scores,
+                                     .stale = s.stale});
 }
 
 Result<InferenceServer::ScoreReply> InferenceServer::Score(
     int64_t day, int64_t stock, RequestOptions request) {
-  auto replies = ScoreBatch(day, {stock}, request);
+  auto replies = *ScoreBatch(day, {&stock, 1}, request, /*may_wait=*/true);
   if (!replies.ok()) return replies.status();
   return replies.ValueOrDie().front();
 }
 
-Result<std::vector<InferenceServer::ScoreReply>> InferenceServer::ScoreBatch(
-    int64_t day, const std::vector<int64_t>& stocks, RequestOptions request) {
+std::optional<Result<std::vector<InferenceServer::ScoreReply>>>
+InferenceServer::ScoreBatch(int64_t day, std::span<const int64_t> stocks,
+                            const RequestOptions& request, bool may_wait) {
   obs::Span span("serve.score", "serve");
   for (const int64_t stock : stocks) {
     if (stock < 0 || stock >= num_stocks_) {
@@ -184,71 +197,50 @@ Result<std::vector<InferenceServer::ScoreReply>> InferenceServer::ScoreBatch(
         metrics_->requests.Increment();
         metrics_->responses_error.Increment();
       }
-      return Status::InvalidArgument("stock ", stock, " out of range [0, ",
-                                     num_stocks_, ")");
+      return Result<std::vector<ScoreReply>>(Status::InvalidArgument(
+          "stock ", stock, " out of range [0, ", num_stocks_, ")"));
     }
   }
-  auto scored = Execute(day, request);
-  if (!scored.ok()) return scored.status();
-  const Scored& s = scored.ValueOrDie();
+  std::optional<Result<Scored>> scored = Execute(day, request, may_wait);
+  if (!scored) return std::nullopt;
+  if (!scored->ok()) {
+    return Result<std::vector<ScoreReply>>(scored->status());
+  }
+  const Scored& s = scored->ValueOrDie();
   std::vector<ScoreReply> replies;
   replies.reserve(stocks.size());
   for (const int64_t stock : stocks) {
-    ScoreReply reply;
-    reply.model_version = s.version;
-    reply.score = s.day->scores[static_cast<size_t>(stock)];
-    reply.rank = s.day->ranks[static_cast<size_t>(stock)];
-    reply.num_stocks = num_stocks_;
-    reply.stale = s.stale;
-    replies.push_back(reply);
+    replies.push_back({.model_version = s.version,
+                       .score = s.day->scores[static_cast<size_t>(stock)],
+                       .rank = s.day->ranks[static_cast<size_t>(stock)],
+                       .num_stocks = num_stocks_,
+                       .stale = s.stale});
   }
   return replies;
 }
 
 bool InferenceServer::TryRankCached(int64_t day, RankReply* out) {
-  if (!options_.enable_cache || !Cacheable(day)) return false;
-  const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
-  if (!snapshot) return false;
-  // Only the healthy path may skip admission: degraded (stale flags,
-  // fallbacks) and draining (DRAINING replies) must see the full
-  // Execute()-side accounting.
-  if (Health() != HealthState::kServing) return false;
-  std::shared_ptr<const DayScores> entry;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(CacheKey(snapshot->version(), day));
-    if (it == cache_.end()) return false;
-    entry = it->second;
-  }
-  if (metrics_) metrics_->cache_hits.Increment();
-  out->model_version = snapshot->version();
-  out->day = day;
-  out->scores = entry->scores;
-  out->stale = false;
+  auto reply = Rank(day, RequestOptions(), /*may_wait=*/false);
+  if (!reply || !reply->ok()) return false;
+  *out = reply->MoveValueOrDie();
   return true;
 }
 
 bool InferenceServer::TryScoreCached(int64_t day, int64_t stock,
                                      ScoreReply* out) {
-  if (!options_.enable_cache || !Cacheable(day)) return false;
-  if (stock < 0 || stock >= num_stocks_) return false;
-  const std::shared_ptr<const ModelSnapshot> snapshot = registry_->Current();
-  if (!snapshot) return false;
-  if (Health() != HealthState::kServing) return false;
-  std::shared_ptr<const DayScores> entry;
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    auto it = cache_.find(CacheKey(snapshot->version(), day));
-    if (it == cache_.end()) return false;
-    entry = it->second;
-  }
-  if (metrics_) metrics_->cache_hits.Increment();
-  out->model_version = snapshot->version();
-  out->score = entry->scores[static_cast<size_t>(stock)];
-  out->rank = entry->ranks[static_cast<size_t>(stock)];
-  out->num_stocks = num_stocks_;
-  out->stale = false;
+  auto replies =
+      ScoreBatch(day, {&stock, 1}, RequestOptions(), /*may_wait=*/false);
+  if (!replies || !replies->ok()) return false;
+  *out = replies->ValueOrDie().front();
   return true;
+}
+
+std::shared_ptr<const InferenceServer::DayScores> InferenceServer::Cached(
+    int64_t version, int64_t day) {
+  if (!options_.enable_cache || !Cacheable(day)) return nullptr;
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  auto it = cache_.find(CacheKey(version, day));
+  return it == cache_.end() ? nullptr : it->second;
 }
 
 HealthState InferenceServer::HealthLocked(bool draining) {
@@ -368,7 +360,9 @@ InferenceServer::Forward(const ModelSnapshot& snapshot, int64_t day) {
   for (int64_t r = 0; r < n; ++r) {
     entry->ranks[static_cast<size_t>(order[static_cast<size_t>(r)])] = r;
   }
-  return std::shared_ptr<const DayScores>(std::move(entry));
+  std::shared_ptr<const DayScores> scored = std::move(entry);
+  RememberScores(day, snapshot.version(), scored);
+  return scored;
 }
 
 InferenceServer::Scored InferenceServer::LastScoresFor(int64_t day) {

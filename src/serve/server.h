@@ -2,17 +2,22 @@
 // snapshot, with a per-(model_version, day) score cache.
 //
 // Rank()/Score()/ScoreBatch() run on the calling thread (an AsyncServer
-// executor or an in-process caller) in five steps:
-//  1. admit through the AdmissionController (reject-fast);
-//  2. pin registry_->Current() — every reply carries the version of
+// executor, its IO thread or an in-process caller) through one Execute:
+//  1. pin registry_->Current() — every reply carries the version of
 //     exactly one published model, so hot reloads never produce a reply
-//     mixing two versions;
-//  3. answer from the completed-entry cache on a hit;
-//  4. on a miss, join the in-flight forward for the same (version, day):
+//     mixing two versions — and look up its completed-entry cache;
+//  2. admit through the AdmissionController (reject-fast);
+//  3. shed the request if its deadline has passed;
+//  4. answer from the cache entry on a hit;
+//  5. on a miss, join the in-flight forward for the same (version, day):
 //     one forward scores every stock of a day, so concurrent same-day
 //     requests share it (single-flight), with no batch window;
-//  5. otherwise lead that forward: run the ScoreFn on this thread, rank
+//  6. otherwise lead that forward: run the ScoreFn on this thread, rank
 //     the scores once and publish them.
+// A caller that may not wait (AsyncServer's IO thread) is answered only on
+// a SERVING server's cache hit, which skips step 2 (it takes no admission
+// slot); for anything else Execute returns before it counts anything.
+// Degraded and draining requests need step 2.
 // Forwards for different days run at the same time, each on its leader's
 // thread. The leader that wins the shared thread pool data-parallelizes
 // over stocks and the others run inline (common/thread_pool.h); either
@@ -29,7 +34,8 @@
 //  * a request may carry an absolute deadline (RequestOptions; on the
 //    wire it runs from the line's arrival). A request is shed with
 //    DeadlineExceeded, counted in Metrics::expired, when its deadline has
-//    passed before it starts executing (e.g. while it waited in the front
+//    passed before it is answered from the cache or starts executing (e.g.
+//    while it waited behind its connection's earlier lines or in the front
 //    end's executor queue) or while it waits to join an in-flight forward.
 //    A forward that has started runs to completion;
 //  * Stop() drains: admitted requests complete, new requests fail with a
@@ -50,6 +56,8 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -113,8 +121,13 @@ class InferenceServer {
   void Stop();
 
   /// Blocking: scores for every stock on prediction day `day`.
-  Result<RankReply> Rank(int64_t day, RequestOptions request);
+  Result<RankReply> Rank(int64_t day, RequestOptions request) {
+    return *Rank(day, request, /*may_wait=*/true);
+  }
   Result<RankReply> Rank(int64_t day) { return Rank(day, RequestOptions()); }
+  std::optional<Result<RankReply>> Rank(int64_t day,
+                                        const RequestOptions& request,
+                                        bool may_wait);
 
   /// Blocking: score and rank of `stock` on prediction day `day`.
   Result<ScoreReply> Score(int64_t day, int64_t stock,
@@ -123,17 +136,16 @@ class InferenceServer {
     return Score(day, stock, RequestOptions());
   }
 
-  /// Blocking: score and rank of each of `stocks` on day `day`, in order,
-  /// from one request. A stock out of range fails the whole request
-  /// before any forward runs.
-  Result<std::vector<ScoreReply>> ScoreBatch(
-      int64_t day, const std::vector<int64_t>& stocks,
-      RequestOptions request);
+  /// Score and rank of each of `stocks` on day `day`, in order, from one
+  /// request. A stock out of range fails the whole request before any
+  /// forward runs. With `may_wait` false (an event loop) this and Rank
+  /// return std::nullopt, counting nothing, where answering would wait.
+  std::optional<Result<std::vector<ScoreReply>>> ScoreBatch(
+      int64_t day, std::span<const int64_t> stocks,
+      const RequestOptions& request, bool may_wait);
 
-  /// Non-blocking: answers from the (current version, day) cache entry.
-  /// Only fires while SERVING — degraded/stale/draining requests always
-  /// take the blocking path so their accounting and fallbacks apply.
-  /// AsyncServer uses these to answer hot requests on its event loop.
+  /// Rank / Score with `may_wait` false and no deadline: true, with the
+  /// reply in *out, when answered OK.
   bool TryRankCached(int64_t day, RankReply* out);
   bool TryScoreCached(int64_t day, int64_t stock, ScoreReply* out);
 
@@ -164,13 +176,20 @@ class InferenceServer {
   // requests.
   using Flight = std::shared_future<Result<std::shared_ptr<const DayScores>>>;
 
-  // Admission, pinning, serving and accounting of one request.
-  Result<Scored> Execute(int64_t day, const RequestOptions& request);
+  // Pinning, admission, deadline, lookup and accounting of one request;
+  // std::nullopt, counting nothing, when `may_wait` is false and it would
+  // wait.
+  std::optional<Result<Scored>> Execute(int64_t day,
+                                        const RequestOptions& request,
+                                        bool may_wait);
+  // Completed cache entry for (version, day); nullptr when there is none.
+  std::shared_ptr<const DayScores> Cached(int64_t version, int64_t day);
   // Scores `day` under `snapshot`: cache hit, joined flight or led forward.
   Result<std::shared_ptr<const DayScores>> ScoresFor(
       const ModelSnapshot& snapshot, int64_t day,
       std::chrono::steady_clock::time_point deadline);
-  // Runs the forward for `day` and ranks it once.
+  // Runs the forward for `day`, ranks it once and remembers it as the
+  // day's stale fallback.
   Result<std::shared_ptr<const DayScores>> Forward(
       const ModelSnapshot& snapshot, int64_t day);
   // Scores of the newest version ever computed for `day`; nullptr when

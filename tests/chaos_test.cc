@@ -7,6 +7,8 @@
 //    held in-flight forward at its deadline, and wire lines that outlived
 //    their DEADLINE in the front end's executor queue;
 //  * serve.latency_us runs from arrival, so it includes that queue wait;
+//  * a line answered from the cache is deadline-checked and timed from its
+//    arrival like any other;
 //  * forwards for different days run concurrently: no lock makes one
 //    day's leader wait for another day's forward;
 //  * a full server sheds instead of queueing without bound;
@@ -21,11 +23,9 @@
 //    crash or hang, and every request must be accounted for:
 //      requests == responses_ok + responses_error + expired + shed.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "autograd/ops.h"
-#include "common/file_util.h"
 #include "harness/checkpoint.h"
 #include "harness/gradient_predictor.h"
 #include "market/dataset.h"
@@ -49,6 +48,7 @@
 #include "serve/snapshot.h"
 #include "raw_client.h"
 #include "serve_fixture.h"
+#include "temp_dir.h"
 
 namespace rtgcn::serve {
 namespace {
@@ -75,19 +75,6 @@ void WriteCorruptCheckpoint(const std::string& dir, int64_t epoch) {
   ASSERT_TRUE(manager.Init().ok());
   std::ofstream out(manager.CheckpointPath(epoch), std::ios::binary);
   out << "this is not a checkpoint";
-}
-
-std::string TestDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "chaos_" + name + "_" +
-                          std::to_string(::getpid());
-  auto entries = ListDirectory(dir);
-  if (entries.ok()) {
-    for (const std::string& e : entries.ValueOrDie()) {
-      std::remove((dir + "/" + e).c_str());
-    }
-  }
-  ::rmdir(dir.c_str());
-  return dir;
 }
 
 uint64_t AccountedRequests(const Metrics& m) {
@@ -195,13 +182,14 @@ TEST(AdmissionControllerTest, DrainFailsWaitersAndLaterAdmits) {
 struct Stack {
   market::WindowDataset data = MakePanel();
   Metrics metrics;
-  std::string dir;
+  ScopedTempDir scoped_dir;
+  const std::string& dir = scoped_dir.path();
   std::unique_ptr<ModelRegistry> registry;
   std::unique_ptr<InferenceServer> server;
 
   Stack(const std::string& name, InferenceServer::Options sopts,
-        int64_t reload_interval_ms = 0) {
-    dir = TestDir(name);
+        int64_t reload_interval_ms = 0)
+      : scoped_dir("chaos_" + name) {
     TrainAndExport(data, dir, /*epoch=*/1, /*seed=*/61);
     registry = std::make_unique<ModelRegistry>(
         ModelRegistry::Options{dir, reload_interval_ms}, MakeFactory(),
@@ -223,15 +211,16 @@ struct HeldStack {
   static constexpr int64_t kStocks = 10;
   Metrics metrics;
   HeldScoreFn held{kStocks};
+  ScopedTempDir dir;
   std::unique_ptr<ModelRegistry> registry;
   std::unique_ptr<InferenceServer> server;
 
-  HeldStack(const std::string& name, InferenceServer::Options sopts = {}) {
-    const std::string dir = TestDir(name);
-    ExportUntrained(dir, /*epoch=*/1);
+  HeldStack(const std::string& name, InferenceServer::Options sopts = {})
+      : dir("chaos_" + name) {
+    ExportUntrained(dir.path(), /*epoch=*/1);
     registry = std::make_unique<ModelRegistry>(
-        ModelRegistry::Options{dir, /*reload_interval_ms=*/0}, MakeFactory(),
-        &metrics);
+        ModelRegistry::Options{dir.path(), /*reload_interval_ms=*/0},
+        MakeFactory(), &metrics);
     EXPECT_TRUE(registry->Start().ok());
     server = std::make_unique<InferenceServer>(held.fn(), kStocks,
                                                registry.get(), sopts,
@@ -431,6 +420,47 @@ TEST(OverloadTest, WireLatencyCountsTheExecutorQueueWait) {
       << "first line held " << held_us << " us, second queued " << queued_us;
 }
 
+// A line answered from the cache runs the same request path as one that
+// waits: pipelined behind its connection's line that leads a held forward,
+// a cached line whose DEADLINE passed meanwhile expires instead of being
+// answered OK, and a cached line's latency sample runs from its arrival.
+TEST(OverloadTest, WireDeadlineAndLatencyBindLinesAnsweredFromTheCache) {
+  HeldStack stack("deadline_cached");
+  AsyncServer front(stack.server.get(), &stack.metrics, {});
+  ASSERT_TRUE(front.Start().ok());
+  constexpr int64_t kHoldMs = 60;
+  RawClient conn(front.port());
+  ASSERT_TRUE(conn.connected());
+  ASSERT_TRUE(conn.Send("2 1 SCORE 30 0\n"));
+  stack.held.WaitEntered(1);
+  ASSERT_TRUE(conn.Send("2 2 SCORE 30 1 DEADLINE 5\n2 3 SCORE 30 2\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(kHoldMs));
+  stack.held.Release();
+  EXPECT_EQ(conn.ReadLine().rfind("2 1 OK ", 0), 0u);
+  const std::string expired = conn.ReadLine();
+  EXPECT_EQ(expired.rfind("2 2 ERR deadline exceeded", 0), 0u) << expired;
+  EXPECT_EQ(conn.ReadLine().rfind("2 3 OK ", 0), 0u);
+  front.Stop();
+
+  EXPECT_EQ(stack.metrics.forwards.Value(), 1u);
+  EXPECT_EQ(stack.metrics.cache_hits.Value(), 1u);
+  EXPECT_EQ(stack.metrics.expired.Value(), 1u);
+  EXPECT_EQ(stack.metrics.requests.Value(), 3u);
+  EXPECT_EQ(stack.metrics.requests.Value(), AccountedRequests(stack.metrics));
+  // Lines 1 and 3 record one sample each (an expired line records none),
+  // and each waited out the hold: line 3 was queued behind line 1 from the
+  // moment it arrived, not from its cache lookup.
+  const obs::Histogram& latency = stack.metrics.latency;
+  ASSERT_EQ(latency.Count(), 2u);
+  uint64_t held_samples = 0;
+  for (int b = 0; b < latency.num_buckets(); ++b) {
+    if (latency.BucketLowerBound(b) >= kHoldMs * 1000 / 2) {
+      held_samples += latency.BucketCount(b);
+    }
+  }
+  EXPECT_EQ(held_samples, 2u);
+}
+
 TEST(OverloadTest, FullServerShedsRejectFast) {
   InferenceServer::Options sopts;
   sopts.max_queue = 1;
@@ -582,7 +612,8 @@ TEST(DrainWireTest, StoppedServerAnswersDraining) {
 
 TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("scenario");
+  const ScopedTempDir scoped_dir("chaos_scenario");
+  const std::string& dir = scoped_dir.path();
   auto model = TrainAndExport(data, dir, /*epoch=*/1, /*seed=*/61);
 
   Metrics metrics;

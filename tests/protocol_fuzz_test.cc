@@ -8,15 +8,16 @@
 //    through ParseReply to the same line with bit-identical floats.
 //    Mutated reply lines must not crash ParseReply, and one it accepts
 //    re-formats and re-parses the same way.
-//  * ExecuteLine: mutated SCORE/RANK/SCOREN/HEALTH/PING lines (days and
+//  * Execution: mutated SCORE/RANK/SCOREN/HEALTH/PING lines (days and
 //    stocks out of range, DEADLINE values) run against an InferenceServer
-//    over a stub ScoreFn. Every reply is framed and echoes the request id,
-//    and the server accounts for every request it saw.
+//    over a stub ScoreFn, through the non-waiting call first and
+//    ExecuteLine when it declines, as the front end does. Every reply is
+//    framed and echoes the request id, and the server accounts for every
+//    request it saw.
 //
 // Only raw std::mt19937_64 output is used (no distributions), so every run
 // on every platform checks the same lines.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -32,6 +33,7 @@
 #include "serve/registry.h"
 #include "serve/server.h"
 #include "serve_fixture.h"
+#include "temp_dir.h"
 
 namespace rtgcn::serve {
 namespace {
@@ -300,14 +302,13 @@ Request RandomServedRequest(Fuzzer* f, int64_t num_days, int64_t num_stocks) {
 }
 
 TEST(ProtocolFuzzTest, ExecuteLineRepliesFramedAndAccountsForEveryRequest) {
-  const std::string dir = ::testing::TempDir() + "fuzz_execute_" +
-                          std::to_string(::getpid());
-  ExportUntrained(dir, /*epoch=*/1);
+  const ScopedTempDir dir("fuzz_execute");
+  ExportUntrained(dir.path(), /*epoch=*/1);
   constexpr int64_t kStocks = 8;
   constexpr int64_t kDays = 40;
   Metrics metrics;
-  ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
-                         &metrics);
+  ModelRegistry registry({dir.path(), /*reload_interval_ms=*/0},
+                         MakeFactory(), &metrics);
   ASSERT_TRUE(registry.Start().ok());
   HeldScoreFn stub(kStocks, /*max_day=*/kDays - 1);
   stub.Release();
@@ -318,12 +319,20 @@ TEST(ProtocolFuzzTest, ExecuteLineRepliesFramedAndAccountsForEveryRequest) {
 
   Fuzzer f(0x5eed0004);
   int ok_replies = 0;
+  int inline_replies = 0;
   for (int i = 0; i < kExecuteIterations && !HasFailure(); ++i) {
     std::string line = FormatRequest(RandomServedRequest(&f, kDays, kStocks));
     if (f.Below(2) == 0) line = f.Mutate(std::move(line));
     // The front end splits on newlines, so no line ever carries one.
     std::replace(line.begin(), line.end(), '\n', ' ');
-    const std::string reply = ExecuteLine(&server, &metrics, line);
+    // As the front end does: the non-waiting call first, and the waiting
+    // one only for a line it declines.
+    std::string reply;
+    if (TryExecuteLineFast(&server, &metrics, line, &reply)) {
+      ++inline_replies;
+    } else {
+      reply = ExecuteLine(&server, &metrics, line);
+    }
     const auto request = ParseRequest(line);
     if (request.ok() && request.ValueOrDie().verb == Request::Verb::kQuit) {
       EXPECT_EQ(reply, "") << line;
@@ -367,8 +376,11 @@ TEST(ProtocolFuzzTest, ExecuteLineRepliesFramedAndAccountsForEveryRequest) {
   EXPECT_EQ(metrics.requests.Value(),
             metrics.responses_ok.Value() + metrics.responses_error.Value() +
                 metrics.expired.Value() + metrics.shed.Value());
-  // Both the scoring and the rejecting paths see real traffic.
+  // Both the scoring and the rejecting paths see real traffic, and so do
+  // both the inline and the waiting legs.
   EXPECT_GT(ok_replies, kExecuteIterations / 10);
+  EXPECT_GT(inline_replies, 0);
+  EXPECT_LT(inline_replies, kExecuteIterations);
   EXPECT_GT(metrics.responses_error.Value(), 0u);
   EXPECT_GT(stub.entered(), static_cast<int>(kDays));
 }

@@ -43,7 +43,6 @@
 #include "autograd/ops.h"
 #include "baselines/rtgat.h"
 #include "baselines/rtgcn_predictor.h"
-#include "common/file_util.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
 #include "harness/checkpoint.h"
@@ -60,6 +59,7 @@
 #include "serve/snapshot.h"
 #include "raw_client.h"
 #include "serve_fixture.h"
+#include "temp_dir.h"
 
 namespace rtgcn::serve {
 namespace {
@@ -80,20 +80,6 @@ std::unique_ptr<LinearRanker> TrainAndExport(
   EXPECT_TRUE(manager.Init().ok());
   EXPECT_TRUE(model->ExportSnapshot(manager.CheckpointPath(epoch)).ok());
   return model;
-}
-
-std::string TestDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "serve_" + name + "_" +
-                          std::to_string(::getpid());
-  // Start from a clean slate if a previous run left files behind.
-  auto entries = ListDirectory(dir);
-  if (entries.ok()) {
-    for (const std::string& e : entries.ValueOrDie()) {
-      std::remove((dir + "/" + e).c_str());
-    }
-  }
-  ::rmdir(dir.c_str());
-  return dir;
 }
 
 std::vector<float> ToVector(const Tensor& t) {
@@ -141,7 +127,8 @@ TEST(MetricsTest, DumpTextContainsAllSections) {
 
 TEST(ModelSnapshotTest, ScoresMatchTrainingSideForwardBitIdentically) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("snapshot");
+  const ScopedTempDir scoped_dir("serve_snapshot");
+  const std::string& dir = scoped_dir.path();
   auto trained = TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/3, 9);
 
   harness::CheckpointManager manager({dir, 1, 0});
@@ -163,7 +150,8 @@ TEST(ModelSnapshotTest, ScoresMatchTrainingSideForwardBitIdentically) {
 
 TEST(ModelRegistryTest, PromotesNewestAndOnlyNewer) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("registry");
+  const ScopedTempDir scoped_dir("serve_registry");
+  const std::string& dir = scoped_dir.path();
   TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 11);
   TrainAndExport(data, dir, /*epoch=*/2, /*epochs=*/2, 12);
 
@@ -186,7 +174,8 @@ TEST(ModelRegistryTest, PromotesNewestAndOnlyNewer) {
 }
 
 TEST(ModelRegistryTest, StartWithoutCheckpointsReportsNotFound) {
-  const std::string dir = TestDir("registry_empty");
+  const ScopedTempDir scoped_dir("serve_registry_empty");
+  const std::string& dir = scoped_dir.path();
   Metrics metrics;
   ModelRegistry registry({dir, /*reload_interval_ms=*/0}, MakeFactory(),
                          &metrics);
@@ -252,7 +241,8 @@ std::unique_ptr<UniverseRanker> FitUniverseRanker(
 }
 
 TEST(ModelRegistryTest, RejectsUniverseSizeMismatchAndSwapsAtomically) {
-  const std::string dir = TestDir("registry_universe");
+  const ScopedTempDir scoped_dir("serve_registry_universe");
+  const std::string& dir = scoped_dir.path();
   market::WindowDataset data10 = MakePanel(90, 10);
   market::WindowDataset data6 = MakePanel(90, 6);
   const Tensor f10 = data10.Features(data10.last_day());
@@ -308,7 +298,8 @@ TEST(ModelRegistryTest, RejectsUniverseSizeMismatchAndSwapsAtomically) {
 
 TEST(InferenceServerTest, ServedScoresBitIdenticalToDirectPredict) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("equivalence");
+  const ScopedTempDir scoped_dir("serve_equivalence");
+  const std::string& dir = scoped_dir.path();
   auto trained = TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/4, 21);
 
   const std::vector<int64_t> days = data.Days(data.first_day(), 80);
@@ -402,7 +393,8 @@ TEST(ConcurrentForwardTest, DistinctDaysOnOneSnapshotMatchSerialForwards) {
   const int saved_threads = NumThreads();
   for (size_t m = 0; m < models.size(); ++m) {
     const auto& [name, make] = models[m];
-    const std::string dir = TestDir("concurrent_" + std::to_string(m));
+    const ScopedTempDir scoped_dir("serve_concurrent_" + std::to_string(m));
+    const std::string& dir = scoped_dir.path();
     harness::CheckpointManager manager({dir, 1, 0});
     ASSERT_TRUE(manager.Init().ok());
     ASSERT_TRUE(make()->ExportSnapshot(manager.CheckpointPath(1)).ok());
@@ -463,7 +455,8 @@ TEST(ConcurrentForwardTest, DistinctDaysOnOneSnapshotMatchSerialForwards) {
 // miss, no cache hit for the joiners, and eight bit-identical replies —
 // with the completed-entry cache on or off.
 TEST(InferenceServerTest, SameDayRequestsJoinOneInFlightForward) {
-  const std::string dir = TestDir("coalesce");
+  const ScopedTempDir scoped_dir("serve_coalesce");
+  const std::string& dir = scoped_dir.path();
   ExportUntrained(dir, /*epoch=*/1);
   constexpr int64_t kStocks = 12;
   constexpr int kRequests = 8;
@@ -521,7 +514,8 @@ TEST(InferenceServerTest, SameDayRequestsJoinOneInFlightForward) {
 
 TEST(InferenceServerTest, CacheCoalescesRepeatQueriesIntoOneForward) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("cache");
+  const ScopedTempDir scoped_dir("serve_cache");
+  const std::string& dir = scoped_dir.path();
   TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 31);
 
   Metrics metrics;
@@ -562,7 +556,8 @@ TEST(InferenceServerTest, CacheCoalescesRepeatQueriesIntoOneForward) {
 
 TEST(InferenceServerTest, InvalidDayFailsThatQueryOnly) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("invalid");
+  const ScopedTempDir scoped_dir("serve_invalid");
+  const std::string& dir = scoped_dir.path();
   TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 41);
 
   Metrics metrics;
@@ -587,7 +582,8 @@ TEST(InferenceServerTest, InvalidDayFailsThatQueryOnly) {
 // A SCOREN line with a stock out of range is one request answered ERR:
 // it counts as an error (never an OK), and runs no forward.
 TEST(InferenceServerTest, ScoreBatchWithBadStockCountsOneErrorAndNoForward) {
-  const std::string dir = TestDir("scoren");
+  const ScopedTempDir scoped_dir("serve_scoren");
+  const std::string& dir = scoped_dir.path();
   ExportUntrained(dir, /*epoch=*/1);
   constexpr int64_t kStocks = 10;
   Metrics metrics;
@@ -638,7 +634,8 @@ TEST(InferenceServerTest, DayPastTheCacheKeyRangeNeverAliasesACachedDay) {
   // under version 1 the day first_day + 2^20 packs to first_day's key. It
   // must fail as an invalid day on every path, not answer from that entry.
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("alias");
+  const ScopedTempDir scoped_dir("serve_alias");
+  const std::string& dir = scoped_dir.path();
   TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 43);
 
   Metrics metrics;
@@ -667,7 +664,8 @@ TEST(InferenceServerTest, DayPastTheCacheKeyRangeNeverAliasesACachedDay) {
 // the same day must not replace version 2's scores as the stale fallback:
 // with no snapshot published, Rank(day) answers from version 2.
 TEST(InferenceServerTest, StaleFallbackKeepsTheNewestVersionsScores) {
-  const std::string dir = TestDir("stale_newest");
+  const ScopedTempDir scoped_dir("serve_stale_newest");
+  const std::string& dir = scoped_dir.path();
   ExportUntrained(dir, /*epoch=*/1);
   constexpr int64_t kStocks = 8;
   constexpr int64_t kDay = 40;
@@ -733,7 +731,8 @@ TEST(InferenceServerTest, StaleFallbackKeepsTheNewestVersionsScores) {
 
 TEST(HotReloadTest, LosslessUnderConcurrentLoad) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("hot_reload");
+  const ScopedTempDir scoped_dir("serve_hot_reload");
+  const std::string& dir = scoped_dir.path();
 
   // Two distinct weight sets; versions alternate between them so every
   // swap changes the served scores.
@@ -923,7 +922,8 @@ uint64_t AccountedRequests(const Metrics& m) {
 
 TEST(AsyncServerTest, LineProtocolEndToEnd) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("socket");
+  const ScopedTempDir scoped_dir("serve_socket");
+  const std::string& dir = scoped_dir.path();
   auto trained = TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/2, 61);
 
   Metrics metrics;
@@ -1011,7 +1011,8 @@ TEST(AsyncServerTest, LineProtocolEndToEnd) {
 // without closing the connection.
 TEST(AsyncServerTest, FramedWireMatchesInProcessRank) {
   market::WindowDataset data = MakePanel();
-  const std::string dir = TestDir("wire");
+  const ScopedTempDir scoped_dir("serve_wire");
+  const std::string& dir = scoped_dir.path();
   TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 61);
   Metrics metrics;
   ModelRegistry registry({dir, 0}, MakeFactory(), &metrics);
@@ -1115,17 +1116,18 @@ TEST(AsyncServerTest, FramedWireMatchesInProcessRank) {
 struct AbuseStack {
   market::WindowDataset data = MakePanel();
   Metrics metrics;
+  ScopedTempDir dir;
   std::unique_ptr<ModelRegistry> registry;
   std::unique_ptr<InferenceServer> server;
   std::unique_ptr<AsyncServer> front;
 
   explicit AbuseStack(const std::string& name,
-                      AsyncServer::Options fopts = {}) {
-    const std::string dir = TestDir(name);
-    TrainAndExport(data, dir, /*epoch=*/1, /*epochs=*/1, 7);
+                      AsyncServer::Options fopts = {})
+      : dir("serve_" + name) {
+    TrainAndExport(data, dir.path(), /*epoch=*/1, /*epochs=*/1, 7);
     registry = std::make_unique<ModelRegistry>(
-        ModelRegistry::Options{dir, /*reload_interval_ms=*/0}, MakeFactory(),
-        &metrics);
+        ModelRegistry::Options{dir.path(), /*reload_interval_ms=*/0},
+        MakeFactory(), &metrics);
     EXPECT_TRUE(registry->Start().ok());
     server = std::make_unique<InferenceServer>(&data, registry.get(),
                                                InferenceServer::Options{},

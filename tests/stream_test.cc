@@ -11,7 +11,6 @@
 //    comparison through flash crash + universe churn.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cmath>
@@ -25,7 +24,6 @@
 #include <vector>
 
 #include "baselines/rtgcn_predictor.h"
-#include "common/file_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "harness/checkpoint.h"
@@ -40,6 +38,7 @@
 #include "stream/pipeline.h"
 #include "stream/tick_source.h"
 #include "stream_checker.h"
+#include "temp_dir.h"
 
 namespace rtgcn::stream {
 namespace {
@@ -95,19 +94,6 @@ StreamConfig EventfulConfig(const market::RelationData& rel) {
   cfg.type_half_life = WikiHalfLives(rel, 4.0);
   cfg.seed = 23;
   return cfg;
-}
-
-std::string TestDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "stream_" + name + "_" +
-                          std::to_string(::getpid());
-  auto entries = ListDirectory(dir);
-  if (entries.ok()) {
-    for (const std::string& e : entries.ValueOrDie()) {
-      std::remove((dir + "/" + e).c_str());
-    }
-  }
-  ::rmdir(dir.c_str());
-  return dir;
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +251,8 @@ TEST(RollingPipelineTest, RetrainsCheckpointsAndHotReloads) {
   Market m = MakeMarket();
   StreamConfig scfg = EventfulConfig(m.relations);
   TickSource source(m.universe, m.relations, scfg);
-  const std::string dir = TestDir("pipeline");
+  const ScopedTempDir scoped_dir("stream_pipeline");
+  const std::string& dir = scoped_dir.path();
   RollingPipeline pipeline(SmallPipelineConfig(dir), &source,
                            m.relations.relations);
   ASSERT_TRUE(pipeline.Init().ok());
@@ -312,7 +299,8 @@ TEST(RollingPipelineTest, VersionsAboveLeftoverCheckpointsInServingDir) {
   Market m = MakeMarket();
   StreamConfig scfg = EventfulConfig(m.relations);
   TickSource source(m.universe, m.relations, scfg);
-  const std::string dir = TestDir("leftover");
+  const ScopedTempDir scoped_dir("stream_leftover");
+  const std::string& dir = scoped_dir.path();
 
   // A previous run (or an unrelated producer) left a checkpoint in the
   // serving directory. The pipeline can only serve versions it trained,
@@ -348,7 +336,8 @@ TEST(RollingPipelineTest, StaysServingUnderConcurrentLoad) {
   Market m = MakeMarket();
   StreamConfig scfg = EventfulConfig(m.relations);
   TickSource source(m.universe, m.relations, scfg);
-  const std::string dir = TestDir("load");
+  const ScopedTempDir scoped_dir("stream_load");
+  const std::string& dir = scoped_dir.path();
   RollingPipeline pipeline(SmallPipelineConfig(dir), &source,
                            m.relations.relations);
   ASSERT_TRUE(pipeline.Init().ok());
@@ -429,7 +418,8 @@ TEST(RollingPipelineTest, ServesThroughInferenceServerAcrossChurnAndReloads) {
   Market m = MakeMarket();
   StreamConfig scfg = EventfulConfig(m.relations);
   TickSource source(m.universe, m.relations, scfg);
-  const std::string dir = TestDir("serverserve");
+  const ScopedTempDir scoped_dir("stream_serverserve");
+  const std::string& dir = scoped_dir.path();
   RollingPipeline pipeline(SmallPipelineConfig(dir), &source,
                            m.relations.relations);
   ASSERT_TRUE(pipeline.Init().ok());
@@ -539,7 +529,8 @@ TEST(RollingPipelineTest, StreamingMrrMatchesBatchOracleThroughCrashAndChurn) {
   // oracle reads the official record from the other.
   TickSource source(m.universe, m.relations, scfg);
   TickSource oracle_source(m.universe, m.relations, scfg);
-  const std::string dir = TestDir("oracle");
+  const ScopedTempDir scoped_dir("stream_oracle");
+  const std::string& dir = scoped_dir.path();
   const PipelineConfig pcfg = SmallPipelineConfig(dir);
   RollingPipeline pipeline(pcfg, &source, m.relations.relations);
   ASSERT_TRUE(pipeline.Init().ok());
