@@ -16,12 +16,17 @@
 //                 [--max_queue 256] [--chaos 0] [--chaos_seed 1234]
 //                 [--json out.json]
 //
+// The model is trained once and exported into a fresh checkpoint
+// directory under /tmp, which the run removes before exiting.
+//
 // Every server knob is a serve::ServerConfig flag (one shared surface —
 // see serve/config.h): --cache, --max_queue, --executor_threads, ...
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -212,7 +217,13 @@ int main(int argc, char** argv) {
   const std::vector<int64_t> days =
       dataset.Days(spec.test_boundary(), dataset.last_day());
 
-  const std::string dir = "/tmp/rtgcn_bench_serve";
+  // A fresh directory per run, so concurrent runs never share checkpoints.
+  char dir_template[] = "/tmp/rtgcn_bench_serve.XXXXXX";
+  if (::mkdtemp(dir_template) == nullptr) {
+    std::perror("bench_serve: mkdtemp");
+    return 1;
+  }
+  const std::string dir = dir_template;
   harness::CheckpointManager manager({dir, 1, 0});
   manager.Init().Abort();
   auto make_predictor = [&data, config] {
@@ -287,6 +298,7 @@ int main(int argc, char** argv) {
   front.Stop();
   server.Stop();
   registry.Stop();
+  std::filesystem::remove_all(dir);
 
   // The serving accounting invariant must survive overload and chaos.
   const int64_t srv_requests = metrics.requests.Value();

@@ -19,20 +19,18 @@
 // removes it before exiting. Metrics are read as a delta of
 // obs::Registry::Global() snapshots, so a run reports only its own
 // activity.
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "common/file_util.h"
 #include "common/flags.h"
 #include "common/thread_pool.h"
 #include "market/relation_generator.h"
@@ -201,15 +199,7 @@ int main(int argc, char** argv) {
   stop.store(true);
   for (auto& t : rankers) t.join();
 
-  auto entries = ListDirectory(pcfg.checkpoint_dir);
-  if (entries.ok()) {
-    for (const std::string& e : entries.ValueOrDie()) {
-      RemoveFileIfExists(pcfg.checkpoint_dir + "/" + e).Abort();
-    }
-  }
-  if (::rmdir(pcfg.checkpoint_dir.c_str()) != 0) {
-    std::perror("bench_stream: rmdir");
-  }
+  std::filesystem::remove_all(pcfg.checkpoint_dir);
 
   const obs::RegistrySnapshot delta =
       obs::Registry::Global().Snapshot().DeltaSince(before);

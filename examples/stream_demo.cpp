@@ -3,8 +3,8 @@
 //
 // A seeded TickSource streams a small market through universe churn (IPOs
 // and delistings), decaying wiki relations and a mid-run flash crash. A
-// RollingPipeline consumes it: each day's close extends the sliding
-// feature window, relation events update the pipeline's relation tensor,
+// RollingPipeline consumes it: each day's close extends its price panel,
+// relation events update the pipeline's relation tensor,
 // and on a rolling cadence the pipeline refits RT-GCN on the active
 // sub-universe, exports a checkpoint and hot-reloads it — after which
 // Rank() serves the latest day's top-k.
@@ -23,6 +23,7 @@
 #include "common/flags.h"
 #include "market/relation_generator.h"
 #include "market/universe.h"
+#include "serve/protocol.h"
 #include "stream/pipeline.h"
 #include "stream/tick_source.h"
 
@@ -140,20 +141,13 @@ int main(int argc, char** argv) {
                     static_cast<long long>(topk),
                     static_cast<long long>(r.model_version),
                     r.stale ? ", STALE universe" : "");
-        // Scores are slot-aligned; pick the k best by simple selection.
-        std::vector<bool> taken(r.slots.size(), false);
-        for (int64_t k = 0; k < topk && k < (int64_t)r.slots.size(); ++k) {
-          size_t best = r.slots.size();
-          for (size_t i = 0; i < r.slots.size(); ++i) {
-            if (!taken[i] && (best == r.slots.size() ||
-                              r.scores[i] > r.scores[best])) {
-              best = i;
-            }
-          }
-          taken[best] = true;
+        // Scores are aligned with r.slots, so a TopK entry's stock is a
+        // position in r.slots.
+        for (const serve::RankEntry& e : serve::TopK(r.scores, topk)) {
           std::printf(" %s(%+.3f)",
-                      universe.stock(r.slots[best]).ticker.c_str(),
-                      r.scores[best]);
+                      universe.stock(r.slots[static_cast<size_t>(e.stock)])
+                          .ticker.c_str(),
+                      e.score);
         }
         std::printf("\n");
       }

@@ -13,15 +13,34 @@ WindowDataset::WindowDataset(Tensor prices, int64_t window,
   RTGCN_CHECK_GE(window_, 1);
   RTGCN_CHECK(num_features_ >= 1 && num_features_ <= kMaxFeatures)
       << "num_features " << num_features_;
-  const int64_t days = prices_.dim(0);
-  const int64_t n = prices_.dim(1);
-  prefix_.assign((days + 1) * n, 0.0);
-  const float* p = prices_.data();
-  for (int64_t t = 0; t < days; ++t) {
-    for (int64_t i = 0; i < n; ++i) {
-      prefix_[(t + 1) * n + i] = prefix_[t * n + i] + p[t * n + i];
-    }
+  num_days_ = prices_.dim(0);
+  prefix_.assign((num_days_ + 1) * num_stocks(), 0.0);
+  for (int64_t t = 0; t < num_days_; ++t) SumPrefixRow(t);
+}
+
+void WindowDataset::SumPrefixRow(int64_t t) {
+  const int64_t n = num_stocks();
+  const float* p = prices_.data() + t * n;
+  const double* prev = prefix_.data() + t * n;
+  double* cur = prefix_.data() + (t + 1) * n;
+  for (int64_t i = 0; i < n; ++i) cur[i] = prev[i] + p[i];
+}
+
+void WindowDataset::AppendDay(const std::vector<float>& close) {
+  const int64_t n = num_stocks();
+  RTGCN_CHECK_EQ(static_cast<int64_t>(close.size()), n);
+  if (num_days_ == prices_.dim(0)) {
+    // Full, as a caller's panel always is: move to a private panel with
+    // room to double, so the caller's storage is never written and the
+    // copies amortize to O(N) a day.
+    Tensor grown({2 * num_days_ + 1, n});
+    std::copy_n(prices_.data(), num_days_ * n, grown.data());
+    prices_ = std::move(grown);
   }
+  std::copy(close.begin(), close.end(), prices_.data() + num_days_ * n);
+  prefix_.resize(prefix_.size() + static_cast<size_t>(n));
+  SumPrefixRow(num_days_);
+  ++num_days_;
 }
 
 int64_t WindowDataset::first_day() const {
@@ -37,26 +56,60 @@ float WindowDataset::MovingAverage(int64_t t, int64_t i, int64_t period) const {
   return static_cast<float>(sum / static_cast<double>(t + 1 - begin));
 }
 
+void WindowDataset::WriteStock(int64_t t, int64_t i, int64_t col,
+                               int64_t cols, float* out) const {
+  const float anchor = prices_.data()[t * num_stocks() + i];
+  RTGCN_DCHECK(anchor > 0);
+  const float inv = 1.0f / anchor;
+  for (int64_t u = 0; u < window_; ++u) {
+    const int64_t day = t - window_ + 1 + u;
+    for (int64_t f = 0; f < num_features_; ++f) {
+      out[(u * cols + col) * num_features_ + f] =
+          MovingAverage(day, i, kFeaturePeriods[f]) * inv;
+    }
+  }
+}
+
 Tensor WindowDataset::Features(int64_t t) const {
   RTGCN_CHECK(t >= first_day() && t < num_days())
       << "prediction day " << t << " outside valid range";
   const int64_t n = num_stocks();
   Tensor x({window_, n, num_features_});
   float* px = x.data();
-  const float* prices = prices_.data();
-  for (int64_t i = 0; i < n; ++i) {
-    const float anchor = prices[t * n + i];
-    RTGCN_DCHECK(anchor > 0);
-    const float inv = 1.0f / anchor;
-    for (int64_t u = 0; u < window_; ++u) {
-      const int64_t day = t - window_ + 1 + u;
-      for (int64_t f = 0; f < num_features_; ++f) {
-        px[(u * n + i) * num_features_ + f] =
-            MovingAverage(day, i, kFeaturePeriods[f]) * inv;
-      }
-    }
+  for (int64_t i = 0; i < n; ++i) WriteStock(t, i, i, n, px);
+  return x;
+}
+
+Tensor WindowDataset::Features(int64_t t,
+                               const std::vector<int64_t>& slots) const {
+  RTGCN_CHECK(t >= first_day() && t < num_days())
+      << "prediction day " << t << " outside valid range";
+  const int64_t cols = static_cast<int64_t>(slots.size());
+  Tensor x({window_, cols, num_features_});
+  float* px = x.data();
+  for (int64_t c = 0; c < cols; ++c) {
+    const int64_t i = slots[static_cast<size_t>(c)];
+    RTGCN_CHECK(i >= 0 && i < num_stocks()) << "slot " << i;
+    WriteStock(t, i, c, cols, px);
   }
   return x;
+}
+
+Tensor WindowDataset::Prices(const std::vector<int64_t>& slots) const {
+  const int64_t n = num_stocks();
+  const int64_t cols = static_cast<int64_t>(slots.size());
+  for (const int64_t i : slots) {
+    RTGCN_CHECK(i >= 0 && i < n) << "slot " << i;
+  }
+  Tensor out({num_days_, cols});
+  const float* p = prices_.data();
+  float* po = out.data();
+  for (int64_t t = 0; t < num_days_; ++t) {
+    for (int64_t c = 0; c < cols; ++c) {
+      po[t * cols + c] = p[t * n + slots[static_cast<size_t>(c)]];
+    }
+  }
+  return out;
 }
 
 Tensor WindowDataset::Labels(int64_t t) const {

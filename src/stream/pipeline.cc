@@ -16,6 +16,10 @@ namespace rtgcn::stream {
 
 namespace {
 
+/// Consecutive reload failures before Health() reports DEGRADED (the
+/// serving server's default threshold).
+constexpr int64_t kDegradedReloadFailures = 3;
+
 /// ServableModel that pins the architecture recipe (most importantly the
 /// relation tensor the RT-GCN layers reference) for the model's lifetime.
 class ArchServable : public serve::ServableModel {
@@ -40,15 +44,14 @@ RollingPipeline::RollingPipeline(PipelineConfig config, TickSource* source,
                                  graph::RelationTensor initial_relations)
     : config_(std::move(config)),
       source_(source),
-      window_(source->num_slots(), config_.model.window,
-              config_.model.num_features),
+      dataset_(Tensor({1, source->num_slots()}, source->day0_close()),
+               config_.model.window, config_.model.num_features),
       relations_(std::move(initial_relations)),
       active_(source->active()),
       manager_({config_.checkpoint_dir, /*every=*/1, /*keep=*/0}),
       registry_({config_.checkpoint_dir, /*reload_interval_ms=*/3'600'000},
                 [this] { return BuildServable(); }, /*metrics=*/nullptr) {
   RTGCN_CHECK_EQ(relations_.num_stocks(), source_->num_slots());
-  window_.PushDay(source_->day0_close());
 }
 
 RollingPipeline::~RollingPipeline() = default;
@@ -94,7 +97,7 @@ Status RollingPipeline::Step() {
           ev.add ? relations_.AddRelation(ev.i, ev.j, ev.type)
                  : relations_.RemoveRelation(ev.i, ev.j, ev.type));
     }
-    window_.PushDay(du.close);
+    dataset_.AppendDay(du.close);
   }
   obs::Registry::Global().GetCounter("stream.pipeline.days")->Increment();
   return MaybeRetrain(du.day);
@@ -108,7 +111,7 @@ Status RollingPipeline::MaybeRetrain(int64_t day) {
   int64_t version = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!window_.ready()) return Status::OK();
+    if (dataset_.num_days() - 1 < dataset_.first_day()) return Status::OK();
     if (last_retrain_day_ >= 0 &&
         day - last_retrain_day_ < config_.retrain_every) {
       return Status::OK();
@@ -117,7 +120,7 @@ Status RollingPipeline::MaybeRetrain(int64_t day) {
       if (active_[static_cast<size_t>(i)]) slots.push_back(i);
     }
     if (static_cast<int64_t>(slots.size()) < 2) return Status::OK();
-    panel = window_.PanelForSlots(slots);
+    panel = dataset_.Prices(slots);
     relations = std::make_shared<const graph::RelationTensor>(
         relations_.InducedSubgraph(slots));
     trained_universe = universe_version_;
@@ -191,38 +194,13 @@ Result<StreamRankReply> RollingPipeline::Rank() {
   if (snapshot == nullptr) {
     return Status::Unavailable("no model version promoted yet");
   }
-  StreamRankReply reply;
-  Tensor features;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = versions_.find(snapshot->version());
-    if (it == versions_.end()) {
-      return Status::Internal("no training universe recorded for version ",
-                              snapshot->version());
-    }
-    if (!window_.ready()) {
-      return Status::Unavailable("feature window not warm yet");
-    }
-    reply.model_version = snapshot->version();
-    reply.universe_version = it->second.universe_version;
-    reply.day = window_.day();
-    reply.slots = it->second.slots;
-    reply.stale = it->second.universe_version != universe_version_;
-    features = window_.FeaturesForSlots(reply.slots);
-  }
-  // Score outside the lock: the snapshot is pinned and the features are a
-  // private copy, so a concurrent Step()/retrain cannot shear the reply.
-  const Tensor scores = snapshot->Score(features);
-  RTGCN_CHECK_EQ(scores.numel(), static_cast<int64_t>(reply.slots.size()));
-  reply.scores.assign(scores.data(), scores.data() + scores.numel());
-  return reply;
+  return ScoreLatest(*snapshot, std::nullopt);
 }
 
-Result<std::vector<float>> RollingPipeline::ScoreForServe(
-    const serve::ModelSnapshot& snap, int64_t day) {
-  std::vector<int64_t> slots;
+Result<StreamRankReply> RollingPipeline::ScoreLatest(
+    const serve::ModelSnapshot& snap, std::optional<int64_t> day) {
+  StreamRankReply reply;
   Tensor features;
-  int64_t n = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = versions_.find(snap.version());
@@ -230,28 +208,39 @@ Result<std::vector<float>> RollingPipeline::ScoreForServe(
       return Status::Internal("no training universe recorded for version ",
                               snap.version());
     }
-    if (!window_.ready()) {
+    const int64_t latest = dataset_.num_days() - 1;
+    if (latest < dataset_.first_day()) {
       return Status::Unavailable("feature window not warm yet");
     }
-    if (window_.day() != day) {
-      // The window keeps no per-day history; refusing beats serving a
-      // different day's features under this day's cache key.
-      return Status::Unavailable("stream window is at day ", window_.day(),
-                                 ", cannot serve day ", day);
+    if (day.has_value() && *day != latest) {
+      // Only the latest day is served; refusing beats serving another
+      // day's features under this day's cache key.
+      return Status::Unavailable("stream window is at day ", latest,
+                                 ", cannot serve day ", *day);
     }
-    slots = it->second.slots;
-    features = window_.FeaturesForSlots(slots);
-    n = window_.num_slots();
+    reply.model_version = snap.version();
+    reply.universe_version = it->second.universe_version;
+    reply.day = latest;
+    reply.slots = it->second.slots;
+    reply.stale = it->second.universe_version != universe_version_;
+    features = dataset_.Features(latest, reply.slots);
   }
-  // Score outside the lock on a private feature copy (same discipline as
-  // Rank()); the snapshot outlives the call — the server pinned it.
+  // Score outside the lock: the snapshot is pinned by the caller and the
+  // features are a private copy, so a concurrent Step()/retrain cannot
+  // shear the reply.
   const Tensor scores = snap.Score(features);
-  RTGCN_CHECK_EQ(scores.numel(), static_cast<int64_t>(slots.size()));
-  std::vector<float> full(static_cast<size_t>(n),
+  RTGCN_CHECK_EQ(scores.numel(), static_cast<int64_t>(reply.slots.size()));
+  reply.scores.assign(scores.data(), scores.data() + scores.numel());
+  return reply;
+}
+
+Result<std::vector<float>> RollingPipeline::ScoreForServe(
+    const serve::ModelSnapshot& snap, int64_t day) {
+  RTGCN_ASSIGN_OR_RETURN(const StreamRankReply reply, ScoreLatest(snap, day));
+  std::vector<float> full(static_cast<size_t>(num_slots()),
                           std::numeric_limits<float>::lowest());
-  const float* sp = scores.data();
-  for (size_t i = 0; i < slots.size(); ++i) {
-    full[static_cast<size_t>(slots[i])] = sp[i];
+  for (size_t i = 0; i < reply.slots.size(); ++i) {
+    full[static_cast<size_t>(reply.slots[i])] = reply.scores[i];
   }
   return full;
 }
@@ -264,9 +253,7 @@ serve::InferenceServer::ScoreFn RollingPipeline::ServeScoreFn() {
 
 serve::HealthState RollingPipeline::Health() const {
   if (registry_.Current() == nullptr) return serve::HealthState::kDegraded;
-  if (config_.degraded_failure_threshold > 0 &&
-      registry_.consecutive_reload_failures() >=
-          config_.degraded_failure_threshold) {
+  if (registry_.consecutive_reload_failures() >= kDegradedReloadFailures) {
     return serve::HealthState::kDegraded;
   }
   return serve::HealthState::kServing;

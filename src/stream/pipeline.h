@@ -2,10 +2,12 @@
 //
 // One Step() consumes one DayUpdate from a TickSource: universe and
 // relation deltas are folded into the pipeline's active set and relation
-// tensor, and the official close is pushed onto the SlidingFeatureWindow
-// as the day's panel row. On a seeded cadence the pipeline refits an
-// RT-GCN on the *active* sub-universe (panel gathered from the live
-// window, relation tensor induced on the active slots — the model builds
+// tensor, and the official close is appended to the pipeline's
+// market::WindowDataset as the day's panel row — the batch dataset class,
+// so streamed features are computed by the batch code. On a seeded
+// cadence the pipeline refits an RT-GCN on the *active* sub-universe
+// (panel gathered from the live dataset, relation tensor induced on the
+// active slots — the model builds
 // its own CSR graph from it), exports a weights-only checkpoint through
 // CheckpointManager naming, and hot-reloads it into a ModelRegistry — the
 // same registry/snapshot machinery the inference server serves from.
@@ -19,16 +21,18 @@
 //
 // Threading: Step() and Rank() may run concurrently (the e2e load test
 // does exactly that). Mutable stream state is guarded by one mutex, which
-// Step() holds while it applies a day's deltas and pushes its close, so a
-// reply sees either the previous day or the new one, never a mix. The
-// expensive phases — Fit and snapshot Score — run outside it on gathered
-// copies, so queries keep flowing while a retrain is in progress.
+// Step() holds while it applies a day's deltas and appends its close, so a
+// reply sees either the previous day or the new one, never a mix. Replies
+// compute their version's features under it; the expensive phases — Fit
+// and snapshot Score — run outside it on gathered copies, so queries keep
+// flowing while a retrain is in progress.
 #ifndef RTGCN_STREAM_PIPELINE_H_
 #define RTGCN_STREAM_PIPELINE_H_
 
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -37,17 +41,17 @@
 #include "graph/relation_tensor.h"
 #include "harness/checkpoint.h"
 #include "harness/predictor.h"
+#include "market/dataset.h"
 #include "serve/registry.h"
 #include "serve/server.h"
-#include "stream/feature_window.h"
 #include "stream/tick_source.h"
 
 namespace rtgcn::stream {
 
 /// \brief Rolling train→checkpoint→hot-reload configuration.
 struct PipelineConfig {
-  /// Model architecture; `window` and `num_features` also size the
-  /// SlidingFeatureWindow.
+  /// Model architecture; `window` and `num_features` also shape the
+  /// streamed dataset's features.
   core::RtGcnConfig model;
   float alpha = 0.1f;
 
@@ -62,8 +66,6 @@ struct PipelineConfig {
 
   int64_t retrain_every = 20;   ///< days between refits
   int64_t train_history = 60;   ///< recent prediction days used per refit
-  /// Reload failures before Health() reports DEGRADED (serve semantics).
-  int64_t degraded_failure_threshold = 3;
   uint64_t seed = 1;
 };
 
@@ -109,12 +111,11 @@ class RollingPipeline {
   ///                   pipeline.registry(), ...)
   /// and the streaming exports serve over the same request path, cache
   /// and wire front end as batch serving. `day` must be the latest
-  /// completed day (the window holds no history for older ones — they get
-  /// Unavailable, never wrong data). Slots outside the snapshot version's
-  /// training universe score `-FLT_MAX`, so they rank deterministically
-  /// last; within one day the gathered features are settled, which keeps
-  /// the function deterministic in (snapshot, day) as the server's score
-  /// cache requires.
+  /// completed day (any other day gets Unavailable, never wrong data).
+  /// Slots outside the snapshot version's training universe score
+  /// `-FLT_MAX`, so they rank deterministically last; within one day the
+  /// gathered features are settled, which keeps the function deterministic
+  /// in (snapshot, day) as the server's score cache requires.
   serve::InferenceServer::ScoreFn ServeScoreFn();
 
   int64_t num_slots() const { return source_->num_slots(); }
@@ -131,7 +132,6 @@ class RollingPipeline {
   double last_retrain_seconds() const;
 
   serve::ModelRegistry* registry() { return &registry_; }
-  const SlidingFeatureWindow& window() const { return window_; }
 
  private:
   /// Architecture recipe the registry's ServableFactory builds from; the
@@ -152,14 +152,21 @@ class RollingPipeline {
 
   std::unique_ptr<serve::ServableModel> BuildServable();
   Status MaybeRetrain(int64_t day);
+  /// The one reply path of Rank() and ScoreForServe(): looks up the
+  /// snapshot version's training universe, gathers its features for the
+  /// latest day under mu_ (`day`, when given, must be that day) and scores
+  /// them outside it.
+  Result<StreamRankReply> ScoreLatest(const serve::ModelSnapshot& snap,
+                                      std::optional<int64_t> day);
   Result<std::vector<float>> ScoreForServe(const serve::ModelSnapshot& snap,
                                            int64_t day);
 
   PipelineConfig config_;
   TickSource* source_;
 
-  mutable std::mutex mu_;  ///< guards window_/relations_/active_/versions_
-  SlidingFeatureWindow window_;
+  mutable std::mutex mu_;  ///< guards dataset_/relations_/active_/versions_
+  /// Every close streamed so far, day 0 first.
+  market::WindowDataset dataset_;
   graph::RelationTensor relations_;
   std::vector<bool> active_;
   int64_t universe_version_ = 0;

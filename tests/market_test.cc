@@ -428,6 +428,37 @@ TEST(WindowDatasetTest, FeatureShapeAndWindowContent) {
   EXPECT_NEAR(x.at({9, 1, 0}), 1.0f, 1e-6);
 }
 
+TEST(WindowDatasetTest, AppendDayGrowsToTheBatchDatasetAndSharesNoWrites) {
+  Tensor full({40, 3});
+  Rng rng(5);
+  for (int64_t i = 0; i < full.numel(); ++i) {
+    full.data()[i] = 50.0f * (1.0f + static_cast<float>(rng.Uniform()));
+  }
+  // Seed with the first 4 days in a caller-owned tensor, then append the
+  // rest one row at a time: the first append moves to a private panel.
+  Tensor seed({4, 3}, std::vector<float>(full.data(), full.data() + 12));
+  const Tensor seed_copy = seed.Clone();
+  WindowDataset grown(seed, 5, 3);
+  for (int64_t t = 4; t < 40; ++t) {
+    grown.AppendDay(std::vector<float>(full.data() + t * 3,
+                                       full.data() + (t + 1) * 3));
+  }
+  EXPECT_EQ(seed.shape(), (Shape{4, 3}));
+  EXPECT_TRUE(AllClose(seed, seed_copy, 0.0f, 0.0f));
+
+  const WindowDataset batch(full, 5, 3);
+  ASSERT_EQ(grown.num_days(), 40);
+  for (int64_t t = batch.first_day(); t <= batch.last_day(); ++t) {
+    EXPECT_TRUE(AllClose(grown.Features(t), batch.Features(t), 0.0f, 0.0f))
+        << "day " << t;
+    EXPECT_TRUE(AllClose(grown.Labels(t), batch.Labels(t), 0.0f, 0.0f));
+  }
+  const Tensor prices = grown.Prices({2, 0});
+  EXPECT_EQ(prices.shape(), (Shape{40, 2}));
+  EXPECT_EQ(prices.at({39, 0}), full.at({39, 2}));
+  EXPECT_EQ(prices.at({39, 1}), full.at({39, 0}));
+}
+
 TEST(WindowDatasetTest, SplitChronological) {
   Tensor prices = Tensor::Full({100, 1}, 5.0f);
   WindowDataset ds(prices, 5, 1);

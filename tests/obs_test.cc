@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "obs/clock.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "temp_dir.h"
 
 namespace rtgcn::obs {
 namespace {
@@ -380,9 +382,12 @@ TEST_F(TracerTest, ExportToFileRoundTrips) {
   Tracer::SetEnabled(true);
   { Span span("obs_test.file", "test"); }
   Tracer::SetEnabled(false);
-  const std::string path = ::testing::TempDir() + "/obs_test_trace.json";
+  const ScopedTempDir dir("obs_test_trace");
+  std::filesystem::create_directories(dir.path());
+  const std::string path = dir.path() + "/trace.json";
   std::string error;
   ASSERT_TRUE(Tracer::ExportChromeJson(path, &error)) << error;
+  EXPECT_GT(std::filesystem::file_size(path), 0u);
   EXPECT_FALSE(
       Tracer::ExportChromeJson("/nonexistent-dir/zzz/trace.json", &error));
   EXPECT_FALSE(error.empty());

@@ -2,9 +2,9 @@
 //
 //  * TickSource — seeded determinism, close anchoring to the batch
 //    simulator, churn and relation dynamics;
-//  * SlidingFeatureWindow — maintained features bit-identical to a
-//    from-scratch WindowDataset after every day, at every thread count
-//    (tests/stream_checker.h);
+//  * WindowDataset::AppendDay — a streamed dataset's features, full and
+//    gathered, bit-identical to a WindowDataset built from the whole panel
+//    after every day, at every thread count (tests/stream_checker.h);
 //  * RollingPipeline — retrain → checkpoint → hot-reload round trips, the
 //    churn-consistency guarantee on Rank replies, SERVING health under
 //    concurrent query load, and the e2e streaming-vs-batch-oracle MRR
@@ -34,7 +34,6 @@
 #include "rank/metrics.h"
 #include "serve/metrics.h"
 #include "serve/server.h"
-#include "stream/feature_window.h"
 #include "stream/pipeline.h"
 #include "stream/tick_source.h"
 #include "stream_checker.h"
@@ -173,10 +172,10 @@ TEST(TickSourceTest, ChurnTogglesActiveSlotsAndBumpsVersion) {
 }
 
 // ---------------------------------------------------------------------------
-// SlidingFeatureWindow
+// Streamed WindowDataset
 // ---------------------------------------------------------------------------
 
-TEST(SlidingFeatureWindowTest, BitIdenticalToBatchAtEveryThreadCount) {
+TEST(StreamedDatasetTest, BitIdenticalToBatchAtEveryThreadCount) {
   Market m = MakeMarket();
   const StreamConfig cfg = EventfulConfig(m.relations);
 
@@ -187,41 +186,41 @@ TEST(SlidingFeatureWindowTest, BitIdenticalToBatchAtEveryThreadCount) {
   std::vector<DayUpdate> updates;
   for (int day = 1; day <= 25; ++day) updates.push_back(source.NextDay());
 
-  Tensor reference_panel;
+  // A sub-universe out of slot order, as a churned model version's is not.
+  const std::vector<int64_t> slots = {12, 0, 7, 3, 15};
+  Tensor reference;
   ForEachThreadCount([&](int threads) {
-    Tensor panel = ReplayAndCheckWindow(
-        source.num_slots(), /*window=*/5, /*num_features=*/2,
-        source.day0_close(), updates,
+    Tensor features = ReplayAndCheckDataset(
+        /*window=*/5, /*num_features=*/2, source.day0_close(), updates, slots,
         "stream replay threads=" + std::to_string(threads));
     if (threads == 1) {
-      reference_panel = panel;
+      reference = features;
     } else {
-      ExpectTensorsBitEqual(reference_panel, panel,
-                            "panel threads=" + std::to_string(threads));
+      ExpectTensorsBitEqual(reference, features,
+                            "features threads=" + std::to_string(threads));
     }
   });
 }
 
-TEST(SlidingFeatureWindowTest, GatheredFeaturesMatchGatheredPanel) {
+TEST(StreamedDatasetTest, GatheredFeaturesMatchGatheredPanel) {
   Market m = MakeMarket();
   StreamConfig cfg = EventfulConfig(m.relations);
   TickSource source(m.universe, m.relations, cfg);
 
-  SlidingFeatureWindow window(source.num_slots(), /*window=*/5,
-                              /*num_features=*/2);
-  window.PushDay(source.day0_close());
-  for (int day = 1; day <= 15; ++day) {
-    window.PushDay(source.NextDay().close);
-  }
-  ASSERT_TRUE(window.ready());
+  market::WindowDataset live(
+      Tensor({1, source.num_slots()}, source.day0_close()), /*window=*/5,
+      /*num_features=*/2);
+  for (int day = 1; day <= 15; ++day) live.AppendDay(source.NextDay().close);
+  const int64_t day = live.num_days() - 1;
+  ASSERT_GE(day, live.first_day());
 
   // Gather-then-compute == compute-then-gather: a sub-universe's features
-  // from the live window equal a WindowDataset built on the gathered panel.
+  // from the live dataset equal a WindowDataset built on the gathered panel.
   const std::vector<int64_t> slots = {0, 3, 4, 9, 12};
-  market::WindowDataset sub(window.PanelForSlots(slots), window.window(),
-                            window.num_features());
-  ExpectTensorsBitEqual(sub.Features(window.day()),
-                        window.FeaturesForSlots(slots), "gathered features");
+  market::WindowDataset sub(live.Prices(slots), live.window(),
+                            live.num_features());
+  ExpectTensorsBitEqual(sub.Features(day), live.Features(day, slots),
+                        "gathered features");
 }
 
 // ---------------------------------------------------------------------------
@@ -451,10 +450,10 @@ TEST(RollingPipelineTest, ServesThroughInferenceServerAcrossChurnAndReloads) {
   // accounting invariant must hold when the dust settles.
   std::atomic<bool> stop{false};
   std::atomic<int64_t> oks{0}, errors{0}, failures{0};
-  // Clients learn the live day through this atomic (reading the window
+  // Clients learn the live day through this atomic (reading the day
   // while Step() mutates it would race); a stale value just earns a clean
   // Unavailable from the ScoreFn's day check.
-  std::atomic<int64_t> live_day{pipeline.window().day()};
+  std::atomic<int64_t> live_day{pipeline.day()};
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&] {
@@ -478,10 +477,10 @@ TEST(RollingPipelineTest, ServesThroughInferenceServerAcrossChurnAndReloads) {
   const int64_t universe_before = pipeline.universe_version();
   for (int d = 0; d < 25; ++d) {
     ASSERT_TRUE(pipeline.Step().ok());
-    live_day.store(pipeline.window().day(), std::memory_order_relaxed);
+    live_day.store(pipeline.day(), std::memory_order_relaxed);
     // The stream steps far faster than the clients can race it, so land
     // one guaranteed same-day query per step from this thread too.
-    auto reply = server.Rank(pipeline.window().day(), {});
+    auto reply = server.Rank(pipeline.day(), {});
     if (reply.ok()) oks.fetch_add(1, std::memory_order_relaxed);
   }
   stop.store(true);
@@ -518,7 +517,7 @@ TEST(RollingPipelineTest, ServesThroughInferenceServerAcrossChurnAndReloads) {
 // relation/universe deltas to its own tensors, and refits from scratch on
 // the same cadence with the same options and seeds — no incremental state
 // anywhere. Streaming MRR must match the oracle's within 1e-3 (they are in
-// fact bit-identical: the streamed window and the export→promote→score
+// fact bit-identical: the streamed dataset and the export→promote→score
 // round trip both preserve exact floats).
 TEST(RollingPipelineTest, StreamingMrrMatchesBatchOracleThroughCrashAndChurn) {
   Market m = MakeMarket();
