@@ -150,20 +150,27 @@ BENCHMARK(BM_PairwiseRankingLoss)
     ->ArgNames({"n", "backend"})
     ->ArgsProduct({{120, 840}, {0, 1}});
 
-// The fused causal conv, forward and backward, on the layer-0 shapes of the
-// paper-scale model: [T = 15, N = 840, F = 16], kernel 3, stride 4.
-void BM_CausalConv1dFwdBwd(benchmark::State& state) {
+// The temporal conv block, forward and backward, on the layer-0 shapes of
+// the paper-scale model in training mode: [T = 15, N = 840, F = 16],
+// kernel 3, stride 4, dropout 0.1, at 1, 2 and 4 threads.
+void BM_TemporalBlockFwdBwd(benchmark::State& state) {
+  SetNumThreads(static_cast<int>(state.range(0)));
   Rng rng(1);
-  nn::CausalConv1d conv(16, 16, 3, &rng, /*dilation=*/1, /*stride=*/4);
+  nn::TemporalConvBlock block(16, 16, 3, &rng, /*dilation=*/1, /*stride=*/4,
+                              /*dropout=*/0.1f);
   auto x = ag::MakeVariable(RandomGaussian({15, 840, 16}, 0, 1, &rng),
                             /*requires_grad=*/true);
   for (auto _ : state) {
     x->ZeroGrad();
-    for (const auto& p : conv.Parameters()) p->ZeroGrad();
-    ag::Backward(ag::SumAll(conv.Forward(x)));
+    for (const auto& p : block.Parameters()) p->ZeroGrad();
+    ag::Backward(ag::SumAll(block.Forward(x, &rng)));
+    benchmark::DoNotOptimize(x->grad.data());
+    benchmark::ClobberMemory();
   }
+  SetNumThreads(0);
 }
-BENCHMARK(BM_CausalConv1dFwdBwd);
+BENCHMARK(BM_TemporalBlockFwdBwd)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime();
 
 // One RT-GCN forward+backward per day-sample vs an LSTM ranker — the
 // per-sample contrast behind Figure 5.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 
 #include "autograd/finite_check.h"
 #include "common/thread_pool.h"
@@ -68,7 +69,7 @@ VarPtr Div(const VarPtr& a, const VarPtr& b) {
           // d(a/b)/db = -a / b^2
           Tensor gb = rtgcn::Neg(rtgcn::Div(rtgcn::Mul(g, a->value),
                                             rtgcn::Square(b->value)));
-          b->AccumulateGrad(gb);
+          b->AccumulateGrad(std::move(gb));
         }
       });
 }
@@ -218,7 +219,7 @@ VarPtr BatchMatMul(const VarPtr& a, const VarPtr& b) {
             std::memcpy(ga.data() + i * m * k, gai.data(),
                         m * k * sizeof(float));
           }
-          a->AccumulateGrad(ga);
+          a->AccumulateGrad(std::move(ga));
         }
         if (NeedsGrad(b)) {
           if (shared_b) {
@@ -231,7 +232,7 @@ VarPtr BatchMatMul(const VarPtr& a, const VarPtr& b) {
                                                    g.data() + (i + 1) * m * n));
               gb = rtgcn::Add(gb, rtgcn::MatMul(rtgcn::Transpose(ai), gi));
             }
-            b->AccumulateGrad(gb);
+            b->AccumulateGrad(std::move(gb));
           } else {
             Tensor gb = Tensor::Zeros({batch, k, n});
             for (int64_t i = 0; i < batch; ++i) {
@@ -244,7 +245,7 @@ VarPtr BatchMatMul(const VarPtr& a, const VarPtr& b) {
               std::memcpy(gb.data() + i * k * n, gbi.data(),
                           k * n * sizeof(float));
             }
-            b->AccumulateGrad(gb);
+            b->AccumulateGrad(std::move(gb));
           }
         }
       });
@@ -340,7 +341,7 @@ VarPtr SliceOp(const VarPtr& a, int64_t axis, int64_t start, int64_t end) {
           std::memcpy(pf + (o * len + start) * inner, pg + o * glen * inner,
                       glen * inner * sizeof(float));
         }
-        a->AccumulateGrad(full);
+        a->AccumulateGrad(std::move(full));
       });
 }
 
@@ -402,7 +403,7 @@ VarPtr Downsample(const VarPtr& a, int64_t axis, int64_t step, int64_t start) {
                                   inner * sizeof(float));
                     }
                   }
-                  a->AccumulateGrad(full);
+                  a->AccumulateGrad(std::move(full));
                 });
 }
 
@@ -473,7 +474,7 @@ VarPtr PairwiseRankingLoss(const VarPtr& scores, const Tensor& labels) {
                   for (int64_t i = 0; i < grad.numel(); ++i) {
                     out[i] = static_cast<float>(scale * (*row_grad)[i]);
                   }
-                  scores->AccumulateGrad(grad);
+                  scores->AccumulateGrad(std::move(grad));
                 });
 }
 

@@ -16,12 +16,14 @@ thread_local bool g_grad_enabled = true;
 bool GradMode::enabled() { return g_grad_enabled; }
 void GradMode::set_enabled(bool enabled) { g_grad_enabled = enabled; }
 
-void Variable::AccumulateGrad(const Tensor& g) {
-  Tensor reduced = ReduceToShape(g, value.shape());
-  if (!grad.defined()) {
-    grad = reduced.Clone();
+void Variable::AccumulateGrad(Tensor g) {
+  g = ReduceToShape(g, value.shape());
+  if (grad.defined()) {
+    grad = rtgcn::Add(grad, g);
   } else {
-    grad = rtgcn::Add(grad, reduced);
+    // A shared buffer is copied, so nothing that later updates grad in
+    // place can reach another tensor.
+    grad = g.sole_owner() ? std::move(g) : g.Clone();
   }
 }
 

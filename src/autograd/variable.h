@@ -45,8 +45,10 @@ class Variable {
 
   bool is_leaf() const { return parents.empty() && !backward_fn; }
 
-  /// Adds `g` into this->grad, reducing broadcast axes as needed.
-  void AccumulateGrad(const Tensor& g);
+  /// Adds `g` into this->grad, reducing broadcast axes as needed. The first
+  /// gradient is adopted without a copy when no other tensor shares its
+  /// storage (pass a freshly built gradient with std::move), else copied.
+  void AccumulateGrad(Tensor g);
 
   /// Drops accumulated gradient (between optimizer steps).
   void ZeroGrad() { grad = Tensor(); }

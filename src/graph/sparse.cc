@@ -262,7 +262,7 @@ ag::VarPtr SparsePropagate(const CsrPtr& g, const ag::VarPtr& x) {
       Tensor dx = Tensor::Zeros(x->value.shape());
       SegmentSpmm(*g, g->coeff().data(), /*use_rev=*/true, grad.data(), f,
                   dx.data());
-      x->AccumulateGrad(dx);
+      x->AccumulateGrad(std::move(dx));
     };
   }
   return out;
@@ -356,7 +356,7 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
       if (ag::NeedsGrad(x)) {
         Tensor dx = Tensor::Zeros(x_val.shape());
         SegmentSpmm(*g, p.data(), /*use_rev=*/true, pg, f, dx.data());
-        x->AccumulateGrad(dx);
+        x->AccumulateGrad(std::move(dx));
       }
     };
   }
@@ -470,7 +470,7 @@ ag::VarPtr SparseTimeSensitivePropagate(
   // written, pad lanes included. p = as · corr is never materialized.
   auto corr = std::make_shared_for_overwrite<float[]>(
       static_cast<size_t>(nnz * t_stride));
-  Tensor y(x->value.shape());
+  Tensor y = Tensor::Uninitialized(x->value.shape());  // every row written
   {
     const kernels::KernelSet& ks = kernels::Active();
     const kernels::TimeLaneGraph lg = LaneGraph(*g, d, t_steps, t_stride);
@@ -558,7 +558,7 @@ ag::VarPtr SparseTimeSensitivePropagate(
         //  (1) transpose propagation  p[rev e] g_j, p = as[rev] · corr[rev]
         //  (2) correlation, i-side    as_e c gx[e] x_j
         //  (3) correlation, j-side    coeff[rev e] s_e c gx[rev e] x_j
-        Tensor dx(x->value.shape());
+        Tensor dx = Tensor::Uninitialized(x->value.shape());
         auto dxn = std::make_unique_for_overwrite<float[]>(
             static_cast<size_t>(n * d * t_stride));
         ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
@@ -567,7 +567,7 @@ ag::VarPtr SparseTimeSensitivePropagate(
           FromNodeMajorRows(dxn.get(), lo, hi, t_steps, n, d, t_stride,
                             dx.data());
         });
-        x->AccumulateGrad(dx);
+        x->AccumulateGrad(std::move(dx));
       }
     };
   }
@@ -707,9 +707,9 @@ ag::VarPtr SparseGatAttention(const CsrPtr& g, const ag::VarPtr& src,
         }
       });
 
-      if (ag::NeedsGrad(src)) src->AccumulateGrad(dsrc);
-      if (ag::NeedsGrad(dst)) dst->AccumulateGrad(ddst);
-      if (ag::NeedsGrad(h)) h->AccumulateGrad(dh);
+      if (ag::NeedsGrad(src)) src->AccumulateGrad(std::move(dsrc));
+      if (ag::NeedsGrad(dst)) dst->AccumulateGrad(std::move(ddst));
+      if (ag::NeedsGrad(h)) h->AccumulateGrad(std::move(dh));
     };
   }
   return out;

@@ -1,10 +1,16 @@
-// Causal temporal convolution (TCN) used by RT-GCN's temporal module
-// (paper §IV-C, Fig. 4): 1-D causal filters over the time axis with
-// optional dilation and stride, weight normalization on the filters,
-// residual connections and spatial dropout.
+// Causal temporal convolution block (TCN) of RT-GCN's temporal module
+// (paper §IV-C, Fig. 4): two causal 1-D convolutions over the time axis,
+// each with weight-normalized filters, ReLU and spatial dropout, plus a
+// residual connection and a final ReLU.
 //
-// All temporal modules operate on tensors shaped [T, N, C] — time-major,
-// with the N stocks acting as the batch dimension.
+// The block operates on tensors shaped [T, N, C] — time-major, with the N
+// stocks acting as the batch dimension — and runs as one autograd op,
+// "TemporalConvBlock". One ParallelFor over nodes reads each node's T rows
+// of x in place; conv1 computes only the output times conv2's kept taps
+// read, and the backward writes dX per node and folds per-chunk dW/db
+// partials in chunk order, so every value is bit-identical at any thread
+// count. The kernels are KernelSet entries (tensor/kernels/kernels.h);
+// DESIGN.md §5 gives the layout and the sum orders.
 #ifndef RTGCN_NN_TEMPORAL_CONV_H_
 #define RTGCN_NN_TEMPORAL_CONV_H_
 
@@ -12,27 +18,21 @@
 
 namespace rtgcn::nn {
 
-/// \brief Causal 1-D convolution over the leading (time) axis of [T, N, C].
+/// \brief Parameters of one causal 1-D convolution of TemporalConvBlock.
 ///
 /// Output at time t sees inputs t, t-dilation, ..., t-(k-1)*dilation only
 /// (left zero padding), so no future leakage (WaveNet-style causality).
-/// With `stride > 1` the output keeps times {stride-1, 2*stride-1, ...},
-/// shrinking T and expanding the receptive field as in the paper.
-/// With `weight_norm` the effective filter is w = g * v / ||v||, the norm
-/// taken per output channel (Salimans & Kingma).
-///
-/// The convolution itself is one fused autograd op ("CausalConv1d"): it
-/// reads the unpadded input, computes only the output times the stride
-/// keeps, and its backward writes dX, dW and db directly. Weight norm stays
-/// composed from ops on the small [k, in, out] filter.
+/// With `stride > 1` the output keeps times {..., T-1-stride, T-1}, the
+/// last sample aligned, shrinking T to ceil(T/stride). With `weight_norm`
+/// the effective filter is w = gain * v / ||v||, the norm taken per output
+/// channel over (k, in) (Salimans & Kingma). The module holds `v`
+/// [k, in, out], `gain` [1, 1, out] (weight norm only) and `bias` [out];
+/// the block's fused op reads them.
 class CausalConv1d : public Module {
  public:
   CausalConv1d(int64_t in_channels, int64_t out_channels, int64_t kernel_size,
                Rng* rng, int64_t dilation = 1, int64_t stride = 1,
                bool weight_norm = true);
-
-  /// x: [T, N, in_channels] -> [ceil(T/stride), N, out_channels].
-  VarPtr Forward(const VarPtr& x) const;
 
   int64_t out_length(int64_t in_length) const {
     return (in_length + stride_ - 1) / stride_;
@@ -40,34 +40,41 @@ class CausalConv1d : public Module {
   int64_t in_channels() const { return in_channels_; }
   int64_t out_channels() const { return out_channels_; }
   int64_t kernel_size() const { return kernel_size_; }
+  int64_t dilation() const { return dilation_; }
+  int64_t stride() const { return stride_; }
+
+  const VarPtr& v() const { return v_; }
+  /// Null without weight norm.
+  const VarPtr& gain() const { return gain_; }
+  const VarPtr& bias() const { return bias_; }
 
  private:
-  /// Effective filter tensor [k, in, out] (applies weight norm if enabled).
-  VarPtr EffectiveWeight() const;
-
   int64_t in_channels_;
   int64_t out_channels_;
   int64_t kernel_size_;
   int64_t dilation_;
   int64_t stride_;
-  bool weight_norm_;
   VarPtr v_;     // direction parameter [k, in, out]
   VarPtr gain_;  // per-output-channel gain [1, 1, out] (weight norm only)
   VarPtr bias_;  // [out]
 };
 
 /// \brief Residual TCN block: conv -> ReLU -> spatial dropout, twice, plus a
-/// residual connection (1x1 conv when channel counts differ), final ReLU.
+/// residual connection (a 1x1 projection when the channel counts or the
+/// time lengths differ), final ReLU.
 class TemporalConvBlock : public Module {
  public:
   /// Both convolutions move with `stride`, so the block compresses time by
   /// stride² (the paper's "change the filter moving strides to expand the
   /// receptive field"). The second convolution is dilated by `dilation`.
+  /// Both are weight-normalized; the residual projection is not.
   TemporalConvBlock(int64_t in_channels, int64_t out_channels,
                     int64_t kernel_size, Rng* rng, int64_t dilation = 1,
                     int64_t stride = 1, float dropout = 0.1f);
 
-  /// x: [T, N, in] -> [out_length(T), N, out].
+  /// x: [T, N, in] -> [out_length(T), N, out]. In training mode with
+  /// dropout > 0 it draws conv1's `out` channel masks from `rng`, then
+  /// conv2's, one Bernoulli each.
   VarPtr Forward(const VarPtr& x, Rng* rng) const;
 
   int64_t out_length(int64_t in_length) const {
@@ -77,7 +84,7 @@ class TemporalConvBlock : public Module {
  private:
   CausalConv1d conv1_;
   CausalConv1d conv2_;
-  // Residual projection matching the block's total stride (unit kernel).
+  // Residual projection at the block's total stride (unit kernel).
   std::unique_ptr<CausalConv1d> downsample_;
   float dropout_;
 };

@@ -10,8 +10,8 @@
 // panels — which is all ParallelFor's chunking can do — cannot change a
 // single bit. Softmax rows are independent. Elementwise kernels use only
 // exact IEEE lane ops, so vector body and scalar tail agree bitwise. The
-// relational-lane and pairwise-hinge kernels of this set live in
-// avx2_exact.cc, which is built without FMA contraction.
+// relational-lane, pairwise-hinge and temporal-block kernels of this set
+// live in avx2_exact.cc, which is built without FMA contraction.
 #include <algorithm>
 #include <cmath>
 
@@ -351,6 +351,8 @@ const KernelSet kAvx2Set = {
     /*ts_grad_entries_rows=*/avx2_exact::TsGradEntriesRows,
     /*ts_grad_x_rows=*/avx2_exact::TsGradXRows,
     /*pairwise_hinge_rows=*/avx2_exact::PairwiseHingeRows,
+    /*temporal_block_forward_rows=*/avx2_exact::TemporalBlockForwardRows,
+    /*temporal_block_backward_rows=*/avx2_exact::TemporalBlockBackwardRows,
     /*matmul_span=*/"tensor.MatMul[avx2]",
     /*batch_matmul_span=*/"tensor.BatchMatMul[avx2]",
     /*softmax_span=*/"tensor.Softmax[avx2]",

@@ -1,6 +1,6 @@
-// AVX2 relational-lane and pairwise-hinge kernels. This TU is compiled with
-// -mavx2 -mfma -ffp-contract=off (src/tensor/CMakeLists.txt). The last flag
-// is load-bearing: without it GCC fuses _mm256_add_ps(acc,
+// AVX2 relational-lane, pairwise-hinge and temporal-block kernels. This TU
+// is compiled with -mavx2 -mfma -ffp-contract=off (src/tensor/CMakeLists.txt).
+// The last flag is load-bearing: without it GCC fuses _mm256_add_ps(acc,
 // _mm256_mul_ps(a, b)) into one vfmadd, whose single rounding differs from
 // the reference's mul-then-add. Every lane runs the reference loop's IEEE
 // operation sequence in the same order; only which lanes share a register
@@ -35,6 +35,12 @@ class Scratch {
 };
 
 inline int64_t Min(int64_t a, int64_t b) { return a < b ? a : b; }
+
+// Lanes [0, count) of an 8-lane mask set, count in [0, 8].
+inline __m256i LaneMask(int64_t count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
 
 // ---------------------------------------------------------------------------
 // Eq. 5 relational lanes
@@ -271,9 +277,7 @@ inline __m256d HighToDouble(__m256 v) {
 template <bool kGrad>
 void HingeRows8(const float* s, const float* y, int64_t n, int64_t i,
                 int64_t live, double* row_loss, double* row_grad) {
-  const __m256i mask = _mm256_cmpgt_epi32(
-      _mm256_set1_epi32(static_cast<int>(live)),
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  const __m256i mask = LaneMask(live);
   const __m256 si = _mm256_maskload_ps(s + i, mask);
   const __m256 yi = _mm256_maskload_ps(y + i, mask);
   const __m256 zero = _mm256_setzero_ps();
@@ -314,10 +318,466 @@ void PairwiseHingeRowsImpl(const float* s, const float* y, int64_t n,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Temporal conv block
+// ---------------------------------------------------------------------------
+//
+// Nodes run in groups of kGroup (the last few one at a time): the group's
+// rows share every filter load, and its independent sums hide the add
+// latency. Channels run in 8-lane blocks, two registers per call (16
+// output channels), then one. A node's operation sequence is the
+// reference's whatever its group.
+
+constexpr int64_t kGroup = 4;
+constexpr int64_t kTapZero = 0;
+
+// Tag naming the number of 8-lane registers one call holds per row.
+template <int kB>
+struct LaneBlocks {
+  static constexpr int value = kB;
+};
+
+// Calls fn(LaneBlocks<kB>{}, l0) over [0, lanes) (a multiple of 8): two
+// registers while 16 lanes remain, then one.
+template <typename Fn>
+inline void ForLaneBlocks(int64_t lanes, Fn&& fn) {
+  int64_t l0 = 0;
+  for (; l0 + 16 <= lanes; l0 += 16) fn(LaneBlocks<2>{}, l0);
+  if (l0 < lanes) fn(LaneBlocks<1>{}, l0);
+}
+
+// The first `count` lanes of src (the rest read as zero, never loaded).
+inline __m256 LoadLanes(const float* src, int64_t count) {
+  if (count >= kTimeLanes) return _mm256_loadu_ps(src);
+  return _mm256_maskload_ps(src, LaneMask(count));
+}
+
+inline void StoreLanes(float* dst, __m256 v, int64_t count) {
+  if (count >= kTimeLanes) {
+    _mm256_storeu_ps(dst, v);
+  } else {
+    _mm256_maskstore_ps(dst, LaneMask(count), v);
+  }
+}
+
+// v > 0 ? v : 0 (a NaN gives 0, -0 gives +0), as the reference's ReluOf.
+inline __m256 Relu(__m256 v) { return _mm256_max_ps(v, _mm256_setzero_ps()); }
+
+// v > 0 ? 1 : 0.
+inline __m256 ReluSlope(__m256 v) {
+  return _mm256_and_ps(_mm256_cmp_ps(v, _mm256_setzero_ps(), _CMP_GT_OQ),
+                       _mm256_set1_ps(1.0f));
+}
+
+// acc[g][b] = Σ_{i<k, taps[i] ≥ 0} Σ_{c<cin} src[g][taps[i]·stride + c] ·
+// w[(i·cin + c)·lanes + 8b], from 0 in (i, c) order (the reference's
+// TapSum over kB·8 lanes; w points at the first lane).
+template <int kNodes, int kB>
+inline void TapSum(const float* const* src, int64_t stride,
+                   const int64_t* taps, int64_t k, int64_t cin,
+                   const float* w, int64_t lanes, __m256 (&acc)[kNodes][kB]) {
+  for (auto& node : acc) {
+    for (__m256& v : node) v = _mm256_setzero_ps();
+  }
+  for (int64_t i = 0; i < k; ++i) {
+    if (taps[i] < 0) continue;
+    const float* row[kNodes];
+    for (int g = 0; g < kNodes; ++g) row[g] = src[g] + taps[i] * stride;
+    const float* wi = w + i * cin * lanes;
+    for (int64_t c = 0; c < cin; ++c) {
+      __m256 wv[kB];
+      for (int b = 0; b < kB; ++b) {
+        wv[b] = _mm256_loadu_ps(wi + c * lanes + b * kTimeLanes);
+      }
+      for (int g = 0; g < kNodes; ++g) {
+        const __m256 xv = _mm256_set1_ps(row[g][c]);
+        for (int b = 0; b < kB; ++b) {
+          acc[g][b] = _mm256_add_ps(acc[g][b], _mm256_mul_ps(xv, wv[b]));
+        }
+      }
+    }
+  }
+}
+
+// dst[g] += Σ_{o<cout} gz[g][o] · wt[o·cin_lanes + 8b], the sum from 0 in o
+// order (the reference's TapGrad; wt and dst point at the first lane).
+template <int kNodes, int kB>
+inline void TapGrad(const float* const* gz, const float* wt, int64_t cout,
+                    int64_t cin_lanes, float* const* dst) {
+  __m256 sum[kNodes][kB];
+  for (auto& node : sum) {
+    for (__m256& v : node) v = _mm256_setzero_ps();
+  }
+  for (int64_t o = 0; o < cout; ++o) {
+    __m256 wv[kB];
+    for (int b = 0; b < kB; ++b) {
+      wv[b] = _mm256_loadu_ps(wt + o * cin_lanes + b * kTimeLanes);
+    }
+    for (int g = 0; g < kNodes; ++g) {
+      const __m256 gv = _mm256_set1_ps(gz[g][o]);
+      for (int b = 0; b < kB; ++b) {
+        sum[g][b] = _mm256_add_ps(sum[g][b], _mm256_mul_ps(gv, wv[b]));
+      }
+    }
+  }
+  for (int g = 0; g < kNodes; ++g) {
+    for (int b = 0; b < kB; ++b) {
+      float* d = dst[g] + b * kTimeLanes;
+      _mm256_storeu_ps(d, _mm256_add_ps(_mm256_loadu_ps(d), sum[g][b]));
+    }
+  }
+}
+
+// dw[(i·cin + c)·lanes + 8b] += src[g][taps[r·k + i]·stride + c] ·
+// gz[g][r·lanes + 8b] over nodes g, then rows r < rows, for every tap that
+// reads a time >= 0 (the reference's TapOuter per node and row; dw and gz
+// point at the first lane). kC input channels run side by side, so kC·kB
+// independent sums hide the add latency.
+template <int kNodes, int kB, int kC>
+inline void TapOuterChannels(const float* const* src, int64_t stride,
+                             const int64_t* taps, int64_t k, int64_t i,
+                             int64_t c0, int64_t rows, int64_t cin,
+                             const float* const* gz, int64_t lanes,
+                             float* dw) {
+  __m256 acc[kC][kB];
+  for (int c = 0; c < kC; ++c) {
+    for (int b = 0; b < kB; ++b) {
+      acc[c][b] =
+          _mm256_loadu_ps(dw + (i * cin + c0 + c) * lanes + b * kTimeLanes);
+    }
+  }
+  for (int g = 0; g < kNodes; ++g) {
+    for (int64_t r = 0; r < rows; ++r) {
+      const int64_t t = taps[r * k + i];
+      if (t < 0) continue;
+      const float* row = src[g] + t * stride + c0;
+      __m256 gv[kB];
+      for (int b = 0; b < kB; ++b) {
+        gv[b] = _mm256_loadu_ps(gz[g] + r * lanes + b * kTimeLanes);
+      }
+      for (int c = 0; c < kC; ++c) {
+        const __m256 xv = _mm256_set1_ps(row[c]);
+        for (int b = 0; b < kB; ++b) {
+          acc[c][b] = _mm256_add_ps(acc[c][b], _mm256_mul_ps(xv, gv[b]));
+        }
+      }
+    }
+  }
+  for (int c = 0; c < kC; ++c) {
+    for (int b = 0; b < kB; ++b) {
+      _mm256_storeu_ps(dw + (i * cin + c0 + c) * lanes + b * kTimeLanes,
+                       acc[c][b]);
+    }
+  }
+}
+
+template <int kNodes, int kB>
+inline void TapOuter(const float* const* src, int64_t stride,
+                     const int64_t* taps, int64_t k, int64_t rows,
+                     int64_t cin, const float* const* gz, int64_t lanes,
+                     float* dw) {
+  constexpr int kC = kB == 2 ? 4 : 8;
+  for (int64_t i = 0; i < k; ++i) {
+    int64_t c = 0;
+    for (; c + kC <= cin; c += kC) {
+      TapOuterChannels<kNodes, kB, kC>(src, stride, taps, k, i, c, rows, cin,
+                                       gz, lanes, dw);
+    }
+    for (; c < cin; ++c) {
+      TapOuterChannels<kNodes, kB, 1>(src, stride, taps, k, i, c, rows, cin,
+                                      gz, lanes, dw);
+    }
+  }
+}
+
+// bias[l] += Σ over nodes g, then rows r < rows, of gz[g][r·lanes + l].
+template <int kNodes>
+inline void BiasGrad(const float* const* gz, int64_t rows, int64_t lanes,
+                     float* bias) {
+  for (int64_t l = 0; l < lanes; l += kTimeLanes) {
+    __m256 acc = _mm256_loadu_ps(bias + l);
+    for (int g = 0; g < kNodes; ++g) {
+      for (int64_t r = 0; r < rows; ++r) {
+        acc = _mm256_add_ps(acc, _mm256_loadu_ps(gz[g] + r * lanes + l));
+      }
+    }
+    _mm256_storeu_ps(bias + l, acc);
+  }
+}
+
+// Nodes [j0, j0 + kNodes); h1 is [kNodes, rows1, lanes] scratch.
+template <int kNodes>
+void BlockForwardNodes(const TemporalBlockPlan& p, const float* x, int64_t j0,
+                       float* y, float* z1s, float* z2s, float* h1) {
+  const int64_t lanes = p.lanes;
+  const int64_t xs = p.n * p.in;
+  const float* xj[kNodes];
+  const float* h1g[kNodes];
+  for (int g = 0; g < kNodes; ++g) {
+    xj[g] = x + (j0 + g) * p.in;
+    h1g[g] = h1 + g * p.rows1 * lanes;
+  }
+  ForLaneBlocks(lanes, [&](auto blocks, int64_t l0) {
+    constexpr int kB = decltype(blocks)::value;
+    for (int64_t r = 0; r < p.rows1; ++r) {
+      __m256 acc[kNodes][kB];
+      TapSum<kNodes, kB>(xj, xs, p.tap1 + r * p.k, p.k, p.in, p.w1 + l0,
+                         lanes, acc);
+      for (int b = 0; b < kB; ++b) {
+        const int64_t l = l0 + b * kTimeLanes;
+        const __m256 bias = _mm256_loadu_ps(p.b1 + l);
+        const __m256 mask = _mm256_loadu_ps(p.mask1 + l);
+        for (int g = 0; g < kNodes; ++g) {
+          const __m256 z = _mm256_add_ps(acc[g][b], bias);
+          if (z1s != nullptr) {
+            _mm256_storeu_ps(z1s + ((j0 + g) * p.rows1 + r) * lanes + l, z);
+          }
+          _mm256_storeu_ps(h1 + (g * p.rows1 + r) * lanes + l,
+                           _mm256_mul_ps(Relu(z), mask));
+        }
+      }
+    }
+  });
+  ForLaneBlocks(lanes, [&](auto blocks, int64_t l0) {
+    constexpr int kB = decltype(blocks)::value;
+    for (int64_t m = 0; m < p.rows2; ++m) {
+      __m256 acc[kNodes][kB];
+      TapSum<kNodes, kB>(h1g, lanes, p.tap2 + m * p.k, p.k, p.out, p.w2 + l0,
+                         lanes, acc);
+      const float* xr[kNodes];
+      for (int g = 0; g < kNodes; ++g) xr[g] = xj[g] + p.res_time[m] * xs;
+      __m256 res[kNodes][kB];
+      if (p.wr != nullptr) {
+        TapSum<kNodes, kB>(xr, 0, &kTapZero, 1, p.in, p.wr + l0, lanes, res);
+        for (int b = 0; b < kB; ++b) {
+          const __m256 bias = _mm256_loadu_ps(p.br + l0 + b * kTimeLanes);
+          for (int g = 0; g < kNodes; ++g) {
+            res[g][b] = _mm256_add_ps(res[g][b], bias);
+          }
+        }
+      } else {
+        for (int b = 0; b < kB; ++b) {
+          const int64_t l = l0 + b * kTimeLanes;
+          for (int g = 0; g < kNodes; ++g) {
+            res[g][b] = LoadLanes(xr[g] + l, p.out - l);
+          }
+        }
+      }
+      for (int b = 0; b < kB; ++b) {
+        const int64_t l = l0 + b * kTimeLanes;
+        const int64_t count = p.out - l;
+        const __m256 bias = _mm256_loadu_ps(p.b2 + l);
+        const __m256 mask = _mm256_loadu_ps(p.mask2 + l);
+        for (int g = 0; g < kNodes; ++g) {
+          const __m256 z = _mm256_add_ps(acc[g][b], bias);
+          if (z2s != nullptr) {
+            _mm256_storeu_ps(z2s + ((j0 + g) * p.rows2 + m) * lanes + l, z);
+          }
+          StoreLanes(
+              y + (m * p.n + j0 + g) * p.out + l,
+              Relu(_mm256_add_ps(_mm256_mul_ps(Relu(z), mask), res[g][b])),
+              count);
+        }
+      }
+    }
+  });
+}
+
+// Per-node scratch of the backward, in floats.
+int64_t BackwardScratch(const TemporalBlockPlan& p) {
+  return (2 * p.rows2 + 3 * p.rows1) * p.lanes + p.t_len * p.in_lanes;
+}
+
+template <int kNodes>
+void BlockBackwardNodes(const TemporalBlockPlan& p, const float* x,
+                        const float* y, const float* z1s, const float* z2s,
+                        const float* g, int64_t j0,
+                        const TemporalBlockGrads& grads, float* dx,
+                        float* scratch) {
+  const int64_t lanes = p.lanes;
+  const int64_t in_lanes = p.in_lanes;
+  const int64_t xs = p.n * p.in;
+  const int64_t k = p.k;
+  // Per node: gy [rows2, lanes], gz2 [rows2, lanes], h1, gh1 and gz1
+  // [rows1, lanes], dxn [T, in_lanes].
+  const float* xj[kNodes];
+  float* gy[kNodes];
+  float* gz2[kNodes];
+  float* h1[kNodes];
+  float* gh1[kNodes];
+  float* gz1[kNodes];
+  float* dxn[kNodes];
+  for (int n = 0; n < kNodes; ++n) {
+    float* s = scratch + n * BackwardScratch(p);
+    xj[n] = x + (j0 + n) * p.in;
+    gy[n] = s;
+    gz2[n] = gy[n] + p.rows2 * lanes;
+    h1[n] = gz2[n] + p.rows2 * lanes;
+    gh1[n] = h1[n] + p.rows1 * lanes;
+    gz1[n] = gh1[n] + p.rows1 * lanes;
+    dxn[n] = gz1[n] + p.rows1 * lanes;
+    const float* z1 = z1s + (j0 + n) * p.rows1 * lanes;
+    const float* z2 = z2s + (j0 + n) * p.rows2 * lanes;
+    for (int64_t l = 0; l < lanes; l += kTimeLanes) {
+      const __m256 mask1 = _mm256_loadu_ps(p.mask1 + l);
+      const __m256 mask2 = _mm256_loadu_ps(p.mask2 + l);
+      for (int64_t m = 0; m < p.rows2; ++m) {
+        const int64_t at = (m * p.n + j0 + n) * p.out + l;
+        const int64_t count = p.out - l;
+        const __m256 gv = _mm256_mul_ps(LoadLanes(g + at, count),
+                                        ReluSlope(LoadLanes(y + at, count)));
+        _mm256_storeu_ps(gy[n] + m * lanes + l, gv);
+        _mm256_storeu_ps(
+            gz2[n] + m * lanes + l,
+            _mm256_mul_ps(_mm256_mul_ps(gv, mask2),
+                          ReluSlope(_mm256_loadu_ps(z2 + m * lanes + l))));
+      }
+      for (int64_t r = 0; r < p.rows1; ++r) {
+        _mm256_storeu_ps(
+            h1[n] + r * lanes + l,
+            _mm256_mul_ps(Relu(_mm256_loadu_ps(z1 + r * lanes + l)), mask1));
+        _mm256_storeu_ps(gh1[n] + r * lanes + l, _mm256_setzero_ps());
+      }
+    }
+  }
+
+  // Residual projection, conv2 and the gradient of its input h1.
+  if (p.wr != nullptr) {
+    ForLaneBlocks(lanes, [&](auto blocks, int64_t l0) {
+      constexpr int kB = decltype(blocks)::value;
+      const float* gyl[kNodes];
+      for (int n = 0; n < kNodes; ++n) gyl[n] = gy[n] + l0;
+      TapOuter<kNodes, kB>(xj, xs, p.res_time, 1, p.rows2, p.in, gyl, lanes,
+                           grads.wr + l0);
+    });
+    BiasGrad<kNodes>(gy, p.rows2, lanes, grads.br);
+  }
+  BiasGrad<kNodes>(gz2, p.rows2, lanes, grads.b2);
+  ForLaneBlocks(lanes, [&](auto blocks, int64_t l0) {
+    constexpr int kB = decltype(blocks)::value;
+    const float* gzl[kNodes];
+    for (int n = 0; n < kNodes; ++n) gzl[n] = gz2[n] + l0;
+    TapOuter<kNodes, kB>(h1, lanes, p.tap2, k, p.rows2, p.out, gzl, lanes,
+                         grads.w2 + l0);
+    for (int64_t m = 0; m < p.rows2; ++m) {
+      const float* gm[kNodes];
+      for (int n = 0; n < kNodes; ++n) gm[n] = gz2[n] + m * lanes;
+      for (int64_t i = 0; i < k; ++i) {
+        const int64_t q = p.tap2[m * k + i];
+        if (q < 0) continue;
+        float* dst[kNodes];
+        for (int n = 0; n < kNodes; ++n) dst[n] = gh1[n] + q * lanes + l0;
+        TapGrad<kNodes, kB>(gm, p.w2t + i * p.out * lanes + l0, p.out, lanes,
+                            dst);
+      }
+    }
+  });
+
+  // Conv1.
+  for (int n = 0; n < kNodes; ++n) {
+    const float* z1 = z1s + (j0 + n) * p.rows1 * lanes;
+    for (int64_t i = 0; i < p.rows1 * lanes; i += kTimeLanes) {
+      _mm256_storeu_ps(
+          gz1[n] + i,
+          _mm256_mul_ps(
+              _mm256_mul_ps(_mm256_loadu_ps(gh1[n] + i),
+                            _mm256_loadu_ps(p.mask1 + i % lanes)),
+              ReluSlope(_mm256_loadu_ps(z1 + i))));
+    }
+  }
+  BiasGrad<kNodes>(gz1, p.rows1, lanes, grads.b1);
+  ForLaneBlocks(lanes, [&](auto blocks, int64_t l0) {
+    constexpr int kB = decltype(blocks)::value;
+    const float* gzl[kNodes];
+    for (int n = 0; n < kNodes; ++n) gzl[n] = gz1[n] + l0;
+    TapOuter<kNodes, kB>(xj, xs, p.tap1, k, p.rows1, p.in, gzl, lanes,
+                         grads.w1 + l0);
+  });
+  if (dx == nullptr) return;
+
+  for (int n = 0; n < kNodes; ++n) {
+    for (int64_t i = 0; i < p.t_len * in_lanes; i += kTimeLanes) {
+      _mm256_storeu_ps(dxn[n] + i, _mm256_setzero_ps());
+    }
+  }
+  ForLaneBlocks(in_lanes, [&](auto blocks, int64_t l0) {
+    constexpr int kB = decltype(blocks)::value;
+    float* dst[kNodes];
+    for (int64_t r = 0; r < p.rows1; ++r) {
+      const float* gr[kNodes];
+      for (int n = 0; n < kNodes; ++n) gr[n] = gz1[n] + r * lanes;
+      for (int64_t i = 0; i < k; ++i) {
+        const int64_t t = p.tap1[r * k + i];
+        if (t < 0) continue;
+        for (int n = 0; n < kNodes; ++n) dst[n] = dxn[n] + t * in_lanes + l0;
+        TapGrad<kNodes, kB>(gr, p.w1t + i * p.out * in_lanes + l0, p.out,
+                            in_lanes, dst);
+      }
+    }
+    for (int64_t m = 0; m < p.rows2; ++m) {
+      const float* gm[kNodes];
+      for (int n = 0; n < kNodes; ++n) {
+        gm[n] = gy[n] + m * lanes;
+        dst[n] = dxn[n] + p.res_time[m] * in_lanes + l0;
+      }
+      if (p.wr != nullptr) {
+        TapGrad<kNodes, kB>(gm, p.wrt + l0, p.out, in_lanes, dst);
+      } else {
+        for (int n = 0; n < kNodes; ++n) {
+          for (int b = 0; b < kB; ++b) {
+            float* d = dst[n] + b * kTimeLanes;
+            _mm256_storeu_ps(
+                d, _mm256_add_ps(_mm256_loadu_ps(d),
+                                 _mm256_loadu_ps(gm[n] + l0 + b * kTimeLanes)));
+          }
+        }
+      }
+    }
+  });
+  // Time by time, so the group's rows of one time (adjacent in x) are
+  // written together.
+  for (int64_t t = 0; t < p.t_len; ++t) {
+    for (int n = 0; n < kNodes; ++n) {
+      float* row = dx + t * xs + (j0 + n) * p.in;
+      for (int64_t c = 0; c < p.in; c += kTimeLanes) {
+        StoreLanes(row + c, _mm256_loadu_ps(dxn[n] + t * in_lanes + c),
+                   p.in - c);
+      }
+    }
+  }
+}
+
 // The compile-time instantiation serves D = 4 over 16 lanes (T in 9..16).
 bool HotShape(const TimeLaneGraph& g) { return g.d == 4 && g.t_stride == 16; }
 
 }  // namespace
+
+void TemporalBlockForwardRows(const TemporalBlockPlan& p, const float* x,
+                              int64_t lo, int64_t hi, float* y, float* z1,
+                              float* z2) {
+  const Scratch h1(kGroup * p.rows1 * p.lanes);
+  int64_t j = lo;
+  for (; j + kGroup <= hi; j += kGroup) {
+    BlockForwardNodes<kGroup>(p, x, j, y, z1, z2, h1.get());
+  }
+  for (; j < hi; ++j) BlockForwardNodes<1>(p, x, j, y, z1, z2, h1.get());
+}
+
+void TemporalBlockBackwardRows(const TemporalBlockPlan& p, const float* x,
+                               const float* y, const float* z1,
+                               const float* z2, const float* g, int64_t lo,
+                               int64_t hi, const TemporalBlockGrads& grads,
+                               float* dx) {
+  const Scratch scratch(kGroup * BackwardScratch(p));
+  int64_t j = lo;
+  for (; j + kGroup <= hi; j += kGroup) {
+    BlockBackwardNodes<kGroup>(p, x, y, z1, z2, g, j, grads, dx,
+                               scratch.get());
+  }
+  for (; j < hi; ++j) {
+    BlockBackwardNodes<1>(p, x, y, z1, z2, g, j, grads, dx, scratch.get());
+  }
+}
 
 void TsForwardRows(const TimeLaneGraph& g, const float* xn, const float* as,
                    float c, int64_t row_lo, int64_t row_hi, float* corr,

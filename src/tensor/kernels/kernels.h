@@ -3,15 +3,17 @@
 // A KernelSet is a table of function pointers covering the numeric hot
 // paths: the contiguous elementwise loops, row-panel matmul, fused
 // last-axis softmax, 2-d transpose, the Eq. 5 relational lanes of
-// graph::SparseTimeSensitivePropagate and the pairwise-hinge row sums of
-// ag::PairwiseRankingLoss. Two sets are registered:
+// graph::SparseTimeSensitivePropagate, the pairwise-hinge row sums of
+// ag::PairwiseRankingLoss and nn::TemporalConvBlock's node-major forward and
+// backward. Two sets are registered:
 //
 //  * reference — the original scalar loops. Always available; the ground
 //    truth every other variant is checked against (tests/kernel_checker.h).
 //  * avx2 — AVX2/FMA kernels, used only when CPUID reports AVX2+FMA:
 //    kernels/avx2.cc (-mavx2 -mfma) holds the elementwise, matmul, softmax
 //    and transpose kernels; kernels/avx2_exact.cc (-mavx2 -mfma
-//    -ffp-contract=off) holds the relational-lane and loss kernels.
+//    -ffp-contract=off) holds the relational-lane, loss and temporal-block
+//    kernels.
 //
 // Selection happens once, lazily, from the RTGCN_KERNEL environment
 // variable ("reference" | "avx2" | "auto", default auto = best supported),
@@ -28,8 +30,10 @@
 // ParallelFor into row panels / contiguous spans; a kernel's output for a
 // given element may depend only on the element's absolute position and the
 // problem shape — never on the panel boundaries it happened to be called
-// with. Across backends, the elementwise, transpose, relational-lane and
-// pairwise-hinge kernels run the reference's IEEE operation sequence in
+// with (the temporal-block backward's parameter gradients are per-range
+// accumulators, so its caller fixes the ranges from N alone). Across
+// backends, the elementwise, transpose, relational-lane, pairwise-hinge and
+// temporal-block kernels run the reference's IEEE operation sequence in
 // every lane and match it bit for bit; matmul (FMA) and softmax
 // (vectorized exp) may differ from it in the last bits, which is why the
 // checker compares those with an epsilon.
@@ -69,6 +73,63 @@ struct TimeLaneGraph {
   int64_t d;               ///< features per node
   int64_t t_steps;         ///< T
   int64_t t_stride;        ///< T padded to a multiple of kTimeLanes
+};
+
+/// \brief Geometry and parameters of nn::TemporalConvBlock's fused op for
+/// the node-major block kernels.
+///
+/// x is time-major [T, N, in]; node j's taps read its rows x[t, j, :] in
+/// place. Every [.., lanes] buffer holds the F output channels padded with
+/// zeros to a multiple of 8 lanes ([.., in_lanes] likewise for the input
+/// channels). For one node, in IEEE float:
+///
+///   z1[r] = (0 + Σ_{i<k, tap1[r,i] ≥ 0} Σ_{c<in} x[tap1[r,i], c] · w1[i,c])
+///           + b1,                    summed in (i, c) order, r < rows1
+///   h1[r] = relu(z1[r]) · mask1
+///   z2[m] = (0 + Σ_{i, tap2[m,i] ≥ 0} Σ_{c<F} h1[tap2[m,i], c] · w2[i,c])
+///           + b2,                    m < rows2
+///   res[m] = (0 + Σ_{c<in} x[res_time[m], c] · wr[c]) + br, or
+///            x[res_time[m]] when wr is null (identity, in == F)
+///   y[m]  = relu(relu(z2[m]) · mask2 + res[m])
+///
+/// relu(v) = v > 0 ? v : 0, and each product is one multiply then one add
+/// (no fused multiply-add).
+struct TemporalBlockPlan {
+  int64_t t_len;     ///< T, x rows per node
+  int64_t n;         ///< nodes N
+  int64_t in;        ///< input channels
+  int64_t out;       ///< output channels F
+  int64_t lanes;     ///< F rounded up to a multiple of 8
+  int64_t in_lanes;  ///< in rounded up to a multiple of 8
+  int64_t k;         ///< taps per conv
+  int64_t rows1;     ///< conv1 output times computed (those conv2 reads)
+  int64_t rows2;     ///< block output times
+  const int64_t* tap1;      ///< [rows1, k] x time per tap, -1 before time 0
+  const int64_t* tap2;      ///< [rows2, k] conv1 row per tap, -1 likewise
+  const int64_t* res_time;  ///< [rows2] x time of each residual row
+  const float* w1;     ///< [k, in, lanes] conv1 filter, weight norm applied
+  const float* b1;     ///< [lanes]
+  const float* mask1;  ///< [lanes] dropout multipliers (1 when off)
+  const float* w2;     ///< [k, F, lanes]
+  const float* b2;     ///< [lanes]
+  const float* mask2;  ///< [lanes]
+  const float* wr;     ///< [in, lanes] residual projection; null = identity
+  const float* br;     ///< [lanes]
+  // The filters transposed for the input gradients (backward only).
+  const float* w1t;  ///< [k, F, in_lanes]
+  const float* w2t;  ///< [k, F, lanes]
+  const float* wrt;  ///< [F, in_lanes]
+};
+
+/// Parameter-gradient accumulators of the block backward, in the plan's
+/// padded layouts. The kernel adds into them.
+struct TemporalBlockGrads {
+  float* w1;  ///< [k, in, lanes]
+  float* b1;  ///< [lanes]
+  float* w2;  ///< [k, F, lanes]
+  float* b2;  ///< [lanes]
+  float* wr;  ///< [in, lanes], untouched for an identity residual
+  float* br;  ///< [lanes], likewise
 };
 
 /// \brief One interchangeable kernel backend.
@@ -139,6 +200,33 @@ struct KernelSet {
   void (*pairwise_hinge_rows)(const float* s, const float* y, int64_t n,
                               int64_t row_lo, int64_t row_hi,
                               double* row_loss, double* row_grad);
+
+  // nn::TemporalConvBlock over nodes [lo, hi) (TemporalBlockPlan has the
+  // forward formulas). A node's result does not depend on which other
+  // nodes share the call.
+
+  /// Forward: writes y [rows2, N, F] rows of the nodes and, when not null,
+  /// saves z1 [N, rows1, lanes] and z2 [N, rows2, lanes].
+  void (*temporal_block_forward_rows)(const TemporalBlockPlan& p,
+                                      const float* x, int64_t lo, int64_t hi,
+                                      float* y, float* z1, float* z2);
+
+  /// Backward from g = dL/dy [rows2, N, F], with the forward's y, z1, z2.
+  /// Per node: gy = g · (y > 0 ? 1 : 0); gz2 = (gy · mask2) · (z2 > 0 ?
+  /// 1 : 0); gh1 sums Σ_{o<F} gz2[o] · w2t[i,o] per conv2 tap (from 0 in
+  /// o order, then added to the tap's row in (m, i) order); gz1 = (gh1 ·
+  /// mask1) · (z1 > 0 ? 1 : 0). Each parameter gradient adds its terms
+  /// (x or h1 times gz, or gz alone) in (node, row) order. When dx is not
+  /// null the nodes' dx [T, N, in] rows are written: from 0, each conv1
+  /// tap's Σ_o gz1[o] · w1t[i,o] in (r, i) order, then each residual row's
+  /// Σ_o gy[o] · wrt[o] (or gy itself for an identity residual).
+  void (*temporal_block_backward_rows)(const TemporalBlockPlan& p,
+                                       const float* x, const float* y,
+                                       const float* z1, const float* z2,
+                                       const float* g, int64_t lo,
+                                       int64_t hi,
+                                       const TemporalBlockGrads& grads,
+                                       float* dx);
 
   // Static span names (obs::Span stores the pointer, never a copy) tagging
   // traces with the backend that executed the op.

@@ -243,6 +243,197 @@ void PairwiseHingeRowsRef(const float* s, const float* y, int64_t n,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Temporal conv block
+// ---------------------------------------------------------------------------
+
+float ReluOf(float v) { return v > 0 ? v : 0.0f; }
+float ReluSlope(float v) { return v > 0 ? 1.0f : 0.0f; }
+
+// acc[l] = Σ_{i<k, taps[i] ≥ 0} Σ_{c<cin} src[taps[i]·stride + c] ·
+// w[(i·cin + c)·lanes + l], from 0 in (i, c) order.
+void TapSum(const float* src, int64_t stride, const int64_t* taps, int64_t k,
+            int64_t cin, const float* w, int64_t lanes, float* acc) {
+  std::fill(acc, acc + lanes, 0.0f);
+  for (int64_t i = 0; i < k; ++i) {
+    if (taps[i] < 0) continue;
+    const float* row = src + taps[i] * stride;
+    for (int64_t c = 0; c < cin; ++c) {
+      const float* wc = w + (i * cin + c) * lanes;
+      for (int64_t l = 0; l < lanes; ++l) acc[l] += row[c] * wc[l];
+    }
+  }
+}
+
+// dst[c] += Σ_{o<cout} g[o] · wt[o·cin_lanes + c] for c < cin_lanes, the
+// sum from 0 in o order.
+void TapGrad(const float* g, const float* wt, int64_t cout, int64_t cin_lanes,
+             float* sum, float* dst) {
+  std::fill(sum, sum + cin_lanes, 0.0f);
+  for (int64_t o = 0; o < cout; ++o) {
+    for (int64_t c = 0; c < cin_lanes; ++c) {
+      sum[c] += g[o] * wt[o * cin_lanes + c];
+    }
+  }
+  for (int64_t c = 0; c < cin_lanes; ++c) dst[c] += sum[c];
+}
+
+// dw[(i·cin + c)·lanes + l] += src[taps[i]·stride + c] · g[l] for every
+// tap i that reads a time >= 0.
+void TapOuter(const float* src, int64_t stride, const int64_t* taps, int64_t k,
+              int64_t cin, const float* g, int64_t lanes, float* dw) {
+  for (int64_t i = 0; i < k; ++i) {
+    if (taps[i] < 0) continue;
+    const float* row = src + taps[i] * stride;
+    for (int64_t c = 0; c < cin; ++c) {
+      float* wc = dw + (i * cin + c) * lanes;
+      for (int64_t l = 0; l < lanes; ++l) wc[l] += row[c] * g[l];
+    }
+  }
+}
+
+constexpr int64_t kTapZero = 0;
+
+void TemporalBlockForwardRowsRef(const TemporalBlockPlan& p, const float* x,
+                                 int64_t lo, int64_t hi, float* y, float* z1s,
+                                 float* z2s) {
+  const int64_t lanes = p.lanes;
+  const int64_t xs = p.n * p.in;  // x's time stride
+  std::vector<float> z1(static_cast<size_t>(p.rows1 * lanes));
+  std::vector<float> h1(static_cast<size_t>(p.rows1 * lanes));
+  std::vector<float> z2(static_cast<size_t>(lanes));
+  std::vector<float> res(static_cast<size_t>(lanes));
+  for (int64_t j = lo; j < hi; ++j) {
+    const float* xj = x + j * p.in;
+    for (int64_t r = 0; r < p.rows1; ++r) {
+      float* zr = z1.data() + r * lanes;
+      TapSum(xj, xs, p.tap1 + r * p.k, p.k, p.in, p.w1, lanes, zr);
+      for (int64_t l = 0; l < lanes; ++l) {
+        zr[l] += p.b1[l];
+        h1[static_cast<size_t>(r * lanes + l)] = ReluOf(zr[l]) * p.mask1[l];
+      }
+    }
+    if (z1s != nullptr) {
+      std::copy(z1.begin(), z1.end(), z1s + j * p.rows1 * lanes);
+    }
+    for (int64_t m = 0; m < p.rows2; ++m) {
+      TapSum(h1.data(), lanes, p.tap2 + m * p.k, p.k, p.out, p.w2, lanes,
+             z2.data());
+      for (int64_t l = 0; l < lanes; ++l) z2[l] += p.b2[l];
+      if (z2s != nullptr) {
+        std::copy(z2.begin(), z2.end(), z2s + (j * p.rows2 + m) * lanes);
+      }
+      const float* xr = xj + p.res_time[m] * xs;
+      if (p.wr != nullptr) {
+        TapSum(xr, 0, &kTapZero, 1, p.in, p.wr, lanes, res.data());
+        for (int64_t l = 0; l < lanes; ++l) res[l] += p.br[l];
+      } else {
+        std::copy(xr, xr + p.out, res.begin());
+      }
+      float* ym = y + (m * p.n + j) * p.out;
+      for (int64_t l = 0; l < p.out; ++l) {
+        ym[l] = ReluOf(ReluOf(z2[l]) * p.mask2[l] + res[l]);
+      }
+    }
+  }
+}
+
+void TemporalBlockBackwardRowsRef(const TemporalBlockPlan& p, const float* x,
+                                  const float* y, const float* z1s,
+                                  const float* z2s, const float* g,
+                                  int64_t lo, int64_t hi,
+                                  const TemporalBlockGrads& grads,
+                                  float* dx) {
+  const int64_t lanes = p.lanes;
+  const int64_t in_lanes = p.in_lanes;
+  const int64_t xs = p.n * p.in;
+  auto buffer = [](int64_t n) {
+    return std::vector<float>(static_cast<size_t>(n), 0.0f);
+  };
+  std::vector<float> gy = buffer(p.rows2 * lanes);
+  std::vector<float> h1 = buffer(p.rows1 * lanes);
+  std::vector<float> gh1 = buffer(p.rows1 * lanes);
+  std::vector<float> gz1 = buffer(p.rows1 * lanes);
+  std::vector<float> gz2 = buffer(lanes);
+  std::vector<float> sum = buffer(std::max(lanes, in_lanes));
+  std::vector<float> dxn = buffer(p.t_len * in_lanes);
+  for (int64_t j = lo; j < hi; ++j) {
+    const float* xj = x + j * p.in;
+    const float* z1 = z1s + j * p.rows1 * lanes;
+    const float* z2 = z2s + j * p.rows2 * lanes;
+    for (int64_t m = 0; m < p.rows2; ++m) {
+      const int64_t at = (m * p.n + j) * p.out;
+      for (int64_t l = 0; l < p.out; ++l) {
+        gy[static_cast<size_t>(m * lanes + l)] =
+            g[at + l] * ReluSlope(y[at + l]);
+      }
+    }
+    for (int64_t i = 0; i < p.rows1 * lanes; ++i) {
+      h1[static_cast<size_t>(i)] = ReluOf(z1[i]) * p.mask1[i % lanes];
+    }
+    std::fill(gh1.begin(), gh1.end(), 0.0f);
+
+    // Residual projection.
+    if (p.wr != nullptr) {
+      for (int64_t m = 0; m < p.rows2; ++m) {
+        const float* gm = gy.data() + m * lanes;
+        TapOuter(xj + p.res_time[m] * xs, 0, &kTapZero, 1, p.in, gm, lanes,
+                 grads.wr);
+        for (int64_t l = 0; l < lanes; ++l) grads.br[l] += gm[l];
+      }
+    }
+    // Conv2 and the gradient of its input h1.
+    for (int64_t m = 0; m < p.rows2; ++m) {
+      for (int64_t l = 0; l < lanes; ++l) {
+        gz2[static_cast<size_t>(l)] =
+            (gy[static_cast<size_t>(m * lanes + l)] * p.mask2[l]) *
+            ReluSlope(z2[m * lanes + l]);
+        grads.b2[l] += gz2[static_cast<size_t>(l)];
+      }
+      const int64_t* taps = p.tap2 + m * p.k;
+      TapOuter(h1.data(), lanes, taps, p.k, p.out, gz2.data(), lanes,
+               grads.w2);
+      for (int64_t i = 0; i < p.k; ++i) {
+        if (taps[i] < 0) continue;
+        TapGrad(gz2.data(), p.w2t + i * p.out * lanes, p.out, lanes,
+                sum.data(), gh1.data() + taps[i] * lanes);
+      }
+    }
+    // Conv1.
+    for (int64_t r = 0; r < p.rows1; ++r) {
+      float* gr = gz1.data() + r * lanes;
+      for (int64_t l = 0; l < lanes; ++l) {
+        gr[l] = (gh1[static_cast<size_t>(r * lanes + l)] * p.mask1[l]) *
+                ReluSlope(z1[r * lanes + l]);
+        grads.b1[l] += gr[l];
+      }
+      TapOuter(xj, xs, p.tap1 + r * p.k, p.k, p.in, gr, lanes, grads.w1);
+    }
+    if (dx == nullptr) continue;
+    std::fill(dxn.begin(), dxn.end(), 0.0f);
+    for (int64_t r = 0; r < p.rows1; ++r) {
+      const int64_t* taps = p.tap1 + r * p.k;
+      for (int64_t i = 0; i < p.k; ++i) {
+        if (taps[i] < 0) continue;
+        TapGrad(gz1.data() + r * lanes, p.w1t + i * p.out * in_lanes, p.out,
+                in_lanes, sum.data(), dxn.data() + taps[i] * in_lanes);
+      }
+    }
+    for (int64_t m = 0; m < p.rows2; ++m) {
+      const float* gm = gy.data() + m * lanes;
+      float* dst = dxn.data() + p.res_time[m] * in_lanes;
+      if (p.wr != nullptr) {
+        TapGrad(gm, p.wrt, p.out, in_lanes, sum.data(), dst);
+      } else {
+        for (int64_t c = 0; c < p.in; ++c) dst[c] += gm[c];
+      }
+    }
+    for (int64_t t = 0; t < p.t_len; ++t) {
+      std::copy_n(dxn.data() + t * in_lanes, p.in, dx + t * xs + j * p.in);
+    }
+  }
+}
+
 const KernelSet kReferenceSet = {
     /*name=*/"reference",
     /*supported=*/AlwaysSupported,
@@ -263,6 +454,8 @@ const KernelSet kReferenceSet = {
     /*ts_grad_entries_rows=*/TsGradEntriesRowsRef,
     /*ts_grad_x_rows=*/TsGradXRowsRef,
     /*pairwise_hinge_rows=*/PairwiseHingeRowsRef,
+    /*temporal_block_forward_rows=*/TemporalBlockForwardRowsRef,
+    /*temporal_block_backward_rows=*/TemporalBlockBackwardRowsRef,
     /*matmul_span=*/"tensor.MatMul",
     /*batch_matmul_span=*/"tensor.BatchMatMul",
     /*softmax_span=*/"tensor.Softmax",

@@ -59,20 +59,30 @@ std::vector<int64_t> RowMajorStrides(const Shape& shape) {
   return strides;
 }
 
-Tensor Tensor::Zeros(Shape shape) {
-  Tensor t(std::move(shape));
-  t.Fill(0.0f);
+Tensor::Tensor(Shape shape, std::vector<float> values)
+    : shape_(std::move(shape)), numel_(ShapeNumel(shape_)) {
+  RTGCN_CHECK_EQ(static_cast<int64_t>(values.size()), numel_)
+      << "buffer size does not match shape " << ShapeToString(shape_);
+  // The vector stays the owner; data_ aliases its buffer, so no copy.
+  auto owner = std::make_shared<std::vector<float>>(std::move(values));
+  data_ = std::shared_ptr<float[]>(owner, owner->data());
+}
+
+Tensor Tensor::Uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = std::move(shape);
+  t.numel_ = ShapeNumel(t.shape_);
+  t.data_ = std::make_shared_for_overwrite<float[]>(
+      static_cast<size_t>(t.numel_));
   return t;
 }
 
-Tensor Tensor::Ones(Shape shape) {
-  Tensor t(std::move(shape));
-  t.Fill(1.0f);
-  return t;
-}
+Tensor Tensor::Zeros(Shape shape) { return Tensor(std::move(shape)); }
+
+Tensor Tensor::Ones(Shape shape) { return Full(std::move(shape), 1.0f); }
 
 Tensor Tensor::Full(Shape shape, float value) {
-  Tensor t(std::move(shape));
+  Tensor t = Uninitialized(std::move(shape));
   t.Fill(value);
   return t;
 }
@@ -99,7 +109,9 @@ Tensor Tensor::Arange(int64_t n) {
 
 Tensor Tensor::Clone() const {
   RTGCN_CHECK(defined());
-  return Tensor(shape_, *data_);
+  Tensor t = Uninitialized(shape_);
+  std::copy_n(data_.get(), numel_, t.data_.get());
+  return t;
 }
 
 Tensor Tensor::Reshape(Shape new_shape) const {
@@ -125,13 +137,14 @@ Tensor Tensor::Reshape(Shape new_shape) const {
       << ShapeToString(new_shape);
   Tensor out;
   out.shape_ = std::move(new_shape);
+  out.numel_ = numel_;
   out.data_ = data_;
   return out;
 }
 
 void Tensor::Fill(float value) {
   RTGCN_CHECK(defined());
-  std::fill(data_->begin(), data_->end(), value);
+  std::fill_n(data_.get(), numel_, value);
 }
 
 int64_t Tensor::FlatIndex(std::initializer_list<int64_t> idx) const {
@@ -156,7 +169,7 @@ std::string Tensor::ToString(int64_t max_elems) const {
   const int64_t n = std::min<int64_t>(numel(), max_elems);
   for (int64_t i = 0; i < n; ++i) {
     if (i) oss << ", ";
-    oss << (*data_)[i];
+    oss << data_[i];
   }
   if (numel() > n) oss << ", ...";
   oss << "}";

@@ -36,19 +36,18 @@ class Tensor {
  public:
   Tensor() = default;
 
-  /// Allocates an uninitialized tensor of `shape`.
+  /// Allocates a zero-filled tensor of `shape`.
   explicit Tensor(Shape shape)
       : shape_(std::move(shape)),
-        data_(std::make_shared<std::vector<float>>(ShapeNumel(shape_))) {}
+        numel_(ShapeNumel(shape_)),
+        data_(std::make_shared<float[]>(static_cast<size_t>(numel_))) {}
 
-  /// Wraps an existing buffer; `values.size()` must match the shape.
-  Tensor(Shape shape, std::vector<float> values)
-      : shape_(std::move(shape)),
-        data_(std::make_shared<std::vector<float>>(std::move(values))) {
-    RTGCN_CHECK_EQ(static_cast<int64_t>(data_->size()), ShapeNumel(shape_))
-        << "buffer size does not match shape " << ShapeToString(shape_);
-  }
+  /// Takes over an existing buffer; `values.size()` must match the shape.
+  Tensor(Shape shape, std::vector<float> values);
 
+  /// Allocates a tensor of `shape` whose elements are left uninitialized,
+  /// for an output whose every element the caller then writes.
+  static Tensor Uninitialized(Shape shape);
   static Tensor Zeros(Shape shape);
   static Tensor Ones(Shape shape);
   static Tensor Full(Shape shape, float value);
@@ -62,17 +61,20 @@ class Tensor {
   bool defined() const { return data_ != nullptr; }
   const Shape& shape() const { return shape_; }
   int64_t ndim() const { return static_cast<int64_t>(shape_.size()); }
-  int64_t numel() const { return data_ ? static_cast<int64_t>(data_->size()) : 0; }
+  int64_t numel() const { return numel_; }
   int64_t dim(int64_t axis) const {
     RTGCN_DCHECK(axis >= 0 && axis < ndim()) << "axis " << axis;
     return shape_[axis];
   }
 
-  float* data() { return data_->data(); }
-  const float* data() const { return data_->data(); }
+  float* data() { return data_.get(); }
+  const float* data() const { return data_.get(); }
 
   /// Deep copy of storage.
   Tensor Clone() const;
+
+  /// True when no other tensor shares this tensor's storage.
+  bool sole_owner() const { return data_.use_count() == 1; }
 
   /// Shares storage under a new shape; numel must match. One dimension may
   /// be -1 (inferred).
@@ -81,15 +83,15 @@ class Tensor {
   /// Value of a 0-d or 1-element tensor.
   float item() const {
     RTGCN_CHECK_EQ(numel(), 1) << "item() on tensor " << ShapeToString(shape_);
-    return (*data_)[0];
+    return data_[0];
   }
 
   // Element accessors. Cost: O(ndim) index arithmetic; use data() in kernels.
   float& at(std::initializer_list<int64_t> idx) {
-    return (*data_)[FlatIndex(idx)];
+    return data_[FlatIndex(idx)];
   }
   float at(std::initializer_list<int64_t> idx) const {
-    return (*data_)[FlatIndex(idx)];
+    return data_[FlatIndex(idx)];
   }
 
   /// In-place fill.
@@ -101,7 +103,8 @@ class Tensor {
   int64_t FlatIndex(std::initializer_list<int64_t> idx) const;
 
   Shape shape_;
-  std::shared_ptr<std::vector<float>> data_;
+  int64_t numel_ = 0;
+  std::shared_ptr<float[]> data_;
 };
 
 }  // namespace rtgcn

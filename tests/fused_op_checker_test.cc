@@ -1,15 +1,16 @@
 // Oracle tests for the fused autograd ops.
 //
-// ag::PairwiseRankingLoss and the fused nn::CausalConv1d replace chains of
-// small ops. The chains are kept here, and only here, as the reference: the
-// checker runs a fused op and its composed oracle on the same seeded
-// inputs and the same output cotangent, then compares the forward value and
-// every input gradient. The fused ops sum in a different order than the
-// chains, so the comparison is |fused - oracle| <= rtol * max|oracle| per
-// tensor (a norm-relative bound: a gradient entry that cancels to ~0 is not
-// held to its own magnitude). Each op also passes ag::GradCheck and is
-// bit-identical at 1, 2, 4 and 8 threads, and the loss is bit-identical
-// under every kernel backend.
+// ag::PairwiseRankingLoss and nn::TemporalConvBlock's fused op replace
+// chains of small ops. The chains are kept here, and only here, as the
+// reference: the checker runs a fused op and its composed oracle on the
+// same seeded inputs and the same output cotangent, then compares the
+// forward value and every input gradient. The fused ops sum in a
+// different order than the chains, so the comparison is |fused - oracle|
+// <= rtol * max|oracle| per tensor (a norm-relative bound: a gradient
+// entry that cancels to ~0 is not held to its own magnitude). Each op
+// also passes ag::GradCheck and is bit-identical at 1, 2, 4 and 8
+// threads, and the loss is bit-identical under every kernel backend (the
+// block's kernels are compared byte for byte in kernel_checker_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -368,27 +369,34 @@ TEST(FusedPairwiseRankingLossTest,
 }
 
 // ---------------------------------------------------------------------------
-// Causal convolution
+// Temporal conv block
 // ---------------------------------------------------------------------------
 
-struct ConvCase {
+struct BlockCase {
   int64_t kernel, dilation, stride, t_len;
-  bool weight_norm;
+  int64_t in = 3, out = 4;
+  float dropout = 0.0f;
 
   std::string Name() const {
     return "k=" + std::to_string(kernel) + " d=" + std::to_string(dilation) +
            " s=" + std::to_string(stride) + " T=" + std::to_string(t_len) +
-           (weight_norm ? " wn" : " plain");
+           " " + std::to_string(in) + "->" + std::to_string(out) +
+           " p=" + std::to_string(dropout);
   }
 };
 
-std::vector<ConvCase> AllConvCases() {
-  std::vector<ConvCase> cases;
+// The k × d × s × T grid with `out` channels, from out - 1 input channels
+// and from out. Both convs are weight-normalized; the residual is a plain
+// 1×1 projection except at in = out and stride 1, where it is the identity.
+std::vector<BlockCase> AllBlockCases(int64_t out) {
+  std::vector<BlockCase> cases;
   for (int64_t k : {1, 3}) {
     for (int64_t d : {1, 2}) {
       for (int64_t s : {1, 2, 4}) {
         for (int64_t t : {1, 4, 15}) {
-          for (bool wn : {true, false}) cases.push_back({k, d, s, t, wn});
+          for (int64_t in : {out - 1, out}) {
+            cases.push_back({k, d, s, t, in, out});
+          }
         }
       }
     }
@@ -396,122 +404,241 @@ std::vector<ConvCase> AllConvCases() {
   return cases;
 }
 
-// Inputs x, v, [gain,] bias of a freshly initialized conv.
-std::vector<ag::VarPtr> ConvInputs(const ConvParams& p, ag::VarPtr x) {
-  std::vector<ag::VarPtr> in{std::move(x), p.v};
-  if (p.gain) in.push_back(p.gain);
-  in.push_back(p.bias);
-  return in;
+nn::TemporalConvBlock MakeBlock(const BlockCase& c, Rng* rng) {
+  return nn::TemporalConvBlock(c.in, c.out, c.kernel, rng, c.dilation,
+                               c.stride, c.dropout);
 }
 
-std::vector<std::string> ConvInputNames(const ConvParams& p) {
-  std::vector<std::string> names{"x", "v"};
-  if (p.gain) names.push_back("gain");
-  names.push_back("bias");
-  return names;
+// The block's parameters with a nonzero bias in each conv, so every dbias
+// and bias add is exercised.
+std::vector<std::pair<std::string, ag::VarPtr>> BlockParams(
+    const nn::TemporalConvBlock& block, Rng* rng) {
+  std::vector<std::pair<std::string, ag::VarPtr>> params =
+      block.NamedParameters();
+  for (const auto& [name, var] : params) {
+    if (name.ends_with("bias")) {
+      var->value = RandomGaussian(var->shape(), 0, 0.5f, rng);
+    }
+  }
+  return params;
 }
 
-TEST(FusedCausalConvTest, MatchesComposedOracle) {
+// The block composed from the oracle convs, ag::Relu and ag::Dropout, with
+// its residual projected at every time and then downsampled.
+ag::VarPtr ComposedBlock(const ag::VarPtr& x, const nn::TemporalConvBlock& b,
+                         const BlockCase& c, Rng* rng) {
+  const ConvParams c1 = ParamsOf(b, "m0.");
+  const ConvParams c2 = ParamsOf(b, "m1.");
+  const ConvParams res = ParamsOf(b, "m2.");
+  ag::VarPtr h = ag::Relu(ComposedCausalConv(x, c1, 1, c.stride));
+  h = ag::Dropout(h, c.dropout, b.training(), rng, /*spatial_axis=*/2);
+  h = ag::Relu(ComposedCausalConv(h, c2, c.dilation, c.stride));
+  h = ag::Dropout(h, c.dropout, b.training(), rng, /*spatial_axis=*/2);
+  ag::VarPtr r = x;
+  if (res.v) {
+    r = ComposedCausalConv(x, res, 1, 1);
+    const int64_t step = c.stride * c.stride;
+    if (step > 1) r = ag::Downsample(r, 0, step, (c.t_len - 1) % step);
+  }
+  return ag::Relu(ag::Add(h, r));
+}
+
+// Inputs x and every parameter, with their names.
+void BlockInputs(const ag::VarPtr& x,
+                 const std::vector<std::pair<std::string, ag::VarPtr>>& params,
+                 std::vector<ag::VarPtr>* inputs,
+                 std::vector<std::string>* names) {
+  *inputs = {x};
+  *names = {"x"};
+  for (const auto& [name, var] : params) {
+    inputs->push_back(var);
+    names->push_back(name);
+  }
+}
+
+void CheckBlockAgainstOracle(FusedOpChecker* checker, const BlockCase& c,
+                             int64_t stocks) {
+  nn::TemporalConvBlock block = MakeBlock(c, checker->rng());
+  const auto params = BlockParams(block, checker->rng());
+  auto x = ag::MakeVariable(
+      RandomGaussian({c.t_len, stocks, c.in}, 0, 1, checker->rng()),
+      /*requires_grad=*/true);
+  std::vector<ag::VarPtr> inputs;
+  std::vector<std::string> names;
+  BlockInputs(x, params, &inputs, &names);
+  // Each run draws its dropout masks from a fresh Rng of one seed.
+  constexpr uint64_t kMaskSeed = 77;
+  checker->Check(
+      c.Name(),
+      [&](const std::vector<ag::VarPtr>& in) {
+        Rng masks(kMaskSeed);
+        return block.Forward(in[0], &masks);
+      },
+      [&](const std::vector<ag::VarPtr>& in) {
+        Rng masks(kMaskSeed);
+        return ComposedBlock(in[0], block, c, &masks);
+      },
+      inputs, names);
+}
+
+TEST(FusedTemporalBlockTest, MatchesComposedOracle) {
   FusedOpChecker checker(5);
-  constexpr int64_t kStocks = 5, kIn = 3, kOut = 4;
-  for (const ConvCase& c : AllConvCases()) {
-    nn::CausalConv1d conv(kIn, kOut, c.kernel, checker.rng(), c.dilation,
-                          c.stride, c.weight_norm);
-    const ConvParams p = ParamsOf(conv);
-    // A nonzero bias, so dbias and the bias add are exercised.
-    p.bias->value = RandomGaussian({kOut}, 0, 1, checker.rng());
-    auto x = ag::MakeVariable(
-        RandomGaussian({c.t_len, kStocks, kIn}, 0, 1, checker.rng()),
-        /*requires_grad=*/true);
-    checker.Check(
-        c.Name(),
-        [&](const std::vector<ag::VarPtr>& in) { return conv.Forward(in[0]); },
-        [&](const std::vector<ag::VarPtr>& in) {
-          return ComposedCausalConv(in[0], p, c.dilation, c.stride);
-        },
-        ConvInputs(p, x), ConvInputNames(p));
+  for (const BlockCase& c : AllBlockCases(/*out=*/4)) {
+    CheckBlockAgainstOracle(&checker, c, /*stocks=*/5);
   }
 }
 
-TEST(FusedCausalConvTest, GradCheck) {
-  Rng rng(6);
-  for (const ConvCase& c : AllConvCases()) {
-    nn::CausalConv1d conv(2, 3, c.kernel, &rng, c.dilation, c.stride,
-                          c.weight_norm);
-    const ConvParams p = ParamsOf(conv);
-    auto x = ag::MakeVariable(RandomGaussian({c.t_len, 3, 2}, 0, 1, &rng),
+// Dropout 0.1 in training mode: the fused op and the oracle draw conv1's
+// channel masks, then conv2's, from the same Rng sequence.
+TEST(FusedTemporalBlockTest, DropoutMatchesComposedOracle) {
+  FusedOpChecker checker(6);
+  const BlockCase cases[] = {{3, 1, 4, 15, 16, 16, 0.1f},
+                             {3, 2, 2, 15, 3, 5, 0.1f},
+                             {3, 1, 1, 4, 8, 8, 0.1f}};
+  for (const BlockCase& c : cases) {
+    CheckBlockAgainstOracle(&checker, c, /*stocks=*/9);
+  }
+}
+
+TEST(FusedTemporalBlockTest, DropoutDrawsOneMaskPerConvInOrder) {
+  Rng rng(7);
+  const BlockCase c{3, 1, 4, 15, 16, 16, 0.1f};
+  nn::TemporalConvBlock block = MakeBlock(c, &rng);
+  auto x = ag::Constant(RandomGaussian({15, 4, 16}, 0, 1, &rng));
+  Rng used(8), expected(8);
+  block.Forward(x, &used);
+  for (int i = 0; i < 2 * 16; ++i) expected.Bernoulli(0.1);
+  EXPECT_EQ(used.Uniform(), expected.Uniform());
+  // Outside training nothing is drawn.
+  block.SetTraining(false);
+  Rng idle(9), fresh(9);
+  block.Forward(x, &idle);
+  EXPECT_EQ(idle.Uniform(), fresh.Uniform());
+}
+
+// max_i |analytic_i - numeric_i| over v's entries, relative to the largest
+// |analytic| (floored at 1e-4), the numeric gradient a central difference
+// at step `eps`. A weight-normalized v's gradient is orthogonal to v, so
+// some of its entries cancel to ~0, where the difference sees only a
+// one-ulp change of the loss; measured against the tensor's scale, as
+// MatchesComposedOracle's bound is, that rounding noise is ~1e-4.
+float NormRelativeGradError(const std::function<ag::VarPtr()>& loss,
+                            const ag::VarPtr& v, float eps) {
+  v->ZeroGrad();
+  ag::Backward(loss());
+  const Tensor analytic = v->grad.Clone();
+  float scale = 1e-4f;
+  for (int64_t i = 0; i < analytic.numel(); ++i) {
+    scale = std::max(scale, std::fabs(analytic.data()[i]));
+  }
+  float max_err = 0;
+  float* p = v->value.data();
+  for (int64_t i = 0; i < v->numel(); ++i) {
+    const float orig = p[i];
+    p[i] = orig + eps;
+    const float f_plus = loss()->value.item();
+    p[i] = orig - eps;
+    const float f_minus = loss()->value.item();
+    p[i] = orig;
+    const float numeric = (f_plus - f_minus) / (2.0f * eps);
+    max_err = std::max(max_err, std::fabs(analytic.data()[i] - numeric));
+  }
+  return max_err / scale;
+}
+
+// Finite differences through x, v, gain and bias of each conv, each held
+// to ag::GradCheck's 5e-2 at step 1e-2: the weight-normalized v (m0.v,
+// m1.v) relative to its largest entry, the rest per entry. Positive
+// filters, biases and inputs keep every ReLU input positive, so no probe
+// crosses a kink (the oracle tests cover the inactive side); filter
+// entries of at least 0.1 keep each channel's ||v|| well above the step,
+// so v/||v|| does not bend within a probe.
+TEST(FusedTemporalBlockTest, GradCheck) {
+  Rng rng(8);
+  for (const BlockCase& c : AllBlockCases(/*out=*/3)) {
+    nn::TemporalConvBlock block = MakeBlock(c, &rng);
+    auto x = ag::MakeVariable(RandomUniform({c.t_len, 2, c.in}, 0.2f, 0.6f,
+                                            &rng),
                               /*requires_grad=*/true);
-    const Tensor cotangent =
-        RandomUniform({conv.out_length(c.t_len), 3, 3}, 0.5f, 1.5f, &rng);
-    // The conv is linear in x, v (without weight norm) and bias, so a
-    // wide step costs no truncation error and keeps float cancellation in
-    // the differences small next to the taps' tiny weight-norm gradients.
+    std::vector<ag::VarPtr> per_entry{x};
+    std::vector<std::pair<std::string, ag::VarPtr>> normalized;
+    for (const auto& [name, var] : block.NamedParameters()) {
+      float* p = var->value.data();
+      for (int64_t i = 0; i < var->numel(); ++i) {
+        p[i] = name.ends_with("bias") ? 0.1f : std::max(0.1f, std::fabs(p[i]));
+      }
+      if (name == "m0.v" || name == "m1.v") {
+        normalized.emplace_back(name, var);
+      } else {
+        per_entry.push_back(var);
+      }
+    }
+    const Tensor cotangent = RandomUniform(
+        {block.out_length(c.t_len), 2, c.out}, 0.5f, 1.5f, &rng);
+    const auto loss = [&] {
+      return ag::SumAll(
+          ag::Mul(block.Forward(x, nullptr), ag::Constant(cotangent)));
+    };
     EXPECT_TRUE(ag::GradCheck(
-        [&](const std::vector<ag::VarPtr>& in) {
-          return ag::SumAll(
-              ag::Mul(conv.Forward(in[0]), ag::Constant(cotangent)));
-        },
-        ConvInputs(p, x), /*tol=*/5e-2f, /*eps=*/1e-2f))
+        [&](const std::vector<ag::VarPtr>&) { return loss(); }, per_entry,
+        /*tol=*/5e-2f, /*eps=*/1e-2f))
         << c.Name();
+    for (const auto& [name, v] : normalized) {
+      EXPECT_LT(NormRelativeGradError(loss, v, /*eps=*/1e-2f), 5e-2f)
+          << c.Name() << " " << name;
+    }
   }
 }
 
-TEST(FusedCausalConvTest, BitIdenticalAcrossThreadCounts) {
-  FusedOpChecker checker(7);
-  // The layer-0 shapes of the paper-scale model, then a dilated stride-1
-  // conv whose taps overlap in the backward scatter.
-  const ConvCase cases[] = {{3, 1, 4, 15, true}, {3, 2, 1, 15, true}};
-  for (const ConvCase& c : cases) {
-    nn::CausalConv1d conv(16, 16, c.kernel, checker.rng(), c.dilation,
-                          c.stride, c.weight_norm);
-    const ConvParams p = ParamsOf(conv);
+// The layer-0 shapes of the paper-scale model, with dropout, then a dilated
+// stride-1 block whose conv1 taps overlap in the backward.
+TEST(FusedTemporalBlockTest, BitIdenticalAcrossThreadCounts) {
+  FusedOpChecker checker(9);
+  const BlockCase cases[] = {{3, 1, 4, 15, 16, 16, 0.1f},
+                             {3, 2, 1, 15, 16, 16, 0.1f}};
+  for (const BlockCase& c : cases) {
+    nn::TemporalConvBlock block = MakeBlock(c, checker.rng());
+    const auto params = BlockParams(block, checker.rng());
     auto x = ag::MakeVariable(
-        RandomGaussian({c.t_len, 840, 16}, 0, 1, checker.rng()),
+        RandomGaussian({c.t_len, 840, c.in}, 0, 1, checker.rng()),
         /*requires_grad=*/true);
+    std::vector<ag::VarPtr> inputs;
+    std::vector<std::string> names;
+    BlockInputs(x, params, &inputs, &names);
     checker.CheckThreadInvariant(
         c.Name(),
-        [&](const std::vector<ag::VarPtr>& in) { return conv.Forward(in[0]); },
-        ConvInputs(p, x));
+        [&](const std::vector<ag::VarPtr>& in) {
+          Rng masks(10);
+          return block.Forward(in[0], &masks);
+        },
+        inputs);
   }
 }
 
-// The block's residual path projects only the kept times; the oracle
-// projects every time and then downsamples, as the block used to.
-TEST(FusedCausalConvTest, TemporalBlockMatchesComposedOracle) {
-  FusedOpChecker checker(8);
-  for (int64_t stride : {1, 2, 4}) {
-    for (int64_t t_len : {4, 15}) {
-      nn::TemporalConvBlock block(3, 5, 3, checker.rng(), /*dilation=*/2,
-                                  stride, /*dropout=*/0.0f);
-      const ConvParams c1 = ParamsOf(block, "m0.");
-      const ConvParams c2 = ParamsOf(block, "m1.");
-      const ConvParams res = ParamsOf(block, "m2.");
-      auto x = ag::MakeVariable(
-          RandomGaussian({t_len, 6, 3}, 0, 1, checker.rng()),
-          /*requires_grad=*/true);
-      std::vector<ag::VarPtr> inputs{x};
-      std::vector<std::string> names{"x"};
-      for (const auto& [name, var] : block.NamedParameters()) {
-        inputs.push_back(var);
-        names.push_back(name);
-      }
-      checker.Check(
-          "block s=" + std::to_string(stride) + " T=" + std::to_string(t_len),
-          [&](const std::vector<ag::VarPtr>& in) {
-            return block.Forward(in[0], checker.rng());
-          },
-          [&](const std::vector<ag::VarPtr>& in) {
-            ag::VarPtr h = ag::Relu(ComposedCausalConv(in[0], c1, 1, stride));
-            h = ag::Relu(ComposedCausalConv(h, c2, 2, stride));
-            ag::VarPtr r = ComposedCausalConv(in[0], res, 1, 1);
-            if (stride > 1) {
-              const int64_t step = stride * stride;
-              r = ag::Downsample(r, 0, step, (t_len - 1) % step);
-            }
-            return ag::Relu(ag::Add(h, r));
-          },
-          inputs, names);
+// The serving forward (no tape, nothing saved) returns the training
+// forward's value byte for byte.
+TEST(FusedTemporalBlockTest, NoGradForwardMatchesGradForward) {
+  Rng rng(11);
+  const BlockCase cases[] = {{3, 1, 4, 15, 16, 16, 0.1f},
+                             {3, 2, 2, 15, 3, 5, 0.1f},
+                             {3, 1, 1, 6, 12, 12, 0.0f}};
+  for (const BlockCase& c : cases) {
+    nn::TemporalConvBlock block = MakeBlock(c, &rng);
+    BlockParams(block, &rng);
+    const Tensor x = RandomGaussian({c.t_len, 37, c.in}, 0, 1, &rng);
+    Rng grad_masks(12), serve_masks(12);
+    const Tensor with_tape =
+        block.Forward(ag::MakeVariable(x.Clone(), true), &grad_masks)->value;
+    Tensor without;
+    {
+      ag::NoGradGuard no_grad;
+      without = block.Forward(ag::Constant(x), &serve_masks)->value;
     }
+    ASSERT_EQ(with_tape.shape(), without.shape()) << c.Name();
+    EXPECT_EQ(std::memcmp(with_tape.data(), without.data(),
+                          sizeof(float) * with_tape.numel()),
+              0)
+        << c.Name();
   }
 }
 

@@ -1,7 +1,8 @@
 // Kernel-equivalence sweeps: every registered backend vs the scalar
 // reference, across shapes chosen to hit vector-width tails, odd sizes,
-// single rows/columns, grain boundaries and broadcast edges. See
-// kernel_checker.h for the comparison contract.
+// single rows/columns, grain boundaries and broadcast edges, plus the
+// temporal-block kernels compared byte for byte. See kernel_checker.h for
+// the comparison contract.
 #include "kernel_checker.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <limits>
 #include <vector>
 
+#include "autograd/ops.h"
+#include "nn/temporal_conv.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -252,6 +255,97 @@ TEST(KernelChecker, TransposeShapeSweep) {
     Tensor a = checker.Gaussian({mn[0], mn[1]});
     checker.Check("Transpose " + ShapeStr({mn[0], mn[1]}),
                   [&] { return Transpose(a); });
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Temporal conv block
+// ---------------------------------------------------------------------------
+
+// The block's value, input gradient and every parameter gradient, and the
+// gradient-free value, under the active backend.
+std::vector<Tensor> TemporalBlockOutputs(const nn::TemporalConvBlock& block,
+                                         const Tensor& x,
+                                         const Tensor& cotangent) {
+  auto xv = ag::MakeVariable(x.Clone(), /*requires_grad=*/true);
+  const auto params = block.Parameters();
+  for (const auto& p : params) p->ZeroGrad();
+  Rng masks(3);
+  ag::VarPtr y = block.Forward(xv, &masks);
+  ag::Backward(ag::SumAll(ag::Mul(y, ag::Constant(cotangent))));
+  std::vector<Tensor> out{y->value, xv->grad};
+  for (const auto& p : params) out.push_back(p->grad);
+  ag::NoGradGuard no_grad;
+  Rng serve_masks(3);
+  out.push_back(block.Forward(ag::Constant(x), &serve_masks)->value);
+  return out;
+}
+
+// The avx2 block kernels equal the reference kernels byte for byte:
+// 4-node groups with tails (N not a multiple of 4), 16 channels (two
+// registers), in != out, channel counts off the 8-lane grid (5, 9, 20),
+// identity and projected residuals, dropout masks, and a NaN and an inf
+// input. NaNs match as NaNs: the compiler may commute the operands of a
+// scalar add, which picks which NaN payload propagates.
+TEST(KernelChecker, TemporalBlockBitIdenticalToReference) {
+  struct Case {
+    int64_t in, out, kernel, dilation, stride, t_len, n;
+    float dropout;
+    bool specials;
+  };
+  const Case cases[] = {{16, 16, 3, 1, 4, 15, 37, 0.1f, false},
+                        {3, 5, 3, 2, 2, 15, 9, 0.1f, false},
+                        {12, 12, 3, 2, 1, 6, 6, 0.0f, false},
+                        {5, 20, 2, 1, 2, 9, 13, 0.1f, false},
+                        {9, 9, 1, 1, 1, 4, 5, 0.0f, true},
+                        {16, 16, 3, 1, 4, 15, 11, 0.0f, true}};
+  Rng rng(120);
+  for (const Case& c : cases) {
+    nn::TemporalConvBlock block(c.in, c.out, c.kernel, &rng, c.dilation,
+                                c.stride, c.dropout);
+    for (const auto& p : block.Parameters()) {
+      if (p->value.ndim() == 1) {
+        p->value = RandomGaussian(p->shape(), 0, 0.5f, &rng);  // biases
+      }
+    }
+    Tensor x = RandomGaussian({c.t_len, c.n, c.in}, 0, 1, &rng);
+    if (c.specials) {
+      x.data()[x.numel() - 1] = std::numeric_limits<float>::quiet_NaN();
+      x.data()[x.numel() - c.in - 1] = std::numeric_limits<float>::infinity();
+    }
+    const Tensor cotangent = RandomUniform(
+        {block.out_length(c.t_len), c.n, c.out}, -1.0f, 1.0f, &rng);
+    const std::string what = std::to_string(c.in) + "->" +
+                             std::to_string(c.out) + " k=" +
+                             std::to_string(c.kernel) + " s=" +
+                             std::to_string(c.stride) + " N=" +
+                             std::to_string(c.n);
+    std::vector<Tensor> expected;
+    {
+      ScopedKernelBackend scope(kernels::Backend::kReference);
+      expected = TemporalBlockOutputs(block, x, cotangent);
+    }
+    for (const kernels::KernelSet* ks : kernels::AllKernels()) {
+      if (ks == &kernels::Reference() || !ks->supported()) continue;
+      ScopedKernelBackend scope(kernels::Backend::kAvx2);
+      const std::vector<Tensor> actual =
+          TemporalBlockOutputs(block, x, cotangent);
+      ASSERT_EQ(expected.size(), actual.size()) << what;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(expected[i].shape(), actual[i].shape()) << what;
+        int64_t mismatches = 0;
+        for (int64_t e = 0; e < expected[i].numel(); ++e) {
+          const float a = expected[i].data()[e];
+          const float b = actual[i].data()[e];
+          if (std::memcmp(&a, &b, sizeof(float)) != 0 &&
+              !(std::isnan(a) && std::isnan(b))) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << what << " [" << ks->name << "]: output "
+                                 << i;
+      }
+    }
   }
 }
 

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
@@ -65,67 +68,14 @@ TEST(LinearTest, GradientsFlowToWeights) {
 }
 
 // ---------------------------------------------------------------------------
-// Causal convolution
+// Temporal conv block
 // ---------------------------------------------------------------------------
 
-TEST(CausalConvTest, OutputShape) {
-  Rng rng(5);
-  CausalConv1d conv(4, 8, 3, &rng);
-  auto x = ag::Constant(RandomGaussian({10, 6, 4}, 0, 1, &rng));
-  auto y = conv.Forward(x);
-  EXPECT_EQ(y->shape(), (Shape{10, 6, 8}));
-}
-
-TEST(CausalConvTest, StrideCompressesKeepingLastSample) {
-  Rng rng(6);
-  CausalConv1d conv(2, 2, 3, &rng, /*dilation=*/1, /*stride=*/4);
-  auto x = ag::Constant(RandomGaussian({15, 3, 2}, 0, 1, &rng));
-  auto y = conv.Forward(x);
-  EXPECT_EQ(y->value.dim(0), 4);  // ceil(15/4)
-}
-
-TEST(CausalConvTest, CausalityNoFutureLeakage) {
-  // Changing inputs after time t must not change output at time t.
-  Rng rng(7);
-  CausalConv1d conv(2, 3, 3, &rng, /*dilation=*/2);
-  Tensor base = RandomGaussian({8, 2, 2}, 0, 1, &rng);
-  ag::NoGradGuard no_grad;
-  Tensor y1 = conv.Forward(ag::Constant(base))->value;
-  Tensor modified = base.Clone();
-  // Perturb the last two time-steps.
-  for (int64_t i = 6 * 2 * 2; i < 8 * 2 * 2; ++i) modified.data()[i] += 10.0f;
-  Tensor y2 = conv.Forward(ag::Constant(modified))->value;
-  // Outputs at times 0..5 must agree exactly.
-  EXPECT_TRUE(AllClose(Slice(y1, 0, 0, 6), Slice(y2, 0, 0, 6)));
-  // And the perturbed region must differ.
-  EXPECT_FALSE(AllClose(Slice(y1, 0, 6, 8), Slice(y2, 0, 6, 8)));
-}
-
-TEST(CausalConvTest, KernelOneIsPointwiseLinear) {
-  Rng rng(8);
-  CausalConv1d conv(3, 2, 1, &rng, 1, 1, /*weight_norm=*/false);
-  Tensor x = RandomGaussian({4, 2, 3}, 0, 1, &rng);
-  ag::NoGradGuard no_grad;
-  Tensor y = conv.Forward(ag::Constant(x))->value;
-  EXPECT_EQ(y.shape(), (Shape{4, 2, 2}));
-  // Time-step independence: same input row -> same output row.
-  Tensor x2 = x.Clone();
-  std::fill(x2.data(), x2.data() + 2 * 3, 0.0f);  // zero time 0 only
-  Tensor y2 = conv.Forward(ag::Constant(x2))->value;
-  EXPECT_TRUE(AllClose(Slice(y, 0, 1, 4), Slice(y2, 0, 1, 4)));
-}
-
-TEST(CausalConvTest, WeightNormGradCheck) {
-  Rng rng(9);
-  CausalConv1d conv(2, 2, 2, &rng);
-  auto x = ag::Constant(RandomGaussian({5, 2, 2}, 0, 1, &rng));
-  auto params = conv.Parameters();
-  std::vector<ag::VarPtr> inputs(params.begin(), params.end());
-  EXPECT_TRUE(ag::GradCheck(
-      [&](const std::vector<ag::VarPtr>&) {
-        return ag::SumAll(ag::Square(conv.Forward(x)));
-      },
-      inputs));
+// Whether y[t] equals y2[t] for every time t in [lo, hi), byte for byte.
+bool SameTimes(const Tensor& y, const Tensor& y2, int64_t lo, int64_t hi) {
+  const int64_t row = y.numel() / y.dim(0);
+  return std::equal(y.data() + lo * row, y.data() + hi * row,
+                    y2.data() + lo * row);
 }
 
 TEST(TemporalConvBlockTest, ShapeAndResidualAlignment) {
@@ -146,6 +96,79 @@ TEST(TemporalConvBlockTest, OutputsAreNonNegativeAfterFinalRelu) {
   auto x = ag::Constant(RandomGaussian({6, 2, 2}, 0, 1, &rng));
   auto y = block.Forward(x, &rng);
   EXPECT_GE(MinAll(y->value), 0.0f);
+}
+
+TEST(TemporalConvBlockTest, CausalityNoFutureLeakage) {
+  // Changing inputs after time t must not change output at time t.
+  Rng rng(7);
+  TemporalConvBlock block(2, 3, 3, &rng, /*dilation=*/2, /*stride=*/1, 0.0f);
+  Tensor base = RandomGaussian({8, 4, 2}, 0, 1, &rng);
+  ag::NoGradGuard no_grad;
+  Tensor y1 = block.Forward(ag::Constant(base), &rng)->value;
+  Tensor modified = base.Clone();
+  // Perturb the last two time-steps.
+  for (int64_t i = 6 * 4 * 2; i < 8 * 4 * 2; ++i) modified.data()[i] += 10.0f;
+  Tensor y2 = block.Forward(ag::Constant(modified), &rng)->value;
+  // Outputs at times 0..5 must agree exactly.
+  EXPECT_TRUE(SameTimes(y1, y2, 0, 6));
+  // And the perturbed region must differ.
+  EXPECT_FALSE(SameTimes(y1, y2, 6, 8));
+}
+
+TEST(TemporalConvBlockTest, StrideKeepsTimesAlignedToTheLastSample) {
+  // Stride 2 twice over T = 8 keeps the times 3 and 7: y[0] sees x[0..3]
+  // only, and the last input time reaches the last output.
+  Rng rng(6);
+  TemporalConvBlock block(2, 4, 3, &rng, /*dilation=*/1, /*stride=*/2, 0.0f);
+  Tensor base = RandomGaussian({8, 5, 2}, 0, 1, &rng);
+  ag::NoGradGuard no_grad;
+  Tensor y1 = block.Forward(ag::Constant(base), &rng)->value;
+  ASSERT_EQ(y1.dim(0), 2);
+  Tensor later = base.Clone();
+  for (int64_t i = 4 * 5 * 2; i < 8 * 5 * 2; ++i) later.data()[i] += 10.0f;
+  Tensor y2 = block.Forward(ag::Constant(later), &rng)->value;
+  EXPECT_TRUE(SameTimes(y1, y2, 0, 1));
+  EXPECT_FALSE(SameTimes(y1, y2, 1, 2));
+  Tensor last = base.Clone();
+  for (int64_t i = 7 * 5 * 2; i < 8 * 5 * 2; ++i) last.data()[i] -= 10.0f;
+  Tensor y3 = block.Forward(ag::Constant(last), &rng)->value;
+  EXPECT_TRUE(SameTimes(y1, y3, 0, 1));
+  EXPECT_FALSE(SameTimes(y1, y3, 1, 2));
+}
+
+TEST(TemporalConvBlockTest, KernelOneIsPointwiseInTime) {
+  Rng rng(8);
+  TemporalConvBlock block(3, 2, 1, &rng, 1, 1, 0.0f);
+  Tensor x = RandomGaussian({4, 2, 3}, 0, 1, &rng);
+  ag::NoGradGuard no_grad;
+  Tensor y = block.Forward(ag::Constant(x), &rng)->value;
+  EXPECT_EQ(y.shape(), (Shape{4, 2, 2}));
+  // Time-step independence: same input row -> same output row.
+  Tensor x2 = x.Clone();
+  std::fill(x2.data(), x2.data() + 2 * 3, 0.0f);  // zero time 0 only
+  Tensor y2 = block.Forward(ag::Constant(x2), &rng)->value;
+  EXPECT_TRUE(SameTimes(y, y2, 1, 4));
+}
+
+TEST(TemporalConvBlockTest, WeightNormGradCheck) {
+  Rng rng(9);
+  TemporalConvBlock block(2, 2, 2, &rng, 1, 1, 0.0f);
+  // Positive filters, biases and inputs keep every ReLU input positive, so
+  // no probe crosses a kink.
+  for (const auto& [name, p] : block.NamedParameters()) {
+    float* v = p->value.data();
+    for (int64_t i = 0; i < p->numel(); ++i) {
+      v[i] = name.ends_with("bias") ? 0.1f : std::fabs(v[i]);
+    }
+  }
+  auto x = ag::Constant(RandomUniform({5, 2, 2}, 0.2f, 0.6f, &rng));
+  auto params = block.Parameters();
+  std::vector<ag::VarPtr> inputs(params.begin(), params.end());
+  EXPECT_TRUE(ag::GradCheck(
+      [&](const std::vector<ag::VarPtr>&) {
+        return ag::SumAll(ag::Square(block.Forward(x, &rng)));
+      },
+      inputs));
 }
 
 // ---------------------------------------------------------------------------

@@ -229,28 +229,42 @@ TEST(FiniteCheckTest, NamesFusedRankingLossInBothPhases) {
   EXPECT_EQ(ag::FiniteChecks::first().phase, "backward");
 }
 
-TEST(FiniteCheckTest, NamesFusedCausalConvInBothPhases) {
+TEST(FiniteCheckTest, NamesFusedTemporalBlockInBothPhases) {
   FiniteCheckScope scope;
   Rng rng(5);
-  nn::CausalConv1d conv(2, 2, 3, &rng, /*dilation=*/1, /*stride=*/2);
+  nn::TemporalConvBlock block(2, 2, 3, &rng, /*dilation=*/1, /*stride=*/2,
+                              /*dropout=*/0.0f);
   Tensor x = Tensor::Full({4, 3, 2}, 0.5f);
   x.data()[7] = kNan;
-  conv.Forward(ag::Constant(x));
+  block.Forward(ag::Constant(x), &rng);
   EXPECT_TRUE(ag::FiniteChecks::tripped());
-  EXPECT_EQ(ag::FiniteChecks::first().op, "CausalConv1d");
+  EXPECT_EQ(ag::FiniteChecks::first().op, "TemporalConvBlock");
+  EXPECT_EQ(ag::FiniteChecks::first().phase, "forward");
+
+  // A NaN in the residual projection's filter reaches the output only
+  // through the final ReLU, which maps it to 0.
+  ag::FiniteChecks::Reset();
+  x.data()[7] = 0.5f;
+  for (const auto& [name, p] : block.NamedParameters()) {
+    if (name == "m2.v") p->value.data()[0] = kNan;
+  }
+  block.Forward(ag::Constant(x), &rng);
+  EXPECT_TRUE(ag::FiniteChecks::tripped());
+  EXPECT_EQ(ag::FiniteChecks::first().op, "TemporalConvBlock");
   EXPECT_EQ(ag::FiniteChecks::first().phase, "forward");
 
   ag::FiniteChecks::Reset();
-  // Zero filters and bias: the output is exactly 0 everywhere.
-  nn::CausalConv1d zero(2, 2, 3, &rng, 1, 2, /*weight_norm=*/false);
+  // Zero filters and biases (a zero v gives w = 0): the output is exactly
+  // 0 everywhere.
+  nn::TemporalConvBlock zero(2, 2, 3, &rng, 1, 2, 0.0f);
   for (const auto& p : zero.Parameters()) p->value = Tensor::Zeros(p->shape());
   auto input = ag::MakeVariable(Tensor::Full({4, 3, 2}, 0.5f),
                                 /*requires_grad=*/true);
-  ag::VarPtr loss = ag::SumAll(ag::Sqrt(zero.Forward(input)));
+  ag::VarPtr loss = ag::SumAll(ag::Sqrt(zero.Forward(input, &rng)));
   EXPECT_FALSE(ag::FiniteChecks::tripped()) << "forward should be finite";
   ag::Backward(loss);
   EXPECT_TRUE(ag::FiniteChecks::tripped());
-  EXPECT_EQ(ag::FiniteChecks::first().op, "CausalConv1d");
+  EXPECT_EQ(ag::FiniteChecks::first().op, "TemporalConvBlock");
   EXPECT_EQ(ag::FiniteChecks::first().phase, "backward");
 }
 
