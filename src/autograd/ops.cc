@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -98,6 +99,27 @@ VarPtr Neg(const VarPtr& a) {
 
 namespace {
 
+// o[i] = g[i] · (x[i] > 0 ? 1 : slope). The factor is picked by a bit
+// mask, not a branch, so the loop vectorizes: a branch on the sign of x
+// mispredicts on every other element of a random-sign input. Every
+// element is multiplied, also by 1, so a subnormal g is flushed like any
+// other product (a select between constants lets the compiler fold g · 1
+// into g).
+void RectifierGradSpan(const float* g, const float* x, float slope, float* o,
+                       int64_t n) {
+  uint32_t one_bits, slope_bits;
+  const float one = 1.0f;
+  std::memcpy(&one_bits, &one, sizeof(float));
+  std::memcpy(&slope_bits, &slope, sizeof(float));
+  for (int64_t i = 0; i < n; ++i) {
+    const uint32_t positive = x[i] > 0.0f ? ~0u : 0u;
+    const uint32_t bits = (one_bits & positive) | (slope_bits & ~positive);
+    float factor;
+    std::memcpy(&factor, &bits, sizeof(float));
+    o[i] = g[i] * factor;
+  }
+}
+
 // g · (x > 0 ? 1 : negative_slope) in one pass: the same IEEE product per
 // element as building the mask and multiplying, NaN/Inf included.
 Tensor RectifierGrad(const Tensor& g, const Tensor& x, float negative_slope) {
@@ -107,9 +129,7 @@ Tensor RectifierGrad(const Tensor& g, const Tensor& x, float negative_slope) {
   const float* px = x.data();
   float* po = out.data();
   ParallelFor(0, x.numel(), 8192, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      po[i] = pg[i] * (px[i] > 0.0f ? 1.0f : negative_slope);
-    }
+    RectifierGradSpan(pg + lo, px + lo, negative_slope, po + lo, hi - lo);
   });
   return out;
 }
@@ -366,76 +386,6 @@ VarPtr ConcatOp(const std::vector<VarPtr>& parts, int64_t axis) {
                     offset += sizes[i];
                   }
                 });
-}
-
-VarPtr Downsample(const VarPtr& a, int64_t axis, int64_t step, int64_t start) {
-  const int64_t norm_axis = NormalizeAxis(axis, a->value.ndim());
-  RTGCN_CHECK_GE(step, 1);
-  const Shape in_shape = a->shape();
-  const int64_t len = in_shape[norm_axis];
-  RTGCN_CHECK(start >= 0 && start < len);
-  const int64_t out_len = (len - start + step - 1) / step;
-  int64_t outer = 1, inner = 1;
-  for (int64_t i = 0; i < norm_axis; ++i) outer *= in_shape[i];
-  for (size_t i = norm_axis + 1; i < in_shape.size(); ++i) inner *= in_shape[i];
-  Shape out_shape = in_shape;
-  out_shape[norm_axis] = out_len;
-  Tensor out(out_shape);
-  const float* pa = a->value.data();
-  float* po = out.data();
-  for (int64_t o = 0; o < outer; ++o) {
-    for (int64_t t = 0; t < out_len; ++t) {
-      std::memcpy(po + (o * out_len + t) * inner,
-                  pa + (o * len + start + t * step) * inner,
-                  inner * sizeof(float));
-    }
-  }
-  return MakeOp("Downsample", out, {a},
-                [a, in_shape, norm_axis, step, start, out_len, outer, inner,
-                 len](const Tensor& g) {
-                  Tensor full = Tensor::Zeros(in_shape);
-                  const float* pg = g.data();
-                  float* pf = full.data();
-                  for (int64_t o = 0; o < outer; ++o) {
-                    for (int64_t t = 0; t < out_len; ++t) {
-                      std::memcpy(pf + (o * len + start + t * step) * inner,
-                                  pg + (o * out_len + t) * inner,
-                                  inner * sizeof(float));
-                    }
-                  }
-                  a->AccumulateGrad(std::move(full));
-                });
-}
-
-// ---------------------------------------------------------------------------
-// Regularization helpers
-// ---------------------------------------------------------------------------
-
-VarPtr Dropout(const VarPtr& a, float p, bool training, Rng* rng,
-               int64_t spatial_axis) {
-  if (!training || p <= 0.0f) return a;
-  RTGCN_CHECK_LT(p, 1.0f);
-  const float scale = 1.0f / (1.0f - p);
-  Tensor mask;
-  if (spatial_axis < 0) {
-    mask = Tensor(a->shape());
-    float* pm = mask.data();
-    for (int64_t i = 0; i < mask.numel(); ++i) {
-      pm[i] = rng->Bernoulli(p) ? 0.0f : scale;
-    }
-  } else {
-    // Spatial dropout: one Bernoulli draw per index of `spatial_axis`,
-    // broadcast over all other axes (drops whole channels).
-    const int64_t axis = NormalizeAxis(spatial_axis, a->value.ndim());
-    Shape mask_shape(a->value.ndim(), 1);
-    mask_shape[axis] = a->value.dim(axis);
-    mask = Tensor(mask_shape);
-    float* pm = mask.data();
-    for (int64_t i = 0; i < mask.numel(); ++i) {
-      pm[i] = rng->Bernoulli(p) ? 0.0f : scale;
-    }
-  }
-  return Mul(a, Constant(mask));
 }
 
 // ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "autograd/variable.h"
-#include "common/random.h"
 
 namespace rtgcn::ag {
 
@@ -72,18 +71,6 @@ VarPtr Softmax(const VarPtr& a, int64_t axis);
 VarPtr Reshape(const VarPtr& a, Shape shape);
 VarPtr SliceOp(const VarPtr& a, int64_t axis, int64_t start, int64_t end);
 VarPtr ConcatOp(const std::vector<VarPtr>& parts, int64_t axis);
-
-/// Keeps every `step`-th index along `axis` starting at `start`
-/// (out[..., i, ...] = a[..., start + i*step, ...]). Used for strided
-/// temporal convolution.
-VarPtr Downsample(const VarPtr& a, int64_t axis, int64_t step,
-                  int64_t start = 0);
-
-/// Training-time inverted dropout; identity when `training` is false or
-/// `p == 0`. `spatial_axis >= 0` drops entire slices along that axis
-/// (spatial dropout, §IV-C of the paper).
-VarPtr Dropout(const VarPtr& a, float p, bool training, Rng* rng,
-               int64_t spatial_axis = -1);
 
 /// Pairwise hinge ranking loss (Feng et al.), one fused op:
 ///   (1/N²) Σ_ij max(0, -(s_i - s_j)(y_i - y_j))

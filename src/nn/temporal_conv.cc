@@ -165,9 +165,9 @@ void AccumulateBiasGrad(const ConvParams& conv, const float* db) {
   conv.bias->AccumulateGrad(std::move(t));
 }
 
-// Spatial-dropout multipliers of `out` channels, drawn as ag::Dropout draws
-// them: one Bernoulli(p) per channel, 0 when dropped, else 1/(1-p). All 1,
-// with no draw, outside training or at p = 0.
+// Spatial-dropout multipliers of `out` channels, drawn as the tests' oracle
+// ag::Dropout draws them: one Bernoulli(p) per channel, 0 when dropped, else
+// 1/(1-p). All 1, with no draw, outside training or at p = 0.
 std::vector<float> DropoutMask(float p, bool training, Rng* rng, int64_t out,
                                int64_t lanes) {
   std::vector<float> mask(static_cast<size_t>(lanes), 1.0f);

@@ -7,10 +7,32 @@
 #if defined(__GLIBC__)
 #include <malloc.h>
 #endif
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
 
 namespace rtgcn {
 
 namespace {
+
+#if defined(__SSE__)
+// Flush-to-zero: an SSE/AVX result below FLT_MIN becomes ±0 instead of a
+// subnormal. After ~2000 Adam steps weight decay has pushed some
+// parameters there, and every multiply that produces or reads a subnormal
+// then takes a microcode assist: an N = 840 train step ran ~2x slower.
+// MXCSR is per thread and every thread copies it from the thread that
+// creates it, so setting it here, on the main thread before main, reaches
+// the pool workers, server threads and every other thread, and each chunk
+// of a ParallelFor computes the same bits wherever it runs.
+// Denormals-are-zero stays off: it would also read subnormal inputs (a
+// parsed price, a wire value) as zero, while FTZ alone only rounds results
+// computed here, so no parameter, gradient or optimizer moment can become
+// subnormal. Other architectures keep IEEE gradual underflow.
+[[maybe_unused]] const bool kFlushSubnormalResultsToZero = [] {
+  _MM_SET_FLUSH_ZERO_MODE(_MM_FLUSH_ZERO_ON);
+  return true;
+}();
+#endif
 
 #if defined(__GLIBC__)
 // A train step allocates and frees megabytes of tensor storage. Under

@@ -10,6 +10,7 @@
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
 #include "autograd/variable.h"
+#include "autograd_oracle.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 

@@ -22,6 +22,7 @@
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
+#include "autograd_oracle.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "kernel_checker.h"

@@ -1,14 +1,22 @@
 // Thread-pool unit tests: worker lifecycle, exception propagation out of
-// ParallelFor, grain-size edge cases, and the deterministic chunked fold.
+// ParallelFor, grain-size edge cases, the deterministic chunked fold, and
+// the floating-point mode every worker runs under.
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
 #include <vector>
+
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
+
+#include "tensor/tensor.h"
 
 namespace rtgcn {
 namespace {
@@ -267,6 +275,47 @@ TEST(ThreadPoolTest, ParallelReduceEmptyRangeReturnsIdentity) {
       [](float a, float b) { return a + b; });
   EXPECT_EQ(r, -7.5f);
 }
+
+#if defined(__SSE__)
+// True when this thread runs with flush-to-zero: MXCSR has the bit set and
+// a product below FLT_MIN comes out as +0 (volatile keeps the compiler
+// from folding it).
+bool ThreadFlushesSubnormalResults() {
+  volatile float a = 1e-30f;
+  volatile float b = 1e-10f;
+  const float product = a * b;
+  return (_mm_getcsr() & _MM_FLUSH_ZERO_ON) != 0 && product == 0.0f &&
+         !std::signbit(product);
+}
+
+// src/tensor/tensor.cc sets flush-to-zero on the main thread before main,
+// and threads copy the mode from the thread that creates them, so every
+// pool chunk, and a thread started afterwards, runs under it at any size
+// of the pool. The tensor makes this binary link that initializer, as
+// every binary that computes with tensors does.
+TEST(ThreadPoolTest, EveryThreadFlushesSubnormalResultsToZero) {
+  const Tensor tiny = Tensor::Full({1}, 1e-30f);
+  ASSERT_EQ(tiny.data()[0], 1e-30f);
+  EXPECT_TRUE(ThreadFlushesSubnormalResults()) << "main thread";
+  for (int threads : {1, 2, 4, 8}) {
+    ScopedNumThreads scoped(threads);
+    std::atomic<int> chunks{0};
+    std::atomic<int> flushed{0};
+    ParallelFor(0, 64, 1, [&](int64_t, int64_t) {
+      chunks.fetch_add(1);
+      if (ThreadFlushesSubnormalResults()) flushed.fetch_add(1);
+    });
+    EXPECT_GT(chunks.load(), 0);
+    EXPECT_EQ(flushed.load(), chunks.load()) << threads << " threads";
+    bool later_thread_flushes = false;
+    std::thread([&] {
+      later_thread_flushes = ThreadFlushesSubnormalResults();
+    }).join();
+    EXPECT_TRUE(later_thread_flushes) << "std::thread after " << threads
+                                      << " threads";
+  }
+}
+#endif
 
 TEST(ThreadPoolTest, SetNumThreadsPinsAndResets) {
   SetNumThreads(3);

@@ -192,11 +192,13 @@ TEST(FiniteCheckTest, NamesForwardOpProducingNonFinite) {
 
 TEST(FiniteCheckTest, NamesBackwardOpReceivingNonFiniteGradient) {
   FiniteCheckScope scope;
-  // w -> MulScalar -> Log: forward values are finite (log of a subnormal),
-  // but Log's backward divides by ~1e-39 and hands MulScalar an Inf grad.
+  // w -> MulScalar -> Log -> Mul by 1e10: every forward value is a finite
+  // normal float (x = 1e-30, 1e10 · log x ≈ -6.9e11), but Log's backward
+  // computes 1e10 / 1e-30, which overflows, and hands MulScalar an Inf grad.
   auto w = ag::MakeVariable(Tensor::Full({1}, 1.0f), /*requires_grad=*/true);
-  ag::VarPtr x = ag::MulScalar(w, 1e-39f);
-  ag::VarPtr loss = ag::SumAll(ag::Log(x));
+  ag::VarPtr x = ag::MulScalar(w, 1e-30f);
+  ag::VarPtr loss = ag::SumAll(
+      ag::Mul(ag::Log(x), ag::Constant(Tensor::Full({1}, 1e10f))));
   EXPECT_FALSE(ag::FiniteChecks::tripped()) << "forward should be finite";
   ag::Backward(loss);
   EXPECT_TRUE(ag::FiniteChecks::tripped());
