@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
@@ -261,7 +262,11 @@ BENCHMARK(BM_RtGcnTrainStep)->ArgNames({"threads"})->Arg(1)->Arg(2)->Arg(4);
 // the forward only; mode 1 adds the backward with dw/db only (x is the
 // constant model input, as in the train step); mode 2 also takes dx (x
 // requires a gradient, as in perfbench's isolated relational_bwd row).
-// Each mode runs at 1 thread under each backend.
+// Modes 3 and 4 are the layer the train step runs, h = ReLU(P(t) x(t) Θ)
+// with Θ [4, 16]: the fused graph::SparseTimeSensitiveConv, forward and
+// forward+backward (dw, db, dΘ; x constant); modes 5 and 6 the same as the
+// composed propagate -> MatMul -> Relu chain it replaced. Each mode runs at
+// 1 thread under each backend.
 struct PaperScaleFixture {
   PaperScaleFixture() : data(market::BuildMarket(Spec())) {
     csr = graph::CsrGraph::NormalizedAdjacency(data.relations.relations);
@@ -291,22 +296,66 @@ void BM_TimeSensitivePropagate(benchmark::State& state) {
       RandomGaussian({paper.csr->num_relation_types()}, 1.0f, 0.1f, &rng),
       /*requires_grad=*/true);
   auto b = ag::MakeVariable(Tensor::Zeros({1}), /*requires_grad=*/true);
+  auto theta = ag::MakeVariable(RandomGaussian({4, 16}, 0.0f, 0.5f, &rng),
+                                /*requires_grad=*/true);
   auto x = ag::MakeVariable(paper.features, /*requires_grad=*/mode == 2);
+  const int64_t rows = paper.features.dim(0) * paper.features.dim(1);
+  const Shape h_shape{paper.features.dim(0), paper.features.dim(1), 16};
+  const bool backward = mode == 1 || mode == 2 || mode == 4 || mode == 6;
   for (auto _ : state) {
     w->ZeroGrad();
     b->ZeroGrad();
+    theta->ZeroGrad();
     x->ZeroGrad();
-    ag::VarPtr y = graph::SparseTimeSensitivePropagate(paper.csr, w, b, x);
-    if (mode > 0) ag::Backward(y);
+    ag::VarPtr y;
+    if (mode <= 2) {
+      y = graph::SparseTimeSensitivePropagate(paper.csr, w, b, x);
+    } else if (mode <= 4) {
+      y = graph::SparseTimeSensitiveConv(paper.csr, w, b, theta, x);
+    } else {
+      ag::VarPtr flat = ag::Reshape(
+          graph::SparseTimeSensitivePropagate(paper.csr, w, b, x), {rows, 4});
+      y = ag::Relu(ag::Reshape(ag::MatMul(flat, theta), h_shape));
+    }
+    if (backward) ag::Backward(y);
   }
-  state.SetLabel(std::string(mode == 0   ? "fwd"
-                             : mode == 1 ? "fwd+bwd dw/db"
-                                         : "fwd+bwd dx") +
-                 " " + kernels::Active().name);
+  static const char* const kLabels[] = {
+      "fwd",       "fwd+bwd dw/db",       "fwd+bwd dx",
+      "fused fwd", "fused fwd+bwd",       "composed fwd",
+      "composed fwd+bwd"};
+  state.SetLabel(std::string(kLabels[mode]) + " " + kernels::Active().name);
 }
 BENCHMARK(BM_TimeSensitivePropagate)
     ->ArgNames({"mode", "backend"})
-    ->ArgsProduct({{0, 1, 2}, {0, 1}});
+    ->ArgsProduct({{0, 1, 2, 3, 4, 5, 6}, {0, 1}});
+
+// One ParallelFor of 2 × threads chunks of ~64 floats each: the cost of a
+// pool region itself (dispatch, worker wake-up, join), at 1, 2 and 4
+// threads. At 1 thread the body runs inline.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const int threads = static_cast<int>(state.range(0));
+  SetNumThreads(threads);
+  const int64_t chunks = 2 * threads;
+  constexpr int64_t kChunkFloats = 64;
+  std::vector<float> data(static_cast<size_t>(chunks * kChunkFloats), 1.0f);
+  std::vector<float> sums(static_cast<size_t>(chunks), 0.0f);
+  for (auto _ : state) {
+    ParallelFor(0, chunks, 1, [&](int64_t lo, int64_t hi) {
+      for (int64_t c = lo; c < hi; ++c) {
+        float sum = 0.0f;
+        for (int64_t i = 0; i < kChunkFloats; ++i) {
+          sum += data[static_cast<size_t>(c * kChunkFloats + i)];
+        }
+        sums[static_cast<size_t>(c)] = sum;
+      }
+    });
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
+  }
+  SetNumThreads(0);
+}
+BENCHMARK(BM_ParallelForDispatch)->ArgName("threads")->Arg(1)->Arg(2)->Arg(4)
+    ->UseRealTime();
 
 void BM_LstmRankerTrainStep(benchmark::State& state) {
   auto& f = Fixture();

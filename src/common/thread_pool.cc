@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "obs/registry.h"
 #include "obs/trace.h"
 
 namespace rtgcn {
@@ -138,6 +139,11 @@ void ThreadPool::WorkerLoop() {
 void ThreadPool::Run(int64_t num_chunks,
                      const std::function<void(int64_t)>& fn) {
   obs::Span span("pool.run", "pool");
+  // Every region that reaches the pool, including one run on the caller
+  // below because another caller holds the workers.
+  static obs::Counter* const runs =
+      obs::Registry::Global().GetCounter("pool.runs");
+  runs->Increment();
   std::unique_lock<std::mutex> caller(caller_mu_, std::try_to_lock);
   if (!caller.owns_lock()) {
     // Another outside caller holds the job slot: run every chunk here

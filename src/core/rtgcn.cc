@@ -85,10 +85,16 @@ ag::VarPtr RtGcnLayer::RelationalConv(const ag::VarPtr& x) const {
   const int64_t d = x->value.dim(2);
   RTGCN_CHECK_EQ(d, in_features_);
 
+  // ReLU(propagated Θ) for the strategies that lift outside the
+  // relational op.
+  const auto lift = [&](const VarPtr& propagated) {
+    VarPtr flat = ag::Reshape(propagated, {t_len * n, d});
+    return ag::Relu(
+        ag::Reshape(ag::MatMul(flat, theta_), {t_len, n, out_features_}));
+  };
   if (!config_.use_relational) {
     // T-Conv ablation: feature lift only, no neighbor aggregation.
-    VarPtr flat = ag::Reshape(x, {t_len * n, d});
-    return ag::Reshape(ag::MatMul(flat, theta_), {t_len, n, out_features_});
+    return lift(x);
   }
 
   // The three strategies over CSR entries.
@@ -113,18 +119,16 @@ ag::VarPtr RtGcnLayer::RelationalConv(const ag::VarPtr& x) const {
     }
     case Strategy::kTimeSensitive: {
       // P(t) = Â ⊙ (X(t) X(t)^T / sqrt(d)) ⊙ S: a distinct weighted
-      // adjacency per time-step (Eq. 5).
-      propagated = graph::SparseTimeSensitivePropagate(csr_, relation_w_,
-                                                       relation_b_, x);
-      break;
+      // adjacency per time-step (Eq. 5), its lift and ReLU in one op.
+      return graph::SparseTimeSensitiveConv(csr_, relation_w_, relation_b_,
+                                            theta_, x);
     }
   }
-  VarPtr flat = ag::Reshape(propagated, {t_len * n, d});
-  return ag::Reshape(ag::MatMul(flat, theta_), {t_len, n, out_features_});
+  return lift(propagated);
 }
 
 ag::VarPtr RtGcnLayer::Forward(const ag::VarPtr& x, Rng* rng) const {
-  VarPtr h = ag::Relu(RelationalConv(x));
+  VarPtr h = RelationalConv(x);
   if (temporal_) h = temporal_->Forward(h, rng);
   return h;
 }

@@ -73,7 +73,8 @@ class RtGcnLayer : public nn::Module {
   Tensor Propagation(const Tensor& x) const;
 
  private:
-  /// Applies the strategy's relational convolution: [T, N, in] -> [T, N, out].
+  /// Applies the strategy's relational convolution and its ReLU:
+  /// [T, N, in] -> [T, N, out].
   ag::VarPtr RelationalConv(const ag::VarPtr& x) const;
 
   RtGcnConfig config_;

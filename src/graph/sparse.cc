@@ -5,6 +5,7 @@
 #include <limits>
 #include <utility>
 
+#include "autograd/finite_check.h"
 #include "autograd/ops.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -365,24 +366,39 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
 
 // ---------------------------------------------------------------------------
 // SparseTimeSensitivePropagate — P_t = Â ⊙ S ⊙ (X_t X_tᵀ / √D), y_t = P_t x_t
+// SparseTimeSensitiveConv — h_t = ReLU(P_t x_t Θ)
 // ---------------------------------------------------------------------------
 //
-// Node-major, time-blocked layout: x (and, in the backward, g) is transposed
-// once into [N, D, t_stride], T zero-padded to a multiple of
-// kernels::kTimeLanes. All T steps of one (node, feature) are then
-// contiguous lanes, so each CSR entry is a D-step lane-wise multiply-add
-// over fixed-width blocks instead of T latency-bound D-wide dots. The lane
-// loops are the active KernelSet's ts_* kernels; every backend runs exactly
-// the scalar [T, N, D] operation sequence in each lane (D-sum from 0 in k
-// order, then c·acc, then as·corr, entries accumulated in CSR order), so
-// results are bit-identical to it; the pad lanes only ever see zeros and
-// are never read back.
+// Node-major, time-blocked layout: x (and, in the backward, g) is held as
+// [N, D, t_stride], T zero-padded to a multiple of kernels::kTimeLanes.
+// All T steps of one (node, feature) are then contiguous lanes, so each
+// CSR entry is a D-step lane-wise multiply-add over fixed-width blocks
+// instead of T latency-bound D-wide dots. The lane loops are the active
+// KernelSet's ts_* kernels; every backend runs exactly the scalar
+// [T, N, D] operation sequence in each lane (D-sum from 0 in k order, then
+// c·acc, then as·corr, entries accumulated in CSR order), so results are
+// bit-identical to it; the pad lanes only ever see zeros and are never
+// read back.
 
 namespace {
 
-int64_t PadTimeLanes(int64_t t_steps) {
-  return (t_steps + kernels::kTimeLanes - 1) / kernels::kTimeLanes *
+// `count` (times T, or channels F) rounded up to a multiple of the 8 lanes.
+int64_t PadLanes(int64_t count) {
+  return (count + kernels::kTimeLanes - 1) / kernels::kTimeLanes *
          kernels::kTimeLanes;
+}
+
+// Rows [lo, hi) of a [T, N, D] tensor -> node-major [N, D, t_stride], pad
+// lanes zeroed.
+void ToNodeMajorRows(const float* src, int64_t lo, int64_t hi, int64_t t_steps,
+                     int64_t n, int64_t d, int64_t t_stride, float* dst) {
+  for (int64_t i = lo; i < hi; ++i) {
+    for (int64_t k = 0; k < d; ++k) {
+      float* lanes = dst + (i * d + k) * t_stride;
+      for (int64_t t = 0; t < t_steps; ++t) lanes[t] = src[(t * n + i) * d + k];
+      std::fill(lanes + t_steps, lanes + t_stride, 0.0f);
+    }
+  }
 }
 
 // [T, N, D] -> node-major [N, D, t_stride], pad lanes zeroed.
@@ -390,17 +406,8 @@ std::shared_ptr<float[]> ToNodeMajor(const float* src, int64_t t_steps,
                                      int64_t n, int64_t d, int64_t t_stride) {
   auto out = std::make_shared_for_overwrite<float[]>(
       static_cast<size_t>(n * d * t_stride));
-  float* po = out.get();
   ParallelFor(0, n, 64, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      for (int64_t k = 0; k < d; ++k) {
-        float* lanes = po + (i * d + k) * t_stride;
-        for (int64_t t = 0; t < t_steps; ++t) {
-          lanes[t] = src[(t * n + i) * d + k];
-        }
-        std::fill(lanes + t_steps, lanes + t_stride, 0.0f);
-      }
-    }
+    ToNodeMajorRows(src, lo, hi, t_steps, n, d, t_stride, out.get());
   });
   return out;
 }
@@ -443,11 +450,23 @@ std::vector<float> TimeSensitiveEdgeValues::TimeAverage() const {
   return avg;
 }
 
-ag::VarPtr SparseTimeSensitivePropagate(
-    const CsrPtr& g, const ag::VarPtr& w, const ag::VarPtr& b,
-    const ag::VarPtr& x, TimeSensitiveEdgeValues* save_edge_values) {
-  obs::Span span("graph.TimeSensitive[sparse]", "graph");
-  PublishOp("graph.sparse.op.time_sensitive");
+namespace {
+
+// Rows per chunk of the backward's entry pass. Its w/b (and Θ) partials are
+// folded in chunk order, so the grain is fixed: the results are
+// bit-identical at any thread count.
+constexpr int64_t kGradRowGrain = 64;
+
+// The body of SparseTimeSensitivePropagate (theta null: y = P(t) x(t),
+// [T, N, D]) and SparseTimeSensitiveConv (h = relu(P(t) x(t) Θ),
+// [T, N, F]). The two differ only in what each forward chunk does with its
+// node-major lanes (FromNodeMajorRows, or the θ-lift epilogue) and in how
+// each backward chunk gets its node-major gradient lanes (ToNodeMajorRows
+// of dy, or the lift-back of dh).
+ag::VarPtr TimeSensitiveOp(const char* op_name, const CsrPtr& g,
+                           const ag::VarPtr& w, const ag::VarPtr& b,
+                           const ag::VarPtr& theta, const ag::VarPtr& x,
+                           TimeSensitiveEdgeValues* save_edge_values) {
   RTGCN_CHECK_EQ(w->value.ndim(), 1);
   RTGCN_CHECK_EQ(w->value.dim(0), g->num_relation_types());
   RTGCN_CHECK_EQ(b->value.numel(), 1);
@@ -457,8 +476,30 @@ ag::VarPtr SparseTimeSensitivePropagate(
   const int64_t n = x->value.dim(1);
   const int64_t d = x->value.dim(2);
   const int64_t nnz = g->num_entries();
-  const int64_t t_stride = PadTimeLanes(t_steps);
+  const int64_t t_stride = PadLanes(t_steps);
   const float c = 1.0f / std::sqrt(static_cast<float>(d));
+
+  // Θ packed [d, lanes], pad lanes zero.
+  const bool lift = theta != nullptr;
+  const int64_t out = lift ? theta->value.dim(1) : d;
+  const int64_t lanes = PadLanes(out);
+  auto theta_packed = std::make_shared<std::vector<float>>();
+  if (lift) {
+    RTGCN_CHECK_EQ(theta->value.ndim(), 2);
+    RTGCN_CHECK_EQ(theta->value.dim(0), d);
+    theta_packed->assign(static_cast<size_t>(d * lanes), 0.0f);
+    for (int64_t k = 0; k < d; ++k) {
+      std::copy_n(theta->value.data() + k * out, out,
+                  theta_packed->begin() + k * lanes);
+    }
+  }
+
+  std::vector<ag::VarPtr> parents{w, b, x};
+  if (lift) parents.push_back(theta);
+  const bool backward =
+      ag::GradMode::enabled() &&
+      std::any_of(parents.begin(), parents.end(),
+                  [](const ag::VarPtr& p) { return ag::NeedsGrad(p); });
 
   // as_e = coeff_e · s_e (time-independent part of P).
   auto as = std::make_shared<std::vector<float>>(static_cast<size_t>(nnz));
@@ -466,112 +507,169 @@ ag::VarPtr SparseTimeSensitivePropagate(
   std::shared_ptr<const float[]> xn =
       ToNodeMajor(x->value.data(), t_steps, n, d, t_stride);
 
-  // corr[e, t] = (x_{t,i} · x_{t,j}) / √D, edge-major; every slot is
-  // written, pad lanes included. p = as · corr is never materialized.
-  auto corr = std::make_shared_for_overwrite<float[]>(
-      static_cast<size_t>(nnz * t_stride));
-  Tensor y = Tensor::Uninitialized(x->value.shape());  // every row written
-  {
-    const kernels::KernelSet& ks = kernels::Active();
-    const kernels::TimeLaneGraph lg = LaneGraph(*g, d, t_steps, t_stride);
-    auto yn = std::make_unique_for_overwrite<float[]>(
-        static_cast<size_t>(n * d * t_stride));
-    ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
-      ks.ts_forward_rows(lg, xn.get(), as->data(), c, lo, hi, corr.get(),
-                         yn.get());
-      FromNodeMajorRows(yn.get(), lo, hi, t_steps, n, d, t_stride, y.data());
-    });
+  // corr[e, t] = (x_{t,i} · x_{t,j}) / √D, edge-major, kept only for the
+  // backward and the saved values; every slot is written, pad lanes
+  // included. p = as · corr is never materialized. The lift's backward
+  // also reads the relational lanes yn.
+  std::shared_ptr<float[]> corr;
+  if (backward || save_edge_values != nullptr) {
+    corr = std::make_shared_for_overwrite<float[]>(
+        static_cast<size_t>(nnz * t_stride));
+  }
+  Tensor yn = Tensor::Uninitialized({n, d, t_stride});
+  Tensor y = Tensor::Uninitialized({t_steps, n, out});  // every row written
+  const kernels::KernelSet& ks = kernels::Active();
+  const kernels::TimeLaneGraph lg = LaneGraph(*g, d, t_steps, t_stride);
+  const kernels::TimeLaneLift ll{theta_packed->data(), n, out, lanes};
+  ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
+    ks.ts_forward_rows(lg, xn.get(), as->data(), c, lo, hi, corr.get(),
+                       yn.data());
+    if (lift) {
+      ks.ts_lift_relu_rows(lg, ll, yn.data(), lo, hi, y.data());
+    } else {
+      FromNodeMajorRows(yn.data(), lo, hi, t_steps, n, d, t_stride, y.data());
+    }
+  });
+  if (lift && ag::FiniteChecks::enabled()) {
+    // The ReLU maps a NaN pre-activation to 0 before the output is scanned,
+    // so the checks also scan what the lift reads.
+    ag::FiniteChecks::Observe(op_name, "forward", yn);
+    ag::FiniteChecks::Observe(op_name, "forward", theta->value);
   }
   if (save_edge_values != nullptr) {
     *save_edge_values = TimeSensitiveEdgeValues{corr, as, t_steps, t_stride};
   }
 
-  auto out = std::make_shared<ag::Variable>(std::move(y));
-  out->op_name = "graph.SparseTimeSensitivePropagate";
-  const bool any_grad =
-      ag::NeedsGrad(w) || ag::NeedsGrad(b) || ag::NeedsGrad(x);
-  if (ag::GradMode::enabled() && any_grad) {
-    out->parents = {w, b, x};
-    out->backward_fn = [g, w, b, x, xn, s, as, corr, t_steps, n, d, t_stride,
-                        c, nnz](const Tensor& grad) {
-      obs::Span bspan("graph.TimeSensitive.bwd[sparse]", "graph");
-      const bool need_wb = ag::NeedsGrad(w) || ag::NeedsGrad(b);
-      const bool need_x = ag::NeedsGrad(x);
-      const kernels::KernelSet& ks = kernels::Active();
-      const kernels::TimeLaneGraph lg = LaneGraph(*g, d, t_steps, t_stride);
-      std::shared_ptr<const float[]> gn =
-          ToNodeMajor(grad.data(), t_steps, n, d, t_stride);
-      const int64_t* rp = g->row_ptr().data();
-      const int32_t* col = g->col().data();
-      const int64_t* tp = g->type_ptr().data();
-      const int32_t* types = g->types().data();
-      const int64_t k = w->value.numel();
+  // Only the lift's backward reads the relational lanes.
+  if (!lift) yn = Tensor();
+  return ag::MakeOp(
+      op_name, y, std::move(parents),
+      [g, w, b, theta, x, lift, xn, s, as, corr, yn, y, theta_packed, lg, ll,
+       t_steps, n, d, t_stride, c, nnz, out, lanes](const Tensor& grad) {
+        obs::Span bspan(lift ? "graph.TimeSensitiveConv.bwd[sparse]"
+                             : "graph.TimeSensitive.bwd[sparse]",
+                        "graph");
+        const bool need_wb = ag::NeedsGrad(w) || ag::NeedsGrad(b);
+        const bool need_x = ag::NeedsGrad(x);
+        const bool need_theta = lift && ag::NeedsGrad(theta);
+        const kernels::KernelSet& ks = kernels::Active();
+        const int64_t* rp = g->row_ptr().data();
+        const int32_t* col = g->col().data();
+        const int64_t* tp = g->type_ptr().data();
+        const int32_t* types = g->types().data();
+        const int64_t k = w->value.numel();
 
-      // One row-owned pass: gx[e, t] = g_{t,i} · x_{t,j} once per entry and,
-      // for the w/b reduction, ∂L/∂s_e = coeff_e · Σ_t corr[e,t] · gx[e,t].
-      // gx is kept for the dx pass only when x needs a gradient.
-      std::unique_ptr<float[]> gx;
-      if (need_x) {
-        gx = std::make_unique_for_overwrite<float[]>(
-            static_cast<size_t>(nnz * t_stride));
-      }
-      std::unique_ptr<float[]> ds;
-      if (need_wb) {
-        ds = std::make_unique_for_overwrite<float[]>(static_cast<size_t>(nnz));
-      }
-      const size_t slots = need_wb ? static_cast<size_t>(k + 1) : 0;
-      std::vector<float> acc = ParallelReduce(
-          0, n, 64, std::vector<float>(slots, 0.0f),
-          [&](int64_t lo, int64_t hi) {
-            ks.ts_grad_entries_rows(lg, gn.get(), xn.get(), corr.get(), lo,
-                                    hi, gx.get(), ds.get());
-            std::vector<float> partial(slots, 0.0f);
-            if (!need_wb) return partial;
-            for (int64_t i = lo; i < hi; ++i) {
-              for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-                if (col[e] == i) continue;  // self loop: s = 1
-                for (int64_t t = tp[e]; t < tp[e + 1]; ++t) {
-                  partial[static_cast<size_t>(types[t])] += ds[e];
-                }
-                partial[static_cast<size_t>(k)] += ds[e];
-              }
-            }
-            return partial;
-          },
-          [](std::vector<float> a, std::vector<float> part) {
-            for (size_t t = 0; t < part.size(); ++t) a[t] += part[t];
-            return a;
-          });
-      if (ag::NeedsGrad(w)) {
-        w->AccumulateGrad(
-            Tensor(w->value.shape(),
-                   std::vector<float>(acc.begin(), acc.begin() + k)));
-      }
-      if (ag::NeedsGrad(b)) {
-        b->AccumulateGrad(Tensor(
-            b->value.shape(), std::vector<float>(b->value.numel(), acc[k])));
-      }
-
-      if (need_x) {
-        // Three contributions per row m (all via row-m entries, so every
-        // row is written by exactly one chunk), axpys only:
-        //  (1) transpose propagation  p[rev e] g_j, p = as[rev] · corr[rev]
-        //  (2) correlation, i-side    as_e c gx[e] x_j
-        //  (3) correlation, j-side    coeff[rev e] s_e c gx[rev e] x_j
-        Tensor dx = Tensor::Uninitialized(x->value.shape());
-        auto dxn = std::make_unique_for_overwrite<float[]>(
+        // One row-owned pass per chunk: the node-major gradient lanes gn
+        // of the chunk's rows (with the lift, dz = dh · relu'(h) and its
+        // Θ partial), then gx[e, t] = g_{t,i} · x_{t,j} once per entry and,
+        // for the w/b reduction, ∂L/∂s_e = coeff_e · Σ_t corr[e,t] ·
+        // gx[e,t]. gx is kept for the dx pass only when x needs a gradient.
+        auto gn = std::make_unique_for_overwrite<float[]>(
             static_cast<size_t>(n * d * t_stride));
-        ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
-          ks.ts_grad_x_rows(lg, gn.get(), xn.get(), corr.get(), gx.get(),
-                            as->data(), s->data(), c, lo, hi, dxn.get());
-          FromNodeMajorRows(dxn.get(), lo, hi, t_steps, n, d, t_stride,
-                            dx.data());
-        });
-        x->AccumulateGrad(std::move(dx));
-      }
-    };
-  }
-  return out;
+        std::unique_ptr<float[]> gx;
+        if (need_x) {
+          gx = std::make_unique_for_overwrite<float[]>(
+              static_cast<size_t>(nnz * t_stride));
+        }
+        std::unique_ptr<float[]> ds;
+        if (need_wb) {
+          ds = std::make_unique_for_overwrite<float[]>(
+              static_cast<size_t>(nnz));
+        }
+        // Per-chunk partials: [k + 1] w/b slots (slot k holds db), then
+        // Θ's [d, lanes].
+        const int64_t wb_slots = need_wb ? k + 1 : 0;
+        const auto slab =
+            static_cast<size_t>(wb_slots + (need_theta ? d * lanes : 0));
+        const std::vector<float> acc = ParallelReduce(
+            0, n, kGradRowGrain, std::vector<float>(slab, 0.0f),
+            [&](int64_t lo, int64_t hi) {
+              std::vector<float> partial(slab, 0.0f);
+              if (lift) {
+                ks.ts_lift_grad_rows(
+                    lg, ll, yn.data(), y.data(), grad.data(), lo, hi,
+                    gn.get(), need_theta ? partial.data() + wb_slots : nullptr);
+              } else {
+                ToNodeMajorRows(grad.data(), lo, hi, t_steps, n, d, t_stride,
+                                gn.get());
+              }
+              if (!need_wb && !need_x) return partial;
+              ks.ts_grad_entries_rows(lg, gn.get(), xn.get(), corr.get(), lo,
+                                      hi, gx.get(), ds.get());
+              if (!need_wb) return partial;
+              for (int64_t i = lo; i < hi; ++i) {
+                for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
+                  if (col[e] == i) continue;  // self loop: s = 1
+                  for (int64_t q = tp[e]; q < tp[e + 1]; ++q) {
+                    partial[static_cast<size_t>(types[q])] += ds[e];
+                  }
+                  partial[static_cast<size_t>(k)] += ds[e];
+                }
+              }
+              return partial;
+            },
+            [](std::vector<float> a, std::vector<float> part) {
+              for (size_t q = 0; q < part.size(); ++q) a[q] += part[q];
+              return a;
+            });
+        if (ag::NeedsGrad(w)) {
+          w->AccumulateGrad(
+              Tensor(w->value.shape(),
+                     std::vector<float>(acc.begin(), acc.begin() + k)));
+        }
+        if (ag::NeedsGrad(b)) {
+          b->AccumulateGrad(Tensor(
+              b->value.shape(), std::vector<float>(b->value.numel(), acc[k])));
+        }
+        if (need_theta) {
+          Tensor dtheta = Tensor::Uninitialized(theta->value.shape());
+          for (int64_t q = 0; q < d; ++q) {
+            std::copy_n(acc.data() + wb_slots + q * lanes, out,
+                        dtheta.data() + q * out);
+          }
+          theta->AccumulateGrad(std::move(dtheta));
+        }
+
+        if (need_x) {
+          // Three contributions per row m (all via row-m entries, so every
+          // row is written by exactly one chunk), axpys only:
+          //  (1) transpose propagation  p[rev e] g_j, p = as[rev] · corr
+          //  (2) correlation, i-side    as_e c gx[e] x_j
+          //  (3) correlation, j-side    coeff[rev e] s_e c gx[rev e] x_j
+          Tensor dx = Tensor::Uninitialized(x->value.shape());
+          auto dxn = std::make_unique_for_overwrite<float[]>(
+              static_cast<size_t>(n * d * t_stride));
+          ParallelFor(0, n, 16, [&](int64_t lo, int64_t hi) {
+            ks.ts_grad_x_rows(lg, gn.get(), xn.get(), corr.get(), gx.get(),
+                              as->data(), s->data(), c, lo, hi, dxn.get());
+            FromNodeMajorRows(dxn.get(), lo, hi, t_steps, n, d, t_stride,
+                              dx.data());
+          });
+          x->AccumulateGrad(std::move(dx));
+        }
+      });
+}
+
+}  // namespace
+
+ag::VarPtr SparseTimeSensitivePropagate(
+    const CsrPtr& g, const ag::VarPtr& w, const ag::VarPtr& b,
+    const ag::VarPtr& x, TimeSensitiveEdgeValues* save_edge_values) {
+  obs::Span span("graph.TimeSensitive[sparse]", "graph");
+  PublishOp("graph.sparse.op.time_sensitive");
+  return TimeSensitiveOp("graph.SparseTimeSensitivePropagate", g, w, b,
+                         /*theta=*/nullptr, x, save_edge_values);
+}
+
+ag::VarPtr SparseTimeSensitiveConv(const CsrPtr& g, const ag::VarPtr& w,
+                                   const ag::VarPtr& b,
+                                   const ag::VarPtr& theta,
+                                   const ag::VarPtr& x,
+                                   TimeSensitiveEdgeValues* save_edge_values) {
+  obs::Span span("graph.TimeSensitiveConv[sparse]", "graph");
+  PublishOp("graph.sparse.op.time_sensitive_conv");
+  return TimeSensitiveOp("graph.SparseTimeSensitiveConv", g, w, b, theta, x,
+                         save_edge_values);
 }
 
 // ---------------------------------------------------------------------------

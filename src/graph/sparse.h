@@ -20,8 +20,8 @@
 // Determinism contract (matches the dense kernels): every op parallelizes
 // over row segments with ParallelFor — each row is written by exactly one
 // chunk and accumulated serially in entry order — and every reduction onto
-// shared parameters (w/b gradients) goes through ParallelReduce's fixed
-// left fold. Results are bit-identical at any thread count.
+// shared parameters (w/b and Θ gradients) goes through ParallelReduce's
+// fixed left fold. Results are bit-identical at any thread count.
 #ifndef RTGCN_GRAPH_SPARSE_H_
 #define RTGCN_GRAPH_SPARSE_H_
 
@@ -162,6 +162,18 @@ struct TimeSensitiveEdgeValues {
 ag::VarPtr SparseTimeSensitivePropagate(
     const CsrPtr& g, const ag::VarPtr& w, const ag::VarPtr& b,
     const ag::VarPtr& x, TimeSensitiveEdgeValues* save_edge_values = nullptr);
+
+/// One RT-GCN relational layer under the time-sensitive strategy, fused:
+/// h_t = ReLU(P_t x_t Θ) for x [T, N, D] and Θ [D, F], returning [T, N, F]
+/// time-major. The same P_t and lanes as SparseTimeSensitivePropagate; each
+/// node's lanes are lifted by Θ and rectified while hot, and the backward
+/// lifts dh back into the lanes' node-major layout directly. Gradients flow
+/// to w, b, Θ and x; Θ's is folded from per-chunk partials in chunk order,
+/// so it is bit-identical at any thread count.
+ag::VarPtr SparseTimeSensitiveConv(
+    const CsrPtr& g, const ag::VarPtr& w, const ag::VarPtr& b,
+    const ag::VarPtr& theta, const ag::VarPtr& x,
+    TimeSensitiveEdgeValues* save_edge_values = nullptr);
 
 /// Fused sparse GAT attention: z_e = LeakyReLU(src_i + dst_j, slope) over
 /// the graph's entries, α = per-row softmax of z, y_i = Σ_e α_e h_j.

@@ -348,6 +348,8 @@ const KernelSet kAvx2Set = {
     /*softmax_rows=*/SoftmaxRowsAvx2,
     /*transpose_rows=*/TransposeRowsAvx2,
     /*ts_forward_rows=*/avx2_exact::TsForwardRows,
+    /*ts_lift_relu_rows=*/avx2_exact::TsLiftReluRows,
+    /*ts_lift_grad_rows=*/avx2_exact::TsLiftGradRows,
     /*ts_grad_entries_rows=*/avx2_exact::TsGradEntriesRows,
     /*ts_grad_x_rows=*/avx2_exact::TsGradXRows,
     /*pairwise_hinge_rows=*/avx2_exact::PairwiseHingeRows,

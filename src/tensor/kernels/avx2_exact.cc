@@ -1,5 +1,6 @@
-// AVX2 relational-lane, pairwise-hinge and temporal-block kernels. This TU
-// is compiled with -mavx2 -mfma -ffp-contract=off (src/tensor/CMakeLists.txt).
+// AVX2 relational-lane, θ-lift, pairwise-hinge and temporal-block kernels.
+// This TU is compiled with -mavx2 -mfma -ffp-contract=off
+// (src/tensor/CMakeLists.txt).
 // The last flag is load-bearing: without it GCC fuses _mm256_add_ps(acc,
 // _mm256_mul_ps(a, b)) into one vfmadd, whose single rounding differs from
 // the reference's mul-then-add. Every lane runs the reference loop's IEEE
@@ -152,7 +153,7 @@ void TsForwardRowsImpl(TimeLaneGraph g, const float* xn,
                 _mm256_mul_ps(pv, _mm256_loadu_ps(xj + k * t_stride + l)));
         }
         // Stored last, so no store separates the two reads of x_j.
-        _mm256_storeu_ps(corr + e * t_stride + l, cv);
+        if (corr != nullptr) _mm256_storeu_ps(corr + e * t_stride + l, cv);
       }
     }
     y.Store();
@@ -240,8 +241,9 @@ void TsGradXRowsImpl(TimeLaneGraph g, const float* gn, const float* xn,
       const float* xj = xn + j * d * t_stride;
       for (int64_t blk = 0; blk < shape.blocks; ++blk) {
         const int64_t l = blk * kTimeLanes;
+        // corr[e] = corr[r] (kernels.h), read contiguously.
         const __m256 p_rev =
-            _mm256_mul_ps(ar, _mm256_loadu_ps(corr + r * t_stride + l));
+            _mm256_mul_ps(ar, _mm256_loadu_ps(corr + e * t_stride + l));
         const __m256 coef = _mm256_add_ps(
             _mm256_mul_ps(a2, _mm256_loadu_ps(gx + e * t_stride + l)),
             _mm256_mul_ps(a3, _mm256_loadu_ps(gx + r * t_stride + l)));
@@ -747,6 +749,196 @@ void BlockBackwardNodes(const TemporalBlockPlan& p, const float* x,
   }
 }
 
+// ---------------------------------------------------------------------------
+// θ-lift of the relational lanes
+// ---------------------------------------------------------------------------
+//
+// The forward broadcasts each lane value y_i[k, t] against Θ's row k, so a
+// time's output channels come out contiguous, in h's time-major row. The
+// backward masks dh into a node's dz [t_stride, lanes], then turns each
+// 8-time by 8-channel tile of dz around in registers (Transpose8x8): one
+// vector per channel carries 8 times, so dz Θᵀ lands in gn's time lanes
+// directly. kD fixes d at compile time for the model's first layer (d = 4);
+// 0 reads it at run time. Up to four rows k of Θ run side by side.
+
+constexpr int64_t kLiftRows = 4;
+
+// One row of h: relu(Σ_k y[k·t_stride] · Θ[k]) over channels [l0, l0 +
+// 8·kB), Θ[k] read from th(k, b).
+template <int kB, typename ThetaFn>
+inline void LiftRow(const float* y, int64_t d, int64_t t_stride, ThetaFn th,
+                    int64_t l0, int64_t out, float* row) {
+  __m256 acc[kB];
+  for (__m256& v : acc) v = _mm256_setzero_ps();
+  for (int64_t k = 0; k < d; ++k) {
+    const __m256 yk = _mm256_broadcast_ss(y + k * t_stride);
+    for (int b = 0; b < kB; ++b) {
+      acc[b] = _mm256_add_ps(acc[b], _mm256_mul_ps(yk, th(k, b)));
+    }
+  }
+  for (int b = 0; b < kB; ++b) {
+    const int64_t l = l0 + b * kTimeLanes;
+    StoreLanes(row + l, Relu(acc[b]), out - l);
+  }
+}
+
+// One lane block at a time over the chunk's rows. kD > 0 fixes d at kD and
+// holds the block's Θ columns in registers; 0 reloads them per row. Both
+// fixed-shape lift instances are timed in EXPERIMENTS.md ("Fixed-shape
+// lift kernels").
+template <int kD>
+void TsLiftReluRowsImpl(const TimeLaneGraph& g, const TimeLaneLift& lift,
+                        const float* yn, int64_t row_lo, int64_t row_hi,
+                        float* h) {
+  const int64_t d = kD > 0 ? kD : g.d;
+  const int64_t t_stride = g.t_stride;
+  ForLaneBlocks(lift.lanes, [&](auto blocks, int64_t l0) {
+    constexpr int kB = decltype(blocks)::value;
+    const auto load = [&](int64_t k, int b) {
+      return _mm256_loadu_ps(lift.theta + k * lift.lanes + l0 +
+                             b * kTimeLanes);
+    };
+    __m256 held[kD > 0 ? kD : 1][kB];
+    if constexpr (kD > 0) {
+      for (int k = 0; k < kD; ++k) {
+        for (int b = 0; b < kB; ++b) held[k][b] = load(k, b);
+      }
+    }
+    const auto th = [&](int64_t k, int b) {
+      if constexpr (kD > 0) {
+        return held[k][b];
+      } else {
+        return load(k, b);
+      }
+    };
+    for (int64_t i = row_lo; i < row_hi; ++i) {
+      for (int64_t t = 0; t < g.t_steps; ++t) {
+        LiftRow<kB>(yn + i * d * t_stride + t, d, t_stride, th, l0, lift.out,
+                    h + (t * lift.n + i) * lift.out);
+      }
+    }
+  });
+}
+
+// gn_i's time blocks [blk0, blk0 + kTB) from the channel-major tiles
+// (tile + (blk · lanes + f) · 8 holds dz[8·blk .. 8·blk + 7, f]): for each
+// row k, Σ_f tile(f) · Θ[k, f] from 0 in f order, lanes t ≥ T zeroed. Up
+// to kLiftRows rows at once, so kLiftRows · kTB sums run side by side.
+template <int kTB>
+inline void LiftBack(const float* tile, const float* theta, int64_t d,
+                     int64_t lanes, int64_t t_steps, int64_t t_stride,
+                     int64_t blk0, float* gi) {
+  __m256 live[kTB];
+  for (int b = 0; b < kTB; ++b) {
+    live[b] = _mm256_castsi256_ps(LaneMask(t_steps - (blk0 + b) * kTimeLanes));
+  }
+  for (int64_t k0 = 0; k0 < d; k0 += kLiftRows) {
+    const int64_t rows = Min(kLiftRows, d - k0);
+    __m256 acc[kLiftRows][kTB];
+    for (auto& row : acc) {
+      for (__m256& v : row) v = _mm256_setzero_ps();
+    }
+    for (int64_t f = 0; f < lanes; ++f) {
+      __m256 v[kTB];
+      for (int b = 0; b < kTB; ++b) {
+        v[b] = _mm256_loadu_ps(tile + ((blk0 + b) * lanes + f) * kTimeLanes);
+      }
+      for (int64_t q = 0; q < rows; ++q) {
+        const __m256 th = _mm256_broadcast_ss(theta + (k0 + q) * lanes + f);
+        for (int b = 0; b < kTB; ++b) {
+          acc[q][b] = _mm256_add_ps(acc[q][b], _mm256_mul_ps(v[b], th));
+        }
+      }
+    }
+    for (int64_t q = 0; q < rows; ++q) {
+      for (int b = 0; b < kTB; ++b) {
+        _mm256_storeu_ps(gi + (k0 + q) * t_stride + (blk0 + b) * kTimeLanes,
+                         _mm256_and_ps(acc[q][b], live[b]));
+      }
+    }
+  }
+}
+
+// kD > 0 fixes d at kD; kTB > 0 fixes the time blocks at kTB.
+template <int kD, int kTB>
+void TsLiftGradRowsImpl(const TimeLaneGraph& g, const TimeLaneLift& lift,
+                        const float* yn, const float* h, const float* dh,
+                        int64_t row_lo, int64_t row_hi, float* gn,
+                        float* dtheta) {
+  const int64_t d = kD > 0 ? kD : g.d;
+  const int64_t t_stride = kTB > 0 ? kTB * kTimeLanes : g.t_stride;
+  const int64_t blocks = t_stride / kTimeLanes;
+  const int64_t lanes = lift.lanes;
+  const Scratch dz(t_stride * lanes);  // rows t >= T stay zero
+  const Scratch tile(t_stride * lanes);  // dz channel-major per time block
+  for (int64_t l = g.t_steps * lanes; l < t_stride * lanes; l += kTimeLanes) {
+    _mm256_storeu_ps(dz.get() + l, _mm256_setzero_ps());
+  }
+  for (int64_t i = row_lo; i < row_hi; ++i) {
+    for (int64_t t = 0; t < g.t_steps; ++t) {
+      const int64_t at = (t * lift.n + i) * lift.out;
+      for (int64_t l = 0; l < lanes; l += kTimeLanes) {
+        const int64_t count = lift.out - l;
+        const __m256 slope = ReluSlope(LoadLanes(h + at + l, count));
+        _mm256_storeu_ps(dz.get() + t * lanes + l,
+                         _mm256_mul_ps(LoadLanes(dh + at + l, count), slope));
+      }
+    }
+    for (int64_t blk = 0; blk < blocks; ++blk) {
+      for (int64_t l = 0; l < lanes; l += kTimeLanes) {
+        __m256 r[kTimeLanes];
+        for (int64_t q = 0; q < kTimeLanes; ++q) {
+          r[q] = _mm256_loadu_ps(dz.get() + (blk * kTimeLanes + q) * lanes + l);
+        }
+        Transpose8x8(r);
+        for (int64_t q = 0; q < kTimeLanes; ++q) {
+          _mm256_storeu_ps(tile.get() + (blk * lanes + l + q) * kTimeLanes,
+                           r[q]);
+        }
+      }
+    }
+    float* gi = gn + i * d * t_stride;
+    constexpr int kStep = kTB > 0 ? kTB : 1;
+    for (int64_t blk = 0; blk < blocks; blk += kStep) {
+      LiftBack<kStep>(tile.get(), lift.theta, d, lanes, g.t_steps, t_stride,
+                      blk, gi);
+    }
+    if (dtheta == nullptr) continue;
+    const float* yi = yn + i * d * t_stride;
+    for (int64_t k0 = 0; k0 < d; k0 += kLiftRows) {
+      const int64_t rows = Min(kLiftRows, d - k0);
+      ForLaneBlocks(lanes, [&](auto lane_blocks, int64_t l0) {
+        constexpr int kB = decltype(lane_blocks)::value;
+        __m256 acc[kLiftRows][kB];
+        for (int64_t q = 0; q < rows; ++q) {
+          for (int b = 0; b < kB; ++b) {
+            acc[q][b] = _mm256_loadu_ps(dtheta + (k0 + q) * lanes + l0 +
+                                        b * kTimeLanes);
+          }
+        }
+        for (int64_t t = 0; t < g.t_steps; ++t) {
+          __m256 dv[kB];
+          for (int b = 0; b < kB; ++b) {
+            dv[b] = _mm256_loadu_ps(dz.get() + t * lanes + l0 + b * kTimeLanes);
+          }
+          for (int64_t q = 0; q < rows; ++q) {
+            const __m256 y = _mm256_broadcast_ss(yi + (k0 + q) * t_stride + t);
+            for (int b = 0; b < kB; ++b) {
+              acc[q][b] = _mm256_add_ps(acc[q][b], _mm256_mul_ps(y, dv[b]));
+            }
+          }
+        }
+        for (int64_t q = 0; q < rows; ++q) {
+          for (int b = 0; b < kB; ++b) {
+            _mm256_storeu_ps(dtheta + (k0 + q) * lanes + l0 + b * kTimeLanes,
+                             acc[q][b]);
+          }
+        }
+      });
+    }
+  }
+}
+
 // The compile-time instantiation serves D = 4 over 16 lanes (T in 9..16).
 bool HotShape(const TimeLaneGraph& g) { return g.d == 4 && g.t_stride == 16; }
 
@@ -786,6 +978,27 @@ void TsForwardRows(const TimeLaneGraph& g, const float* xn, const float* as,
     TsForwardRowsImpl<4, 2>(g, xn, as, c, row_lo, row_hi, corr, yn);
   } else {
     TsForwardRowsImpl<0, 0>(g, xn, as, c, row_lo, row_hi, corr, yn);
+  }
+}
+
+void TsLiftReluRows(const TimeLaneGraph& g, const TimeLaneLift& lift,
+                    const float* yn, int64_t row_lo, int64_t row_hi,
+                    float* h) {
+  if (g.d == 4) {
+    TsLiftReluRowsImpl<4>(g, lift, yn, row_lo, row_hi, h);
+  } else {
+    TsLiftReluRowsImpl<0>(g, lift, yn, row_lo, row_hi, h);
+  }
+}
+
+void TsLiftGradRows(const TimeLaneGraph& g, const TimeLaneLift& lift,
+                    const float* yn, const float* h, const float* dh,
+                    int64_t row_lo, int64_t row_hi, float* gn,
+                    float* dtheta) {
+  if (HotShape(g)) {
+    TsLiftGradRowsImpl<4, 2>(g, lift, yn, h, dh, row_lo, row_hi, gn, dtheta);
+  } else {
+    TsLiftGradRowsImpl<0, 0>(g, lift, yn, h, dh, row_lo, row_hi, gn, dtheta);
   }
 }
 

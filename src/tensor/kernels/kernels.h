@@ -2,8 +2,8 @@
 //
 // A KernelSet is a table of function pointers covering the numeric hot
 // paths: the contiguous elementwise loops, row-panel matmul, fused
-// last-axis softmax, 2-d transpose, the Eq. 5 relational lanes of
-// graph::SparseTimeSensitivePropagate, the pairwise-hinge row sums of
+// last-axis softmax, 2-d transpose, the Eq. 5 relational lanes and θ-lift
+// of graph::SparseTimeSensitivePropagate/Conv, the pairwise-hinge row sums of
 // ag::PairwiseRankingLoss and nn::TemporalConvBlock's node-major forward and
 // backward. Two sets are registered:
 //
@@ -73,6 +73,16 @@ struct TimeLaneGraph {
   int64_t d;               ///< features per node
   int64_t t_steps;         ///< T
   int64_t t_stride;        ///< T padded to a multiple of kTimeLanes
+};
+
+/// \brief The θ-lift of graph::SparseTimeSensitiveConv: h = relu(y Θ) for
+/// the relational lanes y [N, d, t_stride] of a TimeLaneGraph, h time-major
+/// [T, N, out] (the layout nn::TemporalConvBlock reads).
+struct TimeLaneLift {
+  const float* theta;  ///< [d, lanes] Θ, pad lanes zero
+  int64_t n;           ///< nodes N; h's time stride is n · out
+  int64_t out;         ///< F
+  int64_t lanes;       ///< F rounded up to a multiple of 8
 };
 
 /// \brief Geometry and parameters of nn::TemporalConvBlock's fused op for
@@ -170,11 +180,31 @@ struct KernelSet {
   // then one add), then scaling, entries accumulated in CSR order.
 
   /// Forward: for each entry e = (i, j), corr[e,:] = c · Σ_k x_i[k] ⊙ x_j[k]
-  /// and y_i[k] += (as[e] · corr[e,:]) ⊙ x_j[k]. Writes corr's entries of
-  /// the rows and yn's rows (pad lanes included).
+  /// and y_i[k] += (as[e] · corr[e,:]) ⊙ x_j[k]. Writes yn's rows and, when
+  /// corr is not null, corr's entries of the rows (pad lanes included).
   void (*ts_forward_rows)(const TimeLaneGraph& g, const float* xn,
                           const float* as, float c, int64_t row_lo,
                           int64_t row_hi, float* corr, float* yn);
+
+  /// θ-lift epilogue of the forward: for each node i of the rows and t < T,
+  /// h[t, i, f] = relu(Σ_{k<d} yn_i[k, t] · θ[k, f]) for f < out, the sum
+  /// from 0 in k order (one mul, then one add: the reference matmul_rows
+  /// sequence), relu(v) = v > 0 ? v : 0 (ag::Relu's, NaN gives 0).
+  void (*ts_lift_relu_rows)(const TimeLaneGraph& g, const TimeLaneLift& lift,
+                            const float* yn, int64_t row_lo, int64_t row_hi,
+                            float* h);
+
+  /// θ-lift prologue of the backward, from dh = dL/dh [T, N, out] and the
+  /// forward's h. Per node i of the rows, with dz[t, f] = dh[t, i, f] ·
+  /// (h[t, i, f] > 0 ? 1 : 0) (zero for f ≥ out): writes gn's rows,
+  /// gn_i[k, t] = Σ_{f<lanes} dz[t, f] · θ[k, f] from 0 in f order, pad
+  /// lanes t ≥ T zero; and when dtheta is not null adds
+  /// yn_i[k, t] · dz[t, f] to dtheta[k · lanes + f] for f < lanes, in
+  /// (i, t) order.
+  void (*ts_lift_grad_rows)(const TimeLaneGraph& g, const TimeLaneLift& lift,
+                            const float* yn, const float* h, const float* dh,
+                            int64_t row_lo, int64_t row_hi, float* gn,
+                            float* dtheta);
 
   /// Backward entry pass: gx[e,:] = Σ_k g_i[k] ⊙ x_j[k], stored when gx is
   /// not null; when ds is not null, ds[e] = (Σ_{t<T} corr[e,t] · gx[e,t],
@@ -185,9 +215,12 @@ struct KernelSet {
                                float* ds);
 
   /// Backward dx pass: for each entry e = (m, j) with r = rev[e],
-  /// dx_m[k] += (as[r] · corr[r]) ⊙ g_j[k] +
+  /// dx_m[k] += (as[r] · corr[e]) ⊙ g_j[k] +
   ///            (as[e]·c · gx[e] + coeff[r]·s[e]·c · gx[r]) ⊙ x_j[k].
-  /// Writes dxn's rows (pad lanes included).
+  /// corr[e] equals corr[r] bit for bit (x_m · x_j and x_j · x_m sum the
+  /// same products in the same k order), so it stands in for the transpose
+  /// entry's value with a contiguous read. Writes dxn's rows (pad lanes
+  /// included).
   void (*ts_grad_x_rows)(const TimeLaneGraph& g, const float* gn,
                          const float* xn, const float* corr, const float* gx,
                          const float* as, const float* s, float c,

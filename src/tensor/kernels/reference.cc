@@ -118,7 +118,6 @@ void TsForwardRowsRef(const TimeLaneGraph& g, const float* xn,
     const float* xi = xn + i * d * t_stride;
     for (int64_t e = g.row_ptr[i]; e < g.row_ptr[i + 1]; ++e) {
       const float* xj = xn + static_cast<int64_t>(g.col[e]) * d * t_stride;
-      float* ce = corr + e * t_stride;
       const float a = as[e];
       for (int64_t blk = 0; blk < t_stride; blk += kTimeLanes) {
         float dot[kTimeLanes];
@@ -126,7 +125,7 @@ void TsForwardRowsRef(const TimeLaneGraph& g, const float* xn,
         float pv[kTimeLanes];
         for (int64_t l = 0; l < kTimeLanes; ++l) {
           const float cv = c * dot[l];
-          ce[blk + l] = cv;
+          if (corr != nullptr) corr[e * t_stride + blk + l] = cv;
           pv[l] = a * cv;
         }
         for (int64_t k = 0; k < d; ++k) {
@@ -182,14 +181,14 @@ void TsGradXRowsRef(const TimeLaneGraph& g, const float* gn, const float* xn,
       const float ar = as[r];
       const float* gxe = gx + e * t_stride;
       const float* gxr = gx + static_cast<int64_t>(r) * t_stride;
-      const float* cr = corr + static_cast<int64_t>(r) * t_stride;
+      const float* ce = corr + e * t_stride;  // = corr[r], see kernels.h
       const float* gj = gn + j * d * t_stride;
       const float* xj = xn + j * d * t_stride;
       for (int64_t blk = 0; blk < t_stride; blk += kTimeLanes) {
         float p_rev[kTimeLanes];
         float coef[kTimeLanes];
         for (int64_t l = 0; l < kTimeLanes; ++l) {
-          p_rev[l] = ar * cr[blk + l];
+          p_rev[l] = ar * ce[blk + l];
           coef[l] = a2 * gxe[blk + l] + a3 * gxr[blk + l];
         }
         for (int64_t kk = 0; kk < d; ++kk) {
@@ -203,6 +202,68 @@ void TsGradXRowsRef(const TimeLaneGraph& g, const float* gn, const float* xn,
       }
     }
     std::copy(acc.begin(), acc.end(), dxn + m * d * t_stride);
+  }
+}
+
+void TsLiftReluRowsRef(const TimeLaneGraph& g, const TimeLaneLift& lift,
+                       const float* yn, int64_t row_lo, int64_t row_hi,
+                       float* h) {
+  const int64_t d = g.d;
+  const int64_t t_stride = g.t_stride;
+  std::vector<float> z(static_cast<size_t>(lift.lanes));
+  for (int64_t i = row_lo; i < row_hi; ++i) {
+    const float* yi = yn + i * d * t_stride;
+    for (int64_t t = 0; t < g.t_steps; ++t) {
+      std::fill(z.begin(), z.end(), 0.0f);
+      for (int64_t k = 0; k < d; ++k) {
+        const float y = yi[k * t_stride + t];
+        const float* th = lift.theta + k * lift.lanes;
+        for (int64_t f = 0; f < lift.out; ++f) z[f] += y * th[f];
+      }
+      float* hrow = h + (t * lift.n + i) * lift.out;
+      for (int64_t f = 0; f < lift.out; ++f) hrow[f] = z[f] > 0 ? z[f] : 0.0f;
+    }
+  }
+}
+
+void TsLiftGradRowsRef(const TimeLaneGraph& g, const TimeLaneLift& lift,
+                       const float* yn, const float* h, const float* dh,
+                       int64_t row_lo, int64_t row_hi, float* gn,
+                       float* dtheta) {
+  const int64_t d = g.d;
+  const int64_t t_stride = g.t_stride;
+  const int64_t lanes = lift.lanes;
+  // One node's dz [T, lanes], pad lanes zero.
+  std::vector<float> dz(static_cast<size_t>(g.t_steps * lanes), 0.0f);
+  for (int64_t i = row_lo; i < row_hi; ++i) {
+    for (int64_t t = 0; t < g.t_steps; ++t) {
+      const int64_t at = (t * lift.n + i) * lift.out;
+      for (int64_t f = 0; f < lift.out; ++f) {
+        dz[static_cast<size_t>(t * lanes + f)] =
+            dh[at + f] * (h[at + f] > 0 ? 1.0f : 0.0f);
+      }
+    }
+    const float* yi = yn + i * d * t_stride;
+    float* gi = gn + i * d * t_stride;
+    for (int64_t k = 0; k < d; ++k) {
+      const float* th = lift.theta + k * lanes;
+      for (int64_t t = 0; t < g.t_steps; ++t) {
+        const float* dzt = dz.data() + t * lanes;
+        float sum = 0.0f;
+        for (int64_t f = 0; f < lanes; ++f) sum += dzt[f] * th[f];
+        gi[k * t_stride + t] = sum;
+      }
+      std::fill(gi + k * t_stride + g.t_steps, gi + (k + 1) * t_stride, 0.0f);
+    }
+    if (dtheta == nullptr) continue;
+    for (int64_t t = 0; t < g.t_steps; ++t) {
+      const float* dzt = dz.data() + t * lanes;
+      for (int64_t k = 0; k < d; ++k) {
+        const float y = yi[k * t_stride + t];
+        float* dk = dtheta + k * lanes;
+        for (int64_t f = 0; f < lanes; ++f) dk[f] += y * dzt[f];
+      }
+    }
   }
 }
 
@@ -451,6 +512,8 @@ const KernelSet kReferenceSet = {
     /*softmax_rows=*/SoftmaxRowsRef,
     /*transpose_rows=*/TransposeRowsRef,
     /*ts_forward_rows=*/TsForwardRowsRef,
+    /*ts_lift_relu_rows=*/TsLiftReluRowsRef,
+    /*ts_lift_grad_rows=*/TsLiftGradRowsRef,
     /*ts_grad_entries_rows=*/TsGradEntriesRowsRef,
     /*ts_grad_x_rows=*/TsGradXRowsRef,
     /*pairwise_hinge_rows=*/PairwiseHingeRowsRef,

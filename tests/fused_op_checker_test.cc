@@ -1,16 +1,17 @@
 // Oracle tests for the fused autograd ops.
 //
-// ag::PairwiseRankingLoss and nn::TemporalConvBlock's fused op replace
-// chains of small ops. The chains are kept here, and only here, as the
-// reference: the checker runs a fused op and its composed oracle on the
-// same seeded inputs and the same output cotangent, then compares the
-// forward value and every input gradient. The fused ops sum in a
-// different order than the chains, so the comparison is |fused - oracle|
-// <= rtol * max|oracle| per tensor (a norm-relative bound: a gradient
-// entry that cancels to ~0 is not held to its own magnitude). Each op
-// also passes ag::GradCheck and is bit-identical at 1, 2, 4 and 8
-// threads, and the loss is bit-identical under every kernel backend (the
-// block's kernels are compared byte for byte in kernel_checker_test).
+// ag::PairwiseRankingLoss, nn::TemporalConvBlock's fused op and
+// graph::SparseTimeSensitiveConv replace chains of small ops. The chains
+// are kept here, and only here, as the reference: the checker runs a
+// fused op and its composed oracle on the same seeded inputs and the same
+// output cotangent, then compares the forward value and every input
+// gradient. The fused ops sum in a different order than the chains, so
+// the comparison is |fused - oracle| <= rtol * max|oracle| per tensor (a
+// norm-relative bound: a gradient entry that cancels to ~0 is not held to
+// its own magnitude). Each op also passes ag::GradCheck and is
+// bit-identical at 1, 2, 4 and 8 threads, and the loss is bit-identical
+// under every kernel backend (the block's and the θ-lift's kernels are
+// compared byte for byte in kernel_checker_test).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "autograd_oracle.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "graph/sparse.h"
 #include "kernel_checker.h"
 #include "nn/temporal_conv.h"
 #include "tensor/init.h"
@@ -133,17 +135,19 @@ class FusedOpChecker {
     return out;
   }
 
+  /// A seeded cotangent for `fn`'s output.
+  Tensor Cotangent(const Fn& fn, const std::vector<ag::VarPtr>& inputs) {
+    ag::NoGradGuard no_grad;
+    return RandomUniform(fn(inputs)->shape(), 0.5f, 1.5f, &rng_);
+  }
+
   /// Compares `fused` against `oracle` on `inputs`. `names` labels the
   /// input gradients in failure messages.
   void Check(const std::string& what, const Fn& fused, const Fn& oracle,
              const std::vector<ag::VarPtr>& inputs,
              const std::vector<std::string>& names) {
     ASSERT_EQ(inputs.size(), names.size()) << what;
-    Tensor cotangent;
-    {
-      ag::NoGradGuard no_grad;
-      cotangent = RandomUniform(fused(inputs)->shape(), 0.5f, 1.5f, &rng_);
-    }
+    const Tensor cotangent = Cotangent(fused, inputs);
     const std::vector<Tensor> want = Run(oracle, inputs, cotangent);
     const std::vector<Tensor> got = Run(fused, inputs, cotangent);
     ExpectClose(want[0], got[0], kValueRtol, what + " forward");
@@ -180,11 +184,7 @@ class FusedOpChecker {
   /// outputs and gradients.
   void CheckThreadInvariant(const std::string& what, const Fn& fn,
                             const std::vector<ag::VarPtr>& inputs) {
-    Tensor cotangent;
-    {
-      ag::NoGradGuard no_grad;
-      cotangent = RandomUniform(fn(inputs)->shape(), 0.5f, 1.5f, &rng_);
-    }
+    const Tensor cotangent = Cotangent(fn, inputs);
     SetNumThreads(1);
     const std::vector<Tensor> ref = Run(fn, inputs, cotangent);
     for (int threads : {2, 4, 8}) {
@@ -640,6 +640,214 @@ TEST(FusedTemporalBlockTest, NoGradForwardMatchesGradForward) {
                           sizeof(float) * with_tape.numel()),
               0)
         << c.Name();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Time-sensitive relational conv: ReLU(P(t) X(t) Θ)
+// ---------------------------------------------------------------------------
+
+// n stocks over 3 relation types with about 3n random pairs; the last stock
+// has no relation (with self loops it keeps only its own row).
+graph::RelationTensor RelationsWithIsolatedStock(int64_t n, Rng* rng) {
+  graph::RelationTensor rel(n, 3);
+  for (int64_t e = 0; e < 3 * n; ++e) {
+    const int64_t i = static_cast<int64_t>(rng->UniformInt(n - 1));
+    const int64_t j = static_cast<int64_t>(rng->UniformInt(n - 1));
+    if (i == j) continue;
+    rel.AddRelation(i, j, static_cast<int64_t>(rng->UniformInt(3))).Abort();
+  }
+  return rel;
+}
+
+// The chain the fused op replaced in RtGcnLayer: propagate, reshape, the
+// [T·N, D] x [D, F] lift, reshape, ReLU.
+ag::VarPtr ComposedRelationalConv(const graph::CsrPtr& g,
+                                  const std::vector<ag::VarPtr>& in) {
+  const ag::VarPtr& x = in[3];
+  const int64_t t_len = x->value.dim(0), n = x->value.dim(1);
+  const int64_t d = x->value.dim(2), f = in[2]->value.dim(1);
+  ag::VarPtr y = graph::SparseTimeSensitivePropagate(g, in[0], in[1], x);
+  ag::VarPtr z = ag::MatMul(ag::Reshape(y, {t_len * n, d}), in[2]);
+  return ag::Relu(ag::Reshape(z, {t_len, n, f}));
+}
+
+ag::VarPtr FusedRelationalConv(const graph::CsrPtr& g,
+                               const std::vector<ag::VarPtr>& in) {
+  return graph::SparseTimeSensitiveConv(g, in[0], in[1], in[2], in[3]);
+}
+
+// Inputs w [3], b [1], Θ [d, f], x [T, n, d]; Θ is centered, so about half
+// the pre-activations are negative and the ReLU masks them.
+std::vector<ag::VarPtr> RelationalInputs(int64_t t_len, int64_t n, int64_t d,
+                                         int64_t f, bool x_grad, Rng* rng) {
+  return {ag::MakeVariable(RandomGaussian({3}, 1.0f, 0.1f, rng), true),
+          ag::MakeVariable(RandomGaussian({1}, 0.0f, 0.1f, rng), true),
+          ag::MakeVariable(RandomGaussian({d, f}, 0.0f, 0.5f, rng), true),
+          ag::MakeVariable(RandomUniform({t_len, n, d}, -1.0f, 1.5f, rng),
+                           x_grad)};
+}
+
+const std::vector<std::string> kRelationalNames = {"w", "b", "theta", "x"};
+
+// With self loops (the isolated stock keeps its own row) and without (its
+// row owns no entry, so its h is relu(0) = 0).
+std::vector<std::pair<std::string, graph::CsrPtr>> RelationalGraphs(
+    const graph::RelationTensor& rel) {
+  return {{"self loops", graph::CsrGraph::NormalizedAdjacency(rel)},
+          {"no self loops",
+           graph::CsrGraph::Build(rel, graph::CsrGraph::Norm::kSymmetric,
+                                  /*add_self_loops=*/false)}};
+}
+
+std::string RelationalCase(const std::string& graph, int64_t t_len,
+                           int64_t d, int64_t f, bool x_grad) {
+  return graph + " T=" + std::to_string(t_len) + " D=" + std::to_string(d) +
+         " F=" + std::to_string(f) + (x_grad ? " dx" : "");
+}
+
+// D ∈ {4, 16} (the model's layer widths), T on both sides of the 8-lane
+// block, F with and without a lane tail, x constant (the model input) and
+// x requiring a gradient (a second layer's input).
+TEST(FusedRelationalConvTest, MatchesComposedOracle) {
+  FusedOpChecker checker(21);
+  const graph::RelationTensor rel =
+      RelationsWithIsolatedStock(23, checker.rng());
+  for (const auto& [graph_name, g] : RelationalGraphs(rel)) {
+    for (int64_t d : {4, 16}) {
+      for (int64_t t_len : {5, 8, 15, 17}) {
+        for (int64_t f : {16, 5}) {
+          for (bool x_grad : {false, true}) {
+            const auto inputs = RelationalInputs(t_len, rel.num_stocks(), d, f,
+                                                 x_grad, checker.rng());
+            checker.Check(
+                RelationalCase(graph_name, t_len, d, f, x_grad),
+                [&](const std::vector<ag::VarPtr>& in) {
+                  return FusedRelationalConv(g, in);
+                },
+                [&](const std::vector<ag::VarPtr>& in) {
+                  return ComposedRelationalConv(g, in);
+                },
+                inputs, kRelationalNames);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Under the reference backend the lift sums like the reference matmul_rows
+// (from 0 in k order, mul then add) and the lift-back like the reference
+// g·Θᵀ, so the value and the gradients of w, b and x equal the chain's bit
+// for bit; only dΘ folds in a different order.
+TEST(FusedRelationalConvTest, BitIdenticalToComposedUnderReferenceKernels) {
+  ScopedKernelBackend scope(kernels::Backend::kReference);
+  FusedOpChecker checker(22);
+  const graph::RelationTensor rel =
+      RelationsWithIsolatedStock(150, checker.rng());
+  for (const auto& [graph_name, g] : RelationalGraphs(rel)) {
+    for (int64_t d : {4, 16}) {
+      for (int64_t t_len : {5, 15, 17}) {
+        const auto inputs = RelationalInputs(t_len, rel.num_stocks(), d, 16,
+                                             /*x_grad=*/true, checker.rng());
+        const std::string what =
+            RelationalCase(graph_name, t_len, d, 16, true);
+        const FusedOpChecker::Fn fused =
+            [&](const std::vector<ag::VarPtr>& in) {
+              return FusedRelationalConv(g, in);
+            };
+        const Tensor cotangent = checker.Cotangent(fused, inputs);
+        const std::vector<Tensor> want = FusedOpChecker::Run(
+            [&](const std::vector<ag::VarPtr>& in) {
+              return ComposedRelationalConv(g, in);
+            },
+            inputs, cotangent);
+        const std::vector<Tensor> got =
+            FusedOpChecker::Run(fused, inputs, cotangent);
+        for (size_t i : {0, 1, 2, 4}) {  // h, dw, db, dx
+          ASSERT_EQ(want[i].shape(), got[i].shape()) << what;
+          EXPECT_EQ(std::memcmp(want[i].data(), got[i].data(),
+                                sizeof(float) * want[i].numel()),
+                    0)
+              << what << " output " << i;
+        }
+      }
+    }
+  }
+}
+
+// Finite differences through w, b, Θ and x. Positive inputs, weights and Θ
+// keep every pre-activation well above 0, so no probe crosses the ReLU's
+// kink (the oracle tests cover the masked side).
+TEST(FusedRelationalConvTest, GradCheck) {
+  Rng rng(23);
+  const graph::RelationTensor rel = RelationsWithIsolatedStock(6, &rng);
+  for (const auto& [graph_name, g] : RelationalGraphs(rel)) {
+    for (int64_t d : {4, 16}) {
+      std::vector<ag::VarPtr> in = {
+          ag::MakeVariable(RandomGaussian({3}, 1.0f, 0.1f, &rng), true),
+          ag::MakeVariable(Tensor::Full({1}, 0.1f), true),
+          ag::MakeVariable(RandomUniform({d, 5}, 0.2f, 0.6f, &rng), true),
+          ag::MakeVariable(RandomUniform({5, 6, d}, 0.9f, 1.1f, &rng), true)};
+      const Tensor cotangent = RandomUniform({5, 6, 5}, 0.5f, 1.5f, &rng);
+      EXPECT_TRUE(ag::GradCheck(
+          [&](const std::vector<ag::VarPtr>&) {
+            return ag::SumAll(
+                ag::Mul(FusedRelationalConv(g, in), ag::Constant(cotangent)));
+          },
+          in))
+          << graph_name << " D=" << d;
+    }
+  }
+}
+
+// The paper-scale layer-0 shapes (T = 15, D = 4, F = 16) and a second
+// layer's (D = 16, x with a gradient), over 300 stocks: five 64-row chunks
+// of the backward's w/b and Θ partials.
+TEST(FusedRelationalConvTest, BitIdenticalAcrossThreadCounts) {
+  FusedOpChecker checker(24);
+  const graph::RelationTensor rel =
+      RelationsWithIsolatedStock(300, checker.rng());
+  const graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(rel);
+  for (int64_t d : {4, 16}) {
+    const bool x_grad = d == 16;
+    checker.CheckThreadInvariant(
+        RelationalCase("self loops", 15, d, 16, x_grad),
+        [&](const std::vector<ag::VarPtr>& in) {
+          return FusedRelationalConv(g, in);
+        },
+        RelationalInputs(15, rel.num_stocks(), d, 16, x_grad, checker.rng()));
+  }
+}
+
+// A forward without a tape keeps no per-entry correlations; its value is
+// the training forward's byte for byte, fused or not.
+TEST(FusedRelationalConvTest, NoGradForwardMatchesGradForward) {
+  Rng rng(25);
+  const graph::RelationTensor rel = RelationsWithIsolatedStock(40, &rng);
+  const graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(rel);
+  for (int64_t d : {4, 16}) {
+    const auto in = RelationalInputs(15, rel.num_stocks(), d, 16,
+                                     /*x_grad=*/false, &rng);
+    const Tensor fused = FusedRelationalConv(g, in)->value;
+    const Tensor plain =
+        graph::SparseTimeSensitivePropagate(g, in[0], in[1], in[3])->value;
+    ag::NoGradGuard no_grad;
+    const std::vector<ag::VarPtr> constants = {
+        ag::Constant(in[0]->value), ag::Constant(in[1]->value),
+        ag::Constant(in[2]->value), ag::Constant(in[3]->value)};
+    const Tensor fused_serve = FusedRelationalConv(g, constants)->value;
+    const Tensor plain_serve = graph::SparseTimeSensitivePropagate(
+                                   g, constants[0], constants[1], constants[3])
+                                   ->value;
+    EXPECT_EQ(std::memcmp(fused.data(), fused_serve.data(),
+                          sizeof(float) * fused.numel()),
+              0)
+        << "fused D=" << d;
+    EXPECT_EQ(std::memcmp(plain.data(), plain_serve.data(),
+                          sizeof(float) * plain.numel()),
+              0)
+        << "propagate D=" << d;
   }
 }
 

@@ -1,8 +1,8 @@
 // Kernel-equivalence sweeps: every registered backend vs the scalar
 // reference, across shapes chosen to hit vector-width tails, odd sizes,
 // single rows/columns, grain boundaries and broadcast edges, plus the
-// temporal-block kernels compared byte for byte. See kernel_checker.h for
-// the comparison contract.
+// temporal-block and θ-lift kernels compared byte for byte. See
+// kernel_checker.h for the comparison contract.
 #include "kernel_checker.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "autograd/ops.h"
+#include "graph/sparse.h"
 #include "nn/temporal_conv.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
@@ -330,6 +331,99 @@ TEST(KernelChecker, TemporalBlockBitIdenticalToReference) {
       ScopedKernelBackend scope(kernels::Backend::kAvx2);
       const std::vector<Tensor> actual =
           TemporalBlockOutputs(block, x, cotangent);
+      ASSERT_EQ(expected.size(), actual.size()) << what;
+      for (size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(expected[i].shape(), actual[i].shape()) << what;
+        int64_t mismatches = 0;
+        for (int64_t e = 0; e < expected[i].numel(); ++e) {
+          const float a = expected[i].data()[e];
+          const float b = actual[i].data()[e];
+          if (std::memcmp(&a, &b, sizeof(float)) != 0 &&
+              !(std::isnan(a) && std::isnan(b))) {
+            ++mismatches;
+          }
+        }
+        EXPECT_EQ(mismatches, 0) << what << " [" << ks->name << "]: output "
+                                 << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// θ-lift of the relational lanes
+// ---------------------------------------------------------------------------
+
+// graph::SparseTimeSensitiveConv's value and every gradient (w, b, Θ, x),
+// and the gradient-free value, under the active backend.
+std::vector<Tensor> RelationalConvOutputs(const graph::CsrPtr& g,
+                                          const std::vector<Tensor>& in,
+                                          const Tensor& cotangent) {
+  std::vector<ag::VarPtr> vars;
+  for (const Tensor& t : in) vars.push_back(ag::MakeVariable(t.Clone(), true));
+  ag::VarPtr h =
+      graph::SparseTimeSensitiveConv(g, vars[0], vars[1], vars[2], vars[3]);
+  ag::Backward(ag::SumAll(ag::Mul(h, ag::Constant(cotangent))));
+  std::vector<Tensor> out{h->value};
+  for (const auto& v : vars) out.push_back(v->grad);
+  ag::NoGradGuard no_grad;
+  out.push_back(graph::SparseTimeSensitiveConv(
+                    g, ag::Constant(in[0]), ag::Constant(in[1]),
+                    ag::Constant(in[2]), ag::Constant(in[3]))
+                    ->value);
+  return out;
+}
+
+// The avx2 lift and lift-back kernels equal the reference kernels byte for
+// byte, through the op: D = 4 (the hot shape when T is 9..16) and off it,
+// T on both sides of the 8-lane block, F with lane tails (5, 20) and the
+// model's 16, and a NaN and an inf input. NaNs match as NaNs.
+TEST(KernelChecker, RelationalLiftBitIdenticalToReference) {
+  Rng rng(130);
+  graph::RelationTensor rel(29, 3);
+  for (int e = 0; e < 90; ++e) {
+    const int64_t i = static_cast<int64_t>(rng.UniformInt(28));
+    const int64_t j = static_cast<int64_t>(rng.UniformInt(28));
+    if (i != j) {
+      rel.AddRelation(i, j, static_cast<int64_t>(rng.UniformInt(3))).Abort();
+    }
+  }
+  const graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(rel);
+  struct Case {
+    int64_t t_len, d, f;
+    bool specials;
+  };
+  const Case cases[] = {{15, 4, 16, false}, {15, 4, 5, false},
+                        {5, 4, 16, false},  {17, 4, 20, false},
+                        {8, 16, 16, false}, {1, 1, 9, false},
+                        {15, 6, 16, true},  {15, 4, 16, true}};
+  for (const Case& c : cases) {
+    std::vector<Tensor> in = {
+        RandomGaussian({3}, 1.0f, 0.1f, &rng),
+        RandomGaussian({1}, 0.0f, 0.1f, &rng),
+        RandomGaussian({c.d, c.f}, 0.0f, 0.5f, &rng),
+        RandomUniform({c.t_len, rel.num_stocks(), c.d}, -1.0f, 1.5f, &rng)};
+    if (c.specials) {
+      float* x = in[3].data();
+      x[in[3].numel() - 1] = std::numeric_limits<float>::quiet_NaN();
+      x[in[3].numel() / 2] = std::numeric_limits<float>::infinity();
+    }
+    const Tensor cotangent = RandomUniform(
+        {c.t_len, rel.num_stocks(), c.f}, -1.0f, 1.0f, &rng);
+    const std::string what = "T=" + std::to_string(c.t_len) + " D=" +
+                             std::to_string(c.d) + " F=" +
+                             std::to_string(c.f) +
+                             (c.specials ? " NaN/inf" : "");
+    std::vector<Tensor> expected;
+    {
+      ScopedKernelBackend scope(kernels::Backend::kReference);
+      expected = RelationalConvOutputs(g, in, cotangent);
+    }
+    for (const kernels::KernelSet* ks : kernels::AllKernels()) {
+      if (ks == &kernels::Reference() || !ks->supported()) continue;
+      ScopedKernelBackend scope(kernels::Backend::kAvx2);
+      const std::vector<Tensor> actual =
+          RelationalConvOutputs(g, in, cotangent);
       ASSERT_EQ(expected.size(), actual.size()) << what;
       for (size_t i = 0; i < expected.size(); ++i) {
         ASSERT_EQ(expected[i].shape(), actual[i].shape()) << what;

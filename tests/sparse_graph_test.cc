@@ -437,6 +437,40 @@ TEST(SparseOpsTest, TimeSensitivePropagateBitIdenticalToReferenceLoops) {
   }
 }
 
+// The dx pass reads corr[e] where the transpose entry's value corr[rev e]
+// is meant: x_i · x_j and x_j · x_i sum the same products in the same
+// feature order, so the two are the same bits, under every backend.
+TEST(SparseOpsTest, TimeSensitiveCorrelationIsSymmetricBitwise) {
+  Rng rng(19);
+  const graph::RelationTensor rel = RandomRelations(60, 3, 240, &rng);
+  const graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(rel);
+  const int32_t* rev = g->reverse_entry().data();
+  for (const kernels::KernelSet* ks : kernels::AllKernels()) {
+    if (!ks->supported()) continue;
+    ScopedKernelBackend scope(ks == &kernels::Avx2()
+                                  ? kernels::Backend::kAvx2
+                                  : kernels::Backend::kReference);
+    for (int64_t d : {1, 4, 6, 16}) {
+      const auto w = ag::Constant(RandomGaussian({3}, 1.0f, 0.1f, &rng));
+      const auto b = ag::Constant(Tensor::Zeros({1}));
+      const auto x =
+          ag::Constant(RandomUniform({15, 60, d}, -1.0f, 1.5f, &rng));
+      graph::TimeSensitiveEdgeValues saved;
+      graph::SparseTimeSensitivePropagate(g, w, b, x, &saved);
+      ASSERT_TRUE(saved.defined());
+      int64_t mismatches = 0;
+      for (int64_t e = 0; e < g->num_entries(); ++e) {
+        const float* ce = saved.corr.get() + e * saved.t_stride;
+        const float* cr = saved.corr.get() + rev[e] * saved.t_stride;
+        if (std::memcmp(ce, cr, sizeof(float) * saved.t_steps) != 0) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << ks->name << " D=" << d;
+    }
+  }
+}
+
 TEST(SparseOpsTest, GatAttentionMatchesDense) {
   GraphChecker checker;
   checker.set_rtol(1e-4f).set_atol(1e-5f);

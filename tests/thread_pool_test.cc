@@ -16,6 +16,7 @@
 #include <xmmintrin.h>
 #endif
 
+#include "obs/registry.h"
 #include "tensor/tensor.h"
 
 namespace rtgcn {
@@ -316,6 +317,31 @@ TEST(ThreadPoolTest, EveryThreadFlushesSubnormalResultsToZero) {
   }
 }
 #endif
+
+// `pool.runs` counts the regions that reach the pool: one per multi-chunk
+// ParallelFor with more than one thread, none for a region that runs
+// inline (one thread, one chunk, or nested inside a region).
+TEST(ThreadPoolTest, PoolRunsCountsRegionsThatReachThePool) {
+  const obs::Counter* runs =
+      obs::Registry::Global().GetCounter("pool.runs");
+  const auto noop = [](int64_t, int64_t) {};
+  {
+    ScopedNumThreads threads(1);
+    const uint64_t before = runs->Value();
+    ParallelFor(0, 64, 1, noop);
+    EXPECT_EQ(runs->Value(), before);
+  }
+  ScopedNumThreads threads(4);
+  const uint64_t before = runs->Value();
+  ParallelFor(0, 5, 8, noop);
+  EXPECT_EQ(runs->Value(), before);
+  ParallelFor(0, 8, 1, [&](int64_t, int64_t) { ParallelFor(0, 8, 1, noop); });
+  EXPECT_EQ(runs->Value(), before + 1);
+  ParallelReduce<int64_t>(
+      0, 64, 8, 0, [](int64_t lo, int64_t) { return lo; },
+      [](int64_t a, int64_t b) { return a + b; });
+  EXPECT_EQ(runs->Value(), before + 2);
+}
 
 TEST(ThreadPoolTest, SetNumThreadsPinsAndResets) {
   SetNumThreads(3);

@@ -14,6 +14,7 @@
 #include "autograd/finite_check.h"
 #include "autograd/ops.h"
 #include "autograd/optimizer.h"
+#include "graph/sparse.h"
 #include "harness/gradient_predictor.h"
 #include "market/dataset.h"
 #include "nn/linear.h"
@@ -267,6 +268,36 @@ TEST(FiniteCheckTest, NamesFusedTemporalBlockInBothPhases) {
   ag::Backward(loss);
   EXPECT_TRUE(ag::FiniteChecks::tripped());
   EXPECT_EQ(ag::FiniteChecks::first().op, "TemporalConvBlock");
+  EXPECT_EQ(ag::FiniteChecks::first().phase, "backward");
+}
+
+// The relational conv's ReLU maps a NaN pre-activation to 0, so the
+// forward check scans the lanes and Θ it lifts. A zero Θ gives h = 0
+// exactly, where sqrt hands the op an infinite gradient.
+TEST(FiniteCheckTest, NamesFusedRelationalConvInBothPhases) {
+  FiniteCheckScope scope;
+  graph::RelationTensor rel(3, 1);
+  rel.AddRelation(0, 1, 0).Abort();
+  const graph::CsrPtr g = graph::CsrGraph::NormalizedAdjacency(rel);
+  const ag::VarPtr w = ag::Constant(Tensor::Full({1}, 1.0f));
+  const ag::VarPtr b = ag::Constant(Tensor::Zeros({1}));
+  Tensor x = Tensor::Full({4, 3, 2}, 0.5f);
+  x.data()[5] = kNan;
+  graph::SparseTimeSensitiveConv(
+      g, w, b, ag::Constant(Tensor::Full({2, 3}, 1.0f)), ag::Constant(x));
+  EXPECT_TRUE(ag::FiniteChecks::tripped());
+  EXPECT_EQ(ag::FiniteChecks::first().op, "graph.SparseTimeSensitiveConv");
+  EXPECT_EQ(ag::FiniteChecks::first().phase, "forward");
+
+  ag::FiniteChecks::Reset();
+  x.data()[5] = 0.5f;
+  auto theta = ag::MakeVariable(Tensor::Zeros({2, 3}), /*requires_grad=*/true);
+  ag::VarPtr loss = ag::SumAll(ag::Sqrt(
+      graph::SparseTimeSensitiveConv(g, w, b, theta, ag::Constant(x))));
+  EXPECT_FALSE(ag::FiniteChecks::tripped()) << "forward should be finite";
+  ag::Backward(loss);
+  EXPECT_TRUE(ag::FiniteChecks::tripped());
+  EXPECT_EQ(ag::FiniteChecks::first().op, "graph.SparseTimeSensitiveConv");
   EXPECT_EQ(ag::FiniteChecks::first().phase, "backward");
 }
 
