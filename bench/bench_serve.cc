@@ -21,6 +21,8 @@
 //
 // Every server knob is a serve::ServerConfig flag (one shared surface —
 // see serve/config.h): --cache, --max_queue, --executor_threads, ...
+// The load clients build their own Client::Options (no retries), so the
+// bench has no client flags.
 #include <algorithm>
 #include <atomic>
 #include <cinttypes>
@@ -176,8 +178,8 @@ int main(int argc, char** argv) {
   // only overrides the defaults that make the measurement (cache off so
   // requests reach the forward, a small queue so overload sheds visibly).
   serve::ServerConfig scfg;
-  scfg.enable_cache = false;
-  scfg.max_queue = 256;
+  scfg.server.enable_cache = false;
+  scfg.server.max_queue = 256;
 
   // A small market keeps the bench fast, but the universe must be big
   // enough that the forward pass dominates per-request overhead —
@@ -245,8 +247,7 @@ int main(int argc, char** argv) {
       [make_predictor] { return serve::WrapPredictor(make_predictor()); },
       &metrics);
   registry.Start().Abort();
-  serve::InferenceServer server(&dataset, &registry, scfg.server_options(),
-                                &metrics);
+  serve::InferenceServer server(&dataset, &registry, scfg.server, &metrics);
   server.Start().Abort();
 
   serve::ChaosInjector::Options copts;
@@ -259,7 +260,7 @@ int main(int argc, char** argv) {
     copts.delay_ms_max = 5;
   }
   serve::ChaosInjector injector(copts);
-  serve::AsyncServer front(&server, &metrics, scfg.async_options());
+  serve::AsyncServer front(&server, &metrics, scfg.front);
   if (chaos) front.SetChaos(&injector);
   front.Start().Abort();
 
@@ -276,7 +277,8 @@ int main(int argc, char** argv) {
               "deadline %lldms, queue %lld, chaos %s)\n",
               capacity, static_cast<long long>(clients),
               static_cast<long long>(deadline_ms),
-              static_cast<long long>(scfg.max_queue), chaos ? "on" : "off");
+              static_cast<long long>(scfg.server.max_queue),
+              chaos ? "on" : "off");
 
   std::vector<OverloadPoint> points;
   for (const std::string& m : Split(multipliers, ',')) {
@@ -326,7 +328,7 @@ int main(int argc, char** argv) {
     out << "{\n  \"bench\": \"serve_robust\",\n";
     out << "  \"config\": {\"clients\": " << clients
         << ", \"deadline_ms\": " << deadline_ms
-        << ", \"max_queue\": " << scfg.max_queue
+        << ", \"max_queue\": " << scfg.server.max_queue
         << ", \"stocks\": " << dataset.num_stocks()
         << ", \"overload_seconds\": " << overload_seconds
         << ", \"chaos\": " << (chaos ? "true" : "false")

@@ -2,9 +2,11 @@
 // checkpoint exists (training one if the directory is empty), then serve
 // ranking queries over the line protocol with hot checkpoint reload.
 //
-// The whole serving stack is configured through one serve::ServerConfig
-// (serve/config.h), so every knob here is the same flag with the same
-// default as in bench_serve and the chaos harness:
+// The server side of the stack is configured through one
+// serve::ServerConfig (serve/config.h): its flags bind the layers' own
+// Options fields, so each is the same flag with the same default as in
+// bench_serve and the chaos harness. Client knobs (timeouts, retries)
+// belong to serve_client, not here:
 //
 //   ./serve_server [--port 7070] [--checkpoint_dir /tmp/rtgcn_serve_demo]
 //                  [--reload_interval_ms 1000] [--cache 1]
@@ -51,7 +53,7 @@ int main(int argc, char** argv) {
   int num_threads = 0;
 
   serve::ServerConfig scfg;
-  scfg.port = 7070;
+  scfg.front.port = 7070;
 
   FlagSet fs("Line-protocol ranking server with hot checkpoint reload over "
              "a simulated market.");
@@ -104,10 +106,9 @@ int main(int argc, char** argv) {
       &metrics);
   registry.Start().Abort();
 
-  serve::InferenceServer server(&dataset, &registry, scfg.server_options(),
-                                &metrics);
+  serve::InferenceServer server(&dataset, &registry, scfg.server, &metrics);
   server.Start().Abort();
-  serve::AsyncServer front(&server, &metrics, scfg.async_options());
+  serve::AsyncServer front(&server, &metrics, scfg.front);
   front.Start().Abort();
   std::printf("serving %s on 127.0.0.1:%d  (version %lld, days %lld..%lld, "
               "%lld stocks)\n",

@@ -14,7 +14,8 @@ namespace rtgcn::baselines {
 /// \brief RT-GCN wrapped for the benchmark harness.
 class RtGcnPredictor : public harness::GradientPredictor {
  public:
-  /// `relations` must outlive the predictor.
+  /// `relations` is read only here: each RT-GCN layer copies it into its
+  /// own CSR, so the caller may free it afterwards.
   RtGcnPredictor(const graph::RelationTensor& relations,
                  core::RtGcnConfig config, float alpha, uint64_t seed,
                  std::string name_override = "");

@@ -253,20 +253,16 @@ ag::VarPtr SparsePropagate(const CsrPtr& g, const ag::VarPtr& x) {
   SegmentSpmm(*g, g->coeff().data(), /*use_rev=*/false, x->value.data(), f,
               y.data());
 
-  auto out = std::make_shared<ag::Variable>(std::move(y));
-  out->op_name = "graph.SparsePropagate";
-  if (ag::GradMode::enabled() && ag::NeedsGrad(x)) {
-    out->parents = {x};
-    out->backward_fn = [g, x, f](const Tensor& grad) {
-      obs::Span bspan("graph.SpMM.bwd[sparse]", "graph");
-      // dX = Âᵀ G — same segment loop through the reverse-entry index.
-      Tensor dx = Tensor::Zeros(x->value.shape());
-      SegmentSpmm(*g, g->coeff().data(), /*use_rev=*/true, grad.data(), f,
-                  dx.data());
-      x->AccumulateGrad(std::move(dx));
-    };
-  }
-  return out;
+  return ag::MakeOp(
+      "graph.SparsePropagate", std::move(y), {x},
+      [g, x, f](const Tensor& grad) {
+        obs::Span bspan("graph.SpMM.bwd[sparse]", "graph");
+        // dX = Âᵀ G — same segment loop through the reverse-entry index.
+        Tensor dx = Tensor::Zeros(x->value.shape());
+        SegmentSpmm(*g, g->coeff().data(), /*use_rev=*/true, grad.data(), f,
+                    dx.data());
+        x->AccumulateGrad(std::move(dx));
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -298,70 +294,64 @@ ag::VarPtr SparseEdgeWeightPropagate(const CsrPtr& g, const ag::VarPtr& w,
   Tensor y = Tensor::Zeros(x->value.shape());
   SegmentSpmm(*g, p.data(), /*use_rev=*/false, x->value.data(), f, y.data());
 
-  auto out = std::make_shared<ag::Variable>(std::move(y));
-  out->op_name = "graph.SparseEdgeWeightPropagate";
-  const bool any_grad =
-      ag::NeedsGrad(w) || ag::NeedsGrad(b) || ag::NeedsGrad(x);
-  if (ag::GradMode::enabled() && any_grad) {
-    out->parents = {w, b, x};
-    Tensor x_val = x->value;  // shared storage — cheap to capture
-    out->backward_fn = [g, w, b, x, x_val, p, f](const Tensor& grad) {
-      obs::Span bspan("graph.EdgeWeight.bwd[sparse]", "graph");
-      const float* pg = grad.data();
-      const float* px = x_val.data();
-      const int64_t* rp = g->row_ptr().data();
-      const int32_t* col = g->col().data();
-      const float* coeff = g->coeff().data();
-      const int64_t* tp = g->type_ptr().data();
-      const int32_t* types = g->types().data();
-      const int64_t k = w->value.numel();
+  Tensor x_val = x->value;  // shared storage — cheap to capture
+  return ag::MakeOp(
+      "graph.SparseEdgeWeightPropagate", std::move(y), {w, b, x},
+      [g, w, b, x, x_val, p, f](const Tensor& grad) {
+        obs::Span bspan("graph.EdgeWeight.bwd[sparse]", "graph");
+        const float* pg = grad.data();
+        const float* px = x_val.data();
+        const int64_t* rp = g->row_ptr().data();
+        const int32_t* col = g->col().data();
+        const float* coeff = g->coeff().data();
+        const int64_t* tp = g->type_ptr().data();
+        const int32_t* types = g->types().data();
+        const int64_t k = w->value.numel();
 
-      if (ag::NeedsGrad(w) || ag::NeedsGrad(b)) {
-        // ∂L/∂s_e = coeff_e · (g_i · x_j) for every directed non-self
-        // entry; dw folds per-row partial vectors in fixed chunk order
-        // (slot k holds db).
-        std::vector<float> acc = ParallelReduce(
-            0, g->num_nodes(), 64, std::vector<float>(k + 1, 0.0f),
-            [&](int64_t lo, int64_t hi) {
-              std::vector<float> partial(k + 1, 0.0f);
-              for (int64_t i = lo; i < hi; ++i) {
-                const float* gi = pg + i * f;
-                for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
-                  if (col[e] == i) continue;  // self loop: s fixed at 1
-                  const float ds =
-                      coeff[e] *
-                      DotF(gi, px + static_cast<int64_t>(col[e]) * f, f);
-                  for (int64_t t = tp[e]; t < tp[e + 1]; ++t) {
-                    partial[static_cast<size_t>(types[t])] += ds;
+        if (ag::NeedsGrad(w) || ag::NeedsGrad(b)) {
+          // ∂L/∂s_e = coeff_e · (g_i · x_j) for every directed non-self
+          // entry; dw folds per-row partial vectors in fixed chunk order
+          // (slot k holds db).
+          std::vector<float> acc = ParallelReduce(
+              0, g->num_nodes(), 64, std::vector<float>(k + 1, 0.0f),
+              [&](int64_t lo, int64_t hi) {
+                std::vector<float> partial(k + 1, 0.0f);
+                for (int64_t i = lo; i < hi; ++i) {
+                  const float* gi = pg + i * f;
+                  for (int64_t e = rp[i]; e < rp[i + 1]; ++e) {
+                    if (col[e] == i) continue;  // self loop: s fixed at 1
+                    const float ds =
+                        coeff[e] *
+                        DotF(gi, px + static_cast<int64_t>(col[e]) * f, f);
+                    for (int64_t t = tp[e]; t < tp[e + 1]; ++t) {
+                      partial[static_cast<size_t>(types[t])] += ds;
+                    }
+                    partial[static_cast<size_t>(k)] += ds;
                   }
-                  partial[static_cast<size_t>(k)] += ds;
                 }
-              }
-              return partial;
-            },
-            [k](std::vector<float> a, std::vector<float> part) {
-              for (int64_t t = 0; t <= k; ++t) a[t] += part[t];
-              return a;
-            });
-        if (ag::NeedsGrad(w)) {
-          w->AccumulateGrad(Tensor(
-              w->value.shape(),
-              std::vector<float>(acc.begin(), acc.begin() + k)));
+                return partial;
+              },
+              [k](std::vector<float> a, std::vector<float> part) {
+                for (int64_t t = 0; t <= k; ++t) a[t] += part[t];
+                return a;
+              });
+          if (ag::NeedsGrad(w)) {
+            w->AccumulateGrad(Tensor(
+                w->value.shape(),
+                std::vector<float>(acc.begin(), acc.begin() + k)));
+          }
+          if (ag::NeedsGrad(b)) {
+            b->AccumulateGrad(Tensor(
+                b->value.shape(),
+                std::vector<float>(b->value.numel(), acc[k])));
+          }
         }
-        if (ag::NeedsGrad(b)) {
-          b->AccumulateGrad(Tensor(
-              b->value.shape(),
-              std::vector<float>(b->value.numel(), acc[k])));
+        if (ag::NeedsGrad(x)) {
+          Tensor dx = Tensor::Zeros(x_val.shape());
+          SegmentSpmm(*g, p.data(), /*use_rev=*/true, pg, f, dx.data());
+          x->AccumulateGrad(std::move(dx));
         }
-      }
-      if (ag::NeedsGrad(x)) {
-        Tensor dx = Tensor::Zeros(x_val.shape());
-        SegmentSpmm(*g, p.data(), /*use_rev=*/true, pg, f, dx.data());
-        x->AccumulateGrad(std::move(dx));
-      }
-    };
-  }
-  return out;
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -664,12 +654,11 @@ ag::VarPtr SparseTimeSensitivePropagate(
 ag::VarPtr SparseTimeSensitiveConv(const CsrPtr& g, const ag::VarPtr& w,
                                    const ag::VarPtr& b,
                                    const ag::VarPtr& theta,
-                                   const ag::VarPtr& x,
-                                   TimeSensitiveEdgeValues* save_edge_values) {
+                                   const ag::VarPtr& x) {
   obs::Span span("graph.TimeSensitiveConv[sparse]", "graph");
   PublishOp("graph.sparse.op.time_sensitive_conv");
   return TimeSensitiveOp("graph.SparseTimeSensitiveConv", g, w, b, theta, x,
-                         save_edge_values);
+                         /*save_edge_values=*/nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -731,86 +720,80 @@ ag::VarPtr SparseGatAttention(const CsrPtr& g, const ag::VarPtr& src,
     *save_alpha = Tensor({nnz}, std::vector<float>(*alpha));
   }
 
-  auto out = std::make_shared<ag::Variable>(std::move(y));
-  out->op_name = "graph.SparseGatAttention";
-  const bool any_grad =
-      ag::NeedsGrad(src) || ag::NeedsGrad(dst) || ag::NeedsGrad(h);
-  if (ag::GradMode::enabled() && any_grad) {
-    out->parents = {src, dst, h};
-    Tensor src_val = src->value;
-    Tensor dst_val = dst->value;
-    Tensor h_val = h->value;
-    out->backward_fn = [g, src, dst, h, src_val, dst_val, h_val, alpha,
-                        leaky_slope, f](const Tensor& grad) {
-      obs::Span bspan("graph.GatAttention.bwd[sparse]", "graph");
-      const int64_t n = g->num_nodes();
-      const int64_t nnz = g->num_entries();
-      const float* pg = grad.data();
-      const float* ps = src_val.data();
-      const float* pd = dst_val.data();
-      const float* ph = h_val.data();
-      const float* pa = alpha->data();
-      const int64_t* rp = g->row_ptr().data();
-      const int32_t* col = g->col().data();
-      const int32_t* rev = g->reverse_entry().data();
+  Tensor src_val = src->value;
+  Tensor dst_val = dst->value;
+  Tensor h_val = h->value;
+  return ag::MakeOp(
+      "graph.SparseGatAttention", std::move(y), {src, dst, h},
+      [g, src, dst, h, src_val, dst_val, h_val, alpha, leaky_slope,
+       f](const Tensor& grad) {
+        obs::Span bspan("graph.GatAttention.bwd[sparse]", "graph");
+        const int64_t n = g->num_nodes();
+        const int64_t nnz = g->num_entries();
+        const float* pg = grad.data();
+        const float* ps = src_val.data();
+        const float* pd = dst_val.data();
+        const float* ph = h_val.data();
+        const float* pa = alpha->data();
+        const int64_t* rp = g->row_ptr().data();
+        const int32_t* col = g->col().data();
+        const int32_t* rev = g->reverse_entry().data();
 
-      // Pass 1 (rows i): softmax backward inside the row, du through the
-      // LeakyReLU, row-local dsrc.
-      std::vector<float> du(static_cast<size_t>(nnz), 0.0f);
-      Tensor dsrc = Tensor::Zeros(src_val.shape());
-      float* pdsrc = dsrc.data();
-      ParallelFor(0, n, 64, [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          const int64_t begin = rp[i];
-          const int64_t end = rp[i + 1];
-          if (begin == end) continue;
-          const float* gi = pg + i * f;
-          float dot_sum = 0.0f;
-          for (int64_t e = begin; e < end; ++e) {
-            const float da =
-                DotF(gi, ph + static_cast<int64_t>(col[e]) * f, f);
-            du[static_cast<size_t>(e)] = da;  // stash dα
-            dot_sum += pa[e] * da;
+        // Pass 1 (rows i): softmax backward inside the row, du through the
+        // LeakyReLU, row-local dsrc.
+        std::vector<float> du(static_cast<size_t>(nnz), 0.0f);
+        Tensor dsrc = Tensor::Zeros(src_val.shape());
+        float* pdsrc = dsrc.data();
+        ParallelFor(0, n, 64, [&](int64_t lo, int64_t hi) {
+          for (int64_t i = lo; i < hi; ++i) {
+            const int64_t begin = rp[i];
+            const int64_t end = rp[i + 1];
+            if (begin == end) continue;
+            const float* gi = pg + i * f;
+            float dot_sum = 0.0f;
+            for (int64_t e = begin; e < end; ++e) {
+              const float da =
+                  DotF(gi, ph + static_cast<int64_t>(col[e]) * f, f);
+              du[static_cast<size_t>(e)] = da;  // stash dα
+              dot_sum += pa[e] * da;
+            }
+            float dsrc_i = 0.0f;
+            for (int64_t e = begin; e < end; ++e) {
+              const float dz =
+                  pa[e] * (du[static_cast<size_t>(e)] - dot_sum);
+              const float u = ps[i] + pd[col[e]];
+              const float duv = u > 0.0f ? dz : leaky_slope * dz;
+              du[static_cast<size_t>(e)] = duv;
+              dsrc_i += duv;
+            }
+            pdsrc[i] = dsrc_i;
           }
-          float dsrc_i = 0.0f;
-          for (int64_t e = begin; e < end; ++e) {
-            const float dz =
-                pa[e] * (du[static_cast<size_t>(e)] - dot_sum);
-            const float u = ps[i] + pd[col[e]];
-            const float duv = u > 0.0f ? dz : leaky_slope * dz;
-            du[static_cast<size_t>(e)] = duv;
-            dsrc_i += duv;
+        });
+
+        // Pass 2 (rows j): transpose accumulations via the reverse index.
+        Tensor ddst = Tensor::Zeros(dst_val.shape());
+        Tensor dh = Tensor::Zeros(h_val.shape());
+        float* pddst = ddst.data();
+        float* pdh = dh.data();
+        ParallelFor(0, n, 64, [&](int64_t lo, int64_t hi) {
+          for (int64_t j = lo; j < hi; ++j) {
+            float ddst_j = 0.0f;
+            float* dhj = pdh + j * f;
+            for (int64_t e = rp[j]; e < rp[j + 1]; ++e) {
+              const int32_t r = rev[e];
+              ddst_j += du[static_cast<size_t>(r)];
+              const float a = pa[r];
+              const float* gi = pg + static_cast<int64_t>(col[e]) * f;
+              for (int64_t c = 0; c < f; ++c) dhj[c] += a * gi[c];
+            }
+            pddst[j] = ddst_j;
           }
-          pdsrc[i] = dsrc_i;
-        }
+        });
+
+        if (ag::NeedsGrad(src)) src->AccumulateGrad(std::move(dsrc));
+        if (ag::NeedsGrad(dst)) dst->AccumulateGrad(std::move(ddst));
+        if (ag::NeedsGrad(h)) h->AccumulateGrad(std::move(dh));
       });
-
-      // Pass 2 (rows j): transpose accumulations via the reverse index.
-      Tensor ddst = Tensor::Zeros(dst_val.shape());
-      Tensor dh = Tensor::Zeros(h_val.shape());
-      float* pddst = ddst.data();
-      float* pdh = dh.data();
-      ParallelFor(0, n, 64, [&](int64_t lo, int64_t hi) {
-        for (int64_t j = lo; j < hi; ++j) {
-          float ddst_j = 0.0f;
-          float* dhj = pdh + j * f;
-          for (int64_t e = rp[j]; e < rp[j + 1]; ++e) {
-            const int32_t r = rev[e];
-            ddst_j += du[static_cast<size_t>(r)];
-            const float a = pa[r];
-            const float* gi = pg + static_cast<int64_t>(col[e]) * f;
-            for (int64_t c = 0; c < f; ++c) dhj[c] += a * gi[c];
-          }
-          pddst[j] = ddst_j;
-        }
-      });
-
-      if (ag::NeedsGrad(src)) src->AccumulateGrad(std::move(dsrc));
-      if (ag::NeedsGrad(dst)) dst->AccumulateGrad(std::move(ddst));
-      if (ag::NeedsGrad(h)) h->AccumulateGrad(std::move(dh));
-    };
-  }
-  return out;
 }
 
 }  // namespace rtgcn::graph

@@ -170,10 +170,10 @@ ag::VarPtr SparseTimeSensitivePropagate(
 /// lifts dh back into the lanes' node-major layout directly. Gradients flow
 /// to w, b, Θ and x; Θ's is folded from per-chunk partials in chunk order,
 /// so it is bit-identical at any thread count.
-ag::VarPtr SparseTimeSensitiveConv(
-    const CsrPtr& g, const ag::VarPtr& w, const ag::VarPtr& b,
-    const ag::VarPtr& theta, const ag::VarPtr& x,
-    TimeSensitiveEdgeValues* save_edge_values = nullptr);
+ag::VarPtr SparseTimeSensitiveConv(const CsrPtr& g, const ag::VarPtr& w,
+                                   const ag::VarPtr& b,
+                                   const ag::VarPtr& theta,
+                                   const ag::VarPtr& x);
 
 /// Fused sparse GAT attention: z_e = LeakyReLU(src_i + dst_j, slope) over
 /// the graph's entries, α = per-row softmax of z, y_i = Σ_e α_e h_j.

@@ -249,8 +249,8 @@ Result<Reply> Client::Call(Request request) {
   return reply;
 }
 
-Result<Client::ScoreResult> Client::Score(int64_t day, int64_t stock,
-                                          int64_t deadline_ms) {
+Result<ScoreReply> Client::Score(int64_t day, int64_t stock,
+                                 int64_t deadline_ms) {
   Request request;
   request.verb = Request::Verb::kScore;
   request.day = day;
@@ -275,7 +275,7 @@ Result<Client::RankResult> Client::Rank(int64_t day, int64_t k,
   return result;
 }
 
-Result<std::vector<Client::ScoreResult>> Client::ScoreBatch(
+Result<std::vector<ScoreReply>> Client::ScoreBatch(
     int64_t day, const std::vector<int64_t>& stocks, int64_t deadline_ms) {
   Request request;
   request.verb = Request::Verb::kScoreBatch;

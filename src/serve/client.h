@@ -44,13 +44,10 @@ class Client {
   };
 
   // Requests are formatted and replies parsed by serve/protocol.h — the
-  // client shares one grammar implementation with the servers. These
-  // aliases keep the pre-protocol spellings compiling.
-  using ScoreResult = ScoreReply;
-  using RankEntry = serve::RankEntry;
+  // client shares one grammar implementation with the servers.
   struct RankResult {
     int64_t model_version = -1;
-    std::vector<serve::RankEntry> top;
+    std::vector<RankEntry> top;
     bool stale = false;
   };
 
@@ -62,15 +59,15 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   /// SCORE <day> <stock> [DEADLINE <ms>] (deadline_ms 0 = none).
-  Result<ScoreResult> Score(int64_t day, int64_t stock,
-                            int64_t deadline_ms = 0);
+  Result<ScoreReply> Score(int64_t day, int64_t stock,
+                           int64_t deadline_ms = 0);
 
   /// RANK <day> <k> [DEADLINE <ms>].
   Result<RankResult> Rank(int64_t day, int64_t k, int64_t deadline_ms = 0);
 
   /// SCOREN: several stocks of one day in one round trip. Results are
   /// aligned with `stocks`.
-  Result<std::vector<ScoreResult>> ScoreBatch(
+  Result<std::vector<ScoreReply>> ScoreBatch(
       int64_t day, const std::vector<int64_t>& stocks,
       int64_t deadline_ms = 0);
 

@@ -23,6 +23,7 @@
 #include "common/status.h"
 #include "harness/checkpoint.h"
 #include "serve/metrics.h"
+#include "serve/protocol.h"
 #include "serve/snapshot.h"
 
 namespace rtgcn::serve {
@@ -71,12 +72,22 @@ class ModelRegistry {
   /// poll — remove the files first to keep the model down.
   void Unpublish();
 
-  /// Reload failures since the last successful promotion. Feeds the
-  /// serving health state machine: crossing the server's
-  /// degraded_failure_threshold flips health to DEGRADED (the previous
-  /// snapshot keeps serving, flagged STALE).
+  /// Reload failures since the last successful promotion.
   int64_t consecutive_reload_failures() const {
     return consecutive_failures_.load(std::memory_order_relaxed);
+  }
+
+  /// The DEGRADED rule of every serving process: kDegraded when no
+  /// snapshot is published or the consecutive reload failures reached
+  /// `degraded_failure_threshold` (<= 0 disables that trigger), else
+  /// kServing. Costs one Current() read and one atomic load.
+  HealthState Health(int64_t degraded_failure_threshold) const {
+    if (Current() == nullptr) return HealthState::kDegraded;
+    if (degraded_failure_threshold > 0 &&
+        consecutive_reload_failures() >= degraded_failure_threshold) {
+      return HealthState::kDegraded;
+    }
+    return HealthState::kServing;
   }
 
   /// Scans the directory once and promotes the newest loadable checkpoint

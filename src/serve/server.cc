@@ -244,18 +244,9 @@ std::shared_ptr<const InferenceServer::DayScores> InferenceServer::Cached(
 }
 
 HealthState InferenceServer::HealthLocked(bool draining) {
-  HealthState state;
-  if (draining) {
-    state = HealthState::kDraining;
-  } else if (registry_->Current() == nullptr) {
-    state = HealthState::kDegraded;
-  } else if (options_.degraded_failure_threshold > 0 &&
-             registry_->consecutive_reload_failures() >=
-                 options_.degraded_failure_threshold) {
-    state = HealthState::kDegraded;
-  } else {
-    state = HealthState::kServing;
-  }
+  const HealthState state =
+      draining ? HealthState::kDraining
+               : registry_->Health(options_.degraded_failure_threshold);
   // Degraded-seconds accounting: attribute the time since the previous
   // evaluation to the state it was spent in.
   std::lock_guard<std::mutex> lock(health_mu_);

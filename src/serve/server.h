@@ -41,11 +41,11 @@
 //  * Stop() drains: admitted requests complete, new requests fail with a
 //    "draining" status (DRAINING on the wire);
 //  * Health() reports SERVING / DEGRADED / DRAINING. The server is
-//    DEGRADED when the registry has no published snapshot or its reload
-//    failures cross degraded_failure_threshold; degraded replies serve
-//    real (but possibly outdated) scores flagged `stale` instead of
-//    erroring, falling back to the newest version's scores ever computed
-//    for a day when no snapshot is published at all.
+//    DEGRADED by ModelRegistry::Health's rule (no published snapshot, or
+//    degraded_failure_threshold reload failures in a row); degraded
+//    replies serve real (but possibly outdated) scores flagged `stale`
+//    instead of erroring, falling back to the newest version's scores
+//    ever computed for a day when no snapshot is published at all.
 #ifndef RTGCN_SERVE_SERVER_H_
 #define RTGCN_SERVE_SERVER_H_
 

@@ -14,32 +14,6 @@
 
 namespace rtgcn::stream {
 
-namespace {
-
-/// Consecutive reload failures before Health() reports DEGRADED (the
-/// serving server's default threshold).
-constexpr int64_t kDegradedReloadFailures = 3;
-
-/// ServableModel that pins the architecture recipe (most importantly the
-/// relation tensor the RT-GCN layers reference) for the model's lifetime.
-class ArchServable : public serve::ServableModel {
- public:
-  ArchServable(std::shared_ptr<const void> keepalive,
-               std::unique_ptr<serve::ServableModel> inner)
-      : keepalive_(std::move(keepalive)), inner_(std::move(inner)) {}
-
-  nn::Module* module() override { return inner_->module(); }
-  Tensor Score(const Tensor& features) override {
-    return inner_->Score(features);
-  }
-
- private:
-  std::shared_ptr<const void> keepalive_;
-  std::unique_ptr<serve::ServableModel> inner_;
-};
-
-}  // namespace
-
 RollingPipeline::RollingPipeline(PipelineConfig config, TickSource* source,
                                  graph::RelationTensor initial_relations)
     : config_(std::move(config)),
@@ -79,8 +53,7 @@ std::unique_ptr<serve::ServableModel> RollingPipeline::BuildServable() {
   auto predictor = std::make_unique<baselines::RtGcnPredictor>(
       *arch->relations, arch->config, arch->alpha, arch->seed,
       "rtgcn-stream");
-  return std::make_unique<ArchServable>(
-      arch, serve::WrapPredictor(std::move(predictor)));
+  return serve::WrapPredictor(std::move(predictor));
 }
 
 Status RollingPipeline::Step() {
@@ -252,11 +225,8 @@ serve::InferenceServer::ScoreFn RollingPipeline::ServeScoreFn() {
 }
 
 serve::HealthState RollingPipeline::Health() const {
-  if (registry_.Current() == nullptr) return serve::HealthState::kDegraded;
-  if (registry_.consecutive_reload_failures() >= kDegradedReloadFailures) {
-    return serve::HealthState::kDegraded;
-  }
-  return serve::HealthState::kServing;
+  return registry_.Health(
+      serve::InferenceServer::Options{}.degraded_failure_threshold);
 }
 
 int64_t RollingPipeline::day() const { return source_->day(); }

@@ -120,8 +120,10 @@ class RollingPipeline {
 
   int64_t num_slots() const { return source_->num_slots(); }
 
-  /// SERVING once a snapshot is published and reloads are healthy;
-  /// DEGRADED before the first promotion or after repeated reload failures.
+  /// The serving processes' DEGRADED rule (ModelRegistry::Health) at the
+  /// inference server's default degraded_failure_threshold: DEGRADED
+  /// before the first promotion or after that many reload failures in a
+  /// row, else SERVING.
   serve::HealthState Health() const;
 
   int64_t day() const;

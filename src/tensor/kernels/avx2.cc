@@ -67,25 +67,6 @@ void DivAvx2(const float* a, const float* b, float* o, int64_t n) {
   }
   for (; i < n; ++i) o[i] = a[i] / b[i];
 }
-// max_ps/min_ps return the SECOND operand on NaN or signed-zero ties;
-// std::max/min return the first argument in both cases. Passing (b, a)
-// makes the lanes agree with the scalar reference bit for bit.
-void MaxAvx2(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        o + i, _mm256_max_ps(_mm256_loadu_ps(b + i), _mm256_loadu_ps(a + i)));
-  }
-  for (; i < n; ++i) o[i] = std::max(a[i], b[i]);
-}
-void MinAvx2(const float* a, const float* b, float* o, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(
-        o + i, _mm256_min_ps(_mm256_loadu_ps(b + i), _mm256_loadu_ps(a + i)));
-  }
-  for (; i < n; ++i) o[i] = std::min(a[i], b[i]);
-}
 void AddScalarAvx2(const float* a, float s, float* o, int64_t n) {
   const __m256 vs = _mm256_set1_ps(s);
   int64_t i = 0;
@@ -338,8 +319,6 @@ const KernelSet kAvx2Set = {
     /*sub=*/SubAvx2,
     /*mul=*/MulAvx2,
     /*div=*/DivAvx2,
-    /*vmax=*/MaxAvx2,
-    /*vmin=*/MinAvx2,
     /*add_scalar=*/AddScalarAvx2,
     /*mul_scalar=*/MulScalarAvx2,
     /*relu=*/ReluAvx2,

@@ -153,8 +153,6 @@ struct KernelSet {
   BinaryFn sub;
   BinaryFn mul;
   BinaryFn div;
-  BinaryFn vmax;
-  BinaryFn vmin;
   ScalarFn add_scalar;
   ScalarFn mul_scalar;
   UnaryFn relu;

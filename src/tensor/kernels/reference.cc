@@ -24,12 +24,6 @@ void MulRef(const float* a, const float* b, float* o, int64_t n) {
 void DivRef(const float* a, const float* b, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] / b[i];
 }
-void MaxRef(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = std::max(a[i], b[i]);
-}
-void MinRef(const float* a, const float* b, float* o, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) o[i] = std::min(a[i], b[i]);
-}
 void AddScalarRef(const float* a, float s, float* o, int64_t n) {
   for (int64_t i = 0; i < n; ++i) o[i] = a[i] + s;
 }
@@ -502,8 +496,6 @@ const KernelSet kReferenceSet = {
     /*sub=*/SubRef,
     /*mul=*/MulRef,
     /*div=*/DivRef,
-    /*vmax=*/MaxRef,
-    /*vmin=*/MinRef,
     /*add_scalar=*/AddScalarRef,
     /*mul_scalar=*/MulScalarRef,
     /*relu=*/ReluRef,

@@ -302,20 +302,6 @@ Tensor Div(const Tensor& a, const Tensor& b) {
   }
   return BinaryOp(a, b, [](float x, float y) { return x / y; });
 }
-Tensor Maximum(const Tensor& a, const Tensor& b) {
-  RTGCN_CHECK(a.defined() && b.defined());
-  if (a.shape() == b.shape()) {
-    return ContiguousBinary(a, b, kernels::Active().vmax);
-  }
-  return BinaryOp(a, b, [](float x, float y) { return std::max(x, y); });
-}
-Tensor Minimum(const Tensor& a, const Tensor& b) {
-  RTGCN_CHECK(a.defined() && b.defined());
-  if (a.shape() == b.shape()) {
-    return ContiguousBinary(a, b, kernels::Active().vmin);
-  }
-  return BinaryOp(a, b, [](float x, float y) { return std::min(x, y); });
-}
 
 Tensor AddScalar(const Tensor& a, float s) {
   return ScalarMap(a, s, kernels::Active().add_scalar);

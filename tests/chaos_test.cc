@@ -624,10 +624,10 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   // One ServerConfig drives both layers, exactly as serve_server and
   // bench_serve wire it.
   ServerConfig cfg;
-  cfg.max_queue = 64;
-  cfg.max_line_bytes = 4096;
+  cfg.server.max_queue = 64;
+  cfg.front.max_line_bytes = 4096;
   ASSERT_TRUE(cfg.Validate().ok());
-  InferenceServer server(&data, &registry, cfg.server_options(), &metrics);
+  InferenceServer server(&data, &registry, cfg.server, &metrics);
   ASSERT_TRUE(server.Start().ok());
 
   ChaosInjector::Options copts;
@@ -639,7 +639,7 @@ TEST(ChaosScenarioTest, ServerSurvivesChaosAndAccountsForEveryRequest) {
   copts.delay_ms_max = 5;
   ChaosInjector chaos(copts);
 
-  AsyncServer front(&server, &metrics, cfg.async_options());
+  AsyncServer front(&server, &metrics, cfg.front);
   front.SetChaos(&chaos);
   ASSERT_TRUE(front.Start().ok());
 

@@ -197,8 +197,6 @@ TEST(KernelChecker, BinaryElementwiseSizeSweep) {
     checker.Check("Sub" + tag, [&] { return Sub(a, b); });
     checker.Check("Mul" + tag, [&] { return Mul(a, b); });
     checker.Check("Div" + tag, [&] { return Div(a, b); });
-    checker.Check("Maximum" + tag, [&] { return Maximum(a, b); });
-    checker.Check("Minimum" + tag, [&] { return Minimum(a, b); });
   }
 }
 
@@ -228,7 +226,6 @@ TEST(KernelChecker, BroadcastEdges) {
   checker.Check("Mul scalar*tensor", [&] { return Mul(s, a); });
   checker.Check("Add row-broadcast", [&] { return Add(a, row); });
   checker.Check("Add col-broadcast", [&] { return Add(a, col); });
-  checker.Check("Maximum row-broadcast", [&] { return Maximum(a, row); });
 }
 
 TEST(KernelChecker, ReluSignedZeroAndSpecials) {

@@ -75,8 +75,6 @@ TEST(ParallelEquivalenceTest, ElementwiseBinarySameShape) {
   ExpectOpBitIdentical([&] { return Sub(a, b); }, "Sub");
   ExpectOpBitIdentical([&] { return Mul(a, b); }, "Mul");
   ExpectOpBitIdentical([&] { return Div(a, b); }, "Div");
-  ExpectOpBitIdentical([&] { return Maximum(a, b); }, "Maximum");
-  ExpectOpBitIdentical([&] { return Minimum(a, b); }, "Minimum");
 }
 
 TEST(ParallelEquivalenceTest, ElementwiseBinaryBroadcast) {

@@ -1272,24 +1272,41 @@ Status ParseArgs(FlagSet* fs, std::vector<std::string> args) {
   return fs->Parse(static_cast<int>(argv.size()), argv.data());
 }
 
-TEST(ServerConfigTest, FlagsRoundTripIntoEveryProjection) {
+// Each of the 11 flags lands in the layer Options the stack is wired
+// with; client knobs are not server flags.
+TEST(ServerConfigTest, FlagsRoundTripIntoLayerOptions) {
   ServerConfig cfg;
   FlagSet fs("test");
   cfg.RegisterFlags(&fs);
-  ASSERT_TRUE(ParseArgs(&fs, {"prog", "--cache", "0", "--max_queue", "17",
-                              "--port", "7171", "--executor_threads", "3",
-                              "--max_attempts", "2"})
+  ASSERT_TRUE(ParseArgs(&fs, {"prog", "--port", "7171", "--backlog", "9",
+                              "--max_connections", "11",
+                              "--max_line_bytes", "513",
+                              "--executor_threads", "3",
+                              "--max_outbox_bytes", "4097",
+                              "--max_pending_lines", "5", "--cache", "0",
+                              "--cache_capacity", "7", "--max_queue", "17",
+                              "--degraded_failure_threshold", "2"})
                   .ok());
   ASSERT_TRUE(cfg.Validate().ok());
 
-  const InferenceServer::Options so = cfg.server_options();
-  EXPECT_FALSE(so.enable_cache);
-  EXPECT_EQ(so.max_queue, 17);
+  EXPECT_EQ(cfg.front.port, 7171);
+  EXPECT_EQ(cfg.front.backlog, 9);
+  EXPECT_EQ(cfg.front.max_connections, 11);
+  EXPECT_EQ(cfg.front.max_line_bytes, 513);
+  EXPECT_EQ(cfg.front.executor_threads, 3);
+  EXPECT_EQ(cfg.front.max_outbox_bytes, 4097);
+  EXPECT_EQ(cfg.front.max_pending_lines, 5);
+  EXPECT_FALSE(cfg.server.enable_cache);
+  EXPECT_EQ(cfg.server.cache_capacity, 7);
+  EXPECT_EQ(cfg.server.max_queue, 17);
+  EXPECT_EQ(cfg.server.degraded_failure_threshold, 2);
 
-  EXPECT_EQ(cfg.async_options().port, 7171);
-  EXPECT_EQ(cfg.async_options().executor_threads, 3);
-  EXPECT_EQ(cfg.client_options().port, 7171);
-  EXPECT_EQ(cfg.client_options().max_attempts, 2);
+  for (const char* client_flag :
+       {"--connect_timeout_ms", "--recv_timeout_ms",
+        "--client_send_timeout_ms", "--max_attempts", "--retry_busy"}) {
+    EXPECT_FALSE(ParseArgs(&fs, {"prog", client_flag, "1"}).ok())
+        << client_flag;
+  }
 }
 
 TEST(ServerConfigTest, RejectsBadValuesAndBounds) {
@@ -1301,26 +1318,14 @@ TEST(ServerConfigTest, RejectsBadValuesAndBounds) {
   }
   {
     ServerConfig cfg;
-    cfg.max_queue = 0;
+    cfg.server.max_queue = 0;
     EXPECT_FALSE(cfg.Validate().ok());
   }
   {
     ServerConfig cfg;
-    cfg.executor_threads = 0;
+    cfg.front.executor_threads = 0;
     EXPECT_FALSE(cfg.Validate().ok());
   }
-}
-
-TEST(ServerConfigTest, PrefixedRegistrationKeepsNamesDisjoint) {
-  ServerConfig a, b;
-  FlagSet fs("test");
-  a.RegisterFlags(&fs);
-  b.RegisterFlags(&fs, "peer_");
-  ASSERT_TRUE(
-      ParseArgs(&fs, {"prog", "--max_queue", "2", "--peer_max_queue", "8"})
-          .ok());
-  EXPECT_EQ(a.max_queue, 2);
-  EXPECT_EQ(b.max_queue, 8);
 }
 
 }  // namespace

@@ -301,6 +301,49 @@ TEST(FiniteCheckTest, NamesFusedRelationalConvInBothPhases) {
   EXPECT_EQ(ag::FiniteChecks::first().phase, "backward");
 }
 
+// The other sparse graph ops are single tape nodes too: a non-finite
+// output is blamed on the op that produced it, not on the next op that
+// reads it.
+graph::CsrPtr ThreeNodeGraph() {
+  graph::RelationTensor rel(3, 1);
+  rel.AddRelation(0, 1, 0).Abort();
+  return graph::CsrGraph::NormalizedAdjacency(rel);
+}
+
+void ExpectForwardBlames(const char* op) {
+  EXPECT_TRUE(ag::FiniteChecks::tripped());
+  EXPECT_EQ(ag::FiniteChecks::first().op, op);
+  EXPECT_EQ(ag::FiniteChecks::first().phase, "forward");
+}
+
+TEST(FiniteCheckTest, NamesSparsePropagateInForward) {
+  FiniteCheckScope scope;
+  Tensor x = Tensor::Full({3, 2}, 0.5f);
+  x.data()[2] = kNan;  // node 1, a neighbour of node 0
+  graph::SparsePropagate(ThreeNodeGraph(), ag::Constant(x));
+  ExpectForwardBlames("graph.SparsePropagate");
+}
+
+TEST(FiniteCheckTest, NamesSparseEdgeWeightPropagateInForward) {
+  FiniteCheckScope scope;
+  graph::SparseEdgeWeightPropagate(
+      ThreeNodeGraph(), ag::Constant(Tensor::Full({1}, kNan)),
+      ag::Constant(Tensor::Zeros({1})),
+      ag::Constant(Tensor::Full({3, 2}, 0.5f)));
+  ExpectForwardBlames("graph.SparseEdgeWeightPropagate");
+}
+
+TEST(FiniteCheckTest, NamesSparseGatAttentionInForward) {
+  FiniteCheckScope scope;
+  Tensor h = Tensor::Full({3, 2}, 0.5f);
+  h.data()[3] = kNan;  // node 1
+  graph::SparseGatAttention(ThreeNodeGraph(),
+                            ag::Constant(Tensor::Zeros({3})),
+                            ag::Constant(Tensor::Zeros({3})),
+                            ag::Constant(h), /*leaky_slope=*/0.2f);
+  ExpectForwardBlames("graph.SparseGatAttention");
+}
+
 TEST(FiniteCheckTest, DisabledModeRecordsNothing) {
   ag::FiniteChecks::set_enabled(false);
   ag::FiniteChecks::Reset();
